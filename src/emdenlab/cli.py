@@ -298,27 +298,22 @@ def _run_bubble(args) -> RunReport:
 
 
 def _run_scan(args) -> RunReport:
-    table = shooting.liouville_scan(
-        args.n, args.p, args.alpha, args.u0, horizon=args.horizon
-    )
+    write_trajectory = None
     if args.trajectories is not None:
         outdir = Path(args.trajectories)
         outdir.mkdir(parents=True, exist_ok=True)
-        for alpha in args.alpha:
-            term = exponents.ReactionTerm.pure_power(float(alpha))
-            for u0 in args.u0:
-                out = shooting.shoot(
-                    model_from_name("euclidean", args.n), args.p, term,
-                    float(u0), horizon=args.horizon,
-                )
-                path = outdir / f"alpha{alpha:g}_u0{u0:g}.csv"
-                with open(path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["r", "u", "uprime", "m"])
-                    traj = out.trajectory
-                    writer.writerows(
-                        zip(traj["r"], traj["u"], traj["uprime"], traj["m"])
-                    )
+
+        def write_trajectory(alpha, u0, out):
+            traj = out.trajectory
+            with open(outdir / f"alpha{alpha:g}_u0{u0:g}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["r", "u", "uprime", "m"])
+                writer.writerows(zip(traj["r"], traj["u"], traj["uprime"], traj["m"]))
+
+    table = shooting.liouville_scan(
+        args.n, args.p, args.alpha, args.u0, horizon=args.horizon,
+        on_cell=write_trajectory,
+    )
     if args.csv is not None:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)

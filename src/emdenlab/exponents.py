@@ -260,15 +260,6 @@ class ReactionTerm:
     def deriv(self, t):
         return self.fprime(np.asarray(t, dtype=float))
 
-    def extended(self, t):
-        """Odd extension below zero (integration device for overshoot)."""
-        t = np.asarray(t, dtype=float)
-        out = np.where(t > 0, self.f(np.abs(t) + (t <= 0)), 0.0)
-        neg = t < 0
-        if np.any(neg):
-            out = np.where(neg, -self.f(np.abs(t) + (t >= 0)), out)
-        return out
-
     def extended_scalar(self):
         """Scalar closure of the odd extension (integrator hot loop)."""
         f = self.f
@@ -281,10 +272,6 @@ class ReactionTerm:
             return 0.0
 
         return g
-
-    @property
-    def is_pure_power(self) -> bool:
-        return self.family == "pure_power"
 
 
 # ----------------------------------------------------------------------

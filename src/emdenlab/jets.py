@@ -31,7 +31,6 @@ from .errors import PreconditionError, SingularJetError
 
 __all__ = [
     "Jet2",
-    "PJetParams",
     "EPS_GRAD_FACTOR",
     "grad_norm_sq",
     "laplacian",
@@ -77,37 +76,6 @@ class Jet2:
     @property
     def dim(self) -> int:
         return self.grad.shape[-1]
-
-    # thin views over the module functions
-    def p_laplacian(self, p, eps_grad=None):
-        return p_laplacian(self.grad, self.hess, p, eps_grad=eps_grad)
-
-    def inf_laplacian(self):
-        return inf_laplacian(self.grad, self.hess)
-
-    def anisotropy(self, p, v, eps_grad=None):
-        return anisotropy_apply(self.grad, p, v, eps_grad=eps_grad)
-
-    def flux(self, params: "PJetParams"):
-        return weighted_flux(self.u, self.grad, params.p, params.b)
-
-    def flux_jacobian(self, params: "PJetParams", check=True):
-        return weighted_flux_jacobian(
-            self.u, self.grad, self.hess, params.p, params.b, check=check
-        )
-
-
-@dataclass(frozen=True)
-class PJetParams:
-    """Degeneracy exponent p > 1 and the flux weight power b."""
-
-    p: float
-    b: float = 0.0
-    a: float = 0.0
-
-    def __post_init__(self):
-        if not self.p > 1:
-            raise PreconditionError(f"p must exceed 1, got {self.p}")
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,12 @@ then hands off to an adaptive embedded Runge-Kutta method (DOP853) with
 dense output; a zero crossing of u is located by the integrator's event
 root-finding on the dense output.
 
+That computation lives in one place, ``_integrate``.  Its three callers
+only choose the interval and read the result: ``shoot`` classifies the
+run (and ``liouville_scan`` passes each cell's outcome, trajectory
+included, to an optional per-cell hook), ``solve_dense`` wraps the dense
+positive segment, and ``_bv_single`` (the sphere scan) reads the pole flux.
+
 Every scan report records that radial shooting witnesses nonexistence
 only within the radial class; see ``RADIAL_WITNESS_NOTE``.
 """
@@ -35,7 +41,6 @@ from .geometry import ManifoldModel, euclidean, sphere
 from .taylor import Grad, grad_abs_pow
 
 __all__ = [
-    "RadialState",
     "ShootOutcome",
     "RadialSolution",
     "shoot",
@@ -69,26 +74,6 @@ def _warp_weight(model: ManifoldModel, n: int):
         return psi ** (n - 1)
 
     return generic
-
-
-@dataclass(frozen=True)
-class RadialState:
-    """One point of a flux-form trajectory: (r, u, m).
-
-    m = psi^{n-1} |u'|^{p-2} u' is the substitution variable; u' is
-    recovered as sign(m) |m / psi^{n-1}|^{1/(p-1)} for r > 0 and m(0)=0.
-    """
-
-    r: float
-    u: float
-    m: float
-
-    def uprime(self, model: ManifoldModel, p: float) -> float:
-        if self.m == 0.0:
-            return 0.0
-        psi, _, _ = model.warping_jet(self.r)
-        w = psi ** (model.dim - 1)
-        return math.copysign(abs(self.m / w) ** (1.0 / (p - 1.0)), self.m)
 
 
 @dataclass(frozen=True)
@@ -159,9 +144,6 @@ class RadialSolution:
         u2g = u2_expr(u1g)
         return u, u1, u2g.v, u2g.d[:, 0]
 
-    def positive_span(self, margin: float = 0.0):
-        return self.r_lo, self.r_hi - margin
-
 
 def _series_start(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
                   r0: float):
@@ -175,6 +157,35 @@ def _series_start(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
     warp_integral = r0**n / n + (n - 1) * c * r0 ** (n + 2) / (6.0 * (n + 2))
     m_r0 = -f0 * warp_integral
     return u_r0, m_r0
+
+
+def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
+               r_start: float, r_end: float, rtol: float, atol: float):
+    """The radial solve: series start at r_start, then DOP853 on the flux
+    form up to r_end, stopping at the first downward zero crossing of u.
+
+    Returns scipy's solution object with dense output.
+    """
+    n = model.dim
+    warp = _warp_weight(model, n)
+    fext = term.extended_scalar()
+
+    def rhs(r, y):
+        u, m = y
+        w = warp(r)
+        du = math.copysign(abs(m / w) ** (1.0 / (p - 1.0)), m) if m != 0 else 0.0
+        return (du, -w * fext(u))
+
+    def crossing(r, y):
+        return y[0]
+
+    crossing.terminal = True
+    crossing.direction = -1
+    y0 = _series_start(model, p, term, u0, r_start)
+    return solve_ivp(
+        rhs, (r_start, r_end), y0, method="DOP853", rtol=rtol, atol=atol,
+        dense_output=True, events=crossing,
+    )
 
 
 def shoot(
@@ -198,34 +209,8 @@ def shoot(
     if r_end <= r_start:
         raise DomainError("horizon does not exceed the series start")
 
-    warp = _warp_weight(model, n)
-    fext = term.extended_scalar()
-
-    def rhs(r, y):
-        u, m = y
-        w = warp(r)
-        du = math.copysign(abs(m / w) ** (1.0 / (p - 1.0)), m) if m != 0 else 0.0
-        dm = -w * fext(u)
-        return (du, dm)
-
-    def crossing(r, y):
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1
-
-    y0 = _series_start(model, p, term, u0, r_start)
     try:
-        sol = solve_ivp(
-            rhs,
-            (r_start, r_end),
-            y0,
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
-            events=crossing,
-        )
+        sol = _integrate(model, p, term, u0, r_start, r_end, rtol, atol)
     except (FloatingPointError, ValueError, OverflowError) as exc:
         return ShootOutcome(kind="inconclusive", reason=f"integrator error: {exc}")
 
@@ -298,29 +283,9 @@ def solve_dense(
     atol: float = 1e-12,
 ) -> RadialSolution:
     """Shoot and wrap the dense positive segment as a RadialSolution."""
-    n = model.dim
-
-    warp = _warp_weight(model, n)
-    fext = term.extended_scalar()
-
-    def rhs(r, y):
-        u, m = y
-        w = warp(r)
-        du = math.copysign(abs(m / w) ** (1.0 / (p - 1.0)), m) if m != 0 else 0.0
-        return (du, -w * fext(u))
-
-    def crossing(r, y):
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1
     r_start = SERIES_RADIUS
     r_end = min(horizon, model.r_max - r_start)
-    y0 = _series_start(model, p, term, u0, r_start)
-    sol = solve_ivp(
-        rhs, (r_start, r_end), y0, method="DOP853", rtol=rtol, atol=atol,
-        dense_output=True, events=crossing,
-    )
+    sol = _integrate(model, p, term, u0, r_start, r_end, rtol, atol)
     if sol.status < 0:
         raise NumericalError(f"dense solve failed: {sol.message}")
     r_hi = float(sol.t_events[0][0]) if len(sol.t_events[0]) else float(sol.t[-1])
@@ -332,40 +297,46 @@ def solve_dense(
 # ----------------------------------------------------------------------
 
 
-def liouville_scan(n, p, alphas, u0s, horizon=100.0, rtol=1e-10, atol=1e-12):
+def liouville_scan(n, p, alphas, u0s, horizon=100.0, rtol=1e-10, atol=1e-12,
+                   on_cell=None):
     """Shooting table for pure powers across an (alpha, u0) grid on R^n.
 
     The expected dichotomy: every alpha below the critical exponent
     crosses zero at finite radius; at the critical exponent the run
     stays positive (the bubble family).
+
+    ``on_cell(alpha, u0, outcome)``, if given, receives the ShootOutcome
+    of every cell whose solve returned.  It runs outside the per-cell
+    error capture, so a failing hook propagates instead of being
+    recorded as an error cell.
     """
     model = euclidean(n)
     ps = critical_exponent(n, p)
     cells = []
     for alpha in alphas:
-        term = ReactionTerm.pure_power(float(alpha))
+        alpha = float(alpha)
+        term = ReactionTerm.pure_power(alpha)
         for u0 in u0s:
+            u0 = float(u0)
             try:
-                out = shoot(model, p, term, float(u0), horizon=horizon,
+                out = shoot(model, p, term, u0, horizon=horizon,
                             rtol=rtol, atol=atol)
-                cells.append(
-                    {
-                        "alpha": float(alpha),
-                        "u0": float(u0),
-                        "outcome": out.kind,
-                        "r_cross": out.r_cross,
-                        "tail_exponent": out.tail_exponent,
-                    }
-                )
             except Exception as exc:  # record and continue, per cell
                 cells.append(
-                    {
-                        "alpha": float(alpha),
-                        "u0": float(u0),
-                        "outcome": "error",
-                        "error": str(exc),
-                    }
+                    {"alpha": alpha, "u0": u0, "outcome": "error", "error": str(exc)}
                 )
+                continue
+            cells.append(
+                {
+                    "alpha": alpha,
+                    "u0": u0,
+                    "outcome": out.kind,
+                    "r_cross": out.r_cross,
+                    "tail_exponent": out.tail_exponent,
+                }
+            )
+            if on_cell is not None:
+                on_cell(alpha, u0, out)
     return {
         "note": RADIAL_WITNESS_NOTE,
         "n": n,
@@ -414,27 +385,8 @@ def _bv_single(model, q, lam, u0, rtol, atol):
     """One pole-to-pole run; returns (status, residual, min_u, sol)."""
     n = model.dim
     term = ReactionTerm.linear_minus_power(q, lam)
-    r_start = SERIES_RADIUS
-    r_end = model.r_max - _ANTIPODAL_GAP
-
-    warp = _warp_weight(model, n)
-    fext = term.extended_scalar()
-
-    def rhs(r, y):
-        u, m = y
-        w = warp(r)
-        return (m / w, -w * fext(u))
-
-    def crossing(r, y):
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1
-    y0 = _series_start(model, 2.0, term, u0, r_start)
-    sol = solve_ivp(
-        rhs, (r_start, r_end), y0, method="DOP853", rtol=rtol, atol=atol,
-        dense_output=True, events=crossing,
-    )
+    sol = _integrate(model, 2.0, term, u0, SERIES_RADIUS,
+                     model.r_max - _ANTIPODAL_GAP, rtol, atol)
     if sol.status < 0:
         return "error", None, None, sol
     if sol.status == 1:

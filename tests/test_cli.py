@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from emdenlab import cli
+from emdenlab import cli, shooting
 
 
 def run_cli(argv):
@@ -81,6 +81,43 @@ class TestScanCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "alpha,u0,outcome,r_cross"
         assert len(lines) == 3
+
+    def test_trajectories_do_not_change_the_report(self, tmp_path):
+        # a cell that cannot be solved is an error cell with or without
+        # --trajectories, and only solved cells get a trajectory file
+        argv = ["scan", "--n", "3", "--p", "2", "--alpha", "3", "--u0=-1,1",
+                "--horizon", "50"]
+        plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+        table, trajs = tmp_path / "table.csv", tmp_path / "trajs"
+        assert run_cli(argv + ["--out", str(plain)]) == 1
+        assert run_cli(argv + ["--out", str(traced), "--csv", str(table),
+                               "--trajectories", str(trajs)]) == 1
+        assert traced.read_bytes() == plain.read_bytes()
+        cells = json.loads(traced.read_text())["results"][0]["cells"]
+        assert [c["outcome"] for c in cells] == ["error", "crossed_zero"]
+        assert len(table.read_text().strip().splitlines()) == 3
+        assert sorted(f.name for f in trajs.iterdir()) == ["alpha3_u01.csv"]
+
+    def test_one_solve_per_cell(self, tmp_path, monkeypatch):
+        solves = []
+        solve_ivp = shooting.solve_ivp
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve_ivp", counted)
+        out, trajs = tmp_path / "rep.json", tmp_path / "trajs"
+        assert run_cli(["scan", "--n", "3", "--p", "2", "--alpha", "1,3",
+                        "--u0", "0.5,1", "--horizon", "50", "--out", str(out),
+                        "--trajectories", str(trajs)]) == 0
+        assert len(solves) == 4
+        assert len(list(trajs.iterdir())) == 4
+        for cell in json.loads(out.read_text())["results"][0]["cells"]:
+            assert cell["outcome"] == "crossed_zero"
+            path = trajs / f"alpha{cell['alpha']:g}_u0{cell['u0']:g}.csv"
+            last = path.read_text().strip().splitlines()[-1]
+            assert float(last.split(",")[0]) == cell["r_cross"]
 
 
 class TestConfigFile:

@@ -25,6 +25,9 @@ class TestShoot:
                       horizon=10.0)
         assert out.kind == "crossed_zero"
         assert out.r_cross == pytest.approx(math.pi, rel=1e-8)
+        sol = S.solve_dense(euclidean(3), 2.0, ReactionTerm.pure_power(1.0), 1.0,
+                            horizon=10.0)
+        assert sol.r_hi == out.r_cross
 
     def test_zero_reaction_constant(self):
         out = S.shoot(euclidean(3), 2.0, ReactionTerm.zero(), 0.7, horizon=50.0)
