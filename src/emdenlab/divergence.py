@@ -26,7 +26,9 @@ derivative of the assembled expression (no differencing anywhere):
   inner derivatives written out analytically.
 
 Both backends also expose div X and the p-Laplacian as duals, supplying
-the gradient-of-divergence terms on the identity right-hand sides.
+the gradient-of-divergence terms on the identity right-hand sides, and
+``weighted_balance_divergences(p, b, a_values)``, which builds the
+a-independent part of "weighted_balance" once for a whole grid of a.
 """
 
 from __future__ import annotations
@@ -294,14 +296,7 @@ class EuclideanEngine:
         if spec == "advection_balance":
             return _divergence(self._advection_balance(p, b))
         if spec == "weighted_balance":
-            bal = self._advection_balance(p, b)
-            X = self._weighted_flux(p, b)
-            # <X, grad u^a> = a u^{a+b-1} |grad u|^p
-            inner = a * self.u ** (a + b - 1.0) * self.h ** (p / 2.0)
-            V = _vsub(
-                _vscale(self.u**a, bal), _vscale(((p - 1.0) / p) * inner, X)
-            )
-            return _divergence(V)
+            return self.weighted_balance_divergences(p, b, (a,))[0]
         if spec == "traceless_combo":
             X = self._weighted_flux(p, b)
             adv = _matvec(self._flux_jacobian(p, b), X)
@@ -329,6 +324,25 @@ class EuclideanEngine:
             V = _vscale((1.0 / lam) * hln ** ((p - 2.0) / 2.0), AgF)
             return _divergence(V)
         raise CapabilityError(f"unknown vector field spec {spec!r}")
+
+    def weighted_balance_divergences(self, p: float, b: float, a_values) -> list:
+        """div of "weighted_balance" at one (p, b), one array per a.
+
+        The balance dual and X do not depend on a: they are built once
+        and only the u^a weighting is redone for each a.
+        """
+        bal = self._advection_balance(p, b)
+        X = self._weighted_flux(p, b)
+        grad_pow = self.h ** (p / 2.0)
+        out = []
+        for a in a_values:
+            # <X, grad u^a> = a u^{a+b-1} |grad u|^p
+            inner = a * self.u ** (a + b - 1.0) * grad_pow
+            V = _vsub(
+                _vscale(self.u**a, bal), _vscale(((p - 1.0) / p) * inner, X)
+            )
+            out.append(_divergence(V))
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -405,10 +419,7 @@ class RadialEngine:
         if spec == "advection_balance":
             return self.div_radial(self._balance_comp(p, b))
         if spec == "weighted_balance":
-            chi = self._weighted_comp(p, b)
-            inner = a * self.u ** (a + b - 1.0) * grad_abs_pow(self.u1, p)
-            comp = self.u**a * self._balance_comp(p, b) - ((p - 1.0) / p) * inner * chi
-            return self.div_radial(comp)
+            return self.weighted_balance_divergences(p, b, (a,))[0]
         if spec == "traceless_combo":
             chi = self._weighted_comp(p, b)
             divx = self.weighted_divergence_dual(p, b)
@@ -434,6 +445,22 @@ class RadialEngine:
     def _balance_comp(self, p: float, b: float) -> Grad:
         chi = self._weighted_comp(p, b)
         return chi * self._weighted_comp_prime(p, b) - self.weighted_divergence_dual(p, b) * chi
+
+    def weighted_balance_divergences(self, p: float, b: float, a_values) -> list:
+        """div of "weighted_balance" at one (p, b), one array per a.
+
+        The balance component and chi do not depend on a: they are built
+        once and only the u^a weighting is redone for each a.
+        """
+        chi = self._weighted_comp(p, b)
+        bal = self._balance_comp(p, b)
+        grad_pow = grad_abs_pow(self.u1, p)
+        out = []
+        for a in a_values:
+            inner = a * self.u ** (a + b - 1.0) * grad_pow
+            comp = self.u**a * bal - ((p - 1.0) / p) * inner * chi
+            out.append(self.div_radial(comp))
+        return out
 
     # -- frame materialization for the right-hand sides -------------------
 

@@ -13,18 +13,22 @@ involved, 1e-6 on shooting-constrained identities (those inherit the
 integrator tolerance).  Inequality margins are normalized by the term
 scale with a rounding floor of 1e-10.
 
-Sampling is deterministic: a counter-based generator keyed by the
-campaign seed drives all draws, so the worst case is reproducible from
-(seed, sample index), and near-critical jets (|grad u| below the cutoff)
-are filtered before they enter any report.  Whether this cutoff hides
-boundary-of-criticality behavior is untestable pointwise and is noted
-here rather than decided.
+A campaign is one batch of samples, drawn once on first use and shared
+by every check that reads it.  Sampling is deterministic: a
+counter-based generator keyed by the campaign seed drives all draws, so
+the worst case is reproducible from (seed, sample index), the index
+being the position among the kept samples in draw order.  Near-critical
+jets (|grad u| below the cutoff) are filtered before they enter any
+report, and a campaign that keeps fewer samples than it asked for is an
+error.  Whether this cutoff hides boundary-of-criticality behavior is
+untestable pointwise and is noted here rather than decided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +44,11 @@ from .fields import SAMPLING_BOX, random_field, random_radial_profile
 from .geometry import ManifoldModel, model_from_name
 from .reports import IdentityReport, InequalityReport
 from .shooting import RadialSolution
+from .taylor import Jet3
 
 __all__ = [
     "Campaign",
     "SampleBatch",
-    "campaign_batches",
     "check_decomposition",
     "check_flux_advection",
     "check_bochner_vector",
@@ -83,6 +87,11 @@ class Campaign:
     def model(self) -> ManifoldModel:
         return model_from_name(self.model_name, self.dim, self.kappa)
 
+    @cached_property
+    def batch(self) -> "SampleBatch":
+        """The campaign's samples, drawn on first use and then kept."""
+        return _draw(self)
+
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -90,7 +99,9 @@ class SampleBatch:
 
     ric_rr is Ric(e1, e1); for every vector field in the enumeration the
     curvature term is ric_rr * |X|^2 (exactly zero on Euclidean space,
-    and X is radial on the curved models).
+    and X is radial on the curved models).  index[k] is the position of
+    sample k among the kept samples in draw order; it is what a report's
+    worst_case.sample_index names.
     """
 
     u: np.ndarray
@@ -110,21 +121,23 @@ def _rng(seed: int):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def campaign_batches(camp: Campaign):
-    """Deterministic sample batches for a campaign.
+def _draw(camp: Campaign) -> SampleBatch:
+    """The campaign's samples as one batch, in draw order.
 
     Euclidean campaigns draw several random positive fields and sample
     each at uniform points of the box; curved campaigns draw radial
     profiles and sample radii.  Near-critical samples are filtered out
-    before batching (they never enter a report).
+    per field (they never enter a report), and the first survivors of
+    every field are concatenated.
     """
+    if camp.samples < 1:
+        raise PreconditionError("a campaign needs at least one sample")
     rng = _rng(camp.seed)
     model = camp.model()
     n_fields = max(1, camp.samples // 250)
     per = -(-camp.samples // n_fields)  # ceil
-    batches = []
-    base = 0
-    for k in range(n_fields):
+    parts = []
+    for _ in range(n_fields):
         if not camp.is_radial:
             fld = random_field(rng, camp.dim)
             pts = rng.uniform(-SAMPLING_BOX * 0.9, SAMPLING_BOX * 0.9, size=(2 * per, camp.dim))
@@ -132,19 +145,8 @@ def campaign_batches(camp: Campaign):
             gn = np.sqrt(J.grad_norm_sq(jet.g))
             scale = max(1.0, float(np.sqrt(np.mean(gn**2))))
             keep = (gn >= J.EPS_GRAD_FACTOR * scale) & (jet.v > 0)
-            keep_idx = np.nonzero(keep)[0][:per]
-            sub = _jet_subset(jet, keep_idx)
-            batches.append(
-                SampleBatch(
-                    u=sub.v,
-                    g=sub.g,
-                    h=sub.h,
-                    engine=EuclideanEngine(sub),
-                    ric_rr=np.zeros(sub.v.shape[0]),
-                    index=base + np.arange(sub.v.shape[0]),
-                    meta={"field": k, "model": camp.model_name, "dim": camp.dim},
-                )
-            )
+            idx = np.nonzero(keep)[0][:per]
+            parts.append((jet.v[idx], jet.g[idx], jet.h[idx], jet.t[idx]))
         else:
             r_lo = 0.15
             r_hi = 3.0 if model.r_max == math.inf else model.r_max - 0.3
@@ -154,35 +156,40 @@ def campaign_batches(camp: Campaign):
             scale = max(1.0, float(np.sqrt(np.mean(u1**2))))
             keep = (np.abs(u1) >= J.EPS_GRAD_FACTOR * scale) & (u > 0)
             idx = np.nonzero(keep)[0][:per]
-            r, u, u1, u2, u3 = r[idx], u[idx], u1[idx], u2[idx], u3[idx]
-            psi, dpsi, ddpsi = model.warping_jet(r)
-            psi3 = model.warping_third(r)
-            eng = RadialEngine(camp.dim, u, u1, u2, u3, psi, dpsi, ddpsi, psi3)
-            uu, g, h = eng.frame_jets()
-            batches.append(
-                SampleBatch(
-                    u=uu,
-                    g=g,
-                    h=h,
-                    engine=eng,
-                    ric_rr=np.asarray(model.ricci_radial(r), dtype=float),
-                    index=base + np.arange(uu.shape[0]),
-                    meta={
-                        "profile": k,
-                        "model": camp.model_name,
-                        "dim": camp.dim,
-                        "r": r,
-                    },
-                )
-            )
-        base += batches[-1].u.shape[0]
-    return batches
-
-
-def _jet_subset(jet, idx):
-    from .taylor import Jet3
-
-    return Jet3(jet.v[idx], jet.g[idx], jet.h[idx], jet.t[idx])
+            parts.append((r[idx], u[idx], u1[idx], u2[idx], u3[idx]))
+    kept = sum(part[0].shape[0] for part in parts)
+    if kept < camp.samples:
+        raise PreconditionError(
+            f"campaign kept {kept} of the {camp.samples} requested samples "
+            f"after the near-critical filter"
+        )
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    meta = {"model": camp.model_name, "dim": camp.dim}
+    if not camp.is_radial:
+        jet = Jet3(*cols)
+        return SampleBatch(
+            u=jet.v,
+            g=jet.g,
+            h=jet.h,
+            engine=EuclideanEngine(jet),
+            ric_rr=np.zeros(kept),
+            index=np.arange(kept),
+            meta=meta,
+        )
+    r, u, u1, u2, u3 = cols
+    psi, dpsi, ddpsi = model.warping_jet(r)
+    psi3 = model.warping_third(r)
+    eng = RadialEngine(camp.dim, u, u1, u2, u3, psi, dpsi, ddpsi, psi3)
+    uu, g, h = eng.frame_jets()
+    return SampleBatch(
+        u=uu,
+        g=g,
+        h=h,
+        engine=eng,
+        ric_rr=np.asarray(model.ricci_radial(r), dtype=float),
+        index=np.arange(kept),
+        meta=dict(meta, r=r),
+    )
 
 
 def solution_batch(sol: RadialSolution, samples: int = 400, r_margin: float = 0.05,
@@ -250,6 +257,19 @@ def solution_batch(sol: RadialSolution, samples: int = 400, r_margin: float = 0.
 # ----------------------------------------------------------------------
 
 
+def _worst_index(values, lowest: bool = False) -> int:
+    """First non-finite entry if there is one, else the first extreme one.
+
+    np.argmax/argmin return the first NaN even past an earlier infinity,
+    and a NaN loses every comparison, so neither alone finds the sample
+    that decides a fail-closed report.
+    """
+    bad = ~np.isfinite(values)
+    if bad.any():
+        return int(np.argmax(bad))
+    return int(np.argmin(values) if lowest else np.argmax(values))
+
+
 class _Residuals:
     def __init__(self, identity_id, tol):
         self.identity_id = identity_id
@@ -286,8 +306,11 @@ class _Residuals:
     def _update_arrays(self, diff, scale, lhs, rhs, batch, params):
         rel = diff / (scale + _TINY)
         self.samples += rel.size
-        k = int(np.argmax(rel))
-        if rel[k] > self.max_rel:
+        self.max_abs = float(np.maximum(self.max_abs, diff.max()))
+        if not math.isfinite(self.max_rel):
+            return  # the first non-finite sample stays the worst case
+        k = _worst_index(rel)
+        if not math.isfinite(rel[k]) or rel[k] > self.max_rel:
             self.max_rel = float(rel[k])
             self.worst = dict(params)
             self.worst.update(
@@ -299,7 +322,6 @@ class _Residuals:
                     "rhs": float(rhs[k]),
                 }
             )
-        self.max_abs = max(self.max_abs, float(diff.max()))
 
     def report(self, seed=None) -> IdentityReport:
         worst = dict(self.worst)
@@ -315,6 +337,33 @@ class _Residuals:
         )
 
 
+class _Margins:
+    """Most negative normalized margin seen; a non-finite one is final."""
+
+    def __init__(self):
+        self.samples = 0
+        self.min_margin = 0.0
+        self.worst = {}
+
+    def update(self, margin, params: dict):
+        self.samples += margin.size
+        if not math.isfinite(self.min_margin):
+            return
+        k = _worst_index(margin, lowest=True)
+        if not math.isfinite(margin[k]) or margin[k] < self.min_margin:
+            self.min_margin = float(margin[k])
+            self.worst = dict(params, sample_index=k)
+
+    def report(self, identity_id: str, tol_neg: float) -> InequalityReport:
+        return InequalityReport(
+            identity_id=identity_id,
+            samples=self.samples,
+            min_margin=self.min_margin,
+            tol_neg=tol_neg,
+            worst_case=self.worst,
+        )
+
+
 # ----------------------------------------------------------------------
 # identity checks
 # ----------------------------------------------------------------------
@@ -323,11 +372,11 @@ class _Residuals:
 def check_decomposition(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     """div(|grad u|^{p-2} grad u) against the pointwise decomposition."""
     acc = _Residuals("p_laplacian_decomposition", tol)
-    for batch in campaign_batches(camp):
-        for p in camp.p_values:
-            lhs = batch.engine.divergence("flux", p)
-            rhs = J.p_laplacian(batch.g, batch.h, p)
-            acc.update(lhs, rhs, batch, {"p": p})
+    batch = camp.batch
+    for p in camp.p_values:
+        lhs = batch.engine.divergence("flux", p)
+        rhs = J.p_laplacian(batch.g, batch.h, p)
+        acc.update(lhs, rhs, batch, {"p": p})
     return acc.report(seed=camp.seed)
 
 
@@ -339,39 +388,39 @@ def check_flux_advection(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     anisotropy map applied to the gradient of the p-th gradient power.
     """
     acc = _Residuals("flux_advection", tol)
-    for batch in campaign_batches(camp):
-        g, h = batch.g, batch.h
-        gn2 = J.grad_norm_sq(g)
-        for p in camp.p_values:
-            jac = J.flux_jacobian(g, h, p)
-            fl = J.flux(g, p)
-            lhs_vec = np.einsum("nij,nj->ni", jac, fl)
-            grad_f = p * gn2[:, None] ** ((p - 2.0) / 2.0) * np.einsum(
-                "nij,nj->ni", h, g
-            )
-            rhs_vec = (1.0 / p) * gn2[:, None] ** ((p - 2.0) / 2.0) * J.anisotropy_apply(
-                g, p, grad_f
-            )
-            acc.update_vectors(lhs_vec, rhs_vec, batch, {"p": p})
+    batch = camp.batch
+    g, h = batch.g, batch.h
+    gn2 = J.grad_norm_sq(g)
+    for p in camp.p_values:
+        jac = J.flux_jacobian(g, h, p)
+        fl = J.flux(g, p)
+        lhs_vec = np.einsum("nij,nj->ni", jac, fl)
+        grad_f = p * gn2[:, None] ** ((p - 2.0) / 2.0) * np.einsum(
+            "nij,nj->ni", h, g
+        )
+        rhs_vec = (1.0 / p) * gn2[:, None] ** ((p - 2.0) / 2.0) * J.anisotropy_apply(
+            g, p, grad_f
+        )
+        acc.update_vectors(lhs_vec, rhs_vec, batch, {"p": p})
     return acc.report(seed=camp.seed)
 
 
 def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
     """div(grad_X X) = tr(jac^2) + <grad div X, X> + Ric(X, X)."""
     acc = _Residuals("bochner_vector_field", tol)
-    for batch in campaign_batches(camp):
-        for p in camp.p_values:
-            for b in camp.b_values:
-                lhs = batch.engine.divergence("self_advection", p, b=b)
-                jac = J.weighted_flux_jacobian(batch.u, batch.g, batch.h, p, b)
-                X = J.weighted_flux(batch.u, batch.g, p, b)
-                divx = batch.engine.weighted_divergence_dual(p, b)
-                rhs = (
-                    J.trace_product(jac)
-                    + np.einsum("nm,nm->n", divx.d, _as_components(X, batch))
-                    + batch.ric_rr * np.einsum("ni,ni->n", X, X)
-                )
-                acc.update(lhs, rhs, batch, {"p": p, "b": b})
+    batch = camp.batch
+    for p in camp.p_values:
+        for b in camp.b_values:
+            lhs = batch.engine.divergence("self_advection", p, b=b)
+            jac = J.weighted_flux_jacobian(batch.u, batch.g, batch.h, p, b)
+            X = J.weighted_flux(batch.u, batch.g, p, b)
+            divx = batch.engine.weighted_divergence_dual(p, b)
+            rhs = (
+                J.trace_product(jac)
+                + np.einsum("nm,nm->n", divx.d, _as_components(X, batch))
+                + batch.ric_rr * np.einsum("ni,ni->n", X, X)
+            )
+            acc.update(lhs, rhs, batch, {"p": p, "b": b})
     return acc.report(seed=camp.seed)
 
 
@@ -386,21 +435,21 @@ def check_bochner_linearized(camp: Campaign, tol: float = 1e-7) -> IdentityRepor
     """(1/p) L_{p,u}|grad u|^p against the anisotropic Hessian square,
     the gradient of the p-Laplacian paired with the flux, and Ricci."""
     acc = _Residuals("bochner_p_linearized", tol)
-    for batch in campaign_batches(camp):
-        g, h = batch.g, batch.h
-        gn = batch.gn
-        for p in camp.p_values:
-            lhs = batch.engine.divergence("grad_power_flux", p)
-            A = J.anisotropy_matrix(g, p)
-            AH = np.einsum("nij,njk->nik", A, h)
-            plap_dual = batch.engine.p_laplacian_dual(p)
-            fl = J.flux(g, p)
-            rhs = (
-                gn ** (2.0 * p - 4.0) * np.einsum("nij,nji->n", AH, AH)
-                + np.einsum("nm,nm->n", plap_dual.d, _as_components(fl, batch))
-                + batch.ric_rr * np.einsum("ni,ni->n", fl, fl)
-            )
-            acc.update(lhs, rhs, batch, {"p": p})
+    batch = camp.batch
+    g, h = batch.g, batch.h
+    gn = batch.gn
+    for p in camp.p_values:
+        lhs = batch.engine.divergence("grad_power_flux", p)
+        A = J.anisotropy_matrix(g, p)
+        AH = np.einsum("nij,njk->nik", A, h)
+        plap_dual = batch.engine.p_laplacian_dual(p)
+        fl = J.flux(g, p)
+        rhs = (
+            gn ** (2.0 * p - 4.0) * np.einsum("nij,nji->n", AH, AH)
+            + np.einsum("nm,nm->n", plap_dual.d, _as_components(fl, batch))
+            + batch.ric_rr * np.einsum("ni,ni->n", fl, fl)
+        )
+        acc.update(lhs, rhs, batch, {"p": p})
     return acc.report(seed=camp.seed)
 
 
@@ -413,33 +462,34 @@ def check_weighted_identity(
     """The two-parameter divergence identity for arbitrary C^3 fields.
 
     No equation is imposed on u; the p-Laplacian appears as a free jet
-    quantity on the right-hand side.
+    quantity on the right-hand side.  Everything but the u^a weight is
+    independent of a, so each (p, b) builds it once for the whole a grid.
     """
     acc = _Residuals("weighted_divergence", tol)
-    for batch in campaign_batches(camp):
-        u, g, h = batch.u, batch.g, batch.h
-        gn = batch.gn
-        for p in camp.p_values:
-            plap = J.p_laplacian(g, h, p)
-            for b in b_values:
-                jac = J.weighted_flux_jacobian(u, g, h, p, b)
-                X = J.weighted_flux(u, g, p, b)
-                divx = batch.engine.weighted_divergence_dual(p, b)
-                ricx = batch.ric_rr * np.einsum("ni,ni->n", X, X)
-                core = J.trace_product(jac) - divx.v**2 + ricx
-                for a in a_values:
-                    lhs = batch.engine.divergence("weighted_balance", p, a=a, b=b)
-                    rhs = (
-                        u**a * core
-                        - ((p - 1.0) * (a + 2.0 * b - 1.0) * a / p)
-                        * u ** (a + 2.0 * b - 2.0)
-                        * gn ** (2.0 * p)
-                        - ((2.0 * p - 1.0) * a / p)
-                        * u ** (a + 2.0 * b - 1.0)
-                        * gn**p
-                        * plap
-                    )
-                    acc.update(lhs, rhs, batch, {"p": p, "a": a, "b": b})
+    batch = camp.batch
+    u, g, h = batch.u, batch.g, batch.h
+    gn = batch.gn
+    for p in camp.p_values:
+        plap = J.p_laplacian(g, h, p)
+        for b in b_values:
+            jac = J.weighted_flux_jacobian(u, g, h, p, b)
+            X = J.weighted_flux(u, g, p, b)
+            divx = batch.engine.weighted_divergence_dual(p, b)
+            ricx = batch.ric_rr * np.einsum("ni,ni->n", X, X)
+            core = J.trace_product(jac) - divx.v**2 + ricx
+            lhs_by_a = batch.engine.weighted_balance_divergences(p, b, a_values)
+            for a, lhs in zip(a_values, lhs_by_a):
+                rhs = (
+                    u**a * core
+                    - ((p - 1.0) * (a + 2.0 * b - 1.0) * a / p)
+                    * u ** (a + 2.0 * b - 2.0)
+                    * gn ** (2.0 * p)
+                    - ((2.0 * p - 1.0) * a / p)
+                    * u ** (a + 2.0 * b - 1.0)
+                    * gn**p
+                    * plap
+                )
+                acc.update(lhs, rhs, batch, {"p": p, "a": a, "b": b})
     return acc.report(seed=camp.seed)
 
 
@@ -584,9 +634,7 @@ def check_trace_inequality(
     entrywise square sum); margins are normalized by |M|^2.
     """
     rng = _rng(seed)
-    min_margin = 0.0
-    worst = {}
-    total = 0
+    acc = _Margins()
     for n in n_values:
         u, g, h = random_jets(rng, n, samples)
         for p in p_values:
@@ -599,26 +647,10 @@ def check_trace_inequality(
                 scale = fr + _TINY
                 m1 = (coef * t2 - fr) / scale
                 m2 = (fr - t2) / scale
-                total += 2 * m1.size
                 for name, margin in (("upper", m1), ("lower", m2)):
-                    k = int(np.argmin(margin))
-                    if margin[k] < min_margin:
-                        min_margin = float(margin[k])
-                        worst = {
-                            "inequality": name,
-                            "n": n,
-                            "p": p,
-                            "b": b,
-                            "sample_index": k,
-                            "seed": seed,
-                        }
-    return InequalityReport(
-        identity_id="traceless_trace_inequality",
-        samples=total,
-        min_margin=min_margin,
-        tol_neg=tol_neg,
-        worst_case=worst,
-    )
+                    acc.update(margin, {"inequality": name, "n": n, "p": p,
+                                        "b": b, "seed": seed})
+    return acc.report("traceless_trace_inequality", tol_neg)
 
 
 def kato_rhs(g, h, n: int, p: float):
@@ -664,28 +696,15 @@ def check_kato(
     second-order jet data only.
     """
     rng = _rng(seed)
-    min_margin = 0.0
-    worst = {}
-    total = 0
+    acc = _Margins()
     for n in n_values:
         _, g, h = random_jets(rng, n, samples)
         for p in p_values:
             lhs = J.trace_product(J.flux_jacobian(g, h, p))
             rhs = kato_rhs(g, h, n, p)
             scale = np.abs(lhs) + np.abs(rhs) + _TINY
-            margin = (lhs - rhs) / scale
-            total += margin.size
-            k = int(np.argmin(margin))
-            if margin[k] < min_margin:
-                min_margin = float(margin[k])
-                worst = {"n": n, "p": p, "sample_index": k, "seed": seed}
-    return InequalityReport(
-        identity_id="kato_inequality",
-        samples=total,
-        min_margin=min_margin,
-        tol_neg=tol_neg,
-        worst_case=worst,
-    )
+            acc.update((lhs - rhs) / scale, {"n": n, "p": p, "seed": seed})
+    return acc.report("kato_inequality", tol_neg)
 
 
 def check_log_gradient_pointwise(
@@ -730,7 +749,7 @@ def check_log_gradient_pointwise(
     )
     scale = np.abs(lhs) + np.abs(rhs) + _TINY
     margin = (lhs - rhs) / scale
-    k = int(np.argmin(margin))
+    k = _worst_index(margin, lowest=True)
     return InequalityReport(
         identity_id="log_gradient_pointwise",
         samples=int(margin.size),

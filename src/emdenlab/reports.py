@@ -128,8 +128,9 @@ def _result_dict(r):
 
 
 def _result_pass(r):
+    """A result passes only if it says so: a missing pass flag fails."""
     if hasattr(r, "passed"):
         return bool(r.passed)
     if isinstance(r, dict):
-        return bool(r.get("pass", True))
-    return True
+        return bool(r.get("pass", False))
+    return False

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, config handling, reports."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import emdenlab
 from emdenlab import cli, shooting
 
 
@@ -189,10 +192,13 @@ class TestOtherCommands:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the same emdenlab as this process
+        src = str(Path(emdenlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "emdenlab.cli", "classify", "--n", "3",
              "--p", "2", "--alpha", "1.0"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"][0]["verdict"] in (

@@ -5,7 +5,7 @@ import pytest
 
 from emdenlab import identities as I
 from emdenlab import jets as J
-from emdenlab.divergence import EuclideanEngine, divergence_at
+from emdenlab.divergence import EuclideanEngine, RadialEngine, divergence_at
 from emdenlab.errors import PreconditionError
 from emdenlab.exponents import ReactionTerm
 from emdenlab.fields import FieldTerm, ScalarField
@@ -100,7 +100,7 @@ class TestIdentitySuite:
         # with a = 0 the weighted identity collapses onto the Bochner
         # consequence; the two defects must agree to 1e-12
         camp = I.Campaign(model_name="euclidean", dim=3, samples=150, seed=21)
-        batch = I.campaign_batches(camp)[0]
+        batch = camp.batch
         p, b = 2.5, 1.0
         eng: EuclideanEngine = batch.engine
         jac = J.weighted_flux_jacobian(batch.u, batch.g, batch.h, p, b)
@@ -121,6 +121,110 @@ class TestIdentitySuite:
         assert np.max(np.abs(recon) / scale) <= 1e-12
         assert np.max(np.abs(defect_weighted) / scale) <= 1e-12
         assert np.max(np.abs(defect_bochner) / scale) <= 1e-12
+
+
+class TestCampaignBatch:
+    CHECKS = (I.check_decomposition, I.check_flux_advection, I.check_bochner_vector,
+              I.check_bochner_linearized, I.check_weighted_identity)
+
+    @pytest.mark.parametrize("model,sampler", [("euclidean", "random_field"),
+                                               ("sphere", "random_radial_profile")])
+    def test_five_checks_draw_each_field_once(self, monkeypatch, model, sampler):
+        calls = []
+        draw = getattr(I, sampler)
+        monkeypatch.setattr(I, sampler, lambda *a, **k: calls.append(1) or draw(*a, **k))
+        camp = I.Campaign(model_name=model, dim=3, samples=500, seed=2)
+        for check in self.CHECKS:
+            assert check(camp).passed
+        assert len(calls) == 2  # 500 samples come from two fields, each drawn once
+
+    def test_one_batch_indexed_in_draw_order(self):
+        camp = I.Campaign(model_name="hyperbolic", dim=3, samples=600, seed=4)
+        batch = camp.batch
+        assert batch is camp.batch
+        assert batch.u.shape[0] >= 600
+        np.testing.assert_array_equal(batch.index, np.arange(batch.u.shape[0]))
+        assert set(batch.meta) == {"model", "dim", "r"}
+
+    @pytest.mark.parametrize("model,cls,block", [
+        ("euclidean", EuclideanEngine, "_advection_balance"),
+        ("hyperbolic", RadialEngine, "_balance_comp"),
+    ])
+    def test_weighted_builds_balance_once_per_p_b(self, monkeypatch, model, cls, block):
+        calls = []
+        build = getattr(cls, block)
+        monkeypatch.setattr(
+            cls, block, lambda self, p, b: calls.append((p, b)) or build(self, p, b)
+        )
+        camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
+        assert I.check_weighted_identity(camp).passed
+        pairs = [(p, b) for p in camp.p_values for b in I.AB_GRID]
+        assert calls == pairs
+
+    def test_weighted_balance_divergences_match_the_spec(self):
+        camp = I.Campaign(model_name="sphere", dim=3, samples=250, seed=8)
+        eng = camp.batch.engine
+        by_a = eng.weighted_balance_divergences(2.5, -1.0, (-1.0, 0.5))
+        for a, div in zip((-1.0, 0.5), by_a):
+            np.testing.assert_array_equal(
+                div, eng.divergence("weighted_balance", 2.5, a=a, b=-1.0)
+            )
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere"])
+    def test_short_campaign_raises(self, monkeypatch, model):
+        # a cutoff above every gradient filters out almost every draw
+        monkeypatch.setattr(J, "EPS_GRAD_FACTOR", 10.0)
+        camp = I.Campaign(model_name=model, dim=3, samples=250, seed=1)
+        with pytest.raises(PreconditionError, match="kept"):
+            camp.batch
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_empty_campaign_raises(self, samples):
+        with pytest.raises(PreconditionError, match="at least one sample"):
+            I.check_decomposition(I.Campaign(samples=samples))
+
+
+def _with_nan_at(fn, k):
+    def poisoned(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs), dtype=float)
+        out[k] = np.nan
+        return out
+
+    return poisoned
+
+
+class TestNonFiniteFailsClosed:
+    def test_identity_residual(self, monkeypatch):
+        monkeypatch.setattr(J, "p_laplacian", _with_nan_at(J.p_laplacian, 7))
+        camp = I.Campaign(model_name="euclidean", dim=3, samples=250, seed=3)
+        rep = I.check_decomposition(camp)
+        assert not rep.passed
+        assert np.isnan(rep.max_rel_residual)
+        assert rep.worst_case["sample_index"] == 7
+        assert rep.worst_case["p"] == camp.p_values[0]
+
+    def test_first_non_finite_sample_is_the_worst_case(self):
+        camp = I.Campaign(model_name="euclidean", dim=2, samples=250, seed=3)
+        acc = I._Residuals("probe", 1e-8)
+        acc.update(np.array([1.0, 1.0, np.inf, np.nan]), np.ones(4), camp.batch, {"k": 0})
+        acc.update(np.array([9.0, np.nan]), np.ones(2), camp.batch, {"k": 1})
+        rep = acc.report()
+        assert not rep.passed
+        assert rep.worst_case["sample_index"] == 2 and rep.worst_case["k"] == 0
+        assert rep.samples == 6
+
+    def test_trace_inequality_margin(self, monkeypatch):
+        monkeypatch.setattr(J, "frobenius_sq", _with_nan_at(J.frobenius_sq, 4))
+        rep = I.check_trace_inequality(samples=50, seed=5)
+        assert not rep.passed
+        assert rep.worst_case["sample_index"] == 4
+        assert rep.worst_case["inequality"] == "upper"
+
+    def test_kato_margin(self, monkeypatch):
+        monkeypatch.setattr(I, "kato_rhs", _with_nan_at(I.kato_rhs, 3))
+        rep = I.check_kato(n_values=(3,), p_values=(2.0,), samples=50, seed=9)
+        assert not rep.passed
+        assert rep.worst_case["sample_index"] == 3
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +450,12 @@ class TestReportRoundTrip:
         assert decoded == rep.to_dict()
         assert decoded["results"][0]["max_rel_residual"] == \
             rep.results[0].max_rel_residual
+
+    def test_result_without_pass_flag_fails(self):
+        from emdenlab.reports import RunReport
+
+        assert RunReport(config={}, results=[{"pass": True}]).passed
+        rep = RunReport(config={}, results=[{"pass": True}, {"volumes": []}])
+        assert not rep.passed
+        assert rep.to_dict()["pass"] is False
+        assert not RunReport(config={}, results=[I.Campaign()]).passed
