@@ -16,9 +16,12 @@ Each backend seeds forward-mode duals so the divergence is an exact
 derivative of the assembled expression (no differencing anywhere):
 
 * :class:`EuclideanEngine` seeds (u, grad u, hess u) from a third-order
-  Taylor jet of a general field on R^n.  The two power-flux specs push
-  the scalar |grad .|^power through a two-level dual so its own Hessian
-  (which consumes the third-order jet) is available to the divergence.
+  Taylor jet of a general field on R^n as scalar, vector and matrix
+  Grad duals and assembles every field with the duals' operators.  The
+  two power-flux specs write grad |grad w|^power as
+  power |grad w|^{power-2} (hess w . grad w), so one dual level carries
+  its Jacobian, the Hessian of |grad w|^power, which consumes the
+  third-order jet (w = u, or w = ln u seeded from the log of the jet).
 
 * :class:`RadialEngine` seeds (u, u', u'', u''') and the warping profile
   on a rotationally symmetric model; every field in the enumeration is
@@ -59,150 +62,6 @@ VECTOR_FIELD_SPECS = (
 
 
 # ----------------------------------------------------------------------
-# one-level vector/matrix helpers over Grad duals (derivative axis last)
-# ----------------------------------------------------------------------
-
-
-def _vdot(a: Grad, b: Grad) -> Grad:
-    v = np.einsum("ni,ni->n", a.v, b.v)
-    d = np.einsum("nim,ni->nm", a.d, b.v) + np.einsum("ni,nim->nm", a.v, b.d)
-    return Grad(v, d)
-
-
-def _vscale(s: Grad, vec: Grad) -> Grad:
-    v = s.v[:, None] * vec.v
-    d = s.d[:, None, :] * vec.v[:, :, None] + s.v[:, None, None] * vec.d
-    return Grad(v, d)
-
-
-def _vadd(a: Grad, b: Grad) -> Grad:
-    return Grad(a.v + b.v, a.d + b.d)
-
-
-def _vsub(a: Grad, b: Grad) -> Grad:
-    return Grad(a.v - b.v, a.d - b.d)
-
-
-def _matvec(m: Grad, vec: Grad) -> Grad:
-    v = np.einsum("nij,nj->ni", m.v, vec.v)
-    d = np.einsum("nijm,nj->nim", m.d, vec.v) + np.einsum(
-        "nij,njm->nim", m.v, vec.d
-    )
-    return Grad(v, d)
-
-
-def _outer(a: Grad, b: Grad) -> Grad:
-    v = np.einsum("ni,nj->nij", a.v, b.v)
-    d = np.einsum("nim,nj->nijm", a.d, b.v) + np.einsum(
-        "ni,njm->nijm", a.v, b.d
-    )
-    return Grad(v, d)
-
-
-def _mscale(s: Grad, m: Grad) -> Grad:
-    v = s.v[:, None, None] * m.v
-    d = (
-        s.d[:, None, None, :] * m.v[:, :, :, None]
-        + s.v[:, None, None, None] * m.d
-    )
-    return Grad(v, d)
-
-
-def _madd(a: Grad, b: Grad) -> Grad:
-    return Grad(a.v + b.v, a.d + b.d)
-
-
-def _trace_m(m: Grad) -> Grad:
-    return Grad(np.einsum("nii->n", m.v), np.einsum("niim->nm", m.d))
-
-
-def _divergence(vec: Grad) -> np.ndarray:
-    return np.einsum("nii->n", vec.d)
-
-
-# ----------------------------------------------------------------------
-# two-level scalar/vector duals (value, gradient, hessian)
-# ----------------------------------------------------------------------
-
-
-class Grad2:
-    """Scalar with two derivative levels: v (N,), d1 (N,m), d2 (N,m,m)."""
-
-    __slots__ = ("v", "d1", "d2")
-
-    def __init__(self, v, d1, d2):
-        self.v, self.d1, self.d2 = v, d1, d2
-
-    def __mul__(self, other):
-        if isinstance(other, Grad2):
-            cross = np.einsum("nk,nl->nkl", self.d1, other.d1)
-            return Grad2(
-                self.v * other.v,
-                self.d1 * other.v[:, None] + other.d1 * self.v[:, None],
-                self.d2 * other.v[:, None, None]
-                + other.d2 * self.v[:, None, None]
-                + cross
-                + np.swapaxes(cross, -1, -2),
-            )
-        return Grad2(self.v * other, self.d1 * other, self.d2 * other)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, Grad2):
-            return Grad2(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
-        return Grad2(self.v + other, self.d1, self.d2)
-
-    __radd__ = __add__
-
-    def __pow__(self, c):
-        c = float(c)
-        f1 = c * self.v ** (c - 1.0)
-        f2 = c * (c - 1.0) * self.v ** (c - 2.0)
-        gg = np.einsum("nk,nl->nkl", self.d1, self.d1)
-        return Grad2(
-            self.v**c,
-            f1[:, None] * self.d1,
-            f1[:, None, None] * self.d2 + f2[:, None, None] * gg,
-        )
-
-
-class Vec2:
-    """Vector with two derivative levels: v (N,n), d1 (N,n,m), d2 (N,n,m,m)."""
-
-    __slots__ = ("v", "d1", "d2")
-
-    def __init__(self, v, d1, d2):
-        self.v, self.d1, self.d2 = v, d1, d2
-
-
-def _vdot2(a: Vec2, b: Vec2) -> Grad2:
-    v = np.einsum("ni,ni->n", a.v, b.v)
-    d1 = np.einsum("nik,ni->nk", a.d1, b.v) + np.einsum("ni,nik->nk", a.v, b.d1)
-    cross = np.einsum("nik,nil->nkl", a.d1, b.d1)
-    d2 = (
-        np.einsum("nikl,ni->nkl", a.d2, b.v)
-        + np.einsum("ni,nikl->nkl", a.v, b.d2)
-        + cross
-        + np.swapaxes(cross, -1, -2)
-    )
-    return Grad2(v, d1, d2)
-
-
-def _vscale2(s: Grad2, vec: Vec2) -> Vec2:
-    v = s.v[:, None] * vec.v
-    d1 = s.d1[:, None, :] * vec.v[:, :, None] + s.v[:, None, None] * vec.d1
-    cross = np.einsum("nk,nil->nikl", s.d1, vec.d1)
-    d2 = (
-        s.d2[:, None, :, :] * vec.v[:, :, None, None]
-        + s.v[:, None, None, None] * vec.d2
-        + cross
-        + np.swapaxes(cross, -1, -2)
-    )
-    return Vec2(v, d1, d2)
-
-
-# ----------------------------------------------------------------------
 # Euclidean backend
 # ----------------------------------------------------------------------
 
@@ -216,21 +75,18 @@ class EuclideanEngine:
         self.u = Grad(jet.v, jet.g)
         self.G = Grad(jet.g, jet.h)
         self.H = Grad(jet.h, jet.t)
-        self.h = _vdot(self.G, self.G)  # |grad u|^2 as a dual
+        self.h = self.G @ self.G  # |grad u|^2 as a dual
 
     # -- building blocks -------------------------------------------------
 
     def _flux(self, p: float) -> Grad:
-        return _vscale(self.h ** ((p - 2.0) / 2.0), self.G)
-
-    def _weighted_flux(self, p: float, b: float) -> Grad:
-        return _vscale(self.u**b, self._flux(p))
+        return self.h ** ((p - 2.0) / 2.0) * self.G
 
     def p_laplacian_dual(self, p: float) -> Grad:
-        lap = _trace_m(self.H)
+        lap = self.H.trace()
         if p == 2.0:
             return lap
-        ilap = _vdot(self.G, _matvec(self.H, self.G))
+        ilap = self.G @ (self.H @ self.G)
         return self.h ** ((p - 2.0) / 2.0) * lap + (p - 2.0) * self.h ** (
             (p - 4.0) / 2.0
         ) * ilap
@@ -241,38 +97,33 @@ class EuclideanEngine:
             + self.u**b * self.p_laplacian_dual(p)
         )
 
-    def _flux_jacobian(self, p: float, b: float) -> Grad:
-        hg = _matvec(self.H, self.G)
-        corr = _mscale((p - 2.0) * self.h**-1.0, _outer(self.G, hg))
-        base = _mscale(self.h ** ((p - 2.0) / 2.0), _madd(self.H, corr))
-        return _madd(
-            _mscale(b * self.u ** (b - 1.0), _outer(self._flux(p), self.G)),
-            _mscale(self.u**b, base),
-        )
+    def _advection(self, p: float, b: float):
+        """X = u^b |grad u|^{p-2} grad u and grad_X X, from one flux."""
+        flux = self._flux(p)
+        X = self.u**b * flux
+        corr = (p - 2.0) * self.h**-1.0 * self.G.outer(self.H @ self.G)
+        base = self.h ** ((p - 2.0) / 2.0) * (self.H + corr)
+        jac = b * self.u ** (b - 1.0) * flux.outer(self.G) + self.u**b * base
+        return X, jac @ X
+
+    def _advection_balance(self, p: float, b: float):
+        """X and grad_X X - (div X) X."""
+        X, adv = self._advection(p, b)
+        return X, adv - self.weighted_divergence_dual(p, b) * X
 
     @staticmethod
-    def _anisotropy(vec: Grad, p: float, g: Grad, h: Grad) -> Grad:
-        coef = (p - 2.0) * _vdot(vec, g) * h**-1.0
-        return _vadd(vec, _vscale(coef, g))
+    def _power_flux(G: Grad, H: Grad, p: float, lam: float) -> Grad:
+        """(1/lam) |grad w|^{p-2} A_w(grad |grad w|^lam) from the duals
+        of grad w and hess w.
 
-    def _advection_balance(self, p: float, b: float) -> Grad:
-        X = self._weighted_flux(p, b)
-        adv = _matvec(self._flux_jacobian(p, b), X)
-        return _vsub(adv, _vscale(self.weighted_divergence_dual(p, b), X))
-
-    def _grad_of_power(self, power: float, of_log: bool) -> Grad:
-        """grad |grad u|^power (or of grad ln u) as a one-level vector dual.
-
-        Runs the scalar through a two-level tower so its Hessian, which
-        consumes the third-order jet, becomes the vector's derivative.
+        grad |grad w|^lam = lam |grad w|^{lam-2} (hess w . grad w) is a
+        one-level vector dual, so its derivative (the Hessian of
+        |grad w|^lam, which consumes the third-order jet) is exact.
         """
-        j = self.jet
-        G2 = Vec2(j.g, j.h, j.t)
-        if of_log:
-            u2 = Grad2(j.v, j.g, j.h)
-            G2 = _vscale2(u2**-1.0, G2)
-        F2 = _vdot2(G2, G2) ** (power / 2.0)
-        return Grad(F2.d1, F2.d2)
+        h = G @ G
+        grad_f = lam * h ** ((lam - 2.0) / 2.0) * (H @ G)
+        coef = (p - 2.0) * (grad_f @ G) * h**-1.0
+        return (1.0 / lam) * h ** ((p - 2.0) / 2.0) * (grad_f + coef * G)
 
     # -- the enumeration -------------------------------------------------
 
@@ -287,42 +138,30 @@ class EuclideanEngine:
     ) -> np.ndarray:
         """div of the spec'd vector field at every sample."""
         if spec == "flux":
-            return _divergence(self._flux(p))
+            return self._flux(p).div()
         if spec == "weighted_flux":
-            return _divergence(self._weighted_flux(p, b))
+            return (self.u**b * self._flux(p)).div()
         if spec == "self_advection":
-            X = self._weighted_flux(p, b)
-            return _divergence(_matvec(self._flux_jacobian(p, b), X))
+            return self._advection(p, b)[1].div()
         if spec == "advection_balance":
-            return _divergence(self._advection_balance(p, b))
+            return self._advection_balance(p, b)[1].div()
         if spec == "weighted_balance":
             return self.weighted_balance_divergences(p, b, (a,))[0]
         if spec == "traceless_combo":
-            X = self._weighted_flux(p, b)
-            adv = _matvec(self._flux_jacobian(p, b), X)
+            X, adv = self._advection(p, b)
             divx = self.weighted_divergence_dual(p, b)
-            V1 = _vsub(adv, _vscale(divx * (1.0 / self.n), X))
+            V1 = adv - divx * (1.0 / self.n) * X
             coef = 0.0 if combo_coef is None else combo_coef
-            inner = _vdot(X, self.G)
-            V = _vsub(
-                _vscale(self.u**a, V1),
-                _vscale(coef * self.u ** (a - 1.0) * inner, X),
-            )
-            return _divergence(V)
+            inner = X @ self.G
+            V = self.u**a * V1 - coef * self.u ** (a - 1.0) * inner * X
+            return V.div()
         if spec == "grad_power_flux":
-            gradF = self._grad_of_power(p, of_log=False)
-            AgF = self._anisotropy(gradF, p, self.G, self.h)
-            V = _vscale((1.0 / p) * self.h ** ((p - 2.0) / 2.0), AgF)
-            return _divergence(V)
+            return self._power_flux(self.G, self.H, p, p).div()
         if spec == "log_power_flux":
             if lam is None:
                 raise CapabilityError("log_power_flux needs the exponent lam")
-            gw = _vscale(self.u**-1.0, self.G)
-            hln = _vdot(gw, gw)
-            gradF = self._grad_of_power(lam, of_log=True)
-            AgF = self._anisotropy(gradF, p, gw, hln)
-            V = _vscale((1.0 / lam) * hln ** ((p - 2.0) / 2.0), AgF)
-            return _divergence(V)
+            w = self.jet.log()
+            return self._power_flux(Grad(w.g, w.h), Grad(w.h, w.t), p, lam).div()
         raise CapabilityError(f"unknown vector field spec {spec!r}")
 
     def weighted_balance_divergences(self, p: float, b: float, a_values) -> list:
@@ -331,17 +170,14 @@ class EuclideanEngine:
         The balance dual and X do not depend on a: they are built once
         and only the u^a weighting is redone for each a.
         """
-        bal = self._advection_balance(p, b)
-        X = self._weighted_flux(p, b)
+        X, bal = self._advection_balance(p, b)
         grad_pow = self.h ** (p / 2.0)
         out = []
         for a in a_values:
             # <X, grad u^a> = a u^{a+b-1} |grad u|^p
             inner = a * self.u ** (a + b - 1.0) * grad_pow
-            V = _vsub(
-                _vscale(self.u**a, bal), _vscale(((p - 1.0) / p) * inner, X)
-            )
-            out.append(_divergence(V))
+            V = self.u**a * bal - ((p - 1.0) / p) * inner * X
+            out.append(V.div())
         return out
 
 
@@ -383,14 +219,16 @@ class RadialEngine:
     def _flux_comp_prime(self, p: float) -> Grad:
         return (p - 1.0) * grad_abs_pow(self.u1, p - 2.0) * self.u2
 
-    def _weighted_comp(self, p: float, b: float) -> Grad:
-        return self.u**b * self._flux_comp(p)
-
-    def _weighted_comp_prime(self, p: float, b: float) -> Grad:
-        return (
-            b * self.u ** (b - 1.0) * self.u1 * self._flux_comp(p)
+    def _weighted_parts(self, p: float, b: float):
+        """chi = u^b |u'|^{p-2} u' (the radial component of X), chi' and
+        div X, each built once."""
+        flux = self._flux_comp(p)
+        chi = self.u**b * flux
+        chi1 = (
+            b * self.u ** (b - 1.0) * self.u1 * flux
             + self.u**b * self._flux_comp_prime(p)
         )
+        return chi, chi1, chi1 + (self.n - 1) * self.cot * chi
 
     def p_laplacian_dual(self, p: float) -> Grad:
         return grad_abs_pow(self.u1, p - 2.0) * (
@@ -398,7 +236,7 @@ class RadialEngine:
         )
 
     def weighted_divergence_dual(self, p: float, b: float) -> Grad:
-        return self._weighted_comp_prime(p, b) + (self.n - 1) * self.cot * self._weighted_comp(p, b)
+        return self._weighted_parts(p, b)[2]
 
     def divergence(
         self,
@@ -412,18 +250,17 @@ class RadialEngine:
         if spec == "flux":
             return self.div_radial(self._flux_comp(p))
         if spec == "weighted_flux":
-            return self.div_radial(self._weighted_comp(p, b))
+            return self.div_radial(self.u**b * self._flux_comp(p))
         if spec == "self_advection":
-            chi = self._weighted_comp(p, b)
-            return self.div_radial(chi * self._weighted_comp_prime(p, b))
+            chi, chi1, _ = self._weighted_parts(p, b)
+            return self.div_radial(chi * chi1)
         if spec == "advection_balance":
-            return self.div_radial(self._balance_comp(p, b))
+            return self.div_radial(self._balance_comp(p, b)[1])
         if spec == "weighted_balance":
             return self.weighted_balance_divergences(p, b, (a,))[0]
         if spec == "traceless_combo":
-            chi = self._weighted_comp(p, b)
-            divx = self.weighted_divergence_dual(p, b)
-            v1 = chi * self._weighted_comp_prime(p, b) - (1.0 / self.n) * divx * chi
+            chi, chi1, divx = self._weighted_parts(p, b)
+            v1 = chi * chi1 - (1.0 / self.n) * divx * chi
             coef = 0.0 if combo_coef is None else combo_coef
             inner = chi * self.u1
             comp = self.u**a * v1 - coef * self.u ** (a - 1.0) * inner * chi
@@ -442,9 +279,10 @@ class RadialEngine:
             return self.div_radial(comp)
         raise CapabilityError(f"unknown vector field spec {spec!r}")
 
-    def _balance_comp(self, p: float, b: float) -> Grad:
-        chi = self._weighted_comp(p, b)
-        return chi * self._weighted_comp_prime(p, b) - self.weighted_divergence_dual(p, b) * chi
+    def _balance_comp(self, p: float, b: float):
+        """chi and the component of grad_X X - (div X) X."""
+        chi, chi1, divx = self._weighted_parts(p, b)
+        return chi, chi * chi1 - divx * chi
 
     def weighted_balance_divergences(self, p: float, b: float, a_values) -> list:
         """div of "weighted_balance" at one (p, b), one array per a.
@@ -452,8 +290,7 @@ class RadialEngine:
         The balance component and chi do not depend on a: they are built
         once and only the u^a weighting is redone for each a.
         """
-        chi = self._weighted_comp(p, b)
-        bal = self._balance_comp(p, b)
+        chi, bal = self._balance_comp(p, b)
         grad_pow = grad_abs_pow(self.u1, p)
         out = []
         for a in a_values:

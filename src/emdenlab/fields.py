@@ -204,29 +204,26 @@ def _random_term(rng, dim, box, budget, kinds):
 
 
 _EUCLIDEAN_KINDS = ("poly", "gauss", "rexp", "bubble")
+_FIELD_TERMS = 3
 
 
-def random_field(rng, dim: int, n_terms: int = 3, with_product: bool = True) -> ScalarField:
-    """Draw a random positive field on the sampling box.
+def random_field(rng, dim: int) -> ScalarField:
+    """Draw a random positive field on the sampling box: three random
+    terms plus one product of two.
 
     The negative excursions of all terms are budgeted against the shift
     so the field stays above FIELD_FLOOR on the box.
     """
     shift = float(rng.uniform(1.2, 2.8))
     budget_total = shift - FIELD_FLOOR
-    n_terms = max(1, n_terms)
-    slots = n_terms + (1 if with_product else 0)
-    per_term = budget_total / slots
+    per_term = budget_total / (_FIELD_TERMS + 1)
     terms = tuple(
         _random_term(rng, dim, SAMPLING_BOX, per_term, _EUCLIDEAN_KINDS)
-        for _ in range(n_terms)
+        for _ in range(_FIELD_TERMS)
     )
-    products = ()
-    if with_product:
-        ta = _random_term(rng, dim, SAMPLING_BOX, np.sqrt(per_term), ("gauss", "bubble"))
-        tb = _random_term(rng, dim, SAMPLING_BOX, np.sqrt(per_term), ("gauss", "bubble"))
-        products = ((ta, tb),)
-    return ScalarField(dim, shift, terms, products)
+    ta = _random_term(rng, dim, SAMPLING_BOX, np.sqrt(per_term), ("gauss", "bubble"))
+    tb = _random_term(rng, dim, SAMPLING_BOX, np.sqrt(per_term), ("gauss", "bubble"))
+    return ScalarField(dim, shift, terms, ((ta, tb),))
 
 
 def random_radial_profile(rng, r_hi: float) -> RadialProfile:

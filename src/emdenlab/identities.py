@@ -192,17 +192,21 @@ def _draw(camp: Campaign) -> SampleBatch:
     )
 
 
-def solution_batch(sol: RadialSolution, samples: int = 400, r_margin: float = 0.05,
-                   eps_r: float = 0.05, certify: bool = True) -> SampleBatch:
+#: solution samples start at this radius and stop this share short of
+#: the solution segment's end
+_SOLUTION_R_MIN = 0.05
+_SOLUTION_END_MARGIN = 0.05
+
+
+def solution_batch(sol: RadialSolution, samples: int = 400) -> SampleBatch:
     """Sample a radial solution away from the center and crossing.
 
-    With certify=True (default) the equation -lap_p u = f(u) is checked
-    pointwise on the sampled grid (relative to the constituent-term
-    scale); anything failing the certification is rejected rather than
-    sampled.
+    The equation -lap_p u = f(u) is checked pointwise on the sampled
+    grid (relative to the constituent-term scale); anything failing the
+    certification is rejected rather than sampled.
     """
-    r_lo = max(sol.r_lo, eps_r)
-    r_hi = sol.r_hi * (1.0 - r_margin)
+    r_lo = max(sol.r_lo, _SOLUTION_R_MIN)
+    r_hi = sol.r_hi * (1.0 - _SOLUTION_END_MARGIN)
     if r_hi <= r_lo:
         raise PreconditionError("solution segment too short to sample")
     r = np.linspace(r_lo, r_hi, samples)
@@ -212,33 +216,32 @@ def solution_batch(sol: RadialSolution, samples: int = 400, r_margin: float = 0.
     model = sol.model
     psi, dpsi, ddpsi = model.warping_jet(r)
     psi3 = model.warping_third(r)
-    if certify:
-        p = sol.p
-        cot = dpsi / psi
-        gn = np.abs(u1) ** (p - 2.0)
-        plap = gn * ((p - 1.0) * u2 + (model.dim - 1) * cot * u1)
-        scale = gn * (
-            np.abs((p - 1.0) * u2) + np.abs((model.dim - 1) * cot * u1)
-        ) + np.abs(sol.term(u)) + 1e-30
-        worst = float(np.max(np.abs(plap + sol.term(u)) / scale))
-        if worst > 1e-6:
+    p = sol.p
+    cot = dpsi / psi
+    gn = np.abs(u1) ** (p - 2.0)
+    plap = gn * ((p - 1.0) * u2 + (model.dim - 1) * cot * u1)
+    scale = gn * (
+        np.abs((p - 1.0) * u2) + np.abs((model.dim - 1) * cot * u1)
+    ) + np.abs(sol.term(u)) + 1e-30
+    worst = float(np.max(np.abs(plap + sol.term(u)) / scale))
+    if worst > 1e-6:
+        raise PreconditionError(
+            f"field is not a certified solution (equation residual {worst:g})"
+        )
+    if hasattr(sol, "state"):
+        # non-circular check for integrator output: the dense u must
+        # differentiate to the flux-recovered u'
+        probe = r[:: max(1, len(r) // 8)]
+        h_fd = 1e-5
+        up, _ = sol.state(probe + h_fd)
+        um, _ = sol.state(probe - h_fd)
+        fd = (up - um) / (2.0 * h_fd)
+        u1_probe = u1[:: max(1, len(r) // 8)]
+        gap = np.max(np.abs(fd - u1_probe) / (np.abs(u1_probe) + 1e-12))
+        if gap > 1e-5:
             raise PreconditionError(
-                f"field is not a certified solution (equation residual {worst:g})"
+                f"dense trajectory inconsistent with its flux ({gap:g})"
             )
-        if hasattr(sol, "state"):
-            # non-circular check for integrator output: the dense u must
-            # differentiate to the flux-recovered u'
-            probe = r[:: max(1, len(r) // 8)]
-            h_fd = 1e-5
-            up, _ = sol.state(probe + h_fd)
-            um, _ = sol.state(probe - h_fd)
-            fd = (up - um) / (2.0 * h_fd)
-            u1_probe = u1[:: max(1, len(r) // 8)]
-            gap = np.max(np.abs(fd - u1_probe) / (np.abs(u1_probe) + 1e-12))
-            if gap > 1e-5:
-                raise PreconditionError(
-                    f"dense trajectory inconsistent with its flux ({gap:g})"
-                )
     eng = RadialEngine(model.dim, u, u1, u2, u3, psi, dpsi, ddpsi, psi3)
     uu, g, h = eng.frame_jets()
     return SampleBatch(
@@ -304,7 +307,10 @@ class _Residuals:
         )
 
     def _update_arrays(self, diff, scale, lhs, rhs, batch, params):
-        rel = diff / (scale + _TINY)
+        # a non-finite residual gives a non-finite rel (inf/inf is nan),
+        # which _worst_index then reports as the worst case
+        with np.errstate(invalid="ignore"):
+            rel = diff / (scale + _TINY)
         self.samples += rel.size
         self.max_abs = float(np.maximum(self.max_abs, diff.max()))
         if not math.isfinite(self.max_rel):
@@ -412,16 +418,23 @@ def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
     for p in camp.p_values:
         for b in camp.b_values:
             lhs = batch.engine.divergence("self_advection", p, b=b)
-            jac = J.weighted_flux_jacobian(batch.u, batch.g, batch.h, p, b)
-            X = J.weighted_flux(batch.u, batch.g, p, b)
+            jac, X, ricx = _weighted_flux_terms(batch, p, b)
             divx = batch.engine.weighted_divergence_dual(p, b)
             rhs = (
                 J.trace_product(jac)
                 + np.einsum("nm,nm->n", divx.d, _as_components(X, batch))
-                + batch.ric_rr * np.einsum("ni,ni->n", X, X)
+                + ricx
             )
             acc.update(lhs, rhs, batch, {"p": p, "b": b})
     return acc.report(seed=camp.seed)
+
+
+def _weighted_flux_terms(batch: SampleBatch, p: float, b: float):
+    """Jacobian of the weighted flux X = u^b |grad u|^{p-2} grad u, X
+    itself and the curvature term Ric(X, X) = ric_rr |X|^2."""
+    jac = J.weighted_flux_jacobian(batch.u, batch.g, batch.h, p, b)
+    X = J.weighted_flux(batch.u, batch.g, p, b)
+    return jac, X, batch.ric_rr * np.einsum("ni,ni->n", X, X)
 
 
 def _as_components(vec, batch: SampleBatch):
@@ -472,10 +485,8 @@ def check_weighted_identity(
     for p in camp.p_values:
         plap = J.p_laplacian(g, h, p)
         for b in b_values:
-            jac = J.weighted_flux_jacobian(u, g, h, p, b)
-            X = J.weighted_flux(u, g, p, b)
+            jac, _, ricx = _weighted_flux_terms(batch, p, b)
             divx = batch.engine.weighted_divergence_dual(p, b)
-            ricx = batch.ric_rr * np.einsum("ni,ni->n", X, X)
             core = J.trace_product(jac) - divx.v**2 + ricx
             lhs_by_a = batch.engine.weighted_balance_divergences(p, b, a_values)
             for a, lhs in zip(a_values, lhs_by_a):
@@ -493,14 +504,12 @@ def check_weighted_identity(
     return acc.report(seed=camp.seed)
 
 
-def _solution_rhs(batch: SampleBatch, term: ReactionTerm, n: int, p: float,
-                  a: float, b: float):
-    u, g, h = batch.u, batch.g, batch.h
+def _solution_rhs(batch: SampleBatch, flux_terms, term: ReactionTerm, n: int,
+                  p: float, a: float, b: float):
+    u = batch.u
     gn = batch.gn
-    jac = J.weighted_flux_jacobian(u, g, h, p, b)
-    X = J.weighted_flux(u, g, p, b)
+    jac, _, ricx = flux_terms
     tr0 = J.trace_product(J.traceless(jac))
-    ricx = batch.ric_rr * np.einsum("ni,ni->n", X, X)
     coef_2p = ((p - 1.0) * a / p) * (1.0 - (n - p) * a / ((n - 1.0) * p)) - (
         (n - 1.0) / n
     ) * (b + n * (p - 1.0) * a / ((n - 1.0) * p)) ** 2
@@ -532,13 +541,14 @@ def check_solution_identity(
     n, p = sol.model.dim, sol.p
     batch = solution_batch(sol, samples=samples)
     acc = _Residuals("solution_divergence", tol)
+    flux_terms = {b: _weighted_flux_terms(batch, p, b) for b in b_values}
     for a in a_values:
         for b in b_values:
             c_mix = (n * (p - 1.0) * a + (n - 1.0) * p * b) / (n * p)
             lhs = batch.engine.divergence(
                 "traceless_combo", p, a=a, b=b, combo_coef=c_mix
             )
-            rhs = _solution_rhs(batch, sol.term, n, p, a, b)
+            rhs = _solution_rhs(batch, flux_terms[b], sol.term, n, p, a, b)
             acc.update(lhs, rhs, batch, {"p": p, "a": a, "b": b})
     return acc.report()
 

@@ -16,9 +16,9 @@ eigenvalues 1 (orthogonal to grad u) and p-1 (along grad u).
 
 Derived objects: the flux |grad u|^{p-2} grad u, the power-weighted flux
 u^b * flux, their Jacobian endomorphisms, and traceless parts.  Near the
-critical set several of these are singular for p < 2; all sampling
-excludes |grad u| < eps_grad (see module constants), mirroring the
-almost-everywhere scope of the identities being verified.
+critical set several of these are singular for p < 2; identity
+sampling excludes |grad u| < EPS_GRAD_FACTOR times the sample scale,
+mirroring the almost-everywhere scope of the identities being verified.
 """
 
 from __future__ import annotations
@@ -96,22 +96,12 @@ def inf_laplacian(g, h):
     return np.einsum("...i,...ij,...j->...", g, h, g)
 
 
-def _check_noncritical(g, p, eps):
-    if p < 2 and eps is not None:
-        gn = np.sqrt(grad_norm_sq(g))
-        if np.any(gn < eps):
-            raise SingularJetError(
-                "p < 2 with |grad u| below the critical-set cutoff"
-            )
-
-
-def p_laplacian(g, h, p, eps_grad=None):
+def p_laplacian(g, h, p):
     """Pointwise p-Laplacian of a jet.
 
     p = 2 returns trace(hess) exactly.  For p >= 2 jets with a vanishing
     gradient take the continuous extension 0; for p < 2 such jets raise
-    (the |grad|^{p-4} factor is genuinely singular there), with the
-    cutoff eps_grad when provided.
+    (the |grad|^{p-4} factor is genuinely singular there).
     """
     if p == 2.0:
         return laplacian(h)
@@ -123,7 +113,6 @@ def p_laplacian(g, h, p, eps_grad=None):
                 p - 4.0
             ) * inf_laplacian(g, h)
         return np.where(gn2 > 0, out, 0.0)
-    _check_noncritical(g, p, eps_grad if eps_grad is not None else 0.0)
     if np.any(gn2 == 0):
         raise SingularJetError("p < 2 at a critical point")
     return gn ** (p - 2.0) * laplacian(h) + (p - 2.0) * gn ** (p - 4.0) * inf_laplacian(g, h)

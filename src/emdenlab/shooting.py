@@ -196,8 +196,6 @@ def shoot(
     horizon: float = 100.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    r_start: float = SERIES_RADIUS,
-    check_flux_monotone: bool = True,
 ) -> ShootOutcome:
     """Integrate the radial problem from the center and classify the run."""
     if u0 <= 0:
@@ -205,6 +203,7 @@ def shoot(
     if p <= 1:
         raise PreconditionError("p must exceed 1")
     n = model.dim
+    r_start = SERIES_RADIUS
     r_end = min(horizon, model.r_max - r_start)
     if r_end <= r_start:
         raise DomainError("horizon does not exceed the series start")
@@ -233,7 +232,7 @@ def shoot(
             traj["m"] / psi_t ** (n - 1)
         ) ** (1.0 / (p - 1.0))
 
-    if check_flux_monotone and term.sign_class in ("nonnegative", "positive"):
+    if term.sign_class in ("nonnegative", "positive"):
         m_traj = traj["m"]
         u_traj = traj["u"]
         pos = u_traj > 0

@@ -7,9 +7,11 @@ Two engines live here:
   This is the source of record for all field derivatives; finite
   differences are used only as a cross-check, never as the source.
 
-* :class:`Grad` — a value-plus-gradient dual used by the divergence
-  engine.  Seeding a Grad tower from a Jet3 (or from analytic radial
-  derivatives) lets any algebraic expression of (u, grad u, hess u)
+* :class:`Grad` — a value-plus-gradient dual of any rank (scalar,
+  vector or matrix) used by the divergence engines and the radial
+  solution jets.  Seeding Grads from a Jet3, e.g. u = Grad(v, g),
+  grad u = Grad(g, h) and hess u = Grad(h, t), or from analytic radial
+  derivatives, lets any algebraic expression of (u, grad u, hess u)
   return its own exact first derivatives.
 
 All derivative tensors are stored as raw derivatives (not divided by
@@ -69,9 +71,6 @@ class Jet3:
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet3) else -np.asarray(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Jet3):
             return Jet3(self.v * other, self.g * other, self.h * other, self.t * other)
@@ -94,22 +93,6 @@ class Jet3:
         return Jet3(v, g, h, t)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet3):
-            return self * other.compose_power(-1.0)
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return self.compose_power(-1.0) * other
-
-    def __pow__(self, c):
-        if isinstance(c, int) and 0 <= c <= 6:
-            out = jet3_const(1.0, self.v.shape, self.g.shape[-1])
-            for _ in range(c):
-                out = out * self
-            return out
-        return self.compose_power(float(c))
 
     # -- composition with univariate outer functions ---------------------
 
@@ -145,14 +128,6 @@ class Jet3:
 
     def sqrt(self):
         return self.compose_power(0.5)
-
-    def sin(self):
-        s, c = np.sin(self.v), np.cos(self.v)
-        return self.compose(s, c, -s, -c)
-
-    def cos(self):
-        s, c = np.sin(self.v), np.cos(self.v)
-        return self.compose(c, -s, -c, s)
 
 
 def jet3_coords(points):
@@ -191,13 +166,38 @@ def jet3_const(value, batch_shape, dim):
 # ----------------------------------------------------------------------
 
 
-class Grad:
-    """Scalar quantity with its gradient along m derivative directions.
+def _grad_einsum(spec: str, *ops: "Grad") -> "Grad":
+    """np.einsum over duals by the product rule.
 
-    v has shape (N,) and d has shape (N, m).  m is the ambient dimension
-    for Euclidean fields and 1 for radial reductions (d/dr).  Only scalar
-    Grads support operator overloading; vector and matrix quantities are
-    handled by the explicit helpers in the divergence engine.
+    spec names the value axes, batch axis first (e.g. "nij,nj->ni"); the
+    derivative of each operand in turn takes an extra trailing axis m,
+    giving the terms "nijm,nj->nim" and "nij,njm->nim".
+    """
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    terms = [
+        np.einsum(
+            ",".join(s + "m" if i == k else s for i, s in enumerate(ins))
+            + f"->{out}m",
+            *(o.d if i == k else o.v for i, o in enumerate(ops)),
+        )
+        for k in range(len(ops))
+    ]
+    return Grad(np.einsum(spec, *(o.v for o in ops)), sum(terms[1:], terms[0]))
+
+
+class Grad:
+    """A scalar, vector or matrix quantity with its derivative along m
+    directions.
+
+    v has shape (N, *S) and d has shape (N, *S, m): S is () for a
+    scalar, (n,) for a vector and (n, n) for a matrix, and m is the
+    ambient dimension for Euclidean fields and 1 for radial reductions
+    (d/dr).  + and - act entrywise at any rank; * multiplies entrywise
+    and lifts a scalar dual against a vector or matrix one by inserting
+    broadcast axes after the batch axis.  @ (vector . vector, matrix .
+    vector), outer() and trace() are einsum contractions differentiated
+    by the product rule.
     """
 
     __slots__ = ("v", "d")
@@ -205,6 +205,14 @@ class Grad:
     def __init__(self, v, d):
         self.v = np.asarray(v, dtype=float)
         self.d = np.asarray(d, dtype=float)
+
+    def _lifted(self, ndim: int) -> "Grad":
+        """The dual with broadcast axes after the batch axis, so that its
+        value has at least ndim axes."""
+        if self.v.ndim >= ndim:
+            return self
+        extra = (slice(None),) + (None,) * (ndim - self.v.ndim)
+        return Grad(self.v[extra], self.d[extra])
 
     def __add__(self, other):
         if isinstance(other, Grad):
@@ -221,14 +229,12 @@ class Grad:
             return Grad(self.v - other.v, self.d - other.d)
         return Grad(self.v - other, self.d)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Grad):
+            a, b = self._lifted(other.v.ndim), other._lifted(self.v.ndim)
             return Grad(
-                self.v * other.v,
-                self.d * other.v[..., None] + other.d * self.v[..., None],
+                a.v * b.v,
+                a.d * b.v[..., None] + b.d * a.v[..., None],
             )
         return Grad(self.v * other, self.d * other)
 
@@ -239,24 +245,31 @@ class Grad:
             return self * other**-1.0
         return self * (1.0 / other)
 
-    def __rtruediv__(self, other):
-        return self**-1.0 * other
-
     def __pow__(self, c):
         c = float(c)
         return Grad(
             self.v**c, c * (self.v ** (c - 1.0))[..., None] * self.d
         )
 
-    def sqrt(self):
-        return self**0.5
+    def __matmul__(self, other):
+        if self.v.ndim == 2 and other.v.ndim == 2:
+            return _grad_einsum("ni,ni->n", self, other)
+        if self.v.ndim == 3 and other.v.ndim == 2:
+            return _grad_einsum("nij,nj->ni", self, other)
+        raise ValueError("@ takes vector @ vector or matrix @ vector duals")
 
-    def log(self):
-        return Grad(np.log(self.v), self.d / self.v[..., None])
+    def outer(self, other: "Grad") -> "Grad":
+        """The matrix dual a (x) b of two vector duals."""
+        return _grad_einsum("ni,nj->nij", self, other)
 
-    def exp(self):
-        e = np.exp(self.v)
-        return Grad(e, e[..., None] * self.d)
+    def trace(self) -> "Grad":
+        """The scalar dual tr M of a matrix dual."""
+        return _grad_einsum("nii->n", self)
+
+    def div(self) -> np.ndarray:
+        """Divergence of a vector dual whose m derivative directions are
+        its own n coordinates: the trace of its derivative."""
+        return np.einsum("nii->n", self.d)
 
 
 def grad_abs_pow(x: Grad, q: float) -> Grad:

@@ -60,6 +60,45 @@ class TestEnumeration:
         assert out[0] == pytest.approx(expected, rel=1e-13)
 
 
+def _power_flux_div(w, xs, point, p, lam):
+    """Symbolic div of (1/lam)|grad w|^{p-2} A_w(grad |grad w|^lam)."""
+    grad = [sp.diff(w, x) for x in xs]
+    hw = sum(g**2 for g in grad)
+    grad_f = [sp.diff(hw ** (lam / 2), x) for x in xs]
+    along = sum(a * g for a, g in zip(grad_f, grad))
+    vec = [
+        hw ** ((p - 2) / 2) * (a + (p - 2) * along * g / hw) / lam
+        for a, g in zip(grad_f, grad)
+    ]
+    div = sum(sp.diff(v, x) for v, x in zip(vec, xs))
+    return float(div.evalf(30, subs={x: sp.Rational(str(c)) for x, c in zip(xs, point)}))
+
+
+class TestPowerFluxOracles:
+    """The two power-flux specs on a non-radial field at an off-axis
+    point, where no radial cross-check reaches."""
+
+    field = ScalarField(2, 2.0, (
+        FieldTerm("poly", 1.0, ((2, 0),)),
+        FieldTerm("poly", 0.5, ((1, 2),)),
+    ))
+    xs = sp.symbols("x0:2")
+    u = 2 + xs[0] ** 2 + sp.Rational(1, 2) * xs[0] * xs[1] ** 2
+    point = (0.7, -0.4)
+
+    def test_grad_power_flux(self):
+        out = divergence_at(self.field, [self.point], "grad_power_flux", 3.0)
+        expected = _power_flux_div(self.u, self.xs, self.point, sp.Integer(3), sp.Integer(3))
+        assert out[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_log_power_flux(self):
+        out = divergence_at(self.field, [self.point], "log_power_flux", 1.5, lam=2.5)
+        expected = _power_flux_div(
+            sp.log(self.u), self.xs, self.point, sp.Rational(3, 2), sp.Rational(5, 2)
+        )
+        assert out[0] == pytest.approx(expected, rel=1e-12)
+
+
 class TestBackendCrossAgreement:
     """A rotationally symmetric Euclidean field evaluated on the axis must
     give the same divergences through the general-field engine and the
