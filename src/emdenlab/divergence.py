@@ -28,13 +28,22 @@ derivative of the assembled expression (no differencing anywhere):
   radial there and div(v(r) d/dr) = v' + (n-1)(psi'/psi) v, with the
   inner derivatives written out analytically.
 
-Both backends also expose div X and the p-Laplacian as duals, supplying
-the gradient-of-divergence terms on the identity right-hand sides, and
-``weighted_balance_divergences(p, b, a_values)``, which builds the
-a-independent part of "weighted_balance" once for a whole grid of a.
+The fields are assembled by a view of the engine at one p,
+``engine.at(p)`` (:class:`EuclideanView`, :class:`RadialView`).  A view
+builds each block on first use and keeps it for as long as it lives:
+the blocks that depend on p only (the flux and its Jacobian, |grad u|^p,
+the p-Laplacian as a dual) and, per b, X, grad_X X, div X as a dual and
+the balance grad_X X - (div X) X.  A check that visits every (p, b, a)
+of a grid takes one view per p and drops it when p moves on, so each
+block is built once per check.  ``engine.divergence(spec, p, ...)`` goes
+through a fresh view.  Views are not kept on the engine: a campaign's
+engine lives as long as the campaign, and every block held for all p at
+once would stay in memory with it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -43,7 +52,9 @@ from .taylor import Grad, Jet3, grad_abs_pow, grad_signed_pow
 
 __all__ = [
     "EuclideanEngine",
+    "EuclideanView",
     "RadialEngine",
+    "RadialView",
     "VECTOR_FIELD_SPECS",
     "divergence_at",
     "radial_divergence_at",
@@ -59,6 +70,30 @@ VECTOR_FIELD_SPECS = (
     "grad_power_flux",
     "log_power_flux",
 )
+
+
+def _kept(build):
+    """A view method whose result is built on first use and kept on the
+    view, keyed by the method's name and arguments."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def block(self, *args):
+        key = (name,) + args
+        if key not in self._blocks:
+            self._blocks[key] = build(self, *args)
+        return self._blocks[key]
+
+    return block
+
+
+class _View:
+    """An engine at one p; the blocks it builds live as long as it does."""
+
+    def __init__(self, engine, p: float):
+        self.engine = engine
+        self.p = p
+        self._blocks = {}
 
 
 # ----------------------------------------------------------------------
@@ -77,106 +112,146 @@ class EuclideanEngine:
         self.H = Grad(jet.h, jet.t)
         self.h = self.G @ self.G  # |grad u|^2 as a dual
 
-    # -- building blocks -------------------------------------------------
+    def at(self, p: float) -> "EuclideanView":
+        """The engine at one p; it keeps the blocks it builds."""
+        return EuclideanView(self, p)
 
-    def _flux(self, p: float) -> Grad:
-        return self.h ** ((p - 2.0) / 2.0) * self.G
+    def divergence(self, spec: str, p: float, **params) -> np.ndarray:
+        """div of the spec'd vector field at every sample, through a fresh
+        view at p (params as in :meth:`EuclideanView.divergence`)."""
+        return self.at(p).divergence(spec, **params)
 
-    def p_laplacian_dual(self, p: float) -> Grad:
-        lap = self.H.trace()
+
+def _power_flux(G: Grad, H: Grad, p: float, lam: float) -> Grad:
+    """(1/lam) |grad w|^{p-2} A_w(grad |grad w|^lam) from the duals of
+    grad w and hess w.
+
+    grad |grad w|^lam = lam |grad w|^{lam-2} (hess w . grad w) is a
+    one-level vector dual, so its derivative (the Hessian of
+    |grad w|^lam, which consumes the third-order jet) is exact.
+    """
+    h = G @ G
+    grad_f = lam * h ** ((lam - 2.0) / 2.0) * (H @ G)
+    coef = (p - 2.0) * (grad_f @ G) * h**-1.0
+    return (1.0 / lam) * h ** ((p - 2.0) / 2.0) * (grad_f + coef * G)
+
+
+class EuclideanView(_View):
+    """A :class:`EuclideanEngine` at one p."""
+
+    # -- blocks that depend on p only -------------------------------------
+
+    @_kept
+    def _flux(self) -> Grad:
+        E = self.engine
+        return E.h ** ((self.p - 2.0) / 2.0) * E.G
+
+    @_kept
+    def _flux_jacobian(self) -> Grad:
+        """h^{(p-2)/2} (H + (p-2) h^{-1} G (x) H G), the flux's Jacobian."""
+        E, p = self.engine, self.p
+        corr = (p - 2.0) * E.h**-1.0 * E.G.outer(E.H @ E.G)
+        return E.h ** ((p - 2.0) / 2.0) * (E.H + corr)
+
+    @_kept
+    def _grad_pow(self) -> Grad:
+        """|grad u|^p."""
+        return self.engine.h ** (self.p / 2.0)
+
+    @_kept
+    def p_laplacian_dual(self) -> Grad:
+        E, p = self.engine, self.p
+        lap = E.H.trace()
         if p == 2.0:
             return lap
-        ilap = self.G @ (self.H @ self.G)
-        return self.h ** ((p - 2.0) / 2.0) * lap + (p - 2.0) * self.h ** (
+        ilap = E.G @ (E.H @ E.G)
+        return E.h ** ((p - 2.0) / 2.0) * lap + (p - 2.0) * E.h ** (
             (p - 4.0) / 2.0
         ) * ilap
 
-    def weighted_divergence_dual(self, p: float, b: float) -> Grad:
+    # -- blocks at one b ----------------------------------------------------
+
+    @_kept
+    def _weighted_flux(self, b: float) -> Grad:
+        """X = u^b |grad u|^{p-2} grad u."""
+        return self.engine.u**b * self._flux()
+
+    @_kept
+    def _advection(self, b: float) -> Grad:
+        """grad_X X."""
+        E = self.engine
+        jac = (
+            b * E.u ** (b - 1.0) * self._flux().outer(E.G)
+            + E.u**b * self._flux_jacobian()
+        )
+        return jac @ self._weighted_flux(b)
+
+    @_kept
+    def weighted_divergence_dual(self, b: float) -> Grad:
+        E = self.engine
         return (
-            b * self.u ** (b - 1.0) * self.h ** (p / 2.0)
-            + self.u**b * self.p_laplacian_dual(p)
+            b * E.u ** (b - 1.0) * self._grad_pow()
+            + E.u**b * self.p_laplacian_dual()
         )
 
-    def _advection(self, p: float, b: float):
-        """X = u^b |grad u|^{p-2} grad u and grad_X X, from one flux."""
-        flux = self._flux(p)
-        X = self.u**b * flux
-        corr = (p - 2.0) * self.h**-1.0 * self.G.outer(self.H @ self.G)
-        base = self.h ** ((p - 2.0) / 2.0) * (self.H + corr)
-        jac = b * self.u ** (b - 1.0) * flux.outer(self.G) + self.u**b * base
-        return X, jac @ X
-
-    def _advection_balance(self, p: float, b: float):
-        """X and grad_X X - (div X) X."""
-        X, adv = self._advection(p, b)
-        return X, adv - self.weighted_divergence_dual(p, b) * X
-
-    @staticmethod
-    def _power_flux(G: Grad, H: Grad, p: float, lam: float) -> Grad:
-        """(1/lam) |grad w|^{p-2} A_w(grad |grad w|^lam) from the duals
-        of grad w and hess w.
-
-        grad |grad w|^lam = lam |grad w|^{lam-2} (hess w . grad w) is a
-        one-level vector dual, so its derivative (the Hessian of
-        |grad w|^lam, which consumes the third-order jet) is exact.
-        """
-        h = G @ G
-        grad_f = lam * h ** ((lam - 2.0) / 2.0) * (H @ G)
-        coef = (p - 2.0) * (grad_f @ G) * h**-1.0
-        return (1.0 / lam) * h ** ((p - 2.0) / 2.0) * (grad_f + coef * G)
+    @_kept
+    def _advection_balance(self, b: float) -> Grad:
+        """grad_X X - (div X) X."""
+        X = self._weighted_flux(b)
+        return self._advection(b) - self.weighted_divergence_dual(b) * X
 
     # -- the enumeration -------------------------------------------------
 
     def divergence(
         self,
         spec: str,
-        p: float,
         a: float = 0.0,
         b: float = 0.0,
         lam: float = None,
         combo_coef: float = None,
     ) -> np.ndarray:
         """div of the spec'd vector field at every sample."""
+        E, p = self.engine, self.p
         if spec == "flux":
-            return self._flux(p).div()
+            return self._flux().div()
         if spec == "weighted_flux":
-            return (self.u**b * self._flux(p)).div()
+            return self._weighted_flux(b).div()
         if spec == "self_advection":
-            return self._advection(p, b)[1].div()
+            return self._advection(b).div()
         if spec == "advection_balance":
-            return self._advection_balance(p, b)[1].div()
+            return self._advection_balance(b).div()
         if spec == "weighted_balance":
-            return self.weighted_balance_divergences(p, b, (a,))[0]
+            return self.weighted_balance_divergences(b, (a,))[0]
         if spec == "traceless_combo":
-            X, adv = self._advection(p, b)
-            divx = self.weighted_divergence_dual(p, b)
-            V1 = adv - divx * (1.0 / self.n) * X
+            X = self._weighted_flux(b)
+            divx = self.weighted_divergence_dual(b)
+            V1 = self._advection(b) - divx * (1.0 / E.n) * X
             coef = 0.0 if combo_coef is None else combo_coef
-            inner = X @ self.G
-            V = self.u**a * V1 - coef * self.u ** (a - 1.0) * inner * X
+            inner = X @ E.G
+            V = E.u**a * V1 - coef * E.u ** (a - 1.0) * inner * X
             return V.div()
         if spec == "grad_power_flux":
-            return self._power_flux(self.G, self.H, p, p).div()
+            return _power_flux(E.G, E.H, p, p).div()
         if spec == "log_power_flux":
             if lam is None:
                 raise CapabilityError("log_power_flux needs the exponent lam")
-            w = self.jet.log()
-            return self._power_flux(Grad(w.g, w.h), Grad(w.h, w.t), p, lam).div()
+            w = E.jet.log()
+            return _power_flux(Grad(w.g, w.h), Grad(w.h, w.t), p, lam).div()
         raise CapabilityError(f"unknown vector field spec {spec!r}")
 
-    def weighted_balance_divergences(self, p: float, b: float, a_values) -> list:
-        """div of "weighted_balance" at one (p, b), one array per a.
+    def weighted_balance_divergences(self, b: float, a_values) -> list:
+        """div of "weighted_balance" at one b, one array per a.
 
-        The balance dual and X do not depend on a: they are built once
-        and only the u^a weighting is redone for each a.
+        Only the u^a weighting is built for each a; the balance and X
+        are the view's blocks.
         """
-        X, bal = self._advection_balance(p, b)
-        grad_pow = self.h ** (p / 2.0)
+        E, p = self.engine, self.p
+        X, bal = self._weighted_flux(b), self._advection_balance(b)
         out = []
         for a in a_values:
             # <X, grad u^a> = a u^{a+b-1} |grad u|^p
-            inner = a * self.u ** (a + b - 1.0) * grad_pow
-            V = self.u**a * bal - ((p - 1.0) / p) * inner * X
+            inner = a * E.u ** (a + b - 1.0) * self._grad_pow()
+            V = E.u**a * bal - ((p - 1.0) / p) * inner * X
             out.append(V.div())
         return out
 
@@ -208,96 +283,17 @@ class RadialEngine:
         self.psi2 = seed(psi2, psi3)
         self.cot = self.psi1 / self.psi  # psi'/psi
 
+    def at(self, p: float) -> "RadialView":
+        """The engine at one p; it keeps the blocks it builds."""
+        return RadialView(self, p)
+
+    def divergence(self, spec: str, p: float, **params) -> np.ndarray:
+        """div of the spec'd vector field at every sample, through a fresh
+        view at p (params as in :meth:`RadialView.divergence`)."""
+        return self.at(p).divergence(spec, **params)
+
     def div_radial(self, comp: Grad) -> np.ndarray:
         return comp.d[:, 0] + (self.n - 1) * self.cot.v * comp.v
-
-    # -- building blocks (all explicit in the seeds) ----------------------
-
-    def _flux_comp(self, p: float) -> Grad:
-        return grad_signed_pow(self.u1, p - 1.0)
-
-    def _flux_comp_prime(self, p: float) -> Grad:
-        return (p - 1.0) * grad_abs_pow(self.u1, p - 2.0) * self.u2
-
-    def _weighted_parts(self, p: float, b: float):
-        """chi = u^b |u'|^{p-2} u' (the radial component of X), chi' and
-        div X, each built once."""
-        flux = self._flux_comp(p)
-        chi = self.u**b * flux
-        chi1 = (
-            b * self.u ** (b - 1.0) * self.u1 * flux
-            + self.u**b * self._flux_comp_prime(p)
-        )
-        return chi, chi1, chi1 + (self.n - 1) * self.cot * chi
-
-    def p_laplacian_dual(self, p: float) -> Grad:
-        return grad_abs_pow(self.u1, p - 2.0) * (
-            (p - 1.0) * self.u2 + (self.n - 1) * self.cot * self.u1
-        )
-
-    def weighted_divergence_dual(self, p: float, b: float) -> Grad:
-        return self._weighted_parts(p, b)[2]
-
-    def divergence(
-        self,
-        spec: str,
-        p: float,
-        a: float = 0.0,
-        b: float = 0.0,
-        lam: float = None,
-        combo_coef: float = None,
-    ) -> np.ndarray:
-        if spec == "flux":
-            return self.div_radial(self._flux_comp(p))
-        if spec == "weighted_flux":
-            return self.div_radial(self.u**b * self._flux_comp(p))
-        if spec == "self_advection":
-            chi, chi1, _ = self._weighted_parts(p, b)
-            return self.div_radial(chi * chi1)
-        if spec == "advection_balance":
-            return self.div_radial(self._balance_comp(p, b)[1])
-        if spec == "weighted_balance":
-            return self.weighted_balance_divergences(p, b, (a,))[0]
-        if spec == "traceless_combo":
-            chi, chi1, divx = self._weighted_parts(p, b)
-            v1 = chi * chi1 - (1.0 / self.n) * divx * chi
-            coef = 0.0 if combo_coef is None else combo_coef
-            inner = chi * self.u1
-            comp = self.u**a * v1 - coef * self.u ** (a - 1.0) * inner * chi
-            return self.div_radial(comp)
-        if spec == "grad_power_flux":
-            fprime = p * grad_signed_pow(self.u1, p - 1.0) * self.u2
-            comp = (1.0 / p) * grad_abs_pow(self.u1, p - 2.0) * (p - 1.0) * fprime
-            return self.div_radial(comp)
-        if spec == "log_power_flux":
-            if lam is None:
-                raise CapabilityError("log_power_flux needs the exponent lam")
-            w1 = self.u1 / self.u
-            w2 = self.u2 / self.u - w1 * w1
-            fprime = lam * grad_signed_pow(w1, lam - 1.0) * w2
-            comp = (1.0 / lam) * grad_abs_pow(w1, p - 2.0) * (p - 1.0) * fprime
-            return self.div_radial(comp)
-        raise CapabilityError(f"unknown vector field spec {spec!r}")
-
-    def _balance_comp(self, p: float, b: float):
-        """chi and the component of grad_X X - (div X) X."""
-        chi, chi1, divx = self._weighted_parts(p, b)
-        return chi, chi * chi1 - divx * chi
-
-    def weighted_balance_divergences(self, p: float, b: float, a_values) -> list:
-        """div of "weighted_balance" at one (p, b), one array per a.
-
-        The balance component and chi do not depend on a: they are built
-        once and only the u^a weighting is redone for each a.
-        """
-        chi, bal = self._balance_comp(p, b)
-        grad_pow = grad_abs_pow(self.u1, p)
-        out = []
-        for a in a_values:
-            inner = a * self.u ** (a + b - 1.0) * grad_pow
-            comp = self.u**a * bal - ((p - 1.0) / p) * inner * chi
-            out.append(self.div_radial(comp))
-        return out
 
     # -- frame materialization for the right-hand sides -------------------
 
@@ -316,6 +312,116 @@ class RadialEngine:
         for i in range(1, n):
             h[:, i, i] = tang
         return self.u.v.copy(), g, h
+
+
+class RadialView(_View):
+    """A :class:`RadialEngine` at one p; every block is explicit in the
+    seeds."""
+
+    # -- blocks that depend on p only -------------------------------------
+
+    @_kept
+    def _flux_comp(self) -> Grad:
+        return grad_signed_pow(self.engine.u1, self.p - 1.0)
+
+    @_kept
+    def _flux_comp_prime(self) -> Grad:
+        E, p = self.engine, self.p
+        return (p - 1.0) * grad_abs_pow(E.u1, p - 2.0) * E.u2
+
+    @_kept
+    def _grad_pow(self) -> Grad:
+        """|u'|^p."""
+        return grad_abs_pow(self.engine.u1, self.p)
+
+    @_kept
+    def p_laplacian_dual(self) -> Grad:
+        E, p = self.engine, self.p
+        return grad_abs_pow(E.u1, p - 2.0) * (
+            (p - 1.0) * E.u2 + (E.n - 1) * E.cot * E.u1
+        )
+
+    # -- blocks at one b ----------------------------------------------------
+
+    @_kept
+    def _weighted_parts(self, b: float):
+        """chi = u^b |u'|^{p-2} u' (the radial component of X), chi' and
+        div X."""
+        E = self.engine
+        flux = self._flux_comp()
+        chi = E.u**b * flux
+        chi1 = (
+            b * E.u ** (b - 1.0) * E.u1 * flux
+            + E.u**b * self._flux_comp_prime()
+        )
+        return chi, chi1, chi1 + (E.n - 1) * E.cot * chi
+
+    def weighted_divergence_dual(self, b: float) -> Grad:
+        return self._weighted_parts(b)[2]
+
+    @_kept
+    def _balance_comp(self, b: float) -> Grad:
+        """The component of grad_X X - (div X) X."""
+        chi, chi1, divx = self._weighted_parts(b)
+        return chi * chi1 - divx * chi
+
+    # -- the enumeration -------------------------------------------------
+
+    def divergence(
+        self,
+        spec: str,
+        a: float = 0.0,
+        b: float = 0.0,
+        lam: float = None,
+        combo_coef: float = None,
+    ) -> np.ndarray:
+        E, p = self.engine, self.p
+        if spec == "flux":
+            return E.div_radial(self._flux_comp())
+        if spec == "weighted_flux":
+            return E.div_radial(self._weighted_parts(b)[0])
+        if spec == "self_advection":
+            chi, chi1, _ = self._weighted_parts(b)
+            return E.div_radial(chi * chi1)
+        if spec == "advection_balance":
+            return E.div_radial(self._balance_comp(b))
+        if spec == "weighted_balance":
+            return self.weighted_balance_divergences(b, (a,))[0]
+        if spec == "traceless_combo":
+            chi, chi1, divx = self._weighted_parts(b)
+            v1 = chi * chi1 - (1.0 / E.n) * divx * chi
+            coef = 0.0 if combo_coef is None else combo_coef
+            inner = chi * E.u1
+            comp = E.u**a * v1 - coef * E.u ** (a - 1.0) * inner * chi
+            return E.div_radial(comp)
+        if spec == "grad_power_flux":
+            fprime = p * self._flux_comp() * E.u2
+            comp = (1.0 / p) * grad_abs_pow(E.u1, p - 2.0) * (p - 1.0) * fprime
+            return E.div_radial(comp)
+        if spec == "log_power_flux":
+            if lam is None:
+                raise CapabilityError("log_power_flux needs the exponent lam")
+            w1 = E.u1 / E.u
+            w2 = E.u2 / E.u - w1 * w1
+            fprime = lam * grad_signed_pow(w1, lam - 1.0) * w2
+            comp = (1.0 / lam) * grad_abs_pow(w1, p - 2.0) * (p - 1.0) * fprime
+            return E.div_radial(comp)
+        raise CapabilityError(f"unknown vector field spec {spec!r}")
+
+    def weighted_balance_divergences(self, b: float, a_values) -> list:
+        """div of "weighted_balance" at one b, one array per a.
+
+        Only the u^a weighting is built for each a; the balance
+        component and chi are the view's blocks.
+        """
+        E, p = self.engine, self.p
+        chi, bal = self._weighted_parts(b)[0], self._balance_comp(b)
+        out = []
+        for a in a_values:
+            inner = a * E.u ** (a + b - 1.0) * self._grad_pow()
+            comp = E.u**a * bal - ((p - 1.0) / p) * inner * chi
+            out.append(E.div_radial(comp))
+        return out
 
 
 # ----------------------------------------------------------------------

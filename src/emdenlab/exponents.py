@@ -576,12 +576,20 @@ def emden_radial_jet(n: int, p: float, lam: float, r):
 
 
 def emden_plaplacian(n: int, p: float, lam: float, r):
-    """Radial p-Laplacian of the bubble; r = 0 via the analytic limit."""
+    """Radial p-Laplacian of the bubble; r = 0 via the analytic limit.
+
+    With v = lam^q + r^q, (p-1) u'' + (n-1) u'/r is
+    s q top^s v^{-s-2} r^{q-2} [(p-1)((s+1) q r^q - (q-1) v) - (n-1) v],
+    and (p-1)(q-1) = 1, (s+1) p = n reduce the bracket to -n lam^q.  The
+    closed form avoids subtracting the two large terms.
+    """
     q, s, top = _bubble_constants(n, p, lam)
     r = np.asarray(r, dtype=float)
-    u, du, ddu = emden_radial_jet(n, p, lam, r)
+    _, du, _ = emden_radial_jet(n, p, lam, r)
+    v = lam**q + r**q
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.abs(du) ** (p - 2.0) * ((p - 1.0) * ddu + (n - 1) * du / r)
+        radial = -n * lam**q * s * q * top**s * v ** (-s - 2.0) * r ** (q - 2.0)
+        out = np.abs(du) ** (p - 2.0) * radial
     # r -> 0: u' ~ -C r^{q-1} with C = s q top^s lam^{-q(s+1)} and
     # lap_p u -> -n C^{p-1}
     C = s * q * top**s * lam ** (-q * (s + 1.0))

@@ -14,7 +14,13 @@ integrator tolerance).  Inequality margins are normalized by the term
 scale with a rounding floor of 1e-10.
 
 A campaign is one batch of samples, drawn once on first use and shared
-by every check that reads it.  Sampling is deterministic: a
+by every check that reads it.  Within a check, the quantities that
+depend on p only are built once per p and those that depend on (p, b)
+once per (p, b): the left sides go through one engine view per p,
+``batch.engine.at(p)``, dropped when p moves on, and the right sides
+through one ``jets.FluxBlock`` per p that adds only the u^b factors per
+b.  Nothing p-dependent is kept on the batch, which lives as long as the
+campaign.  Sampling is deterministic: a
 counter-based generator keyed by the campaign seed drives all draws, so
 the worst case is reproducible from (seed, sample index), the index
 being the position among the kept samples in draw order.  Near-critical
@@ -416,10 +422,12 @@ def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
     acc = _Residuals("bochner_vector_field", tol)
     batch = camp.batch
     for p in camp.p_values:
+        E = batch.engine.at(p)
+        block = J.FluxBlock(batch.g, batch.h, p)
         for b in camp.b_values:
-            lhs = batch.engine.divergence("self_advection", p, b=b)
-            jac, X, ricx = _weighted_flux_terms(batch, p, b)
-            divx = batch.engine.weighted_divergence_dual(p, b)
+            lhs = E.divergence("self_advection", b=b)
+            jac, X, ricx = _weighted_flux_terms(batch, block, b)
+            divx = E.weighted_divergence_dual(b)
             rhs = (
                 J.trace_product(jac)
                 + np.einsum("nm,nm->n", divx.d, _as_components(X, batch))
@@ -429,11 +437,11 @@ def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
     return acc.report(seed=camp.seed)
 
 
-def _weighted_flux_terms(batch: SampleBatch, p: float, b: float):
+def _weighted_flux_terms(batch: SampleBatch, block: J.FluxBlock, b: float):
     """Jacobian of the weighted flux X = u^b |grad u|^{p-2} grad u, X
-    itself and the curvature term Ric(X, X) = ric_rr |X|^2."""
-    jac = J.weighted_flux_jacobian(batch.u, batch.g, batch.h, p, b)
-    X = J.weighted_flux(batch.u, batch.g, p, b)
+    itself and the curvature term Ric(X, X) = ric_rr |X|^2, from the
+    batch's flux block at p."""
+    X, jac = block.weighted(batch.u, b)
     return jac, X, batch.ric_rr * np.einsum("ni,ni->n", X, X)
 
 
@@ -452,10 +460,11 @@ def check_bochner_linearized(camp: Campaign, tol: float = 1e-7) -> IdentityRepor
     g, h = batch.g, batch.h
     gn = batch.gn
     for p in camp.p_values:
-        lhs = batch.engine.divergence("grad_power_flux", p)
+        E = batch.engine.at(p)
+        lhs = E.divergence("grad_power_flux")
         A = J.anisotropy_matrix(g, p)
         AH = np.einsum("nij,njk->nik", A, h)
-        plap_dual = batch.engine.p_laplacian_dual(p)
+        plap_dual = E.p_laplacian_dual()
         fl = J.flux(g, p)
         rhs = (
             gn ** (2.0 * p - 4.0) * np.einsum("nij,nji->n", AH, AH)
@@ -480,15 +489,17 @@ def check_weighted_identity(
     """
     acc = _Residuals("weighted_divergence", tol)
     batch = camp.batch
-    u, g, h = batch.u, batch.g, batch.h
+    u = batch.u
     gn = batch.gn
     for p in camp.p_values:
-        plap = J.p_laplacian(g, h, p)
+        E = batch.engine.at(p)
+        block = J.FluxBlock(batch.g, batch.h, p)
+        plap = block.plap
         for b in b_values:
-            jac, _, ricx = _weighted_flux_terms(batch, p, b)
-            divx = batch.engine.weighted_divergence_dual(p, b)
+            jac, _, ricx = _weighted_flux_terms(batch, block, b)
+            divx = E.weighted_divergence_dual(b)
             core = J.trace_product(jac) - divx.v**2 + ricx
-            lhs_by_a = batch.engine.weighted_balance_divergences(p, b, a_values)
+            lhs_by_a = E.weighted_balance_divergences(b, a_values)
             for a, lhs in zip(a_values, lhs_by_a):
                 rhs = (
                     u**a * core
@@ -541,13 +552,13 @@ def check_solution_identity(
     n, p = sol.model.dim, sol.p
     batch = solution_batch(sol, samples=samples)
     acc = _Residuals("solution_divergence", tol)
-    flux_terms = {b: _weighted_flux_terms(batch, p, b) for b in b_values}
+    E = batch.engine.at(p)
+    block = J.FluxBlock(batch.g, batch.h, p)
+    flux_terms = {b: _weighted_flux_terms(batch, block, b) for b in b_values}
     for a in a_values:
         for b in b_values:
             c_mix = (n * (p - 1.0) * a + (n - 1.0) * p * b) / (n * p)
-            lhs = batch.engine.divergence(
-                "traceless_combo", p, a=a, b=b, combo_coef=c_mix
-            )
+            lhs = E.divergence("traceless_combo", a=a, b=b, combo_coef=c_mix)
             rhs = _solution_rhs(batch, flux_terms[b], sol.term, n, p, a, b)
             acc.update(lhs, rhs, batch, {"p": p, "a": a, "b": b})
     return acc.report()
@@ -649,8 +660,9 @@ def check_trace_inequality(
         u, g, h = random_jets(rng, n, samples)
         for p in p_values:
             coef = ((p - 1.0) ** 2 + 1.0) / (2.0 * (p - 1.0))
+            block = J.FluxBlock(g, h, p)
             for b in b_values:
-                jac = J.weighted_flux_jacobian(u, g, h, p, b, check=False)
+                _, jac = block.weighted(u, b, check=False)
                 m = J.traceless(jac)
                 t2 = J.trace_product(m)
                 fr = J.frobenius_sq(m)

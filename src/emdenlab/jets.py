@@ -24,6 +24,7 @@ mirroring the almost-everywhere scope of the identities being verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "flux",
     "flux_jacobian",
     "weighted_flux",
+    "FluxBlock",
     "weighted_flux_jacobian",
     "weighted_flux_divergence",
     "traceless",
@@ -173,37 +175,70 @@ def weighted_flux(u, g, p, b):
     return u[..., None] ** b * flux(g, p)
 
 
-def weighted_flux_jacobian(u, g, h, p, b, check=True):
-    """Jacobian endomorphism of the weighted flux.
+class FluxBlock:
+    """The b-free half of the weighted flux u^b |g|^{p-2} g at one p.
 
-    Assembled as  b u^{b-1} flux (x) du  +  u^b * flux_jacobian.  Its
-    trace must reproduce the closed-form divergence
-    b u^{b-1}|g|^p + u^b lap_p u; the agreement is asserted (relative
-    1e-11) unless check=False.
+    The flux, its Jacobian and flux (x) g are built once; weighted(u, b)
+    adds only the u^b factors, so a grid of b costs one flux Jacobian.
+    The parts that only the trace check reads (|g|^p, lap_p u and the
+    gradient factor of the check's scale) are built on first use.
     """
-    gn = np.sqrt(grad_norm_sq(g))
-    fl = flux(g, p)
-    outer = np.einsum("...i,...j->...ij", fl, g)
-    jac = (b * u ** (b - 1.0))[..., None, None] * outer + u[
-        ..., None, None
-    ] ** b * flux_jacobian(g, h, p)
-    if check:
-        tr = np.einsum("...ii->...", jac)
-        closed = weighted_flux_divergence(u, g, h, p, b)
-        # normalize by the constituent-term size: the divergence itself
-        # legitimately cancels to roundoff on p-harmonic profiles
-        scale = (
-            np.abs(b) * u ** (b - 1.0) * gn**p
-            + u**b * gn ** (p - 2.0) * (np.abs(laplacian(h)) + np.abs(p - 2.0)
-                                        * np.abs(inf_laplacian(g, h)) / gn**2)
-            + 1e-30
+
+    def __init__(self, g, h, p):
+        self.g, self.h, self.p = g, h, p
+        self.flux = flux(g, p)
+        self.jacobian = flux_jacobian(g, h, p)
+        self._outer = np.einsum("...i,...j->...ij", self.flux, g)
+
+    @cached_property
+    def plap(self):
+        """lap_p u."""
+        return p_laplacian(self.g, self.h, self.p)
+
+    @cached_property
+    def _check_parts(self):
+        """|g|^p and |g|^{p-2} (|lap u| + |p-2| |lap_inf u| / |g|^2)."""
+        g, h, p = self.g, self.h, self.p
+        gn = np.sqrt(grad_norm_sq(g))
+        factor = gn ** (p - 2.0) * (
+            np.abs(laplacian(h))
+            + np.abs(p - 2.0) * np.abs(inf_laplacian(g, h)) / gn**2
         )
-        worst = np.max(np.abs(tr - closed) / scale)
-        if worst > 1e-11:
-            raise AssertionError(
-                f"flux Jacobian trace disagrees with closed-form divergence: {worst:g}"
-            )
-    return jac
+        return gn**p, factor
+
+    def weighted(self, u, b, check=True):
+        """X = u^b flux and its Jacobian endomorphism.
+
+        The Jacobian is assembled as  b u^{b-1} flux (x) du  +  u^b *
+        flux_jacobian.  Its trace must reproduce the closed-form
+        divergence b u^{b-1}|g|^p + u^b lap_p u; the agreement is
+        asserted (relative 1e-11) unless check=False.
+        """
+        ub, ub1 = u**b, u ** (b - 1.0)
+        X = ub[..., None] * self.flux
+        jac = (
+            (b * ub1)[..., None, None] * self._outer
+            + ub[..., None, None] * self.jacobian
+        )
+        if check:
+            gnp, factor = self._check_parts
+            tr = np.einsum("...ii->...", jac)
+            closed = b * ub1 * gnp + ub * self.plap
+            # normalize by the constituent-term size: the divergence itself
+            # legitimately cancels to roundoff on p-harmonic profiles
+            scale = np.abs(b) * ub1 * gnp + ub * factor + 1e-30
+            worst = np.max(np.abs(tr - closed) / scale)
+            if worst > 1e-11:
+                raise AssertionError(
+                    "flux Jacobian trace disagrees with closed-form divergence: "
+                    f"{worst:g}"
+                )
+        return X, jac
+
+
+def weighted_flux_jacobian(u, g, h, p, b, check=True):
+    """Jacobian endomorphism of the weighted flux (see FluxBlock.weighted)."""
+    return FluxBlock(g, h, p).weighted(u, b, check)[1]
 
 
 def weighted_flux_divergence(u, g, h, p, b):

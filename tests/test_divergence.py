@@ -8,6 +8,8 @@ import sympy as sp
 
 from emdenlab.divergence import (
     VECTOR_FIELD_SPECS,
+    EuclideanEngine,
+    RadialEngine,
     divergence_at,
     radial_divergence_at,
 )
@@ -135,3 +137,54 @@ class TestBackendCrossAgreement:
             "weighted_balance", "traceless_combo", "grad_power_flux",
             "log_power_flux",
         }
+
+
+class TestViewReuse:
+    """A view keeps the blocks it builds; a kept block must give the same
+    bits as a fresh build, so no operation may write into one."""
+
+    B_ORDER = (-1.0, 1.0, 0.0, -1.0)  # 1 and 0 meet kept p blocks, -1 recurs
+    PARAMS = {"a": 0.5, "lam": 2.5, "combo_coef": 0.3}
+
+    @staticmethod
+    def _engines():
+        dim = 3
+        field = ScalarField(dim, 1.5, (
+            FieldTerm("bubble", 0.8, ((0.1, -0.2, 0.0), 1.3, 1.2)),
+            FieldTerm("poly", 0.3, ((1, 1, 0),)),
+        ))
+        pts = RNG(5).uniform(-1.0, 1.0, size=(40, dim))
+        prof = RadialProfile(
+            ScalarField(1, 1.5, (FieldTerm("bubble", 0.8, ((0.0,), 1.3, 1.2)),))
+        )
+        model = hyperbolic(dim, 1.0)
+        r = np.linspace(0.3, 2.5, 40)
+        u, u1, u2, u3 = prof.jet(r)
+        psi, dpsi, ddpsi = model.warping_jet(r)
+        return {
+            "euclidean": EuclideanEngine(field.jet3(pts)),
+            "radial": RadialEngine(dim, u, u1, u2, u3, psi, dpsi, ddpsi,
+                                   model.warping_third(r)),
+        }
+
+    @pytest.mark.parametrize("backend", ["euclidean", "radial"])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_reuse_equals_fresh_build(self, backend, p):
+        eng = self._engines()[backend]
+        view = eng.at(p)
+        for b in self.B_ORDER:
+            for spec in VECTOR_FIELD_SPECS:
+                kept = view.divergence(spec, b=b, **self.PARAMS)
+                fresh = eng.at(p).divergence(spec, b=b, **self.PARAMS)
+                assert np.array_equal(kept, fresh), (spec, b)
+            a_values = (-1.0, 2.0)
+            kept = view.weighted_balance_divergences(b, a_values)
+            fresh = eng.at(p).weighted_balance_divergences(b, a_values)
+            assert all(map(np.array_equal, kept, fresh))
+            _assert_same_dual(view.weighted_divergence_dual(b),
+                              eng.at(p).weighted_divergence_dual(b))
+        _assert_same_dual(view.p_laplacian_dual(), eng.at(p).p_laplacian_dual())
+
+
+def _assert_same_dual(kept, fresh):
+    assert np.array_equal(kept.v, fresh.v) and np.array_equal(kept.d, fresh.d)

@@ -227,6 +227,7 @@ class TestEmdenBubble:
 
     @pytest.mark.parametrize("n,p,lam", [
         (3, 2.0, 1.0), (3, 2.0, 2.0), (4, 2.0, 1.0), (5, 3.0, 1.0),
+        (6, 1.2, 1.0), (3, 1.3, 1.0), (4, 1.5, 1.0),
     ])
     def test_residual_on_acceptance_grid(self, n, p, lam):
         grid = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 300)])

@@ -105,7 +105,7 @@ class TestIdentitySuite:
         eng: EuclideanEngine = batch.engine
         jac = J.weighted_flux_jacobian(batch.u, batch.g, batch.h, p, b)
         X = J.weighted_flux(batch.u, batch.g, p, b)
-        divx = eng.weighted_divergence_dual(p, b)
+        divx = eng.at(p).weighted_divergence_dual(b)
         defect_weighted = eng.divergence("weighted_balance", p, a=0.0, b=b) - (
             J.trace_product(jac) - divx.v**2
         )
@@ -151,20 +151,16 @@ class TestCampaignBatch:
         ("hyperbolic", RadialEngine, "_balance_comp"),
     ])
     def test_weighted_builds_balance_once_per_p_b(self, monkeypatch, model, cls, block):
-        calls = []
-        build = getattr(cls, block)
-        monkeypatch.setattr(
-            cls, block, lambda self, p, b: calls.append((p, b)) or build(self, p, b)
-        )
+        builds = _count_view_builds(monkeypatch, cls)
         camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
         assert I.check_weighted_identity(camp).passed
         pairs = [(p, b) for p in camp.p_values for b in I.AB_GRID]
-        assert calls == pairs
+        assert [(p, b) for p, name, b in _with_b(builds) if name == block] == pairs
 
     def test_weighted_balance_divergences_match_the_spec(self):
         camp = I.Campaign(model_name="sphere", dim=3, samples=250, seed=8)
         eng = camp.batch.engine
-        by_a = eng.weighted_balance_divergences(2.5, -1.0, (-1.0, 0.5))
+        by_a = eng.at(2.5).weighted_balance_divergences(-1.0, (-1.0, 0.5))
         for a, div in zip((-1.0, 0.5), by_a):
             np.testing.assert_array_equal(
                 div, eng.divergence("weighted_balance", 2.5, a=a, b=-1.0)
@@ -412,6 +408,93 @@ class TestLogGradientPointwise:
             I.check_log_gradient_pointwise(sol, 0.0)
 
 
+class _CountingBlocks(dict):
+    """A view's block store that logs each build as (p, block, *args)."""
+
+    def __init__(self, p, log):
+        super().__init__()
+        self.p, self.log = p, log
+
+    def __setitem__(self, key, block):
+        self.log.append((self.p,) + key)
+        super().__setitem__(key, block)
+
+
+def _count_view_builds(monkeypatch, cls):
+    """Log every block that the views of cls build from now on."""
+    log = []
+    at = cls.at
+
+    def counting_at(self, p):
+        view = at(self, p)
+        view._blocks = _CountingBlocks(p, log)
+        return view
+
+    monkeypatch.setattr(cls, "at", counting_at)
+    return log
+
+
+def _with_b(builds):
+    return [build for build in builds if len(build) == 3]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+class TestBuildCounts:
+    """Within one check each block that depends on p only is built once
+    per p, and each (p, b) block once per (p, b), on both engines and on
+    the jets route."""
+
+    CHECKS = (I.check_bochner_vector, I.check_bochner_linearized,
+              I.check_weighted_identity)
+
+    @staticmethod
+    def _b_values(check, camp):
+        if check is I.check_weighted_identity:
+            return I.AB_GRID
+        if check is I.check_bochner_vector:
+            return camp.b_values
+        return ()
+
+    @pytest.mark.parametrize("model,cls", [("euclidean", EuclideanEngine),
+                                           ("sphere", RadialEngine)])
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+    def test_engine_blocks_once(self, monkeypatch, model, cls, check):
+        camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
+        builds = _count_view_builds(monkeypatch, cls)
+        assert check(camp).passed
+        assert builds and len(builds) == len(set(builds))
+        pairs = {(p, b) for p in camp.p_values for b in self._b_values(check, camp)}
+        assert {(p, b) for p, _, b in _with_b(builds)} == pairs
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere"])
+    @pytest.mark.parametrize("check", [I.check_bochner_vector, I.check_weighted_identity],
+                             ids=lambda c: c.__name__)
+    def test_jets_flux_jacobian_once_per_p(self, monkeypatch, model, check):
+        camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
+        jacobians = _count_calls(monkeypatch, J, "flux_jacobian")
+        laplacians = _count_calls(monkeypatch, J, "p_laplacian")
+        assert check(camp).passed
+        assert len(jacobians) == len(laplacians) == len(camp.p_values)
+
+    def test_solution_identity_builds_once_per_b(self, monkeypatch):
+        sol = solve_dense(euclidean(3), 2.0, ReactionTerm.pure_power(2.0), 1.0,
+                          horizon=30.0)
+        builds = _count_view_builds(monkeypatch, RadialEngine)
+        jacobians = _count_calls(monkeypatch, J, "flux_jacobian")
+        b_values = (0.0, 1.0, -1.0)
+        assert I.check_solution_identity(sol, b_values=b_values).passed
+        assert len(builds) == len(set(builds))
+        assert sorted(b for _, name, b in _with_b(builds)
+                      if name == "_weighted_parts") == sorted(b_values)
+        assert len(jacobians) == 1
+
+
 class TestSpecificConfigurations:
     def test_bochner_on_hyperbolic_exponential(self):
         # radial u = e^{-r} on H^3, p = 2, b = 0: the curvature term is
@@ -428,7 +511,7 @@ class TestSpecificConfigurations:
         uu, g, h = eng.frame_jets()
         lhs = eng.divergence("self_advection", 2.0)
         jac = J.weighted_flux_jacobian(uu, g, h, 2.0, 0.0)
-        divx = eng.weighted_divergence_dual(2.0, 0.0)
+        divx = eng.at(2.0).weighted_divergence_dual(0.0)
         X = J.weighted_flux(uu, g, 2.0, 0.0)
         ric = np.asarray(model.ricci_radial(r))
         np.testing.assert_allclose(ric, -2.0, rtol=1e-13)
