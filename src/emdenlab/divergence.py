@@ -17,11 +17,14 @@ derivative of the assembled expression (no differencing anywhere):
 
 * :class:`EuclideanEngine` seeds (u, grad u, hess u) from a third-order
   Taylor jet of a general field on R^n as scalar, vector and matrix
-  Grad duals and assembles every field with the duals' operators.  The
-  two power-flux specs write grad |grad w|^power as
-  power |grad w|^{power-2} (hess w . grad w), so one dual level carries
-  its Jacobian, the Hessian of |grad w|^power, which consumes the
-  third-order jet (w = u, or w = ln u seeded from the log of the jet).
+  Grad duals and assembles every field with the duals' operators.  Only
+  hess u is a matrix dual: the engine contracts it once into the p-free
+  duals HG = hess u . grad u, G . HG and the Laplacian, and every block
+  of a view is a scalar or vector dual.  The two power-flux specs write
+  grad |grad w|^power as power |grad w|^{power-2} (hess w . grad w), so
+  one dual level carries its Jacobian, the Hessian of |grad w|^power,
+  which consumes the third-order jet (w = u, or w = ln u seeded from the
+  log of the jet).
 
 * :class:`RadialEngine` seeds (u, u', u'', u''') and the warping profile
   on a rotationally symmetric model; every field in the enumeration is
@@ -31,14 +34,26 @@ derivative of the assembled expression (no differencing anywhere):
 The fields are assembled by a view of the engine at one p,
 ``engine.at(p)`` (:class:`EuclideanView`, :class:`RadialView`).  A view
 builds each block on first use and keeps it for as long as it lives:
-the blocks that depend on p only (the flux and its Jacobian, |grad u|^p,
-the p-Laplacian as a dual) and, per b, X, grad_X X, div X as a dual and
-the balance grad_X X - (div X) X.  A check that visits every (p, b, a)
-of a grid takes one view per p and drops it when p moves on, so each
-block is built once per check.  ``engine.divergence(spec, p, ...)`` goes
-through a fresh view.  Views are not kept on the engine: a campaign's
-engine lives as long as the campaign, and every block held for all p at
-once would stay in memory with it.
+
+* p only: the flux F, |grad u|^p and the p-Laplacian as a dual; on the
+  Euclidean view also grad_F F = h^{p-2} (HG + (p-2) h^{-1} (G . HG) G)
+  with h = |grad u|^2, and on the radial view the derivative of the
+  flux component;
+* per b: X, div X as a dual, grad_X X and the balance
+  grad_X X - (div X) X.  On R^n, <grad u, F> = |grad u|^p gives
+  grad_X X = u^{2b} (grad_F F + b u^{-1} |grad u|^p F), so no Jacobian
+  of X is formed.
+
+"weighted_balance" is u^a times the balance minus a scalar weight times
+X.  Its divergence at each a follows by the product rule
+div(phi V) = phi div V + <grad phi, V> (radially phi' c + phi
+div(c d/dr)) from the divergences of the balance and of X, which are
+taken once per b.  A check that visits every (p, b, a) of a grid takes
+one view per p and drops it when p moves on, so each block is built
+once per check.  ``engine.divergence(spec, p, ...)`` goes through a
+fresh view.  Views are not kept on the engine: a campaign's engine lives
+as long as the campaign, and every block held for all p at once would
+stay in memory with it.
 """
 
 from __future__ import annotations
@@ -110,7 +125,11 @@ class EuclideanEngine:
         self.u = Grad(jet.v, jet.g)
         self.G = Grad(jet.g, jet.h)
         self.H = Grad(jet.h, jet.t)
-        self.h = self.G @ self.G  # |grad u|^2 as a dual
+        # the duals that no p enters, shared by every view
+        self.h = self.G @ self.G  # |grad u|^2
+        self.HG = self.H @ self.G  # hess u . grad u
+        self.GHG = self.G @ self.HG  # <grad u, hess u . grad u>
+        self.lap = self.H.trace()  # Laplacian
 
     def at(self, p: float) -> "EuclideanView":
         """The engine at one p; it keeps the blocks it builds."""
@@ -147,11 +166,10 @@ class EuclideanView(_View):
         return E.h ** ((self.p - 2.0) / 2.0) * E.G
 
     @_kept
-    def _flux_jacobian(self) -> Grad:
-        """h^{(p-2)/2} (H + (p-2) h^{-1} G (x) H G), the flux's Jacobian."""
+    def _flux_advection(self) -> Grad:
+        """grad_F F = h^{p-2} (HG + (p-2) h^{-1} (G . HG) G), F the flux."""
         E, p = self.engine, self.p
-        corr = (p - 2.0) * E.h**-1.0 * E.G.outer(E.H @ E.G)
-        return E.h ** ((p - 2.0) / 2.0) * (E.H + corr)
+        return E.h ** (p - 2.0) * (E.HG + (p - 2.0) * E.GHG * E.h**-1.0 * E.G)
 
     @_kept
     def _grad_pow(self) -> Grad:
@@ -161,13 +179,11 @@ class EuclideanView(_View):
     @_kept
     def p_laplacian_dual(self) -> Grad:
         E, p = self.engine, self.p
-        lap = E.H.trace()
         if p == 2.0:
-            return lap
-        ilap = E.G @ (E.H @ E.G)
-        return E.h ** ((p - 2.0) / 2.0) * lap + (p - 2.0) * E.h ** (
+            return E.lap
+        return E.h ** ((p - 2.0) / 2.0) * E.lap + (p - 2.0) * E.h ** (
             (p - 4.0) / 2.0
-        ) * ilap
+        ) * E.GHG
 
     # -- blocks at one b ----------------------------------------------------
 
@@ -178,13 +194,14 @@ class EuclideanView(_View):
 
     @_kept
     def _advection(self, b: float) -> Grad:
-        """grad_X X."""
+        """grad_X X = u^{2b} (grad_F F + b u^{-1} |grad u|^p F).
+
+        The Jacobian of X = u^b F is u^b J_F + b u^{b-1} F (x) grad u,
+        and <grad u, F> = |grad u|^p.
+        """
         E = self.engine
-        jac = (
-            b * E.u ** (b - 1.0) * self._flux().outer(E.G)
-            + E.u**b * self._flux_jacobian()
-        )
-        return jac @ self._weighted_flux(b)
+        drift = b * E.u**-1.0 * self._grad_pow() * self._flux()
+        return E.u ** (2.0 * b) * (self._flux_advection() + drift)
 
     @_kept
     def weighted_divergence_dual(self, b: float) -> Grad:
@@ -242,18 +259,26 @@ class EuclideanView(_View):
     def weighted_balance_divergences(self, b: float, a_values) -> list:
         """div of "weighted_balance" at one b, one array per a.
 
-        Only the u^a weighting is built for each a; the balance and X
-        are the view's blocks.
+        The balance and X are the view's blocks and their divergences
+        are taken once; each a adds only its scalar weights.
         """
         E, p = self.engine, self.p
         X, bal = self._weighted_flux(b), self._advection_balance(b)
+        div_x, div_bal = X.div(), bal.div()
         out = []
         for a in a_values:
             # <X, grad u^a> = a u^{a+b-1} |grad u|^p
             inner = a * E.u ** (a + b - 1.0) * self._grad_pow()
-            V = E.u**a * bal - ((p - 1.0) / p) * inner * X
-            out.append(V.div())
+            out.append(
+                self._weighted_div(E.u**a, bal, div_bal)
+                - self._weighted_div(((p - 1.0) / p) * inner, X, div_x)
+            )
         return out
+
+    @staticmethod
+    def _weighted_div(phi: Grad, V: Grad, div_v: np.ndarray) -> np.ndarray:
+        """div(phi V) = phi div V + <grad phi, V> for a scalar dual phi."""
+        return phi.v * div_v + np.einsum("nm,nm->n", phi.d, V.v)
 
 
 # ----------------------------------------------------------------------
@@ -411,17 +436,25 @@ class RadialView(_View):
     def weighted_balance_divergences(self, b: float, a_values) -> list:
         """div of "weighted_balance" at one b, one array per a.
 
-        Only the u^a weighting is built for each a; the balance
-        component and chi are the view's blocks.
+        The balance component and chi are the view's blocks and their
+        divergences are taken once; each a adds only its scalar weights.
         """
         E, p = self.engine, self.p
         chi, bal = self._weighted_parts(b)[0], self._balance_comp(b)
+        div_chi, div_bal = E.div_radial(chi), E.div_radial(bal)
         out = []
         for a in a_values:
             inner = a * E.u ** (a + b - 1.0) * self._grad_pow()
-            comp = E.u**a * bal - ((p - 1.0) / p) * inner * chi
-            out.append(E.div_radial(comp))
+            out.append(
+                self._weighted_div(E.u**a, bal, div_bal)
+                - self._weighted_div(((p - 1.0) / p) * inner, chi, div_chi)
+            )
         return out
+
+    @staticmethod
+    def _weighted_div(phi: Grad, comp: Grad, div_c: np.ndarray) -> np.ndarray:
+        """div(phi c d/dr) = phi' c + phi div(c d/dr) for a scalar dual phi."""
+        return phi.d[:, 0] * comp.v + phi.v * div_c
 
 
 # ----------------------------------------------------------------------

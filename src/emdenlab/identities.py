@@ -350,19 +350,21 @@ class _Residuals:
 
 
 class _Margins:
-    """Most negative normalized margin seen; a non-finite one is final."""
+    """Most negative normalized margin seen; the first update sets it and
+    a non-finite one is final.  A report of no samples reads NaN."""
 
     def __init__(self):
         self.samples = 0
-        self.min_margin = 0.0
+        self.min_margin = math.nan
         self.worst = {}
 
     def update(self, margin, params: dict):
         self.samples += margin.size
-        if not math.isfinite(self.min_margin):
+        first = not self.worst
+        if not first and not math.isfinite(self.min_margin):
             return
         k = _worst_index(margin, lowest=True)
-        if not math.isfinite(margin[k]) or margin[k] < self.min_margin:
+        if first or not math.isfinite(margin[k]) or margin[k] < self.min_margin:
             self.min_margin = float(margin[k])
             self.worst = dict(params, sample_index=k)
 
@@ -485,16 +487,24 @@ def check_weighted_identity(
 
     No equation is imposed on u; the p-Laplacian appears as a free jet
     quantity on the right-hand side.  Everything but the u^a weight is
-    independent of a, so each (p, b) builds it once for the whole a grid.
+    independent of a, so each (p, b) builds it once for the whole a grid;
+    the (a, b) grid repeats powers of u, so each is taken once.
     """
     acc = _Residuals("weighted_divergence", tol)
     batch = camp.batch
     u = batch.u
     gn = batch.gn
+    u_pow = {
+        e: u**e
+        for a in a_values
+        for b in b_values
+        for e in (a, a + 2.0 * b - 2.0, a + 2.0 * b - 1.0)
+    }
     for p in camp.p_values:
         E = batch.engine.at(p)
         block = J.FluxBlock(batch.g, batch.h, p)
         plap = block.plap
+        gn_p, gn_2p = gn**p, gn ** (2.0 * p)
         for b in b_values:
             jac, _, ricx = _weighted_flux_terms(batch, block, b)
             divx = E.weighted_divergence_dual(b)
@@ -502,13 +512,13 @@ def check_weighted_identity(
             lhs_by_a = E.weighted_balance_divergences(b, a_values)
             for a, lhs in zip(a_values, lhs_by_a):
                 rhs = (
-                    u**a * core
+                    u_pow[a] * core
                     - ((p - 1.0) * (a + 2.0 * b - 1.0) * a / p)
-                    * u ** (a + 2.0 * b - 2.0)
-                    * gn ** (2.0 * p)
+                    * u_pow[a + 2.0 * b - 2.0]
+                    * gn_2p
                     - ((2.0 * p - 1.0) * a / p)
-                    * u ** (a + 2.0 * b - 1.0)
-                    * gn**p
+                    * u_pow[a + 2.0 * b - 1.0]
+                    * gn_p
                     * plap
                 )
                 acc.update(lhs, rhs, batch, {"p": p, "a": a, "b": b})

@@ -196,8 +196,8 @@ class Grad:
     (d/dr).  + and - act entrywise at any rank; * multiplies entrywise
     and lifts a scalar dual against a vector or matrix one by inserting
     broadcast axes after the batch axis.  @ (vector . vector, matrix .
-    vector), outer() and trace() are einsum contractions differentiated
-    by the product rule.
+    vector) and trace() are einsum contractions differentiated by the
+    product rule.
     """
 
     __slots__ = ("v", "d")
@@ -257,10 +257,6 @@ class Grad:
         if self.v.ndim == 3 and other.v.ndim == 2:
             return _grad_einsum("nij,nj->ni", self, other)
         raise ValueError("@ takes vector @ vector or matrix @ vector duals")
-
-    def outer(self, other: "Grad") -> "Grad":
-        """The matrix dual a (x) b of two vector duals."""
-        return _grad_einsum("ni,nj->nij", self, other)
 
     def trace(self) -> "Grad":
         """The scalar dual tr M of a matrix dual."""

@@ -62,6 +62,12 @@ class TestEnumeration:
         assert out[0] == pytest.approx(expected, rel=1e-13)
 
 
+def _value_at(expr, xs, point):
+    """expr at a point given by decimal coordinates, to 30 digits."""
+    exact = expr.xreplace({x: sp.Rational(str(c)) for x, c in zip(xs, point)})
+    return float(exact.evalf(30))
+
+
 def _power_flux_div(w, xs, point, p, lam):
     """Symbolic div of (1/lam)|grad w|^{p-2} A_w(grad |grad w|^lam)."""
     grad = [sp.diff(w, x) for x in xs]
@@ -72,8 +78,7 @@ def _power_flux_div(w, xs, point, p, lam):
         hw ** ((p - 2) / 2) * (a + (p - 2) * along * g / hw) / lam
         for a, g in zip(grad_f, grad)
     ]
-    div = sum(sp.diff(v, x) for v, x in zip(vec, xs))
-    return float(div.evalf(30, subs={x: sp.Rational(str(c)) for x, c in zip(xs, point)}))
+    return _value_at(sum(sp.diff(v, x) for v, x in zip(vec, xs)), xs, point)
 
 
 class TestPowerFluxOracles:
@@ -98,6 +103,53 @@ class TestPowerFluxOracles:
         expected = _power_flux_div(
             sp.log(self.u), self.xs, self.point, sp.Rational(3, 2), sp.Rational(5, 2)
         )
+        assert out[0] == pytest.approx(expected, rel=1e-12)
+
+
+def _weighted_field_div(u, xs, point, spec, p, a, b, combo_coef):
+    """Symbolic div of an advection spec, X = u^b |grad u|^{p-2} grad u."""
+    grad = [sp.diff(u, x) for x in xs]
+    hu = sum(g**2 for g in grad)
+    X = [u**b * hu ** ((p - 2) / 2) * g for g in grad]
+    adv = [sum(sp.diff(Xi, x) * Xj for x, Xj in zip(xs, X)) for Xi in X]
+    divx = sum(sp.diff(Xi, x) for Xi, x in zip(X, xs))
+    n = len(xs)
+    if spec == "self_advection":
+        vec = adv
+    elif spec == "advection_balance":
+        vec = [A - divx * Xi for A, Xi in zip(adv, X)]
+    elif spec == "weighted_balance":
+        inner = sum(Xi * sp.diff(u**a, x) for Xi, x in zip(X, xs))
+        vec = [u**a * (A - divx * Xi) - (p - 1) / p * inner * Xi
+               for A, Xi in zip(adv, X)]
+    else:  # traceless_combo
+        inner = sum(Xi * g for Xi, g in zip(X, grad))
+        vec = [u**a * (A - divx / n * Xi) - combo_coef * u ** (a - 1) * inner * Xi
+               for A, Xi in zip(adv, X)]
+    return _value_at(sum(sp.diff(v, x) for v, x in zip(vec, xs)), xs, point)
+
+
+class TestWeightedFieldOracles:
+    """The four advection specs on the same non-radial field and off-axis
+    point as the power-flux oracles, where X is not radial and grad_X X
+    has its b u^{-1} |grad u|^p F part in a direction of its own."""
+
+    field = TestPowerFluxOracles.field
+    xs = TestPowerFluxOracles.xs
+    u = TestPowerFluxOracles.u
+    point = TestPowerFluxOracles.point
+
+    @pytest.mark.parametrize("spec", ["self_advection", "advection_balance",
+                                      "weighted_balance", "traceless_combo"])
+    @pytest.mark.parametrize("p", ["3/2", "3"])
+    @pytest.mark.parametrize("b", [-1, 1])
+    def test_against_sympy(self, spec, p, b):
+        a, combo_coef = 2, sp.Rational(3, 10)
+        p = sp.Rational(p)
+        out = divergence_at(self.field, [self.point], spec, float(p), a=float(a),
+                            b=float(b), combo_coef=float(combo_coef))
+        expected = _weighted_field_div(self.u, self.xs, self.point, spec, p,
+                                       sp.Integer(a), sp.Integer(b), combo_coef)
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
 

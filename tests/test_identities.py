@@ -11,6 +11,7 @@ from emdenlab.exponents import ReactionTerm
 from emdenlab.fields import FieldTerm, ScalarField
 from emdenlab.geometry import euclidean, hyperbolic
 from emdenlab.shooting import solve_dense
+from emdenlab.taylor import Grad
 
 RNG = lambda seed: np.random.default_rng(np.random.Philox(seed))
 
@@ -309,6 +310,18 @@ class TestTraceInequality:
         assert rep.passed
         assert rep.samples >= 30_000 * 2
 
+    def test_positive_margins_report_their_minimum(self):
+        # away from p = 2 every sampled margin is positive; the report
+        # gives the smallest and where it is, not 0 with no worst case
+        rep = I.check_trace_inequality(n_values=(3,), p_values=(3.0,),
+                                       samples=2000, seed=5)
+        assert rep.passed and rep.min_margin > 0.0
+        assert rep.worst_case["p"] == 3.0 and "sample_index" in rep.worst_case
+
+    def test_no_samples_fail(self):
+        rep = I.check_trace_inequality(n_values=(), samples=2000)
+        assert rep.samples == 0 and not rep.passed
+
     def test_p2_equality_forced(self):
         # at p = 2 the coefficient is 1 and the Jacobian is symmetric, so
         # both sides coincide to roundoff
@@ -481,6 +494,24 @@ class TestBuildCounts:
         laplacians = _count_calls(monkeypatch, J, "p_laplacian")
         assert check(camp).passed
         assert len(jacobians) == len(laplacians) == len(camp.p_values)
+
+    @pytest.mark.parametrize("check", [I.check_bochner_vector, I.check_weighted_identity],
+                             ids=lambda c: c.__name__)
+    def test_euclidean_checks_build_no_matrix_duals(self, monkeypatch, check):
+        # hess u is the engine's only matrix dual; the checks contract it
+        # through p-free vector duals and never build a Jacobian dual
+        camp = I.Campaign(model_name="euclidean", dim=3, samples=250, seed=6)
+        camp.batch
+        ranks = []
+        init = Grad.__init__
+
+        def logging_init(self, v, d):
+            init(self, v, d)
+            ranks.append(self.v.ndim)
+
+        monkeypatch.setattr(Grad, "__init__", logging_init)
+        assert check(camp).passed
+        assert ranks and max(ranks) < 3
 
     def test_solution_identity_builds_once_per_b(self, monkeypatch):
         sol = solve_dense(euclidean(3), 2.0, ReactionTerm.pure_power(2.0), 1.0,

@@ -54,14 +54,6 @@ class TestRankGenericGrad:
             np.einsum("nijm,nj->nim", a.d, x.v) + np.einsum("nij,njm->nim", a.v, x.d),
         )
 
-    def test_outer(self, rng):
-        x, y = _dual(rng, DIM), _dual(rng, DIM)
-        _assert_same(
-            x.outer(y),
-            np.einsum("ni,nj->nij", x.v, y.v),
-            np.einsum("nim,nj->nijm", x.d, y.v) + np.einsum("ni,njm->nijm", x.v, y.d),
-        )
-
     def test_trace(self, rng):
         a = _dual(rng, DIM, DIM)
         _assert_same(a.trace(), np.einsum("nii->n", a.v), np.einsum("niim->nm", a.d))
