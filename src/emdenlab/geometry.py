@@ -154,7 +154,7 @@ class ManifoldModel:
         return psi, dpsi, ddpsi
 
     def warping_third(self, r):
-        """Third derivative psi''' (needed by the radial divergence engine).
+        """Third derivative psi'''.
 
         Named models: psi''' = curv_sign * curv * psi'.  User profiles must
         supply it explicitly; absence raises.
@@ -259,8 +259,8 @@ def user_warped(
 
     The profile must satisfy psi(0)=0 and psi'(0)=1; both are checked at
     a small radius.  Internal differencing of user profiles is never
-    performed, so first and second derivatives are required and the third
-    is needed only when the radial divergence engine is used.
+    performed, so first and second derivatives are required; the third
+    is optional.
     """
     r0 = 1e-7
     if abs(float(psi(r0)) - r0) > 1e-10 or abs(float(dpsi(r0)) - 1.0) > 1e-6:

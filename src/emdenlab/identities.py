@@ -171,21 +171,24 @@ def _draw(camp: Campaign) -> SampleBatch:
         )
     cols = [np.concatenate(col) for col in zip(*parts)]
     meta = {"model": camp.model_name, "dim": camp.dim}
-    if not camp.is_radial:
-        jet = Jet3(*cols)
-        return SampleBatch(
-            u=jet.v,
-            g=jet.g,
-            h=jet.h,
-            engine=EuclideanEngine(jet),
-            ric_rr=np.zeros(kept),
-            index=np.arange(kept),
-            meta=meta,
-        )
-    r, u, u1, u2, u3 = cols
-    psi, dpsi, ddpsi = model.warping_jet(r)
-    psi3 = model.warping_third(r)
-    eng = RadialEngine(camp.dim, u, u1, u2, u3, psi, dpsi, ddpsi, psi3)
+    if camp.is_radial:
+        return _radial_batch(model, *cols, meta=meta)
+    jet = Jet3(*cols)
+    return SampleBatch(
+        u=jet.v,
+        g=jet.g,
+        h=jet.h,
+        engine=EuclideanEngine(jet),
+        ric_rr=np.zeros(kept),
+        index=np.arange(kept),
+        meta=meta,
+    )
+
+
+def _radial_batch(model: ManifoldModel, r, u, u1, u2, u3, meta: dict) -> SampleBatch:
+    """The batch of a radial field, given its tower (u, u', u'', u''')
+    at radii r: the radial engine, its frame jets and Ric(e1, e1)."""
+    eng = RadialEngine(model, r, u, u1, u2, u3)
     uu, g, h = eng.frame_jets()
     return SampleBatch(
         u=uu,
@@ -193,7 +196,7 @@ def _draw(camp: Campaign) -> SampleBatch:
         h=h,
         engine=eng,
         ric_rr=np.asarray(model.ricci_radial(r), dtype=float),
-        index=np.arange(kept),
+        index=np.arange(uu.shape[0]),
         meta=dict(meta, r=r),
     )
 
@@ -220,10 +223,12 @@ def solution_batch(sol: RadialSolution, samples: int = 400) -> SampleBatch:
     keep = np.abs(u1) >= 1e-12 * max(1.0, float(np.abs(u1).max()))
     r, u, u1, u2, u3 = r[keep], u[keep], u1[keep], u2[keep], u3[keep]
     model = sol.model
-    psi, dpsi, ddpsi = model.warping_jet(r)
-    psi3 = model.warping_third(r)
+    batch = _radial_batch(
+        model, r, u, u1, u2, u3,
+        meta={"model": model.name, "dim": model.dim, "solution": True},
+    )
     p = sol.p
-    cot = dpsi / psi
+    cot = batch.engine.cot
     gn = np.abs(u1) ** (p - 2.0)
     plap = gn * ((p - 1.0) * u2 + (model.dim - 1) * cot * u1)
     scale = gn * (
@@ -248,17 +253,7 @@ def solution_batch(sol: RadialSolution, samples: int = 400) -> SampleBatch:
             raise PreconditionError(
                 f"dense trajectory inconsistent with its flux ({gap:g})"
             )
-    eng = RadialEngine(model.dim, u, u1, u2, u3, psi, dpsi, ddpsi, psi3)
-    uu, g, h = eng.frame_jets()
-    return SampleBatch(
-        u=uu,
-        g=g,
-        h=h,
-        engine=eng,
-        ric_rr=np.asarray(model.ricci_radial(r), dtype=float),
-        index=np.arange(uu.shape[0]),
-        meta={"model": model.name, "dim": model.dim, "r": r, "solution": True},
-    )
+    return batch
 
 
 # ----------------------------------------------------------------------
@@ -339,11 +334,12 @@ class _Residuals:
         worst = dict(self.worst)
         if seed is not None:
             worst["seed"] = seed
+        empty = self.samples == 0  # a report of no samples reads NaN and fails
         return IdentityReport(
             identity_id=self.identity_id,
             samples=self.samples,
-            max_rel_residual=self.max_rel,
-            max_abs_residual=self.max_abs,
+            max_rel_residual=math.nan if empty else self.max_rel,
+            max_abs_residual=math.nan if empty else self.max_abs,
             worst_case=worst,
             tol=self.tol,
         )
@@ -768,10 +764,9 @@ def check_log_gradient_pointwise(
     n, p = sol.model.dim, sol.p
     kappa = sol.model.kappa
     batch = solution_batch(sol, samples=samples)
-    eng: RadialEngine = batch.engine
-    lhs = eng.divergence("log_power_flux", p, lam=lam)
-    w1 = eng.u1.v / eng.u.v
-    w2 = eng.u2.v / eng.u.v - w1**2
+    lhs = batch.engine.divergence("log_power_flux", p, lam=lam)
+    w1 = batch.g[:, 0] / batch.u
+    w2 = batch.h[:, 0, 0] / batch.u - w1**2
     hgrad = np.abs(w1)
     grad_h = np.abs(w2)  # |d/dr |grad w|| away from critical points
     rhs = (

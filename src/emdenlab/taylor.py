@@ -262,11 +262,6 @@ class Grad:
         """The scalar dual tr M of a matrix dual."""
         return _grad_einsum("nii->n", self)
 
-    def div(self) -> np.ndarray:
-        """Divergence of a vector dual whose m derivative directions are
-        its own n coordinates: the trace of its derivative."""
-        return np.einsum("nii->n", self.d)
-
 
 def grad_abs_pow(x: Grad, q: float) -> Grad:
     """|x|^q with derivative q*sign(x)*|x|^{q-1}; smooth away from x=0."""

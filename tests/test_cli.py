@@ -64,6 +64,14 @@ class TestIdentitiesCommand:
         rep = json.loads(out1.read_text())
         assert rep["pass"] and rep["config"]["seed"] == 7
 
+    def test_empty_grid_fails(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run_cli(["identities", "--suite", "decomposition", "--p", "",
+                        "--samples", "100", "--models", "euclidean",
+                        "--out", str(out)]) == 1
+        result = json.loads(out.read_text())["results"][0]
+        assert result["samples"] == 0 and not result["pass"]
+
     def test_tolerances_echoed(self, tmp_path):
         out = tmp_path / "rep.json"
         run_cli(["identities", "--suite", "advection", "--dim", "2",

@@ -149,7 +149,7 @@ class TestCampaignBatch:
 
     @pytest.mark.parametrize("model,cls,block", [
         ("euclidean", EuclideanEngine, "_advection_balance"),
-        ("hyperbolic", RadialEngine, "_balance_comp"),
+        ("hyperbolic", RadialEngine, "_advection_balance"),
     ])
     def test_weighted_builds_balance_once_per_p_b(self, monkeypatch, model, cls, block):
         builds = _count_view_builds(monkeypatch, cls)
@@ -209,6 +209,11 @@ class TestNonFiniteFailsClosed:
         assert not rep.passed
         assert rep.worst_case["sample_index"] == 2 and rep.worst_case["k"] == 0
         assert rep.samples == 6
+
+    def test_identity_of_no_samples(self):
+        rep = I.check_weighted_identity(I.Campaign(p_values=(), samples=250))
+        assert rep.samples == 0 and not rep.passed
+        assert np.isnan(rep.max_rel_residual)
 
     def test_trace_inequality_margin(self, monkeypatch):
         monkeypatch.setattr(J, "frobenius_sq", _with_nan_at(J.frobenius_sq, 4))
@@ -522,7 +527,7 @@ class TestBuildCounts:
         assert I.check_solution_identity(sol, b_values=b_values).passed
         assert len(builds) == len(set(builds))
         assert sorted(b for _, name, b in _with_b(builds)
-                      if name == "_weighted_parts") == sorted(b_values)
+                      if name == "_weighted_flux") == sorted(b_values)
         assert len(jacobians) == 1
 
 
@@ -536,9 +541,7 @@ class TestSpecificConfigurations:
         r = np.linspace(0.5, 2.5, 9)
         u = np.exp(-r)
         u1, u2, u3 = -u, u, -u
-        psi, dpsi, ddpsi = model.warping_jet(r)
-        eng = RadialEngine(3, u, u1, u2, u3, psi, dpsi, ddpsi,
-                           model.warping_third(r))
+        eng = RadialEngine(model, r, u, u1, u2, u3)
         uu, g, h = eng.frame_jets()
         lhs = eng.divergence("self_advection", 2.0)
         jac = J.weighted_flux_jacobian(uu, g, h, 2.0, 0.0)
