@@ -40,7 +40,6 @@ from .geometry import (
     hyperbolic,
     sphere,
 )
-from .jets import Jet2
 from .reports import IdentityReport, InequalityReport, RunReport
 from .shooting import ShootOutcome, bubble_match, bv_sphere_scan, liouville_scan, shoot
 

@@ -225,10 +225,15 @@ def _emit(report: RunReport, out_path, wall: float) -> int:
 # ----------------------------------------------------------------------
 
 
+def _tol(args, name: str = "tol") -> dict:
+    """--tol as the keyword `name`, or nothing when --tol is unset, so each
+    check's default tolerance lives only in its own signature."""
+    return {} if args.tol is None else {name: args.tol}
+
+
 def _run_identities(args) -> RunReport:
     results = []
-    tol3 = args.tol if args.tol is not None else 1e-7
-    tol2 = args.tol if args.tol is not None else 1e-8
+    tol = _tol(args)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     for dim in args.dim:
         for model in models:
@@ -237,18 +242,17 @@ def _run_identities(args) -> RunReport:
                 b_values=tuple(args.b), samples=args.samples, seed=args.seed,
             )
             if args.suite in ("all", "decomposition"):
-                results.append(identities.check_decomposition(camp, tol=tol2))
+                results.append(identities.check_decomposition(camp, **tol))
             if args.suite in ("all", "advection"):
-                results.append(identities.check_flux_advection(camp, tol=tol2))
+                results.append(identities.check_flux_advection(camp, **tol))
             if args.suite in ("all", "bochner-x"):
-                results.append(identities.check_bochner_vector(camp, tol=tol3))
+                results.append(identities.check_bochner_vector(camp, **tol))
             if args.suite in ("all", "bochner-p"):
-                results.append(identities.check_bochner_linearized(camp, tol=tol3))
+                results.append(identities.check_bochner_linearized(camp, **tol))
             if args.suite in ("all", "weighted"):
                 results.append(
                     identities.check_weighted_identity(
-                        camp, a_values=tuple(args.a), b_values=tuple(args.b),
-                        tol=tol3,
+                        camp, a_values=tuple(args.a), b_values=tuple(args.b), **tol
                     )
                 )
     if args.suite in ("all", "solution"):
@@ -256,15 +260,14 @@ def _run_identities(args) -> RunReport:
             model = model_from_name("euclidean", dim)
             term = exponents.ReactionTerm.pure_power(3.0)
             sol = shooting.solve_dense(model, 2.0, term, 1.0, horizon=50.0)
-            results.append(identities.check_solution_identity(sol, tol=1e-6))
+            results.append(identities.check_solution_identity(sol, **tol))
     return RunReport(config=_config_echo(args), results=results)
 
 
 def _run_trace(args) -> RunReport:
     rep = identities.check_trace_inequality(
         n_values=args.n, p_values=args.p, b_values=args.b,
-        samples=args.samples, seed=args.seed,
-        tol_neg=args.tol if args.tol is not None else 1e-10,
+        samples=args.samples, seed=args.seed, **_tol(args, "tol_neg"),
     )
     return RunReport(config=_config_echo(args), results=[rep])
 
@@ -272,7 +275,7 @@ def _run_trace(args) -> RunReport:
 def _run_kato(args) -> RunReport:
     rep = identities.check_kato(
         n_values=args.n, p_values=args.p, samples=args.samples,
-        seed=args.seed, tol_neg=args.tol if args.tol is not None else 1e-10,
+        seed=args.seed, **_tol(args, "tol_neg"),
     )
     return RunReport(config=_config_echo(args), results=[rep])
 
@@ -282,8 +285,7 @@ def _run_moser(args) -> RunReport:
     model = model_from_name("euclidean", args.n)
     sol = shooting.solve_dense(model, args.p, term, args.u0, horizon=args.horizon)
     rep = identities.check_log_gradient_pointwise(
-        sol, args.delta0, lam=args.lam,
-        tol_neg=args.tol if args.tol is not None else 1e-8,
+        sol, args.delta0, lam=args.lam, **_tol(args, "tol_neg"),
     )
     return RunReport(config=_config_echo(args), results=[rep])
 
@@ -324,7 +326,7 @@ def _run_scan(args) -> RunReport:
                      cell.get("r_cross", "")]
                 )
     ps = table["critical_exponent"]
-    ok = all(
+    ok = bool(table["cells"]) and all(
         (c["outcome"] == "crossed_zero") == (c["alpha"] < ps)
         for c in table["cells"]
         if c["outcome"] != "error"
@@ -334,7 +336,9 @@ def _run_scan(args) -> RunReport:
 
 
 def _run_bv_sphere(args) -> RunReport:
-    grid = args.u0 if args.u0 else tuple(np.round(np.arange(0.2, 3.01, 0.2), 10))
+    grid = args.u0
+    if grid is None:
+        grid = tuple(np.round(np.arange(0.2, 3.01, 0.2), 10))
     rep = shooting.bv_sphere_scan(args.n, args.q, args.lam, grid)
     if rep["hypotheses"]["within_theorem"]:
         const = rep["constant_value"]
@@ -344,7 +348,7 @@ def _run_bv_sphere(args) -> RunReport:
         )
     else:
         rep["flag"] = "outside theorem hypotheses (exploration mode)"
-        rep["pass"] = True
+        rep["pass"] = bool(rep["cells"])
     return RunReport(config=_config_echo(args), results=[rep])
 
 
@@ -423,7 +427,7 @@ def _run_volume(args) -> RunReport:
     vols = [
         {"R": r, "volume": ball_volume(model, r)} for r in args.radii
     ]
-    results = [{"volumes": vols, "pass": True}]
+    results = [{"volumes": vols, "pass": bool(vols)}]
     if model.has_nonnegative_ricci and len(args.radii) >= 2:
         comparison = bishop_gromov_check(model, args.radii)
         comparison["pass"] = comparison["non_increasing"]

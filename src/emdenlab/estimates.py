@@ -135,9 +135,12 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
     )
 
 
+#: a profile is sharp when its tail extrapolation reaches this share of the bound
+_SHARP_FRAC = 0.99
+
+
 def global_bound_check(profile: LogGradientProfile, n: int, p: float,
-                       kappa: float, delta0: float = 0.0,
-                       sharp_frac: float = 0.99) -> dict:
+                       kappa: float, delta0: float = 0.0) -> dict:
     """sup g against (n-1)/(p-1) sqrt(kappa/(1-delta0+)).
 
     The profile must be certified (plug-in residual passed); the
@@ -157,14 +160,22 @@ def global_bound_check(profile: LogGradientProfile, n: int, p: float,
         "limit_estimate": profile.limit_estimate,
         "margin": bound - profile.sup_g,
         "pass": bool(passed),
-        "sharp": bool(profile.limit_estimate >= sharp_frac * bound),
-        "sharp_frac": sharp_frac,
+        "sharp": bool(profile.limit_estimate >= _SHARP_FRAC * bound),
+        "sharp_frac": _SHARP_FRAC,
     }
 
 
 # ----------------------------------------------------------------------
 # local scaling structure
 # ----------------------------------------------------------------------
+
+
+def _sorted_radii(radii) -> list:
+    """The radii in increasing order; a sweep needs at least one."""
+    radii = sorted(float(r) for r in radii)
+    if not radii:
+        raise PreconditionError("need at least one radius")
+    return radii
 
 
 def harmonic_family(n: int, p: float):
@@ -182,13 +193,19 @@ def harmonic_family(n: int, p: float):
     return members
 
 
-def _member_quantity(member: dict, radius: float, resolution: int = 4001):
+#: points of the dense search along a member's extremal segment
+_MEMBER_POINTS = 4001
+#: largest |log-log slope| of R * sup |grad ln u| that counts as no trend
+_SLOPE_TOL = 0.05
+
+
+def _member_quantity(member: dict, radius: float):
     """R * sup_{B_{R/4}} |grad ln u| by dense search along the extremal
     segment (both families have |grad ln u| monotone along the e1 axis)."""
     n = member["n"]
     p = member["p"]
     quarter = radius / 4.0
-    ts = np.linspace(-quarter, quarter, resolution)
+    ts = np.linspace(-quarter, quarter, _MEMBER_POINTS)
     if member["kind"] == "affine_dilated":
         u_vals = 1.0 + ts / radius
         if np.any(u_vals <= 0):
@@ -209,17 +226,16 @@ def _member_quantity(member: dict, radius: float, resolution: int = 4001):
     return radius * float(h.max())
 
 
-def local_scaling_check(n: int, p: float, radii=(1.0, 2.0, 4.0, 8.0),
-                        slope_tol: float = 0.05) -> dict:
+def local_scaling_check(n: int, p: float, radii=(1.0, 2.0, 4.0, 8.0)) -> dict:
     """Finiteness and R-stability of R * sup_{B_{R/4}} |grad ln u|.
 
     The constant itself is not pinned anywhere, so this is a structure
     check: the quantity must be finite and show no growth trend in R
-    (log-log slope within +-slope_tol for each family member).
+    (log-log slope within +-_SLOPE_TOL for each family member).
     """
-    radii = sorted(float(r) for r in radii)
+    radii = _sorted_radii(radii)
     out = {"n": n, "p": p, "radii": radii, "members": [], "pass": True,
-           "slope_tol": slope_tol}
+           "slope_tol": _SLOPE_TOL}
     for member in harmonic_family(n, p):
         q_vals = [_member_quantity(member, r) for r in radii]
         slope = (
@@ -228,7 +244,7 @@ def local_scaling_check(n: int, p: float, radii=(1.0, 2.0, 4.0, 8.0),
             else 0.0
         )
         finite = all(np.isfinite(q_vals))
-        ok = finite and abs(slope) <= slope_tol
+        ok = finite and abs(slope) <= _SLOPE_TOL
         out["members"].append(
             {
                 "kind": member["kind"],
@@ -284,14 +300,19 @@ def named_profile(name: str) -> RadialProfileSpec:
     raise InputError(f"unknown profile {name!r}")
 
 
+#: superharmonicity certificate: radial grid size and normalized slack
+_CERTIFY_POINTS = 2000
+_CERTIFY_TOL = 1e-10
+
+
 def certify_p_superharmonic(spec: RadialProfileSpec, n: int, p: float,
-                            r_max: float, tol: float = 1e-10,
-                            points: int = 2000) -> dict:
-    """Pointwise check that -lap_p u >= -tol * scale on the radial grid.
+                            r_max: float) -> dict:
+    """Pointwise check that -lap_p u >= -_CERTIFY_TOL * scale on the
+    radial grid.
 
     Profiles failing anywhere are rejected (never clipped).
     """
-    r = np.linspace(1e-6, r_max, points)
+    r = np.linspace(1e-6, r_max, _CERTIFY_POINTS)
     du = spec.du(r)
     ddu = spec.ddu(r)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -303,14 +324,15 @@ def certify_p_superharmonic(spec: RadialProfileSpec, n: int, p: float,
     )
     scale = np.where(np.abs(du) > 0, scale, 1.0)
     margin = -plap / np.maximum(scale, 1e-30)
-    ok = bool(np.all(margin >= -tol) or np.all(plap <= tol * np.maximum(scale, 1e-30)))
+    ok = bool(np.all(margin >= -_CERTIFY_TOL)
+              or np.all(plap <= _CERTIFY_TOL * np.maximum(scale, 1e-30)))
     return {
         "profile": spec.name,
         "n": n,
         "p": p,
         "certified": ok,
-        "worst_margin": float(margin.min()) if margin.size else 0.0,
-        "tol": tol,
+        "worst_margin": float(margin.min()),
+        "tol": _CERTIFY_TOL,
     }
 
 
@@ -327,26 +349,27 @@ def _ball_lq_norm(spec: RadialProfileSpec, power: float, q: float, radius: float
     return (unit_sphere_area(n) * val) ** (1.0 / q)
 
 
-def _ball_extreme(spec: RadialProfileSpec, radius: float, minimum: bool,
-                  points: int = 4000) -> float:
-    r = np.linspace(0.0, radius, points)
-    vals = spec.u(r)
-    return float(vals.min() if minimum else vals.max())
+def _ball_min(spec: RadialProfileSpec, radius: float) -> float:
+    """inf_{B_R} u, searched on 4000 radii."""
+    return float(spec.u(np.linspace(0.0, radius, 4000)).min())
+
+
+#: largest max/min spread of a ratio across the R sweep
+_RATIO_BAND = 1e3
 
 
 def weak_harnack_ratio(profile: str | RadialProfileSpec, n: int, p: float,
-                       q: float, radii=(1, 2, 4, 8, 16, 32),
-                       band: float = 1e3) -> dict:
+                       q: float, radii=(1, 2, 4, 8, 16, 32)) -> dict:
     """rho(R) = inf_{B_R} u / (R^{-n/q} ||u||_{L^q(B_2R)}) across radii.
 
     A property check: rho must stay positive and its spread across the
-    R sweep must stay within the configured band (the inequality's
+    R sweep must stay within _RATIO_BAND (the inequality's
     constant is existence-only).  Requires certified p-superharmonicity
     on the swept region and q inside (0, (p-1) chi).
     """
     spec = named_profile(profile) if isinstance(profile, str) else profile
     HarnackConfig(n=n, p=p, q=q)
-    radii = sorted(float(r) for r in radii)
+    radii = _sorted_radii(radii)
     cert = certify_p_superharmonic(spec, n, p, r_max=2.0 * radii[-1])
     if not cert["certified"]:
         raise PreconditionError(
@@ -354,7 +377,7 @@ def weak_harnack_ratio(profile: str | RadialProfileSpec, n: int, p: float,
         )
     rows = []
     for radius in radii:
-        inf_u = _ball_extreme(spec, radius, minimum=True)
+        inf_u = _ball_min(spec, radius)
         norm = _ball_lq_norm(spec, 1.0, q, 2.0 * radius, n)
         rho = inf_u / (radius ** (-n / q) * norm)
         rows.append({"R": radius, "inf_u": inf_u, "norm": norm, "rho": rho})
@@ -369,21 +392,20 @@ def weak_harnack_ratio(profile: str | RadialProfileSpec, n: int, p: float,
         "rows": rows,
         "min_rho": float(rhos.min()),
         "band": float(rhos.max() / rhos.min()),
-        "band_limit": band,
+        "band_limit": _RATIO_BAND,
         "certification": cert,
-        "pass": bool(rhos.min() > 0 and rhos.max() / rhos.min() <= band),
+        "pass": bool(rhos.min() > 0 and rhos.max() / rhos.min() <= _RATIO_BAND),
     }
     return out
 
 
 def local_max_principle_ratio(profile: str | RadialProfileSpec, n: int, p: float,
-                              q: float, radii=(1, 2, 4, 8, 16),
-                              band: float = 1e3) -> dict:
+                              q: float, radii=(1, 2, 4, 8, 16)) -> dict:
     """sup_{B_{R/2}} u^{-1} / (V_R^{-1/q} ||u^{-1}||_{L^q(B_R)}) stability."""
     spec = named_profile(profile) if isinstance(profile, str) else profile
     if q <= 0:
         raise PreconditionError("q must be positive")
-    radii = sorted(float(r) for r in radii)
+    radii = _sorted_radii(radii)
     cert = certify_p_superharmonic(spec, n, p, r_max=2.0 * radii[-1])
     if not cert["certified"]:
         raise PreconditionError(
@@ -392,7 +414,7 @@ def local_max_principle_ratio(profile: str | RadialProfileSpec, n: int, p: float
     model = euclidean(n)
     rows = []
     for radius in radii:
-        sup_inv = 1.0 / _ball_extreme(spec, radius / 2.0, minimum=True)
+        sup_inv = 1.0 / _ball_min(spec, radius / 2.0)
         norm = _ball_lq_norm(spec, -1.0, q, radius, n)
         vol = ball_volume(model, radius)
         ratio = sup_inv / (vol ** (-1.0 / q) * norm)
@@ -407,7 +429,7 @@ def local_max_principle_ratio(profile: str | RadialProfileSpec, n: int, p: float
         "q": q,
         "rows": rows,
         "band": float(ratios.max() / ratios.min()),
-        "band_limit": band,
+        "band_limit": _RATIO_BAND,
         "certification": cert,
-        "pass": bool(ratios.min() > 0 and ratios.max() / ratios.min() <= band),
+        "pass": bool(ratios.min() > 0 and ratios.max() / ratios.min() <= _RATIO_BAND),
     }

@@ -39,7 +39,6 @@ __all__ = [
     "classify_liouville",
     "LiouvilleVerdict",
     "emden_bubble",
-    "emden_radial_jet",
     "emden_residual",
     "bubble_coefficient_audit",
 ]
@@ -559,22 +558,6 @@ def emden_bubble(n: int, p: float, lam: float = 1.0):
     return u
 
 
-def emden_radial_jet(n: int, p: float, lam: float, r):
-    """(u, u', u'') of the bubble, analytic in r (r > 0 or r = 0)."""
-    q, s, top = _bubble_constants(n, p, lam)
-    r = np.asarray(r, dtype=float)
-    v = lam**q + r**q
-    u = top**s * v ** (-s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        du = -s * top**s * v ** (-s - 1.0) * q * r ** (q - 1.0)
-        ddu = (
-            s * q * top**s * v ** (-s - 2.0) * r ** (q - 2.0)
-            * ((s + 1.0) * q * r**q - (q - 1.0) * v)
-        )
-    du = np.where(r > 0, du, 0.0 if q > 1 else du)
-    return u, du, ddu
-
-
 def emden_plaplacian(n: int, p: float, lam: float, r):
     """Radial p-Laplacian of the bubble; r = 0 via the analytic limit.
 
@@ -585,9 +568,9 @@ def emden_plaplacian(n: int, p: float, lam: float, r):
     """
     q, s, top = _bubble_constants(n, p, lam)
     r = np.asarray(r, dtype=float)
-    _, du, _ = emden_radial_jet(n, p, lam, r)
     v = lam**q + r**q
     with np.errstate(divide="ignore", invalid="ignore"):
+        du = -s * top**s * v ** (-s - 1.0) * q * r ** (q - 1.0)
         radial = -n * lam**q * s * q * top**s * v ** (-s - 2.0) * r ** (q - 2.0)
         out = np.abs(du) ** (p - 2.0) * radial
     # r -> 0: u' ~ -C r^{q-1} with C = s q top^s lam^{-q(s+1)} and

@@ -124,7 +124,7 @@ class ManifoldModel:
                 f"radius outside [0, r_max={self.r_max}) for model {self.name}"
             )
         if self.user_profile is not None:
-            f, f1, f2, _ = self.user_profile
+            f, f1, f2 = self.user_profile
             out = (f(r_arr), f1(r_arr), f2(r_arr))
         else:
             out = self._named_jet(r_arr)
@@ -152,22 +152,6 @@ class ManifoldModel:
             dpsi = np.where(small, dps, dpsi)
             ddpsi = np.where(small, ddps, ddpsi)
         return psi, dpsi, ddpsi
-
-    def warping_third(self, r):
-        """Third derivative psi'''.
-
-        Named models: psi''' = curv_sign * curv * psi'.  User profiles must
-        supply it explicitly; absence raises.
-        """
-        if self.user_profile is not None:
-            f3 = self.user_profile[3]
-            if f3 is None:
-                raise PreconditionError(
-                    "user warped profile lacks an analytic third derivative"
-                )
-            return f3(np.asarray(r, dtype=float))
-        _, dpsi, _ = self.warping_jet(r)
-        return self.curv_sign * self.curv * dpsi
 
     # ------------------------------------------------------------------
     # curvature
@@ -251,7 +235,6 @@ def user_warped(
     psi: Callable,
     dpsi: Callable,
     ddpsi: Callable,
-    dddpsi: Optional[Callable] = None,
     kappa: float = 0.0,
     r_max: float = math.inf,
 ) -> ManifoldModel:
@@ -259,18 +242,14 @@ def user_warped(
 
     The profile must satisfy psi(0)=0 and psi'(0)=1; both are checked at
     a small radius.  Internal differencing of user profiles is never
-    performed, so first and second derivatives are required; the third
-    is optional.
+    performed, so first and second derivatives are required.
     """
     r0 = 1e-7
     if abs(float(psi(r0)) - r0) > 1e-10 or abs(float(dpsi(r0)) - 1.0) > 1e-6:
         raise PreconditionError("user profile must satisfy psi(0)=0, psi'(0)=1")
     return ManifoldModel(
-        "user", dim, kappa, r_max, 0.0, 0.0, user_profile=(psi, dpsi, ddpsi, dddpsi)
+        "user", dim, kappa, r_max, 0.0, 0.0, user_profile=(psi, dpsi, ddpsi)
     )
-
-
-_NAMED = {"euclidean": euclidean, "sphere": sphere, "hyperbolic": hyperbolic}
 
 
 def model_from_name(name: str, dim: int, kappa: float = 1.0) -> ManifoldModel:
@@ -361,10 +340,8 @@ def warped_from_config(config: dict) -> ManifoldModel:
     name = config.get("model", "euclidean")
     dim = int(config["dim"])
     kappa = float(config.get("kappa", 1.0))
-    if name in _NAMED:
-        return model_from_name(name, dim, kappa)
     if name != "user":
-        raise DomainError(f"unknown model name {name!r}")
+        return model_from_name(name, dim, kappa)
     profile = config.get("profile", {})
     if profile.get("kind") != "odd_polynomial":
         raise DomainError("user profiles support only the odd_polynomial primitive")
@@ -383,13 +360,7 @@ def warped_from_config(config: dict) -> ManifoldModel:
         r = np.asarray(r, dtype=float)
         return np.zeros_like(r) + sum(c * m * (m - 1) * r ** (m - 2) for c, m in powers)
 
-    def dddpsi(r):
-        r = np.asarray(r, dtype=float)
-        return np.zeros_like(r) + sum(
-            c * m * (m - 1) * (m - 2) * r ** (m - 3) for c, m in powers
-        )
-
     return user_warped(
-        dim, psi, dpsi, ddpsi, dddpsi, kappa=kappa,
+        dim, psi, dpsi, ddpsi, kappa=kappa,
         r_max=float(config.get("r_max", math.inf)),
     )

@@ -41,11 +41,7 @@ import numpy as np
 from . import jets as J
 from .divergence import EuclideanEngine, RadialEngine
 from .errors import PreconditionError
-from .exponents import (
-    GradientEstimateParams,
-    ReactionTerm,
-    satisfies_f2,
-)
+from .exponents import GradientEstimateParams, satisfies_f2
 from .fields import SAMPLING_BOX, random_field, random_radial_profile
 from .geometry import ManifoldModel, model_from_name
 from .reports import IdentityReport, InequalityReport
@@ -105,9 +101,9 @@ class SampleBatch:
 
     ric_rr is Ric(e1, e1); for every vector field in the enumeration the
     curvature term is ric_rr * |X|^2 (exactly zero on Euclidean space,
-    and X is radial on the curved models).  index[k] is the position of
-    sample k among the kept samples in draw order; it is what a report's
-    worst_case.sample_index names.
+    and X is radial on the curved models).  Samples are kept in draw
+    order, so a report's worst_case.sample_index is the sample's position
+    in the batch.
     """
 
     u: np.ndarray
@@ -115,7 +111,6 @@ class SampleBatch:
     h: np.ndarray
     engine: object
     ric_rr: np.ndarray
-    index: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -127,6 +122,11 @@ def _rng(seed: int):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _require_samples(samples: int):
+    if samples < 1:
+        raise PreconditionError("a campaign needs at least one sample")
+
+
 def _draw(camp: Campaign) -> SampleBatch:
     """The campaign's samples as one batch, in draw order.
 
@@ -136,8 +136,7 @@ def _draw(camp: Campaign) -> SampleBatch:
     per field (they never enter a report), and the first survivors of
     every field are concatenated.
     """
-    if camp.samples < 1:
-        raise PreconditionError("a campaign needs at least one sample")
+    _require_samples(camp.samples)
     rng = _rng(camp.seed)
     model = camp.model()
     n_fields = max(1, camp.samples // 250)
@@ -180,7 +179,6 @@ def _draw(camp: Campaign) -> SampleBatch:
         h=jet.h,
         engine=EuclideanEngine(jet),
         ric_rr=np.zeros(kept),
-        index=np.arange(kept),
         meta=meta,
     )
 
@@ -196,7 +194,6 @@ def _radial_batch(model: ManifoldModel, r, u, u1, u2, u3, meta: dict) -> SampleB
         h=h,
         engine=eng,
         ric_rr=np.asarray(model.ricci_radial(r), dtype=float),
-        index=np.arange(uu.shape[0]),
         meta=dict(meta, r=r),
     )
 
@@ -225,7 +222,7 @@ def solution_batch(sol: RadialSolution, samples: int = 400) -> SampleBatch:
     model = sol.model
     batch = _radial_batch(
         model, r, u, u1, u2, u3,
-        meta={"model": model.name, "dim": model.dim, "solution": True},
+        meta={"model": model.name, "dim": model.dim},
     )
     p = sol.p
     cot = batch.engine.cot
@@ -322,7 +319,7 @@ class _Residuals:
             self.worst = dict(params)
             self.worst.update(
                 {
-                    "sample_index": int(batch.index[k]),
+                    "sample_index": k,
                     "model": batch.meta.get("model"),
                     "dim": batch.meta.get("dim"),
                     "lhs": float(lhs[k]),
@@ -521,25 +518,16 @@ def check_weighted_identity(
     return acc.report(seed=camp.seed)
 
 
-def _solution_rhs(batch: SampleBatch, flux_terms, term: ReactionTerm, n: int,
-                  p: float, a: float, b: float):
-    u = batch.u
-    gn = batch.gn
-    jac, _, ricx = flux_terms
-    tr0 = J.trace_product(J.traceless(jac))
+def _solution_coefficients(n: int, p: float, a: float, b: float):
+    """Coefficients of the solution-constrained identity at weights (a, b):
+    the mixed divergence term, the |grad u|^{2p} term and the multiplier
+    of f(u) in the reaction term."""
+    c_mix = (n * (p - 1.0) * a + (n - 1.0) * p * b) / (n * p)
     coef_2p = ((p - 1.0) * a / p) * (1.0 - (n - p) * a / ((n - 1.0) * p)) - (
         (n - 1.0) / n
     ) * (b + n * (p - 1.0) * a / ((n - 1.0) * p)) ** 2
     coef_f = ((n + 1.0) * p - n) * a / ((n - 1.0) * p)
-    rhs = (
-        u**a * (tr0 + ricx)
-        + coef_2p * u ** (a + 2.0 * b - 2.0) * gn ** (2.0 * p)
-        + ((n - 1.0) / n)
-        * (coef_f * term(u) - u * term.deriv(u))
-        * u ** (a + 2.0 * b - 1.0)
-        * gn**p
-    )
-    return rhs
+    return c_mix, coef_2p, coef_f
 
 
 def check_solution_identity(
@@ -561,11 +549,20 @@ def check_solution_identity(
     E = batch.engine.at(p)
     block = J.FluxBlock(batch.g, batch.h, p)
     flux_terms = {b: _weighted_flux_terms(batch, block, b) for b in b_values}
+    u, gn, term = batch.u, batch.gn, sol.term
     for a in a_values:
         for b in b_values:
-            c_mix = (n * (p - 1.0) * a + (n - 1.0) * p * b) / (n * p)
+            c_mix, coef_2p, coef_f = _solution_coefficients(n, p, a, b)
             lhs = E.divergence("traceless_combo", a=a, b=b, combo_coef=c_mix)
-            rhs = _solution_rhs(batch, flux_terms[b], sol.term, n, p, a, b)
+            jac, _, ricx = flux_terms[b]
+            rhs = (
+                u**a * (J.trace_product(J.traceless(jac)) + ricx)
+                + coef_2p * u ** (a + 2.0 * b - 2.0) * gn ** (2.0 * p)
+                + ((n - 1.0) / n)
+                * (coef_f * term(u) - u * term.deriv(u))
+                * u ** (a + 2.0 * b - 1.0)
+                * gn**p
+            )
             acc.update(lhs, rhs, batch, {"p": p, "a": a, "b": b})
     return acc.report()
 
@@ -589,14 +586,10 @@ def check_solution_identity_special(
     n, p = sol.model.dim, sol.p
     big_q = (n + 1.0) * p - n
     a, b = special_weights(n, p, alpha)
-    c_mix = (n * (p - 1.0) * a + (n - 1.0) * p * b) / (n * p)
-    coef_2p = ((p - 1.0) * a / p) * (1.0 - (n - p) * a / ((n - 1.0) * p)) - (
-        (n - 1.0) / n
-    ) * (b + n * (p - 1.0) * a / ((n - 1.0) * p)) ** 2
+    c_mix, coef_2p, coef_f = _solution_coefficients(n, p, a, b)
     coef_2p_closed = ((n - 1.0) * (p - 1.0) * alpha / big_q) * (
         1.0 - (n - p) * alpha / big_q
     )
-    coef_f = ((n + 1.0) * p - n) * a / ((n - 1.0) * p)
     audits = {
         "mixed_coefficient": c_mix,
         "mixed_vanishes": abs(c_mix) <= 1e-12 * (abs(a) + abs(b) + 1.0),
@@ -660,6 +653,7 @@ def check_trace_inequality(
     |M|^2 are computed by independent routes (matrix-product trace vs
     entrywise square sum); margins are normalized by |M|^2.
     """
+    _require_samples(samples)
     rng = _rng(seed)
     acc = _Margins()
     for n in n_values:
@@ -723,6 +717,7 @@ def check_kato(
     with F = |grad w|^p and W the flux of w; all five pieces come from
     second-order jet data only.
     """
+    _require_samples(samples)
     rng = _rng(seed)
     acc = _Margins()
     for n in n_values:

@@ -23,15 +23,13 @@ mirroring the almost-everywhere scope of the identities being verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import PreconditionError, SingularJetError
+from .errors import SingularJetError
 
 __all__ = [
-    "Jet2",
     "EPS_GRAD_FACTOR",
     "grad_norm_sq",
     "laplacian",
@@ -52,32 +50,6 @@ __all__ = [
 
 #: identity sampling excludes jets with |grad u| < EPS_GRAD_FACTOR * scale
 EPS_GRAD_FACTOR = 1e-3
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Second-order jet of a positive field at a point (or point batch)."""
-
-    u: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        g = np.asarray(self.grad, dtype=float)
-        h = np.asarray(self.hess, dtype=float)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "grad", g)
-        object.__setattr__(self, "hess", h)
-        if np.any(u <= 0):
-            raise PreconditionError("jet requires a positive field value")
-        hnorm = np.abs(h).max() if h.size else 0.0
-        if np.abs(h - np.swapaxes(h, -1, -2)).max() > 1e-14 * max(hnorm, 1.0):
-            raise PreconditionError("hessian must be symmetric")
-
-    @property
-    def dim(self) -> int:
-        return self.grad.shape[-1]
 
 
 # ----------------------------------------------------------------------
@@ -125,15 +97,12 @@ def p_laplacian(g, h, p):
 # ----------------------------------------------------------------------
 
 
-def anisotropy_apply(g, p, v, eps_grad=None):
+def anisotropy_apply(g, p, v):
     """A(v) = v + (p-2) <v, g> g / |g|^2.
 
     Linear in v with eigenvalue 1 on g-perp and p-1 along g.
     """
-    gn2 = grad_norm_sq(g)
-    if eps_grad is not None and np.any(np.sqrt(gn2) < eps_grad):
-        raise SingularJetError("anisotropy operator at a near-critical jet")
-    coef = (p - 2.0) * np.einsum("...i,...i->...", v, g) / gn2
+    coef = (p - 2.0) * np.einsum("...i,...i->...", v, g) / grad_norm_sq(g)
     return v + coef[..., None] * g
 
 

@@ -96,7 +96,8 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return all(_result_pass(r) for r in self.results)
+        """Every result passes, and there is at least one."""
+        return bool(self.results) and all(_result_pass(r) for r in self.results)
 
     def to_dict(self, include_wall_time: bool = False) -> dict:
         out = {

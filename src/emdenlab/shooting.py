@@ -416,8 +416,11 @@ def _sphere_warp_mass(model) -> float:
     return _WARP_MASS_CACHE[n]
 
 
-def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13,
-                   residual_tol=1e-6) -> dict:
+#: a regular candidate whose pole flux residual is within this is regular
+_BV_RESIDUAL_TOL = 1e-6
+
+
+def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
     """Scan  lap u - lam u + u^q = 0  on the round unit sphere.
 
     Integrates from the north pole with the regular start u'(0) = 0 and
@@ -456,9 +459,9 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13,
     # candidate cell as regular directly.
     regular = []
     for cell in cells:
-        if cell["status"] == "regular_candidate" and abs(cell["residual"]) <= residual_tol:
-            if cell["min_u"] > 0:
-                regular.append(cell["u0"])
+        if (cell["status"] == "regular_candidate"
+                and abs(cell["residual"]) <= _BV_RESIDUAL_TOL and cell["min_u"] > 0):
+            regular.append(cell["u0"])
 
     # The normalized pole defect changes sign exactly at a regular
     # solution (crossed cells sit on the negative side: the trajectory
@@ -473,8 +476,8 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13,
         ga, gb = grade(left), grade(right)
         if ga is None or gb is None:
             continue
-        if abs(ga) <= residual_tol or (
-            right["status"] == "regular_candidate" and abs(gb) <= residual_tol
+        if abs(ga) <= _BV_RESIDUAL_TOL or (
+            right["status"] == "regular_candidate" and abs(gb) <= _BV_RESIDUAL_TOL
         ):
             continue  # endpoint already counted as regular
         if (ga > 0) == (gb > 0):
@@ -487,7 +490,7 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13,
             mid = 0.5 * (lo + hi)
             status, fm, umin, _ = _bv_single(model, q, lam, mid, rtol, atol)
             gm = fm if status == "regular_candidate" else -1.0
-            if status == "regular_candidate" and abs(fm) <= residual_tol:
+            if status == "regular_candidate" and abs(fm) <= _BV_RESIDUAL_TOL:
                 if umin is not None and umin > 0:
                     found = {"u0": float(mid), "residual": float(fm)}
                     break
@@ -499,7 +502,7 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13,
                 status, fm, umin, _ = _bv_single(model, q, lam, lo, rtol, atol)
                 if (
                     status == "regular_candidate"
-                    and abs(fm) <= residual_tol
+                    and abs(fm) <= _BV_RESIDUAL_TOL
                     and umin is not None
                     and umin > 0
                 ):
@@ -526,7 +529,7 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13,
         "bisection_roots": roots,
         "regular_u0": [float(v) for v in regular_all],
         "nonconstant_regular_found": bool(boundary_case),
-        "residual_tol": residual_tol,
+        "residual_tol": _BV_RESIDUAL_TOL,
         "rtol": rtol,
         "atol": atol,
     }

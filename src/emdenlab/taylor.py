@@ -28,7 +28,6 @@ __all__ = [
     "jet3_const",
     "Grad",
     "grad_abs_pow",
-    "grad_signed_pow",
 ]
 
 
@@ -268,8 +267,3 @@ def grad_abs_pow(x: Grad, q: float) -> Grad:
     a = np.abs(x.v)
     return Grad(a**q, (q * np.sign(x.v) * a ** (q - 1.0))[..., None] * x.d)
 
-
-def grad_signed_pow(x: Grad, q: float) -> Grad:
-    """sign(x)|x|^q with derivative q|x|^{q-1}; odd extension of x^q."""
-    a = np.abs(x.v)
-    return Grad(np.sign(x.v) * a**q, (q * a ** (q - 1.0))[..., None] * x.d)

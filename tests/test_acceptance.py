@@ -187,8 +187,8 @@ def test_criterion_08_local_scaling_structure():
     ok = True
     slopes = []
     for n, p in [(3, 2.0), (2, 3.0), (4, 1.5)]:
-        out = EST.local_scaling_check(n, p, radii=(1.0, 2.0, 4.0, 8.0),
-                                      slope_tol=0.05)
+        out = EST.local_scaling_check(n, p, radii=(1.0, 2.0, 4.0, 8.0))
+        assert out["slope_tol"] == 0.05
         ok &= out["pass"]
         slopes.extend(m["log_slope"] for m in out["members"])
     _report(

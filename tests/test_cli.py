@@ -131,6 +131,70 @@ class TestScanCommand:
             assert float(last.split(",")[0]) == cell["r_cross"]
 
 
+class TestEmptyInputs:
+    """An input that leaves nothing to check fails the run (exit 1)."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["kato", "--samples", "0"], "a campaign needs at least one sample"),
+        (["trace-ineq", "--samples", "0"], "a campaign needs at least one sample"),
+        (["harnack", "--radii", ","], "need at least one radius"),
+    ], ids=["kato", "trace-ineq", "harnack"])
+    def test_error_result(self, tmp_path, argv, message):
+        out = tmp_path / "rep.json"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert rep["results"] == [
+            {"error": f"PreconditionError: {message}", "pass": False}
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["identities", "--dim", ","],
+        ["gradient-bound", "--n", ","],
+        ["bubble", "--lam", ","],
+        ["volume", "--radii", ","],
+    ], ids=["identities", "gradient-bound", "bubble", "volume"])
+    def test_no_results_fail(self, tmp_path, argv):
+        out = tmp_path / "rep.json"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert not rep["pass"]
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--alpha", "1", "--u0", ","],
+        ["bv-sphere", "--u0", ","],
+        ["bv-sphere", "--q", "6", "--u0", ","],
+    ], ids=["scan", "bv-sphere", "bv-sphere-exploration"])
+    def test_no_cells_fail(self, tmp_path, argv):
+        out = tmp_path / "rep.json"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        result = json.loads(out.read_text())["results"][0]
+        assert result["cells"] == [] and not result["pass"]
+
+
+class TestToleranceFlag:
+    def test_solution_suite_honours_tol(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run_cli(["identities", "--suite", "solution", "--dim", "3",
+                        "--tol", "1e-30", "--out", str(out)]) == 1
+        result = json.loads(out.read_text())["results"][0]
+        assert result["tol"] == 1e-30 and not result["pass"]
+
+    def test_unset_tol_keeps_each_check_default(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run_cli(["identities", "--dim", "2", "--samples", "100",
+                        "--models", "euclidean", "--out", str(out)]) == 0
+        tols = {r["identity_id"]: r["tol"]
+                for r in json.loads(out.read_text())["results"]}
+        assert tols == {
+            "p_laplacian_decomposition": 1e-8,
+            "flux_advection": 1e-8,
+            "bochner_vector_field": 1e-7,
+            "bochner_p_linearized": 1e-7,
+            "weighted_divergence": 1e-7,
+            "solution_divergence": 1e-6,
+        }
+
+
 class TestConfigFile:
     def test_overrides_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"

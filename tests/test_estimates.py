@@ -94,6 +94,10 @@ class TestLocalScaling:
         assert fund["pass"]
         assert fund["quantities"][0] == pytest.approx(0.5 / 2.75, rel=1e-6)
 
+    def test_no_radii_rejected(self):
+        with pytest.raises(PreconditionError, match="at least one radius"):
+            E.local_scaling_check(3, 2.0, radii=())
+
 
 class TestHarnackRatios:
     def test_constant_profile_scale_free(self):

@@ -150,7 +150,6 @@ class TestUserProfile:
             psi=lambda r: np.asarray(r, dtype=float),
             dpsi=lambda r: np.ones_like(np.asarray(r, dtype=float)),
             ddpsi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            dddpsi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         )
         assert m.warping_jet(1.5) == (1.5, 1.0, 0.0)
         assert m.ricci_radial(1.5) == 0.0
@@ -163,16 +162,6 @@ class TestUserProfile:
                 dpsi=lambda r: np.ones_like(np.asarray(r, dtype=float)),
                 ddpsi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             )
-
-    def test_missing_third_derivative(self):
-        m = geo.user_warped(
-            3,
-            psi=lambda r: np.asarray(r, dtype=float),
-            dpsi=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            ddpsi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        )
-        with pytest.raises(PreconditionError):
-            m.warping_third(1.0)
 
 
 class TestConfigLoading:
@@ -189,7 +178,6 @@ class TestConfigLoading:
         assert psi == pytest.approx(0.4 - 0.4**3 / 6.0, rel=1e-15)
         assert dpsi == pytest.approx(1.0 - 0.4**2 / 2.0, rel=1e-15)
         assert ddpsi == pytest.approx(-0.4, rel=1e-15)
-        assert m.warping_third(0.4) == pytest.approx(-1.0, rel=1e-15)
 
     def test_unknown_primitive_rejected(self):
         with pytest.raises(DomainError):
@@ -197,3 +185,7 @@ class TestConfigLoading:
                 "model": "user", "dim": 3,
                 "profile": {"kind": "spline"},
             })
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(DomainError, match="unknown model name 'torus'"):
+            geo.warped_from_config({"model": "torus", "dim": 3})

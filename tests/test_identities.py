@@ -144,7 +144,6 @@ class TestCampaignBatch:
         batch = camp.batch
         assert batch is camp.batch
         assert batch.u.shape[0] >= 600
-        np.testing.assert_array_equal(batch.index, np.arange(batch.u.shape[0]))
         assert set(batch.meta) == {"model", "dim", "r"}
 
     @pytest.mark.parametrize("model,cls,block", [
