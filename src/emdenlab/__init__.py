@@ -41,6 +41,5 @@ from .geometry import (
     sphere,
 )
 from .reports import IdentityReport, InequalityReport, RunReport
+from .reports import TOOL_VERSION as __version__
 from .shooting import ShootOutcome, bubble_match, bv_sphere_scan, liouville_scan, shoot
-
-__version__ = "0.1.0"

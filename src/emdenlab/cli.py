@@ -3,12 +3,14 @@
 Subcommands: identities, trace-ineq, kato, moser, bubble, scan,
 bv-sphere, gradient-bound, harnack, classify, thresholds, volume.
 
-Every run echoes its full configuration into the report, serializes
-with sorted keys (byte-identical for identical config, seed and tool
-version; wall time goes to stderr only), and exits 0 iff every member
-check passed, 1 when a check failed or errored numerically, 2 on usage
-or config-schema errors.  A --config JSON file overrides flags; unknown
-config keys are rejected.
+Each subcommand takes only the flags its handler reads.  Every run
+echoes its full configuration into the report, serializes with sorted
+keys (byte-identical for identical config, seed and tool version; wall
+time goes to stderr only), and exits 0 iff every member check passed,
+1 when a check failed or errored numerically, 2 on usage or
+config-schema errors.  A --config JSON file overrides flags; each value
+goes through its flag's own type and choices, and unknown keys are
+rejected.
 """
 
 from __future__ import annotations
@@ -53,18 +55,20 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, help, seed=False, tol=False):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--out", type=Path, default=None, help="JSON report path")
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override the default tolerance")
         sp.add_argument("--config", type=Path, default=None,
                         help="JSON config file; overrides flags")
+        if seed:
+            sp.add_argument("--seed", type=int, default=42)
+        if tol:
+            sp.add_argument("--tol", type=float, default=None,
+                            help="override the default tolerance")
+        return sp
 
-    sp = sub.add_parser("identities", help="pointwise identity suite")
-    sp.add_argument("--suite", default="all",
-                    choices=["all", "decomposition", "advection", "bochner-x",
-                             "bochner-p", "weighted", "solution"])
+    sp = command("identities", "pointwise identity suite", seed=True, tol=True)
+    sp.add_argument("--suite", default="all", choices=["all", *_SUITES])
     sp.add_argument("--dim", type=_ints, default=(3,))
     sp.add_argument("--p", type=_floats, default=(1.5, 2.0, 3.0))
     sp.add_argument("--samples", type=int, default=1000)
@@ -72,22 +76,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=_floats, default=(-2.0, -1.0, 0.0, 1.0, 2.0),
                     help="weight-power grid of the two-parameter identity")
     sp.add_argument("--b", type=_floats, default=(0.0, -1.0, 1.0))
-    common(sp)
 
-    sp = sub.add_parser("trace-ineq", help="traceless Jacobian trace inequality")
+    sp = command("trace-ineq", "traceless Jacobian trace inequality",
+                 seed=True, tol=True)
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--n", type=_ints, default=(2, 3, 4))
     sp.add_argument("--p", type=_floats, default=(1.2, 1.5, 2.0, 3.0, 5.0))
     sp.add_argument("--b", type=_floats, default=(-2.0, 0.0, 1.0))
-    common(sp)
 
-    sp = sub.add_parser("kato", help="sharpened Kato-type inequality")
+    sp = command("kato", "sharpened Kato-type inequality", seed=True, tol=True)
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--n", type=_ints, default=(2, 3, 4, 6))
     sp.add_argument("--p", type=_floats, default=(1.5, 2.0, 3.0))
-    common(sp)
 
-    sp = sub.add_parser("moser", help="pointwise log-gradient differential inequality")
+    sp = command("moser", "pointwise log-gradient differential inequality", tol=True)
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--alpha", type=float, default=2.0,
@@ -96,16 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--u0", type=float, default=2.0)
     sp.add_argument("--horizon", type=float, default=50.0)
-    common(sp)
 
-    sp = sub.add_parser("bubble", help="critical bubble residual and trajectory match")
+    sp = command("bubble", "critical bubble residual and trajectory match")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--lam", type=_floats, default=(1.0,))
     sp.add_argument("--rmax", type=float, default=20.0)
-    common(sp)
 
-    sp = sub.add_parser("scan", help="Liouville dichotomy shooting scan")
+    sp = command("scan", "Liouville dichotomy shooting scan")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--alpha", type=_floats, required=True)
@@ -115,17 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the scan table as CSV")
     sp.add_argument("--trajectories", type=Path, default=None,
                     help="directory for per-cell trajectory CSVs (r,u,uprime,m)")
-    common(sp)
 
-    sp = sub.add_parser("bv-sphere", help="closed-manifold uniqueness scan")
+    sp = command("bv-sphere", "closed-manifold uniqueness scan")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--q", type=float, default=3.0)
     sp.add_argument("--lam", type=float, default=1.0)
     sp.add_argument("--u0", type=_floats, default=None,
                     help="grid of center values (default 0.2:3.0:0.2)")
-    common(sp)
 
-    sp = sub.add_parser("gradient-bound", help="global log-gradient bound sharpness")
+    sp = command("gradient-bound", "global log-gradient bound sharpness")
     sp.add_argument("--n", type=_ints, default=(3,))
     sp.add_argument("--p", type=_floats, default=(2.0,))
     sp.add_argument("--kappa", type=_floats, default=(1.0,))
@@ -133,9 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rtail", type=float, default=None)
     sp.add_argument("--csv", type=Path, default=None,
                     help="write the profile grid as CSV")
-    common(sp)
 
-    sp = sub.add_parser("harnack", help="weak Harnack / local max principle ratios")
+    sp = command("harnack", "weak Harnack / local max principle ratios")
     sp.add_argument("--profile", default="inverse_sqrt",
                     choices=["constant", "inverse_sqrt", "smoothed_cap"])
     sp.add_argument("--n", type=int, default=3)
@@ -144,70 +141,83 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radii", type=_floats, default=(1, 2, 4, 8, 16, 32))
     sp.add_argument("--principle", default="both",
                     choices=["weak-harnack", "local-max", "both"])
-    common(sp)
 
-    sp = sub.add_parser("classify", help="Liouville classifier")
+    sp = command("classify", "Liouville classifier")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--sign", default="positive",
                     choices=["nonnegative", "positive", "nonpositive", "mixed"])
-    sp.add_argument("--pure-power", action="store_true", default=True)
     sp.add_argument("--no-pure-power", dest="pure_power", action="store_false")
     sp.add_argument("--negated-power", action="store_true")
     sp.add_argument("--growth", action="store_true",
                     help="liminf t^{1-p0}|f| > 0 for some p0 > p")
     sp.add_argument("--compact", action="store_true")
-    common(sp)
 
-    sp = sub.add_parser("thresholds", help="exponent threshold table")
+    sp = command("thresholds", "exponent threshold table")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
-    common(sp)
 
-    sp = sub.add_parser("volume", help="ball volumes and volume comparison")
+    sp = command("volume", "ball volumes and volume comparison")
     sp.add_argument("--model", default="euclidean",
                     choices=["euclidean", "sphere", "hyperbolic"])
     sp.add_argument("--dim", type=int, default=3)
     sp.add_argument("--kappa", type=float, default=1.0)
     sp.add_argument("--radii", type=_floats, default=(0.5, 1.0, 2.0))
-    common(sp)
 
     return ap
 
 
-_CONFIG_EXCLUDE = {"out", "config", "command", "csv", "trajectories"}
+#: flags that name files: neither config fields nor echoed into the report
+_PATH_FLAGS = ("out", "config", "csv", "trajectories")
+
+
+def _config_value(flag: argparse.Action, value):
+    """A JSON config value as its flag would parse it: a switch takes true
+    or false, any other flag a string, number or list (read as the
+    comma-separated form) through its own type and choices."""
+    if flag.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError("expected true or false")
+        return value
+    if isinstance(value, list):
+        value = ",".join(map(str, value))
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError("expected a string, number or list")
+    value = flag.type(str(value)) if flag.type else str(value)
+    if flag.choices is not None and value not in flag.choices:
+        raise ValueError(f"choose from {', '.join(flag.choices)}")
+    return value
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Overlay a JSON config file onto parsed flags; reject unknown keys."""
+    """Overlay a JSON config file onto parsed flags; an unknown key or a
+    value its flag rejects is a usage error."""
     if args.config is None:
         return
     try:
         loaded = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config: {exc}")
-    known = {k for k in vars(args) if k not in _CONFIG_EXCLUDE}
+    if not isinstance(loaded, dict):
+        parser.error("config must be a JSON object")
+    [commands] = [a for a in parser._actions if a.dest == "command"]
+    sp = commands.choices[args.command]
+    flags = {a.dest: a for a in sp._actions
+             if a.dest in vars(args) and a.dest not in _PATH_FLAGS}
     for key, value in loaded.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            parser.error(f"unknown config field {key!r}")
-        if isinstance(value, list):
-            value = tuple(value)
-        setattr(args, dest, value)
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            sp.error(f"unknown config field {key!r}")
+        try:
+            setattr(args, flag.dest, _config_value(flag, value))
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            sp.error(f"config field {key!r}: invalid value {value!r} ({exc})")
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    out = {}
-    for key, val in sorted(vars(args).items()):
-        if key in ("out", "config", "csv", "trajectories"):
-            continue
-        if isinstance(val, Path):
-            val = str(val)
-        if isinstance(val, tuple):
-            val = list(val)
-        out[key] = val
-    return out
+    return {key: list(val) if isinstance(val, tuple) else val
+            for key, val in vars(args).items() if key not in _PATH_FLAGS}
 
 
 def _emit(report: RunReport, out_path, wall: float) -> int:
@@ -221,7 +231,7 @@ def _emit(report: RunReport, out_path, wall: float) -> int:
 
 
 # ----------------------------------------------------------------------
-# handlers
+# handlers: each returns the run's result list
 # ----------------------------------------------------------------------
 
 
@@ -231,75 +241,82 @@ def _tol(args, name: str = "tol") -> dict:
     return {} if args.tol is None else {name: args.tol}
 
 
-def _run_identities(args) -> RunReport:
-    results = []
-    tol = _tol(args)
+def _check_solution(dim, args):
+    """The solution identity on the radial solution of -lap u = u^3, u(0) = 1,
+    on R^dim."""
+    term = exponents.ReactionTerm.pure_power(3.0)
+    sol = shooting.solve_dense(model_from_name("euclidean", dim), 2.0, term, 1.0,
+                               horizon=50.0)
+    return identities.check_solution_identity(sol, **_tol(args))
+
+
+def _per_campaign(check):
+    return lambda camp, args: check(camp, **_tol(args))
+
+
+#: --suite name -> its check: check(campaign, args) on every (dim, model)
+#: campaign, except "solution", which runs check(dim, args) once per dim
+#: after all campaigns
+_SUITES = {
+    "decomposition": _per_campaign(identities.check_decomposition),
+    "advection": _per_campaign(identities.check_flux_advection),
+    "bochner-x": _per_campaign(identities.check_bochner_vector),
+    "bochner-p": _per_campaign(identities.check_bochner_linearized),
+    "weighted": lambda camp, args: identities.check_weighted_identity(
+        camp, a_values=args.a, b_values=args.b, **_tol(args)),
+    "solution": _check_solution,
+}
+
+
+def _run_identities(args) -> list:
+    suites = [name for name in _SUITES if args.suite in ("all", name)]
     models = [m.strip() for m in args.models.split(",") if m.strip()]
+    results = []
     for dim in args.dim:
         for model in models:
             camp = identities.Campaign(
-                model_name=model, dim=dim, p_values=tuple(args.p),
-                b_values=tuple(args.b), samples=args.samples, seed=args.seed,
+                model_name=model, dim=dim, p_values=args.p, b_values=args.b,
+                samples=args.samples, seed=args.seed,
             )
-            if args.suite in ("all", "decomposition"):
-                results.append(identities.check_decomposition(camp, **tol))
-            if args.suite in ("all", "advection"):
-                results.append(identities.check_flux_advection(camp, **tol))
-            if args.suite in ("all", "bochner-x"):
-                results.append(identities.check_bochner_vector(camp, **tol))
-            if args.suite in ("all", "bochner-p"):
-                results.append(identities.check_bochner_linearized(camp, **tol))
-            if args.suite in ("all", "weighted"):
-                results.append(
-                    identities.check_weighted_identity(
-                        camp, a_values=tuple(args.a), b_values=tuple(args.b), **tol
-                    )
-                )
-    if args.suite in ("all", "solution"):
-        for dim in args.dim:
-            model = model_from_name("euclidean", dim)
-            term = exponents.ReactionTerm.pure_power(3.0)
-            sol = shooting.solve_dense(model, 2.0, term, 1.0, horizon=50.0)
-            results.append(identities.check_solution_identity(sol, **tol))
-    return RunReport(config=_config_echo(args), results=results)
+            results.extend(_SUITES[s](camp, args) for s in suites if s != "solution")
+    if "solution" in suites:
+        results.extend(_check_solution(dim, args) for dim in args.dim)
+    return results
 
 
-def _run_trace(args) -> RunReport:
-    rep = identities.check_trace_inequality(
+def _run_trace(args) -> list:
+    return [identities.check_trace_inequality(
         n_values=args.n, p_values=args.p, b_values=args.b,
         samples=args.samples, seed=args.seed, **_tol(args, "tol_neg"),
-    )
-    return RunReport(config=_config_echo(args), results=[rep])
+    )]
 
 
-def _run_kato(args) -> RunReport:
-    rep = identities.check_kato(
+def _run_kato(args) -> list:
+    return [identities.check_kato(
         n_values=args.n, p_values=args.p, samples=args.samples,
         seed=args.seed, **_tol(args, "tol_neg"),
-    )
-    return RunReport(config=_config_echo(args), results=[rep])
+    )]
 
 
-def _run_moser(args) -> RunReport:
+def _run_moser(args) -> list:
     term = exponents.ReactionTerm.pure_power(args.alpha)
     model = model_from_name("euclidean", args.n)
     sol = shooting.solve_dense(model, args.p, term, args.u0, horizon=args.horizon)
-    rep = identities.check_log_gradient_pointwise(
+    return [identities.check_log_gradient_pointwise(
         sol, args.delta0, lam=args.lam, **_tol(args, "tol_neg"),
-    )
-    return RunReport(config=_config_echo(args), results=[rep])
+    )]
 
 
-def _run_bubble(args) -> RunReport:
+def _run_bubble(args) -> list:
     results = []
     grid = np.concatenate([[0.0], np.geomspace(1e-3, args.rmax, 400)])
     for lam in args.lam:
         results.append(exponents.emden_residual(args.n, args.p, lam, grid))
         results.append(shooting.bubble_match(args.n, args.p, lam, horizon=args.rmax))
-    return RunReport(config=_config_echo(args), results=results)
+    return results
 
 
-def _run_scan(args) -> RunReport:
+def _run_scan(args) -> list:
     write_trajectory = None
     if args.trajectories is not None:
         outdir = Path(args.trajectories)
@@ -325,34 +342,17 @@ def _run_scan(args) -> RunReport:
                     [cell["alpha"], cell["u0"], cell["outcome"],
                      cell.get("r_cross", "")]
                 )
-    ps = table["critical_exponent"]
-    ok = bool(table["cells"]) and all(
-        (c["outcome"] == "crossed_zero") == (c["alpha"] < ps)
-        for c in table["cells"]
-        if c["outcome"] != "error"
-    ) and not any(c["outcome"] == "error" for c in table["cells"])
-    table["pass"] = ok
-    return RunReport(config=_config_echo(args), results=[table])
+    return [table]
 
 
-def _run_bv_sphere(args) -> RunReport:
+def _run_bv_sphere(args) -> list:
     grid = args.u0
     if grid is None:
         grid = tuple(np.round(np.arange(0.2, 3.01, 0.2), 10))
-    rep = shooting.bv_sphere_scan(args.n, args.q, args.lam, grid)
-    if rep["hypotheses"]["within_theorem"]:
-        const = rep["constant_value"]
-        rep["pass"] = bool(
-            len(rep["regular_u0"]) == 1
-            and abs(rep["regular_u0"][0] - const) <= 1e-6 * (1.0 + const)
-        )
-    else:
-        rep["flag"] = "outside theorem hypotheses (exploration mode)"
-        rep["pass"] = bool(rep["cells"])
-    return RunReport(config=_config_echo(args), results=[rep])
+    return [shooting.bv_sphere_scan(args.n, args.q, args.lam, grid)]
 
 
-def _run_gradient_bound(args) -> RunReport:
+def _run_gradient_bound(args) -> list:
     results = []
     csv_rows = []
     for n in args.n:
@@ -374,10 +374,10 @@ def _run_gradient_bound(args) -> RunReport:
             writer = csv.writer(fh)
             writer.writerow(["n", "p", "kappa", "r", "u", "loggrad"])
             writer.writerows(csv_rows)
-    return RunReport(config=_config_echo(args), results=results)
+    return results
 
 
-def _run_harnack(args) -> RunReport:
+def _run_harnack(args) -> list:
     results = []
     if args.principle in ("weak-harnack", "both"):
         results.append(
@@ -389,26 +389,25 @@ def _run_harnack(args) -> RunReport:
             estimates.local_max_principle_ratio(args.profile, args.n, args.p,
                                                 args.q, radii=args.radii)
         )
-    return RunReport(config=_config_echo(args), results=results)
+    return results
 
 
-def _run_classify(args) -> RunReport:
+def _run_classify(args) -> list:
     verdict = exponents.classify_liouville(
         args.n, args.p, args.alpha, sign=args.sign,
         pure_power=args.pure_power, negated_power=args.negated_power,
         has_liminf_growth=args.growth, compact=args.compact,
     )
-    rep = {
+    return [{
         "verdict": verdict.verdict,
         "theorems": list(verdict.theorems),
         "theorem": verdict.theorem_tag,
         "notes": list(verdict.notes),
         "pass": True,
-    }
-    return RunReport(config=_config_echo(args), results=[rep])
+    }]
 
 
-def _run_thresholds(args) -> RunReport:
+def _run_thresholds(args) -> list:
     rows = [
         {
             "name": rec.name,
@@ -418,11 +417,10 @@ def _run_thresholds(args) -> RunReport:
         }
         for rec in exponents.threshold_table(args.n, args.p)
     ]
-    return RunReport(config=_config_echo(args),
-                     results=[{"table": rows, "pass": True}])
+    return [{"table": rows, "pass": True}]
 
 
-def _run_volume(args) -> RunReport:
+def _run_volume(args) -> list:
     model = model_from_name(args.model, args.dim, args.kappa)
     vols = [
         {"R": r, "volume": ball_volume(model, r)} for r in args.radii
@@ -432,7 +430,7 @@ def _run_volume(args) -> RunReport:
         comparison = bishop_gromov_check(model, args.radii)
         comparison["pass"] = comparison["non_increasing"]
         results.append(comparison)
-    return RunReport(config=_config_echo(args), results=results)
+    return results
 
 
 _HANDLERS = {
@@ -457,15 +455,11 @@ def run(argv=None) -> int:
     _apply_config(args, parser)
     start = time.perf_counter()
     try:
-        report = _HANDLERS[args.command](args)
+        results = _HANDLERS[args.command](args)
     except EmdenLabError as exc:
-        report = RunReport(
-            config=_config_echo(args),
-            results=[{"error": f"{type(exc).__name__}: {exc}", "pass": False}],
-        )
-    wall = time.perf_counter() - start
-    report.wall_time_s = wall
-    return _emit(report, args.out, wall)
+        results = [{"error": f"{type(exc).__name__}: {exc}", "pass": False}]
+    report = RunReport(config=_config_echo(args), results=results)
+    return _emit(report, args.out, time.perf_counter() - start)
 
 
 def main():

@@ -2,15 +2,14 @@
 
 Reports serialize with sorted keys and Python's shortest-roundtrip float
 repr, so identical (config, seed, tool version) runs produce
-byte-identical files.  Wall time is tracked on the in-memory run report
-but excluded from the canonical serialization for exactly that reason.
+byte-identical files.  Wall time is never part of a report for exactly
+that reason; the CLI prints it to stderr.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,42 +89,29 @@ class RunReport:
 
     config: dict
     results: list
-    version: str = TOOL_VERSION
-    schema_version: int = SCHEMA_VERSION
-    wall_time_s: Optional[float] = None
 
     @property
     def passed(self) -> bool:
         """Every result passes, and there is at least one."""
         return bool(self.results) and all(_result_pass(r) for r in self.results)
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
-        out = {
-            "schema_version": self.schema_version,
-            "version": self.version,
+    def to_dict(self) -> dict:
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "version": TOOL_VERSION,
             "config": self.config,
             "results": [_result_dict(r) for r in self.results],
             "pass": self.passed,
         }
-        if include_wall_time and self.wall_time_s is not None:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
-    def to_json(self, include_wall_time: bool = False) -> str:
+    def to_json(self) -> str:
         return json.dumps(
-            self.to_dict(include_wall_time),
-            sort_keys=True,
-            indent=2,
-            default=_json_default,
+            self.to_dict(), sort_keys=True, indent=2, default=_json_default,
         ) + "\n"
 
 
 def _result_dict(r):
-    if hasattr(r, "to_dict"):
-        return r.to_dict()
-    if isinstance(r, dict):
-        return r
-    return asdict(r)
+    return r.to_dict() if hasattr(r, "to_dict") else r
 
 
 def _result_pass(r):

@@ -91,10 +91,6 @@ class ShootOutcome:
     trajectory: dict = field(default_factory=dict, repr=False)
     stats: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def crossed(self) -> bool:
-        return self.kind == "crossed_zero"
-
 
 class RadialSolution:
     """Dense radial solution with derivatives up to third order.
@@ -302,7 +298,8 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, rtol=1e-10, atol=1e-12,
 
     The expected dichotomy: every alpha below the critical exponent
     crosses zero at finite radius; at the critical exponent the run
-    stays positive (the bubble family).
+    stays positive (the bubble family).  The table passes iff it has
+    cells, none of them an error, and each crosses zero iff alpha < p_s.
 
     ``on_cell(alpha, u0, outcome)``, if given, receives the ShootOutcome
     of every cell whose solve returned.  It runs outside the per-cell
@@ -345,6 +342,11 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, rtol=1e-10, atol=1e-12,
         "rtol": rtol,
         "atol": atol,
         "cells": cells,
+        "pass": bool(cells) and all(
+            c["outcome"] != "error"
+            and (c["outcome"] == "crossed_zero") == (c["alpha"] < ps)
+            for c in cells
+        ),
     }
 
 
@@ -380,16 +382,16 @@ def bubble_match(n, p, lam, horizon=20.0, rtol=1e-10, atol=1e-12) -> dict:
 _ANTIPODAL_GAP = 1e-3
 
 
-def _bv_single(model, q, lam, u0, rtol, atol):
-    """One pole-to-pole run; returns (status, residual, min_u, sol)."""
+def _bv_single(model, q, lam, u0, rtol, atol) -> dict:
+    """One pole-to-pole run as a scan cell: u0, status, residual, min_u."""
     n = model.dim
     term = ReactionTerm.linear_minus_power(q, lam)
     sol = _integrate(model, 2.0, term, u0, SERIES_RADIUS,
                      model.r_max - _ANTIPODAL_GAP, rtol, atol)
     if sol.status < 0:
-        return "error", None, None, sol
+        return {"u0": u0, "status": "error", "residual": None, "min_u": None}
     if sol.status == 1:
-        return "crossed_zero", None, None, sol
+        return {"u0": u0, "status": "crossed_zero", "residual": None, "min_u": None}
     u_end, m_end = float(sol.y[0][-1]), float(sol.y[1][-1])
     # analytic tail correction: m(pi) ~ m_end - f(u_end) * gap^n / n
     m_pole = m_end - float(term(u_end)) * _ANTIPODAL_GAP**n / n
@@ -397,8 +399,8 @@ def _bv_single(model, q, lam, u0, rtol, atol):
     # solution (the linear-term flux over the whole sphere), so the
     # normalized defect is continuous in u0 and changes sign there
     m_ref = lam * u0 * _sphere_warp_mass(model)
-    residual = m_pole / m_ref
-    return "regular_candidate", residual, float(sol.y[0].min()), sol
+    return {"u0": u0, "status": "regular_candidate", "residual": m_pole / m_ref,
+            "min_u": float(sol.y[0].min())}
 
 
 _WARP_MASS_CACHE = {}
@@ -420,6 +422,13 @@ def _sphere_warp_mass(model) -> float:
 _BV_RESIDUAL_TOL = 1e-6
 
 
+def _is_regular(cell) -> bool:
+    """A run that reached the antipode with a pole flux residual within
+    _BV_RESIDUAL_TOL and stayed positive: a regular solution."""
+    return (cell["status"] == "regular_candidate"
+            and abs(cell["residual"]) <= _BV_RESIDUAL_TOL and cell["min_u"] > 0)
+
+
 def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
     """Scan  lap u - lam u + u^q = 0  on the round unit sphere.
 
@@ -428,7 +437,9 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
     of the residual between grid values of u(0) are bisected; the
     hypothesis bounds (Ricci vs (n-1)(q-1) lam / n, and q vs the Sobolev
     bound) are evaluated and reported, and a run outside them is flagged
-    but still performed (exploration mode).
+    but still performed (exploration mode).  Within the hypotheses the
+    scan passes iff the constant lam^{1/(q-1)} is the only regular value
+    found; outside them it is flagged and passes iff it has cells.
     """
     if q <= 1 or lam <= 0:
         raise PreconditionError("need q > 1 and lam > 0")
@@ -448,20 +459,12 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
     )
 
     constant_value = lam ** (1.0 / (q - 1.0))
-    u0_grid = [float(v) for v in u0_grid]
-    cells = []
-    for u0 in u0_grid:
-        status, res, umin, _ = _bv_single(model, q, lam, u0, rtol, atol)
-        cells.append({"u0": u0, "status": status, "residual": res, "min_u": umin})
+    cells = [_bv_single(model, q, lam, float(u0), rtol, atol) for u0 in u0_grid]
 
     # Nonconstant regular families leave the pole flux at integrator
     # noise relative to the reference flux, so a small residual marks a
     # candidate cell as regular directly.
-    regular = []
-    for cell in cells:
-        if (cell["status"] == "regular_candidate"
-                and abs(cell["residual"]) <= _BV_RESIDUAL_TOL and cell["min_u"] > 0):
-            regular.append(cell["u0"])
+    regular = [cell["u0"] for cell in cells if _is_regular(cell)]
 
     # The normalized pole defect changes sign exactly at a regular
     # solution (crossed cells sit on the negative side: the trajectory
@@ -487,26 +490,18 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
             lo, hi = hi, lo
         found = None
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            status, fm, umin, _ = _bv_single(model, q, lam, mid, rtol, atol)
-            gm = fm if status == "regular_candidate" else -1.0
-            if status == "regular_candidate" and abs(fm) <= _BV_RESIDUAL_TOL:
-                if umin is not None and umin > 0:
-                    found = {"u0": float(mid), "residual": float(fm)}
-                    break
-            if gm > 0:
-                lo = mid
+            mid = _bv_single(model, q, lam, 0.5 * (lo + hi), rtol, atol)
+            if _is_regular(mid):
+                found = {"u0": mid["u0"], "residual": mid["residual"]}
+                break
+            if mid["status"] == "regular_candidate" and mid["residual"] > 0:
+                lo = mid["u0"]
             else:
-                hi = mid
+                hi = mid["u0"]
             if abs(hi - lo) < 1e-10 * max(1.0, abs(lo)):
-                status, fm, umin, _ = _bv_single(model, q, lam, lo, rtol, atol)
-                if (
-                    status == "regular_candidate"
-                    and abs(fm) <= _BV_RESIDUAL_TOL
-                    and umin is not None
-                    and umin > 0
-                ):
-                    found = {"u0": float(lo), "residual": float(fm)}
+                last = _bv_single(model, q, lam, lo, rtol, atol)
+                if _is_regular(last):
+                    found = {"u0": last["u0"], "residual": last["residual"]}
                 break
         if found is not None:
             roots.append(found)
@@ -518,6 +513,13 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
     boundary_case = any(
         abs(v - constant_value) > 1e-4 * (1.0 + constant_value) for v in regular_all
     )
+    if hyp["within_theorem"]:
+        unique = len(regular_all) == 1 and bool(
+            abs(regular_all[0] - constant_value) <= 1e-6 * (1.0 + constant_value))
+        verdict = {"pass": unique}
+    else:
+        verdict = {"flag": "outside theorem hypotheses (exploration mode)",
+                   "pass": bool(cells)}
     return {
         "note": RADIAL_WITNESS_NOTE,
         "n": n,
@@ -532,4 +534,5 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
         "residual_tol": _BV_RESIDUAL_TOL,
         "rtol": rtol,
         "atol": atol,
+        **verdict,
     }

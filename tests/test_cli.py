@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 
 import emdenlab
 from emdenlab import cli, shooting
+from emdenlab.reports import TOOL_VERSION
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv):
@@ -214,6 +218,136 @@ class TestConfigFile:
             run_cli(["classify", "--n", "3", "--p", "2", "--alpha", "1",
                      "--config", str(cfg)])
         assert exc.value.code == 2
+
+
+class TestConfigValues:
+    """A config value goes through its flag's own type and choices."""
+
+    def _same_as_flags(self, tmp_path, argv, config, flags):
+        cfg, by_config, by_flags = (tmp_path / f for f in ("c.json", "a.json", "b.json"))
+        cfg.write_text(json.dumps(config))
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(by_config)]) == 0
+        assert run_cli(argv + flags + ["--out", str(by_flags)]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+
+    def test_number_for_a_list_flag(self, tmp_path):
+        self._same_as_flags(
+            tmp_path, ["identities", "--suite", "decomposition", "--samples", "100",
+                       "--models", "euclidean"],
+            {"dim": 3}, ["--dim", "3"])
+
+    def test_string_for_an_int_flag(self, tmp_path):
+        self._same_as_flags(tmp_path, ["kato", "--n", "3", "--p", "2"],
+                            {"samples": "50"}, ["--samples", "50"])
+
+    def test_list_reads_as_the_comma_form(self, tmp_path):
+        self._same_as_flags(
+            tmp_path, ["identities", "--suite", "advection", "--samples", "100",
+                       "--models", "euclidean"],
+            {"dim": [2], "p": [2, 3]}, ["--dim", "2", "--p", "2,3"])
+
+    def test_switch(self, tmp_path):
+        self._same_as_flags(tmp_path, ["classify", "--n", "3", "--p", "2",
+                                       "--alpha", "2"],
+                            {"growth": True, "pure_power": False},
+                            ["--growth", "--no-pure-power"])
+
+    @pytest.mark.parametrize("argv,config", [
+        (["identities"], {"suite": "everything"}),
+        (["harnack"], {"profile": "linear"}),
+        (["kato"], {"samples": "many"}),
+        (["kato"], {"samples": 1.5}),
+        (["identities"], {"dim": "3.5"}),
+        (["bv-sphere"], {"u0": "1:0:-1"}),
+        (["moser"], {"lam": None}),
+        (["moser"], {"n": True}),
+        (["classify", "--n", "3", "--p", "2", "--alpha", "2"], {"growth": "yes"}),
+        (["scan", "--alpha", "1"], {"csv": "table.csv"}),
+        (["bubble"], {"seed": 1}),
+        (["bubble"], {"tol": 1e-30}),
+    ], ids=["suite-choice", "profile-choice", "int-text", "int-float", "ints-text",
+            "floats-step", "null", "bool-for-int", "switch-text", "path-key",
+            "dropped-seed", "dropped-tol"])
+    def test_rejected_value_is_usage_error(self, tmp_path, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.json").exists()
+
+
+# the commands that take no --seed, each with the arguments it requires
+_NO_SEED = {
+    "moser": [], "bubble": [], "scan": ["--alpha", "1"], "bv-sphere": [],
+    "gradient-bound": [], "harnack": [],
+    "classify": ["--n", "3", "--p", "2", "--alpha", "2"],
+    "thresholds": ["--n", "3", "--p", "2"], "volume": [],
+}
+_NO_TOL = [c for c in _NO_SEED if c != "moser"]  # moser reads --tol
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag,command", [
+        *(("--seed", c) for c in _NO_SEED), *(("--tol", c) for c in _NO_TOL),
+    ])
+    def test_unread_flag_is_usage_error(self, capsys, flag, command):
+        parser = cli.build_parser()
+        argv = [command, *_NO_SEED[command]]
+        parser.parse_args(argv)  # valid without the flag
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_pure_power_is_only_switched_off(self, capsys):
+        parser = cli.build_parser()
+        argv = ["classify", "--n", "3", "--p", "2", "--alpha", "2"]
+        assert parser.parse_args(argv).pure_power
+        assert not parser.parse_args(argv + ["--no-pure-power"]).pure_power
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--pure-power"])
+
+    @pytest.mark.parametrize("command,flags", [
+        ("identities", {"seed": 7, "tol": 1e-9}),
+        ("trace-ineq", {"seed": 7, "tol": 1e-9}),
+        ("kato", {"seed": 7, "tol": 1e-9}),
+        ("moser", {"tol": 1e-9}),
+    ], ids=["identities", "trace-ineq", "kato", "moser"])
+    def test_seed_and_tol_where_read(self, command, flags):
+        argv = [command] + [t for k, v in flags.items() for t in (f"--{k}", str(v))]
+        args = vars(cli.build_parser().parse_args(argv))
+        assert {k: args[k] for k in flags} == flags
+        assert ("seed" in args) == ("seed" in flags)
+
+    def test_suite_choices_are_the_suite_table(self):
+        parser = cli.build_parser()
+        for suite in ["all", *cli._SUITES]:
+            assert parser.parse_args(["identities", "--suite", suite]).suite == suite
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("emdenlab ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_examples_parse(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
+def test_readme_lists_every_command():
+    [commands] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert sorted(argv[0] for argv in _readme_commands()) == sorted(commands.choices)
+
+
+def test_one_version_string():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert pyproject["project"]["version"] == TOOL_VERSION == emdenlab.__version__
 
 
 class TestOtherCommands:

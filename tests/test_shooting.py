@@ -9,6 +9,7 @@ from emdenlab import shooting as S
 from emdenlab.errors import PreconditionError
 from emdenlab.exponents import ReactionTerm, critical_exponent, emden_bubble
 from emdenlab.geometry import euclidean
+from emdenlab.reports import RunReport
 
 
 class TestShoot:
@@ -69,6 +70,50 @@ class TestLiouvilleScan:
         for cell in table["cells"]:
             assert cell["outcome"] == "stayed_positive"
             assert abs(cell["tail_exponent"] + 1.0) <= 0.05
+
+
+class TestScanVerdicts:
+    """Each scan sets its own pass flag, so a library caller's RunReport
+    reads the same verdict as the CLI."""
+
+    @staticmethod
+    def passed(result):
+        return RunReport(config={}, results=[result]).passed
+
+    def test_clean_dichotomy_passes(self):
+        assert self.passed(S.liouville_scan(3, 2.0, [1.0, 3.0], [0.5, 1.0],
+                                            horizon=200.0))
+
+    def test_error_cell_fails(self):
+        table = S.liouville_scan(3, 2.0, [3.0], [-1.0, 1.0], horizon=50.0)
+        assert [c["outcome"] for c in table["cells"]] == ["error", "crossed_zero"]
+        assert not self.passed(table)
+
+    def test_empty_table_fails(self):
+        assert not self.passed(S.liouville_scan(3, 2.0, [3.0], [], horizon=50.0))
+
+    def test_broken_dichotomy_fails(self, monkeypatch):
+        stays = S.ShootOutcome("stayed_positive")
+        monkeypatch.setattr(S, "shoot", lambda *args, **kwargs: stays)
+        assert not self.passed(S.liouville_scan(3, 2.0, [3.0], [1.0]))
+
+    def test_sphere_unique_constant_passes(self):
+        rep = S.bv_sphere_scan(3, 3.0, 1.0, [0.7, 1.3])
+        assert rep["regular_u0"] == [pytest.approx(1.0, abs=1e-6)]
+        assert self.passed(rep) and "flag" not in rep
+
+    def test_sphere_without_the_constant_fails(self):
+        rep = S.bv_sphere_scan(3, 3.0, 1.0, [1.5, 2.0])
+        assert rep["hypotheses"]["within_theorem"] and rep["regular_u0"] == []
+        assert not self.passed(rep)
+        assert not self.passed(S.bv_sphere_scan(3, 3.0, 1.0, []))
+
+    def test_sphere_exploration_is_flagged(self):
+        rep = S.bv_sphere_scan(3, 5.0, 0.75, [0.5, 0.8])
+        assert not rep["hypotheses"]["within_theorem"]
+        assert rep["flag"] == "outside theorem hypotheses (exploration mode)"
+        assert self.passed(rep)
+        assert not self.passed(S.bv_sphere_scan(3, 5.0, 0.75, []))
 
 
 class TestBubbleMatch:
