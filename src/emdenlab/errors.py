@@ -20,10 +20,6 @@ class SingularJetError(EmdenLabError):
 class NumericalError(EmdenLabError):
     """A quadrature or integration step failed to reach its tolerance."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class CapabilityError(EmdenLabError):
     """A derivative order or feature is not available for this input."""

@@ -18,7 +18,7 @@ their constants are existence-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,7 @@ from scipy.integrate import quad
 from .errors import InputError, NumericalError, PreconditionError
 from .exponents import HarnackConfig
 from .geometry import ball_volume, euclidean, unit_sphere_area
+from .jets import _radial_p_laplacian
 
 __all__ = [
     "LogGradientProfile",
@@ -53,7 +54,6 @@ class LogGradientProfile:
     limit_estimate: float
     certified: bool
     residual_max: float
-    meta: dict = field(default_factory=dict)
 
 
 def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
@@ -92,24 +92,18 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
 
     u = np.empty_like(grid)
     # integrate the tail piecewise from the right for stability
-    tail, err = quad(integrand, grid[-1], np.inf, epsabs=0.0, epsrel=1e-12)
+    tail, _ = quad(integrand, grid[-1], np.inf, epsabs=0.0, epsrel=1e-12)
     if not np.isfinite(tail) or tail <= 0:
         raise NumericalError("tail quadrature failed")
     u[-1] = tail
     for i in range(len(grid) - 2, -1, -1):
-        seg, serr = quad(integrand, grid[i], grid[i + 1], epsabs=0.0, epsrel=1e-12)
-        err += serr
+        seg, _ = quad(integrand, grid[i], grid[i + 1], epsabs=0.0, epsrel=1e-12)
         u[i] = u[i + 1] + seg
     du = -np.sinh(sq * grid) ** (-beta)
     ddu = beta * sq * np.cosh(sq * grid) * np.sinh(sq * grid) ** (-beta - 1.0)
-    # plug into the radial p-Laplacian
     coth = np.cosh(sq * grid) / np.sinh(sq * grid)
-    core = (p - 1.0) * ddu + (n - 1) * sq * coth * du
-    scale = np.abs((p - 1.0) * ddu) + np.abs((n - 1) * sq * coth * du)
-    residual = np.abs(np.abs(du) ** (p - 2.0) * core) / (
-        np.abs(du) ** (p - 2.0) * scale
-    )
-    res_max = float(residual.max())
+    plap, scale = _radial_p_laplacian(p, du, ddu, (n - 1) * sq * coth * du)
+    res_max = float((np.abs(plap) / scale).max())
     g = np.abs(du) / u
     sup_g = float(g.max())
     # tail extrapolation of the increasing log-gradient on 1/r
@@ -124,14 +118,6 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
         limit_estimate=float(intercept),
         certified=res_max <= 1e-9,
         residual_max=res_max,
-        meta={
-            "n": n,
-            "p": p,
-            "kappa": kappa,
-            "reaction": "zero",
-            "delta0": 0.0,
-            "quad_err": err,
-        },
     )
 
 
@@ -314,14 +300,8 @@ def certify_p_superharmonic(spec: RadialProfileSpec, n: int, p: float,
     """
     r = np.linspace(1e-6, r_max, _CERTIFY_POINTS)
     du = spec.du(r)
-    ddu = spec.ddu(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        core = (p - 1.0) * ddu + (n - 1) * du / r
-        plap = np.abs(du) ** (p - 2.0) * core
+    plap, scale = _radial_p_laplacian(p, du, spec.ddu(r), (n - 1) * du / r)
     plap = np.where(np.abs(du) > 0, plap, 0.0)
-    scale = np.abs(du) ** (p - 2.0) * (
-        np.abs((p - 1.0) * ddu) + np.abs((n - 1) * du / r)
-    )
     scale = np.where(np.abs(du) > 0, scale, 1.0)
     margin = -plap / np.maximum(scale, 1e-30)
     ok = bool(np.all(margin >= -_CERTIFY_TOL)

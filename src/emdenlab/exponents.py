@@ -11,6 +11,10 @@ surrounding literature, the subcriticality conditions on a reaction
 term f, a decision procedure reproducing the Liouville theorems'
 hypotheses, and the bubble with its pointwise residual.
 
+The conditions on f are sampled, not proved: each is judged on the
+fixed grid of 1200 geometric points in [1e-6, 1e6], and a reaction term
+whose f or f' is not finite somewhere on that grid is rejected.
+
 Infinite thresholds are genuine IEEE infinities (math.inf), never
 sentinel magnitudes; comparisons against them are total.
 """
@@ -18,9 +22,9 @@ sentinel magnitudes; comparisons against them are total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -121,48 +125,25 @@ def threshold_table(n: int, p: float):
 
 @dataclass(frozen=True)
 class ReactionTerm:
-    """The nonlinearity f with derivative, family tag and metadata.
+    """The nonlinearity f with its derivative f' and sign class.
 
-    family in {pure_power, power_log, two_power, rational,
-    linear_minus_power, zero, custom}.  ``alpha`` is the declared
-    subcritical exponent; ``sign_class`` one of nonnegative / positive /
-    nonpositive / mixed.  ``margin`` evaluates alpha*f(t) - t*f'(t)
-    analytically when the family admits a closed form (closing the gap
-    the sampling grid leaves open).
+    ``sign_class`` is one of nonnegative / positive / nonpositive /
+    mixed.  The conditions on f below read only ``f`` and ``fprime``,
+    sampled on one fixed grid.
     """
 
-    family: str
-    alpha: float
     f: Callable
     fprime: Callable
     sign_class: str
-    params: dict = field(default_factory=dict)
-    margin: Optional[Callable] = None
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def pure_power(alpha: float) -> "ReactionTerm":
         return ReactionTerm(
-            "pure_power",
-            alpha,
             lambda t: np.power(t, alpha),
             lambda t: alpha * np.power(t, alpha - 1.0),
             "nonnegative" if alpha <= 0 else "positive",
-            {"alpha": alpha},
-            margin=lambda t, a: (a - alpha) * np.power(t, alpha),
-        )
-
-    @staticmethod
-    def negated_power(alpha: float) -> "ReactionTerm":
-        return ReactionTerm(
-            "negated_power",
-            alpha,
-            lambda t: -np.power(t, alpha),
-            lambda t: -alpha * np.power(t, alpha - 1.0),
-            "nonpositive",
-            {"alpha": alpha},
-            margin=lambda t, a: -(a - alpha) * np.power(t, alpha),
         )
 
     @staticmethod
@@ -176,16 +157,8 @@ class ReactionTerm:
                 alpha * lg + beta * t / (1.0 + t)
             )
 
-        def margin(t, a):
-            lg = np.log1p(t)
-            return np.power(t, alpha) * lg ** (beta - 1.0) * (
-                (a - alpha) * lg - beta * t / (1.0 + t)
-            )
-
         return ReactionTerm(
-            "power_log", alpha, f, fp,
-            "nonnegative" if beta <= 0 or alpha > 0 else "mixed",
-            {"alpha": alpha, "beta": beta}, margin=margin,
+            f, fp, "nonnegative" if beta <= 0 or alpha > 0 else "mixed"
         )
 
     @staticmethod
@@ -199,12 +172,7 @@ class ReactionTerm:
             )
 
         sign = "positive" if a_coef >= 0 and alpha > 0 and beta > 0 else "mixed"
-        return ReactionTerm(
-            "two_power", alpha, f, fp, sign,
-            {"alpha": alpha, "a": a_coef, "beta": beta},
-            margin=lambda t, a: (a - alpha) * np.power(t, alpha)
-            + a_coef * (a - beta) * np.power(t, beta),
-        )
+        return ReactionTerm(f, fp, sign)
 
     @staticmethod
     def rational(alpha: float, beta: float) -> "ReactionTerm":
@@ -217,39 +185,21 @@ class ReactionTerm:
                 1.0 + tb
             ) ** 2
 
-        def margin(t, a):
-            tb = np.power(t, beta)
-            return np.power(t, alpha) * ((a - alpha) * (1.0 + tb) + beta * tb) / (
-                1.0 + tb
-            ) ** 2
-
-        return ReactionTerm(
-            "rational", alpha, f, fp,
-            "positive" if alpha > 0 else "nonnegative",
-            {"alpha": alpha, "beta": beta}, margin=margin,
-        )
+        return ReactionTerm(f, fp, "positive" if alpha > 0 else "nonnegative")
 
     @staticmethod
     def linear_minus_power(q: float, lam: float) -> "ReactionTerm":
         """f(t) = t^q - lam t (the closed-manifold scan nonlinearity)."""
         return ReactionTerm(
-            "linear_minus_power",
-            q,
             lambda t: np.power(t, q) - lam * t,
             lambda t: q * np.power(t, q - 1.0) - lam,
             "mixed",
-            {"q": q, "lam": lam},
-            margin=lambda t, a: (a - q) * np.power(t, q) + lam * (1.0 - a) * t,
         )
 
     @staticmethod
     def zero() -> "ReactionTerm":
         z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        return ReactionTerm("zero", 0.0, z, z, "nonnegative", {}, margin=lambda t, a: z(t))
-
-    @staticmethod
-    def custom(f, fprime, alpha, sign_class="mixed") -> "ReactionTerm":
-        return ReactionTerm("custom", alpha, f, fprime, sign_class, {})
+        return ReactionTerm(z, z, "nonnegative")
 
     # -- evaluation helpers ----------------------------------------------
 
@@ -277,72 +227,60 @@ class ReactionTerm:
 # subcriticality conditions
 # ----------------------------------------------------------------------
 
-_GRID_LO, _GRID_HI, _GRID_POINTS = 1e-6, 1e6, 1200
+#: every condition on f is judged on these t > 0 (read-only: the
+#: reaction term's own closures receive this array)
+_GRID = np.geomspace(1e-6, 1e6, 1200)
+_GRID.setflags(write=False)
+#: minimal_delta0 bisects on [_DELTA0_FLOOR, 1) down to this width
+_DELTA0_FLOOR = -8.0
+_DELTA0_TOL = 1e-9
 
 
-def condition_grid(lo=_GRID_LO, hi=_GRID_HI, num=_GRID_POINTS):
-    return np.geomspace(lo, hi, num)
+def _on_grid(term: ReactionTerm):
+    """f and f' on the grid, each evaluated once; non-finite values fail."""
+    with np.errstate(all="ignore"):
+        ft = term(_GRID)
+        fpt = term.deriv(_GRID)
+    if not (np.all(np.isfinite(ft)) and np.all(np.isfinite(fpt))):
+        raise InputError("reaction term evaluator returned non-finite values")
+    return ft, fpt
 
 
-def is_subcritical(term: ReactionTerm, alpha: float, grid=None):
-    """Grid verdict of  alpha f(t) - t f'(t) >= 0  for all t > 0.
-
-    Returns (ok, witness): witness is the first failing t (None when
-    ok).  The margin tolerance is -1e-12 relative to the term sizes;
-    families with a closed-form margin use it directly (the analytic
-    route covers the stationary points the grid could miss).
-    """
-    if grid is None:
-        grid = condition_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 3 or np.any(grid <= 0):
-        raise PreconditionError("grid must contain positive points")
-    if term.margin is not None:
-        m = term.margin(grid, alpha)
-        scale = np.abs(alpha * term(grid)) + np.abs(grid * term.deriv(grid))
-    else:
-        ft = term(grid)
-        fpt = term.deriv(grid)
-        if np.any(~np.isfinite(ft)) or np.any(~np.isfinite(fpt)):
-            raise InputError("reaction term evaluator returned non-finite values")
-        m = alpha * ft - grid * fpt
-        scale = np.abs(alpha * ft) + np.abs(grid * fpt)
+def _verdict(m, scale):
+    """(ok, witness): a grid point fails where m < -1e-12 * scale, and
+    the witness is the first failing t (None when ok)."""
     bad = m < -1e-12 * scale
     if np.any(bad):
-        return False, float(grid[np.argmax(bad)])
+        return False, float(_GRID[np.argmax(bad)])
     return True, None
 
 
-def f2_margin(term: ReactionTerm, delta0: float, n: int, p: float, grid):
-    """LHS of the gradient-estimate condition on f at delta0."""
-    ft = term(grid)
-    fpt = term.deriv(grid)
-    return (p - 1.0) / (n - 1.0) * ((n + 1) * ft + 2.0 * delta0 * np.abs(ft)) - grid * fpt
+def is_subcritical(term: ReactionTerm, alpha: float):
+    """Grid verdict of  alpha f(t) - t f'(t) >= 0  for all t > 0.
+
+    Returns (ok, witness) as _verdict does, with the margin measured
+    against |alpha f| + |t f'|.  Raises InputError when f or f' is not
+    finite somewhere on the grid.
+    """
+    ft, fpt = _on_grid(term)
+    return _verdict(alpha * ft - _GRID * fpt, np.abs(alpha * ft) + np.abs(_GRID * fpt))
 
 
-def satisfies_f2(term: ReactionTerm, delta0: float, n: int, p: float, grid=None):
+def _f2_verdict(ft, fpt, delta0: float, n: int, p: float):
+    """The delta0-condition on the grid values of f and f'."""
+    m = (p - 1.0) / (n - 1.0) * ((n + 1) * ft + 2.0 * delta0 * np.abs(ft)) - _GRID * fpt
+    scale = np.abs(ft) * (n + 3) * (p - 1) / (n - 1) + np.abs(_GRID * fpt)
+    return _verdict(m, scale)
+
+
+def satisfies_f2(term: ReactionTerm, delta0: float, n: int, p: float):
     """Grid verdict of the delta0-condition; returns (ok, witness)."""
     if delta0 >= 1:
         raise PreconditionError("delta0 must be < 1")
-    if grid is None:
-        grid = condition_grid()
-    grid = np.asarray(grid, dtype=float)
-    ft = term(grid)
-    fpt = term.deriv(grid)
-    if np.any(~np.isfinite(ft)) or np.any(~np.isfinite(fpt)):
-        raise InputError("reaction term evaluator returned non-finite values")
-    m = f2_margin(term, delta0, n, p, grid)
-    scale = np.abs(ft) * (n + 3) * (p - 1) / (n - 1) + np.abs(grid * fpt)
-    bad = m < -1e-12 * scale
-    if np.any(bad):
-        return False, float(grid[np.argmax(bad)])
-    return True, None
+    return _f2_verdict(*_on_grid(term), delta0, n, p)
 
 
-_DELTA0_FLOOR = -8.0
-
-
-def minimal_delta0(term: ReactionTerm, n: int, p: float, grid=None, tol=1e-9):
+def minimal_delta0(term: ReactionTerm, n: int, p: float):
     """Least delta0 on a bisection grid making the condition hold.
 
     The condition is monotone in delta0 (the +2 delta0 |f| term), so
@@ -350,17 +288,20 @@ def minimal_delta0(term: ReactionTerm, n: int, p: float, grid=None, tol=1e-9):
     condition already holds there, or None when it fails for every
     delta0 < 1.
     """
-    if grid is None:
-        grid = condition_grid()
+    ft, fpt = _on_grid(term)
+
+    def holds(delta0):
+        return _f2_verdict(ft, fpt, delta0, n, p)[0]
+
     hi = 1.0 - 1e-12
-    if not satisfies_f2(term, hi, n, p, grid)[0]:
+    if not holds(hi):
         return None
     lo = _DELTA0_FLOOR
-    if satisfies_f2(term, lo, n, p, grid)[0]:
+    if holds(lo):
         return lo
-    while hi - lo > tol:
+    while hi - lo > _DELTA0_TOL:
         mid = 0.5 * (lo + hi)
-        if satisfies_f2(term, mid, n, p, grid)[0]:
+        if holds(mid):
             hi = mid
         else:
             lo = mid

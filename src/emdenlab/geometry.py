@@ -288,9 +288,7 @@ def ball_volume(model: ManifoldModel, radius: float) -> float:
     val, err = quad(integrand, 0.0, radius, epsabs=1e-14, epsrel=_QUAD_EPSREL, limit=200)
     vol = unit_sphere_area(n) * val
     if err * unit_sphere_area(n) > _QUAD_EPSABS_SCALE * max(vol, 1e-30):
-        raise NumericalError(
-            f"ball volume quadrature did not converge (err={err:g})", achieved=err
-        )
+        raise NumericalError(f"ball volume quadrature did not converge (err={err:g})")
     return vol
 
 

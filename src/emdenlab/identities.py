@@ -224,15 +224,12 @@ def solution_batch(sol: RadialSolution, samples: int = 400) -> SampleBatch:
         model, r, u, u1, u2, u3,
         meta={"model": model.name, "dim": model.dim},
     )
-    p = sol.p
-    cot = batch.engine.cot
-    gn = np.abs(u1) ** (p - 2.0)
-    plap = gn * ((p - 1.0) * u2 + (model.dim - 1) * cot * u1)
-    scale = gn * (
-        np.abs((p - 1.0) * u2) + np.abs((model.dim - 1) * cot * u1)
-    ) + np.abs(sol.term(u)) + 1e-30
-    worst = float(np.max(np.abs(plap + sol.term(u)) / scale))
-    if worst > 1e-6:
+    plap, scale = J._radial_p_laplacian(
+        sol.p, u1, u2, (model.dim - 1) * batch.engine.cot * u1
+    )
+    fu = sol.term(u)
+    worst = float(np.max(np.abs(plap + fu) / (scale + np.abs(fu) + 1e-30)))
+    if not worst <= 1e-6:
         raise PreconditionError(
             f"field is not a certified solution (equation residual {worst:g})"
         )

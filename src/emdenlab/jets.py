@@ -92,6 +92,21 @@ def p_laplacian(g, h, p):
     return gn ** (p - 2.0) * laplacian(h) + (p - 2.0) * gn ** (p - 4.0) * inf_laplacian(g, h)
 
 
+def _radial_p_laplacian(p, du, ddu, drift):
+    """Radial p-Laplacian |u'|^{p-2} ((p-1) u'' + drift) and its scale.
+
+    ``drift`` is the first-order part (n-1) (psi'/psi) u', in whatever
+    form the caller holds it; the scale |u'|^{p-2} (|(p-1) u''| + |drift|)
+    is what a residual is measured against.  Where u' = 0 and p < 2 both
+    are non-finite (computed without warnings); callers mask or reject
+    those points.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gn = np.abs(du) ** (p - 2.0)
+        lead = (p - 1.0) * ddu
+        return gn * (lead + drift), gn * (np.abs(lead) + np.abs(drift))
+
+
 # ----------------------------------------------------------------------
 # anisotropy operator
 # ----------------------------------------------------------------------

@@ -499,9 +499,6 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
             else:
                 hi = mid["u0"]
             if abs(hi - lo) < 1e-10 * max(1.0, abs(lo)):
-                last = _bv_single(model, q, lam, lo, rtol, atol)
-                if _is_regular(last):
-                    found = {"u0": last["u0"], "residual": last["residual"]}
                 break
         if found is not None:
             roots.append(found)

@@ -398,12 +398,13 @@ class TestOtherCommands:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
-        # the child imports the same emdenlab as this process
+        # the child imports the same emdenlab as this process and, like
+        # this one, treats warnings as errors
         src = str(Path(emdenlab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "emdenlab.cli", "classify", "--n", "3",
-             "--p", "2", "--alpha", "1.0"],
+            [sys.executable, "-W", "error", "-m", "emdenlab.cli", "classify",
+             "--n", "3", "--p", "2", "--alpha", "1.0"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0

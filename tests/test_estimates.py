@@ -114,6 +114,12 @@ class TestHarnackRatios:
         rep = E.weak_harnack_ratio("smoothed_cap", 3, 2.0, 2.0)
         assert rep["pass"]
 
+    def test_constant_profile_certifies_below_p2(self):
+        # u' = 0 everywhere, so |u'|^{p-2} is infinite at p < 2: the
+        # certificate masks those points without a floating-point warning
+        cert = E.certify_p_superharmonic(E.named_profile("constant"), 3, 1.5, 10.0)
+        assert cert["certified"] and cert["worst_margin"] == 0.0
+
     def test_q_window_enforced(self):
         with pytest.raises(PreconditionError):
             E.weak_harnack_ratio("constant", 3, 2.0, 3.0)  # (p-1)chi = 3

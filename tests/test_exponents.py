@@ -62,8 +62,6 @@ class TestThresholdTable:
 class TestSubcriticality:
     def test_pure_power_zero_margin(self):
         term = E.ReactionTerm.pure_power(2.5)
-        grid = E.condition_grid()
-        np.testing.assert_array_equal(term.margin(grid, 2.5), np.zeros_like(grid))
         assert E.is_subcritical(term, 2.5)[0]
 
     def test_power_log_family(self):
@@ -99,11 +97,73 @@ class TestSubcriticality:
         assert ok == (alpha_test >= alpha)
 
     def test_nan_evaluator_rejected(self):
-        term = E.ReactionTerm.custom(
-            lambda t: np.where(t > 1, np.nan, t), lambda t: np.ones_like(t), 1.0
+        term = E.ReactionTerm(
+            lambda t: np.where(t > 1, np.nan, t), lambda t: np.ones_like(t), "mixed"
         )
         with pytest.raises(InputError):
             E.is_subcritical(term, 1.0)
+
+    def test_overflow_rejected(self):
+        # t^60 overflows on the top of the grid [1e-6, 1e6]
+        term = E.ReactionTerm.pure_power(60.0)
+        with pytest.raises(InputError):
+            E.is_subcritical(term, 60.0)
+        with pytest.raises(InputError):
+            E.satisfies_f2(term, 0.0, 3, 2.0)
+        with pytest.raises(InputError):
+            E.minimal_delta0(term, 3, 2.0)
+
+
+#: every constructor with a hand-written f', at one or two parameter points
+KEPT_TERMS = {
+    "pure_power(2.5)": E.ReactionTerm.pure_power(2.5),
+    "pure_power(-1)": E.ReactionTerm.pure_power(-1.0),
+    "power_log(2,-1)": E.ReactionTerm.power_log(2.0, -1.0),
+    "power_log(2,0.5)": E.ReactionTerm.power_log(2.0, 0.5),
+    "two_power(3,1,2)": E.ReactionTerm.two_power(3.0, 1.0, 2.0),
+    "two_power(2,-1,1.5)": E.ReactionTerm.two_power(2.0, -1.0, 1.5),
+    "rational(3,2)": E.ReactionTerm.rational(3.0, 2.0),
+    "rational(1,3)": E.ReactionTerm.rational(1.0, 3.0),
+    "linear_minus_power(5,1)": E.ReactionTerm.linear_minus_power(5.0, 1.0),
+    "zero": E.ReactionTerm.zero(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_TERMS))
+def test_fprime_matches_central_difference(name):
+    term = KEPT_TERMS[name]
+    t = np.geomspace(1e-3, 1e3, 61)
+    h = 1e-5 * t
+    fd = (term(t + h) - term(t - h)) / (2.0 * h)
+    scale = np.abs(term.deriv(t)) + np.abs(term(t)) / t
+    np.testing.assert_array_less(np.abs(fd - term.deriv(t)), 1e-6 * scale + 1e-300)
+
+
+def _counting(term):
+    calls = {"f": 0, "fprime": 0}
+
+    def f(t):
+        calls["f"] += 1
+        return term.f(t)
+
+    def fprime(t):
+        calls["fprime"] += 1
+        return term.fprime(t)
+
+    return E.ReactionTerm(f, fprime, term.sign_class), calls
+
+
+class TestOneGridPass:
+    def test_satisfies_f2_evaluates_once(self):
+        term, calls = _counting(E.ReactionTerm.pure_power(2.5))
+        E.satisfies_f2(term, 0.0, 3, 2.0)
+        assert calls == {"f": 1, "fprime": 1}
+
+    def test_minimal_delta0_evaluates_once(self):
+        # 2.5 at (3, 2) needs the full bisection (answer 0.5)
+        term, calls = _counting(E.ReactionTerm.pure_power(2.5))
+        assert E.minimal_delta0(term, 3, 2.0) == pytest.approx(0.5, abs=1e-8)
+        assert calls == {"f": 1, "fprime": 1}
 
 
 class TestDelta0Condition:
