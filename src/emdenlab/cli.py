@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimates, exponents, identities, shooting
+from . import exponents, identities, shooting
 from .errors import EmdenLabError
 from .geometry import bishop_gromov_check, ball_volume, model_from_name
 from .reports import RunReport, TOOL_VERSION
@@ -353,6 +353,8 @@ def _run_bv_sphere(args) -> list:
 
 
 def _run_gradient_bound(args) -> list:
+    from . import estimates
+
     results = []
     csv_rows = []
     for n in args.n:
@@ -378,6 +380,8 @@ def _run_gradient_bound(args) -> list:
 
 
 def _run_harnack(args) -> list:
+    from . import estimates
+
     results = []
     if args.principle in ("weak-harnack", "both"):
         results.append(

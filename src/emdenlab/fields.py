@@ -91,11 +91,19 @@ class FieldTerm:
 
 
 def _shifted_square(coords, center):
-    out = None
-    for x, c in zip(coords, center):
-        s = (x - c) * (x - c)
-        out = s if out is None else out + s
-    return out
+    """Jet of |x - c|^2 at the coordinate jets: (|d|^2, 2d, 2I, 0), d = x - c.
+
+    The value is summed in coordinate order, so it is bit-identical to
+    the sum of the Jet3 products (x_i - c_i) * (x_i - c_i).
+    """
+    d = [x.v - c for x, c in zip(coords, center)]
+    v = d[0] * d[0]
+    for di in d[1:]:
+        v = v + di * di
+    dim = len(d)
+    h = np.zeros(v.shape + (dim, dim))
+    h[..., range(dim), range(dim)] = 2.0
+    return Jet3(v, 2.0 * np.stack(d, axis=-1), h, np.zeros(v.shape + (dim,) * 3))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericalError, PreconditionError
 
@@ -277,6 +276,8 @@ def ball_volume(model: ManifoldModel, radius: float) -> float:
     Adaptive quadrature; raises NumericalError if the achieved absolute
     error exceeds 1e-10 times the value.
     """
+    from scipy.integrate import quad
+
     if not (0 < radius <= model.r_max):
         raise DomainError("ball radius outside (0, r_max]")
     n = model.dim

@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+# numpy loads numpy.random lazily; load it with this module, not at the first draw
+from numpy.random import Generator, Philox
 
 from . import jets as J
 from .divergence import EuclideanEngine, RadialEngine
@@ -119,7 +121,7 @@ class SampleBatch:
 
 
 def _rng(seed: int):
-    return np.random.Generator(np.random.Philox(seed))
+    return Generator(Philox(seed))
 
 
 def _require_samples(samples: int):

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError, PreconditionError
 from .exponents import ReactionTerm, critical_exponent, emden_bubble
@@ -153,6 +152,17 @@ def _series_start(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
     warp_integral = r0**n / n + (n - 1) * c * r0 ** (n + 2) / (6.0 * (n + 2))
     m_r0 = -f0 * warp_integral
     return u_r0, m_r0
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the first solve.
+
+    A module-level name, so that a caller can wrap the solver to count
+    solves (the tests and the benchmark's tracer do).
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,

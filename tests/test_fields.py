@@ -12,6 +12,8 @@ from emdenlab.fields import (
     random_field,
     random_radial_profile,
 )
+from emdenlab.fields import _shifted_square
+from emdenlab.taylor import jet3_coords
 
 RNG = lambda seed: np.random.default_rng(np.random.Philox(seed))
 
@@ -131,6 +133,21 @@ class TestRandomFields:
         f2 = random_field(RNG(5), 3)
         pts = RNG(6).uniform(-1, 1, size=(10, 3))
         np.testing.assert_array_equal(f1.value(pts), f2.value(pts))
+
+
+class TestShiftedSquare:
+    @pytest.mark.parametrize("dim", (2, 3, 4, 6))
+    def test_closed_form_is_the_product_form(self, dim):
+        rng = RNG(dim)
+        coords = jet3_coords(rng.uniform(-1.6, 1.6, size=(50, dim)))
+        center = tuple(rng.uniform(-1.0, 1.0, size=dim))
+        ref = None
+        for x, c in zip(coords, center):
+            s = (x - c) * (x - c)
+            ref = s if ref is None else ref + s
+        out = _shifted_square(coords, center)
+        for part in ("v", "g", "h", "t"):
+            assert np.array_equal(getattr(out, part), getattr(ref, part)), part
 
 
 class TestRadialProfiles:
