@@ -304,8 +304,7 @@ def certify_p_superharmonic(spec: RadialProfileSpec, n: int, p: float,
     plap = np.where(np.abs(du) > 0, plap, 0.0)
     scale = np.where(np.abs(du) > 0, scale, 1.0)
     margin = -plap / np.maximum(scale, 1e-30)
-    ok = bool(np.all(margin >= -_CERTIFY_TOL)
-              or np.all(plap <= _CERTIFY_TOL * np.maximum(scale, 1e-30)))
+    ok = bool(np.all(margin >= -_CERTIFY_TOL))
     return {
         "profile": spec.name,
         "n": n,

@@ -12,9 +12,17 @@ series expansion on [0, r0], r0 = 1e-4:
     u(r)  ~ u0 - sign(f0) ((p-1)/p) (|f0|/n)^{1/(p-1)} r^{p/(p-1)}
     m(r)  ~ -f0 (r^n/n) (1 + model curvature correction),   f0 = f(u0),
 
-then hands off to an adaptive embedded Runge-Kutta method (DOP853) with
-dense output; a zero crossing of u is located by the integrator's event
-root-finding on the dense output.
+then hands off to DOP853, the adaptive embedded Runge-Kutta method of
+order 8, in ``solve_ivp``.  That stepper is scipy's algorithm (its
+tableau, read from scipy at the first solve, its initial step, error
+norm, step-size control and statuses) written for the two-component
+state on plain Python floats, so a step costs the right-hand side and a
+few float sums instead of numpy calls on tiny arrays.  It stops at the
+first downward zero crossing of u, located by brentq on that step's
+interpolant, and it fails closed on a non-finite state.  The dense
+output is built lazily: a step's three extra stages and interpolant rows
+are computed only when a radius in that step is read (the crossing step,
+``shoot``'s tail fit, ``RadialSolution`` queries).
 
 That computation lives in one place, ``_integrate``.  Its three callers
 only choose the interval and read the result: ``shoot`` classifies the
@@ -28,7 +36,9 @@ only within the radial class; see ``RADIAL_WITNESS_NOTE``.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -154,44 +164,317 @@ def _series_start(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
     return u_r0, m_r0
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported at the first solve.
+# ----------------------------------------------------------------------
+# the DOP853 stepper
+# ----------------------------------------------------------------------
 
-    A module-level name, so that a caller can wrap the solver to count
-    solves (the tests and the benchmark's tracer do).
+# scipy.integrate's DOP853 step control and messages
+_EPS = sys.float_info.epsilon
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_MESSAGES = {
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+}
+
+
+@functools.cache
+def _tableau():
+    """DOP853's coefficients, read from scipy at the first solve.
+
+    Returns (stages, weights, extra, dense) as tuples of Python floats;
+    every row lists only its nonzero entries as (j, coefficient) over the
+    stages K_j:
+      stages  (c_s, row) for stages 1..11 of a step;
+      weights (j, b_j, e5_j, e3_j): the new state and the two error
+              estimates;
+      extra   (c_s, row) for dense stages 13..15 (K_12 is f at the step's
+              end);
+      dense   the four rows of D that give the interpolant's F[3:].
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate._ivp import dop853_coefficients as co
 
-    return solve_ivp(*args, **kwargs)
+    def nonzero(row):
+        return tuple((j, float(a)) for j, a in enumerate(row) if a != 0)
+
+    def stages(first, last):
+        return tuple((float(co.C[s]), nonzero(co.A[s, :s])) for s in range(first, last))
+
+    weights = tuple(
+        (j, float(co.B[j]), float(co.E5[j]), float(co.E3[j]))
+        for j in range(co.N_STAGES)
+        if co.B[j] != 0 or co.E5[j] != 0 or co.E3[j] != 0
+    )
+    return (stages(1, co.N_STAGES), weights,
+            stages(co.N_STAGES + 1, co.N_STAGES_EXTENDED), tuple(map(nonzero, co.D)))
 
 
-def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
-               r_start: float, r_end: float, rtol: float, atol: float):
-    """The radial solve: series start at r_start, then DOP853 on the flux
-    form up to r_end, stopping at the first downward zero crossing of u.
+def _combine(coefs, ku, km):
+    """sum_j a_j K_j over one row, for both components."""
+    su = sm = 0.0
+    for j, a in coefs:
+        su += a * ku[j]
+        sm += a * km[j]
+    return su, sm
 
-    Returns scipy's solution object with dense output.
+
+def _rms(a, b):
+    """scipy's RMS norm of a two-component vector."""
+    return math.sqrt(a * a + b * b) / 2**0.5
+
+
+def _initial_step(rhs, t, u, m, fu, fm, r_end, rtol, atol):
+    """scipy's select_initial_step for order-7 error control."""
+    su, sm = atol + abs(u) * rtol, atol + abs(m) * rtol
+    d0, d1 = _rms(u / su, m / sm), _rms(fu / su, fm / sm)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, r_end - t)
+    gu, gm = rhs(t + h0, u + h0 * fu, m + h0 * fm)
+    d2 = _rms((gu - fu) / su, (gm - fm) / sm) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, r_end - t)
+
+
+class _DenseOutput:
+    """DOP853's interpolant over the accepted steps (scipy's
+    Dop853DenseOutput), built for a step only when a radius in it is read:
+    its three extra stages and seven F rows cost three evaluations of the
+    right-hand side.  Called with radii it returns (u, m) as scipy's
+    OdeSolution does: the step holding each radius is the first whose end
+    is not below it, and radii outside the solve use the end steps.
     """
+
+    def __init__(self, rhs, steps):
+        self._rhs = rhs
+        self._steps = steps  # (t, h, u, m, u_new, m_new, ku, km) per step
+        self._rows = {}
+        self.ts = None  # the step boundaries, set when the solve ends
+
+    @property
+    def built(self) -> int:
+        return len(self._rows)
+
+    def _row(self, i):
+        """(t, h, u, m, F) of step i, F as seven (u, m) rows."""
+        row = self._rows.get(i)
+        if row is not None:
+            return row
+        t, h, u, m, u_new, m_new, ku, km = self._steps[i]
+        _, _, extra, dense = _tableau()
+        ku, km = list(ku), list(km)
+        with np.errstate(all="ignore"):
+            for c, coefs in extra:
+                su, sm = _combine(coefs, ku, km)
+                du, dm = self._rhs(t + c * h, u + su * h, m + sm * h)
+                ku.append(du)
+                km.append(dm)
+        dyu, dym = u_new - u, m_new - m
+        F = [(dyu, dym), (h * ku[0] - dyu, h * km[0] - dym),
+             (2 * dyu - h * (ku[12] + ku[0]), 2 * dym - h * (km[12] + km[0]))]
+        for coefs in dense:
+            su, sm = _combine(coefs, ku, km)
+            F.append((h * su, h * sm))
+        row = self._rows[i] = (t, h, u, m, tuple(F))
+        return row
+
+    def at(self, i, r):
+        """(u, m) at the scalar radius r from step i's interpolant."""
+        t, h, u, m, F = self._row(i)
+        x = (r - t) / h
+        yu = ym = 0.0
+        for k, (fu, fm) in enumerate(reversed(F)):
+            w = x if k % 2 == 0 else 1 - x
+            yu = (yu + fu) * w
+            ym = (ym + fm) * w
+        return yu + u, ym + m
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, r, side="left") - 1,
+                      0, len(self._steps) - 1)
+        read, where = np.unique(seg, return_inverse=True)
+        rows = np.array([(t, h, u, m, *(v for pair in F for v in pair))
+                         for t, h, u, m, F in map(self._row, read.tolist())])
+        rows = rows[where.reshape(seg.shape)]
+        x = (r - rows[..., 0]) / rows[..., 1]
+        yu, ym = np.zeros_like(x), np.zeros_like(x)
+        for k in range(7):
+            w = x if k % 2 == 0 else 1 - x
+            yu += rows[..., 16 - 2 * k]
+            ym += rows[..., 17 - 2 * k]
+            yu *= w
+            ym *= w
+        yu += rows[..., 2]
+        ym += rows[..., 3]
+        return np.stack((yu, ym))
+
+
+@dataclass
+class _Solve:
+    """A radial solve: the fields of scipy's solve_ivp result it has."""
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    message: str
+    t_events: list
+    nfev: int
+    sol: _DenseOutput
+
+
+def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
+              atol: float) -> _Solve:
+    """scipy's solve_ivp(method="DOP853", dense_output=True, events=...)
+    with a terminal downward zero crossing of u, on plain floats.
+
+    ``rhs(r, u, m)`` returns (u', m').  The steps are scipy's: its
+    tableau, initial step, error norm and step-size control, and its
+    statuses: 0 reached r_end, 1 u crossed zero downward (the root, found
+    by brentq on the step's interpolant, is the last trajectory point),
+    -1 failed.  A failure is a step below 10 ulp of r (scipy's message)
+    or, failing closed where scipy would shrink the step until it is
+    that small, a stage or accepted state that is not finite (message
+    "non-finite state at r=...").  The interpolant is built lazily (see
+    _DenseOutput), so nfev counts dense stages only for the crossing
+    step, and a rejected step does not evaluate f at its end.
+
+    A module-level name that runs every solve, so a caller can wrap it to
+    count solves (the tests and the benchmark's tracer do).
+    """
+    stages, weights, _, _ = _tableau()
+    rtol = max(rtol, 100 * _EPS)  # scipy's floor on rtol
+    isfinite, inf = math.isfinite, math.inf
+    t = float(r_start)
+    u, m = map(float, y0)
+    steps, events = [], []
+    ts, us, ms = [t], [u], [m]
+    dense = _DenseOutput(rhs, steps)
+    status = message = None
+    with np.errstate(all="ignore"):
+        fu, fm = rhs(t, u, m)
+        h_abs = _initial_step(rhs, t, u, m, fu, fm, r_end, rtol, atol)
+        nfev = 2
+        while status is None:
+            min_step = 10 * abs(math.nextafter(t, inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    status, message = -1, _TOO_SMALL_STEP
+                    break
+                t_new = min(t + h_abs, r_end)
+                h = t_new - t
+                h_abs = abs(h)
+                ku, km = [fu], [fm]
+                for c, coefs in stages:
+                    su, sm = _combine(coefs, ku, km)
+                    du, dm = rhs(t + c * h, u + su * h, m + sm * h)
+                    ku.append(du)
+                    km.append(dm)
+                nfev += len(stages)
+                if not (all(map(isfinite, ku)) and all(map(isfinite, km))):
+                    status = -1
+                    break
+                bu = bm = e5u = e5m = e3u = e3m = 0.0
+                for j, b, e5, e3 in weights:
+                    kuj, kmj = ku[j], km[j]
+                    bu += b * kuj
+                    bm += b * kmj
+                    e5u += e5 * kuj
+                    e5m += e5 * kmj
+                    e3u += e3 * kuj
+                    e3m += e3 * kmj
+                u_new, m_new = u + h * bu, m + h * bm
+                su = atol + max(abs(u), abs(u_new)) * rtol
+                sm = atol + max(abs(m), abs(m_new)) * rtol
+                e5u, e5m, e3u, e3m = e5u / su, e5m / sm, e3u / su, e3m / sm
+                e5 = math.sqrt(e5u * e5u + e5m * e5m) ** 2
+                e3 = math.sqrt(e3u * e3u + e3m * e3m) ** 2
+                if e5 == 0 and e3 == 0:
+                    err = 0.0
+                else:
+                    err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+                if err < 1:
+                    if err == 0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+                    if rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+                rejected = True
+            if status is not None:
+                break
+            fu, fm = rhs(t_new, u_new, m_new)
+            nfev += 1
+            if not (isfinite(u_new) and isfinite(m_new)
+                    and isfinite(fu) and isfinite(fm)):
+                status = -1
+                break
+            ku.append(fu)
+            km.append(fm)
+            steps.append((t, h, u, m, u_new, m_new, ku, km))
+            crossed = u >= 0 and u_new <= 0
+            t, u, m = t_new, u_new, m_new
+            if crossed:
+                from scipy.optimize import brentq
+
+                i = len(steps) - 1
+                t = brentq(lambda r: dense.at(i, r)[0], steps[i][0], t_new,
+                           xtol=4 * _EPS, rtol=4 * _EPS)
+                u, m = dense.at(i, t)
+                events.append(t)
+                status = 1
+            elif t_new >= r_end:
+                status = 0
+            if status == 1 and len(ts) > 1 and ts[-1] == t:
+                steps.pop()  # the root is the last step's start
+            else:
+                ts.append(t)
+                us.append(u)
+                ms.append(m)
+    if status == -1 and message is None:
+        message = f"non-finite state at r={t_new:.6g}"
+    dense.ts = np.array(ts)
+    return _Solve(t=dense.ts, y=np.array([us, ms]), status=status,
+                  message=_MESSAGES.get(status, message),
+                  t_events=[np.array(events)], nfev=nfev + 3 * dense.built,
+                  sol=dense)
+
+
+def _radial_rhs(model: ManifoldModel, p: float, term: ReactionTerm):
+    """(u', m') of the flux form at radius r, on plain floats."""
     n = model.dim
     warp = _warp_weight(model, n)
     fext = term.extended_scalar()
+    expo = 1.0 / (p - 1.0)
 
-    def rhs(r, y):
-        u, m = y
-        w = warp(r)
-        du = math.copysign(abs(m / w) ** (1.0 / (p - 1.0)), m) if m != 0 else 0.0
-        return (du, -w * fext(u))
+    def rhs(r, u, m):
+        try:
+            w = warp(r)
+            du = math.copysign(abs(m / w) ** expo, m) if m != 0 else 0.0
+            return du, -w * fext(u)
+        except (OverflowError, ZeroDivisionError):  # float ** and / raise
+            return math.nan, math.nan
 
-    def crossing(r, y):
-        return y[0]
+    return rhs
 
-    crossing.terminal = True
-    crossing.direction = -1
-    y0 = _series_start(model, p, term, u0, r_start)
-    return solve_ivp(
-        rhs, (r_start, r_end), y0, method="DOP853", rtol=rtol, atol=atol,
-        dense_output=True, events=crossing,
-    )
+
+def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
+               r_start: float, r_end: float, rtol: float, atol: float) -> _Solve:
+    """The radial solve: series start at r_start, then DOP853 on the flux
+    form up to r_end, stopping at the first downward zero crossing of u.
+    """
+    if r_end <= r_start:
+        raise DomainError("horizon does not exceed the series start")
+    return solve_ivp(_radial_rhs(model, p, term), r_start, r_end,
+                     _series_start(model, p, term, u0, r_start), rtol, atol)
 
 
 def shoot(
@@ -211,9 +494,6 @@ def shoot(
     n = model.dim
     r_start = SERIES_RADIUS
     r_end = min(horizon, model.r_max - r_start)
-    if r_end <= r_start:
-        raise DomainError("horizon does not exceed the series start")
-
     try:
         sol = _integrate(model, p, term, u0, r_start, r_end, rtol, atol)
     except (FloatingPointError, ValueError, OverflowError) as exc:
@@ -255,10 +535,10 @@ def shoot(
             trajectory=traj, stats=stats,
         )
     if sol.status < 0:
-        return ShootOutcome(
-            kind="inconclusive", reason=f"step-size collapse: {sol.message}",
-            trajectory=traj, stats=stats,
-        )
+        reason = (f"step-size collapse: {sol.message}"
+                  if sol.message == _TOO_SMALL_STEP else sol.message)
+        return ShootOutcome(kind="inconclusive", reason=reason,
+                            trajectory=traj, stats=stats)
     u_end = float(sol.y[0][-1])
     if u_end <= 0:
         return ShootOutcome(
@@ -339,6 +619,8 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, rtol=1e-10, atol=1e-12,
                     "outcome": out.kind,
                     "r_cross": out.r_cross,
                     "tail_exponent": out.tail_exponent,
+                    "nfev": out.stats.get("nfev"),
+                    "status": out.stats.get("status"),
                 }
             )
             if on_cell is not None:

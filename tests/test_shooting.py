@@ -1,6 +1,7 @@
 """Radial shooting: dichotomy, bubble matching, sphere scan."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from emdenlab import shooting as S
 from emdenlab.errors import PreconditionError
 from emdenlab.exponents import ReactionTerm, critical_exponent, emden_bubble
-from emdenlab.geometry import euclidean
+from emdenlab.geometry import euclidean, hyperbolic, sphere
 from emdenlab.reports import RunReport
 
 
@@ -48,11 +49,82 @@ class TestShoot:
                       horizon=100.0)
         assert out.kind == "crossed_zero"
 
+    def test_non_finite_state_is_inconclusive(self):
+        # H^4: psi^{n-1} = sinh(r)^3 overflows near r = 237 before the
+        # horizon; and a term that is infinite above u = 3 on a run that
+        # grows past it
+        blowup = ReactionTerm(lambda t: np.where(t < 3.0, -t * t, -np.inf),
+                              lambda t: -2.0 * t, "nonpositive")
+        runs = [
+            (hyperbolic(4), 3.0, ReactionTerm.pure_power(0.8 * critical_exponent(4, 3.0)),
+             300.0),
+            (euclidean(3), 2.0, blowup, 100.0),
+        ]
+        for model, p, term, horizon in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = S.shoot(model, p, term, 1.0, horizon=horizon)
+            assert out.kind == "inconclusive"
+            assert out.reason.startswith("non-finite state at r=")
+            assert out.stats["status"] == -1
+            assert np.all(np.isfinite(out.trajectory["u"]))
+            assert float(out.reason.split("=")[1]) > out.trajectory["r"][-1]
+
     def test_input_guards(self):
         with pytest.raises(PreconditionError):
             S.shoot(euclidean(3), 2.0, ReactionTerm.pure_power(2.0), -1.0)
         with pytest.raises(PreconditionError):
             S.shoot(euclidean(3), 0.5, ReactionTerm.pure_power(2.0), 1.0)
+
+
+class TestStepperAgainstScipy:
+    """The in-house DOP853 takes scipy's steps: same status and accepted
+    steps, and the same solution up to rounding (scalar sums in place of
+    BLAS dot products)."""
+
+    CASES = [  # model, p, term, u0, r_end, atol
+        (euclidean(3), 2.0, ReactionTerm.pure_power(2.5), 1.0, 50.0, 1e-12),
+        (euclidean(3), 2.0, ReactionTerm.pure_power(5.0), 1.0, 2000.0, 1e-12),
+        # past r ~ 20 the p < 2 tail amplifies rounding differences (the
+        # conditioning of that tail, not the stepper), so stop there
+        (euclidean(4), 1.5, ReactionTerm.pure_power(critical_exponent(4, 1.5)),
+         1.0, 20.0, 1e-12),
+        (hyperbolic(3), 2.0, ReactionTerm.pure_power(4.0), 10.0, 60.0, 1e-12),
+        (sphere(3), 2.0, ReactionTerm.linear_minus_power(3.0, 1.0), 0.8,
+         math.pi - 1e-3, 1e-13),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_same_steps_as_scipy(self, case):
+        from scipy.integrate import solve_ivp
+
+        model, p, term, u0, r_end, atol = self.CASES[case]
+        rhs = S._radial_rhs(model, p, term)
+        r0 = S.SERIES_RADIUS
+        y0 = S._series_start(model, p, term, u0, r0)
+
+        def crossing(r, y):
+            return y[0]
+
+        crossing.terminal, crossing.direction = True, -1
+        ref = solve_ivp(lambda r, y: rhs(r, *y), (r0, r_end), y0, method="DOP853",
+                        rtol=1e-10, atol=atol, dense_output=True, events=crossing)
+        sol = S.solve_ivp(rhs, r0, r_end, y0, 1e-10, atol)
+        assert (sol.status, sol.message) == (ref.status, ref.message)
+        assert len(sol.t) == len(ref.t)
+        assert len(sol.t_events[0]) == len(ref.t_events[0])
+        if len(ref.t_events[0]):
+            assert sol.t_events[0][0] == pytest.approx(ref.t_events[0][0], rel=1e-10)
+        assert sol.t[-1] == pytest.approx(ref.t[-1], rel=1e-10)
+        # relative to each component's size over the run: u is ~0 at a
+        # crossing and m is ~0 at the center
+        r = np.linspace(r0, ref.t[-1], 50)
+        dense = ref.sol(r)
+        scale = np.abs(dense).max(axis=1)
+        for got, want in ((sol.sol(r), dense), (sol.y[:, -1:], ref.y[:, -1:]),
+                          (sol.sol(r[7])[:, None], ref.sol(r[7])[:, None])):
+            assert np.all(np.abs(got - want) <= 1e-10 * scale[:, None])
+        assert sol.nfev < ref.nfev
 
 
 class TestLiouvilleScan:
@@ -70,6 +142,12 @@ class TestLiouvilleScan:
         for cell in table["cells"]:
             assert cell["outcome"] == "stayed_positive"
             assert abs(cell["tail_exponent"] + 1.0) <= 0.05
+
+    def test_cells_report_solver_work(self):
+        table = S.liouville_scan(3, 2.0, [3.0, 5.0], [0.5, 1.0], horizon=200.0)
+        assert [c["status"] for c in table["cells"]] == [1, 1, 0, 0]
+        for cell in table["cells"]:
+            assert isinstance(cell["nfev"], int) and cell["nfev"] > 0
 
 
 class TestScanVerdicts:
