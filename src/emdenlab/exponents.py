@@ -130,6 +130,12 @@ class ReactionTerm:
     ``sign_class`` is one of nonnegative / positive / nonpositive /
     mixed.  The conditions on f below read only ``f`` and ``fprime``,
     sampled on one fixed grid.
+
+    The constructors' ``f`` and ``fprime`` take an ndarray or a positive
+    Python float.  Powers are written with ``**``, which is the
+    ``np.power`` ufunc on an array and libm ``pow`` on a float, and the
+    parameters are Python floats, so a float argument stays a float (the
+    radial integrator calls f once per stage).
     """
 
     f: Callable
@@ -140,20 +146,23 @@ class ReactionTerm:
 
     @staticmethod
     def pure_power(alpha: float) -> "ReactionTerm":
+        alpha = float(alpha)
         return ReactionTerm(
-            lambda t: np.power(t, alpha),
-            lambda t: alpha * np.power(t, alpha - 1.0),
+            lambda t: t**alpha,
+            lambda t: alpha * t ** (alpha - 1.0),
             "nonnegative" if alpha <= 0 else "positive",
         )
 
     @staticmethod
     def power_log(alpha: float, beta: float) -> "ReactionTerm":
+        alpha, beta = float(alpha), float(beta)
+
         def f(t):
-            return np.power(t, alpha) * np.log1p(t) ** beta
+            return t**alpha * np.log1p(t) ** beta
 
         def fp(t):
             lg = np.log1p(t)
-            return np.power(t, alpha - 1.0) * lg ** (beta - 1.0) * (
+            return t ** (alpha - 1.0) * lg ** (beta - 1.0) * (
                 alpha * lg + beta * t / (1.0 + t)
             )
 
@@ -163,25 +172,27 @@ class ReactionTerm:
 
     @staticmethod
     def two_power(alpha: float, a_coef: float, beta: float) -> "ReactionTerm":
+        alpha, a_coef, beta = float(alpha), float(a_coef), float(beta)
+
         def f(t):
-            return np.power(t, alpha) + a_coef * np.power(t, beta)
+            return t**alpha + a_coef * t**beta
 
         def fp(t):
-            return alpha * np.power(t, alpha - 1.0) + a_coef * beta * np.power(
-                t, beta - 1.0
-            )
+            return alpha * t ** (alpha - 1.0) + a_coef * beta * t ** (beta - 1.0)
 
         sign = "positive" if a_coef >= 0 and alpha > 0 and beta > 0 else "mixed"
         return ReactionTerm(f, fp, sign)
 
     @staticmethod
     def rational(alpha: float, beta: float) -> "ReactionTerm":
+        alpha, beta = float(alpha), float(beta)
+
         def f(t):
-            return np.power(t, alpha) / (1.0 + np.power(t, beta))
+            return t**alpha / (1.0 + t**beta)
 
         def fp(t):
-            tb = np.power(t, beta)
-            return np.power(t, alpha - 1.0) * (alpha + (alpha - beta) * tb) / (
+            tb = t**beta
+            return t ** (alpha - 1.0) * (alpha + (alpha - beta) * tb) / (
                 1.0 + tb
             ) ** 2
 
@@ -190,9 +201,10 @@ class ReactionTerm:
     @staticmethod
     def linear_minus_power(q: float, lam: float) -> "ReactionTerm":
         """f(t) = t^q - lam t (the closed-manifold scan nonlinearity)."""
+        q, lam = float(q), float(lam)
         return ReactionTerm(
-            lambda t: np.power(t, q) - lam * t,
-            lambda t: q * np.power(t, q - 1.0) - lam,
+            lambda t: t**q - lam * t,
+            lambda t: q * t ** (q - 1.0) - lam,
             "mixed",
         )
 
@@ -210,7 +222,11 @@ class ReactionTerm:
         return self.fprime(np.asarray(t, dtype=float))
 
     def extended_scalar(self):
-        """Scalar closure of the odd extension (integrator hot loop)."""
+        """Scalar closure of the odd extension (integrator hot loop).
+
+        It takes and returns a Python float and hands f a positive Python
+        float, never an array, so a constructor's f runs on libm.
+        """
         f = self.f
 
         def g(t):

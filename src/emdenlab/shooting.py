@@ -16,10 +16,11 @@ then hands off to DOP853, the adaptive embedded Runge-Kutta method of
 order 8, in ``solve_ivp``.  That stepper is scipy's algorithm (its
 tableau, read from scipy at the first solve, its initial step, error
 norm, step-size control and statuses) written for the two-component
-state on plain Python floats, so a step costs the right-hand side and a
-few float sums instead of numpy calls on tiny arrays.  It stops at the
-first downward zero crossing of u, located by brentq on that step's
-interpolant, and it fails closed on a non-finite state.  The dense
+state on plain Python floats.  The right-hand side is float arithmetic
+too (the reaction term's f takes the positive float u), so a step makes
+no numpy call.  It stops at the first downward zero crossing of u,
+located by brentq on that step's interpolant, and it fails closed on a
+non-finite state and after a fixed budget of steps.  The dense
 output is built lazily: a step's three extra stages and interpolant rows
 are computed only when a radius in that step is read (the crossing step,
 ``shoot``'s tail fit, ``RadialSolution`` queries).
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, PreconditionError
 from .exponents import ReactionTerm, critical_exponent, emden_bubble
-from .geometry import ManifoldModel, euclidean, sphere
+from .geometry import ManifoldModel, euclidean, sphere, unit_sphere_area
 from .taylor import Grad, grad_abs_pow
 
 __all__ = [
@@ -173,6 +174,9 @@ _EPS = sys.float_info.epsilon
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+#: accepted steps before a solve ends with status -1; each step keeps its
+#: stages for the dense output (about 1 kB), so this also bounds memory
+_MAX_STEPS = 20_000
 _MESSAGES = {
     0: "The solver successfully reached the end of the integration interval.",
     1: "A termination event occurred.",
@@ -335,12 +339,14 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
     tableau, initial step, error norm and step-size control, and its
     statuses: 0 reached r_end, 1 u crossed zero downward (the root, found
     by brentq on the step's interpolant, is the last trajectory point),
-    -1 failed.  A failure is a step below 10 ulp of r (scipy's message)
-    or, failing closed where scipy would shrink the step until it is
-    that small, a stage or accepted state that is not finite (message
-    "non-finite state at r=...").  The interpolant is built lazily (see
-    _DenseOutput), so nfev counts dense stages only for the crossing
-    step, and a rejected step does not evaluate f at its end.
+    -1 failed.  A failure is a step below 10 ulp of r (scipy's message),
+    a solve that has taken _MAX_STEPS steps without ending (message "step
+    budget of N steps exhausted at r=...") or, failing closed where scipy
+    would shrink the step until it is that small, a stage or accepted
+    state that is not finite (message "non-finite state at r=...").  The
+    interpolant is built lazily (see _DenseOutput), so nfev counts dense
+    stages only for the crossing step, and a rejected step does not
+    evaluate f at its end.
 
     A module-level name that runs every solve, so a caller can wrap it to
     count solves (the tests and the benchmark's tracer do).
@@ -359,6 +365,11 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
         h_abs = _initial_step(rhs, t, u, m, fu, fm, r_end, rtol, atol)
         nfev = 2
         while status is None:
+            if len(steps) == _MAX_STEPS:
+                status = -1
+                message = (f"step budget of {_MAX_STEPS} steps exhausted "
+                           f"at r={t:.6g}")
+                break
             min_step = 10 * abs(math.nextafter(t, inf) - t)
             h_abs = max(h_abs, min_step)
             rejected = False
@@ -453,7 +464,7 @@ def _radial_rhs(model: ManifoldModel, p: float, term: ReactionTerm):
     n = model.dim
     warp = _warp_weight(model, n)
     fext = term.extended_scalar()
-    expo = 1.0 / (p - 1.0)
+    expo = 1.0 / (float(p) - 1.0)
 
     def rhs(r, u, m):
         try:
@@ -690,24 +701,15 @@ def _bv_single(model, q, lam, u0, rtol, atol) -> dict:
     # normalize by a flux scale that does not vanish at the constant
     # solution (the linear-term flux over the whole sphere), so the
     # normalized defect is continuous in u0 and changes sign there
-    m_ref = lam * u0 * _sphere_warp_mass(model)
+    m_ref = lam * u0 * _sphere_warp_mass(n)
     return {"u0": u0, "status": "regular_candidate", "residual": m_pole / m_ref,
             "min_u": float(sol.y[0].min())}
 
 
-_WARP_MASS_CACHE = {}
-
-
-def _sphere_warp_mass(model) -> float:
-    """int_0^pi psi^{n-1} dr for the scan's reference flux scale."""
-    n = model.dim
-    if n not in _WARP_MASS_CACHE:
-        from scipy.integrate import quad as _quad
-
-        _WARP_MASS_CACHE[n] = _quad(
-            lambda s: math.sin(s) ** (n - 1), 0.0, math.pi
-        )[0]
-    return _WARP_MASS_CACHE[n]
+def _sphere_warp_mass(n: int) -> float:
+    """int_0^pi sin^{n-1} r dr, the scan's reference flux scale:
+    |S^n| / |S^{n-1}|."""
+    return unit_sphere_area(n + 1) / unit_sphere_area(n)
 
 
 #: a regular candidate whose pole flux residual is within this is regular

@@ -2,11 +2,28 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from emdenlab import estimates as E
-from emdenlab.errors import InputError, PreconditionError
+from emdenlab.errors import InputError, NumericalError, PreconditionError
+
+
+def _extremal_oracle(n, p, kappa, radii):
+    """int_r^inf sinh(sqrt(kappa) s)^{-beta} ds at 30 digits.  mpmath's
+    quadrature error is absolute, so the integrand is scaled by
+    e^{beta sqrt(kappa) r}, its size at r, and the result scaled back."""
+    with mpmath.workdps(30):
+        beta = mpmath.mpf(n - 1) / (mpmath.mpf(p) - 1)
+        sq = mpmath.sqrt(kappa)
+        out = []
+        for r in map(mpmath.mpf, radii):
+            scale = mpmath.exp(beta * sq * r)
+            val = mpmath.quad(lambda s: scale * mpmath.sinh(sq * s) ** -beta,
+                              [r, r + 1, mpmath.inf])
+            out.append(float(val / scale))
+        return np.array(out)
 
 
 class TestHyperbolicExtremal:
@@ -32,6 +49,33 @@ class TestHyperbolicExtremal:
     def test_flux_constancy_certificate(self):
         prof = E.hn_p_harmonic_profile(2, 1.5, 4.0)
         assert prof.residual_max <= 1e-9
+
+    @pytest.mark.parametrize("n,p,kappa", [(2, 1.5, 0.25), (2, 3.0, 4.0), (4, 1.5, 4.0),
+                                           (4, 3.0, 0.25), (3, 2.0, 1.0)])
+    def test_series_against_mpmath_on_criterion_7_corners(self, n, p, kappa):
+        prof = E.hn_p_harmonic_profile(n, p, kappa)
+        idx = np.r_[0:160:53, 159]
+        ref = _extremal_oracle(n, p, kappa, prof.grid[idx])
+        np.testing.assert_allclose(prof.u[idx], ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n,p", [(3, 2.0), (2, 3.0), (4, 1.5)])
+    def test_series_against_mpmath_near_the_pole(self, n, p):
+        grid = np.geomspace(0.05, 2.0, 40)
+        prof = E.hn_p_harmonic_profile(n, p, 1.0, grid=grid)
+        idx = np.r_[0:40:13, 39]
+        ref = _extremal_oracle(n, p, 1.0, grid[idx])
+        np.testing.assert_allclose(prof.u[idx], ref, rtol=1e-13, atol=0.0)
+
+    def test_series_term_cap_fails_closed(self):
+        # sqrt(kappa) r = 1e-4 needs about 2e5 terms, past the cap
+        grid = np.array([1e-4, 0.5, 1.0])
+        with pytest.raises(NumericalError, match=r"terms at r=0\.0001$"):
+            E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=grid)
+
+    def test_series_underflow_fails_closed(self):
+        # e^{-2 * 400} underflows: u would read 0 at the last radius
+        with pytest.raises(NumericalError, match="not finite and positive"):
+            E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.array([10.0, 400.0]))
 
     def test_pole_excess_visible_on_inner_grid(self):
         # near the puncture the profile is not entire and exceeds the bound

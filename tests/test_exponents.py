@@ -139,6 +139,65 @@ def test_fprime_matches_central_difference(name):
     np.testing.assert_array_less(np.abs(fd - term.deriv(t)), 1e-6 * scale + 1e-300)
 
 
+#: each constructor's f and f' in the np.power form that ``**`` replaced;
+#: the exponents cover numpy's scalar-power fast paths (2, 0.5, -1, 1)
+NP_POWER_FORMS = {
+    "pure_power(2)": (E.ReactionTerm.pure_power(2.0),
+                      lambda t: np.power(t, 2.0), lambda t: 2.0 * np.power(t, 1.0)),
+    "pure_power(0.5)": (E.ReactionTerm.pure_power(0.5),
+                        lambda t: np.power(t, 0.5), lambda t: 0.5 * np.power(t, -0.5)),
+    "pure_power(-1)": (E.ReactionTerm.pure_power(-1.0),
+                       lambda t: np.power(t, -1.0), lambda t: -np.power(t, -2.0)),
+    "pure_power(1.5)": (E.ReactionTerm.pure_power(1.5),
+                        lambda t: np.power(t, 1.5), lambda t: 1.5 * np.power(t, 0.5)),
+    "pure_power(3)": (E.ReactionTerm.pure_power(3.0),
+                      lambda t: np.power(t, 3.0), lambda t: 3.0 * np.power(t, 2.0)),
+    "power_log(2,-1)": (
+        E.ReactionTerm.power_log(2.0, -1.0),
+        lambda t: np.power(t, 2.0) * np.log1p(t) ** -1.0,
+        lambda t: np.power(t, 1.0) * np.log1p(t) ** -2.0 * (
+            2.0 * np.log1p(t) + -1.0 * t / (1.0 + t))),
+    "two_power(2,-1,1.5)": (
+        E.ReactionTerm.two_power(2.0, -1.0, 1.5),
+        lambda t: np.power(t, 2.0) + -1.0 * np.power(t, 1.5),
+        lambda t: 2.0 * np.power(t, 1.0) + -1.0 * 1.5 * np.power(t, 0.5)),
+    "rational(3,2)": (
+        E.ReactionTerm.rational(3.0, 2.0),
+        lambda t: np.power(t, 3.0) / (1.0 + np.power(t, 2.0)),
+        lambda t: np.power(t, 2.0) * (3.0 + 1.0 * np.power(t, 2.0)) / (
+            1.0 + np.power(t, 2.0)) ** 2),
+    "linear_minus_power(5,1)": (
+        E.ReactionTerm.linear_minus_power(5.0, 1.0),
+        lambda t: np.power(t, 5.0) - 1.0 * t,
+        lambda t: 5.0 * np.power(t, 4.0) - 1.0),
+    "zero": (E.ReactionTerm.zero(), np.zeros_like, np.zeros_like),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NP_POWER_FORMS))
+def test_array_values_are_the_np_power_bits(name):
+    term, f_ref, fp_ref = NP_POWER_FORMS[name]
+    t = np.concatenate([np.geomspace(1e-6, 1e6, 1201),
+                        np.random.default_rng(0).uniform(0.0, 10.0, 1000)[1:]])
+    assert np.array_equal(term(t), f_ref(t))
+    assert np.array_equal(term.deriv(t), fp_ref(t))
+
+
+@pytest.mark.parametrize("term", [E.ReactionTerm.pure_power(np.float64(3.0)),
+                                  E.ReactionTerm.linear_minus_power(np.float64(3.0),
+                                                                    np.float64(0.5))])
+def test_float_argument_stays_a_float(term):
+    # numpy parameters are coerced, so a Python float never becomes a
+    # numpy scalar; the value is the array path's up to libm rounding
+    for t in (0.5, 1.0, 7.25):
+        for fun in (term.f, term.fprime):
+            got = fun(t)
+            assert type(got) is float
+            assert got == pytest.approx(float(fun(np.array([t]))[0]), rel=1e-15)
+    g = term.extended_scalar()
+    assert type(g(0.5)) is float and g(-0.5) == -g(0.5) and g(0.0) == 0.0
+
+
 def _counting(term):
     calls = {"f": 0, "fprime": 0}
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emdenlab import shooting as S
-from emdenlab.errors import PreconditionError
+from emdenlab.errors import NumericalError, PreconditionError
 from emdenlab.exponents import ReactionTerm, critical_exponent, emden_bubble
 from emdenlab.geometry import euclidean, hyperbolic, sphere
 from emdenlab.reports import RunReport
@@ -69,6 +69,30 @@ class TestShoot:
             assert out.stats["status"] == -1
             assert np.all(np.isfinite(out.trajectory["u"]))
             assert float(out.reason.split("=")[1]) > out.trajectory["r"][-1]
+
+    def test_step_budget_ends_the_solve(self, monkeypatch):
+        # a normal scan cell (25 steps to its crossing) against a budget of 5
+        monkeypatch.setattr(S, "_MAX_STEPS", 5)
+        term = ReactionTerm.pure_power(3.0)
+        out = S.shoot(euclidean(3), 2.0, term, 1.0, horizon=100.0)
+        assert out.kind == "inconclusive"
+        assert out.reason.startswith("step budget of 5 steps exhausted at r=")
+        assert out.stats["status"] == -1
+        assert len(out.trajectory["r"]) == 6
+        assert float(out.reason.split("=")[1]) == pytest.approx(out.trajectory["r"][-1],
+                                                                rel=1e-5)
+        with pytest.raises(NumericalError, match="step budget of 5 steps"):
+            S.solve_dense(euclidean(3), 2.0, term, 1.0, horizon=100.0)
+
+    @pytest.mark.parametrize("term", [ReactionTerm.pure_power(np.float64(3.0)),
+                                      ReactionTerm.linear_minus_power(np.float64(3.0),
+                                                                      np.float64(1.0))])
+    @pytest.mark.parametrize("model", [euclidean(3), sphere(3)])
+    def test_rhs_stays_on_python_floats(self, term, model):
+        rhs = S._radial_rhs(model, np.float64(2.0), term)
+        for u in (0.8, -0.3):
+            du, dm = rhs(0.7, u, -0.2)
+            assert type(du) is float and type(dm) is float
 
     def test_input_guards(self):
         with pytest.raises(PreconditionError):
@@ -270,6 +294,14 @@ class TestSphereScan:
         assert not hyp["within_theorem"]  # both bounds are equalities
         assert rep["nonconstant_regular_found"]
         assert len(rep["regular_u0"]) > 1
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_warp_mass_closed_form(self, n):
+        from scipy.integrate import quad
+
+        ref, _ = quad(lambda s: math.sin(s) ** (n - 1), 0.0, math.pi,
+                      epsabs=0.0, epsrel=1e-13)
+        assert S._sphere_warp_mass(n) == pytest.approx(ref, rel=1e-14)
 
     def test_parameter_guards(self):
         with pytest.raises(PreconditionError):
