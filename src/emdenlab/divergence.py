@@ -31,25 +31,27 @@ div V of a vector dual V, and the duals (G, h, HG) of w = ln u.
   div(v d/dr) = v' + (n-1)(psi'/psi) v see the warping.
 
 Both engines are served by one :class:`View`, ``engine.at(p)``, which
-assembles the fields at one p from the engine's duals.  It builds each
-block on first use and keeps it for as long as it lives:
+assembles the fields at one p from the engine's duals and keeps every
+block it builds for as long as it lives.  Every block depends on p only.
+With F the flux and X = u^b F, <grad u, F> = |grad u|^p gives
 
-* p only: the flux F, |grad u|^p, the p-Laplacian as a dual and
-  grad_F F = h^{p-2} (HG + (p-2) h^{-1} (G . HG) G);
-* per b: X, div X as a dual, grad_X X and the balance
-  grad_X X - (div X) X.  Since <grad u, F> = |grad u|^p,
-  grad_X X = u^{2b} (grad_F F + b u^{-1} |grad u|^p F), so no Jacobian
-  of X is formed.
+  grad_X X      = u^{2b} grad_F F + b u^{2b-1} |grad u|^p F
+  (div X) X     = u^{2b} (lap_p u) F + b u^{2b-1} |grad u|^p F
+  <X, grad u> X = u^{2b} |grad u|^p F,
 
-"weighted_balance" is u^a times the balance minus a scalar weight times
-X.  Its divergence at each a follows by the product rule
-div(phi V) = phi div V + <grad phi, V> from the divergences of the
-balance and of X, which are taken once per b.  A check that visits
-every (p, b, a) of a grid takes one view per p and drops it when p moves
-on, so each block is built once per check.  ``engine.divergence(spec,
-p, ...)`` goes through a fresh view.  Views are not kept on the engine:
-a campaign's engine lives as long as the campaign, and every block held
-for all p at once would stay in memory with it.
+so the b terms cancel from the balance grad_X X - (div X) X, and every
+field from "weighted_flux" to "traceless_combo" is a sum c u^k W over
+four vector duals W at p: F, grad_F F = h^{p-2} (HG + (p-2) h^{-1}
+(G . HG) G), (lap_p u) F and |grad u|^p F.  The view keeps each W as the
+pair (div W, <grad u, W>) and takes those fields' divergences by the
+product rule div(u^k W) = u^k div W + k u^{k-1} <grad u, W>: (a, b) only
+enter through k and c, so no vector dual is formed per b, and ``a`` may
+be an (A, 1) array that gives one row per a.  A check that visits every
+(p, b, a) of a grid takes one view per p and drops it when p moves on.
+``engine.divergence(spec, p, ...)`` goes through a fresh view.  Views
+are not kept on the engine: a campaign's engine lives as long as the
+campaign, and every block held for all p at once would stay in memory
+with it.
 """
 
 from __future__ import annotations
@@ -216,18 +218,12 @@ class View:
         self.p = p
         self._blocks = {}
 
-    # -- blocks that depend on p only -------------------------------------
+    # -- dual blocks --------------------------------------------------------
 
     @_kept
     def _flux(self) -> Grad:
         E = self.engine
         return E.h ** ((self.p - 2.0) / 2.0) * E.G
-
-    @_kept
-    def _flux_advection(self) -> Grad:
-        """grad_F F = h^{p-2} (HG + (p-2) h^{-1} (G . HG) G), F the flux."""
-        E, p = self.engine, self.p
-        return E.h ** (p - 2.0) * (E.HG + (p - 2.0) * E.GHG * E.h**-1.0 * E.G)
 
     @_kept
     def _grad_pow(self) -> Grad:
@@ -243,37 +239,59 @@ class View:
             (p - 4.0) / 2.0
         ) * E.GHG
 
-    # -- blocks at one b ----------------------------------------------------
-
-    @_kept
-    def _weighted_flux(self, b: float) -> Grad:
-        """X = u^b |grad u|^{p-2} grad u."""
-        return self.engine.u**b * self._flux()
-
-    @_kept
-    def _advection(self, b: float) -> Grad:
-        """grad_X X = u^{2b} (grad_F F + b u^{-1} |grad u|^p F).
-
-        The Jacobian of X = u^b F is u^b J_F + b u^{b-1} F (x) grad u,
-        and <grad u, F> = |grad u|^p.
-        """
-        E = self.engine
-        drift = b * E.u**-1.0 * self._grad_pow() * self._flux()
-        return E.u ** (2.0 * b) * (self._flux_advection() + drift)
-
     @_kept
     def weighted_divergence_dual(self, b: float) -> Grad:
+        """div X = b u^{b-1} |grad u|^p + u^b lap_p u, the one block at one b."""
         E = self.engine
         return (
             b * E.u ** (b - 1.0) * self._grad_pow()
             + E.u**b * self.p_laplacian_dual()
         )
 
+    # -- the four vector duals W, each kept as (div W, <grad u, W>) ---------
+
+    def _pair(self, W: Grad):
+        return self.engine.div(W), np.einsum("nm,nm->n", self.engine.G.v, W.v)
+
+    def _flux_times(self, phi: Grad):
+        """The pair of phi F for a scalar dual phi, by
+        div(phi F) = phi div F + <grad phi, F>."""
+        div_f, along_f = self._flux_pair()
+        grad_phi_f = np.einsum("nm,nm->n", phi.d, self._flux().v)
+        return phi.v * div_f + grad_phi_f, phi.v * along_f
+
     @_kept
-    def _advection_balance(self, b: float) -> Grad:
-        """grad_X X - (div X) X."""
-        X = self._weighted_flux(b)
-        return self._advection(b) - self.weighted_divergence_dual(b) * X
+    def _flux_pair(self):
+        return self._pair(self._flux())
+
+    @_kept
+    def _advection_pair(self):
+        """grad_F F = h^{p-2} (HG + (p-2) h^{-1} (G . HG) G)."""
+        E, p = self.engine, self.p
+        adv = E.h ** (p - 2.0) * (E.HG + (p - 2.0) * E.GHG * E.h**-1.0 * E.G)
+        return self._pair(adv)
+
+    @_kept
+    def _plap_pair(self):
+        return self._flux_times(self.p_laplacian_dual())
+
+    @_kept
+    def _power_pair(self):
+        return self._flux_times(self._grad_pow())
+
+    def _advection_less(self, s: float):
+        """The pair of grad_F F - s (lap_p u) F."""
+        (div_a, along_a), (div_l, along_l) = self._advection_pair(), self._plap_pair()
+        return div_a - s * div_l, along_a - s * along_l
+
+    def _product_rule(self, k, W0, c1=0.0, W1=(0.0, 0.0)) -> np.ndarray:
+        """div(u^k W0 + c1 u^{k-1} W1) from the pairs of W0 and W1, by
+        div(u^k W) = u^k div W + k u^{k-1} <grad u, W>."""
+        u = self.engine.u.v
+        (div0, along0), (div1, along1) = W0, W1
+        return u ** (k - 2.0) * (
+            u * (u * div0 + k * along0 + c1 * div1) + c1 * (k - 1.0) * along1
+        )
 
     # -- the enumeration -------------------------------------------------
 
@@ -285,26 +303,32 @@ class View:
         lam: float = None,
         combo_coef: float = None,
     ) -> np.ndarray:
-        """div of the spec'd vector field at every sample."""
+        """div of the spec'd vector field at every sample.
+
+        ``a`` may be an (A, 1) array; the result then has one row per a.
+        """
         E, p = self.engine, self.p
         if spec == "flux":
-            return E.div(self._flux())
+            return self._flux_pair()[0]
         if spec == "weighted_flux":
-            return E.div(self._weighted_flux(b))
+            return self._product_rule(b, self._flux_pair())
         if spec == "self_advection":
-            return E.div(self._advection(b))
+            return self._product_rule(
+                2.0 * b, self._advection_pair(), b, self._power_pair()
+            )
         if spec == "advection_balance":
-            return E.div(self._advection_balance(b))
+            return self._product_rule(2.0 * b, self._advection_less(1.0))
         if spec == "weighted_balance":
-            return self.weighted_balance_divergences(b, (a,))[0]
+            return self._product_rule(
+                a + 2.0 * b, self._advection_less(1.0),
+                -((p - 1.0) / p) * a, self._power_pair(),
+            )
         if spec == "traceless_combo":
-            X = self._weighted_flux(b)
-            divx = self.weighted_divergence_dual(b)
-            V1 = self._advection(b) - divx * (1.0 / E.n) * X
             coef = 0.0 if combo_coef is None else combo_coef
-            inner = X @ E.G
-            V = E.u**a * V1 - coef * E.u ** (a - 1.0) * inner * X
-            return E.div(V)
+            return self._product_rule(
+                a + 2.0 * b, self._advection_less(1.0 / E.n),
+                b * (1.0 - 1.0 / E.n) - coef, self._power_pair(),
+            )
         if spec == "grad_power_flux":
             return E.div(_power_flux(E.G, E.h, E.HG, p, p))
         if spec == "log_power_flux":
@@ -312,30 +336,6 @@ class View:
                 raise CapabilityError("log_power_flux needs the exponent lam")
             return E.div(_power_flux(*E.log_duals, p, lam))
         raise CapabilityError(f"unknown vector field spec {spec!r}")
-
-    def weighted_balance_divergences(self, b: float, a_values) -> list:
-        """div of "weighted_balance" at one b, one array per a.
-
-        The balance and X are the view's blocks and their divergences
-        are taken once; each a adds only its scalar weights.
-        """
-        E, p = self.engine, self.p
-        X, bal = self._weighted_flux(b), self._advection_balance(b)
-        div_x, div_bal = E.div(X), E.div(bal)
-        out = []
-        for a in a_values:
-            # <X, grad u^a> = a u^{a+b-1} |grad u|^p
-            inner = a * E.u ** (a + b - 1.0) * self._grad_pow()
-            out.append(
-                self._weighted_div(E.u**a, bal, div_bal)
-                - self._weighted_div(((p - 1.0) / p) * inner, X, div_x)
-            )
-        return out
-
-    @staticmethod
-    def _weighted_div(phi: Grad, V: Grad, div_v: np.ndarray) -> np.ndarray:
-        """div(phi V) = phi div V + <grad phi, V> for a scalar dual phi."""
-        return phi.v * div_v + np.einsum("nm,nm->n", phi.d, V.v)
 
 
 # ----------------------------------------------------------------------

@@ -258,12 +258,14 @@ def solution_batch(sol: RadialSolution, samples: int = 400) -> SampleBatch:
 
 
 def _worst_index(values, lowest: bool = False) -> int:
-    """First non-finite entry if there is one, else the first extreme one.
+    """First non-finite entry if there is one, else the first extreme one,
+    in row-major order over a stacked (A, N) block.
 
     np.argmax/argmin return the first NaN even past an earlier infinity,
     and a NaN loses every comparison, so neither alone finds the sample
     that decides a fail-closed report.
     """
+    values = np.ravel(values)
     bad = ~np.isfinite(values)
     if bad.any():
         return int(np.argmax(bad))
@@ -279,17 +281,12 @@ class _Residuals:
         self.max_abs = 0.0
         self.worst = {}
 
-    def update(self, lhs, rhs, batch: SampleBatch, params: dict):
-        lhs = np.atleast_1d(lhs)
-        rhs = np.atleast_1d(rhs)
-        self._update_arrays(
-            np.abs(lhs - rhs),
-            np.abs(lhs) + np.abs(rhs),
-            lhs,
-            rhs,
-            batch,
-            params,
-        )
+    def update(self, lhs, rhs, batch: SampleBatch, params):
+        """Fold in one (N,) block taken at params, or a stacked (A, N)
+        block whose row i was taken at params[i]; the stacked update
+        reports what updating row by row in order would."""
+        diff, scale = np.abs(lhs - rhs), np.abs(lhs) + np.abs(rhs)
+        self._update_arrays(diff, scale, lhs, rhs, batch, params)
 
     def update_vectors(self, lhs_vec, rhs_vec, batch: SampleBatch, params: dict):
         diff = np.abs(lhs_vec - rhs_vec).max(axis=-1)
@@ -313,16 +310,18 @@ class _Residuals:
         if not math.isfinite(self.max_rel):
             return  # the first non-finite sample stays the worst case
         k = _worst_index(rel)
-        if not math.isfinite(rel[k]) or rel[k] > self.max_rel:
-            self.max_rel = float(rel[k])
-            self.worst = dict(params)
+        row, sample = divmod(k, rel.shape[-1])
+        worst = rel.flat[k]
+        if not math.isfinite(worst) or worst > self.max_rel:
+            self.max_rel = float(worst)
+            self.worst = dict(params[row] if rel.ndim == 2 else params)
             self.worst.update(
                 {
-                    "sample_index": k,
+                    "sample_index": sample,
                     "model": batch.meta.get("model"),
                     "dim": batch.meta.get("dim"),
-                    "lhs": float(lhs[k]),
-                    "rhs": float(rhs[k]),
+                    "lhs": float(lhs.flat[k]),
+                    "rhs": float(rhs.flat[k]),
                 }
             )
 
@@ -478,19 +477,21 @@ def check_weighted_identity(
     """The two-parameter divergence identity for arbitrary C^3 fields.
 
     No equation is imposed on u; the p-Laplacian appears as a free jet
-    quantity on the right-hand side.  Everything but the u^a weight is
-    independent of a, so each (p, b) builds it once for the whole a grid;
-    the (a, b) grid repeats powers of u, so each is taken once.
+    quantity on the right-hand side, and div X is the jets route's own.
+    Each (p, b) takes both sides for the whole a grid as one (A, N) block,
+    and the powers of u, which do not depend on p, once per b.
     """
     acc = _Residuals("weighted_divergence", tol)
     batch = camp.batch
     u = batch.u
     gn = batch.gn
+    a_col = np.array(a_values, dtype=float)[:, None]
+    u_a = u**a_col
+    # per b: u^b, u^{b-1} and, one row per a, u^{a+2b-2} and u^{a+2b-1}
     u_pow = {
-        e: u**e
-        for a in a_values
+        b: (u**b, u ** (b - 1.0), u ** (a_col + 2.0 * b - 2.0),
+            u ** (a_col + 2.0 * b - 1.0))
         for b in b_values
-        for e in (a, a + 2.0 * b - 2.0, a + 2.0 * b - 1.0)
     }
     for p in camp.p_values:
         E = batch.engine.at(p)
@@ -498,22 +499,19 @@ def check_weighted_identity(
         plap = block.plap
         gn_p, gn_2p = gn**p, gn ** (2.0 * p)
         for b in b_values:
+            u_b, u_b1, u_2p, u_p = u_pow[b]
             jac, _, ricx = _weighted_flux_terms(batch, block, b)
-            divx = E.weighted_divergence_dual(b)
-            core = J.trace_product(jac) - divx.v**2 + ricx
-            lhs_by_a = E.weighted_balance_divergences(b, a_values)
-            for a, lhs in zip(a_values, lhs_by_a):
-                rhs = (
-                    u_pow[a] * core
-                    - ((p - 1.0) * (a + 2.0 * b - 1.0) * a / p)
-                    * u_pow[a + 2.0 * b - 2.0]
-                    * gn_2p
-                    - ((2.0 * p - 1.0) * a / p)
-                    * u_pow[a + 2.0 * b - 1.0]
-                    * gn_p
-                    * plap
-                )
-                acc.update(lhs, rhs, batch, {"p": p, "a": a, "b": b})
+            div_x = b * u_b1 * gn_p + u_b * plap  # the jets route's div X
+            core = J.trace_product(jac) - div_x**2 + ricx
+            lhs = E.divergence("weighted_balance", a=a_col, b=b)
+            rhs = (
+                u_a * core
+                - ((p - 1.0) * (a_col + 2.0 * b - 1.0) * a_col / p)
+                * u_2p
+                * gn_2p
+                - ((2.0 * p - 1.0) * a_col / p) * u_p * gn_p * plap
+            )
+            acc.update(lhs, rhs, batch, [{"p": p, "a": a, "b": b} for a in a_values])
     return acc.report(seed=camp.seed)
 
 

@@ -129,6 +129,10 @@ def _weighted_field_div(u, xs, point, spec, p, a, b, combo_coef):
     return _value_at(sum(sp.diff(v, x) for v, x in zip(vec, xs)), xs, point)
 
 
+#: (a, b) with a + 2b neither an integer nor positive
+FRACTIONAL_WEIGHTS = [("-3/2", "1/2"), ("1/2", "-3/2")]
+
+
 class TestWeightedFieldOracles:
     """The four advection specs on the same non-radial field and off-axis
     point as the power-flux oracles, where X is not radial and grad_X X
@@ -150,6 +154,20 @@ class TestWeightedFieldOracles:
                             b=float(b), combo_coef=float(combo_coef))
         expected = _weighted_field_div(self.u, self.xs, self.point, spec, p,
                                        sp.Integer(a), sp.Integer(b), combo_coef)
+        assert out[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", ["self_advection", "advection_balance",
+                                      "weighted_balance", "traceless_combo"])
+    @pytest.mark.parametrize("p", ["3/2", "3"])
+    @pytest.mark.parametrize("a,b", FRACTIONAL_WEIGHTS)
+    def test_fractional_weights(self, spec, p, a, b):
+        # a + 2b is neither an integer nor positive
+        combo_coef = sp.Rational(3, 10)
+        p, a, b = sp.Rational(p), sp.Rational(a), sp.Rational(b)
+        out = divergence_at(self.field, [self.point], spec, float(p), a=float(a),
+                            b=float(b), combo_coef=float(combo_coef))
+        expected = _weighted_field_div(self.u, self.xs, self.point, spec, p,
+                                       a, b, combo_coef)
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -228,6 +246,24 @@ class TestRadialOracles:
                                      a, b, lam, combo_coef)
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("spec", ["weighted_flux", "self_advection",
+                                      "advection_balance", "weighted_balance",
+                                      "traceless_combo"])
+    @pytest.mark.parametrize("model", ["hyperbolic", "sphere"])
+    @pytest.mark.parametrize("p", ["3/2", "3"])
+    @pytest.mark.parametrize("a,b", FRACTIONAL_WEIGHTS)
+    def test_fractional_weights(self, spec, model, p, a, b):
+        combo_coef = sp.Rational(3, 10)
+        p, a, b = sp.Rational(p), sp.Rational(a), sp.Rational(b)
+        geo, psi = self.MODELS[model]
+        out = radial_divergence_at(
+            geo, _SympyProfile(self.u, self.r), [float(self.r0)], spec, float(p),
+            a=float(a), b=float(b), combo_coef=float(combo_coef),
+        )
+        expected = _radial_field_div(self.u, psi, self.r, 3, self.r0, spec, p,
+                                     a, b, None, combo_coef)
+        assert out[0] == pytest.approx(expected, rel=1e-12)
+
 
 class TestBackendCrossAgreement:
     """A rotationally symmetric Euclidean field evaluated on the axis must
@@ -303,10 +339,10 @@ class TestViewReuse:
                 kept = view.divergence(spec, b=b, **self.PARAMS)
                 fresh = eng.at(p).divergence(spec, b=b, **self.PARAMS)
                 assert np.array_equal(kept, fresh), (spec, b)
-            a_values = (-1.0, 2.0)
-            kept = view.weighted_balance_divergences(b, a_values)
-            fresh = eng.at(p).weighted_balance_divergences(b, a_values)
-            assert all(map(np.array_equal, kept, fresh))
+            a_col = np.array([[-1.0], [2.0]])
+            kept = view.divergence("weighted_balance", a=a_col, b=b)
+            fresh = eng.at(p).divergence("weighted_balance", a=a_col, b=b)
+            assert np.array_equal(kept, fresh)
             _assert_same_dual(view.weighted_divergence_dual(b),
                               eng.at(p).weighted_divergence_dual(b))
         _assert_same_dual(view.p_laplacian_dual(), eng.at(p).p_laplacian_dual())

@@ -146,25 +146,30 @@ class TestCampaignBatch:
         assert batch.u.shape[0] >= 600
         assert set(batch.meta) == {"model", "dim", "r"}
 
-    @pytest.mark.parametrize("model,cls,block", [
-        ("euclidean", EuclideanEngine, "_advection_balance"),
-        ("hyperbolic", RadialEngine, "_advection_balance"),
-    ])
-    def test_weighted_builds_balance_once_per_p_b(self, monkeypatch, model, cls, block):
+    @pytest.mark.parametrize("model,cls", [("euclidean", EuclideanEngine),
+                                           ("hyperbolic", RadialEngine)],
+                             ids=["euclidean", "hyperbolic"])
+    def test_weighted_builds_each_pair_once_per_p(self, monkeypatch, model, cls):
         builds = _count_view_builds(monkeypatch, cls)
         camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
         assert I.check_weighted_identity(camp).passed
-        pairs = [(p, b) for p in camp.p_values for b in I.AB_GRID]
-        assert [(p, b) for p, name, b in _with_b(builds) if name == block] == pairs
+        pairs = ("_advection_pair", "_flux_pair", "_plap_pair", "_power_pair")
+        assert sorted(build for build in builds if build[1] in pairs) == [
+            (p, name) for p in sorted(camp.p_values) for name in pairs
+        ]
 
-    def test_weighted_balance_divergences_match_the_spec(self):
+    def test_stacked_weights_match_the_spec(self):
         camp = I.Campaign(model_name="sphere", dim=3, samples=250, seed=8)
         eng = camp.batch.engine
-        by_a = eng.at(2.5).weighted_balance_divergences(-1.0, (-1.0, 0.5))
-        for a, div in zip((-1.0, 0.5), by_a):
-            np.testing.assert_array_equal(
-                div, eng.divergence("weighted_balance", 2.5, a=a, b=-1.0)
-            )
+        a_values = (-1.0, 0.5)
+        for spec in ("weighted_balance", "traceless_combo"):
+            rows = eng.at(2.5).divergence(spec, a=np.array(a_values)[:, None],
+                                          b=-1.0, combo_coef=0.3)
+            assert rows.shape == (len(a_values), camp.batch.u.shape[0])
+            for a, row in zip(a_values, rows):
+                np.testing.assert_array_equal(
+                    row, eng.divergence(spec, 2.5, a=a, b=-1.0, combo_coef=0.3)
+                )
 
     @pytest.mark.parametrize("model", ["euclidean", "sphere"])
     def test_short_campaign_raises(self, monkeypatch, model):
@@ -208,6 +213,22 @@ class TestNonFiniteFailsClosed:
         assert not rep.passed
         assert rep.worst_case["sample_index"] == 2 and rep.worst_case["k"] == 0
         assert rep.samples == 6
+
+    def test_stacked_update_matches_row_updates(self):
+        # rows with a tie (rows 0 and 1 share the maximum 3), an inf and a NaN
+        camp = I.Campaign(model_name="euclidean", dim=2, samples=250, seed=3)
+        rows = np.array([[1.0, 3.0, 3.0], [3.0, 2.0, 1.0],
+                         [2.0, np.inf, np.nan], [np.nan, 9.0, 1.0]])
+        params = [{"k": k} for k in range(len(rows))]
+        for block in (slice(0, 2), slice(1, 4), slice(0, 4)):
+            by_row, stacked = (I._Residuals("probe", 1e-8) for _ in range(2))
+            for acc in (by_row, stacked):  # a worst case from before the block
+                acc.update(np.array([2.5]), np.ones(1), camp.batch, {"k": -1})
+            for row, par in zip(rows[block], params[block]):
+                by_row.update(row, np.ones(3), camp.batch, par)
+            stacked.update(rows[block], np.ones_like(rows[block]), camp.batch,
+                           params[block])
+            assert repr(stacked.report().to_dict()) == repr(by_row.report().to_dict())
 
     def test_identity_of_no_samples(self):
         rep = I.check_weighted_identity(I.Campaign(p_values=(), samples=250))
@@ -463,20 +484,12 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestBuildCounts:
-    """Within one check each block that depends on p only is built once
-    per p, and each (p, b) block once per (p, b), on both engines and on
-    the jets route."""
+    """Within one check no view block is built twice: each block that
+    depends on p only is built once per p, and the one (p, b) block,
+    div X as a dual, only where the Bochner check reads its gradient."""
 
     CHECKS = (I.check_bochner_vector, I.check_bochner_linearized,
               I.check_weighted_identity)
-
-    @staticmethod
-    def _b_values(check, camp):
-        if check is I.check_weighted_identity:
-            return I.AB_GRID
-        if check is I.check_bochner_vector:
-            return camp.b_values
-        return ()
 
     @pytest.mark.parametrize("model,cls", [("euclidean", EuclideanEngine),
                                            ("sphere", RadialEngine)])
@@ -486,8 +499,15 @@ class TestBuildCounts:
         builds = _count_view_builds(monkeypatch, cls)
         assert check(camp).passed
         assert builds and len(builds) == len(set(builds))
-        pairs = {(p, b) for p in camp.p_values for b in self._b_values(check, camp)}
-        assert {(p, b) for p, _, b in _with_b(builds)} == pairs
+        p_level = [build for build in builds if len(build) == 2]
+        names = {name for _, name in p_level}
+        assert sorted(p_level) == sorted(
+            (p, name) for p in camp.p_values for name in names
+        )
+        b_values = camp.b_values if check is I.check_bochner_vector else ()
+        assert sorted(_with_b(builds)) == sorted(
+            (p, "weighted_divergence_dual", b) for p in camp.p_values for b in b_values
+        )
 
     @pytest.mark.parametrize("model", ["euclidean", "sphere"])
     @pytest.mark.parametrize("check", [I.check_bochner_vector, I.check_weighted_identity],
@@ -522,12 +542,27 @@ class TestBuildCounts:
                           horizon=30.0)
         builds = _count_view_builds(monkeypatch, RadialEngine)
         jacobians = _count_calls(monkeypatch, J, "flux_jacobian")
+        weighted = _count_calls(monkeypatch, J.FluxBlock, "weighted")
         b_values = (0.0, 1.0, -1.0)
         assert I.check_solution_identity(sol, b_values=b_values).passed
-        assert len(builds) == len(set(builds))
-        assert sorted(b for _, name, b in _with_b(builds)
-                      if name == "_weighted_flux") == sorted(b_values)
+        assert builds and len(builds) == len(set(builds))
+        assert not _with_b(builds)  # the engine side needs no per-b block
+        assert len(weighted) == len(b_values)
         assert len(jacobians) == 1
+
+
+class TestGridCorners:
+    """The five checks at the corners of the documented (n, p) grid, on
+    every model, at their default tolerances."""
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic"])
+    @pytest.mark.parametrize("p", [1.05, 12.0])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_five_checks_pass(self, n, p, model):
+        camp = I.Campaign(model_name=model, dim=n, p_values=(p,), samples=250, seed=0)
+        for check in TestCampaignBatch.CHECKS:
+            rep = check(camp)
+            assert rep.passed, (check.__name__, rep.max_rel_residual)
 
 
 class TestSpecificConfigurations:
