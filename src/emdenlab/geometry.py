@@ -1,11 +1,13 @@
 """Rotationally symmetric model manifolds in radial coordinates.
 
 A model is the warped product  dr^2 + psi(r)^2 g_{S^{n-1}}  with profile
-psi(0)=0, psi'(0)=1.  The named models are Euclidean space (psi=r), the
-round sphere (psi=sin(sqrt(k) r)/sqrt(k)) and hyperbolic space
-(psi=sinh(sqrt(k) r)/sqrt(k)).  The module supplies the warping jet,
-radial/tangential Ricci curvature, geodesic-ball volumes and the
-volume-comparison monotonicity check.
+psi(0)=0, psi'(0)=1.  The named models solve  psi'' = c psi  for one
+signed constant c: Euclidean space (c = 0, psi = r), the round sphere of
+curvature K (c = -K, psi = sin(sqrt(K) r)/sqrt(K)) and hyperbolic space
+with Ric = -(n-1) kappa g (c = kappa, psi = sinh(sqrt(kappa) r)/sqrt(kappa)).
+A user model supplies psi, psi' and psi'' itself.  The module supplies
+the warping jet, radial/tangential Ricci curvature, geodesic-ball volumes
+and the volume-comparison monotonicity check.
 """
 
 from __future__ import annotations
@@ -30,36 +32,14 @@ __all__ = [
     "bishop_gromov_check",
 ]
 
-# Below r_ser the closed forms psi = sin/sinh(sqrt(k) r)/sqrt(k) lose digits to
-# cancellation in psi''/psi, so named models switch to a 5-term Taylor series.
-_SERIES_TERMS = 5
-
-
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _series_psi(r, curv_sign: float, kappa: float):
-    """5-term Taylor evaluation of psi, psi', psi'' near r=0.
-
-    curv_sign = -1 gives sin-type (sphere), +1 gives sinh-type (hyperbolic),
-    and kappa=0 collapses to the Euclidean profile psi=r.
-    """
-    r = np.asarray(r, dtype=float)
-    c = curv_sign * kappa
-    psi = np.zeros_like(r)
-    dpsi = np.zeros_like(r)
-    ddpsi = np.zeros_like(r)
-    # psi = sum_{k} c^k r^(2k+1) / (2k+1)!
-    for k in range(_SERIES_TERMS):
-        m = 2 * k + 1
-        coef = c**k / math.factorial(m)
-        psi = psi + coef * r**m
-        dpsi = dpsi + coef * m * r ** (m - 1)
-        if m >= 2:
-            ddpsi = ddpsi + coef * m * (m - 1) * r ** (m - 2)
-    return psi, dpsi, ddpsi
+#: radii on which a user model's sign conditions are sampled
+_RICCI_GRID = np.geomspace(1e-3, 1e3, 241)
+_RICCI_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -76,23 +56,20 @@ class ManifoldModel:
         Constant in the Ricci lower bound Ric >= -(n-1)*kappa*g
         (0 for the Euclidean and sphere models).
     r_max : float
-        Domain of the radial coordinate (pi/sqrt(curv) for the sphere,
-        math.inf otherwise).
-    curv_sign : float
-        Sign of psi'' / psi for the named profiles: -1 sphere, +1
-        hyperbolic, 0 Euclidean.  Drives the series branch and the
-        defining ODE psi'' = curv_sign * curv * psi.
-    curv : float
-        Magnitude of the sectional-curvature parameter of the profile
-        (equals kappa for the named curved models, 0 for Euclidean).
+        Domain of the radial coordinate (pi/sqrt(K) for the sphere of
+        curvature K, math.inf otherwise).
+    warp_c : float
+        The signed constant c of a named profile, psi'' = c psi: -K on the
+        sphere of curvature K, +kappa on hyperbolic space, 0 on R^n.  It
+        is minus the sectional curvature.  User models carry 0; their
+        psi'' comes from the profile.
     """
 
     name: str
     dim: int
     kappa: float
     r_max: float
-    curv_sign: float
-    curv: float
+    warp_c: float
     user_profile: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -101,12 +78,6 @@ class ManifoldModel:
         if self.kappa < 0:
             raise DomainError(f"kappa must be nonnegative, got {self.kappa}")
 
-    @property
-    def r_series(self) -> float:
-        """Crossover radius below which the Taylor branch is used."""
-        scale = 1.0 if self.curv == 0 else max(1.0, 1.0 / math.sqrt(self.curv))
-        return 1e-4 * scale
-
     # ------------------------------------------------------------------
     # warping profile
     # ------------------------------------------------------------------
@@ -114,8 +85,8 @@ class ManifoldModel:
     def warping_jet(self, r):
         """Return (psi, psi', psi'') at radius r (scalar or array).
 
-        Named models use closed forms, switching to the series expansion
-        below ``r_series``.  Exact for named models up to roundoff.
+        Named models use the closed forms r, sin and sinh, with psi''
+        formed as c * psi, so they satisfy psi'' = c psi bit for bit.
         """
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr < 0) or np.any(r_arr >= self.r_max + 1e-15):
@@ -132,25 +103,17 @@ class ManifoldModel:
         return out
 
     def _named_jet(self, r):
-        c = self.curv
-        if self.curv_sign == 0 or c == 0.0:
+        c = self.warp_c
+        if c == 0.0:
             return r.copy(), np.ones_like(r), np.zeros_like(r)
-        sq = math.sqrt(c)
-        if self.curv_sign < 0:
+        sq = math.sqrt(abs(c))
+        if c < 0:
             psi = np.sin(sq * r) / sq
             dpsi = np.cos(sq * r)
-            ddpsi = -c * psi
         else:
             psi = np.sinh(sq * r) / sq
             dpsi = np.cosh(sq * r)
-            ddpsi = c * psi
-        small = r < self.r_series
-        if np.any(small):
-            ps, dps, ddps = _series_psi(r, self.curv_sign, c)
-            psi = np.where(small, ps, psi)
-            dpsi = np.where(small, dps, dpsi)
-            ddpsi = np.where(small, ddps, ddpsi)
-        return psi, dpsi, ddpsi
+        return psi, dpsi, c * psi
 
     # ------------------------------------------------------------------
     # curvature
@@ -163,20 +126,23 @@ class ManifoldModel:
         tangential:  -psi''/psi - (n-2)(psi'^2 - 1)/psi^2
 
         For a radial field X = v(r) d/dr, Ric(X, X) = v^2 * ricci_radial(r).
-        r=0 is resolved by the series limit; r >= r_max is a domain error.
+        On a named model both ratios equal c, so the value is the same
+        constant at every radius, r = 0 included.  A user model's ratios
+        are 0/0 at r = 0, so there r = 0 is a domain error, as is
+        r >= r_max on every model.
         """
         r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr < 0) or np.any(r_arr >= self.r_max + 1e-15):
+        user = self.user_profile is not None
+        if (np.any(r_arr < 0) or np.any(r_arr >= self.r_max + 1e-15)
+                or (user and np.any(r_arr == 0))):
             raise DomainError("radius outside the model domain")
         n = self.dim
-        if self.user_profile is None:
-            # psi''/psi and (psi'^2-1)/psi^2 have exact constant values
-            # curv_sign*curv for the named space forms.
-            ratio = self.curv_sign * self.curv
+        if not user:
+            c = self.warp_c
             if direction == "radial":
-                out = -(n - 1) * ratio * np.ones_like(r_arr)
+                out = -(n - 1) * c * np.ones_like(r_arr)
             elif direction == "tangential":
-                out = (-ratio - (n - 2) * ratio) * np.ones_like(r_arr)
+                out = (-c - (n - 2) * c) * np.ones_like(r_arr)
             else:
                 raise DomainError(f"unknown direction {direction!r}")
         else:
@@ -191,13 +157,19 @@ class ManifoldModel:
             return float(np.asarray(out))
         return out
 
-    # ------------------------------------------------------------------
-    # metadata helpers
-    # ------------------------------------------------------------------
-
     @property
     def has_nonnegative_ricci(self) -> bool:
-        return self.name in ("euclidean", "sphere")
+        """Whether Ric >= 0: c <= 0 on a named model.  A user model is
+        judged on the radii of _RICCI_GRID below r_max, where it needs
+        psi'' <= 0 and psi'^2 <= 1 (then both Ricci ratios are >= 0).
+        That is a sampled verdict, as the reaction-term conditions are; a
+        value that is not finite reads False.
+        """
+        if self.user_profile is None:
+            return bool(self.warp_c <= 0)
+        with np.errstate(all="ignore"):
+            _, dpsi, ddpsi = self.warping_jet(_RICCI_GRID[_RICCI_GRID < self.r_max])
+        return bool(np.all(ddpsi <= 0) and np.all(dpsi**2 <= 1))
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +179,7 @@ class ManifoldModel:
 
 def euclidean(dim: int) -> ManifoldModel:
     """Flat R^n: psi = r, kappa = 0."""
-    return ManifoldModel("euclidean", dim, 0.0, math.inf, 0.0, 0.0)
+    return ManifoldModel("euclidean", dim, 0.0, math.inf, 0.0)
 
 
 def sphere(dim: int, curv: float = 1.0) -> ManifoldModel:
@@ -217,16 +189,14 @@ def sphere(dim: int, curv: float = 1.0) -> ManifoldModel:
     """
     if curv <= 0:
         raise DomainError("sphere curvature must be positive")
-    return ManifoldModel(
-        "sphere", dim, 0.0, math.pi / math.sqrt(curv), -1.0, curv
-    )
+    return ManifoldModel("sphere", dim, 0.0, math.pi / math.sqrt(curv), -curv)
 
 
 def hyperbolic(dim: int, kappa: float = 1.0) -> ManifoldModel:
     """Hyperbolic space with Ric = -(n-1)*kappa*g: psi = sinh(sqrt(kappa) r)/sqrt(kappa)."""
     if kappa <= 0:
         raise DomainError("hyperbolic kappa must be positive")
-    return ManifoldModel("hyperbolic", dim, kappa, math.inf, 1.0, kappa)
+    return ManifoldModel("hyperbolic", dim, kappa, math.inf, kappa)
 
 
 def user_warped(
@@ -247,7 +217,7 @@ def user_warped(
     if abs(float(psi(r0)) - r0) > 1e-10 or abs(float(dpsi(r0)) - 1.0) > 1e-6:
         raise PreconditionError("user profile must satisfy psi(0)=0, psi'(0)=1")
     return ManifoldModel(
-        "user", dim, kappa, r_max, 0.0, 0.0, user_profile=(psi, dpsi, ddpsi)
+        "user", dim, kappa, r_max, 0.0, user_profile=(psi, dpsi, ddpsi)
     )
 
 

@@ -236,20 +236,16 @@ def weighted_flux_divergence(u, g, h, p, b):
 # ----------------------------------------------------------------------
 
 
-def traceless(mat, n=None):
-    """M - (tr M / n) id; trace of the result vanishes to roundoff."""
-    if n is None:
-        n = mat.shape[-1]
+def traceless(mat):
+    """M - (tr M / n) id for n x n M; its trace vanishes to roundoff."""
+    n = mat.shape[-1]
     tr = np.einsum("...ii->...", mat)
-    eye = np.eye(mat.shape[-1])
-    return mat - (tr / n)[..., None, None] * eye
+    return mat - (tr / n)[..., None, None] * np.eye(n)
 
 
-def trace_product(a, b=None):
-    """tr(A B); with one argument, tr(A^2) (matrix product, not entrywise)."""
-    if b is None:
-        b = a
-    return np.einsum("...ij,...ji->...", a, b)
+def trace_product(a):
+    """tr(A^2) (matrix product, not entrywise)."""
+    return np.einsum("...ij,...ji->...", a, a)
 
 
 def frobenius_sq(mat):

@@ -13,23 +13,27 @@ series expansion on [0, r0], r0 = 1e-4:
     m(r)  ~ -f0 (r^n/n) (1 + model curvature correction),   f0 = f(u0),
 
 then hands off to DOP853, the adaptive embedded Runge-Kutta method of
-order 8, in ``solve_ivp``.  That stepper is scipy's algorithm (its
-tableau, read from scipy at the first solve, its initial step, error
-norm, step-size control and statuses) written for the two-component
-state on plain Python floats.  The right-hand side is float arithmetic
-too (the reaction term's f takes the positive float u), so a step makes
-no numpy call.  It stops at the first downward zero crossing of u,
-located by brentq on that step's interpolant, and it fails closed on a
-non-finite state and after a fixed budget of steps.  The dense
-output is built lazily: a step's three extra stages and interpolant rows
-are computed only when a radius in that step is read (the crossing step,
+order 8, in ``solve_ivp``, at the fixed tolerances RTOL = 1e-10 and
+ATOL = 1e-12 (the sphere scan's atol is 1e-13).  That stepper is
+scipy's algorithm (its tableau, read from scipy at the first solve, its
+initial step, error norm, step-size control and statuses) written for
+the two-component state on plain Python floats.  The right-hand side is
+float arithmetic too (the reaction term's f takes the positive float
+u), so a step makes no numpy call.  It stops at the first downward zero
+crossing of u, located by brentq on that step's interpolant, and it
+fails closed on a non-finite state (an f(u0) that overflows gives one
+at the start) and after a fixed budget of steps.  The dense output is
+built lazily: a step's three extra stages and interpolant rows are
+computed only when a radius in that step is read (the crossing step,
 ``shoot``'s tail fit, ``RadialSolution`` queries).
 
-That computation lives in one place, ``_integrate``.  Its three callers
-only choose the interval and read the result: ``shoot`` classifies the
-run (and ``liouville_scan`` passes each cell's outcome, trajectory
-included, to an optional per-cell hook), ``solve_dense`` wraps the dense
-positive segment, and ``_bv_single`` (the sphere scan) reads the pole flux.
+That computation and its setup (start radius, tolerances, the horizon
+clipped to the model's domain) live in one place, ``_integrate``.  Its
+three callers only choose the horizon and read the result: ``shoot``
+classifies the run (and ``liouville_scan`` passes each cell's outcome,
+trajectory included, to an optional per-cell hook), ``solve_dense``
+wraps the dense positive segment, and ``_bv_single`` (the sphere scan)
+reads the pole flux.
 
 Every scan report records that radial shooting witnesses nonexistence
 only within the radial class; see ``RADIAL_WITNESS_NOTE``.
@@ -66,24 +70,30 @@ RADIAL_WITNESS_NOTE = (
 )
 
 SERIES_RADIUS = 1e-4
+#: the integrator's tolerances (the sphere scan's atol is _BV_ATOL)
+RTOL, ATOL = 1e-10, 1e-12
 
 
 def _warp_weight(model: ManifoldModel, n: int):
     """Scalar-fast psi(r)^{n-1} closure for the integrator hot loop."""
-    if model.name == "euclidean":
+    if model.user_profile is not None:
+        def generic(r):
+            psi, _, _ = model.warping_jet(r)
+            return psi ** (n - 1)
+
+        return generic
+    c = model.warp_c
+    if c == 0:
         return lambda r: r ** (n - 1)
-    if model.name == "sphere":
-        c = math.sqrt(model.curv)
-        return lambda r: (math.sin(c * r) / c) ** (n - 1)
-    if model.name == "hyperbolic":
-        c = math.sqrt(model.curv)
-        return lambda r: (math.sinh(c * r) / c) ** (n - 1)
+    sq = math.sqrt(abs(c))
+    if c < 0:
+        return lambda r: (math.sin(sq * r) / sq) ** (n - 1)
+    return lambda r: (math.sinh(sq * r) / sq) ** (n - 1)
 
-    def generic(r):
-        psi, _, _ = model.warping_jet(r)
-        return psi ** (n - 1)
 
-    return generic
+def _uprime(m, psi, n: int, p: float):
+    """u' = sign(m) |m / psi^{n-1}|^{1/(p-1)} on arrays."""
+    return np.sign(m) * np.abs(m / psi ** (n - 1)) ** (1.0 / (p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,6 @@ class ShootOutcome:
 
     kind: str
     r_cross: Optional[float] = None
-    r_end: Optional[float] = None
     tail_exponent: Optional[float] = None
     reason: Optional[str] = None
     trajectory: dict = field(default_factory=dict, repr=False)
@@ -111,11 +120,10 @@ class RadialSolution:
     """
 
     def __init__(self, model: ManifoldModel, p: float, term: ReactionTerm,
-                 u0: float, sol, r_lo: float, r_hi: float):
+                 sol, r_lo: float, r_hi: float):
         self.model = model
         self.p = p
         self.term = term
-        self.u0 = u0
         self._sol = sol
         self.r_lo = r_lo
         self.r_hi = r_hi
@@ -131,8 +139,7 @@ class RadialSolution:
         u, m = self.state(r)
         n, p = self.model.dim, self.p
         psi, dpsi, ddpsi = self.model.warping_jet(r)
-        w = psi ** (n - 1)
-        u1 = np.sign(m) * np.abs(m / w) ** (1.0 / (p - 1.0))
+        u1 = _uprime(m, psi, n, p)
         if np.any(u1 == 0):
             raise PreconditionError("solution jets need |u'| > 0 at the sample radii")
         # u'' from the equation, then u''' by seeding the dual tower
@@ -154,8 +161,9 @@ class RadialSolution:
 def _series_start(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
                   r0: float):
     n = model.dim
-    f0 = float(term(u0))
-    c = model.curv_sign * model.curv
+    with np.errstate(all="ignore"):  # f(u0) past the floats: a non-finite start
+        f0 = float(term(u0))
+    c = model.warp_c
     u_r0 = u0 - math.copysign(
         (p - 1.0) / p * (abs(f0) / n) ** (1.0 / (p - 1.0)) * r0 ** (p / (p - 1.0)),
         f0,
@@ -343,10 +351,10 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
     a solve that has taken _MAX_STEPS steps without ending (message "step
     budget of N steps exhausted at r=...") or, failing closed where scipy
     would shrink the step until it is that small, a stage or accepted
-    state that is not finite (message "non-finite state at r=...").  The
-    interpolant is built lazily (see _DenseOutput), so nfev counts dense
-    stages only for the crossing step, and a rejected step does not
-    evaluate f at its end.
+    state that is not finite, the start state included (message
+    "non-finite state at r=...").  The interpolant is built lazily (see
+    _DenseOutput), so nfev counts dense stages only for the crossing
+    step, and a rejected step does not evaluate f at its end.
 
     A module-level name that runs every solve, so a caller can wrap it to
     count solves (the tests and the benchmark's tracer do).
@@ -362,8 +370,12 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
     status = message = None
     with np.errstate(all="ignore"):
         fu, fm = rhs(t, u, m)
-        h_abs = _initial_step(rhs, t, u, m, fu, fm, r_end, rtol, atol)
-        nfev = 2
+        t_new, nfev = t, 1
+        if all(map(isfinite, (u, m, fu, fm))):
+            h_abs = _initial_step(rhs, t, u, m, fu, fm, r_end, rtol, atol)
+            nfev = 2
+        else:
+            status = -1
         while status is None:
             if len(steps) == _MAX_STEPS:
                 status = -1
@@ -478,35 +490,29 @@ def _radial_rhs(model: ManifoldModel, p: float, term: ReactionTerm):
 
 
 def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
-               r_start: float, r_end: float, rtol: float, atol: float) -> _Solve:
-    """The radial solve: series start at r_start, then DOP853 on the flux
-    form up to r_end, stopping at the first downward zero crossing of u.
+               horizon: float, atol: Optional[float] = None) -> _Solve:
+    """The radial solve: series start at SERIES_RADIUS, then DOP853 on the
+    flux form up to the horizon (clipped to the model's domain), stopping
+    at the first downward zero crossing of u.  The tolerances are RTOL and
+    ATOL, read at each call; the sphere scan passes its own atol.
     """
-    if r_end <= r_start:
+    r_end = min(horizon, model.r_max - SERIES_RADIUS)
+    if r_end <= SERIES_RADIUS:
         raise DomainError("horizon does not exceed the series start")
-    return solve_ivp(_radial_rhs(model, p, term), r_start, r_end,
-                     _series_start(model, p, term, u0, r_start), rtol, atol)
+    return solve_ivp(_radial_rhs(model, p, term), SERIES_RADIUS, r_end,
+                     _series_start(model, p, term, u0, SERIES_RADIUS), RTOL,
+                     ATOL if atol is None else atol)
 
 
-def shoot(
-    model: ManifoldModel,
-    p: float,
-    term: ReactionTerm,
-    u0: float,
-    horizon: float = 100.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> ShootOutcome:
+def shoot(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
+          horizon: float = 100.0) -> ShootOutcome:
     """Integrate the radial problem from the center and classify the run."""
     if u0 <= 0:
         raise PreconditionError("u0 must be positive")
     if p <= 1:
         raise PreconditionError("p must exceed 1")
-    n = model.dim
-    r_start = SERIES_RADIUS
-    r_end = min(horizon, model.r_max - r_start)
     try:
-        sol = _integrate(model, p, term, u0, r_start, r_end, rtol, atol)
+        sol = _integrate(model, p, term, u0, horizon)
     except (FloatingPointError, ValueError, OverflowError) as exc:
         return ShootOutcome(kind="inconclusive", reason=f"integrator error: {exc}")
 
@@ -514,9 +520,6 @@ def shoot(
         "nfev": int(sol.nfev),
         "status": int(sol.status),
         "message": str(sol.message),
-        "rtol": rtol,
-        "atol": atol,
-        "r_start": r_start,
     }
     traj = {
         "r": sol.t.copy(),
@@ -525,9 +528,7 @@ def shoot(
     }
     with np.errstate(divide="ignore", invalid="ignore"):
         psi_t, _, _ = model.warping_jet(sol.t)
-        traj["uprime"] = np.sign(traj["m"]) * np.abs(
-            traj["m"] / psi_t ** (n - 1)
-        ) ** (1.0 / (p - 1.0))
+        traj["uprime"] = _uprime(traj["m"], psi_t, model.dim, p)
 
     if term.sign_class in ("nonnegative", "positive"):
         m_traj = traj["m"]
@@ -541,10 +542,8 @@ def shoot(
 
     if sol.status == 1 and len(sol.t_events[0]):
         r_cross = float(sol.t_events[0][0])
-        return ShootOutcome(
-            kind="crossed_zero", r_cross=r_cross, r_end=r_cross,
-            trajectory=traj, stats=stats,
-        )
+        return ShootOutcome(kind="crossed_zero", r_cross=r_cross,
+                            trajectory=traj, stats=stats)
     if sol.status < 0:
         reason = (f"step-size collapse: {sol.message}"
                   if sol.message == _TOO_SMALL_STEP else sol.message)
@@ -558,34 +557,24 @@ def shoot(
         )
     tail = None
     if model.r_max == math.inf:
-        r_tail = np.geomspace(max(r_end / 10.0, 2 * r_start), r_end, 48)
+        r_end = float(sol.t[-1])
+        r_tail = np.geomspace(max(r_end / 10.0, 2 * SERIES_RADIUS), r_end, 48)
         u_tail = sol.sol(r_tail)[0]
         if np.all(u_tail > 0):
             slope, _ = np.polyfit(np.log(r_tail), np.log(u_tail), 1)
             tail = float(slope)
-    return ShootOutcome(
-        kind="stayed_positive", r_end=float(sol.t[-1]), tail_exponent=tail,
-        trajectory=traj, stats=stats,
-    )
+    return ShootOutcome(kind="stayed_positive", tail_exponent=tail,
+                        trajectory=traj, stats=stats)
 
 
-def solve_dense(
-    model: ManifoldModel,
-    p: float,
-    term: ReactionTerm,
-    u0: float,
-    horizon: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> RadialSolution:
+def solve_dense(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
+                horizon: float) -> RadialSolution:
     """Shoot and wrap the dense positive segment as a RadialSolution."""
-    r_start = SERIES_RADIUS
-    r_end = min(horizon, model.r_max - r_start)
-    sol = _integrate(model, p, term, u0, r_start, r_end, rtol, atol)
+    sol = _integrate(model, p, term, u0, horizon)
     if sol.status < 0:
         raise NumericalError(f"dense solve failed: {sol.message}")
     r_hi = float(sol.t_events[0][0]) if len(sol.t_events[0]) else float(sol.t[-1])
-    return RadialSolution(model, p, term, u0, sol.sol, r_start, r_hi)
+    return RadialSolution(model, p, term, sol.sol, SERIES_RADIUS, r_hi)
 
 
 # ----------------------------------------------------------------------
@@ -593,8 +582,7 @@ def solve_dense(
 # ----------------------------------------------------------------------
 
 
-def liouville_scan(n, p, alphas, u0s, horizon=100.0, rtol=1e-10, atol=1e-12,
-                   on_cell=None):
+def liouville_scan(n, p, alphas, u0s, horizon=100.0, on_cell=None):
     """Shooting table for pure powers across an (alpha, u0) grid on R^n.
 
     The expected dichotomy: every alpha below the critical exponent
@@ -616,8 +604,7 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, rtol=1e-10, atol=1e-12,
         for u0 in u0s:
             u0 = float(u0)
             try:
-                out = shoot(model, p, term, u0, horizon=horizon,
-                            rtol=rtol, atol=atol)
+                out = shoot(model, p, term, u0, horizon=horizon)
             except Exception as exc:  # record and continue, per cell
                 cells.append(
                     {"alpha": alpha, "u0": u0, "outcome": "error", "error": str(exc)}
@@ -642,8 +629,8 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, rtol=1e-10, atol=1e-12,
         "p": p,
         "critical_exponent": ps,
         "horizon": horizon,
-        "rtol": rtol,
-        "atol": atol,
+        "rtol": RTOL,
+        "atol": ATOL,
         "cells": cells,
         "pass": bool(cells) and all(
             c["outcome"] != "error"
@@ -653,7 +640,7 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, rtol=1e-10, atol=1e-12,
     }
 
 
-def bubble_match(n, p, lam, horizon=20.0, rtol=1e-10, atol=1e-12) -> dict:
+def bubble_match(n, p, lam, horizon=20.0) -> dict:
     """Shoot from the bubble's center value and compare with the closed form."""
     ps = critical_exponent(n, p)
     if not (1 < p < n):
@@ -661,7 +648,7 @@ def bubble_match(n, p, lam, horizon=20.0, rtol=1e-10, atol=1e-12) -> dict:
     bubble = emden_bubble(n, p, lam)
     u0 = float(bubble(0.0))
     term = ReactionTerm.pure_power(ps)
-    sol = solve_dense(euclidean(n), p, term, u0, horizon, rtol=rtol, atol=atol)
+    sol = solve_dense(euclidean(n), p, term, u0, horizon)
     r = np.linspace(SERIES_RADIUS, min(horizon, sol.r_hi), 600)
     u_num, _ = sol.state(r)
     u_ref = bubble(r)
@@ -683,14 +670,16 @@ def bubble_match(n, p, lam, horizon=20.0, rtol=1e-10, atol=1e-12) -> dict:
 # ----------------------------------------------------------------------
 
 _ANTIPODAL_GAP = 1e-3
+#: the sphere scan's absolute tolerance (its relative one is RTOL)
+_BV_ATOL = 1e-13
 
 
-def _bv_single(model, q, lam, u0, rtol, atol) -> dict:
+def _bv_single(model, q, lam, u0) -> dict:
     """One pole-to-pole run as a scan cell: u0, status, residual, min_u."""
     n = model.dim
     term = ReactionTerm.linear_minus_power(q, lam)
-    sol = _integrate(model, 2.0, term, u0, SERIES_RADIUS,
-                     model.r_max - _ANTIPODAL_GAP, rtol, atol)
+    sol = _integrate(model, 2.0, term, u0, model.r_max - _ANTIPODAL_GAP,
+                     atol=_BV_ATOL)
     if sol.status < 0:
         return {"u0": u0, "status": "error", "residual": None, "min_u": None}
     if sol.status == 1:
@@ -723,7 +712,7 @@ def _is_regular(cell) -> bool:
             and abs(cell["residual"]) <= _BV_RESIDUAL_TOL and cell["min_u"] > 0)
 
 
-def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
+def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
     """Scan  lap u - lam u + u^q = 0  on the round unit sphere.
 
     Integrates from the north pole with the regular start u'(0) = 0 and
@@ -733,7 +722,8 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
     bound) are evaluated and reported, and a run outside them is flagged
     but still performed (exploration mode).  Within the hypotheses the
     scan passes iff the constant lam^{1/(q-1)} is the only regular value
-    found; outside them it is flagged and passes iff it has cells.
+    found; outside them it is flagged and passes iff it has cells.  A
+    cell whose solve failed (status "error") fails the scan either way.
     """
     if q <= 1 or lam <= 0:
         raise PreconditionError("need q > 1 and lam > 0")
@@ -753,7 +743,7 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
     )
 
     constant_value = lam ** (1.0 / (q - 1.0))
-    cells = [_bv_single(model, q, lam, float(u0), rtol, atol) for u0 in u0_grid]
+    cells = [_bv_single(model, q, lam, float(u0)) for u0 in u0_grid]
 
     # Nonconstant regular families leave the pole flux at integrator
     # noise relative to the reference flux, so a small residual marks a
@@ -784,7 +774,7 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
             lo, hi = hi, lo
         found = None
         for _ in range(200):
-            mid = _bv_single(model, q, lam, 0.5 * (lo + hi), rtol, atol)
+            mid = _bv_single(model, q, lam, 0.5 * (lo + hi))
             if _is_regular(mid):
                 found = {"u0": mid["u0"], "residual": mid["residual"]}
                 break
@@ -804,13 +794,14 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
     boundary_case = any(
         abs(v - constant_value) > 1e-4 * (1.0 + constant_value) for v in regular_all
     )
+    no_errors = all(cell["status"] != "error" for cell in cells)
     if hyp["within_theorem"]:
         unique = len(regular_all) == 1 and bool(
             abs(regular_all[0] - constant_value) <= 1e-6 * (1.0 + constant_value))
-        verdict = {"pass": unique}
+        verdict = {"pass": unique and no_errors}
     else:
         verdict = {"flag": "outside theorem hypotheses (exploration mode)",
-                   "pass": bool(cells)}
+                   "pass": bool(cells) and no_errors}
     return {
         "note": RADIAL_WITNESS_NOTE,
         "n": n,
@@ -823,7 +814,7 @@ def bv_sphere_scan(n, q, lam, u0_grid, rtol=1e-10, atol=1e-13) -> dict:
         "regular_u0": [float(v) for v in regular_all],
         "nonconstant_regular_found": bool(boundary_case),
         "residual_tol": _BV_RESIDUAL_TOL,
-        "rtol": rtol,
-        "atol": atol,
+        "rtol": RTOL,
+        "atol": _BV_ATOL,
         **verdict,
     }

@@ -397,17 +397,31 @@ class TestOtherCommands:
 
 
 class TestConsoleEntry:
-    def test_module_invocation(self):
+    @staticmethod
+    def child(*argv):
         # the child imports the same emdenlab as this process and, like
         # this one, treats warnings as errors
         src = str(Path(emdenlab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "emdenlab.cli", "classify",
-             "--n", "3", "--p", "2", "--alpha", "1.0"],
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "emdenlab.cli", *argv],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_module_invocation(self):
+        proc = self.child("classify", "--n", "3", "--p", "2", "--alpha", "1.0")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"][0]["verdict"] in (
             "no_positive_solution", "constant_forced",
         )
+
+    def test_overflowing_sphere_cell_fails_closed(self):
+        # f(1e200) overflows: that cell is an error, with no warning
+        # escaping to stderr, and the scan fails
+        proc = self.child("bv-sphere", "--u0", "1,1e200")
+        assert proc.returncode == 1
+        [scan] = json.loads(proc.stdout)["results"]
+        assert scan["pass"] is False
+        assert [c["status"] for c in scan["cells"]].count("error") == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("[emdenlab] pass=False")

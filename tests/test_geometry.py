@@ -37,25 +37,34 @@ class TestWarpingJet:
     ])
     def test_defining_ode_on_log_grid(self, maker, kappa):
         model = maker(3, kappa) if kappa else maker(3)
-        hi = 2.9 if model.name == "sphere" else 50.0
+        hi = 2.9 if model.warp_c < 0 else 50.0
         r = np.geomspace(1e-6, hi / max(1.0, math.sqrt(max(kappa, 1e-10))), 60)
         psi, _, ddpsi = model.warping_jet(r)
-        lhs = ddpsi - model.curv_sign * model.curv * psi
-        scale = np.abs(ddpsi) + model.curv * np.abs(psi) + 1.0
+        lhs = ddpsi - model.warp_c * psi
+        scale = np.abs(ddpsi) + abs(model.warp_c) * np.abs(psi) + 1.0
         assert np.max(np.abs(lhs) / scale) <= 1e-12
 
-    @pytest.mark.parametrize("maker", [geo.sphere, geo.hyperbolic])
-    def test_series_crossover_continuous(self, maker):
-        # both branches evaluated at the crossover radius itself
-        model = maker(3, 1.0)
-        r = np.asarray(model.r_series)
-        series = geo._series_psi(r, model.curv_sign, model.curv)
-        if model.curv_sign < 0:
-            closed = (np.sin(r), np.cos(r), -np.sin(r))
-        else:
-            closed = (np.sinh(r), np.cosh(r), np.sinh(r))
-        for a, b in zip(series, closed):
-            assert abs(a - b) <= 1e-12 * (abs(a) + abs(b) + 1e-300)
+    @pytest.mark.parametrize("maker,k", [
+        (geo.sphere, 1.0), (geo.sphere, 0.25),
+        (geo.hyperbolic, 0.25), (geo.hyperbolic, 4.0),
+    ])
+    def test_small_radius_closed_forms(self, maker, k):
+        # near the center the closed forms keep their digits, and
+        # psi'' = c psi holds bit for bit
+        model = maker(3, k)
+        r = np.geomspace(1e-9, 2e-4, 400)
+        psi, dpsi, ddpsi = model.warping_jet(r)
+        assert np.array_equal(ddpsi, model.warp_c * psi)
+        sin, cos = ((mpmath.sin, mpmath.cos) if model.warp_c < 0
+                    else (mpmath.sinh, mpmath.cosh))
+        with mpmath.workdps(40):
+            sq = mpmath.sqrt(mpmath.mpf(k))
+            for i in range(0, r.size, 7):
+                x = mpmath.mpf(float(r[i]))
+                ref = sin(sq * x) / sq
+                assert abs(psi[i] - ref) <= 1e-15 * abs(ref)
+                assert abs(dpsi[i] - cos(sq * x)) <= 1e-15
+                assert abs(ddpsi[i] - model.warp_c * ref) <= 1e-15 * abs(k * ref)
 
     def test_domain_errors(self):
         m = geo.sphere(2, 1.0)
@@ -89,6 +98,17 @@ class TestRicci:
     def test_origin_limit_via_series(self):
         m = geo.hyperbolic(3, 1.0)
         assert m.ricci_radial(0.0) == pytest.approx(-2.0, rel=1e-12)
+
+    def test_signed_constant_values(self):
+        # -(n-1) c on R^n is -(n-1) * 0.0 = -0.0
+        assert math.copysign(1.0, geo.euclidean(3).ricci_radial(1.0)) == -1.0
+        assert geo.sphere(4, 0.25).ricci_radial(0.0, "tangential") == 0.75
+        assert geo.hyperbolic(3, 4.0).ricci_radial(2.0) == -8.0
+
+    def test_user_origin_is_a_domain_error(self):
+        m = geo.user_warped(3, np.sinh, np.cosh, np.sinh)
+        with pytest.raises(DomainError):
+            m.ricci_radial(0.0)
 
 
 class TestBallVolume:
@@ -141,6 +161,49 @@ class TestBishopGromov:
     def test_hyperbolic_rejected(self):
         with pytest.raises(PreconditionError):
             geo.bishop_gromov_check(geo.hyperbolic(3, 1.0), [1.0, 2.0])
+
+
+def _atan_profile(dim):
+    """psi = (r + atan r)/2: psi'' <= 0 and psi' in (1/2, 1]."""
+    return geo.user_warped(
+        dim,
+        psi=lambda r: (r + np.arctan(r)) / 2.0,
+        dpsi=lambda r: (1.0 + 1.0 / (1.0 + r * r)) / 2.0,
+        ddpsi=lambda r: -r / (1.0 + r * r) ** 2,
+    )
+
+
+def _asinh_profile(dim):
+    """psi = asinh r: psi'' <= 0 and psi' in (0, 1]."""
+    return geo.user_warped(
+        dim,
+        psi=np.arcsinh,
+        dpsi=lambda r: 1.0 / np.sqrt(1.0 + r * r),
+        ddpsi=lambda r: -r / (1.0 + r * r) ** 1.5,
+    )
+
+
+class TestNonnegativeRicci:
+    def test_named_models(self):
+        assert geo.euclidean(3).has_nonnegative_ricci
+        assert geo.sphere(3, 2.0).has_nonnegative_ricci
+        assert not geo.hyperbolic(3, 0.25).has_nonnegative_ricci
+
+    @pytest.mark.parametrize("maker", [_atan_profile, _asinh_profile])
+    def test_user_models_with_nonnegative_ricci(self, maker):
+        model = maker(3)
+        r = np.geomspace(1e-3, 1e3, 121)
+        assert np.all(model.ricci_radial(r) >= 0)
+        assert np.all(model.ricci_radial(r, "tangential") >= 0)
+        assert model.has_nonnegative_ricci
+        rep = geo.bishop_gromov_check(model, [0.5, 1.0, 2.0, 4.0])
+        assert rep["non_increasing"]
+
+    def test_user_sinh_profile(self):
+        model = geo.user_warped(3, np.sinh, np.cosh, np.sinh)
+        assert not model.has_nonnegative_ricci
+        with pytest.raises(PreconditionError):
+            geo.bishop_gromov_check(model, [1.0, 2.0])
 
 
 class TestUserProfile:

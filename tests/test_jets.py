@@ -129,11 +129,11 @@ class TestFluxFields:
 
 class TestTraceless:
     def test_identity_killed(self):
-        out = J.traceless(np.eye(3)[None], 3)
+        out = J.traceless(np.eye(3)[None])
         np.testing.assert_array_equal(out, np.zeros((1, 3, 3)))
 
     def test_rank_one_diagonal(self):
-        out = J.traceless(np.diag([1.0, 0.0, 0.0])[None], 3)
+        out = J.traceless(np.diag([1.0, 0.0, 0.0])[None])
         np.testing.assert_allclose(
             out[0], np.diag([2 / 3, -1 / 3, -1 / 3]), rtol=1e-15
         )
@@ -143,7 +143,7 @@ class TestTraceless:
     def test_trace_vanishes_and_complement(self, seed):
         rng = RNG(seed)
         mat = rng.normal(size=(4, 4))[None]
-        out = J.traceless(mat, 4)
+        out = J.traceless(mat)
         norm = np.abs(mat).max()
         assert abs(np.einsum("nii->n", out)[0]) <= 1e-13 * max(norm, 1.0)
         np.testing.assert_allclose(

@@ -70,6 +70,16 @@ class TestShoot:
             assert np.all(np.isfinite(out.trajectory["u"]))
             assert float(out.reason.split("=")[1]) > out.trajectory["r"][-1]
 
+    def test_overflowing_start_is_inconclusive(self):
+        # f(1e200) = 1e600 overflows: the solve ends at its start radius
+        # with no numpy warning (warnings are errors here)
+        for model, term in ((euclidean(3), ReactionTerm.pure_power(3.0)),
+                            (sphere(3), ReactionTerm.linear_minus_power(3.0, 1.0))):
+            out = S.shoot(model, 2.0, term, 1e200, horizon=3.0)
+            assert out.kind == "inconclusive"
+            assert out.reason == f"non-finite state at r={S.SERIES_RADIUS:.6g}"
+            assert out.stats["status"] == -1
+
     def test_step_budget_ends_the_solve(self, monkeypatch):
         # a normal scan cell (25 steps to its crossing) against a budget of 5
         monkeypatch.setattr(S, "_MAX_STEPS", 5)
@@ -210,6 +220,14 @@ class TestScanVerdicts:
         assert not self.passed(rep)
         assert not self.passed(S.bv_sphere_scan(3, 3.0, 1.0, []))
 
+    @pytest.mark.parametrize("q,lam,u0", [(3.0, 1.0, 1.0), (5.0, 0.75, 0.5)])
+    def test_sphere_error_cell_fails(self, q, lam, u0):
+        # inside the hypotheses (where 1.0 is the constant) and outside
+        rep = S.bv_sphere_scan(3, q, lam, [u0, 1e200])
+        assert [c["status"] for c in rep["cells"]][1] == "error"
+        assert rep["cells"][0]["status"] != "error"
+        assert not self.passed(rep)
+
     def test_sphere_exploration_is_flagged(self):
         rep = S.bv_sphere_scan(3, 5.0, 0.75, [0.5, 0.8])
         assert not rep["hypotheses"]["within_theorem"]
@@ -224,10 +242,14 @@ class TestBubbleMatch:
         rep = S.bubble_match(n, p, lam, horizon=20.0)
         assert rep["pass"] and rep["max_rel_residual"] <= 1e-6
 
-    def test_tolerance_scaling(self):
+    def test_tolerance_scaling(self, monkeypatch):
         # tightening the integrator tolerance must improve the match
-        coarse = S.bubble_match(3, 2.0, 1.0, horizon=20.0, rtol=1e-6, atol=1e-9)
-        fine = S.bubble_match(3, 2.0, 1.0, horizon=20.0, rtol=1e-9, atol=1e-12)
+        def match(rtol, atol):
+            monkeypatch.setattr(S, "RTOL", rtol)
+            monkeypatch.setattr(S, "ATOL", atol)
+            return S.bubble_match(3, 2.0, 1.0, horizon=20.0)
+
+        coarse, fine = match(1e-6, 1e-9), match(1e-9, 1e-12)
         assert fine["max_rel_residual"] <= coarse["max_rel_residual"] / 10.0
 
     def test_scale_invariance_of_trajectories(self):
