@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default="euclidean",
                     choices=["euclidean", "sphere", "hyperbolic"])
     sp.add_argument("--dim", type=int, default=3)
-    sp.add_argument("--kappa", type=float, default=1.0)
+    sp.add_argument("--kappa", type=float, default=1.0,
+                    help="the sphere's curvature K or H^n's kappa; must be > 0")
     sp.add_argument("--radii", type=_floats, default=(0.5, 1.0, 2.0))
 
     return ap

@@ -31,8 +31,8 @@ div V of a vector dual V, and the duals (G, h, HG) of w = ln u.
   div(v d/dr) = v' + (n-1)(psi'/psi) v see the warping.
 
 Both engines are served by one :class:`View`, ``engine.at(p)``, which
-assembles the fields at one p from the engine's duals and keeps every
-block it builds for as long as it lives.  Every block depends on p only.
+assembles the fields at one p from the engine's duals and keeps each
+p-level block it builds for as long as it lives.
 With F the flux and X = u^b F, <grad u, F> = |grad u|^p gives
 
   grad_X X      = u^{2b} grad_F F + b u^{2b-1} |grad u|^p F
@@ -182,21 +182,6 @@ class RadialEngine(_Engine):
         return self.u.v.copy(), g, h
 
 
-def _kept(build):
-    """A view method whose result is built on first use and kept on the
-    view, keyed by the method's name and arguments."""
-    name = build.__name__
-
-    @functools.wraps(build)
-    def block(self, *args):
-        key = (name,) + args
-        if key not in self._blocks:
-            self._blocks[key] = build(self, *args)
-        return self._blocks[key]
-
-    return block
-
-
 def _power_flux(G: Grad, h: Grad, HG: Grad, p: float, lam: float) -> Grad:
     """(1/lam) |grad w|^{p-2} A_w(grad |grad w|^lam) from the duals of
     G = grad w, h = |grad w|^2 and HG = hess w . grad w.
@@ -211,26 +196,26 @@ def _power_flux(G: Grad, h: Grad, HG: Grad, p: float, lam: float) -> Grad:
 
 
 class View:
-    """An engine at one p; the blocks it builds live as long as it does."""
+    """An engine at one p.  Its p-level blocks are cached properties, kept
+    as long as the view; ``weighted_divergence_dual(b)`` builds anew."""
 
     def __init__(self, engine: _Engine, p: float):
         self.engine = engine
         self.p = p
-        self._blocks = {}
 
     # -- dual blocks --------------------------------------------------------
 
-    @_kept
+    @functools.cached_property
     def _flux(self) -> Grad:
         E = self.engine
         return E.h ** ((self.p - 2.0) / 2.0) * E.G
 
-    @_kept
+    @functools.cached_property
     def _grad_pow(self) -> Grad:
         """|grad u|^p."""
         return self.engine.h ** (self.p / 2.0)
 
-    @_kept
+    @functools.cached_property
     def p_laplacian_dual(self) -> Grad:
         E, p = self.engine, self.p
         if p == 2.0:
@@ -239,13 +224,12 @@ class View:
             (p - 4.0) / 2.0
         ) * E.GHG
 
-    @_kept
     def weighted_divergence_dual(self, b: float) -> Grad:
         """div X = b u^{b-1} |grad u|^p + u^b lap_p u, the one block at one b."""
         E = self.engine
         return (
-            b * E.u ** (b - 1.0) * self._grad_pow()
-            + E.u**b * self.p_laplacian_dual()
+            b * E.u ** (b - 1.0) * self._grad_pow
+            + E.u**b * self.p_laplacian_dual
         )
 
     # -- the four vector duals W, each kept as (div W, <grad u, W>) ---------
@@ -256,32 +240,32 @@ class View:
     def _flux_times(self, phi: Grad):
         """The pair of phi F for a scalar dual phi, by
         div(phi F) = phi div F + <grad phi, F>."""
-        div_f, along_f = self._flux_pair()
-        grad_phi_f = np.einsum("nm,nm->n", phi.d, self._flux().v)
+        div_f, along_f = self._flux_pair
+        grad_phi_f = np.einsum("nm,nm->n", phi.d, self._flux.v)
         return phi.v * div_f + grad_phi_f, phi.v * along_f
 
-    @_kept
+    @functools.cached_property
     def _flux_pair(self):
-        return self._pair(self._flux())
+        return self._pair(self._flux)
 
-    @_kept
+    @functools.cached_property
     def _advection_pair(self):
         """grad_F F = h^{p-2} (HG + (p-2) h^{-1} (G . HG) G)."""
         E, p = self.engine, self.p
         adv = E.h ** (p - 2.0) * (E.HG + (p - 2.0) * E.GHG * E.h**-1.0 * E.G)
         return self._pair(adv)
 
-    @_kept
+    @functools.cached_property
     def _plap_pair(self):
-        return self._flux_times(self.p_laplacian_dual())
+        return self._flux_times(self.p_laplacian_dual)
 
-    @_kept
+    @functools.cached_property
     def _power_pair(self):
-        return self._flux_times(self._grad_pow())
+        return self._flux_times(self._grad_pow)
 
     def _advection_less(self, s: float):
         """The pair of grad_F F - s (lap_p u) F."""
-        (div_a, along_a), (div_l, along_l) = self._advection_pair(), self._plap_pair()
+        (div_a, along_a), (div_l, along_l) = self._advection_pair, self._plap_pair
         return div_a - s * div_l, along_a - s * along_l
 
     def _product_rule(self, k, W0, c1=0.0, W1=(0.0, 0.0)) -> np.ndarray:
@@ -309,25 +293,25 @@ class View:
         """
         E, p = self.engine, self.p
         if spec == "flux":
-            return self._flux_pair()[0]
+            return self._flux_pair[0]
         if spec == "weighted_flux":
-            return self._product_rule(b, self._flux_pair())
+            return self._product_rule(b, self._flux_pair)
         if spec == "self_advection":
             return self._product_rule(
-                2.0 * b, self._advection_pair(), b, self._power_pair()
+                2.0 * b, self._advection_pair, b, self._power_pair
             )
         if spec == "advection_balance":
             return self._product_rule(2.0 * b, self._advection_less(1.0))
         if spec == "weighted_balance":
             return self._product_rule(
                 a + 2.0 * b, self._advection_less(1.0),
-                -((p - 1.0) / p) * a, self._power_pair(),
+                -((p - 1.0) / p) * a, self._power_pair,
             )
         if spec == "traceless_combo":
             coef = 0.0 if combo_coef is None else combo_coef
             return self._product_rule(
                 a + 2.0 * b, self._advection_less(1.0 / E.n),
-                b * (1.0 - 1.0 / E.n) - coef, self._power_pair(),
+                b * (1.0 - 1.0 / E.n) - coef, self._power_pair,
             )
         if spec == "grad_power_flux":
             return E.div(_power_flux(E.G, E.h, E.HG, p, p))

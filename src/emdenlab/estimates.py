@@ -365,78 +365,68 @@ def _ball_min(spec: RadialProfileSpec, radius: float) -> float:
 _RATIO_BAND = 1e3
 
 
-def weak_harnack_ratio(profile: str | RadialProfileSpec, n: int, p: float,
-                       q: float, radii=(1, 2, 4, 8, 16, 32)) -> dict:
-    """rho(R) = inf_{B_R} u / (R^{-n/q} ||u||_{L^q(B_2R)}) across radii.
-
-    A property check: rho must stay positive and its spread across the
-    R sweep must stay within _RATIO_BAND (the inequality's
-    constant is existence-only).  Requires certified p-superharmonicity
-    on the swept region and q inside (0, (p-1) chi).
-    """
+def _ratio_sweep(kind: str, key: str, profile, n: int, p: float, q: float,
+                 radii, check_q: Callable, row: Callable) -> dict:
+    """The R sweep of a ratio experiment on a certified p-superharmonic
+    profile: ``check_q()`` enforces its q rule and ``row(spec, R)`` gives
+    a row, whose ratio is ``key``.  It passes iff every ratio is positive
+    and their spread stays within _RATIO_BAND (the constants are
+    existence-only)."""
     spec = named_profile(profile) if isinstance(profile, str) else profile
-    HarnackConfig(n=n, p=p, q=q)
+    check_q()
     radii = _sorted_radii(radii)
     cert = certify_p_superharmonic(spec, n, p, r_max=2.0 * radii[-1])
     if not cert["certified"]:
         raise PreconditionError(
             f"profile {spec.name!r} failed superharmonicity certification"
         )
-    rows = []
-    for radius in radii:
-        inf_u = _ball_min(spec, radius)
-        norm = _ball_lq_norm(spec, 1.0, q, 2.0 * radius, n)
-        rho = inf_u / (radius ** (-n / q) * norm)
-        rows.append({"R": radius, "inf_u": inf_u, "norm": norm, "rho": rho})
-    rhos = np.array([row["rho"] for row in rows])
-    out = {
-        "kind": "weak_harnack",
+    rows = [{"R": radius, **row(spec, radius)} for radius in radii]
+    vals = np.array([r[key] for r in rows])
+    return {
+        "kind": kind,
         "quad_epsrel": 1e-11,
         "profile": spec.name,
         "n": n,
         "p": p,
         "q": q,
         "rows": rows,
-        "min_rho": float(rhos.min()),
-        "band": float(rhos.max() / rhos.min()),
+        "band": float(vals.max() / vals.min()),
         "band_limit": _RATIO_BAND,
         "certification": cert,
-        "pass": bool(rhos.min() > 0 and rhos.max() / rhos.min() <= _RATIO_BAND),
+        "pass": bool(vals.min() > 0 and vals.max() / vals.min() <= _RATIO_BAND),
     }
-    return out
+
+
+def weak_harnack_ratio(profile: str | RadialProfileSpec, n: int, p: float,
+                       q: float, radii=(1, 2, 4, 8, 16, 32)) -> dict:
+    """rho(R) = inf_{B_R} u / (R^{-n/q} ||u||_{L^q(B_2R)}) across radii,
+    for q inside (0, (p-1) chi); the report adds the least rho as min_rho."""
+
+    def row(spec, radius):
+        inf_u = _ball_min(spec, radius)
+        norm = _ball_lq_norm(spec, 1.0, q, 2.0 * radius, n)
+        return {"inf_u": inf_u, "norm": norm,
+                "rho": inf_u / (radius ** (-n / q) * norm)}
+
+    out = _ratio_sweep("weak_harnack", "rho", profile, n, p, q, radii,
+                       lambda: HarnackConfig(n=n, p=p, q=q), row)
+    return {**out, "min_rho": float(np.min([r["rho"] for r in out["rows"]]))}
 
 
 def local_max_principle_ratio(profile: str | RadialProfileSpec, n: int, p: float,
                               q: float, radii=(1, 2, 4, 8, 16)) -> dict:
     """sup_{B_{R/2}} u^{-1} / (V_R^{-1/q} ||u^{-1}||_{L^q(B_R)}) stability."""
-    spec = named_profile(profile) if isinstance(profile, str) else profile
-    if q <= 0:
-        raise PreconditionError("q must be positive")
-    radii = _sorted_radii(radii)
-    cert = certify_p_superharmonic(spec, n, p, r_max=2.0 * radii[-1])
-    if not cert["certified"]:
-        raise PreconditionError(
-            f"profile {spec.name!r} failed superharmonicity certification"
-        )
-    model = euclidean(n)
-    rows = []
-    for radius in radii:
+
+    def check_q():
+        if q <= 0:
+            raise PreconditionError("q must be positive")
+
+    def row(spec, radius):
         sup_inv = 1.0 / _ball_min(spec, radius / 2.0)
         norm = _ball_lq_norm(spec, -1.0, q, radius, n)
-        vol = ball_volume(model, radius)
-        ratio = sup_inv / (vol ** (-1.0 / q) * norm)
-        rows.append({"R": radius, "sup_inv": sup_inv, "norm": norm, "ratio": ratio})
-    ratios = np.array([row["ratio"] for row in rows])
-    return {
-        "kind": "local_max_principle",
-        "quad_epsrel": 1e-11,
-        "profile": spec.name,
-        "n": n,
-        "p": p,
-        "q": q,
-        "rows": rows,
-        "band": float(ratios.max() / ratios.min()),
-        "band_limit": _RATIO_BAND,
-        "certification": cert,
-        "pass": bool(ratios.min() > 0 and ratios.max() / ratios.min() <= _RATIO_BAND),
-    }
+        vol = ball_volume(euclidean(n), radius)
+        return {"sup_inv": sup_inv, "norm": norm,
+                "ratio": sup_inv / (vol ** (-1.0 / q) * norm)}
+
+    return _ratio_sweep("local_max_principle", "ratio", profile, n, p, q, radii,
+                        check_q, row)

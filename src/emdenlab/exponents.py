@@ -348,20 +348,18 @@ class GradientEstimateParams:
 
 @dataclass(frozen=True)
 class HarnackConfig:
-    """Sobolev exponent chi and the admissible L^q window (0,(p-1)chi)."""
+    """The admissible L^q window (0, (p-1) chi); chi is derived: the
+    Sobolev exponent n/(n-p), or 2 when p >= n."""
 
     n: int
     p: float
-    chi: float = 0.0
     q: float = 1.0
 
+    @property
+    def chi(self) -> float:
+        return self.n / (self.n - self.p) if self.p < self.n else 2.0
+
     def __post_init__(self):
-        chi = self.chi
-        if chi == 0.0:
-            chi = self.n / (self.n - self.p) if self.p < self.n else 2.0
-            object.__setattr__(self, "chi", chi)
-        if self.chi <= 1:
-            raise PreconditionError("chi must exceed 1")
         if not (0 < self.q < (self.p - 1.0) * self.chi):
             raise PreconditionError(
                 f"q must lie in (0, {(self.p - 1.0) * self.chi}); got {self.q}"

@@ -6,8 +6,9 @@ signed constant c: Euclidean space (c = 0, psi = r), the round sphere of
 curvature K (c = -K, psi = sin(sqrt(K) r)/sqrt(K)) and hyperbolic space
 with Ric = -(n-1) kappa g (c = kappa, psi = sinh(sqrt(kappa) r)/sqrt(kappa)).
 A user model supplies psi, psi' and psi'' itself.  The module supplies
-the warping jet, radial/tangential Ricci curvature, geodesic-ball volumes
-and the volume-comparison monotonicity check.
+the warping jet, radial/tangential Ricci curvature and its least value
+``ricci_min``, geodesic-ball volumes and the volume-comparison
+monotonicity check.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class ManifoldModel:
         "euclidean", "sphere", "hyperbolic" or "user".
     dim : int
         Manifold dimension n >= 2.
-    kappa : float
-        Constant in the Ricci lower bound Ric >= -(n-1)*kappa*g
-        (0 for the Euclidean and sphere models).
     r_max : float
         Domain of the radial coordinate (pi/sqrt(K) for the sphere of
         curvature K, math.inf otherwise).
@@ -63,11 +61,13 @@ class ManifoldModel:
         sphere of curvature K, +kappa on hyperbolic space, 0 on R^n.  It
         is minus the sectional curvature.  User models carry 0; their
         psi'' comes from the profile.
+
+    Every curvature hypothesis reads one derived number, ``ricci_min``,
+    the least Ricci curvature of the model.
     """
 
     name: str
     dim: int
-    kappa: float
     r_max: float
     warp_c: float
     user_profile: Optional[tuple] = field(default=None, repr=False)
@@ -75,8 +75,6 @@ class ManifoldModel:
     def __post_init__(self):
         if self.dim < 2:
             raise DomainError(f"dim must be >= 2, got {self.dim}")
-        if self.kappa < 0:
-            raise DomainError(f"kappa must be nonnegative, got {self.kappa}")
 
     # ------------------------------------------------------------------
     # warping profile
@@ -158,18 +156,25 @@ class ManifoldModel:
         return out
 
     @property
-    def has_nonnegative_ricci(self) -> bool:
-        """Whether Ric >= 0: c <= 0 on a named model.  A user model is
-        judged on the radii of _RICCI_GRID below r_max, where it needs
-        psi'' <= 0 and psi'^2 <= 1 (then both Ricci ratios are >= 0).
-        That is a sampled verdict, as the reaction-term conditions are; a
-        value that is not finite reads False.
+    def ricci_min(self) -> float:
+        """The least Ricci curvature Ric(e, e) over unit vectors e.
+
+        -(n-1) c on a named model.  On a user model, the least radial or
+        tangential value on the radii of _RICCI_GRID below r_max: a sampled
+        value, as the reaction-term conditions are; one not finite reads nan.
         """
         if self.user_profile is None:
-            return bool(self.warp_c <= 0)
+            return -(self.dim - 1) * self.warp_c
+        r = _RICCI_GRID[_RICCI_GRID < self.r_max]
         with np.errstate(all="ignore"):
-            _, dpsi, ddpsi = self.warping_jet(_RICCI_GRID[_RICCI_GRID < self.r_max])
-        return bool(np.all(ddpsi <= 0) and np.all(dpsi**2 <= 1))
+            least = min(np.min(self.ricci_radial(r, direction), initial=np.inf)
+                        for direction in ("radial", "tangential"))
+        return float(least) if math.isfinite(least) else math.nan
+
+    @property
+    def has_nonnegative_ricci(self) -> bool:
+        """Whether Ric >= 0, read from ricci_min (nan reads False)."""
+        return self.ricci_min >= 0
 
 
 # ----------------------------------------------------------------------
@@ -178,25 +183,22 @@ class ManifoldModel:
 
 
 def euclidean(dim: int) -> ManifoldModel:
-    """Flat R^n: psi = r, kappa = 0."""
-    return ManifoldModel("euclidean", dim, 0.0, math.inf, 0.0)
+    """Flat R^n: psi = r."""
+    return ManifoldModel("euclidean", dim, math.inf, 0.0)
 
 
 def sphere(dim: int, curv: float = 1.0) -> ManifoldModel:
-    """Round sphere of curvature ``curv`` > 0: psi = sin(sqrt(curv) r)/sqrt(curv).
-
-    Ricci is positive, so the lower-bound constant kappa is 0.
-    """
+    """Round sphere of curvature ``curv`` > 0: psi = sin(sqrt(curv) r)/sqrt(curv)."""
     if curv <= 0:
         raise DomainError("sphere curvature must be positive")
-    return ManifoldModel("sphere", dim, 0.0, math.pi / math.sqrt(curv), -curv)
+    return ManifoldModel("sphere", dim, math.pi / math.sqrt(curv), -curv)
 
 
 def hyperbolic(dim: int, kappa: float = 1.0) -> ManifoldModel:
     """Hyperbolic space with Ric = -(n-1)*kappa*g: psi = sinh(sqrt(kappa) r)/sqrt(kappa)."""
     if kappa <= 0:
         raise DomainError("hyperbolic kappa must be positive")
-    return ManifoldModel("hyperbolic", dim, kappa, math.inf, kappa)
+    return ManifoldModel("hyperbolic", dim, math.inf, kappa)
 
 
 def user_warped(
@@ -204,7 +206,6 @@ def user_warped(
     psi: Callable,
     dpsi: Callable,
     ddpsi: Callable,
-    kappa: float = 0.0,
     r_max: float = math.inf,
 ) -> ManifoldModel:
     """Warped product with a user profile given by analytic derivatives.
@@ -216,19 +217,17 @@ def user_warped(
     r0 = 1e-7
     if abs(float(psi(r0)) - r0) > 1e-10 or abs(float(dpsi(r0)) - 1.0) > 1e-6:
         raise PreconditionError("user profile must satisfy psi(0)=0, psi'(0)=1")
-    return ManifoldModel(
-        "user", dim, kappa, r_max, 0.0, user_profile=(psi, dpsi, ddpsi)
-    )
+    return ManifoldModel("user", dim, r_max, 0.0, user_profile=(psi, dpsi, ddpsi))
 
 
 def model_from_name(name: str, dim: int, kappa: float = 1.0) -> ManifoldModel:
-    """Build a named model from its string identifier."""
+    """Build a named model; ``kappa`` is the sphere's K or H^n's kappa."""
     if name == "euclidean":
         return euclidean(dim)
     if name == "sphere":
-        return sphere(dim, curv=kappa if kappa > 0 else 1.0)
+        return sphere(dim, curv=kappa)
     if name == "hyperbolic":
-        return hyperbolic(dim, kappa=kappa if kappa > 0 else 1.0)
+        return hyperbolic(dim, kappa=kappa)
     raise DomainError(f"unknown model name {name!r}")
 
 
@@ -299,7 +298,7 @@ def warped_from_config(config: dict) -> ManifoldModel:
     "dim": n, "kappa": k}.  User profiles use a fixed set of expression
     primitives for psi:
 
-      {"model": "user", "dim": n, "kappa": k, "r_max": R,
+      {"model": "user", "dim": n, "r_max": R,
        "profile": {"kind": "odd_polynomial", "coefficients": [c3, c5, ...]}}
 
     with psi = r + c3 r^3 + c5 r^5 + ... (the leading coefficient is
@@ -308,9 +307,8 @@ def warped_from_config(config: dict) -> ManifoldModel:
     """
     name = config.get("model", "euclidean")
     dim = int(config["dim"])
-    kappa = float(config.get("kappa", 1.0))
     if name != "user":
-        return model_from_name(name, dim, kappa)
+        return model_from_name(name, dim, float(config.get("kappa", 1.0)))
     profile = config.get("profile", {})
     if profile.get("kind") != "odd_polynomial":
         raise DomainError("user profiles support only the odd_polynomial primitive")
@@ -329,7 +327,4 @@ def warped_from_config(config: dict) -> ManifoldModel:
         r = np.asarray(r, dtype=float)
         return np.zeros_like(r) + sum(c * m * (m - 1) * r ** (m - 2) for c, m in powers)
 
-    return user_warped(
-        dim, psi, dpsi, ddpsi, kappa=kappa,
-        r_max=float(config.get("r_max", math.inf)),
-    )
+    return user_warped(dim, psi, dpsi, ddpsi, r_max=float(config.get("r_max", math.inf)))

@@ -78,7 +78,6 @@ class Campaign:
 
     model_name: str = "euclidean"
     dim: int = 3
-    kappa: float = 1.0
     p_values: tuple = (1.5, 2.0, 3.0)
     b_values: tuple = (0.0, -1.0, 1.0)
     samples: int = 1000
@@ -89,7 +88,7 @@ class Campaign:
         return self.model_name != "euclidean"
 
     def model(self) -> ManifoldModel:
-        return model_from_name(self.model_name, self.dim, self.kappa)
+        return model_from_name(self.model_name, self.dim)
 
     @cached_property
     def batch(self) -> "SampleBatch":
@@ -457,7 +456,7 @@ def check_bochner_linearized(camp: Campaign, tol: float = 1e-7) -> IdentityRepor
         lhs = E.divergence("grad_power_flux")
         A = J.anisotropy_matrix(g, p)
         AH = np.einsum("nij,njk->nik", A, h)
-        plap_dual = E.p_laplacian_dual()
+        plap_dual = E.p_laplacian_dual
         fl = J.flux(g, p)
         rhs = (
             gn ** (2.0 * p - 4.0) * np.einsum("nij,nji->n", AH, AH)
@@ -741,8 +740,10 @@ def check_log_gradient_pointwise(
 
       (1/lam) L_{p,w} |grad w|^lam >=
           (1-delta0+)(p-1)^2/(n-1) |grad w|^{lam+p}
-          - (n-1) kappa |grad w|^{lam+p-2}
-          - p(p-1) |grad w|^{lam+p-2} |grad |grad w||,      w = ln u.
+          + min(Ric_min, 0) |grad w|^{lam+p-2}
+          - p(p-1) |grad w|^{lam+p-2} |grad |grad w||,      w = ln u,
+
+    with Ric_min = model.ricci_min (-(n-1) kappa on H^n(kappa)).
     """
     params = GradientEstimateParams(delta0=delta0, p=sol.p)
     ok, witness = satisfies_f2(sol.term, delta0, sol.model.dim, sol.p)
@@ -754,7 +755,6 @@ def check_log_gradient_pointwise(
     if lam < params.lambda0 - 1e-12:
         raise PreconditionError("lam must be at least p/(1 - delta0+)")
     n, p = sol.model.dim, sol.p
-    kappa = sol.model.kappa
     batch = solution_batch(sol, samples=samples)
     lhs = batch.engine.divergence("log_power_flux", p, lam=lam)
     w1 = batch.g[:, 0] / batch.u
@@ -763,7 +763,7 @@ def check_log_gradient_pointwise(
     grad_h = np.abs(w2)  # |d/dr |grad w|| away from critical points
     rhs = (
         (1.0 - params.delta0_plus) * (p - 1.0) ** 2 / (n - 1.0) * hgrad ** (lam + p)
-        - (n - 1.0) * kappa * hgrad ** (lam + p - 2.0)
+        + min(sol.model.ricci_min, 0.0) * hgrad ** (lam + p - 2.0)
         - p * (p - 1.0) * hgrad ** (lam + p - 2.0) * grad_h
     )
     scale = np.abs(lhs) + np.abs(rhs) + _TINY

@@ -532,13 +532,11 @@ def shoot(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
 
     if term.sign_class in ("nonnegative", "positive"):
         m_traj = traj["m"]
-        u_traj = traj["u"]
-        pos = u_traj > 0
-        scale = np.abs(m_traj).max() + 1e-30
-        stats["flux_nonincreasing"] = bool(
-            np.all(np.diff(m_traj[pos]) <= 1e-9 * scale)
-        )
-        stats["flux_nonpositive"] = bool(np.all(m_traj[pos] <= 1e-9 * scale))
+        m_pos = m_traj[traj["u"] > 0]
+        tol = 1e-9 * (np.abs(m_traj).max() + 1e-30)
+        seen = m_pos.size > 0  # with no point u > 0 neither invariant is observed
+        stats["flux_nonincreasing"] = bool(np.all(np.diff(m_pos) <= tol)) if seen else None
+        stats["flux_nonpositive"] = bool(np.all(m_pos <= tol)) if seen else None
 
     if sol.status == 1 and len(sol.t_events[0]):
         r_cross = float(sol.t_events[0][0])
@@ -588,7 +586,8 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, on_cell=None):
     The expected dichotomy: every alpha below the critical exponent
     crosses zero at finite radius; at the critical exponent the run
     stays positive (the bubble family).  The table passes iff it has
-    cells, none of them an error, and each crosses zero iff alpha < p_s.
+    cells and each reads crossed_zero when alpha < p_s and
+    stayed_positive otherwise; a non-error cell carries the outcome's reason.
 
     ``on_cell(alpha, u0, outcome)``, if given, receives the ShootOutcome
     of every cell whose solve returned.  It runs outside the per-cell
@@ -615,6 +614,7 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, on_cell=None):
                     "alpha": alpha,
                     "u0": u0,
                     "outcome": out.kind,
+                    "reason": out.reason,
                     "r_cross": out.r_cross,
                     "tail_exponent": out.tail_exponent,
                     "nfev": out.stats.get("nfev"),
@@ -633,8 +633,7 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, on_cell=None):
         "atol": ATOL,
         "cells": cells,
         "pass": bool(cells) and all(
-            c["outcome"] != "error"
-            and (c["outcome"] == "crossed_zero") == (c["alpha"] < ps)
+            c["outcome"] == ("crossed_zero" if c["alpha"] < ps else "stayed_positive")
             for c in cells
         ),
     }
@@ -728,7 +727,7 @@ def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
     if q <= 1 or lam <= 0:
         raise PreconditionError("need q > 1 and lam > 0")
     model = sphere(n, 1.0)
-    ric = float(n - 1)
+    ric = model.ricci_min
     ric_needed = (n - 1) / n * (q - 1) * lam
     sobolev_bound = (n + 2) / (n - 2) if n > 2 else math.inf
     hyp = {

@@ -425,3 +425,29 @@ class TestConsoleEntry:
         assert [c["status"] for c in scan["cells"]].count("error") == 1
         [line] = proc.stderr.splitlines()
         assert line.startswith("[emdenlab] pass=False")
+
+    def test_inconclusive_scan_cell_fails_closed(self):
+        # u0 = 1e200 overflows at the first step: that cell is
+        # inconclusive with its reason, and a critical row passes only
+        # when every cell stays positive
+        proc = self.child("scan", "--n", "3", "--p", "2", "--alpha", "5",
+                          "--u0", "1,1e200", "--horizon", "200")
+        assert proc.returncode == 1
+        [scan] = json.loads(proc.stdout)["results"]
+        assert scan["pass"] is False
+        assert [(c["outcome"], c["reason"]) for c in scan["cells"]] == [
+            ("stayed_positive", None),
+            ("inconclusive", "non-finite state at r=0.0001"),
+        ]
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("[emdenlab] pass=False")
+
+    def test_nonpositive_model_curvature_fails_closed(self):
+        # --kappa is H^n's kappa: -1 is a DomainError, not kappa = 1
+        proc = self.child("volume", "--model", "hyperbolic", "--kappa", "-1")
+        assert proc.returncode == 1
+        [result] = json.loads(proc.stdout)["results"]
+        assert result["pass"] is False
+        assert result["error"].startswith("DomainError")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("[emdenlab] pass=False")

@@ -345,7 +345,7 @@ class TestViewReuse:
             assert np.array_equal(kept, fresh)
             _assert_same_dual(view.weighted_divergence_dual(b),
                               eng.at(p).weighted_divergence_dual(b))
-        _assert_same_dual(view.p_laplacian_dual(), eng.at(p).p_laplacian_dual())
+        _assert_same_dual(view.p_laplacian_dual, eng.at(p).p_laplacian_dual)
 
 
 def _assert_same_dual(kept, fresh):

@@ -189,21 +189,46 @@ class TestNonnegativeRicci:
         assert geo.sphere(3, 2.0).has_nonnegative_ricci
         assert not geo.hyperbolic(3, 0.25).has_nonnegative_ricci
 
+    def test_named_ricci_min(self):
+        # -(n-1) c, the same floats as the radial Ricci value
+        flat = geo.euclidean(3).ricci_min
+        assert flat == 0.0 and math.copysign(1.0, flat) == -1.0
+        assert geo.sphere(4, 0.25).ricci_min == 0.75
+        assert geo.hyperbolic(3, 4.0).ricci_min == -8.0
+        for model in (geo.euclidean(5), geo.sphere(3, 2.0), geo.hyperbolic(4, 0.1)):
+            assert model.ricci_min == model.ricci_radial(0.5)
+
     @pytest.mark.parametrize("maker", [_atan_profile, _asinh_profile])
     def test_user_models_with_nonnegative_ricci(self, maker):
         model = maker(3)
         r = np.geomspace(1e-3, 1e3, 121)
         assert np.all(model.ricci_radial(r) >= 0)
         assert np.all(model.ricci_radial(r, "tangential") >= 0)
+        assert model.ricci_min > 0
         assert model.has_nonnegative_ricci
         rep = geo.bishop_gromov_check(model, [0.5, 1.0, 2.0, 4.0])
         assert rep["non_increasing"]
 
     def test_user_sinh_profile(self):
+        # sinh overflows on the sampled radii: the least Ricci value is
+        # not finite, so it reads nan and Ric >= 0 reads False
         model = geo.user_warped(3, np.sinh, np.cosh, np.sinh)
+        assert math.isnan(model.ricci_min)
         assert not model.has_nonnegative_ricci
         with pytest.raises(PreconditionError):
             geo.bishop_gromov_check(model, [1.0, 2.0])
+
+    def test_sin_like_polynomial_turns_negative(self):
+        # psi = r - r^3/6 + r^5/120 on [0, 3): Ric ~ n-1 near the center,
+        # but psi'' = -r + r^3/6 > 0 near r = 3
+        model = geo.warped_from_config({
+            "model": "user", "dim": 3, "r_max": 3.0,
+            "profile": {"kind": "odd_polynomial",
+                        "coefficients": [-1.0 / 6.0, 1.0 / 120.0]},
+        })
+        assert model.ricci_radial(1e-3) == pytest.approx(2.0, rel=1e-5)
+        assert model.ricci_min < 0
+        assert not model.has_nonnegative_ricci
 
 
 class TestUserProfile:
@@ -230,7 +255,14 @@ class TestUserProfile:
 class TestConfigLoading:
     def test_named_model(self):
         m = geo.warped_from_config({"model": "hyperbolic", "dim": 3, "kappa": 4.0})
-        assert m.name == "hyperbolic" and m.kappa == 4.0
+        assert m.name == "hyperbolic" and m.warp_c == 4.0
+
+    @pytest.mark.parametrize("name,kappa", [("hyperbolic", -1.0), ("hyperbolic", 0.0),
+                                            ("sphere", 0.0)])
+    def test_nonpositive_curvature_rejected(self, name, kappa):
+        # kappa is the sphere's K or H^n's kappa; no value is replaced
+        with pytest.raises(DomainError, match="positive"):
+            geo.warped_from_config({"model": name, "dim": 3, "kappa": kappa})
 
     def test_odd_polynomial_profile(self):
         m = geo.warped_from_config({

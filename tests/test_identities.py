@@ -1,11 +1,13 @@
 """Identity and inequality verification campaigns."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from emdenlab import identities as I
 from emdenlab import jets as J
-from emdenlab.divergence import EuclideanEngine, RadialEngine, divergence_at
+from emdenlab.divergence import EuclideanEngine, RadialEngine, View, divergence_at
 from emdenlab.errors import PreconditionError
 from emdenlab.exponents import ReactionTerm
 from emdenlab.fields import FieldTerm, ScalarField
@@ -446,29 +448,30 @@ class TestLogGradientPointwise:
             I.check_log_gradient_pointwise(sol, 0.0)
 
 
-class _CountingBlocks(dict):
-    """A view's block store that logs each build as (p, block, *args)."""
-
-    def __init__(self, p, log):
-        super().__init__()
-        self.p, self.log = p, log
-
-    def __setitem__(self, key, block):
-        self.log.append((self.p,) + key)
-        super().__setitem__(key, block)
+#: the view's p-level blocks, each a cached property
+_VIEW_BLOCKS = ("_flux", "_grad_pow", "p_laplacian_dual", "_flux_pair",
+                "_advection_pair", "_plap_pair", "_power_pair")
 
 
 def _count_view_builds(monkeypatch, cls):
-    """Log every block that the views of cls build from now on."""
+    """Log every block that the views of cls build from now on: a
+    p-level block as (p, block) when its cached function runs, and each
+    call of weighted_divergence_dual(b) as (p, "weighted_divergence_dual", b)."""
     log = []
-    at = cls.at
 
-    def counting_at(self, p):
-        view = at(self, p)
-        view._blocks = _CountingBlocks(p, log)
-        return view
+    def logged(name, build):
+        def counting(view, *args):
+            if isinstance(view.engine, cls):
+                log.append((view.p, name) + args)
+            return build(view, *args)
+        return counting
 
-    monkeypatch.setattr(cls, "at", counting_at)
+    for name in _VIEW_BLOCKS:
+        block = functools.cached_property(logged(name, View.__dict__[name].func))
+        block.__set_name__(View, name)
+        monkeypatch.setattr(View, name, block)
+    monkeypatch.setattr(View, "weighted_divergence_dual",
+                        logged("weighted_divergence_dual", View.weighted_divergence_dual))
     return log
 
 

@@ -21,6 +21,15 @@ class TestShoot:
         assert 5.0 < out.r_cross < 10.0
         assert out.stats["flux_nonincreasing"] and out.stats["flux_nonpositive"]
 
+    def test_overflowing_start_observes_no_flux_invariant(self):
+        # from u0 = 1e200 the only trajectory point has u = -inf, so no
+        # point with u > 0 supports either flux flag
+        out = S.shoot(euclidean(3), 2.0, ReactionTerm.pure_power(3.0), 1e200)
+        assert out.kind == "inconclusive"
+        assert not np.any(out.trajectory["u"] > 0)
+        assert out.stats["flux_nonincreasing"] is None
+        assert out.stats["flux_nonpositive"] is None
+
     def test_crossing_linear_reaction_reference(self):
         # -lap u = u on R^3: u = u0 sin(r)/r crosses at pi
         out = S.shoot(euclidean(3), 2.0, ReactionTerm.pure_power(1.0), 1.0,
@@ -180,6 +189,7 @@ class TestLiouvilleScan:
     def test_cells_report_solver_work(self):
         table = S.liouville_scan(3, 2.0, [3.0, 5.0], [0.5, 1.0], horizon=200.0)
         assert [c["status"] for c in table["cells"]] == [1, 1, 0, 0]
+        assert [c["reason"] for c in table["cells"]] == [None] * 4
         for cell in table["cells"]:
             assert isinstance(cell["nfev"], int) and cell["nfev"] > 0
 
@@ -208,6 +218,15 @@ class TestScanVerdicts:
         stays = S.ShootOutcome("stayed_positive")
         monkeypatch.setattr(S, "shoot", lambda *args, **kwargs: stays)
         assert not self.passed(S.liouville_scan(3, 2.0, [3.0], [1.0]))
+
+    def test_inconclusive_cell_fails(self, monkeypatch):
+        # at alpha >= p_s only a definite stayed_positive matches; the
+        # cell carries the outcome's reason
+        unsure = S.ShootOutcome("inconclusive", reason="non-finite state")
+        monkeypatch.setattr(S, "shoot", lambda *args, **kwargs: unsure)
+        table = S.liouville_scan(3, 2.0, [5.0], [1.0])
+        assert table["cells"][0]["reason"] == "non-finite state"
+        assert not self.passed(table)
 
     def test_sphere_unique_constant_passes(self):
         rep = S.bv_sphere_scan(3, 3.0, 1.0, [0.7, 1.3])
