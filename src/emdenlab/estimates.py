@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InputError, NumericalError, PreconditionError
 from .exponents import HarnackConfig
-from .geometry import ball_volume, euclidean, unit_sphere_area
+from .geometry import ball_volume, euclidean, quad, unit_sphere_area
 from .jets import _radial_p_laplacian
 
 __all__ = [
@@ -343,14 +342,18 @@ def certify_p_superharmonic(spec: RadialProfileSpec, n: int, p: float,
     }
 
 
+#: the ball norms' quadrature tolerance, echoed by the ratio reports
+_QUAD_EPSREL = 1e-11
+
+
 def _ball_lq_norm(spec: RadialProfileSpec, power: float, q: float, radius: float,
                   n: int) -> float:
     """(int_{B_R} (u^power)^q dV)^{1/q} on Euclidean space by quadrature."""
 
     def integrand(s):
-        return float(spec.u(s)) ** (power * q) * s ** (n - 1)
+        return spec.u(s) ** (power * q) * s ** (n - 1)
 
-    val, err = quad(integrand, 0.0, radius, epsabs=1e-13, epsrel=1e-11, limit=200)
+    val, err = quad(integrand, 0.0, radius, epsabs=1e-13, epsrel=_QUAD_EPSREL)
     if err > 1e-8 * max(abs(val), 1e-30):
         raise NumericalError("ball norm quadrature did not converge")
     return (unit_sphere_area(n) * val) ** (1.0 / q)
@@ -384,7 +387,7 @@ def _ratio_sweep(kind: str, key: str, profile, n: int, p: float, q: float,
     vals = np.array([r[key] for r in rows])
     return {
         "kind": kind,
-        "quad_epsrel": 1e-11,
+        "quad_epsrel": _QUAD_EPSREL,
         "profile": spec.name,
         "n": n,
         "p": p,

@@ -8,18 +8,20 @@ with Ric = -(n-1) kappa g (c = kappa, psi = sinh(sqrt(kappa) r)/sqrt(kappa)).
 A user model supplies psi, psi' and psi'' itself.  The module supplies
 the warping jet, radial/tangential Ricci curvature and its least value
 ``ricci_min``, geodesic-ball volumes and the volume-comparison
-monotonicity check.
+monotonicity check, and the adaptive quadrature (``quad``) that the ball
+volumes and the estimates' ball norms use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError, InputError, NumericalError, PreconditionError
 
 __all__ = [
     "ManifoldModel",
@@ -235,6 +237,70 @@ def model_from_name(name: str, dim: int, kappa: float = 1.0) -> ManifoldModel:
 # volumes
 # ----------------------------------------------------------------------
 
+#: the two Gauss-Legendre orders compared on each panel of ``quad``, and
+#: its panel budget (QUADPACK's default ``limit``)
+_GL_ORDERS = (10, 21)
+_QUAD_PANELS = 200
+
+
+@functools.cache
+def _gauss_legendre():
+    """Both rules' nodes on [0, 1], stacked, and their weights as two
+    rows (low order, high order) over the stacked nodes; built at the
+    first quadrature."""
+    from numpy.polynomial.legendre import leggauss
+
+    lo, hi = _GL_ORDERS
+    (x_lo, w_lo), (x_hi, w_hi) = leggauss(lo), leggauss(hi)
+    nodes = (np.concatenate([x_lo, x_hi]) + 1.0) / 2.0
+    weights = np.zeros((2, lo + hi))
+    weights[0, :lo] = w_lo / 2.0
+    weights[1, lo:] = w_hi / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def quad(f, a: float, b: float, epsabs: float, epsrel: float):
+    """(int_a^b f, error estimate) by adaptive composite Gauss-Legendre.
+
+    ``f`` takes a 1-d array of radii in (a, b) and returns its values
+    there.  On each panel the _GL_ORDERS rules are compared: the panel's
+    value is the higher-order sum and its error the difference of the
+    two.  Panels whose error exceeds their width's share of the
+    tolerance max(epsabs, epsrel |value|) are bisected, all in one
+    evaluation of ``f``, until the summed error is within it.  Raises
+    NumericalError on a value that is not finite (floating-point warnings
+    are silenced: an overflow shows as one) or when more than
+    _QUAD_PANELS panels would be needed.
+    """
+    nodes, weights = _gauss_legendre()
+    left, width = np.array([a], dtype=float), np.array([b - a], dtype=float)
+    closed_val = closed_err = 0.0
+    panels = 1
+    while True:
+        with np.errstate(all="ignore"):  # an overflow is a non-finite value
+            fx = np.asarray(f((left[:, None] + width[:, None] * nodes).ravel()),
+                            dtype=float)
+        if not np.all(np.isfinite(fx)):
+            raise NumericalError("quadrature integrand is not finite")
+        sums = (fx.reshape(left.size, nodes.size) @ weights.T) * width[:, None]
+        val, err = sums[:, 1], np.abs(sums[:, 1] - sums[:, 0])
+        total, total_err = closed_val + val.sum(), closed_err + err.sum()
+        tol = max(epsabs, epsrel * abs(total))
+        if total_err <= tol:
+            return float(total), float(total_err)
+        split = err > tol * width / (b - a)
+        closed_val += val[~split].sum()
+        closed_err += err[~split].sum()
+        panels += int(split.sum())
+        if panels > _QUAD_PANELS:
+            raise NumericalError(
+                f"quadrature needs more than {_QUAD_PANELS} panels")
+        left, width = left[split], width[split] / 2.0
+        left, width = np.concatenate([left, left + width]), np.concatenate([width, width])
+
+
 _QUAD_EPSREL = 1e-11
 _QUAD_EPSABS_SCALE = 1e-10
 
@@ -242,11 +308,9 @@ _QUAD_EPSABS_SCALE = 1e-10
 def ball_volume(model: ManifoldModel, radius: float) -> float:
     """Volume of the geodesic ball B_R = omega_{n-1} * int_0^R psi^{n-1}.
 
-    Adaptive quadrature; raises NumericalError if the achieved absolute
-    error exceeds 1e-10 times the value.
+    Adaptive quadrature (``quad``); raises NumericalError if the achieved
+    absolute error exceeds 1e-10 times the value.
     """
-    from scipy.integrate import quad
-
     if not (0 < radius <= model.r_max):
         raise DomainError("ball radius outside (0, r_max]")
     n = model.dim
@@ -255,7 +319,7 @@ def ball_volume(model: ManifoldModel, radius: float) -> float:
         psi, _, _ = model.warping_jet(s)
         return psi ** (n - 1)
 
-    val, err = quad(integrand, 0.0, radius, epsabs=1e-14, epsrel=_QUAD_EPSREL, limit=200)
+    val, err = quad(integrand, 0.0, radius, epsabs=1e-14, epsrel=_QUAD_EPSREL)
     vol = unit_sphere_area(n) * val
     if err * unit_sphere_area(n) > _QUAD_EPSABS_SCALE * max(vol, 1e-30):
         raise NumericalError(f"ball volume quadrature did not converge (err={err:g})")
@@ -291,6 +355,19 @@ def bishop_gromov_check(model: ManifoldModel, radii) -> dict:
     }
 
 
+#: the keys a config entry of each kind reads
+_NAMED_KEYS = frozenset({"model", "dim", "kappa"})
+_USER_KEYS = frozenset({"model", "dim", "r_max", "profile"})
+_PROFILE_KEYS = frozenset({"kind", "coefficients"})
+
+
+def _reject_unknown_keys(entry: dict, allowed: frozenset, what: str) -> None:
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise InputError(f"unknown keys for {what}: {unknown}; "
+                         f"allowed: {sorted(allowed)}")
+
+
 def warped_from_config(config: dict) -> ManifoldModel:
     """Build a model from a config entry.
 
@@ -303,15 +380,20 @@ def warped_from_config(config: dict) -> ManifoldModel:
 
     with psi = r + c3 r^3 + c5 r^5 + ... (the leading coefficient is
     pinned to 1 by the series-start normalization); derivatives are
-    generated analytically from the coefficients.
+    generated analytically from the coefficients.  A key the entry or its
+    profile does not read (a named model's "r_max", a user model's
+    "kappa", a misspelt key) raises InputError naming it.
     """
     name = config.get("model", "euclidean")
+    _reject_unknown_keys(config, _USER_KEYS if name == "user" else _NAMED_KEYS,
+                         f"a {name!r} model entry")
     dim = int(config["dim"])
     if name != "user":
         return model_from_name(name, dim, float(config.get("kappa", 1.0)))
     profile = config.get("profile", {})
     if profile.get("kind") != "odd_polynomial":
         raise DomainError("user profiles support only the odd_polynomial primitive")
+    _reject_unknown_keys(profile, _PROFILE_KEYS, "an odd_polynomial profile")
     coeffs = [float(c) for c in profile.get("coefficients", [])]
     powers = [(c, 2 * k + 3) for k, c in enumerate(coeffs)]
 

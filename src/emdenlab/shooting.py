@@ -15,17 +15,20 @@ series expansion on [0, r0], r0 = 1e-4:
 then hands off to DOP853, the adaptive embedded Runge-Kutta method of
 order 8, in ``solve_ivp``, at the fixed tolerances RTOL = 1e-10 and
 ATOL = 1e-12 (the sphere scan's atol is 1e-13).  That stepper is
-scipy's algorithm (its tableau, read from scipy at the first solve, its
-initial step, error norm, step-size control and statuses) written for
-the two-component state on plain Python floats.  The right-hand side is
-float arithmetic too (the reaction term's f takes the positive float
-u), so a step makes no numpy call.  It stops at the first downward zero
-crossing of u, located by brentq on that step's interpolant, and it
-fails closed on a non-finite state (an f(u0) that overflows gives one
-at the start) and after a fixed budget of steps.  The dense output is
-built lazily: a step's three extra stages and interpolant rows are
-computed only when a radius in that step is read (the crossing step,
-``shoot``'s tail fit, ``RadialSolution`` queries).
+scipy's algorithm (its initial step, error norm, step-size control and
+statuses) written for the two-component state on plain Python floats.
+Its tableau is a committed literal, the coefficients of Hairer, Norsett
+& Wanner's dop853.f (Solving ODEs I, 1993), the same doubles scipy
+uses.  The right-hand side is float arithmetic too (the reaction term's
+f takes the positive float u), so a step makes no numpy call.  It stops
+at the first downward zero crossing of u, located on that step's
+interpolant by ``_brent``, a line-for-line port of scipy's C brentq,
+and it fails closed on a non-finite state (an f(u0) that overflows
+gives one at the start) and after a fixed budget of steps.  No scipy
+module is imported.  The dense output is built lazily: a step's three
+extra stages and interpolant rows are computed only when a radius in
+that step is read (the crossing step, ``shoot``'s tail fit,
+``RadialSolution`` queries).
 
 That computation and its setup (start radius, tolerances, the horizon
 clipped to the model's domain) live in one place, ``_integrate``.  Its
@@ -41,7 +44,6 @@ only within the radial class; see ``RADIAL_WITNESS_NOTE``.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -191,11 +193,15 @@ _MESSAGES = {
 }
 
 
-@functools.cache
 def _tableau():
-    """DOP853's coefficients, read from scipy at the first solve.
+    """DOP853's coefficients as literals, in the layout the stepper reads.
 
-    Returns (stages, weights, extra, dense) as tuples of Python floats;
+    The values are those of Hairer, Norsett & Wanner's dop853.f
+    (Solving Ordinary Differential Equations I, 2nd ed., 1993), each
+    written as the double nearest the 30-digit decimal there; an order-3
+    error weight e3_j is b_j - bhh_j (dop853.f's bhh) rounded once, as
+    scipy forms it.  They equal scipy's dop853_coefficients bit for bit
+    (an oracle test checks this).  Returns (stages, weights, extra, dense);
     every row lists only its nonzero entries as (j, coefficient) over the
     stages K_j:
       stages  (c_s, row) for stages 1..11 of a step;
@@ -205,21 +211,124 @@ def _tableau():
               end);
       dense   the four rows of D that give the interpolant's F[3:].
     """
-    from scipy.integrate._ivp import dop853_coefficients as co
-
-    def nonzero(row):
-        return tuple((j, float(a)) for j, a in enumerate(row) if a != 0)
-
-    def stages(first, last):
-        return tuple((float(co.C[s]), nonzero(co.A[s, :s])) for s in range(first, last))
-
-    weights = tuple(
-        (j, float(co.B[j]), float(co.E5[j]), float(co.E3[j]))
-        for j in range(co.N_STAGES)
-        if co.B[j] != 0 or co.E5[j] != 0 or co.E3[j] != 0
+    return (
+        (  # stages: (c_s, row)
+            (0.05260015195876773, (
+                (0, 0.05260015195876773),
+            )),
+            (0.0789002279381516, (
+                (0, 0.0197250569845379), (1, 0.0591751709536137),
+            )),
+            (0.1183503419072274, (
+                (0, 0.02958758547680685), (2, 0.08876275643042054),
+            )),
+            (0.2816496580927726, (
+                (0, 0.2413651341592667), (2, -0.8845494793282861),
+                (3, 0.924834003261792),
+            )),
+            (0.3333333333333333, (
+                (0, 0.037037037037037035), (3, 0.17082860872947386),
+                (4, 0.12546768756682242),
+            )),
+            (0.25, (
+                (0, 0.037109375), (3, 0.17025221101954405),
+                (4, 0.06021653898045596), (5, -0.017578125),
+            )),
+            (0.3076923076923077, (
+                (0, 0.03709200011850479), (3, 0.17038392571223998),
+                (4, 0.10726203044637328), (5, -0.015319437748624402),
+                (6, 0.008273789163814023),
+            )),
+            (0.6512820512820513, (
+                (0, 0.6241109587160757), (3, -3.3608926294469414),
+                (4, -0.868219346841726), (5, 27.59209969944671),
+                (6, 20.154067550477894), (7, -43.48988418106996),
+            )),
+            (0.6, (
+                (0, 0.47766253643826434), (3, -2.4881146199716677),
+                (4, -0.590290826836843), (5, 21.230051448181193),
+                (6, 15.279233632882423), (7, -33.28821096898486),
+                (8, -0.020331201708508627),
+            )),
+            (0.8571428571428571, (
+                (0, -0.9371424300859873), (3, 5.186372428844064),
+                (4, 1.0914373489967295), (5, -8.149787010746927),
+                (6, -18.52006565999696), (7, 22.739487099350505),
+                (8, 2.4936055526796523), (9, -3.0467644718982196),
+            )),
+            (1.0, (
+                (0, 2.273310147516538), (3, -10.53449546673725),
+                (4, -2.0008720582248625), (5, -17.9589318631188),
+                (6, 27.94888452941996), (7, -2.8589982771350235),
+                (8, -8.87285693353063), (9, 12.360567175794303),
+                (10, 0.6433927460157636),
+            )),
+        ),
+        (  # weights: (j, b_j, e5_j, e3_j)
+            (0, 0.054293734116568765, 0.01312004499419488, -0.18980075407240762),
+            (5, 4.450312892752409, -1.2251564463762044, 4.450312892752409),
+            (6, 1.8915178993145003, -0.4957589496572502, 1.8915178993145003),
+            (7, -5.801203960010585, 1.6643771824549864, -5.801203960010585),
+            (8, 0.3111643669578199, -0.35032884874997366, -0.4226823213237919),
+            (9, -0.1521609496625161, 0.3341791187130175, -0.1521609496625161),
+            (10, 0.20136540080403034, 0.08192320648511571, 0.20136540080403034),
+            (11, 0.04471061572777259, -0.022355307863886294, 0.02265179219836082),
+        ),
+        (  # extra: (c_s, row)
+            (0.1, (
+                (0, 0.056167502283047954), (6, 0.25350021021662483),
+                (7, -0.2462390374708025), (8, -0.12419142326381637),
+                (9, 0.15329179827876568), (10, 0.00820105229563469),
+                (11, 0.007567897660545699), (12, -0.008298),
+            )),
+            (0.2, (
+                (0, 0.03183464816350214), (5, 0.028300909672366776),
+                (6, 0.053541988307438566), (7, -0.05492374857139099),
+                (10, -0.00010834732869724932), (11, 0.0003825710908356584),
+                (12, -0.00034046500868740456), (13, 0.1413124436746325),
+            )),
+            (0.7777777777777778, (
+                (0, -0.42889630158379194), (5, -4.697621415361164),
+                (6, 7.683421196062599), (7, 4.06898981839711),
+                (8, 0.3567271874552811), (12, -0.0013990241651590145),
+                (13, 2.9475147891527724), (14, -9.15095847217987),
+            )),
+        ),
+        (  # dense: rows of D
+            (
+                (0, -8.428938276109013), (5, 0.5667149535193777),
+                (6, -3.0689499459498917), (7, 2.38466765651207),
+                (8, 2.117034582445028), (9, -0.871391583777973),
+                (10, 2.2404374302607883), (11, 0.6315787787694688),
+                (12, -0.08899033645133331), (13, 18.148505520854727),
+                (14, -9.194632392478356), (15, -4.436036387594894),
+            ),
+            (
+                (0, 10.427508642579134), (5, 242.28349177525817),
+                (6, 165.20045171727028), (7, -374.5467547226902),
+                (8, -22.113666853125306), (9, 7.733432668472264),
+                (10, -30.674084731089398), (11, -9.332130526430229),
+                (12, 15.697238121770845), (13, -31.139403219565178),
+                (14, -9.35292435884448), (15, 35.81684148639408),
+            ),
+            (
+                (0, 19.985053242002433), (5, -387.0373087493518),
+                (6, -189.17813819516758), (7, 527.8081592054236),
+                (8, -11.57390253995963), (9, 6.8812326946963),
+                (10, -1.0006050966910838), (11, 0.7777137798053443),
+                (12, -2.778205752353508), (13, -60.19669523126412),
+                (14, 84.32040550667716), (15, 11.99229113618279),
+            ),
+            (
+                (0, -25.69393346270375), (5, -154.18974869023643),
+                (6, -231.5293791760455), (7, 357.6391179106141),
+                (8, 93.40532418362432), (9, -37.45832313645163),
+                (10, 104.0996495089623), (11, 29.8402934266605),
+                (12, -43.53345659001114), (13, 96.32455395918828),
+                (14, -39.17726167561544), (15, -149.72683625798564),
+            ),
+        ),
     )
-    return (stages(1, co.N_STAGES), weights,
-            stages(co.N_STAGES + 1, co.N_STAGES_EXTENDED), tuple(map(nonzero, co.D)))
 
 
 def _combine(coefs, ku, km):
@@ -325,6 +434,72 @@ class _DenseOutput:
         return np.stack((yu, ym))
 
 
+def _brent(f, xa: float, xb: float) -> float:
+    """A root of f in [xa, xb]: scipy's brentq, its C ``brentq`` ported
+    line for line, at brentq's xtol = rtol = 4 eps and 100 iterations.
+
+    So it makes the same calls to f and returns the same float.  As
+    brentq does, it raises ValueError when f(xa) and f(xb) have one sign
+    or f returns nan; it also raises ValueError (brentq: RuntimeError)
+    when 100 iterations do not converge.  A division by zero, which the
+    C code carries as inf or nan into a rejected interpolation step,
+    bisects.
+    """
+    xtol = rtol = 4 * _EPS
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x:f} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ValueError(f"Failed to converge after 100 iterations, value is {xcur}")
+
+
 @dataclass
 class _Solve:
     """A radial solve: the fields of scipy's solve_ivp result it has."""
@@ -344,15 +519,17 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
     with a terminal downward zero crossing of u, on plain floats.
 
     ``rhs(r, u, m)`` returns (u', m').  The steps are scipy's: its
-    tableau, initial step, error norm and step-size control, and its
-    statuses: 0 reached r_end, 1 u crossed zero downward (the root, found
-    by brentq on the step's interpolant, is the last trajectory point),
-    -1 failed.  A failure is a step below 10 ulp of r (scipy's message),
-    a solve that has taken _MAX_STEPS steps without ending (message "step
-    budget of N steps exhausted at r=...") or, failing closed where scipy
-    would shrink the step until it is that small, a stage or accepted
-    state that is not finite, the start state included (message
-    "non-finite state at r=...").  The interpolant is built lazily (see
+    tableau (the literal _tableau, Hairer, Norsett & Wanner's
+    coefficients), initial step, error norm and step-size control, and
+    its statuses: 0 reached r_end, 1 u crossed zero downward (the root,
+    found on the step's interpolant by _brent, scipy's brentq ported line
+    for line, is the last trajectory point), -1 failed.  A failure is a
+    step below 10 ulp of r (scipy's message), a solve that has taken
+    _MAX_STEPS steps without ending (message "step budget of N steps
+    exhausted at r=...") or, failing closed where scipy would shrink the
+    step until it is that small, a stage or accepted state that is not
+    finite, the start state included (message "non-finite state at
+    r=...").  The interpolant is built lazily (see
     _DenseOutput), so nfev counts dense stages only for the crossing
     step, and a rejected step does not evaluate f at its end.
 
@@ -446,11 +623,8 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
             crossed = u >= 0 and u_new <= 0
             t, u, m = t_new, u_new, m_new
             if crossed:
-                from scipy.optimize import brentq
-
                 i = len(steps) - 1
-                t = brentq(lambda r: dense.at(i, r)[0], steps[i][0], t_new,
-                           xtol=4 * _EPS, rtol=4 * _EPS)
+                t = _brent(lambda r: dense.at(i, r)[0], steps[i][0], t_new)
                 u, m = dense.at(i, t)
                 events.append(t)
                 status = 1

@@ -189,6 +189,25 @@ class TestHarnackRatios:
         rep2 = E.local_max_principle_ratio("smoothed_cap", 3, 2.0, 1.0)
         assert rep2["pass"]
 
+    @pytest.mark.parametrize("profile", ["constant", "inverse_sqrt", "smoothed_cap"])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_ball_norms_against_scipy(self, profile, q):
+        # the (power, radius) pairs of both default sweeps on R^3
+        from scipy.integrate import quad
+
+        spec = E.named_profile(profile)
+        pairs = [(1.0, 2.0 * R) for R in (1, 2, 4, 8, 16, 32)]
+        pairs += [(-1.0, float(R)) for R in (1, 2, 4, 8, 16)]
+        for power, radius in pairs:
+            ref, _ = quad(lambda s: float(spec.u(s)) ** (power * q) * s**2, 0.0, radius,
+                          epsabs=1e-13, epsrel=1e-11, limit=200)
+            got = E._ball_lq_norm(spec, power, q, radius, 3)
+            assert got == pytest.approx((4.0 * math.pi * ref) ** (1.0 / q), rel=1e-12)
+
+    def test_reports_echo_the_quadrature_tolerance(self):
+        rep = E.local_max_principle_ratio("constant", 3, 2.0, 1.0, radii=(1, 2))
+        assert rep["quad_epsrel"] == E._QUAD_EPSREL == 1e-11
+
     def test_unknown_profile(self):
         with pytest.raises(InputError):
             E.named_profile("mystery")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emdenlab import geometry as geo
-from emdenlab.errors import DomainError, PreconditionError
+from emdenlab.errors import DomainError, InputError, NumericalError, PreconditionError
 
 
 class TestWarpingJet:
@@ -136,6 +136,33 @@ class TestBallVolume:
         model = geo.sphere(3, 1.0)
         vols = [geo.ball_volume(model, r) for r in (0.5, 1.0, 2.0, 3.0)]
         assert np.all(np.diff(vols) > 0)
+
+
+class TestQuadratureAgainstScipy:
+    @pytest.mark.parametrize("model", [
+        geo.euclidean(3), geo.sphere(2), geo.sphere(4, 2.0), geo.hyperbolic(3),
+        geo.hyperbolic(4, 0.25),
+        geo.warped_from_config({"model": "user", "dim": 3, "r_max": 3.0, "profile": {
+            "kind": "odd_polynomial", "coefficients": [-1.0 / 6.0, 1.0 / 120.0]}}),
+    ], ids=lambda m: f"{m.name}{m.dim}")
+    def test_ball_volume(self, model):
+        from scipy.integrate import quad
+
+        for radius in (0.3, 1.0, min(3.0, model.r_max), min(8.0, model.r_max)):
+            ref, _ = quad(lambda s: model.warping_jet(s)[0] ** (model.dim - 1), 0.0,
+                          radius, epsabs=1e-14, epsrel=1e-11, limit=200)
+            got = geo.ball_volume(model, radius)
+            assert got == pytest.approx(geo.unit_sphere_area(model.dim) * ref, rel=1e-12)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            geo.quad(lambda s: np.where(s > 0.7, np.nan, s), 0.0, 1.0, 1e-14, 1e-11)
+        with pytest.raises(NumericalError, match="not finite"):
+            geo.ball_volume(geo.hyperbolic(3), 800.0)  # sinh overflows
+
+    def test_panel_budget_raises(self):
+        with pytest.raises(NumericalError, match="200 panels"):
+            geo.quad(lambda s: np.sin(1e4 * s), 0.0, 1.0, 1e-14, 1e-11)
 
 
 class TestBishopGromov:
@@ -280,6 +307,20 @@ class TestConfigLoading:
                 "model": "user", "dim": 3,
                 "profile": {"kind": "spline"},
             })
+
+    def test_unknown_keys_rejected(self):
+        # a user entry with a named model's "kappa" and a misspelt "r_max"
+        # was read as a flat model on [0, inf)
+        with pytest.raises(InputError, match=r"\['kappa', 'rmax'\]"):
+            geo.warped_from_config({
+                "model": "user", "dim": 3, "kappa": 2.0, "rmax": 1.0,
+                "profile": {"kind": "odd_polynomial", "coefficients": [-1.0 / 6.0]},
+            })
+        with pytest.raises(InputError, match=r"\['r_max'\]"):
+            geo.warped_from_config({"model": "sphere", "dim": 3, "r_max": 1.0})
+        with pytest.raises(InputError, match=r"\['coeffs'\]"):
+            geo.warped_from_config({"model": "user", "dim": 3, "profile": {
+                "kind": "odd_polynomial", "coeffs": [1.0]}})
 
     def test_unknown_model_rejected(self):
         with pytest.raises(DomainError, match="unknown model name 'torus'"):

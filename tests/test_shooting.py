@@ -170,6 +170,61 @@ class TestStepperAgainstScipy:
         assert sol.nfev < ref.nfev
 
 
+class TestTableauAgainstScipy:
+    def test_literal_tableau_is_scipys(self):
+        # the literal rows rebuilt into scipy's arrays, compared bit for bit
+        from scipy.integrate._ivp import dop853_coefficients as co
+
+        stages, weights, extra, dense = S._tableau()
+        C, A = np.zeros(16), np.zeros((16, 16))
+        B, E3, E5, D = np.zeros(12), np.zeros(13), np.zeros(13), np.zeros((4, 16))
+        C[12] = 1.0  # K_12 is f at the step's end, whose row is the weights
+        for s, (c, row) in [*enumerate(stages, 1), *enumerate(extra, 13)]:
+            C[s] = c
+            for j, a in row:
+                A[s, j] = a
+        for j, b, e5, e3 in weights:
+            A[12, j] = B[j] = b
+            E5[j], E3[j] = e5, e3
+        for k, row in enumerate(dense):
+            for j, d in row:
+                D[k, j] = d
+        for ours, theirs in ((C, co.C), (A, co.A), (B, co.B), (E3, co.E3),
+                             (E5, co.E5), (D, co.D)):
+            assert ours.tobytes() == theirs.tobytes()
+
+
+class TestBrentAgainstScipy:
+    def test_same_calls_and_roots_as_brentq(self, monkeypatch):
+        # every crossing bracket of a small scan, the sphere's included:
+        # the port calls f at the same radii and returns the same float
+        from scipy.optimize import brentq
+
+        brent, brackets = S._brent, []
+
+        def record(f, xa, xb):
+            brackets.append((f, xa, xb))
+            return brent(f, xa, xb)
+
+        monkeypatch.setattr(S, "_brent", record)
+        S.liouville_scan(3, 2.0, [1.0, 3.0, 4.9], [0.5, 2.0], horizon=100.0)
+        S.liouville_scan(4, 1.5, [1.0], [1.0], horizon=100.0)
+        S.bv_sphere_scan(3, 3.0, 1.0, [1.2, 1.6])
+        assert len(brackets) == 8
+        for f, xa, xb in brackets:
+            ours, theirs = [], []
+            root = brent(lambda r: ours.append(r) or f(r), xa, xb)
+            ref = brentq(lambda r: theirs.append(r) or f(r), xa, xb,
+                         xtol=4 * S._EPS, rtol=4 * S._EPS)
+            assert root == ref and ours == theirs
+
+    def test_brentq_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            S._brent(lambda r: r + 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            S._brent(lambda r: math.nan if r > 0.5 else 0.5 - r, 0.0, 1.0)
+
+
 class TestLiouvilleScan:
     def test_dichotomy_pattern(self):
         table = S.liouville_scan(3, 2.0, [1.0, 3.0, 4.9], [0.5, 1.0],
