@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exponents, identities, shooting
-from .errors import EmdenLabError
+from .errors import EmdenLabError, PreconditionError
 from .geometry import bishop_gromov_check, ball_volume, model_from_name
 from .reports import RunReport, TOOL_VERSION
 
@@ -309,6 +309,8 @@ def _run_moser(args) -> list:
 
 
 def _run_bubble(args) -> list:
+    if not args.rmax > 0:
+        raise PreconditionError("rmax must be positive")
     results = []
     grid = np.concatenate([[0.0], np.geomspace(1e-3, args.rmax, 400)])
     for lam in args.lam:

@@ -116,6 +116,8 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
     """
     if kappa <= 0 or p <= 1 or n < 2:
         raise PreconditionError("need kappa > 0, p > 1, n >= 2")
+    if r_tail is not None and not r_tail > 0:
+        raise PreconditionError("r_tail must be positive")
     beta = (n - 1.0) / (p - 1.0)
     sq = math.sqrt(kappa)
     if grid is None:
@@ -184,10 +186,13 @@ def global_bound_check(profile: LogGradientProfile, n: int, p: float,
 
 
 def _sorted_radii(radii) -> list:
-    """The radii in increasing order; a sweep needs at least one."""
+    """The radii in increasing order; a sweep needs at least one, and
+    each must be positive."""
     radii = sorted(float(r) for r in radii)
     if not radii:
         raise PreconditionError("need at least one radius")
+    if not all(r > 0 for r in radii):
+        raise PreconditionError("radii must be positive")
     return radii
 
 

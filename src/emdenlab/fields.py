@@ -33,7 +33,6 @@ __all__ = [
     "RadialProfile",
     "random_field",
     "random_radial_profile",
-    "field_from_config",
     "fd_directional",
 ]
 
@@ -298,46 +297,3 @@ def jet_directional(field: ScalarField, x, v, order: int) -> float:
     if order == 3:
         return float(np.einsum("ijk,i,j,k->", j.t[0], v, v, v))
     raise InputError("order must be 1, 2 or 3")
-
-
-def field_from_config(config: dict) -> ScalarField:
-    """Build a field from a config entry.
-
-    {"dim": n, "shift": c0,
-     "terms": [{"kind": "poly", "amp": a, "exponents": [k1, ...]},
-               {"kind": "gauss", "amp": a, "center": [...], "width": w},
-               {"kind": "rexp", "amp": a, "center": [...], "rate": b, "smooth": s},
-               {"kind": "bubble", "amp": a, "center": [...], "width": w, "power": q}],
-     "products": [[term, term], ...]}
-    """
-    dim = int(config["dim"])
-
-    def parse(entry):
-        kind = entry["kind"]
-        amp = float(entry["amp"])
-        if kind == "poly":
-            exps = tuple(int(k) for k in entry["exponents"])
-            if len(exps) != dim:
-                raise InputError("poly exponents must list one power per coordinate")
-            return FieldTerm("poly", amp, (exps,))
-        center = tuple(float(c) for c in entry["center"])
-        if len(center) != dim:
-            raise InputError("term center must match the field dimension")
-        if kind == "gauss":
-            return FieldTerm("gauss", amp, (center, float(entry["width"])))
-        if kind == "rexp":
-            return FieldTerm(
-                "rexp", amp,
-                (center, float(entry["rate"]), float(entry.get("smooth", 0.5))),
-            )
-        if kind == "bubble":
-            return FieldTerm(
-                "bubble", amp, (center, float(entry["width"]), float(entry["power"]))
-            )
-        raise InputError(f"unknown field term kind {kind!r}")
-
-    terms = tuple(parse(t) for t in config.get("terms", ()))
-    products = tuple(
-        (parse(a), parse(b)) for a, b in config.get("products", ())
-    )
-    return ScalarField(dim, float(config.get("shift", 0.0)), terms, products)

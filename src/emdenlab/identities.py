@@ -42,7 +42,7 @@ from numpy.random import Generator, Philox
 
 from . import jets as J
 from .divergence import EuclideanEngine, RadialEngine
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .exponents import GradientEstimateParams, satisfies_f2
 from .fields import SAMPLING_BOX, random_field, random_radial_profile
 from .geometry import ManifoldModel, model_from_name
@@ -128,6 +128,12 @@ def _require_samples(samples: int):
         raise PreconditionError("a campaign needs at least one sample")
 
 
+def _require_jet_domain(n_values, p_values):
+    """The jet inequalities are stated for n >= 2 and p > 1."""
+    if any(n < 2 for n in n_values) or not all(p > 1 for p in p_values):
+        raise DomainError("need n >= 2 and p > 1")
+
+
 def _draw(camp: Campaign) -> SampleBatch:
     """The campaign's samples as one batch, in draw order.
 
@@ -203,9 +209,11 @@ def _radial_batch(model: ManifoldModel, r, u, u1, u2, u3, meta: dict) -> SampleB
 #: the solution segment's end
 _SOLUTION_R_MIN = 0.05
 _SOLUTION_END_MARGIN = 0.05
+#: radii drawn along a radial solution (before the critical-set filter)
+_SOLUTION_SAMPLES = 400
 
 
-def solution_batch(sol: RadialSolution, samples: int = 400) -> SampleBatch:
+def solution_batch(sol: RadialSolution) -> SampleBatch:
     """Sample a radial solution away from the center and crossing.
 
     The equation -lap_p u = f(u) is checked pointwise on the sampled
@@ -216,7 +224,7 @@ def solution_batch(sol: RadialSolution, samples: int = 400) -> SampleBatch:
     r_hi = sol.r_hi * (1.0 - _SOLUTION_END_MARGIN)
     if r_hi <= r_lo:
         raise PreconditionError("solution segment too short to sample")
-    r = np.linspace(r_lo, r_hi, samples)
+    r = np.linspace(r_lo, r_hi, _SOLUTION_SAMPLES)
     u, u1, u2, u3 = sol.jets(r)
     keep = np.abs(u1) >= 1e-12 * max(1.0, float(np.abs(u1).max()))
     r, u, u1, u2, u3 = r[keep], u[keep], u1[keep], u2[keep], u3[keep]
@@ -530,7 +538,6 @@ def check_solution_identity(
     sol: RadialSolution,
     a_values=(0.0, 1.0, 2.0, -1.0),
     b_values=(0.0, 1.0, -1.0),
-    samples: int = 400,
     tol: float = 1e-6,
 ) -> IdentityReport:
     """The solution-constrained divergence identity (needs the equation).
@@ -540,7 +547,7 @@ def check_solution_identity(
     would not satisfy it.
     """
     n, p = sol.model.dim, sol.p
-    batch = solution_batch(sol, samples=samples)
+    batch = solution_batch(sol)
     acc = _Residuals("solution_divergence", tol)
     E = batch.engine.at(p)
     block = J.FluxBlock(batch.g, batch.h, p)
@@ -570,7 +577,7 @@ def special_weights(n: int, p: float, alpha: float):
 
 
 def check_solution_identity_special(
-    sol: RadialSolution, alpha: float, samples: int = 400, tol: float = 1e-6
+    sol: RadialSolution, alpha: float, tol: float = 1e-6
 ) -> dict:
     """Specialized-weights form: coefficient audit plus sampled residual.
 
@@ -596,9 +603,7 @@ def check_solution_identity_special(
         "reaction_multiplier": coef_f,
         "reaction_is_alpha": abs(coef_f - alpha) <= 1e-12 * (abs(alpha) + 1.0),
     }
-    rep = check_solution_identity(
-        sol, a_values=(a,), b_values=(b,), samples=samples, tol=tol
-    )
+    rep = check_solution_identity(sol, a_values=(a,), b_values=(b,), tol=tol)
     return {
         "identity_id": "solution_divergence_special",
         "a": a,
@@ -650,6 +655,7 @@ def check_trace_inequality(
     entrywise square sum); margins are normalized by |M|^2.
     """
     _require_samples(samples)
+    _require_jet_domain(n_values, p_values)
     rng = _rng(seed)
     acc = _Margins()
     for n in n_values:
@@ -714,6 +720,7 @@ def check_kato(
     second-order jet data only.
     """
     _require_samples(samples)
+    _require_jet_domain(n_values, p_values)
     rng = _rng(seed)
     acc = _Margins()
     for n in n_values:
@@ -730,7 +737,6 @@ def check_log_gradient_pointwise(
     sol: RadialSolution,
     delta0: float,
     lam: float = None,
-    samples: int = 400,
     tol_neg: float = 1e-8,
 ) -> InequalityReport:
     """Pointwise differential inequality behind the log-gradient bound.
@@ -755,7 +761,7 @@ def check_log_gradient_pointwise(
     if lam < params.lambda0 - 1e-12:
         raise PreconditionError("lam must be at least p/(1 - delta0+)")
     n, p = sol.model.dim, sol.p
-    batch = solution_batch(sol, samples=samples)
+    batch = solution_batch(sol)
     lhs = batch.engine.divergence("log_power_flux", p, lam=lam)
     w1 = batch.g[:, 0] / batch.u
     w2 = batch.h[:, 0, 0] / batch.u - w1**2

@@ -15,28 +15,32 @@ series expansion on [0, r0], r0 = 1e-4:
 then hands off to DOP853, the adaptive embedded Runge-Kutta method of
 order 8, in ``solve_ivp``, at the fixed tolerances RTOL = 1e-10 and
 ATOL = 1e-12 (the sphere scan's atol is 1e-13).  That stepper is
-scipy's algorithm (its initial step, error norm, step-size control and
-statuses) written for the two-component state on plain Python floats.
-Its tableau is a committed literal, the coefficients of Hairer, Norsett
-& Wanner's dop853.f (Solving ODEs I, 1993), the same doubles scipy
-uses.  The right-hand side is float arithmetic too (the reaction term's
-f takes the positive float u), so a step makes no numpy call.  It stops
+scipy's algorithm (its initial step, error norm and step-size control)
+written for the two-component state on plain Python floats.  Its
+tableau is a committed literal, the coefficients of Hairer, Norsett &
+Wanner's dop853.f (Solving ODEs I, 1993), the same doubles scipy uses.
+The right-hand side is float arithmetic too (the reaction term's f
+takes the positive float u), so a step makes no numpy call.  It stops
 at the first downward zero crossing of u, located on that step's
 interpolant by ``_brent``, a line-for-line port of scipy's C brentq,
-and it fails closed on a non-finite state (an f(u0) that overflows
-gives one at the start) and after a fixed budget of steps.  No scipy
-module is imported.  The dense output is built lazily: a step's three
-extra stages and interpolant rows are computed only when a radius in
-that step is read (the crossing step, ``shoot``'s tail fit,
+and it fails closed: a non-finite start or state, a crossing that
+cannot be located, a collapsed step and a fixed budget of steps each
+end the solve with status -1 and a reason.  No scipy module is
+imported.  The dense output is built lazily: a step's three extra
+stages and interpolant rows are computed only when a radius in that
+step is read (the crossing step, ``shoot``'s tail fit,
 ``RadialSolution`` queries).
 
-That computation and its setup (start radius, tolerances, the horizon
-clipped to the model's domain) live in one place, ``_integrate``.  Its
-three callers only choose the horizon and read the result: ``shoot``
-classifies the run (and ``liouville_scan`` passes each cell's outcome,
-trajectory included, to an optional per-cell hook), ``solve_dense``
-wraps the dense positive segment, and ``_bv_single`` (the sphere scan)
-reads the pole flux.
+The setup lives in one place, ``_integrate``: it checks u0 > 0 and
+p > 1, clips the horizon to the model's domain and takes the series
+start.  Its one result, ``_Solve``, holds the accepted radii with their
+(u, m), the status with its reason, nfev and the dense output; at
+status 1 the last radius is the crossing.  The three callers only
+choose the horizon and read that result: ``shoot`` classifies the run
+(and ``liouville_scan`` passes each cell's outcome, trajectory
+included, to an optional per-cell hook), ``solve_dense`` wraps the
+dense positive segment, and ``_bv_single`` (the sphere scan) reads the
+pole flux.
 
 Every scan report records that radial shooting witnesses nonexistence
 only within the radial class; see ``RADIAL_WITNESS_NOTE``.
@@ -166,10 +170,11 @@ def _series_start(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
     with np.errstate(all="ignore"):  # f(u0) past the floats: a non-finite start
         f0 = float(term(u0))
     c = model.warp_c
-    u_r0 = u0 - math.copysign(
-        (p - 1.0) / p * (abs(f0) / n) ** (1.0 / (p - 1.0)) * r0 ** (p / (p - 1.0)),
-        f0,
-    ) if f0 != 0 else u0
+    try:
+        drop = (p - 1.0) / p * (abs(f0) / n) ** (1.0 / (p - 1.0)) * r0 ** (p / (p - 1.0))
+    except OverflowError:  # p < 2 and a huge f(u0): a non-finite start
+        drop = math.inf
+    u_r0 = u0 - math.copysign(drop, f0) if f0 != 0 else u0
     warp_integral = r0**n / n + (n - 1) * c * r0 ** (n + 2) / (6.0 * (n + 2))
     m_r0 = -f0 * warp_integral
     return u_r0, m_r0
@@ -179,7 +184,7 @@ def _series_start(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
 # the DOP853 stepper
 # ----------------------------------------------------------------------
 
-# scipy.integrate's DOP853 step control and messages
+# scipy.integrate's DOP853 step control and its too-small-step text
 _EPS = sys.float_info.epsilon
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
@@ -187,10 +192,6 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 #: accepted steps before a solve ends with status -1; each step keeps its
 #: stages for the dense output (about 1 kB), so this also bounds memory
 _MAX_STEPS = 20_000
-_MESSAGES = {
-    0: "The solver successfully reached the end of the integration interval.",
-    1: "A termination event occurred.",
-}
 
 
 def _tableau():
@@ -502,49 +503,55 @@ def _brent(f, xa: float, xb: float) -> float:
 
 @dataclass
 class _Solve:
-    """A radial solve: the fields of scipy's solve_ivp result it has."""
+    """A radial solve: the accepted radii r with the state (u, m) there,
+    the status (0 reached the end, 1 u crossed zero downward at r[-1],
+    -1 failed), the failure's reason (None unless the status is -1), the
+    right-hand side evaluations and the dense output."""
 
-    t: np.ndarray
-    y: np.ndarray
+    r: np.ndarray
+    u: np.ndarray
+    m: np.ndarray
     status: int
-    message: str
-    t_events: list
+    reason: Optional[str]
     nfev: int
-    sol: _DenseOutput
+    dense: _DenseOutput
 
 
-def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
-              atol: float) -> _Solve:
-    """scipy's solve_ivp(method="DOP853", dense_output=True, events=...)
-    with a terminal downward zero crossing of u, on plain floats.
+def solve_ivp(rhs, r_start: float, r_end: float, y0, atol: float) -> _Solve:
+    """The DOP853 solve of (u, m) from r_start to r_end at RTOL (read at
+    each call) and atol, with a terminal downward zero crossing of u, on
+    plain floats.
 
     ``rhs(r, u, m)`` returns (u', m').  The steps are scipy's: its
     tableau (the literal _tableau, Hairer, Norsett & Wanner's
-    coefficients), initial step, error norm and step-size control, and
-    its statuses: 0 reached r_end, 1 u crossed zero downward (the root,
-    found on the step's interpolant by _brent, scipy's brentq ported line
-    for line, is the last trajectory point), -1 failed.  A failure is a
-    step below 10 ulp of r (scipy's message), a solve that has taken
-    _MAX_STEPS steps without ending (message "step budget of N steps
-    exhausted at r=...") or, failing closed where scipy would shrink the
-    step until it is that small, a stage or accepted state that is not
-    finite, the start state included (message "non-finite state at
-    r=...").  The interpolant is built lazily (see
-    _DenseOutput), so nfev counts dense stages only for the crossing
-    step, and a rejected step does not evaluate f at its end.
+    coefficients), initial step, error norm and step-size control.  The
+    status is 0 when the solve reaches r_end, 1 when u crosses zero
+    downward (the root, found on the step's interpolant by _brent,
+    scipy's brentq ported line for line, is the last accepted radius) and
+    -1 on a failure, whose reason is one of:
+      "step-size collapse: ..."   a step below 10 ulp of r (scipy's text);
+      "step budget of N steps exhausted at r=..."   _MAX_STEPS steps taken;
+      "non-finite state at r=..."   a stage or accepted state that is not
+          finite, the start state included (failing closed where scipy
+          would shrink the step until it collapses);
+      "crossing not located: ..."   _brent's ValueError on the crossing
+          step.
+    The interpolant is built lazily (see _DenseOutput), so nfev counts
+    dense stages only for the crossing step, and a rejected step does not
+    evaluate f at its end.
 
     A module-level name that runs every solve, so a caller can wrap it to
     count solves (the tests and the benchmark's tracer do).
     """
     stages, weights, _, _ = _tableau()
-    rtol = max(rtol, 100 * _EPS)  # scipy's floor on rtol
+    rtol = RTOL
     isfinite, inf = math.isfinite, math.inf
     t = float(r_start)
     u, m = map(float, y0)
-    steps, events = [], []
+    steps = []
     ts, us, ms = [t], [u], [m]
     dense = _DenseOutput(rhs, steps)
-    status = message = None
+    status = reason = None
     with np.errstate(all="ignore"):
         fu, fm = rhs(t, u, m)
         t_new, nfev = t, 1
@@ -556,15 +563,16 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
         while status is None:
             if len(steps) == _MAX_STEPS:
                 status = -1
-                message = (f"step budget of {_MAX_STEPS} steps exhausted "
-                           f"at r={t:.6g}")
+                reason = (f"step budget of {_MAX_STEPS} steps exhausted "
+                          f"at r={t:.6g}")
                 break
             min_step = 10 * abs(math.nextafter(t, inf) - t)
             h_abs = max(h_abs, min_step)
             rejected = False
             while True:
                 if h_abs < min_step:
-                    status, message = -1, _TOO_SMALL_STEP
+                    status = -1
+                    reason = f"step-size collapse: {_TOO_SMALL_STEP}"
                     break
                 t_new = min(t + h_abs, r_end)
                 h = t_new - t
@@ -624,10 +632,13 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
             t, u, m = t_new, u_new, m_new
             if crossed:
                 i = len(steps) - 1
-                t = _brent(lambda r: dense.at(i, r)[0], steps[i][0], t_new)
-                u, m = dense.at(i, t)
-                events.append(t)
-                status = 1
+                try:
+                    t = _brent(lambda r: dense.at(i, r)[0], steps[i][0], t_new)
+                except ValueError as exc:
+                    status, reason = -1, f"crossing not located: {exc}"
+                else:
+                    u, m = dense.at(i, t)
+                    status = 1
             elif t_new >= r_end:
                 status = 0
             if status == 1 and len(ts) > 1 and ts[-1] == t:
@@ -636,13 +647,11 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, rtol: float,
                 ts.append(t)
                 us.append(u)
                 ms.append(m)
-    if status == -1 and message is None:
-        message = f"non-finite state at r={t_new:.6g}"
+    if status == -1 and reason is None:
+        reason = f"non-finite state at r={t_new:.6g}"
     dense.ts = np.array(ts)
-    return _Solve(t=dense.ts, y=np.array([us, ms]), status=status,
-                  message=_MESSAGES.get(status, message),
-                  t_events=[np.array(events)], nfev=nfev + 3 * dense.built,
-                  sol=dense)
+    return _Solve(r=dense.ts, u=np.array(us), m=np.array(ms), status=status,
+                  reason=reason, nfev=nfev + 3 * dense.built, dense=dense)
 
 
 def _radial_rhs(model: ManifoldModel, p: float, term: ReactionTerm):
@@ -665,44 +674,34 @@ def _radial_rhs(model: ManifoldModel, p: float, term: ReactionTerm):
 
 def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
                horizon: float, atol: Optional[float] = None) -> _Solve:
-    """The radial solve: series start at SERIES_RADIUS, then DOP853 on the
-    flux form up to the horizon (clipped to the model's domain), stopping
-    at the first downward zero crossing of u.  The tolerances are RTOL and
-    ATOL, read at each call; the sphere scan passes its own atol.
+    """The one radial setup: check u0 > 0 and p > 1, then the series
+    start at SERIES_RADIUS and solve_ivp on the flux form up to the
+    horizon (clipped to the model's domain).  The tolerances are RTOL and
+    ATOL, read at each call; the sphere scan passes its own atol.  Every
+    failure past these checks, the series start's included, is a solve
+    with status -1 and a reason.
     """
+    if u0 <= 0:
+        raise PreconditionError("u0 must be positive")
+    if p <= 1:
+        raise PreconditionError("p must exceed 1")
     r_end = min(horizon, model.r_max - SERIES_RADIUS)
     if r_end <= SERIES_RADIUS:
         raise DomainError("horizon does not exceed the series start")
     return solve_ivp(_radial_rhs(model, p, term), SERIES_RADIUS, r_end,
-                     _series_start(model, p, term, u0, SERIES_RADIUS), RTOL,
+                     _series_start(model, p, term, u0, SERIES_RADIUS),
                      ATOL if atol is None else atol)
 
 
 def shoot(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
           horizon: float = 100.0) -> ShootOutcome:
     """Integrate the radial problem from the center and classify the run."""
-    if u0 <= 0:
-        raise PreconditionError("u0 must be positive")
-    if p <= 1:
-        raise PreconditionError("p must exceed 1")
-    try:
-        sol = _integrate(model, p, term, u0, horizon)
-    except (FloatingPointError, ValueError, OverflowError) as exc:
-        return ShootOutcome(kind="inconclusive", reason=f"integrator error: {exc}")
-
-    stats = {
-        "nfev": int(sol.nfev),
-        "status": int(sol.status),
-        "message": str(sol.message),
-    }
-    traj = {
-        "r": sol.t.copy(),
-        "u": sol.y[0].copy(),
-        "m": sol.y[1].copy(),
-    }
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi_t, _, _ = model.warping_jet(sol.t)
-        traj["uprime"] = _uprime(traj["m"], psi_t, model.dim, p)
+    sol = _integrate(model, p, term, u0, horizon)
+    stats = {"nfev": int(sol.nfev), "status": int(sol.status)}
+    traj = {"r": sol.r, "u": sol.u, "m": sol.m}
+    with np.errstate(all="ignore"):
+        psi_t, _, _ = model.warping_jet(sol.r)
+        traj["uprime"] = _uprime(sol.m, psi_t, model.dim, p)
 
     if term.sign_class in ("nonnegative", "positive"):
         m_traj = traj["m"]
@@ -712,16 +711,13 @@ def shoot(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
         stats["flux_nonincreasing"] = bool(np.all(np.diff(m_pos) <= tol)) if seen else None
         stats["flux_nonpositive"] = bool(np.all(m_pos <= tol)) if seen else None
 
-    if sol.status == 1 and len(sol.t_events[0]):
-        r_cross = float(sol.t_events[0][0])
-        return ShootOutcome(kind="crossed_zero", r_cross=r_cross,
+    if sol.status == 1:
+        return ShootOutcome(kind="crossed_zero", r_cross=float(sol.r[-1]),
                             trajectory=traj, stats=stats)
     if sol.status < 0:
-        reason = (f"step-size collapse: {sol.message}"
-                  if sol.message == _TOO_SMALL_STEP else sol.message)
-        return ShootOutcome(kind="inconclusive", reason=reason,
+        return ShootOutcome(kind="inconclusive", reason=sol.reason,
                             trajectory=traj, stats=stats)
-    u_end = float(sol.y[0][-1])
+    u_end = float(sol.u[-1])
     if u_end <= 0:
         return ShootOutcome(
             kind="inconclusive", reason="endpoint not positive without a located event",
@@ -729,9 +725,9 @@ def shoot(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
         )
     tail = None
     if model.r_max == math.inf:
-        r_end = float(sol.t[-1])
+        r_end = float(sol.r[-1])
         r_tail = np.geomspace(max(r_end / 10.0, 2 * SERIES_RADIUS), r_end, 48)
-        u_tail = sol.sol(r_tail)[0]
+        u_tail = sol.dense(r_tail)[0]
         if np.all(u_tail > 0):
             slope, _ = np.polyfit(np.log(r_tail), np.log(u_tail), 1)
             tail = float(slope)
@@ -741,12 +737,12 @@ def shoot(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
 
 def solve_dense(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
                 horizon: float) -> RadialSolution:
-    """Shoot and wrap the dense positive segment as a RadialSolution."""
+    """Shoot and wrap the dense positive segment, up to the crossing or
+    the horizon, as a RadialSolution."""
     sol = _integrate(model, p, term, u0, horizon)
     if sol.status < 0:
-        raise NumericalError(f"dense solve failed: {sol.message}")
-    r_hi = float(sol.t_events[0][0]) if len(sol.t_events[0]) else float(sol.t[-1])
-    return RadialSolution(model, p, term, sol.sol, SERIES_RADIUS, r_hi)
+        raise NumericalError(f"dense solve failed: {sol.reason}")
+    return RadialSolution(model, p, term, sol.dense, SERIES_RADIUS, float(sol.r[-1]))
 
 
 # ----------------------------------------------------------------------
@@ -816,8 +812,6 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, on_cell=None):
 def bubble_match(n, p, lam, horizon=20.0) -> dict:
     """Shoot from the bubble's center value and compare with the closed form."""
     ps = critical_exponent(n, p)
-    if not (1 < p < n):
-        raise PreconditionError("bubble match requires 1 < p < n")
     bubble = emden_bubble(n, p, lam)
     u0 = float(bubble(0.0))
     term = ReactionTerm.pure_power(ps)
@@ -857,7 +851,7 @@ def _bv_single(model, q, lam, u0) -> dict:
         return {"u0": u0, "status": "error", "residual": None, "min_u": None}
     if sol.status == 1:
         return {"u0": u0, "status": "crossed_zero", "residual": None, "min_u": None}
-    u_end, m_end = float(sol.y[0][-1]), float(sol.y[1][-1])
+    u_end, m_end = float(sol.u[-1]), float(sol.m[-1])
     # analytic tail correction: m(pi) ~ m_end - f(u_end) * gap^n / n
     m_pole = m_end - float(term(u_end)) * _ANTIPODAL_GAP**n / n
     # normalize by a flux scale that does not vanish at the constant
@@ -865,7 +859,7 @@ def _bv_single(model, q, lam, u0) -> dict:
     # normalized defect is continuous in u0 and changes sign there
     m_ref = lam * u0 * _sphere_warp_mass(n)
     return {"u0": u0, "status": "regular_candidate", "residual": m_pole / m_ref,
-            "min_u": float(sol.y[0].min())}
+            "min_u": float(sol.u.min())}
 
 
 def _sphere_warp_mass(n: int) -> float:

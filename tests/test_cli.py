@@ -175,6 +175,42 @@ class TestEmptyInputs:
         assert result["cells"] == [] and not result["pass"]
 
 
+class TestInvalidInputs:
+    """An input outside a check's domain (a radius or horizon <= 0, a jet
+    grid value with n < 2 or p <= 1, a radial start u0 <= 0 or p <= 1, a
+    series start that overflows) fails the run with one error result and
+    no warning, before any arithmetic on it."""
+
+    @pytest.mark.parametrize("argv,error", [
+        (["bubble", "--rmax", "0"], "PreconditionError: rmax must be positive"),
+        (["gradient-bound", "--rtail", "0"],
+         "PreconditionError: r_tail must be positive"),
+        (["gradient-bound", "--rtail", "-5"],
+         "PreconditionError: r_tail must be positive"),
+        (["harnack", "--radii", "0"], "PreconditionError: radii must be positive"),
+        (["trace-ineq", "--p", "1", "--samples", "10"],
+         "DomainError: need n >= 2 and p > 1"),
+        (["trace-ineq", "--n", "1", "--samples", "10"],
+         "DomainError: need n >= 2 and p > 1"),
+        (["kato", "--p", "1", "--samples", "10"],
+         "DomainError: need n >= 2 and p > 1"),
+        (["kato", "--n", "1", "--samples", "10"],
+         "DomainError: need n >= 2 and p > 1"),
+        (["moser", "--u0", "-1"], "PreconditionError: u0 must be positive"),
+        (["moser", "--p", "1"], "PreconditionError: p must exceed 1"),
+        (["moser", "--p", "1.5", "--alpha", "3", "--u0", "1e100"],
+         "NumericalError: dense solve failed: non-finite state at r=0.0001"),
+        (["bv-sphere", "--u0", "0,1"], "PreconditionError: u0 must be positive"),
+    ], ids=["bubble-rmax", "gradient-bound-rtail-0", "gradient-bound-rtail-neg",
+            "harnack-radius", "trace-ineq-p", "trace-ineq-n", "kato-p", "kato-n",
+            "moser-u0", "moser-p", "moser-overflow", "bv-sphere-u0"])
+    def test_error_result(self, tmp_path, argv, error):
+        out = tmp_path / "rep.json"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert rep["results"] == [{"error": error, "pass": False}]
+
+
 class TestToleranceFlag:
     def test_solution_suite_honours_tol(self, tmp_path):
         out = tmp_path / "rep.json"

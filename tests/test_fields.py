@@ -166,36 +166,3 @@ class TestRadialProfiles:
             prof = random_radial_profile(RNG(seed), 3.0)
             r = np.linspace(0.01, 3.0, 100)
             assert prof.value(r).min() > 0
-
-
-class TestFieldConfig:
-    def test_round_trip_evaluation(self):
-        from emdenlab.fields import field_from_config
-
-        field = field_from_config({
-            "dim": 2, "shift": 1.5,
-            "terms": [
-                {"kind": "gauss", "amp": 0.5, "center": [0, 0], "width": 1.0},
-                {"kind": "poly", "amp": 0.1, "exponents": [2, 0]},
-            ],
-            "products": [[
-                {"kind": "bubble", "amp": 0.3, "center": [0.5, 0], "width": 1.0,
-                 "power": 1.0},
-                {"kind": "gauss", "amp": 1.0, "center": [0, 0.5], "width": 2.0},
-            ]],
-        })
-        val = field.value(np.array([[0.0, 0.0]]))[0]
-        assert val == pytest.approx(
-            2.0 + 0.3 / 1.25 * np.exp(-0.5**2 / 8.0), rel=1e-12
-        )
-
-    def test_dimension_mismatch_rejected(self):
-        from emdenlab.errors import InputError
-        from emdenlab.fields import field_from_config
-
-        with pytest.raises(InputError):
-            field_from_config({
-                "dim": 3,
-                "terms": [{"kind": "gauss", "amp": 1.0, "center": [0, 0],
-                           "width": 1.0}],
-            })

@@ -278,7 +278,7 @@ class TestSolutionIdentity:
         # exercised on the explicit hyperbolic p-harmonic profile
         sol = _HyperbolicHarmonic(n=3, p=2.5, kappa=1.0)
         rep = I.check_solution_identity(sol, a_values=(0.0, 1.0), b_values=(0.0,),
-                                        samples=100, tol=1e-7)
+                                        tol=1e-7)
         assert rep.passed
 
     def test_nonradial_grid_p3(self, cubic_solution):

@@ -80,14 +80,20 @@ class TestShoot:
             assert float(out.reason.split("=")[1]) > out.trajectory["r"][-1]
 
     def test_overflowing_start_is_inconclusive(self):
-        # f(1e200) = 1e600 overflows: the solve ends at its start radius
-        # with no numpy warning (warnings are errors here)
-        for model, term in ((euclidean(3), ReactionTerm.pure_power(3.0)),
-                            (sphere(3), ReactionTerm.linear_minus_power(3.0, 1.0))):
-            out = S.shoot(model, 2.0, term, 1e200, horizon=3.0)
+        # f(1e200) = 1e600 overflows, and at p = 1.5 the series start's
+        # (f(1e100)/n)^2 does: the solve ends at its start radius with no
+        # numpy warning (warnings are errors here)
+        for model, p, term, u0 in (
+            (euclidean(3), 2.0, ReactionTerm.pure_power(3.0), 1e200),
+            (sphere(3), 2.0, ReactionTerm.linear_minus_power(3.0, 1.0), 1e200),
+            (euclidean(4), 1.5, ReactionTerm.pure_power(3.0), 1e100),
+        ):
+            out = S.shoot(model, p, term, u0, horizon=3.0)
             assert out.kind == "inconclusive"
             assert out.reason == f"non-finite state at r={S.SERIES_RADIUS:.6g}"
             assert out.stats["status"] == -1
+            with pytest.raises(NumericalError, match=out.reason):
+                S.solve_dense(model, p, term, u0, horizon=3.0)
 
     def test_step_budget_ends_the_solve(self, monkeypatch):
         # a normal scan cell (25 steps to its crossing) against a budget of 5
@@ -151,21 +157,24 @@ class TestStepperAgainstScipy:
 
         crossing.terminal, crossing.direction = True, -1
         ref = solve_ivp(lambda r, y: rhs(r, *y), (r0, r_end), y0, method="DOP853",
-                        rtol=1e-10, atol=atol, dense_output=True, events=crossing)
-        sol = S.solve_ivp(rhs, r0, r_end, y0, 1e-10, atol)
-        assert (sol.status, sol.message) == (ref.status, ref.message)
-        assert len(sol.t) == len(ref.t)
-        assert len(sol.t_events[0]) == len(ref.t_events[0])
+                        rtol=S.RTOL, atol=atol, dense_output=True, events=crossing)
+        sol = S.solve_ivp(rhs, r0, r_end, y0, atol)
+        assert sol.status == ref.status
+        assert sol.reason == (f"step-size collapse: {ref.message}"
+                              if ref.status < 0 else None)
+        assert len(sol.r) == len(ref.t)
+        assert (sol.status == 1) == bool(len(ref.t_events[0]))
         if len(ref.t_events[0]):
-            assert sol.t_events[0][0] == pytest.approx(ref.t_events[0][0], rel=1e-10)
-        assert sol.t[-1] == pytest.approx(ref.t[-1], rel=1e-10)
+            assert sol.r[-1] == pytest.approx(ref.t_events[0][0], rel=1e-10)
+        assert sol.r[-1] == pytest.approx(ref.t[-1], rel=1e-10)
         # relative to each component's size over the run: u is ~0 at a
         # crossing and m is ~0 at the center
         r = np.linspace(r0, ref.t[-1], 50)
         dense = ref.sol(r)
         scale = np.abs(dense).max(axis=1)
-        for got, want in ((sol.sol(r), dense), (sol.y[:, -1:], ref.y[:, -1:]),
-                          (sol.sol(r[7])[:, None], ref.sol(r[7])[:, None])):
+        end = np.array([sol.u[-1:], sol.m[-1:]])
+        for got, want in ((sol.dense(r), dense), (end, ref.y[:, -1:]),
+                          (sol.dense(r[7])[:, None], ref.sol(r[7])[:, None])):
             assert np.all(np.abs(got - want) <= 1e-10 * scale[:, None])
         assert sol.nfev < ref.nfev
 
