@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -47,7 +48,10 @@ def _ints(text: str):
     return tuple(int(x) for x in text.split(",") if x)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not
+    change it, so every run shares it."""
     ap = argparse.ArgumentParser(
         prog="emdenlab",
         description="verification lab for the p-Laplace Lane-Emden-Fowler equation",
@@ -330,7 +334,8 @@ def _run_scan(args) -> list:
             with open(outdir / f"alpha{alpha:g}_u0{u0:g}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["r", "u", "uprime", "m"])
-                writer.writerows(zip(traj["r"], traj["u"], traj["uprime"], traj["m"]))
+                writer.writerows(np.column_stack(
+                    (traj["r"], traj["u"], traj["uprime"], traj["m"])).tolist())
 
     table = shooting.liouville_scan(
         args.n, args.p, args.alpha, args.u0, horizon=args.horizon,

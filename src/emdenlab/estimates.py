@@ -97,8 +97,8 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
     The profile is singular at the pole (p-harmonic on the punctured
     space only), so the default grid lives in the tail regime
     [9/sqrt(kappa), 30/sqrt(kappa)] where it proxies an entire solution
-    to within ~1e-7 of the bound; pass an explicit grid to inspect the
-    pole excess.
+    to within ~1e-7 of the bound (r_tail, which must exceed 9/sqrt(kappa),
+    moves its end); pass an explicit grid to inspect the pole excess.
 
     u is summed in closed form, vectorized over the grid: with
     x = sqrt(kappa) r and (beta)_k the rising factorial,
@@ -120,6 +120,9 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
         raise PreconditionError("r_tail must be positive")
     beta = (n - 1.0) / (p - 1.0)
     sq = math.sqrt(kappa)
+    if r_tail is not None and r_tail <= 9.0 / sq:
+        raise PreconditionError(
+            f"r_tail must exceed the grid start 9/sqrt(kappa) = {9.0 / sq:g}")
     if grid is None:
         r_tail = r_tail if r_tail is not None else 30.0 / sq
         grid = np.geomspace(9.0 / sq, r_tail, 160)

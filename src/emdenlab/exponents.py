@@ -221,23 +221,6 @@ class ReactionTerm:
     def deriv(self, t):
         return self.fprime(np.asarray(t, dtype=float))
 
-    def extended_scalar(self):
-        """Scalar closure of the odd extension (integrator hot loop).
-
-        It takes and returns a Python float and hands f a positive Python
-        float, never an array, so a constructor's f runs on libm.
-        """
-        f = self.f
-
-        def g(t):
-            if t > 0:
-                return float(f(t))
-            if t < 0:
-                return -float(f(-t))
-            return 0.0
-
-        return g
-
 
 # ----------------------------------------------------------------------
 # subcriticality conditions

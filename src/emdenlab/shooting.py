@@ -19,8 +19,13 @@ scipy's algorithm (its initial step, error norm and step-size control)
 written for the two-component state on plain Python floats.  Its
 tableau is a committed literal, the coefficients of Hairer, Norsett &
 Wanner's dop853.f (Solving ODEs I, 1993), the same doubles scipy uses.
-The right-hand side is float arithmetic too (the reaction term's f
-takes the positive float u), so a step makes no numpy call.  It stops
+The stages are compiled once from that tableau, at the first solve:
+``_compiled`` writes a step (its 11 stages and weight sums) and a
+step's dense row as two straight-line functions, each sum in the
+tableau's order, so a step reads no coefficient table.  The right-hand
+side is float arithmetic too, one Python frame that hands the reaction
+term's f the positive float |u| (the odd extension inline), so a step
+makes no numpy call.  It stops
 at the first downward zero crossing of u, located on that step's
 interpolant by ``_brent``, a line-for-line port of scipy's C brentq,
 and it fails closed: a non-finite start or state, a crossing that
@@ -48,6 +53,7 @@ only within the radial class; see ``RADIAL_WITNESS_NOTE``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -195,7 +201,7 @@ _MAX_STEPS = 20_000
 
 
 def _tableau():
-    """DOP853's coefficients as literals, in the layout the stepper reads.
+    """DOP853's coefficients as literals, in the layout _compiled reads.
 
     The values are those of Hairer, Norsett & Wanner's dop853.f
     (Solving Ordinary Differential Equations I, 2nd ed., 1993), each
@@ -332,13 +338,56 @@ def _tableau():
     )
 
 
-def _combine(coefs, ku, km):
-    """sum_j a_j K_j over one row, for both components."""
-    su = sm = 0.0
-    for j, a in coefs:
-        su += a * ku[j]
-        sm += a * km[j]
-    return su, sm
+@functools.cache
+def _compiled():
+    """The tableau compiled into two straight-line functions, at the first
+    solve (not at import): (step, dense_row).
+
+    step(rhs, t, h, u, m, ku0, km0) takes one step from (t, u, m) with
+    K_0 = (ku0, km0): it returns the stages (ku0..ku11), (km0..km11) and
+    the weight sums bu, bm, e5u, e5m, e3u, e3m.
+    dense_row(rhs, t, h, u, m, u_new, m_new, ku, km) takes an accepted
+    step's stages K_0..K_12 and returns its interpolant's seven F rows as
+    (u, m) pairs, after the three extra stages K_13..K_15.
+
+    Every sum is written ``0.0 + a_j * K_j + ...`` with j ascending, each
+    coefficient as its repr, so it rounds exactly as a loop over the
+    tableau's rows accumulating from 0.0 does.
+    """
+    stages, weights, extra, dense = _tableau()
+
+    def total(row, k):
+        return " + ".join(["0.0", *(f"{a!r} * {k}{j}" for j, a in row)])
+
+    def stage(s, c, row):
+        return (f"    ku{s}, km{s} = rhs(t + {c!r} * h, "
+                f"u + ({total(row, 'ku')}) * h, m + ({total(row, 'km')}) * h)")
+
+    def names(k, count):
+        return ", ".join(f"{k}{j}" for j in range(count))
+
+    sums = [f"    {w}{x} = {total([(j, ws[i]) for j, *ws in weights], 'k' + x)}"
+            for i, w in enumerate(("b", "e5", "e3")) for x in "um"]
+    source = [
+        "def step(rhs, t, h, u, m, ku0, km0):",
+        *(stage(s, c, row) for s, (c, row) in enumerate(stages, 1)),
+        *sums,
+        f"    return ({names('ku', 12)}), ({names('km', 12)}), "
+        "bu, bm, e5u, e5m, e3u, e3m",
+        "def dense_row(rhs, t, h, u, m, u_new, m_new, ku, km):",
+        f"    {names('ku', 13)} = ku",
+        f"    {names('km', 13)} = km",
+        *(stage(s, c, row) for s, (c, row) in enumerate(extra, 13)),
+        "    dyu, dym = u_new - u, m_new - m",
+        "    return ((dyu, dym), (h * ku0 - dyu, h * km0 - dym),",
+        "            (2 * dyu - h * (ku12 + ku0), 2 * dym - h * (km12 + km0)),",
+        *(f"            (h * ({total(row, 'ku')}), h * ({total(row, 'km')})),"
+          for row in dense),
+        "            )",
+    ]
+    namespace = {}
+    exec(compile("\n".join(source), "<DOP853 tableau>", "exec"), namespace)
+    return namespace["step"], namespace["dense_row"]
 
 
 def _rms(a, b):
@@ -386,21 +435,9 @@ class _DenseOutput:
         if row is not None:
             return row
         t, h, u, m, u_new, m_new, ku, km = self._steps[i]
-        _, _, extra, dense = _tableau()
-        ku, km = list(ku), list(km)
         with np.errstate(all="ignore"):
-            for c, coefs in extra:
-                su, sm = _combine(coefs, ku, km)
-                du, dm = self._rhs(t + c * h, u + su * h, m + sm * h)
-                ku.append(du)
-                km.append(dm)
-        dyu, dym = u_new - u, m_new - m
-        F = [(dyu, dym), (h * ku[0] - dyu, h * km[0] - dym),
-             (2 * dyu - h * (ku[12] + ku[0]), 2 * dym - h * (km[12] + km[0]))]
-        for coefs in dense:
-            su, sm = _combine(coefs, ku, km)
-            F.append((h * su, h * sm))
-        row = self._rows[i] = (t, h, u, m, tuple(F))
+            F = _compiled()[1](self._rhs, t, h, u, m, u_new, m_new, ku, km)
+        row = self._rows[i] = (t, h, u, m, F)
         return row
 
     def at(self, i, r):
@@ -543,7 +580,7 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, atol: float) -> _Solve:
     A module-level name that runs every solve, so a caller can wrap it to
     count solves (the tests and the benchmark's tracer do).
     """
-    stages, weights, _, _ = _tableau()
+    step, _ = _compiled()
     rtol = RTOL
     isfinite, inf = math.isfinite, math.inf
     t = float(r_start)
@@ -577,25 +614,11 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, atol: float) -> _Solve:
                 t_new = min(t + h_abs, r_end)
                 h = t_new - t
                 h_abs = abs(h)
-                ku, km = [fu], [fm]
-                for c, coefs in stages:
-                    su, sm = _combine(coefs, ku, km)
-                    du, dm = rhs(t + c * h, u + su * h, m + sm * h)
-                    ku.append(du)
-                    km.append(dm)
-                nfev += len(stages)
+                ku, km, bu, bm, e5u, e5m, e3u, e3m = step(rhs, t, h, u, m, fu, fm)
+                nfev += len(ku) - 1  # the stages K_1..K_11
                 if not (all(map(isfinite, ku)) and all(map(isfinite, km))):
                     status = -1
                     break
-                bu = bm = e5u = e5m = e3u = e3m = 0.0
-                for j, b, e5, e3 in weights:
-                    kuj, kmj = ku[j], km[j]
-                    bu += b * kuj
-                    bm += b * kmj
-                    e5u += e5 * kuj
-                    e5m += e5 * kmj
-                    e3u += e3 * kuj
-                    e3m += e3 * kmj
                 u_new, m_new = u + h * bu, m + h * bm
                 su = atol + max(abs(u), abs(u_new)) * rtol
                 sm = atol + max(abs(m), abs(m_new)) * rtol
@@ -625,9 +648,7 @@ def solve_ivp(rhs, r_start: float, r_end: float, y0, atol: float) -> _Solve:
                     and isfinite(fu) and isfinite(fm)):
                 status = -1
                 break
-            ku.append(fu)
-            km.append(fm)
-            steps.append((t, h, u, m, u_new, m_new, ku, km))
+            steps.append((t, h, u, m, u_new, m_new, ku + (fu,), km + (fm,)))
             crossed = u >= 0 and u_new <= 0
             t, u, m = t_new, u_new, m_new
             if crossed:
@@ -658,14 +679,16 @@ def _radial_rhs(model: ManifoldModel, p: float, term: ReactionTerm):
     """(u', m') of the flux form at radius r, on plain floats."""
     n = model.dim
     warp = _warp_weight(model, n)
-    fext = term.extended_scalar()
+    f = term.f
     expo = 1.0 / (float(p) - 1.0)
 
     def rhs(r, u, m):
         try:
             w = warp(r)
             du = math.copysign(abs(m / w) ** expo, m) if m != 0 else 0.0
-            return du, -w * fext(u)
+            # f on the odd extension, handed a positive Python float
+            fu = float(f(u)) if u > 0 else -float(f(-u)) if u < 0 else 0.0
+            return du, -w * fu
         except (OverflowError, ZeroDivisionError):  # float ** and / raise
             return math.nan, math.nan
 
@@ -842,13 +865,15 @@ _BV_ATOL = 1e-13
 
 
 def _bv_single(model, q, lam, u0) -> dict:
-    """One pole-to-pole run as a scan cell: u0, status, residual, min_u."""
+    """One pole-to-pole run as a scan cell: u0, status, residual, min_u,
+    and the solve's reason on an error cell."""
     n = model.dim
     term = ReactionTerm.linear_minus_power(q, lam)
     sol = _integrate(model, 2.0, term, u0, model.r_max - _ANTIPODAL_GAP,
                      atol=_BV_ATOL)
     if sol.status < 0:
-        return {"u0": u0, "status": "error", "residual": None, "min_u": None}
+        return {"u0": u0, "status": "error", "residual": None, "min_u": None,
+                "reason": sol.reason}
     if sol.status == 1:
         return {"u0": u0, "status": "crossed_zero", "residual": None, "min_u": None}
     u_end, m_end = float(sol.u[-1]), float(sol.m[-1])

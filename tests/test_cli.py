@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import emdenlab
@@ -135,6 +136,52 @@ class TestScanCommand:
             assert float(last.split(",")[0]) == cell["r_cross"]
 
 
+    def test_trajectory_csv_text(self, tmp_path, monkeypatch):
+        # each file reads back, row for row, as its cell's trajectory
+        # arrays, the non-finite values of an overflowing start included
+        outcomes = {}
+        scan = shooting.liouville_scan
+
+        def recording(*args, on_cell, **kwargs):
+            def hook(alpha, u0, out):
+                outcomes[alpha, u0] = out
+                on_cell(alpha, u0, out)
+
+            return scan(*args, on_cell=hook, **kwargs)
+
+        monkeypatch.setattr(shooting, "liouville_scan", recording)
+        trajs = tmp_path / "trajs"
+        assert run_cli(["scan", "--n", "3", "--p", "2", "--alpha", "3,5",
+                        "--u0", "1,1e200", "--horizon", "50", "--out",
+                        str(tmp_path / "rep.json"), "--trajectories", str(trajs)]) == 1
+        assert len(outcomes) == 4
+        for (alpha, u0), out in outcomes.items():
+            header, *rows = (trajs / f"alpha{alpha:g}_u0{u0:g}.csv").read_text().splitlines()
+            assert header == "r,u,uprime,m"
+            got = np.array([[float(x) for x in row.split(",")] for row in rows])
+            for k, key in enumerate(header.split(",")):
+                assert np.array_equal(got[:, k], out.trajectory[key], equal_nan=True)
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_config_run_leaves_no_state(self, tmp_path):
+        # a scan with --config, then the same scan without it, reports
+        # what that second scan reports when it runs first
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": [0.5], "horizon": 20, "n": 4}))
+        argv = ["scan", "--alpha", "1", "--u0", "1", "--horizon", "30"]
+        first, configured, second = (tmp_path / f for f in ("1.json", "c.json", "2.json"))
+        cli.build_parser.cache_clear()
+        assert run_cli(argv + ["--out", str(first)]) == 0
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(configured)]) == 0
+        assert run_cli(argv + ["--out", str(second)]) == 0
+        assert json.loads(configured.read_text())["config"]["n"] == 4
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestEmptyInputs:
     """An input that leaves nothing to check fails the run (exit 1)."""
 
@@ -187,6 +234,10 @@ class TestInvalidInputs:
          "PreconditionError: r_tail must be positive"),
         (["gradient-bound", "--rtail", "-5"],
          "PreconditionError: r_tail must be positive"),
+        (["gradient-bound", "--rtail", "9"],
+         "PreconditionError: r_tail must exceed the grid start 9/sqrt(kappa) = 9"),
+        (["gradient-bound", "--rtail", "5"],
+         "PreconditionError: r_tail must exceed the grid start 9/sqrt(kappa) = 9"),
         (["harnack", "--radii", "0"], "PreconditionError: radii must be positive"),
         (["trace-ineq", "--p", "1", "--samples", "10"],
          "DomainError: need n >= 2 and p > 1"),
@@ -202,6 +253,7 @@ class TestInvalidInputs:
          "NumericalError: dense solve failed: non-finite state at r=0.0001"),
         (["bv-sphere", "--u0", "0,1"], "PreconditionError: u0 must be positive"),
     ], ids=["bubble-rmax", "gradient-bound-rtail-0", "gradient-bound-rtail-neg",
+            "gradient-bound-rtail-9", "gradient-bound-rtail-5",
             "harnack-radius", "trace-ineq-p", "trace-ineq-n", "kato-p", "kato-n",
             "moser-u0", "moser-p", "moser-overflow", "bv-sphere-u0"])
     def test_error_result(self, tmp_path, argv, error):
@@ -459,6 +511,7 @@ class TestConsoleEntry:
         [scan] = json.loads(proc.stdout)["results"]
         assert scan["pass"] is False
         assert [c["status"] for c in scan["cells"]].count("error") == 1
+        assert scan["cells"][1]["reason"].startswith("non-finite state")
         [line] = proc.stderr.splitlines()
         assert line.startswith("[emdenlab] pass=False")
 

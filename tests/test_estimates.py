@@ -77,6 +77,13 @@ class TestHyperbolicExtremal:
         with pytest.raises(NumericalError, match="not finite and positive"):
             E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.array([10.0, 400.0]))
 
+    @pytest.mark.parametrize("kappa,r_tail", [(1.0, 9.0), (1.0, 5.0), (4.0, 4.5)])
+    def test_tail_radius_must_pass_the_grid_start(self, kappa, r_tail):
+        # at the start the grid is 160 copies of one radius, below it the
+        # grid decreases: either way the tail fit reads nothing
+        with pytest.raises(PreconditionError, match="grid start"):
+            E.hn_p_harmonic_profile(3, 2.0, kappa, r_tail=r_tail)
+
     def test_pole_excess_visible_on_inner_grid(self):
         # near the puncture the profile is not entire and exceeds the bound
         prof = E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.geomspace(0.05, 2.0, 40))

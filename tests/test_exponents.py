@@ -194,8 +194,6 @@ def test_float_argument_stays_a_float(term):
             got = fun(t)
             assert type(got) is float
             assert got == pytest.approx(float(fun(np.array([t]))[0]), rel=1e-15)
-    g = term.extended_scalar()
-    assert type(g(0.5)) is float and g(-0.5) == -g(0.5) and g(0.0) == 0.0
 
 
 def _counting(term):

@@ -114,10 +114,13 @@ class TestShoot:
                                                                       np.float64(1.0))])
     @pytest.mark.parametrize("model", [euclidean(3), sphere(3)])
     def test_rhs_stays_on_python_floats(self, term, model):
+        # m' = -psi^{n-1} f(u) on the odd extension of f: odd in u, 0 at u = 0
         rhs = S._radial_rhs(model, np.float64(2.0), term)
-        for u in (0.8, -0.3):
+        for u in (0.8, -0.3, 0.0):
             du, dm = rhs(0.7, u, -0.2)
             assert type(du) is float and type(dm) is float
+            assert rhs(0.7, -u, -0.2)[1] == -dm
+        assert rhs(0.7, 0.0, -0.2)[1] == 0.0
 
     def test_input_guards(self):
         with pytest.raises(PreconditionError):
@@ -177,6 +180,184 @@ class TestStepperAgainstScipy:
                           (sol.dense(r[7])[:, None], ref.sol(r[7])[:, None])):
             assert np.all(np.abs(got - want) <= 1e-10 * scale[:, None])
         assert sol.nfev < ref.nfev
+
+
+def _combine(coefs, ku, km):
+    """sum_j a_j K_j over one tableau row, j ascending from 0.0."""
+    su = sm = 0.0
+    for j, a in coefs:
+        su += a * ku[j]
+        sm += a * km[j]
+    return su, sm
+
+
+class _LoopDense(S._DenseOutput):
+    """The interpolant with each step's row built by loops over the rows
+    of _tableau()."""
+
+    def _row(self, i):
+        row = self._rows.get(i)
+        if row is not None:
+            return row
+        t, h, u, m, u_new, m_new, ku, km = self._steps[i]
+        _, _, extra, dense = S._tableau()
+        ku, km = list(ku), list(km)
+        with np.errstate(all="ignore"):
+            for c, coefs in extra:
+                su, sm = _combine(coefs, ku, km)
+                du, dm = self._rhs(t + c * h, u + su * h, m + sm * h)
+                ku.append(du)
+                km.append(dm)
+        dyu, dym = u_new - u, m_new - m
+        F = [(dyu, dym), (h * ku[0] - dyu, h * km[0] - dym),
+             (2 * dyu - h * (ku[12] + ku[0]), 2 * dym - h * (km[12] + km[0]))]
+        for coefs in dense:
+            su, sm = _combine(coefs, ku, km)
+            F.append((h * su, h * sm))
+        row = self._rows[i] = (t, h, u, m, tuple(F))
+        return row
+
+
+def _loop_solve_ivp(rhs, r_start, r_end, y0, atol):
+    """S.solve_ivp with its stages and weight sums taken by loops over the
+    rows of _tableau(): the oracle the compiled step must match bit for
+    bit."""
+    stages, weights, _, _ = S._tableau()
+    rtol = S.RTOL
+    isfinite, inf = math.isfinite, math.inf
+    t = float(r_start)
+    u, m = map(float, y0)
+    steps = []
+    ts, us, ms = [t], [u], [m]
+    dense = _LoopDense(rhs, steps)
+    status = reason = None
+    with np.errstate(all="ignore"):
+        fu, fm = rhs(t, u, m)
+        t_new, nfev = t, 1
+        if all(map(isfinite, (u, m, fu, fm))):
+            h_abs = S._initial_step(rhs, t, u, m, fu, fm, r_end, rtol, atol)
+            nfev = 2
+        else:
+            status = -1
+        while status is None:
+            if len(steps) == S._MAX_STEPS:
+                status = -1
+                reason = f"step budget of {S._MAX_STEPS} steps exhausted at r={t:.6g}"
+                break
+            min_step = 10 * abs(math.nextafter(t, inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    status = -1
+                    reason = f"step-size collapse: {S._TOO_SMALL_STEP}"
+                    break
+                t_new = min(t + h_abs, r_end)
+                h = t_new - t
+                h_abs = abs(h)
+                ku, km = [fu], [fm]
+                for c, coefs in stages:
+                    su, sm = _combine(coefs, ku, km)
+                    du, dm = rhs(t + c * h, u + su * h, m + sm * h)
+                    ku.append(du)
+                    km.append(dm)
+                nfev += len(stages)
+                if not (all(map(isfinite, ku)) and all(map(isfinite, km))):
+                    status = -1
+                    break
+                bu = bm = e5u = e5m = e3u = e3m = 0.0
+                for j, b, e5, e3 in weights:
+                    bu += b * ku[j]
+                    bm += b * km[j]
+                    e5u += e5 * ku[j]
+                    e5m += e5 * km[j]
+                    e3u += e3 * ku[j]
+                    e3m += e3 * km[j]
+                u_new, m_new = u + h * bu, m + h * bm
+                su = atol + max(abs(u), abs(u_new)) * rtol
+                sm = atol + max(abs(m), abs(m_new)) * rtol
+                e5u, e5m, e3u, e3m = e5u / su, e5m / sm, e3u / su, e3m / sm
+                e5 = math.sqrt(e5u * e5u + e5m * e5m) ** 2
+                e3 = math.sqrt(e3u * e3u + e3m * e3m) ** 2
+                if e5 == 0 and e3 == 0:
+                    err = 0.0
+                else:
+                    err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+                if err < 1:
+                    if err == 0:
+                        factor = S._MAX_FACTOR
+                    else:
+                        factor = min(S._MAX_FACTOR, S._SAFETY * err**S._ERROR_EXPONENT)
+                    if rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(S._MIN_FACTOR, S._SAFETY * err**S._ERROR_EXPONENT)
+                rejected = True
+            if status is not None:
+                break
+            fu, fm = rhs(t_new, u_new, m_new)
+            nfev += 1
+            if not (isfinite(u_new) and isfinite(m_new)
+                    and isfinite(fu) and isfinite(fm)):
+                status = -1
+                break
+            ku.append(fu)
+            km.append(fm)
+            steps.append((t, h, u, m, u_new, m_new, ku, km))
+            crossed = u >= 0 and u_new <= 0
+            t, u, m = t_new, u_new, m_new
+            if crossed:
+                i = len(steps) - 1
+                try:
+                    t = S._brent(lambda r: dense.at(i, r)[0], steps[i][0], t_new)
+                except ValueError as exc:
+                    status, reason = -1, f"crossing not located: {exc}"
+                else:
+                    u, m = dense.at(i, t)
+                    status = 1
+            elif t_new >= r_end:
+                status = 0
+            if status == 1 and len(ts) > 1 and ts[-1] == t:
+                steps.pop()
+            else:
+                ts.append(t)
+                us.append(u)
+                ms.append(m)
+    if status == -1 and reason is None:
+        reason = f"non-finite state at r={t_new:.6g}"
+    dense.ts = np.array(ts)
+    return S._Solve(r=dense.ts, u=np.array(us), m=np.array(ms), status=status,
+                    reason=reason, nfev=nfev + 3 * dense.built, dense=dense)
+
+
+class TestCompiledStepper:
+    """The stages compiled from the tableau give the loop stepper's floats:
+    the same accepted radii, states, dense values, nfev and status."""
+
+    CASES = [
+        *TestStepperAgainstScipy.CASES,
+        # a scan cell that crosses zero: the crossing step's dense row and
+        # the Brent root on it
+        (euclidean(3), 2.0, ReactionTerm.pure_power(3.0), 1.0, 100.0, 1e-12),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_bit_identical_to_the_loop_stepper(self, case):
+        model, p, term, u0, r_end, atol = self.CASES[case]
+        rhs = S._radial_rhs(model, p, term)
+        r0 = S.SERIES_RADIUS
+        y0 = S._series_start(model, p, term, u0, r0)
+        ref = _loop_solve_ivp(rhs, r0, r_end, y0, atol)
+        sol = S.solve_ivp(rhs, r0, r_end, y0, atol)
+        assert (sol.status, sol.reason) == (ref.status, ref.reason)
+        if case == len(self.CASES) - 1:
+            assert sol.status == 1
+        for got, want in ((sol.r, ref.r), (sol.u, ref.u), (sol.m, ref.m)):
+            assert np.array_equal(got, want)
+        r = np.linspace(r0, ref.r[-1], 200)
+        assert np.array_equal(sol.dense(r), ref.dense(r))
+        assert sol.nfev == ref.nfev
 
 
 class TestTableauAgainstScipy:
@@ -308,7 +489,9 @@ class TestScanVerdicts:
         # inside the hypotheses (where 1.0 is the constant) and outside
         rep = S.bv_sphere_scan(3, q, lam, [u0, 1e200])
         assert [c["status"] for c in rep["cells"]][1] == "error"
+        assert rep["cells"][1]["reason"].startswith("non-finite state")
         assert rep["cells"][0]["status"] != "error"
+        assert "reason" not in rep["cells"][0]  # a valid cell's keys are as before
         assert not self.passed(rep)
 
     def test_sphere_exploration_is_flagged(self):
