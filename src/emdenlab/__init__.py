@@ -16,7 +16,6 @@ Subpackages:
 """
 
 from .errors import (
-    CapabilityError,
     DomainError,
     EmdenLabError,
     InputError,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exponents, identities, shooting
+from . import estimates, exponents, identities, shooting
 from .errors import EmdenLabError, PreconditionError
 from .geometry import bishop_gromov_check, ball_volume, model_from_name
 from .reports import RunReport, TOOL_VERSION
@@ -323,15 +323,33 @@ def _run_bubble(args) -> list:
     return results
 
 
+def _trajectory_names(alphas, u0s) -> dict:
+    """The trajectory file name of every (alpha, u0) cell.  Two distinct
+    cells that share a name would write one file, so that is an error."""
+    names, cells = {}, {}
+    for alpha in map(float, alphas):
+        for u0 in map(float, u0s):
+            name = f"alpha{alpha:g}_u0{u0:g}.csv"
+            other = cells.setdefault(name, (alpha, u0))
+            if other != (alpha, u0):
+                raise PreconditionError(
+                    f"cells (alpha, u0) = ({other[0]!r}, {other[1]!r}) and "
+                    f"({alpha!r}, {u0!r}) share the trajectory file {name}"
+                )
+            names[alpha, u0] = name
+    return names
+
+
 def _run_scan(args) -> list:
     write_trajectory = None
     if args.trajectories is not None:
+        names = _trajectory_names(args.alpha, args.u0)
         outdir = Path(args.trajectories)
         outdir.mkdir(parents=True, exist_ok=True)
 
         def write_trajectory(alpha, u0, out):
             traj = out.trajectory
-            with open(outdir / f"alpha{alpha:g}_u0{u0:g}.csv", "w", newline="") as fh:
+            with open(outdir / names[alpha, u0], "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["r", "u", "uprime", "m"])
                 writer.writerows(np.column_stack(
@@ -361,8 +379,6 @@ def _run_bv_sphere(args) -> list:
 
 
 def _run_gradient_bound(args) -> list:
-    from . import estimates
-
     results = []
     csv_rows = []
     for n in args.n:
@@ -388,8 +404,6 @@ def _run_gradient_bound(args) -> list:
 
 
 def _run_harnack(args) -> list:
-    from . import estimates
-
     results = []
     if args.principle in ("weak-harnack", "both"):
         results.append(

@@ -1,16 +1,21 @@
 """Third-order divergence engine for the derived vector fields.
 
 The identity suite needs exact divergences of a closed enumeration of
-vector fields built from a positive field u and parameters (p, a, b):
+vector fields built from a positive field u and parameters (p, a, b, c,
+lam).  ``engine.at(p)`` is a :class:`View`, and each field is one view
+method that takes only the parameters of its field:
 
-  "flux"               |grad u|^{p-2} grad u
-  "weighted_flux"      u^b |grad u|^{p-2} grad u                  (call it X)
-  "self_advection"     grad_X X
-  "advection_balance"  grad_X X - (div X) X
-  "weighted_balance"   u^a (grad_X X - div X . X) - ((p-1)/p) <X, grad u^a> X
-  "traceless_combo"    u^a (grad_X X - (div X / n) X) - c u^{a-1} <X, grad u> X
-  "grad_power_flux"    (1/p) |grad u|^{p-2} A(grad |grad u|^p)
-  "log_power_flux"     (1/lam) |grad w|^{p-2} A_w(grad |grad w|^lam),  w = ln u
+  flux()                    |grad u|^{p-2} grad u        (call it F)
+  weighted_flux(b)          u^b F                        (call it X)
+  self_advection(b)         grad_X X
+  advection_balance(b)      grad_X X - (div X) X
+  weighted_balance(a, b)    u^a (grad_X X - div X . X)
+                              - ((p-1)/p) <X, grad u^a> X
+  traceless_combo(a, b, c)  u^a (grad_X X - (div X / n) X)
+                              - c u^{a-1} <X, grad u> X
+  grad_power_flux()         (1/p) |grad u|^{p-2} A(grad |grad u|^p)
+  log_power_flux(lam)       (1/lam) |grad w|^{p-2} A_w(grad |grad w|^lam),
+                            w = ln u
 
 An engine seeds forward-mode duals of u, G = grad u and H = hess u, so
 every divergence is an exact derivative of the assembled expression (no
@@ -30,28 +35,26 @@ div V of a vector dual V, and the duals (G, h, HG) of w = ln u.
   component.  Only the Laplacian u'' + (n-1)(psi'/psi) u' and
   div(v d/dr) = v' + (n-1)(psi'/psi) v see the warping.
 
-Both engines are served by one :class:`View`, ``engine.at(p)``, which
-assembles the fields at one p from the engine's duals and keeps each
-p-level block it builds for as long as it lives.
-With F the flux and X = u^b F, <grad u, F> = |grad u|^p gives
+Both engines are served by one :class:`View`, which assembles the
+fields at one p from the engine's duals and keeps each p-level block it
+builds for as long as it lives.  <grad u, F> = |grad u|^p gives
 
   grad_X X      = u^{2b} grad_F F + b u^{2b-1} |grad u|^p F
   (div X) X     = u^{2b} (lap_p u) F + b u^{2b-1} |grad u|^p F
   <X, grad u> X = u^{2b} |grad u|^p F,
 
 so the b terms cancel from the balance grad_X X - (div X) X, and every
-field from "weighted_flux" to "traceless_combo" is a sum c u^k W over
-four vector duals W at p: F, grad_F F = h^{p-2} (HG + (p-2) h^{-1}
+field from weighted_flux to traceless_combo is a sum of terms const u^k W
+over four vector duals W at p: F, grad_F F = h^{p-2} (HG + (p-2) h^{-1}
 (G . HG) G), (lap_p u) F and |grad u|^p F.  The view keeps each W as the
 pair (div W, <grad u, W>) and takes those fields' divergences by the
-product rule div(u^k W) = u^k div W + k u^{k-1} <grad u, W>: (a, b) only
-enter through k and c, so no vector dual is formed per b, and ``a`` may
-be an (A, 1) array that gives one row per a.  A check that visits every
-(p, b, a) of a grid takes one view per p and drops it when p moves on.
-``engine.divergence(spec, p, ...)`` goes through a fresh view.  Views
-are not kept on the engine: a campaign's engine lives as long as the
-campaign, and every block held for all p at once would stay in memory
-with it.
+product rule div(u^k W) = u^k div W + k u^{k-1} <grad u, W>: (a, b, c)
+only enter through k and the constants, so no vector dual is formed per
+b, and ``a`` may be an (A, 1) array that gives one row per a.  A check
+that visits every (p, b, a) of a grid takes one view per p and drops it
+when p moves on.  Views are not kept on the engine: a campaign's engine
+lives as long as the campaign, and every block held for all p at once
+would stay in memory with it.
 """
 
 from __future__ import annotations
@@ -60,28 +63,9 @@ import functools
 
 import numpy as np
 
-from .errors import CapabilityError
 from .taylor import Grad, Jet3
 
-__all__ = [
-    "EuclideanEngine",
-    "RadialEngine",
-    "View",
-    "VECTOR_FIELD_SPECS",
-    "divergence_at",
-    "radial_divergence_at",
-]
-
-VECTOR_FIELD_SPECS = (
-    "flux",
-    "weighted_flux",
-    "self_advection",
-    "advection_balance",
-    "weighted_balance",
-    "traceless_combo",
-    "grad_power_flux",
-    "log_power_flux",
-)
+__all__ = ["EuclideanEngine", "RadialEngine", "View"]
 
 
 class _Engine:
@@ -102,11 +86,6 @@ class _Engine:
     def at(self, p: float) -> "View":
         """The engine at one p; it keeps the blocks it builds."""
         return View(self, p)
-
-    def divergence(self, spec: str, p: float, **params) -> np.ndarray:
-        """div of the spec'd vector field at every sample, through a fresh
-        view at p (params as in :meth:`View.divergence`)."""
-        return self.at(p).divergence(spec, **params)
 
 
 class EuclideanEngine(_Engine):
@@ -196,8 +175,9 @@ def _power_flux(G: Grad, h: Grad, HG: Grad, p: float, lam: float) -> Grad:
 
 
 class View:
-    """An engine at one p.  Its p-level blocks are cached properties, kept
-    as long as the view; ``weighted_divergence_dual(b)`` builds anew."""
+    """An engine at one p, with one method per field of the module's
+    table.  Its p-level blocks are cached properties, kept as long as the
+    view; ``weighted_divergence_dual(b)`` builds anew."""
 
     def __init__(self, engine: _Engine, p: float):
         self.engine = engine
@@ -277,76 +257,42 @@ class View:
             u * (u * div0 + k * along0 + c1 * div1) + c1 * (k - 1.0) * along1
         )
 
-    # -- the enumeration -------------------------------------------------
+    # -- the enumeration: div of each field, one method per field ---------
 
-    def divergence(
-        self,
-        spec: str,
-        a: float = 0.0,
-        b: float = 0.0,
-        lam: float = None,
-        combo_coef: float = None,
-    ) -> np.ndarray:
-        """div of the spec'd vector field at every sample.
+    def flux(self) -> np.ndarray:
+        return self._flux_pair[0]
 
-        ``a`` may be an (A, 1) array; the result then has one row per a.
-        """
-        E, p = self.engine, self.p
-        if spec == "flux":
-            return self._flux_pair[0]
-        if spec == "weighted_flux":
-            return self._product_rule(b, self._flux_pair)
-        if spec == "self_advection":
-            return self._product_rule(
-                2.0 * b, self._advection_pair, b, self._power_pair
-            )
-        if spec == "advection_balance":
-            return self._product_rule(2.0 * b, self._advection_less(1.0))
-        if spec == "weighted_balance":
-            return self._product_rule(
-                a + 2.0 * b, self._advection_less(1.0),
-                -((p - 1.0) / p) * a, self._power_pair,
-            )
-        if spec == "traceless_combo":
-            coef = 0.0 if combo_coef is None else combo_coef
-            return self._product_rule(
-                a + 2.0 * b, self._advection_less(1.0 / E.n),
-                b * (1.0 - 1.0 / E.n) - coef, self._power_pair,
-            )
-        if spec == "grad_power_flux":
-            return E.div(_power_flux(E.G, E.h, E.HG, p, p))
-        if spec == "log_power_flux":
-            if lam is None:
-                raise CapabilityError("log_power_flux needs the exponent lam")
-            return E.div(_power_flux(*E.log_duals, p, lam))
-        raise CapabilityError(f"unknown vector field spec {spec!r}")
+    def weighted_flux(self, b) -> np.ndarray:
+        return self._product_rule(b, self._flux_pair)
 
+    def self_advection(self, b) -> np.ndarray:
+        return self._product_rule(
+            2.0 * b, self._advection_pair, b, self._power_pair
+        )
 
-# ----------------------------------------------------------------------
-# convenience wrappers over the engines
-# ----------------------------------------------------------------------
+    def advection_balance(self, b) -> np.ndarray:
+        return self._product_rule(2.0 * b, self._advection_less(1.0))
 
+    def weighted_balance(self, a, b) -> np.ndarray:
+        """``a`` may be an (A, 1) array; the result then has one row per a."""
+        p = self.p
+        return self._product_rule(
+            a + 2.0 * b, self._advection_less(1.0),
+            -((p - 1.0) / p) * a, self._power_pair,
+        )
 
-def divergence_at(field, points, spec: str, p: float, a: float = 0.0,
-                  b: float = 0.0, lam: float = None,
-                  combo_coef: float = None) -> np.ndarray:
-    """Divergence of a spec'd vector field of a Euclidean scalar field.
+    def traceless_combo(self, a, b, c) -> np.ndarray:
+        """``a`` may be an (A, 1) array; the result then has one row per a."""
+        n = self.engine.n
+        return self._product_rule(
+            a + 2.0 * b, self._advection_less(1.0 / n),
+            b * (1.0 - 1.0 / n) - c, self._power_pair,
+        )
 
-    ``field`` must expose jet3(points); the spec must belong to the
-    closed enumeration (a CapabilityError names it otherwise).
-    """
-    jet = field.jet3(np.atleast_2d(np.asarray(points, dtype=float)))
-    eng = EuclideanEngine(jet)
-    return eng.divergence(spec, p, a=a, b=b, lam=lam, combo_coef=combo_coef)
+    def grad_power_flux(self) -> np.ndarray:
+        E = self.engine
+        return E.div(_power_flux(E.G, E.h, E.HG, self.p, self.p))
 
-
-def radial_divergence_at(model, profile, r, spec: str, p: float, a: float = 0.0,
-                         b: float = 0.0, lam: float = None,
-                         combo_coef: float = None) -> np.ndarray:
-    """Same enumeration for a radial profile on a warped-product model.
-
-    ``profile`` must expose jet(r) -> (u, u', u'', u''').
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    eng = RadialEngine(model, r, *profile.jet(r))
-    return eng.divergence(spec, p, a=a, b=b, lam=lam, combo_coef=combo_coef)
+    def log_power_flux(self, lam) -> np.ndarray:
+        E = self.engine
+        return E.div(_power_flux(*E.log_duals, self.p, lam))

@@ -21,9 +21,5 @@ class NumericalError(EmdenLabError):
     """A quadrature or integration step failed to reach its tolerance."""
 
 
-class CapabilityError(EmdenLabError):
-    """A derivative order or feature is not available for this input."""
-
-
 class InputError(EmdenLabError):
     """Inconsistent or malformed user input (flags, config, evaluators)."""

@@ -1,33 +1,39 @@
 """Seeded verification campaigns for the pointwise identities and inequalities.
 
-Every check evaluates both sides of one identity by independent routes:
-the left side goes through the forward-AD divergence engine, the right
-side through the batched jet algebra (plus curvature data from the
-model), and the report carries the worst relative residual
+Every check evaluates both sides of one identity by two routes: the left
+side goes through the forward-AD divergence engine, the right side
+through the batched jet algebra (plus curvature data from the model),
+and the report carries the worst relative residual
 
     |LHS - RHS| / (|LHS| + |RHS| + tiny)
 
-over the campaign.  Tolerances follow the derivative depth: 1e-8 when
-only second-order data enters, 1e-7 when the third-order engine is
-involved, 1e-6 on shooting-constrained identities (those inherit the
-integrator tolerance).  Inequality margins are normalized by the term
-scale with a rounding floor of 1e-10.
+over the campaign.  The routes are independent except for one
+third-order term in each Bochner check, which the jet algebra has no
+closed form for yet and which the right side reads from the engine:
+check_bochner_vector takes grad div X from the engine's
+``weighted_divergence_dual(b)`` and check_bochner_linearized takes
+grad lap_p u from its ``p_laplacian_dual``.  Tolerances follow the
+derivative depth: 1e-8 when only second-order data enters, 1e-7 when
+the third-order engine is involved, 1e-6 on shooting-constrained
+identities (those inherit the integrator tolerance).  Inequality margins
+are normalized by the term scale with a rounding floor of 1e-10.
 
 A campaign is one batch of samples, drawn once on first use and shared
 by every check that reads it.  Within a check, the quantities that
 depend on p only are built once per p and those that depend on (p, b)
 once per (p, b): the left sides go through one engine view per p,
 ``batch.engine.at(p)``, dropped when p moves on, and the right sides
-through one ``jets.FluxBlock`` per p that adds only the u^b factors per
-b.  Nothing p-dependent is kept on the batch, which lives as long as the
-campaign.  Sampling is deterministic: a
-counter-based generator keyed by the campaign seed drives all draws, so
-the worst case is reproducible from (seed, sample index), the index
-being the position among the kept samples in draw order.  Near-critical
-jets (|grad u| below the cutoff) are filtered before they enter any
-report, and a campaign that keeps fewer samples than it asked for is an
-error.  Whether this cutoff hides boundary-of-criticality behavior is
-untestable pointwise and is noted here rather than decided.
+through one ``jets.FluxBlock`` per p, which builds each part on first
+use and adds only the u^b factors per b.  Nothing p-dependent is kept
+on the batch, which lives as long as the campaign.  Sampling is
+deterministic: a counter-based generator keyed by the campaign seed
+drives all draws, so the worst case is reproducible from (seed, sample
+index), the index being the position among the kept samples in draw
+order.  Near-critical jets (|grad u| below the cutoff) are filtered
+before they enter any report, and a campaign that keeps fewer samples
+than it asked for is an error.  Whether this cutoff hides
+boundary-of-criticality behavior is untestable pointwise and is noted
+here rather than decided.
 """
 
 from __future__ import annotations
@@ -386,8 +392,8 @@ def check_decomposition(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     acc = _Residuals("p_laplacian_decomposition", tol)
     batch = camp.batch
     for p in camp.p_values:
-        lhs = batch.engine.divergence("flux", p)
-        rhs = J.p_laplacian(batch.g, batch.h, p)
+        lhs = batch.engine.at(p).flux()
+        rhs = J.FluxBlock(batch.g, batch.h, p).plap
         acc.update(lhs, rhs, batch, {"p": p})
     return acc.report(seed=camp.seed)
 
@@ -401,17 +407,12 @@ def check_flux_advection(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     """
     acc = _Residuals("flux_advection", tol)
     batch = camp.batch
-    g, h = batch.g, batch.h
-    gn2 = J.grad_norm_sq(g)
+    gn2 = J.grad_norm_sq(batch.g)
     for p in camp.p_values:
-        jac = J.flux_jacobian(g, h, p)
-        fl = J.flux(g, p)
-        lhs_vec = np.einsum("nij,nj->ni", jac, fl)
-        grad_f = p * gn2[:, None] ** ((p - 2.0) / 2.0) * np.einsum(
-            "nij,nj->ni", h, g
-        )
-        rhs_vec = (1.0 / p) * gn2[:, None] ** ((p - 2.0) / 2.0) * J.anisotropy_apply(
-            g, p, grad_f
+        block = J.FluxBlock(batch.g, batch.h, p)
+        lhs_vec = np.einsum("nij,nj->ni", block.jacobian, block.flux)
+        rhs_vec = (1.0 / p) * gn2[:, None] ** ((p - 2.0) / 2.0) * block.aniso(
+            block.grad_power
         )
         acc.update_vectors(lhs_vec, rhs_vec, batch, {"p": p})
     return acc.report(seed=camp.seed)
@@ -425,7 +426,7 @@ def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
         E = batch.engine.at(p)
         block = J.FluxBlock(batch.g, batch.h, p)
         for b in camp.b_values:
-            lhs = E.divergence("self_advection", b=b)
+            lhs = E.self_advection(b)
             jac, X, ricx = _weighted_flux_terms(batch, block, b)
             divx = E.weighted_divergence_dual(b)
             rhs = (
@@ -457,18 +458,16 @@ def check_bochner_linearized(camp: Campaign, tol: float = 1e-7) -> IdentityRepor
     the gradient of the p-Laplacian paired with the flux, and Ricci."""
     acc = _Residuals("bochner_p_linearized", tol)
     batch = camp.batch
-    g, h = batch.g, batch.h
-    gn = batch.gn
     for p in camp.p_values:
         E = batch.engine.at(p)
-        lhs = E.divergence("grad_power_flux")
-        A = J.anisotropy_matrix(g, p)
-        AH = np.einsum("nij,njk->nik", A, h)
-        plap_dual = E.p_laplacian_dual
-        fl = J.flux(g, p)
+        lhs = E.grad_power_flux()
+        block = J.FluxBlock(batch.g, batch.h, p)
+        fl = block.flux
+        # |grad u|^{2p-4} tr((A hess u)^2) = tr(J^2), J the flux Jacobian
         rhs = (
-            gn ** (2.0 * p - 4.0) * np.einsum("nij,nji->n", AH, AH)
-            + np.einsum("nm,nm->n", plap_dual.d, _as_components(fl, batch))
+            J.trace_product(block.jacobian)
+            + np.einsum("nm,nm->n", E.p_laplacian_dual.d,
+                        _as_components(fl, batch))
             + batch.ric_rr * np.einsum("ni,ni->n", fl, fl)
         )
         acc.update(lhs, rhs, batch, {"p": p})
@@ -503,14 +502,13 @@ def check_weighted_identity(
     for p in camp.p_values:
         E = batch.engine.at(p)
         block = J.FluxBlock(batch.g, batch.h, p)
-        plap = block.plap
-        gn_p, gn_2p = gn**p, gn ** (2.0 * p)
+        plap, gn_p, gn_2p = block.plap, block.power, gn ** (2.0 * p)
         for b in b_values:
             u_b, u_b1, u_2p, u_p = u_pow[b]
             jac, _, ricx = _weighted_flux_terms(batch, block, b)
             div_x = b * u_b1 * gn_p + u_b * plap  # the jets route's div X
             core = J.trace_product(jac) - div_x**2 + ricx
-            lhs = E.divergence("weighted_balance", a=a_col, b=b)
+            lhs = E.weighted_balance(a_col, b)
             rhs = (
                 u_a * core
                 - ((p - 1.0) * (a_col + 2.0 * b - 1.0) * a_col / p)
@@ -556,7 +554,7 @@ def check_solution_identity(
     for a in a_values:
         for b in b_values:
             c_mix, coef_2p, coef_f = _solution_coefficients(n, p, a, b)
-            lhs = E.divergence("traceless_combo", a=a, b=b, combo_coef=c_mix)
+            lhs = E.traceless_combo(a, b, c_mix)
             jac, _, ricx = flux_terms[b]
             rhs = (
                 u**a * (J.trace_product(J.traceless(jac)) + ricx)
@@ -677,19 +675,17 @@ def check_trace_inequality(
     return acc.report("traceless_trace_inequality", tol_neg)
 
 
-def kato_rhs(g, h, n: int, p: float):
-    """Right side of the sharpened Kato-type bound from second-order data."""
-    gn = np.sqrt(J.grad_norm_sq(g))
-    F = gn**p
-    grad_f = p * gn[:, None] ** (p - 2.0) * np.einsum("nij,nj->ni", h, g)
-    w_vec = J.flux(g, p)
-    a_gf = J.anisotropy_apply(g, p, grad_f)
-    plap = J.p_laplacian(g, h, p)
+def kato_rhs(block: J.FluxBlock):
+    """Right side of the sharpened Kato-type bound, from the flux block of
+    second-order jets."""
+    n, p = block.g.shape[-1], block.p
+    F, grad_f, plap = block.power, block.grad_power, block.plap
+    a_gf = block.aniso(grad_f)
     term1 = plap**2 / (n - 1.0)
     term2 = (
         -2.0
         / ((n - 1.0) * p)
-        * np.einsum("ni,ni->n", a_gf, w_vec)
+        * np.einsum("ni,ni->n", a_gf, block.flux)
         / F
         * plap
     )
@@ -726,8 +722,9 @@ def check_kato(
     for n in n_values:
         _, g, h = random_jets(rng, n, samples)
         for p in p_values:
-            lhs = J.trace_product(J.flux_jacobian(g, h, p))
-            rhs = kato_rhs(g, h, n, p)
+            block = J.FluxBlock(g, h, p)
+            lhs = J.trace_product(block.jacobian)
+            rhs = kato_rhs(block)
             scale = np.abs(lhs) + np.abs(rhs) + _TINY
             acc.update((lhs - rhs) / scale, {"n": n, "p": p, "seed": seed})
     return acc.report("kato_inequality", tol_neg)
@@ -762,7 +759,7 @@ def check_log_gradient_pointwise(
         raise PreconditionError("lam must be at least p/(1 - delta0+)")
     n, p = sol.model.dim, sol.p
     batch = solution_batch(sol)
-    lhs = batch.engine.divergence("log_power_flux", p, lam=lam)
+    lhs = batch.engine.at(p).log_power_flux(lam)
     w1 = batch.g[:, 0] / batch.u
     w2 = batch.h[:, 0, 0] / batch.u - w1**2
     hgrad = np.abs(w1)

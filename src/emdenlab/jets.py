@@ -15,7 +15,9 @@ anisotropy map  A(v) = v + (p-2) <v, grad u> grad u / |grad u|^2  with
 eigenvalues 1 (orthogonal to grad u) and p-1 (along grad u).
 
 Derived objects: the flux |grad u|^{p-2} grad u, the power-weighted flux
-u^b * flux, their Jacobian endomorphisms, and traceless parts.  Near the
+u^b * flux, their Jacobian endomorphisms, and traceless parts.  The
+identity checks read every p-level one of these, with lap_p u,
+grad |grad u|^p and A, from one :class:`FluxBlock` per p.  Near the
 critical set several of these are singular for p < 2; identity
 sampling excludes |grad u| < EPS_GRAD_FACTOR times the sample scale,
 mirroring the almost-everywhere scope of the identities being verified.
@@ -36,13 +38,10 @@ __all__ = [
     "inf_laplacian",
     "p_laplacian",
     "anisotropy_apply",
-    "anisotropy_matrix",
     "flux",
     "flux_jacobian",
-    "weighted_flux",
     "FluxBlock",
     "weighted_flux_jacobian",
-    "weighted_flux_divergence",
     "traceless",
     "trace_product",
     "frobenius_sq",
@@ -121,15 +120,6 @@ def anisotropy_apply(g, p, v):
     return v + coef[..., None] * g
 
 
-def anisotropy_matrix(g, p):
-    """A as a matrix: id + (p-2) ghat (x) ghat."""
-    gn2 = grad_norm_sq(g)
-    n = g.shape[-1]
-    eye = np.eye(n)
-    gg = np.einsum("...i,...j->...ij", g, g)
-    return eye + (p - 2.0) * gg / gn2[..., None, None]
-
-
 # ----------------------------------------------------------------------
 # flux fields and their Jacobians
 # ----------------------------------------------------------------------
@@ -154,25 +144,30 @@ def flux_jacobian(g, h, p):
     return gn[..., None, None] ** (p - 2.0) * (h + (p - 2.0) * correction)
 
 
-def weighted_flux(u, g, p, b):
-    """u^b |g|^{p-2} g."""
-    return u[..., None] ** b * flux(g, p)
-
-
 class FluxBlock:
-    """The b-free half of the weighted flux u^b |g|^{p-2} g at one p.
+    """The jets route at one p: every quantity the right sides read that
+    does not depend on u or b, each built on first use and then kept.
 
-    The flux, its Jacobian and flux (x) g are built once; weighted(u, b)
-    adds only the u^b factors, so a grid of b costs one flux Jacobian.
-    The parts that only the trace check reads (|g|^p, lap_p u and the
-    gradient factor of the check's scale) are built on first use.
+    weighted(u, b) adds only the u^b factors to the flux and its
+    Jacobian, so a grid of b costs one flux Jacobian.
     """
 
     def __init__(self, g, h, p):
         self.g, self.h, self.p = g, h, p
-        self.flux = flux(g, p)
-        self.jacobian = flux_jacobian(g, h, p)
-        self._outer = np.einsum("...i,...j->...ij", self.flux, g)
+
+    @cached_property
+    def flux(self):
+        """|g|^{p-2} g."""
+        return flux(self.g, self.p)
+
+    @cached_property
+    def jacobian(self):
+        """The flux Jacobian |g|^{p-2} A hess u."""
+        return flux_jacobian(self.g, self.h, self.p)
+
+    @cached_property
+    def _outer(self):
+        return np.einsum("...i,...j->...ij", self.flux, self.g)
 
     @cached_property
     def plap(self):
@@ -180,15 +175,35 @@ class FluxBlock:
         return p_laplacian(self.g, self.h, self.p)
 
     @cached_property
-    def _check_parts(self):
-        """|g|^p and |g|^{p-2} (|lap u| + |p-2| |lap_inf u| / |g|^2)."""
+    def _gn(self):
+        return np.sqrt(grad_norm_sq(self.g))
+
+    @cached_property
+    def power(self):
+        """|g|^p."""
+        return self._gn**self.p
+
+    @cached_property
+    def grad_power(self):
+        """grad |grad u|^p = p |g|^{p-2} hess u . g."""
         g, h, p = self.g, self.h, self.p
-        gn = np.sqrt(grad_norm_sq(g))
-        factor = gn ** (p - 2.0) * (
+        return p * grad_norm_sq(g)[..., None] ** ((p - 2.0) / 2.0) * np.einsum(
+            "...ij,...j->...i", h, g
+        )
+
+    def aniso(self, v):
+        """A(v) = v + (p-2) <v, g> g / |g|^2."""
+        return anisotropy_apply(self.g, self.p, v)
+
+    @cached_property
+    def _check_scale(self):
+        """|g|^{p-2} (|lap u| + |p-2| |lap_inf u| / |g|^2), the gradient
+        factor of the trace check's scale."""
+        g, h, p, gn = self.g, self.h, self.p, self._gn
+        return gn ** (p - 2.0) * (
             np.abs(laplacian(h))
             + np.abs(p - 2.0) * np.abs(inf_laplacian(g, h)) / gn**2
         )
-        return gn**p, factor
 
     def weighted(self, u, b, check=True):
         """X = u^b flux and its Jacobian endomorphism.
@@ -205,12 +220,12 @@ class FluxBlock:
             + ub[..., None, None] * self.jacobian
         )
         if check:
-            gnp, factor = self._check_parts
+            gnp = self.power
             tr = np.einsum("...ii->...", jac)
             closed = b * ub1 * gnp + ub * self.plap
             # normalize by the constituent-term size: the divergence itself
             # legitimately cancels to roundoff on p-harmonic profiles
-            scale = np.abs(b) * ub1 * gnp + ub * factor + 1e-30
+            scale = np.abs(b) * ub1 * gnp + ub * self._check_scale + 1e-30
             worst = np.max(np.abs(tr - closed) / scale)
             if worst > 1e-11:
                 raise AssertionError(
@@ -223,12 +238,6 @@ class FluxBlock:
 def weighted_flux_jacobian(u, g, h, p, b, check=True):
     """Jacobian endomorphism of the weighted flux (see FluxBlock.weighted)."""
     return FluxBlock(g, h, p).weighted(u, b, check)[1]
-
-
-def weighted_flux_divergence(u, g, h, p, b):
-    """Closed form div(u^b |g|^{p-2} g) = b u^{b-1}|g|^p + u^b lap_p u."""
-    gn = np.sqrt(grad_norm_sq(g))
-    return b * u ** (b - 1.0) * gn**p + u**b * p_laplacian(g, h, p)
 
 
 # ----------------------------------------------------------------------

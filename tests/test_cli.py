@@ -135,6 +135,28 @@ class TestScanCommand:
             last = path.read_text().strip().splitlines()[-1]
             assert float(last.split(",")[0]) == cell["r_cross"]
 
+    def test_colliding_trajectory_names_fail_closed(self, tmp_path, monkeypatch):
+        # alpha{:g} keeps 6 digits, so these two cells would share one
+        # file: the run fails before any solve and writes nothing
+        solves = []
+        monkeypatch.setattr(shooting, "solve_ivp", lambda *a, **k: solves.append(1))
+        out, trajs = tmp_path / "rep.json", tmp_path / "trajs"
+        assert run_cli(["scan", "--alpha", "4.9999991,4.9999992", "--u0", "1",
+                        "--out", str(out), "--trajectories", str(trajs)]) == 1
+        [result] = json.loads(out.read_text())["results"]
+        assert result["pass"] is False
+        assert "(4.9999991, 1.0)" in result["error"]
+        assert "(4.9999992, 1.0)" in result["error"]
+        assert "alpha5_u01.csv" in result["error"]
+        assert not solves and not trajs.exists()
+
+    def test_repeated_cell_is_no_collision(self, tmp_path):
+        trajs = tmp_path / "trajs"
+        assert run_cli(["scan", "--n", "3", "--p", "2", "--alpha", "3,3",
+                        "--u0", "1", "--horizon", "50", "--out",
+                        str(tmp_path / "rep.json"), "--trajectories", str(trajs)]) == 0
+        assert [f.name for f in trajs.iterdir()] == ["alpha3_u01.csv"]
+
 
     def test_trajectory_csv_text(self, tmp_path, monkeypatch):
         # each file reads back, row for row, as its cell's trajectory

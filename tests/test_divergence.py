@@ -1,23 +1,44 @@
-"""Divergence engine: enumeration wrappers and backend cross-agreement."""
+"""Divergence engine: one view method per field, and backend cross-agreement."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from emdenlab.divergence import (
-    VECTOR_FIELD_SPECS,
-    EuclideanEngine,
-    RadialEngine,
-    divergence_at,
-    radial_divergence_at,
-)
-from emdenlab.errors import CapabilityError
+from emdenlab.divergence import EuclideanEngine, RadialEngine, View
 from emdenlab.fields import FieldTerm, RadialProfile, ScalarField
 from emdenlab.geometry import euclidean, hyperbolic, sphere
 
 RNG = lambda seed: np.random.default_rng(np.random.Philox(seed))
+
+#: every field of the view, with the parameters its method takes
+FIELDS = {
+    "flux": (),
+    "weighted_flux": ("b",),
+    "self_advection": ("b",),
+    "advection_balance": ("b",),
+    "weighted_balance": ("a", "b"),
+    "traceless_combo": ("a", "b", "c"),
+    "grad_power_flux": (),
+    "log_power_flux": ("lam",),
+}
+
+
+def _divergence(engine, name, p, **params):
+    """div of the named field at p; its method is passed only its own
+    parameters out of params."""
+    return getattr(engine.at(p), name)(**{k: params[k] for k in FIELDS[name]})
+
+
+def _euclidean(field, points):
+    return EuclideanEngine(field.jet3(np.atleast_2d(np.asarray(points, float))))
+
+
+def _radial(model, profile, r):
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    return RadialEngine(model, r, *profile.jet(r))
 
 
 def _paraboloid(dim):
@@ -32,28 +53,21 @@ class TestEnumeration:
     def test_flux_of_paraboloid(self):
         # u = |x|^2/2, p = 2: div grad u = n
         field = _paraboloid(3)
-        out = divergence_at(field, [[1.0, 0.2, -0.4]], "flux", 2.0)
+        out = _euclidean(field, [[1.0, 0.2, -0.4]]).at(2.0).flux()
         assert out[0] == pytest.approx(3.0, rel=1e-13)
-
-    def test_unknown_spec_rejected(self):
-        field = _paraboloid(2)
-        with pytest.raises(CapabilityError):
-            divergence_at(field, [[1.0, 0.0]], "mystery", 2.0)
-        with pytest.raises(CapabilityError):
-            divergence_at(field, [[1.0, 0.0]], "log_power_flux", 2.0)  # lam missing
 
     def test_radial_flux_hyperbolic_oracle(self):
         # u = e^{-r} on H^3 at r=1, p=2: u'' + 2 coth(r) u'
         prof = RadialProfile(ScalarField(1, 0.0, (FieldTerm("rexp", 1.0, ((0.0,), 1.0, 0.0)),)))
         model = hyperbolic(3, 1.0)
-        out = radial_divergence_at(model, prof, [1.0], "flux", 2.0)
+        out = _radial(model, prof, [1.0]).at(2.0).flux()
         expected = math.exp(-1.0) * (1.0 - 2.0 / math.tanh(1.0))
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
     def test_weighted_flux_symbolic_oracle(self):
         # u = 2 + x1^2 on R^2 at (0.5, 0), p=2, b=1: div(u grad u)
         field = ScalarField(2, 2.0, (FieldTerm("poly", 1.0, ((2, 0),)),))
-        out = divergence_at(field, [[0.5, 0.0]], "weighted_flux", 2.0, b=1.0)
+        out = _euclidean(field, [[0.5, 0.0]]).at(2.0).weighted_flux(b=1.0)
         x, y = sp.symbols("x y")
         u = 2 + x**2
         vec = [u * sp.diff(u, x), u * sp.diff(u, y)]
@@ -82,7 +96,7 @@ def _power_flux_div(w, xs, point, p, lam):
 
 
 class TestPowerFluxOracles:
-    """The two power-flux specs on a non-radial field at an off-axis
+    """The two power-flux fields on a non-radial field at an off-axis
     point, where no radial cross-check reaches."""
 
     field = ScalarField(2, 2.0, (
@@ -94,12 +108,12 @@ class TestPowerFluxOracles:
     point = (0.7, -0.4)
 
     def test_grad_power_flux(self):
-        out = divergence_at(self.field, [self.point], "grad_power_flux", 3.0)
+        out = _euclidean(self.field, [self.point]).at(3.0).grad_power_flux()
         expected = _power_flux_div(self.u, self.xs, self.point, sp.Integer(3), sp.Integer(3))
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
     def test_log_power_flux(self):
-        out = divergence_at(self.field, [self.point], "log_power_flux", 1.5, lam=2.5)
+        out = _euclidean(self.field, [self.point]).at(1.5).log_power_flux(lam=2.5)
         expected = _power_flux_div(
             sp.log(self.u), self.xs, self.point, sp.Rational(3, 2), sp.Rational(5, 2)
         )
@@ -107,7 +121,7 @@ class TestPowerFluxOracles:
 
 
 def _weighted_field_div(u, xs, point, spec, p, a, b, combo_coef):
-    """Symbolic div of an advection spec, X = u^b |grad u|^{p-2} grad u."""
+    """Symbolic div of an advection field, X = u^b |grad u|^{p-2} grad u."""
     grad = [sp.diff(u, x) for x in xs]
     hu = sum(g**2 for g in grad)
     X = [u**b * hu ** ((p - 2) / 2) * g for g in grad]
@@ -134,7 +148,7 @@ FRACTIONAL_WEIGHTS = [("-3/2", "1/2"), ("1/2", "-3/2")]
 
 
 class TestWeightedFieldOracles:
-    """The four advection specs on the same non-radial field and off-axis
+    """The four advection fields on the same non-radial field and off-axis
     point as the power-flux oracles, where X is not radial and grad_X X
     has its b u^{-1} |grad u|^p F part in a direction of its own."""
 
@@ -150,8 +164,8 @@ class TestWeightedFieldOracles:
     def test_against_sympy(self, spec, p, b):
         a, combo_coef = 2, sp.Rational(3, 10)
         p = sp.Rational(p)
-        out = divergence_at(self.field, [self.point], spec, float(p), a=float(a),
-                            b=float(b), combo_coef=float(combo_coef))
+        out = _divergence(_euclidean(self.field, [self.point]), spec, float(p),
+                          a=float(a), b=float(b), c=float(combo_coef))
         expected = _weighted_field_div(self.u, self.xs, self.point, spec, p,
                                        sp.Integer(a), sp.Integer(b), combo_coef)
         assert out[0] == pytest.approx(expected, rel=1e-12)
@@ -164,8 +178,8 @@ class TestWeightedFieldOracles:
         # a + 2b is neither an integer nor positive
         combo_coef = sp.Rational(3, 10)
         p, a, b = sp.Rational(p), sp.Rational(a), sp.Rational(b)
-        out = divergence_at(self.field, [self.point], spec, float(p), a=float(a),
-                            b=float(b), combo_coef=float(combo_coef))
+        out = _divergence(_euclidean(self.field, [self.point]), spec, float(p),
+                          a=float(a), b=float(b), c=float(combo_coef))
         expected = _weighted_field_div(self.u, self.xs, self.point, spec, p,
                                        a, b, combo_coef)
         assert out[0] == pytest.approx(expected, rel=1e-12)
@@ -187,7 +201,7 @@ class _SympyProfile:
 
 
 def _radial_field_div(u, psi, r, n, r0, spec, p, a, b, lam, combo_coef):
-    """Symbolic div of a spec's field v(r) d/dr on dr^2 + psi^2 g_S,
+    """Symbolic div of a field v(r) d/dr on dr^2 + psi^2 g_S,
     written from the definitions for radial fields: grad f = f' d/dr,
     grad_V W = v w' d/dr, A_w V = (p-1) V and
     div(v d/dr) = psi^{1-n} (psi^{n-1} v)'.  u must decrease at r0."""
@@ -219,7 +233,7 @@ def _radial_field_div(u, psi, r, n, r0, spec, p, a, b, lam, combo_coef):
 
 
 class TestRadialOracles:
-    """Every spec through the radial engine on the two curved models,
+    """Every field through the radial engine on the two curved models,
     against sympy.  This is the radial path's reference for the warping
     terms: on R^n (psi = r) psi'' vanishes, so the cross-agreement with
     the n-dimensional engine cannot see it."""
@@ -230,7 +244,7 @@ class TestRadialOracles:
     MODELS = {"hyperbolic": (hyperbolic(3, 1.0), sp.sinh(r)),
               "sphere": (sphere(3, 1.0), sp.sin(r))}
 
-    @pytest.mark.parametrize("spec", VECTOR_FIELD_SPECS)
+    @pytest.mark.parametrize("spec", list(FIELDS))
     @pytest.mark.parametrize("model", ["hyperbolic", "sphere"])
     @pytest.mark.parametrize("p", ["3/2", "3"])
     def test_against_sympy(self, spec, model, p):
@@ -238,9 +252,9 @@ class TestRadialOracles:
         lam, combo_coef = sp.Rational(5, 2), sp.Rational(3, 10)
         p = sp.Rational(p)
         geo, psi = self.MODELS[model]
-        out = radial_divergence_at(
-            geo, _SympyProfile(self.u, self.r), [float(self.r0)], spec, float(p),
-            a=float(a), b=float(b), lam=float(lam), combo_coef=float(combo_coef),
+        out = _divergence(
+            _radial(geo, _SympyProfile(self.u, self.r), [float(self.r0)]), spec,
+            float(p), a=float(a), b=float(b), lam=float(lam), c=float(combo_coef),
         )
         expected = _radial_field_div(self.u, psi, self.r, 3, self.r0, spec, p,
                                      a, b, lam, combo_coef)
@@ -256,9 +270,9 @@ class TestRadialOracles:
         combo_coef = sp.Rational(3, 10)
         p, a, b = sp.Rational(p), sp.Rational(a), sp.Rational(b)
         geo, psi = self.MODELS[model]
-        out = radial_divergence_at(
-            geo, _SympyProfile(self.u, self.r), [float(self.r0)], spec, float(p),
-            a=float(a), b=float(b), combo_coef=float(combo_coef),
+        out = _divergence(
+            _radial(geo, _SympyProfile(self.u, self.r), [float(self.r0)]), spec,
+            float(p), a=float(a), b=float(b), c=float(combo_coef),
         )
         expected = _radial_field_div(self.u, psi, self.r, 3, self.r0, spec, p,
                                      a, b, None, combo_coef)
@@ -277,7 +291,7 @@ class TestBackendCrossAgreement:
         ("self_advection", {"b": 1.0}),
         ("advection_balance", {"b": 0.5}),
         ("weighted_balance", {"a": 1.5, "b": -0.5}),
-        ("traceless_combo", {"a": 2.0, "b": 1.0, "combo_coef": 0.3}),
+        ("traceless_combo", {"a": 2.0, "b": 1.0, "c": 0.3}),
         ("grad_power_flux", {}),
         ("log_power_flux", {"lam": 2.5}),
     ])
@@ -292,16 +306,18 @@ class TestBackendCrossAgreement:
         r = np.array([0.4, 0.9, 1.7])
         pts = np.zeros((r.size, dim))
         pts[:, 0] = r
-        general = divergence_at(field, pts, spec, p, **kwargs)
-        radial = radial_divergence_at(euclidean(dim), prof, r, spec, p, **kwargs)
+        general = _divergence(_euclidean(field, pts), spec, p, **kwargs)
+        radial = _divergence(_radial(euclidean(dim), prof, r), spec, p, **kwargs)
         np.testing.assert_allclose(general, radial, rtol=1e-10, atol=1e-12)
 
     def test_every_spec_listed(self):
-        assert set(VECTOR_FIELD_SPECS) == {
-            "flux", "weighted_flux", "self_advection", "advection_balance",
-            "weighted_balance", "traceless_combo", "grad_power_flux",
-            "log_power_flux",
-        }
+        # FIELDS names every public view method but the two dual blocks,
+        # and each method takes exactly the parameters listed for it
+        methods = {name for name in vars(View) if not name.startswith("_")}
+        assert set(FIELDS) == methods - {"p_laplacian_dual", "weighted_divergence_dual"}
+        for name, params in FIELDS.items():
+            signature = inspect.signature(getattr(View, name))
+            assert tuple(signature.parameters)[1:] == params, name
 
 
 class TestViewReuse:
@@ -309,7 +325,7 @@ class TestViewReuse:
     bits as a fresh build, so no operation may write into one."""
 
     B_ORDER = (-1.0, 1.0, 0.0, -1.0)  # 1 and 0 meet kept p blocks, -1 recurs
-    PARAMS = {"a": 0.5, "lam": 2.5, "combo_coef": 0.3}
+    PARAMS = {"a": 0.5, "lam": 2.5, "c": 0.3}
 
     @staticmethod
     def _engines():
@@ -335,13 +351,15 @@ class TestViewReuse:
         eng = self._engines()[backend]
         view = eng.at(p)
         for b in self.B_ORDER:
-            for spec in VECTOR_FIELD_SPECS:
-                kept = view.divergence(spec, b=b, **self.PARAMS)
-                fresh = eng.at(p).divergence(spec, b=b, **self.PARAMS)
+            params = dict(self.PARAMS, b=b)
+            for spec, names in FIELDS.items():
+                own = {k: params[k] for k in names}
+                kept = getattr(view, spec)(**own)
+                fresh = getattr(eng.at(p), spec)(**own)
                 assert np.array_equal(kept, fresh), (spec, b)
             a_col = np.array([[-1.0], [2.0]])
-            kept = view.divergence("weighted_balance", a=a_col, b=b)
-            fresh = eng.at(p).divergence("weighted_balance", a=a_col, b=b)
+            kept = view.weighted_balance(a=a_col, b=b)
+            fresh = eng.at(p).weighted_balance(a=a_col, b=b)
             assert np.array_equal(kept, fresh)
             _assert_same_dual(view.weighted_divergence_dual(b),
                               eng.at(p).weighted_divergence_dual(b))

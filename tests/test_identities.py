@@ -7,7 +7,7 @@ import pytest
 
 from emdenlab import identities as I
 from emdenlab import jets as J
-from emdenlab.divergence import EuclideanEngine, RadialEngine, View, divergence_at
+from emdenlab.divergence import EuclideanEngine, RadialEngine, View
 from emdenlab.errors import PreconditionError
 from emdenlab.exponents import ReactionTerm
 from emdenlab.fields import FieldTerm, ScalarField
@@ -16,6 +16,12 @@ from emdenlab.shooting import solve_dense
 from emdenlab.taylor import Grad
 
 RNG = lambda seed: np.random.default_rng(np.random.Philox(seed))
+
+#: the view's weighted fields, with the parameters each method takes
+WEIGHTED_FIELDS = {
+    "weighted_balance": ("a", "b"),
+    "traceless_combo": ("a", "b", "c"),
+}
 
 CAMPAIGNS = [
     I.Campaign(model_name="euclidean", dim=3, samples=400, seed=11),
@@ -71,7 +77,8 @@ class TestIdentitySuite:
             tuple(FieldTerm("poly", 0.5, (tuple(2 * (i == j) for j in range(3)),))
                   for i in range(3)),
         )
-        lhs = divergence_at(field, [[0.7, -0.1, 0.4]], "self_advection", 2.0)
+        eng = EuclideanEngine(field.jet3(np.array([[0.7, -0.1, 0.4]])))
+        lhs = eng.at(2.0).self_advection(b=0.0)
         assert lhs[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_determinism_bit_for_bit(self):
@@ -88,13 +95,11 @@ class TestIdentitySuite:
         h = rng.normal(size=(50, 3, 3))
         h = 0.5 * (h + np.swapaxes(h, 1, 2))
         for p in (1.5, 3.0):
+            base_block = J.FluxBlock(g, h, p)
+            base = np.einsum("nij,nj->ni", base_block.jacobian, base_block.flux)
             for c in (1.0, 10.0):
-                jac = J.flux_jacobian(c * g, c * h, p)
-                fl = J.flux(c * g, p)
-                lhs = np.einsum("nij,nj->ni", jac, fl)
-                base = np.einsum(
-                    "nij,nj->ni", J.flux_jacobian(g, h, p), J.flux(g, p)
-                )
+                block = J.FluxBlock(c * g, c * h, p)
+                lhs = np.einsum("nij,nj->ni", block.jacobian, block.flux)
                 np.testing.assert_allclose(
                     lhs, c ** (2.0 * p - 2.0) * base, rtol=1e-12
                 )
@@ -105,21 +110,18 @@ class TestIdentitySuite:
         camp = I.Campaign(model_name="euclidean", dim=3, samples=150, seed=21)
         batch = camp.batch
         p, b = 2.5, 1.0
-        eng: EuclideanEngine = batch.engine
-        jac = J.weighted_flux_jacobian(batch.u, batch.g, batch.h, p, b)
-        X = J.weighted_flux(batch.u, batch.g, p, b)
-        divx = eng.at(p).weighted_divergence_dual(b)
-        defect_weighted = eng.divergence("weighted_balance", p, a=0.0, b=b) - (
+        view = batch.engine.at(p)
+        X, jac = J.FluxBlock(batch.g, batch.h, p).weighted(batch.u, b)
+        divx = view.weighted_divergence_dual(b)
+        defect_weighted = view.weighted_balance(a=0.0, b=b) - (
             J.trace_product(jac) - divx.v**2
         )
-        defect_bochner = eng.divergence("self_advection", p, b=b) - (
+        defect_bochner = view.self_advection(b=b) - (
             J.trace_product(jac) + np.einsum("nm,nm->n", divx.d, X)
         )
         scale = np.abs(J.trace_product(jac)) + divx.v**2 + 1.0
         # difference of the two routes is pure algebra plus roundoff
-        div_divxx = eng.divergence("self_advection", p, b=b) - eng.divergence(
-            "advection_balance", p, b=b
-        )
+        div_divxx = view.self_advection(b=b) - view.advection_balance(b=b)
         recon = div_divxx - (np.einsum("nm,nm->n", divx.d, X) + divx.v**2)
         assert np.max(np.abs(recon) / scale) <= 1e-12
         assert np.max(np.abs(defect_weighted) / scale) <= 1e-12
@@ -164,14 +166,13 @@ class TestCampaignBatch:
         camp = I.Campaign(model_name="sphere", dim=3, samples=250, seed=8)
         eng = camp.batch.engine
         a_values = (-1.0, 0.5)
-        for spec in ("weighted_balance", "traceless_combo"):
-            rows = eng.at(2.5).divergence(spec, a=np.array(a_values)[:, None],
-                                          b=-1.0, combo_coef=0.3)
+        params = {"b": -1.0, "c": 0.3}
+        for spec, names in WEIGHTED_FIELDS.items():
+            own = {k: params[k] for k in names if k != "a"}
+            rows = getattr(eng.at(2.5), spec)(a=np.array(a_values)[:, None], **own)
             assert rows.shape == (len(a_values), camp.batch.u.shape[0])
             for a, row in zip(a_values, rows):
-                np.testing.assert_array_equal(
-                    row, eng.divergence(spec, 2.5, a=a, b=-1.0, combo_coef=0.3)
-                )
+                np.testing.assert_array_equal(row, getattr(eng.at(2.5), spec)(a=a, **own))
 
     @pytest.mark.parametrize("model", ["euclidean", "sphere"])
     def test_short_campaign_raises(self, monkeypatch, model):
@@ -354,7 +355,7 @@ class TestTraceInequality:
         # both sides coincide to roundoff
         rng = RNG(6)
         u, g, h = I.random_jets(rng, 3, 5000)
-        jac = J.weighted_flux_jacobian(u, g, h, 2.0, 1.0, check=False)
+        _, jac = J.FluxBlock(g, h, 2.0).weighted(u, 1.0, check=False)
         m = J.traceless(jac)
         t2, fr = J.trace_product(m), J.frobenius_sq(m)
         assert np.max(np.abs(fr - t2) / (fr + 1e-30)) <= 1e-12
@@ -372,7 +373,7 @@ class TestTraceInequality:
         h[:, 0, 1:] = 0.0
         h[:, 1:, 0] = 0.0
         for p in (1.5, 3.0, 5.0):
-            jac = J.weighted_flux_jacobian(u, g, h, p, -1.0, check=False)
+            _, jac = J.FluxBlock(g, h, p).weighted(u, -1.0, check=False)
             m = J.traceless(jac)
             t2, fr = J.trace_product(m), J.frobenius_sq(m)
             coef = ((p - 1.0) ** 2 + 1.0) / (2.0 * (p - 1.0))
@@ -395,8 +396,9 @@ class TestKato:
             g = np.zeros((1, n))
             g[0, 0] = 1.3
             h = c * np.eye(n)[None]
-            lhs = J.trace_product(J.flux_jacobian(g, h, 2.0))
-            rhs = I.kato_rhs(g, h, n, 2.0)
+            block = J.FluxBlock(g, h, 2.0)
+            lhs = J.trace_product(block.jacobian)
+            rhs = I.kato_rhs(block)
             assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
             assert lhs[0] == pytest.approx(c**2 * n, rel=1e-14)
 
@@ -407,8 +409,9 @@ class TestKato:
         g = np.zeros((1, n))
         g[0, 0] = 0.9
         h = np.diag([0.4] + [0.6] * (n - 1))[None]
-        lhs = J.trace_product(J.flux_jacobian(g, h, p))
-        rhs = I.kato_rhs(g, h, n, p)
+        block = J.FluxBlock(g, h, p)
+        lhs = J.trace_product(block.jacobian)
+        rhs = I.kato_rhs(block)
         scale = abs(lhs[0]) + abs(rhs[0])
         assert lhs[0] - rhs[0] >= -1e-12 * scale
         assert abs(lhs[0] - rhs[0]) <= 1e-12 * scale
@@ -480,9 +483,10 @@ def _with_b(builds):
 
 
 def _count_calls(monkeypatch, module, name):
+    """Log the positional arguments of every call of module.name."""
     calls = []
     fn = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
     return calls
 
 
@@ -540,18 +544,38 @@ class TestBuildCounts:
         assert check(camp).passed
         assert ranks and max(ranks) < 3
 
+    @pytest.mark.parametrize("model", ["euclidean", "sphere"])
+    @pytest.mark.parametrize("check", TestCampaignBatch.CHECKS, ids=lambda c: c.__name__)
+    def test_campaign_checks_build_one_flux_block_per_p(self, monkeypatch, model, check):
+        camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
+        camp.batch
+        blocks = _count_calls(monkeypatch, J, "FluxBlock")
+        assert check(camp).passed
+        assert [p for _, _, p in blocks] == list(camp.p_values)
+
+    @pytest.mark.parametrize("check", [I.check_kato, I.check_trace_inequality],
+                             ids=lambda c: c.__name__)
+    def test_jet_checks_build_one_flux_block_per_n_and_p(self, monkeypatch, check):
+        n_values, p_values = (2, 4), (1.5, 3.0)
+        blocks = _count_calls(monkeypatch, J, "FluxBlock")
+        assert check(n_values=n_values, p_values=p_values, samples=200, seed=2).passed
+        assert [(g.shape[-1], p) for g, _, p in blocks] == [
+            (n, p) for n in n_values for p in p_values
+        ]
+
     def test_solution_identity_builds_once_per_b(self, monkeypatch):
         sol = solve_dense(euclidean(3), 2.0, ReactionTerm.pure_power(2.0), 1.0,
                           horizon=30.0)
         builds = _count_view_builds(monkeypatch, RadialEngine)
         jacobians = _count_calls(monkeypatch, J, "flux_jacobian")
         weighted = _count_calls(monkeypatch, J.FluxBlock, "weighted")
+        blocks = _count_calls(monkeypatch, J, "FluxBlock")
         b_values = (0.0, 1.0, -1.0)
         assert I.check_solution_identity(sol, b_values=b_values).passed
         assert builds and len(builds) == len(set(builds))
         assert not _with_b(builds)  # the engine side needs no per-b block
         assert len(weighted) == len(b_values)
-        assert len(jacobians) == 1
+        assert len(jacobians) == len(blocks) == 1
 
 
 class TestGridCorners:
@@ -580,10 +604,9 @@ class TestSpecificConfigurations:
         u1, u2, u3 = -u, u, -u
         eng = RadialEngine(model, r, u, u1, u2, u3)
         uu, g, h = eng.frame_jets()
-        lhs = eng.divergence("self_advection", 2.0)
-        jac = J.weighted_flux_jacobian(uu, g, h, 2.0, 0.0)
+        lhs = eng.at(2.0).self_advection(b=0.0)
+        X, jac = J.FluxBlock(g, h, 2.0).weighted(uu, 0.0)
         divx = eng.at(2.0).weighted_divergence_dual(0.0)
-        X = J.weighted_flux(uu, g, 2.0, 0.0)
         ric = np.asarray(model.ricci_radial(r))
         np.testing.assert_allclose(ric, -2.0, rtol=1e-13)
         rhs = (J.trace_product(jac) + divx.d[:, 0] * X[:, 0]

@@ -108,10 +108,12 @@ class TestFluxFields:
 
     def test_trace_matches_closed_divergence(self):
         u, g, h = _random_jet(RNG(4), 4, 200)
+        gn = np.linalg.norm(g, axis=-1)
         for p, b in [(1.5, -2.0), (2.0, 1.0), (3.0, 0.5)]:
-            jac = J.weighted_flux_jacobian(u, g, h, p, b)  # asserts internally
+            _, jac = J.FluxBlock(g, h, p).weighted(u, b)  # asserts internally
             tr = np.einsum("nii->n", jac)
-            closed = J.weighted_flux_divergence(u, g, h, p, b)
+            # div(u^b |g|^{p-2} g) = b u^{b-1} |g|^p + u^b lap_p u
+            closed = b * u ** (b - 1.0) * gn**p + u**b * J.p_laplacian(g, h, p)
             np.testing.assert_allclose(tr, closed, rtol=1e-11, atol=1e-13)
 
     def test_radial_hand_oracle(self):
@@ -120,10 +122,33 @@ class TestFluxFields:
         u = np.array([3.0])
         g = np.array([[2.0, 0.0]])
         h = 2.0 * np.eye(2)[None]
-        X = J.weighted_flux(u, g, 2.0, 1.0)
+        X, jac = J.FluxBlock(g, h, 2.0).weighted(u, 1.0)
         assert np.linalg.norm(X[0]) == pytest.approx(6.0, rel=1e-14)
-        assert J.weighted_flux_divergence(u, g, h, 2.0, 1.0)[0] == pytest.approx(
-            16.0, rel=1e-14
+        assert np.trace(jac[0]) == pytest.approx(16.0, rel=1e-14)
+
+
+class TestFluxBlock:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_jacobian_square_is_anisotropic_hessian_square(self, n, p):
+        # J = |g|^{p-2} A hess u, so tr(J^2) = |g|^{2p-4} tr((A hess u)^2),
+        # with A = id + (p-2) ghat (x) ghat built here as a matrix
+        _, g, h = _random_jet(RNG(10 + n), n, 200)
+        gn2 = np.einsum("ni,ni->n", g, g)
+        A = np.eye(n) + (p - 2.0) * np.einsum("ni,nj->nij", g, g) / gn2[:, None, None]
+        AH = np.einsum("nij,njk->nik", A, h)
+        expected = gn2 ** (p - 2.0) * np.einsum("nij,nji->n", AH, AH)
+        got = J.trace_product(J.FluxBlock(g, h, p).jacobian)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_grad_power_hand_oracle(self, p):
+        # u = |x|^2/2: grad u = x, hess u = id, grad |grad u|^p = p |x|^{p-2} x
+        x = _random_jet(RNG(11), 3, 50)[1]
+        block = J.FluxBlock(x, np.broadcast_to(np.eye(3), (50, 3, 3)), p)
+        r = np.linalg.norm(x, axis=-1)
+        np.testing.assert_allclose(
+            block.grad_power, p * r[:, None] ** (p - 2.0) * x, rtol=1e-13
         )
 
 
