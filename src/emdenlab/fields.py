@@ -284,16 +284,3 @@ def fd_directional(field: ScalarField, x, v, order: int, h: float) -> float:
     vals = field.value(pts)
     return float(np.dot(coeffs, vals) / h**order)
 
-
-def jet_directional(field: ScalarField, x, v, order: int) -> float:
-    """Directional derivative from the Taylor jet (source of record)."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    v = np.asarray(v, dtype=float)
-    j = field.jet3(x)
-    if order == 1:
-        return float(j.g[0] @ v)
-    if order == 2:
-        return float(v @ j.h[0] @ v)
-    if order == 3:
-        return float(np.einsum("ijk,i,j,k->", j.t[0], v, v, v))
-    raise InputError("order must be 1, 2 or 3")

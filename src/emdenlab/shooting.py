@@ -42,10 +42,17 @@ start.  Its one result, ``_Solve``, holds the accepted radii with their
 (u, m), the status with its reason, nfev and the dense output; at
 status 1 the last radius is the crossing.  The three callers only
 choose the horizon and read that result: ``shoot`` classifies the run
-(and ``liouville_scan`` passes each cell's outcome, trajectory
-included, to an optional per-cell hook), ``solve_dense`` wraps the
-dense positive segment, and ``_bv_single`` (the sphere scan) reads the
-pole flux.
+with ``_classify``, ``solve_dense`` wraps the dense positive segment,
+and ``_bv_single`` (the sphere scan) reads the pole flux.
+
+``liouville_scan`` makes one solve per alpha row where it can.  On R^n
+with f = u^alpha the equation is invariant under u(r) -> a u(a^c r),
+c = (alpha - p + 1)/p, so ``_read_off`` scales the row's solve to each
+other u0 (r / s, a u, s^{1-n} (a s)^{p-1} m with s = a^c) and
+``_classify`` judges the result at the cell's own horizon, as ``shoot``
+would.  A cell that solve does not cover is solved directly; see
+``_scan_row``.  Each cell's outcome, trajectory included, goes to an
+optional per-cell hook.
 
 Every scan report records that radial shooting witnesses nonexistence
 only within the radial class; see ``RADIAL_WITNESS_NOTE``.
@@ -57,7 +64,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -543,7 +550,8 @@ class _Solve:
     """A radial solve: the accepted radii r with the state (u, m) there,
     the status (0 reached the end, 1 u crossed zero downward at r[-1],
     -1 failed), the failure's reason (None unless the status is -1), the
-    right-hand side evaluations and the dense output."""
+    right-hand side evaluations and the dense output, radii -> (u, m) (a
+    _DenseOutput, or a scan row's one scaled by _read_off)."""
 
     r: np.ndarray
     u: np.ndarray
@@ -551,7 +559,7 @@ class _Solve:
     status: int
     reason: Optional[str]
     nfev: int
-    dense: _DenseOutput
+    dense: Callable
 
 
 def solve_ivp(rhs, r_start: float, r_end: float, y0, atol: float) -> _Solve:
@@ -719,7 +727,14 @@ def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
 def shoot(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
           horizon: float = 100.0) -> ShootOutcome:
     """Integrate the radial problem from the center and classify the run."""
-    sol = _integrate(model, p, term, u0, horizon)
+    return _classify(model, p, term, _integrate(model, p, term, u0, horizon))
+
+
+def _classify(model: ManifoldModel, p: float, term: ReactionTerm,
+              sol: _Solve) -> ShootOutcome:
+    """The outcome of a solve, direct or read off a row's solve: its flux
+    flags, and on a positive end in R^n the tail exponent fitted on the
+    dense output over the last decade of radii."""
     stats = {"nfev": int(sol.nfev), "status": int(sol.status)}
     traj = {"r": sol.r, "u": sol.u, "m": sol.m}
     with np.errstate(all="ignore"):
@@ -773,6 +788,81 @@ def solve_dense(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
 # ----------------------------------------------------------------------
 
 
+def _read_off(base: _Solve, n: int, p: float, alpha: float, a: float,
+              r_end: float) -> Optional[_Solve]:
+    """The solve from u0 = a * u0_b on R^n, f = u^alpha, up to r_end,
+    read off the solve ``base`` from u0_b, or None where it cannot be.
+
+    u_a(r) = a u_b(s r) with s = a^c, c = (alpha - p + 1)/p, solves the
+    same equation, and its flux is m_a(r) = s^{1-n} (a s)^{p-1} m_b(s r).
+    So the cell's horizon r_end sits at the base radius cut = s r_end.
+    The cell is read off only where cut lies past 2 SERIES_RADIUS and the
+    base solve covers it: it crossed zero at or before cut (status 1, the
+    crossing scaled) or its accepted radii reach cut (status 0, the base
+    points up to cut and one interpolated point at cut, which becomes
+    r_end).  So a read-off solve never fails; its nfev is the base's.
+    """
+    s = a ** ((alpha - p + 1.0) / p)
+    cut = s * r_end
+    crossed = base.status == 1 and base.r[-1] <= cut
+    if not (cut > 2 * SERIES_RADIUS and (crossed or cut <= base.r[-1])):
+        return None
+    try:
+        k = s ** (1 - n) * (a * s) ** (p - 1.0)
+    except OverflowError:
+        k = math.inf
+    if not 0.0 < k < math.inf:  # a flux scale past the floats
+        return None
+    i = base.r.size if crossed else int(np.searchsorted(base.r, cut, side="right"))
+    r, u, m = base.r[:i] / s, a * base.u[:i], k * base.m[:i]
+
+    def dense(radii):  # the base's dense output, scaled the same way
+        u_b, m_b = base.dense(np.asarray(radii, dtype=float) * s)
+        return np.stack((a * u_b, k * m_b))
+
+    if not crossed:
+        if base.r[i - 1] < cut:
+            u_cut, m_cut = dense(r_end)
+            r, u, m = np.append(r, 0.0), np.append(u, u_cut), np.append(m, m_cut)
+        r[-1] = r_end
+    return _Solve(r=r, u=u, m=m, status=1 if crossed else 0, reason=None,
+                  nfev=base.nfev, dense=dense)
+
+
+def _scan_row(model, p, alpha, u0s, horizon):
+    """One alpha row of the scan: per u0, in the order given, the
+    ShootOutcome (or the exception that ended its solve) and the u0 of
+    the solve it was read off (None for a direct solve).
+
+    The row is solved from its largest u0 when alpha >= p - 1 and from its
+    smallest otherwise, so every other cell's horizon lies at a base
+    radius s r_end <= r_end (see _read_off).  A cell that cannot be read
+    off the row's solve is solved directly and becomes the row's solve
+    for the cells after it; cells with u0 not > 0 are solved directly
+    (their error is _integrate's).
+    """
+    n, term = model.dim, ReactionTerm.pure_power(alpha)
+    r_end = min(horizon, model.r_max - SERIES_RADIUS)
+    positive = sorted((i for i, u0 in enumerate(u0s) if u0 > 0),
+                      key=u0s.__getitem__, reverse=alpha >= p - 1.0)
+    rest = [i for i, u0 in enumerate(u0s) if not u0 > 0]
+    row, base, base_u0 = [None] * len(u0s), None, None
+    for i in positive + rest:
+        u0 = u0s[i]
+        sol = None
+        if base is not None and u0 > 0:
+            sol = _read_off(base, n, p, alpha, u0 / base_u0, r_end)
+        source = None if sol is None else base_u0
+        try:
+            if sol is None:
+                sol = _integrate(model, p, term, u0, horizon)
+                base, base_u0 = sol, u0
+            row[i] = (_classify(model, p, term, sol), source)
+        except Exception as exc:  # record and continue, per cell
+            row[i] = (exc, None)
+    return row
+
+
 def liouville_scan(n, p, alphas, u0s, horizon=100.0, on_cell=None):
     """Shooting table for pure powers across an (alpha, u0) grid on R^n.
 
@@ -782,38 +872,40 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, on_cell=None):
     cells and each reads crossed_zero when alpha < p_s and
     stayed_positive otherwise; a non-error cell carries the outcome's reason.
 
+    Each alpha row makes one solve where it can (see _scan_row): a cell
+    read off another cell's solve by the scaling law names that cell's
+    u0 as ``from_u0`` and reports that solve's nfev; a directly solved
+    cell has no ``from_u0``.  Every cell is judged at its own horizon.
+
     ``on_cell(alpha, u0, outcome)``, if given, receives the ShootOutcome
-    of every cell whose solve returned.  It runs outside the per-cell
-    error capture, so a failing hook propagates instead of being
-    recorded as an error cell.
+    of every cell whose solve returned, in cell order.  It runs outside
+    the per-cell error capture, so a failing hook propagates instead of
+    being recorded as an error cell.
     """
     model = euclidean(n)
     ps = critical_exponent(n, p)
+    u0s = [float(u0) for u0 in u0s]
     cells = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        term = ReactionTerm.pure_power(alpha)
-        for u0 in u0s:
-            u0 = float(u0)
-            try:
-                out = shoot(model, p, term, u0, horizon=horizon)
-            except Exception as exc:  # record and continue, per cell
+    for alpha in map(float, alphas):
+        for u0, (out, source) in zip(u0s, _scan_row(model, p, alpha, u0s, horizon)):
+            if isinstance(out, Exception):
                 cells.append(
-                    {"alpha": alpha, "u0": u0, "outcome": "error", "error": str(exc)}
+                    {"alpha": alpha, "u0": u0, "outcome": "error", "error": str(out)}
                 )
                 continue
-            cells.append(
-                {
-                    "alpha": alpha,
-                    "u0": u0,
-                    "outcome": out.kind,
-                    "reason": out.reason,
-                    "r_cross": out.r_cross,
-                    "tail_exponent": out.tail_exponent,
-                    "nfev": out.stats.get("nfev"),
-                    "status": out.stats.get("status"),
-                }
-            )
+            cell = {
+                "alpha": alpha,
+                "u0": u0,
+                "outcome": out.kind,
+                "reason": out.reason,
+                "r_cross": out.r_cross,
+                "tail_exponent": out.tail_exponent,
+                "nfev": out.stats.get("nfev"),
+                "status": out.stats.get("status"),
+            }
+            if source is not None:
+                cell["from_u0"] = source
+            cells.append(cell)
             if on_cell is not None:
                 on_cell(alpha, u0, out)
     return {

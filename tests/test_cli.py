@@ -114,7 +114,9 @@ class TestScanCommand:
         assert len(table.read_text().strip().splitlines()) == 3
         assert sorted(f.name for f in trajs.iterdir()) == ["alpha3_u01.csv"]
 
-    def test_one_solve_per_cell(self, tmp_path, monkeypatch):
+    def test_one_solve_per_row(self, tmp_path, monkeypatch):
+        # each alpha row solves its largest u0; the u0 = 0.5 cell is read
+        # off that solve, and its trajectory still ends at its own r_cross
         solves = []
         solve_ivp = shooting.solve_ivp
 
@@ -127,9 +129,11 @@ class TestScanCommand:
         assert run_cli(["scan", "--n", "3", "--p", "2", "--alpha", "1,3",
                         "--u0", "0.5,1", "--horizon", "50", "--out", str(out),
                         "--trajectories", str(trajs)]) == 0
-        assert len(solves) == 4
+        assert len(solves) == 2
         assert len(list(trajs.iterdir())) == 4
-        for cell in json.loads(out.read_text())["results"][0]["cells"]:
+        cells = json.loads(out.read_text())["results"][0]["cells"]
+        assert [c.get("from_u0") for c in cells] == [1.0, None] * 2
+        for cell in cells:
             assert cell["outcome"] == "crossed_zero"
             path = trajs / f"alpha{cell['alpha']:g}_u0{cell['u0']:g}.csv"
             last = path.read_text().strip().splitlines()[-1]

@@ -8,7 +8,6 @@ from emdenlab.fields import (
     FieldTerm,
     ScalarField,
     fd_directional,
-    jet_directional,
     random_field,
     random_radial_profile,
 )
@@ -16,6 +15,17 @@ from emdenlab.fields import _shifted_square
 from emdenlab.taylor import jet3_coords
 
 RNG = lambda seed: np.random.default_rng(np.random.Philox(seed))
+
+
+def jet_directional(field: ScalarField, x, v, order: int) -> float:
+    """d^order/dt^order field(x + t v) at t = 0 from the field's Taylor jet."""
+    j = field.jet3(np.asarray(x, dtype=float).reshape(1, -1))
+    v = np.asarray(v, dtype=float)
+    if order == 1:
+        return float(j.g[0] @ v)
+    if order == 2:
+        return float(v @ j.h[0] @ v)
+    return float(np.einsum("ijk,i,j,k->", j.t[0], v, v, v))
 
 
 def _sympy_reference(field: ScalarField, x0):

@@ -387,7 +387,9 @@ class TestTableauAgainstScipy:
 class TestBrentAgainstScipy:
     def test_same_calls_and_roots_as_brentq(self, monkeypatch):
         # every crossing bracket of a small scan, the sphere's included:
-        # the port calls f at the same radii and returns the same float
+        # the port calls f at the same radii and returns the same float.
+        # A scan row brackets once, in its one solve (u0 = 2), so the
+        # three R^3 rows, the R^4 cell and the two sphere cells give 6
         from scipy.optimize import brentq
 
         brent, brackets = S._brent, []
@@ -400,7 +402,7 @@ class TestBrentAgainstScipy:
         S.liouville_scan(3, 2.0, [1.0, 3.0, 4.9], [0.5, 2.0], horizon=100.0)
         S.liouville_scan(4, 1.5, [1.0], [1.0], horizon=100.0)
         S.bv_sphere_scan(3, 3.0, 1.0, [1.2, 1.6])
-        assert len(brackets) == 8
+        assert len(brackets) == 6
         for f, xa, xb in brackets:
             ours, theirs = [], []
             root = brent(lambda r: ours.append(r) or f(r), xa, xb)
@@ -439,6 +441,94 @@ class TestLiouvilleScan:
             assert isinstance(cell["nfev"], int) and cell["nfev"] > 0
 
 
+class TestScanRowReadOff:
+    """A scan row makes one solve; every other cell is read off it by the
+    R^n scaling law u_a(r) = a u_b(a^c r), c = (alpha - p + 1)/p, and must
+    agree with a direct shoot at its own u0."""
+
+    U0S = (0.5, 1.0, 2.0)
+    # criterion 5's rows (its critical one, 5.0, is the benchmark's
+    # 1.0 p_s), the benchmark's four grids at 0.5..1 p_s, and one row
+    # each with alpha < p - 1 and alpha = p - 1
+    ROWS = [(3, 2.0, (1.0, 2.0, 3.0, 4.0, 4.5, 4.9))] + [
+        (n, p, tuple(f * critical_exponent(n, p) for f in (0.5, 0.8, 0.9, 0.98, 1.0)))
+        for n, p in ((3, 2.0), (4, 3.0), (3, 2.5), (4, 1.5))
+    ] + [(3, 3.0, (1.5, 2.0))]
+
+    def test_read_off_cells_match_direct_shoots(self):
+        read_off = 0
+        for n, p, alphas in self.ROWS:
+            outs = {}
+            table = S.liouville_scan(n, p, alphas, self.U0S, horizon=2000.0,
+                                     on_cell=lambda a, u0, out: outs.setdefault((a, u0), out))
+            ps, bubble_tail = table["critical_exponent"], -(n - p) / (p - 1.0)
+            nfev = {(c["alpha"], c["u0"]): c["nfev"] for c in table["cells"]}
+            for cell in table["cells"]:
+                if "from_u0" not in cell:
+                    continue
+                read_off += 1
+                alpha, u0 = cell["alpha"], cell["u0"]
+                assert cell["nfev"] == nfev[alpha, cell["from_u0"]]
+                assert cell["status"] in (0, 1) and cell["reason"] is None
+                ours = outs[alpha, u0]
+                direct = S.shoot(euclidean(n), p, ReactionTerm.pure_power(alpha), u0,
+                                 horizon=2000.0)
+                assert ours.kind == direct.kind, (n, p, alpha, u0)
+                if ours.kind == "stayed_positive":
+                    assert ours.trajectory["r"][-1] == 2000.0
+                if (n, p) == (4, 1.5) and alpha == ps:
+                    continue  # its tails fail either way (p < 2 conditioning)
+                if direct.r_cross is not None:
+                    assert ours.r_cross == pytest.approx(direct.r_cross, rel=1e-8)
+                for flag in ("flux_nonincreasing", "flux_nonpositive"):
+                    assert ours.stats[flag] == direct.stats[flag]
+                # u along the whole trajectory, and the end flux
+                dense = S.solve_dense(euclidean(n), p, ReactionTerm.pure_power(alpha),
+                                      u0, horizon=2000.0)
+                u_dense, _ = dense.state(ours.trajectory["r"])
+                assert np.abs(ours.trajectory["u"] - u_dense).max() <= 1e-8 * u0
+                assert ours.trajectory["m"][-1] == pytest.approx(
+                    direct.trajectory["m"][-1], rel=1e-7)
+                if alpha == ps and abs(direct.tail_exponent - bubble_tail) <= 0.05:
+                    assert abs(ours.tail_exponent - direct.tail_exponent) <= 1e-3
+        assert read_off == 2 * sum(len(alphas) for _, _, alphas in self.ROWS)
+
+    def test_failed_solve_poisons_no_other_cell(self):
+        # the row would read u0 = 1 off u0 = 1e200, whose start overflows:
+        # u0 = 1 is solved directly instead, byte-identical to shoot
+        outs = {}
+        table = S.liouville_scan(3, 2.0, [3.0], [1.0, 1e200], horizon=100.0,
+                                 on_cell=lambda a, u0, out: outs.setdefault(u0, out))
+        one, huge = table["cells"]
+        direct = S.shoot(euclidean(3), 2.0, ReactionTerm.pure_power(3.0), 1.0,
+                         horizon=100.0)
+        assert "from_u0" not in one and one["outcome"] == "crossed_zero"
+        assert outs[1.0].r_cross == direct.r_cross and outs[1.0].stats == direct.stats
+        for key, values in direct.trajectory.items():
+            assert np.array_equal(outs[1.0].trajectory[key], values)
+        assert one == S.liouville_scan(3, 2.0, [3.0], [1.0], horizon=100.0)["cells"][0]
+        assert huge["outcome"] == "inconclusive" and "from_u0" not in huge
+        assert huge["reason"].startswith("non-finite state")
+        assert not table["pass"]
+
+    def test_flux_scale_past_the_floats_is_solved_directly(self):
+        # alpha just below p - 1 would read u0 = 1e100 off u0 = 1e-100
+        # with a flux scale (1e200)^2: that cell is solved directly
+        table = S.liouville_scan(3, 3.0, [1.98], [1e-100, 1e100], horizon=100.0)
+        alone = S.liouville_scan(3, 3.0, [1.98], [1e100], horizon=100.0)
+        assert table["cells"][1] == alone["cells"][0]
+
+    def test_nonpositive_u0_stays_an_error_cell(self):
+        order = []
+        table = S.liouville_scan(3, 2.0, [3.0], [-1.0, 2.0, 0.0, 1.0], horizon=100.0,
+                                 on_cell=lambda a, u0, out: order.append(u0))
+        assert [c["outcome"] for c in table["cells"]] == [
+            "error", "crossed_zero", "error", "crossed_zero"]
+        assert [c.get("error") for c in table["cells"][::2]] == ["u0 must be positive"] * 2
+        assert table["cells"][3]["from_u0"] == 2.0
+        assert order == [2.0, 1.0]
+
+
 class TestScanVerdicts:
     """Each scan sets its own pass flag, so a library caller's RunReport
     reads the same verdict as the CLI."""
@@ -461,14 +551,14 @@ class TestScanVerdicts:
 
     def test_broken_dichotomy_fails(self, monkeypatch):
         stays = S.ShootOutcome("stayed_positive")
-        monkeypatch.setattr(S, "shoot", lambda *args, **kwargs: stays)
+        monkeypatch.setattr(S, "_classify", lambda *args, **kwargs: stays)
         assert not self.passed(S.liouville_scan(3, 2.0, [3.0], [1.0]))
 
     def test_inconclusive_cell_fails(self, monkeypatch):
         # at alpha >= p_s only a definite stayed_positive matches; the
         # cell carries the outcome's reason
         unsure = S.ShootOutcome("inconclusive", reason="non-finite state")
-        monkeypatch.setattr(S, "shoot", lambda *args, **kwargs: unsure)
+        monkeypatch.setattr(S, "_classify", lambda *args, **kwargs: unsure)
         table = S.liouville_scan(3, 2.0, [5.0], [1.0])
         assert table["cells"][0]["reason"] == "non-finite state"
         assert not self.passed(table)
