@@ -45,12 +45,13 @@ choose the horizon and read that result: ``shoot`` classifies the run
 with ``_classify``, ``solve_dense`` wraps the dense positive segment,
 and ``_bv_single`` (the sphere scan) reads the pole flux.
 
-``liouville_scan`` makes one solve per alpha row where it can.  On R^n
-with f = u^alpha the equation is invariant under u(r) -> a u(a^c r),
-c = (alpha - p + 1)/p, so ``_read_off`` scales the row's solve to each
-other u0 (r / s, a u, s^{1-n} (a s)^{p-1} m with s = a^c) and
-``_classify`` judges the result at the cell's own horizon, as ``shoot``
-would.  A cell that solve does not cover is solved directly; see
+``liouville_scan`` makes one solve per alpha row where it can, from the
+row's largest u0.  On R^n with f = u^alpha the equation is invariant
+under u(r) -> a u(a^c r), c = (alpha - p + 1)/p, so ``_read_off``
+scales that solve to each smaller u0 (r / s, a u, s^{1-n} (a s)^{p-1} m
+with s = a^c) and ``_classify`` judges the result at the cell's own
+horizon, as ``shoot`` would.  A cell that solve does not cover, or whose
+series start it would carry too coarsely, is solved directly; see
 ``_scan_row``.  Each cell's outcome, trajectory included, goes to an
 optional per-cell hook.
 
@@ -89,6 +90,9 @@ RADIAL_WITNESS_NOTE = (
 )
 
 SERIES_RADIUS = 1e-4
+#: the largest relative error a scan cell may take over from the series
+#: start of the solve it is read off (see _read_off)
+READ_OFF_START_ERROR = 1e-8
 #: the integrator's tolerances (the sphere scan's atol is _BV_ATOL)
 RTOL, ATOL = 1e-10, 1e-12
 
@@ -788,10 +792,10 @@ def solve_dense(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
 # ----------------------------------------------------------------------
 
 
-def _read_off(base: _Solve, n: int, p: float, alpha: float, a: float,
-              r_end: float) -> Optional[_Solve]:
-    """The solve from u0 = a * u0_b on R^n, f = u^alpha, up to r_end,
-    read off the solve ``base`` from u0_b, or None where it cannot be.
+def _read_off(base: _Solve, u0_b: float, u0: float, n: int, p: float,
+              alpha: float, r_end: float) -> Optional[_Solve]:
+    """The solve from u0 = a u0_b on R^n, f = u^alpha, up to r_end, read
+    off the solve ``base`` from u0_b, or None where it cannot be.
 
     u_a(r) = a u_b(s r) with s = a^c, c = (alpha - p + 1)/p, solves the
     same equation, and its flux is m_a(r) = s^{1-n} (a s)^{p-1} m_b(s r).
@@ -801,19 +805,34 @@ def _read_off(base: _Solve, n: int, p: float, alpha: float, a: float,
     crossing scaled) or its accepted radii reach cut (status 0, the base
     points up to cut and one interpolated point at cut, which becomes
     r_end).  So a read-off solve never fails; its nfev is the base's.
+    A scale past the floats (a at 0, or a flux scale that is not a
+    finite positive float) gives None too.
+
+    The cell also takes over the base's series start, which sits at its
+    radius SERIES_RADIUS / s.  That start drops u by drop = 1 - u_b(r0)/u0_b
+    and is off by about |alpha| drop^2 in u and |alpha| drop in m(r0),
+    an error in m that the flux integral then outgrows.  So the cell is
+    read off only where |alpha| drop max(drop, |m_b(r0) / m_b(cut)|) is
+    at most READ_OFF_START_ERROR: with alpha > p - 1 a large u0_b
+    squeezes its solution toward the center, and its start is coarse.
     """
-    s = a ** ((alpha - p + 1.0) / p)
+    a = u0 / u0_b
+    try:
+        s = a ** ((alpha - p + 1.0) / p)
+        k = s ** (1 - n) * (a * s) ** (p - 1.0)
+    except (OverflowError, ZeroDivisionError):  # s past the floats, or a = 0
+        return None
     cut = s * r_end
     crossed = base.status == 1 and base.r[-1] <= cut
     if not (cut > 2 * SERIES_RADIUS and (crossed or cut <= base.r[-1])):
         return None
-    try:
-        k = s ** (1 - n) * (a * s) ** (p - 1.0)
-    except OverflowError:
-        k = math.inf
     if not 0.0 < k < math.inf:  # a flux scale past the floats
         return None
     i = base.r.size if crossed else int(np.searchsorted(base.r, cut, side="right"))
+    drop = 1.0 - float(base.u[0]) / u0_b  # the start's error, as above
+    m_start, m_seen = abs(float(base.m[0])), abs(float(base.m[i - 1]))
+    if not abs(alpha) * drop * max(drop * m_seen, m_start) <= READ_OFF_START_ERROR * m_seen:
+        return None
     r, u, m = base.r[:i] / s, a * base.u[:i], k * base.m[:i]
 
     def dense(radii):  # the base's dense output, scaled the same way
@@ -830,36 +849,51 @@ def _read_off(base: _Solve, n: int, p: float, alpha: float, a: float,
 
 
 def _scan_row(model, p, alpha, u0s, horizon):
-    """One alpha row of the scan: per u0, in the order given, the
-    ShootOutcome (or the exception that ended its solve) and the u0 of
-    the solve it was read off (None for a direct solve).
+    """One alpha row of the scan: per u0, in the order given, its table
+    cell and its ShootOutcome (None for an error cell).
 
-    The row is solved from its largest u0 when alpha >= p - 1 and from its
-    smallest otherwise, so every other cell's horizon lies at a base
-    radius s r_end <= r_end (see _read_off).  A cell that cannot be read
-    off the row's solve is solved directly and becomes the row's solve
-    for the cells after it; cells with u0 not > 0 are solved directly
-    (their error is _integrate's).
+    The row solves its largest u0 and reads each smaller one off that
+    solve (see _read_off), so the row's solve has the most digits above
+    ATOL.  When alpha >= p - 1 a cell's horizon lies at a base radius
+    s r_end <= r_end; when alpha < p - 1 it lies past r_end, so only a
+    base that crossed zero covers it.  A cell that cannot be read off is
+    solved directly and becomes the row's solve for the smaller u0 after
+    it; cells with u0 not > 0 are solved directly (their error is
+    _integrate's).
     """
-    n, term = model.dim, ReactionTerm.pure_power(alpha)
-    r_end = min(horizon, model.r_max - SERIES_RADIUS)
+    term = ReactionTerm.pure_power(alpha)
     positive = sorted((i for i, u0 in enumerate(u0s) if u0 > 0),
-                      key=u0s.__getitem__, reverse=alpha >= p - 1.0)
+                      key=u0s.__getitem__, reverse=True)
     rest = [i for i, u0 in enumerate(u0s) if not u0 > 0]
     row, base, base_u0 = [None] * len(u0s), None, None
     for i in positive + rest:
         u0 = u0s[i]
         sol = None
         if base is not None and u0 > 0:
-            sol = _read_off(base, n, p, alpha, u0 / base_u0, r_end)
+            sol = _read_off(base, base_u0, u0, model.dim, p, alpha, horizon)
         source = None if sol is None else base_u0
         try:
             if sol is None:
                 sol = _integrate(model, p, term, u0, horizon)
                 base, base_u0 = sol, u0
-            row[i] = (_classify(model, p, term, sol), source)
+            out = _classify(model, p, term, sol)
         except Exception as exc:  # record and continue, per cell
-            row[i] = (exc, None)
+            row[i] = ({"alpha": alpha, "u0": u0, "outcome": "error", "error": str(exc)},
+                      None)
+            continue
+        cell = {
+            "alpha": alpha,
+            "u0": u0,
+            "outcome": out.kind,
+            "reason": out.reason,
+            "r_cross": out.r_cross,
+            "tail_exponent": out.tail_exponent,
+            "nfev": out.stats.get("nfev"),
+            "status": out.stats.get("status"),
+        }
+        if source is not None:
+            cell["from_u0"] = source
+        row[i] = (cell, out)
     return row
 
 
@@ -887,27 +921,10 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, on_cell=None):
     u0s = [float(u0) for u0 in u0s]
     cells = []
     for alpha in map(float, alphas):
-        for u0, (out, source) in zip(u0s, _scan_row(model, p, alpha, u0s, horizon)):
-            if isinstance(out, Exception):
-                cells.append(
-                    {"alpha": alpha, "u0": u0, "outcome": "error", "error": str(out)}
-                )
-                continue
-            cell = {
-                "alpha": alpha,
-                "u0": u0,
-                "outcome": out.kind,
-                "reason": out.reason,
-                "r_cross": out.r_cross,
-                "tail_exponent": out.tail_exponent,
-                "nfev": out.stats.get("nfev"),
-                "status": out.stats.get("status"),
-            }
-            if source is not None:
-                cell["from_u0"] = source
+        for cell, out in _scan_row(model, p, alpha, u0s, horizon):
             cells.append(cell)
-            if on_cell is not None:
-                on_cell(alpha, u0, out)
+            if out is not None and on_cell is not None:
+                on_cell(alpha, cell["u0"], out)
     return {
         "note": RADIAL_WITNESS_NOTE,
         "n": n,

@@ -446,7 +446,8 @@ class TestScanRowReadOff:
     R^n scaling law u_a(r) = a u_b(a^c r), c = (alpha - p + 1)/p, and must
     agree with a direct shoot at its own u0."""
 
-    U0S = (0.5, 1.0, 2.0)
+    # the benchmark's grid (0.5, 1, 2) widened by a decade each way
+    U0S = (0.1, 0.5, 1.0, 2.0, 10.0)
     # criterion 5's rows (its critical one, 5.0, is the benchmark's
     # 1.0 p_s), the benchmark's four grids at 0.5..1 p_s, and one row
     # each with alpha < p - 1 and alpha = p - 1
@@ -456,23 +457,25 @@ class TestScanRowReadOff:
     ] + [(3, 3.0, (1.5, 2.0))]
 
     def test_read_off_cells_match_direct_shoots(self):
-        read_off = 0
         for n, p, alphas in self.ROWS:
-            outs = {}
+            model, outs = euclidean(n), {}
             table = S.liouville_scan(n, p, alphas, self.U0S, horizon=2000.0,
                                      on_cell=lambda a, u0, out: outs.setdefault((a, u0), out))
             ps, bubble_tail = table["critical_exponent"], -(n - p) / (p - 1.0)
-            nfev = {(c["alpha"], c["u0"]): c["nfev"] for c in table["cells"]}
+            cells = {(c["alpha"], c["u0"]): c for c in table["cells"]}
             for cell in table["cells"]:
-                if "from_u0" not in cell:
-                    continue
-                read_off += 1
                 alpha, u0 = cell["alpha"], cell["u0"]
-                assert cell["nfev"] == nfev[alpha, cell["from_u0"]]
+                term = ReactionTerm.pure_power(alpha)
+                sol = S._integrate(model, p, term, u0, 2000.0)
+                ours, direct = outs[alpha, u0], S._classify(model, p, term, sol)
+                if "from_u0" not in cell:  # solved directly: shoot's own result
+                    assert (ours.kind, ours.r_cross, ours.tail_exponent, ours.stats) == (
+                        direct.kind, direct.r_cross, direct.tail_exponent, direct.stats)
+                    continue
+                source = cells[alpha, cell["from_u0"]]  # a larger, direct solve
+                assert cell["from_u0"] > u0 and "from_u0" not in source
+                assert cell["nfev"] == source["nfev"]
                 assert cell["status"] in (0, 1) and cell["reason"] is None
-                ours = outs[alpha, u0]
-                direct = S.shoot(euclidean(n), p, ReactionTerm.pure_power(alpha), u0,
-                                 horizon=2000.0)
                 assert ours.kind == direct.kind, (n, p, alpha, u0)
                 if ours.kind == "stayed_positive":
                     assert ours.trajectory["r"][-1] == 2000.0
@@ -482,16 +485,45 @@ class TestScanRowReadOff:
                     assert ours.r_cross == pytest.approx(direct.r_cross, rel=1e-8)
                 for flag in ("flux_nonincreasing", "flux_nonpositive"):
                     assert ours.stats[flag] == direct.stats[flag]
-                # u along the whole trajectory, and the end flux
-                dense = S.solve_dense(euclidean(n), p, ReactionTerm.pure_power(alpha),
-                                      u0, horizon=2000.0)
-                u_dense, _ = dense.state(ours.trajectory["r"])
-                assert np.abs(ours.trajectory["u"] - u_dense).max() <= 1e-8 * u0
+                # u along the trajectory where the direct solve has it, and
+                # the end flux
+                r = ours.trajectory["r"]
+                inside = r >= S.SERIES_RADIUS
+                u_direct, _ = sol.dense(r[inside])
+                assert np.abs(ours.trajectory["u"][inside] - u_direct).max() <= 1e-8 * u0
                 assert ours.trajectory["m"][-1] == pytest.approx(
                     direct.trajectory["m"][-1], rel=1e-7)
                 if alpha == ps and abs(direct.tail_exponent - bubble_tail) <= 0.05:
                     assert abs(ours.tail_exponent - direct.tail_exponent) <= 1e-3
-        assert read_off == 2 * sum(len(alphas) for _, _, alphas in self.ROWS)
+            # the benchmark's u0 = 0.5 and 1 cells are read off in every row
+            assert all("from_u0" in c for c in table["cells"] if c["u0"] in (0.5, 1.0))
+
+    def test_row_solves_its_largest_u0(self):
+        # alpha < p - 1: u0 = 1e-20 is ATOL-limited, so the row solves
+        # u0 = 1 (byte-identical to shoot) and reads u0 = 1e-20 off it, at
+        # r_cross / s with s = a^c > 1
+        n, p, alpha = 3, 3.0, 1.98
+        table = S.liouville_scan(n, p, [alpha], [1e-20, 1.0], horizon=100.0)
+        small, one = table["cells"]
+        direct = S.shoot(euclidean(n), p, ReactionTerm.pure_power(alpha), 1.0,
+                         horizon=100.0)
+        assert "from_u0" not in one
+        assert one == S.liouville_scan(n, p, [alpha], [1.0], horizon=100.0)["cells"][0]
+        assert one["r_cross"] == direct.r_cross
+        s = 1e-20 ** ((alpha - p + 1.0) / p)
+        assert small["from_u0"] == 1.0 and small["outcome"] == "crossed_zero"
+        assert small["r_cross"] == pytest.approx(direct.r_cross / s, rel=1e-15)
+
+    def test_coarse_series_start_is_not_passed_on(self):
+        # at (3, 2.5) alpha = p_s = 14 the u0 = 10 solution lives within
+        # r ~ 1e-5, so its series start at SERIES_RADIUS drops u by 13 u0
+        # and it crosses zero; read off it, u0 = 1 would start its series
+        # at r = 10 and cross too.  u0 = 1 is solved directly instead.
+        table = S.liouville_scan(3, 2.5, [14.0], [1.0, 10.0], horizon=2000.0)
+        one, ten = table["cells"]
+        assert "from_u0" not in one and "from_u0" not in ten
+        assert one == S.liouville_scan(3, 2.5, [14.0], [1.0], horizon=2000.0)["cells"][0]
+        assert one["outcome"] == "stayed_positive"
 
     def test_failed_solve_poisons_no_other_cell(self):
         # the row would read u0 = 1 off u0 = 1e200, whose start overflows:
@@ -511,12 +543,14 @@ class TestScanRowReadOff:
         assert huge["reason"].startswith("non-finite state")
         assert not table["pass"]
 
-    def test_flux_scale_past_the_floats_is_solved_directly(self):
-        # alpha just below p - 1 would read u0 = 1e100 off u0 = 1e-100
-        # with a flux scale (1e200)^2: that cell is solved directly
-        table = S.liouville_scan(3, 3.0, [1.98], [1e-100, 1e100], horizon=100.0)
-        alone = S.liouville_scan(3, 3.0, [1.98], [1e100], horizon=100.0)
-        assert table["cells"][1] == alone["cells"][0]
+    @pytest.mark.parametrize("small", [1e-100, 1e-300])
+    def test_scale_past_the_floats_is_solved_directly(self, small):
+        # alpha just below p - 1 reads u0 = small off u0 = 1e100: at 1e-100
+        # the flux scale, about (1e-200)^2, underflows to 0, and at 1e-300
+        # the ratio a = 1e-400 does; either cell is solved directly
+        table = S.liouville_scan(3, 3.0, [1.98], [small, 1e100], horizon=100.0)
+        alone = S.liouville_scan(3, 3.0, [1.98], [small], horizon=100.0)
+        assert table["cells"][0] == alone["cells"][0]
 
     def test_nonpositive_u0_stays_an_error_cell(self):
         order = []
