@@ -20,6 +20,7 @@ derivatives).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -119,10 +120,16 @@ class ScalarField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         coords = jet3_coords(points)
         out = jet3_const(self.shift, points.shape[0], self.dim)
-        for term in self.terms:
-            out = out + term.eval_jet(coords)
-        for ta, tb in self.products:
-            out = out + ta.eval_jet(coords) * tb.eval_jet(coords)
+        parts = chain(
+            (term.eval_jet(coords) for term in self.terms),
+            (ta.eval_jet(coords) * tb.eval_jet(coords) for ta, tb in self.products),
+        )
+        # out owns its arrays, so the sum accumulates into them, in order
+        for part in parts:
+            out.v += part.v
+            out.g += part.g
+            out.h += part.h
+            out.t += part.t
         return out
 
     def value(self, points):

@@ -31,7 +31,11 @@ drives all draws, so the worst case is reproducible from (seed, sample
 index), the index being the position among the kept samples in draw
 order.  Near-critical jets (|grad u| below the cutoff) are filtered
 before they enter any report, and a campaign that keeps fewer samples
-than it asked for is an error.  Whether this cutoff hides
+than it asked for is an error.  Each field draws 2 per candidates and
+keeps the first per that pass; jets are evaluated for the first per
+only, and for the other per only when those do not all pass.  The
+filter's scale is the RMS of |grad u| over the candidates evaluated,
+floored at 1.  Whether this cutoff hides
 boundary-of-criticality behavior is untestable pointwise and is noted
 here rather than decided.
 """
@@ -50,7 +54,7 @@ from . import jets as J
 from .divergence import EuclideanEngine, RadialEngine
 from .errors import DomainError, PreconditionError
 from .exponents import GradientEstimateParams, satisfies_f2
-from .fields import SAMPLING_BOX, random_field, random_radial_profile
+from .fields import SAMPLING_BOX, RadialProfile, random_field, random_radial_profile
 from .geometry import ManifoldModel, model_from_name
 from .reports import IdentityReport, InequalityReport
 from .shooting import RadialSolution
@@ -143,11 +147,13 @@ def _require_jet_domain(n_values, p_values):
 def _draw(camp: Campaign) -> SampleBatch:
     """The campaign's samples as one batch, in draw order.
 
-    Euclidean campaigns draw several random positive fields and sample
-    each at uniform points of the box; curved campaigns draw radial
-    profiles and sample radii.  Near-critical samples are filtered out
-    per field (they never enter a report), and the first survivors of
-    every field are concatenated.
+    Euclidean campaigns draw several random positive fields and, per
+    field, 2 per candidate points uniform in the box; curved campaigns
+    draw radial profiles and 2 per candidate radii, each field's
+    candidates as one block.  Each field keeps its first per candidates
+    that pass the near-critical filter (they alone enter a report; see
+    _first_kept for which candidates get jets), and the fields' samples
+    are concatenated.
     """
     _require_samples(camp.samples)
     rng = _rng(camp.seed)
@@ -158,23 +164,13 @@ def _draw(camp: Campaign) -> SampleBatch:
     for _ in range(n_fields):
         if not camp.is_radial:
             fld = random_field(rng, camp.dim)
-            pts = rng.uniform(-SAMPLING_BOX * 0.9, SAMPLING_BOX * 0.9, size=(2 * per, camp.dim))
-            jet = fld.jet3(pts)
-            gn = np.sqrt(J.grad_norm_sq(jet.g))
-            scale = max(1.0, float(np.sqrt(np.mean(gn**2))))
-            keep = (gn >= J.EPS_GRAD_FACTOR * scale) & (jet.v > 0)
-            idx = np.nonzero(keep)[0][:per]
-            parts.append((jet.v[idx], jet.g[idx], jet.h[idx], jet.t[idx]))
+            cands = rng.uniform(-SAMPLING_BOX * 0.9, SAMPLING_BOX * 0.9, size=(2 * per, camp.dim))
         else:
             r_lo = 0.15
             r_hi = 3.0 if model.r_max == math.inf else model.r_max - 0.3
-            prof = random_radial_profile(rng, r_hi)
-            r = rng.uniform(r_lo, r_hi, size=2 * per)
-            u, u1, u2, u3 = prof.jet(r)
-            scale = max(1.0, float(np.sqrt(np.mean(u1**2))))
-            keep = (np.abs(u1) >= J.EPS_GRAD_FACTOR * scale) & (u > 0)
-            idx = np.nonzero(keep)[0][:per]
-            parts.append((r[idx], u[idx], u1[idx], u2[idx], u3[idx]))
+            fld = random_radial_profile(rng, r_hi)
+            cands = rng.uniform(r_lo, r_hi, size=2 * per)
+        parts.append(_first_kept(fld, cands, per))
     kept = sum(part[0].shape[0] for part in parts)
     if kept < camp.samples:
         raise PreconditionError(
@@ -194,6 +190,44 @@ def _draw(camp: Campaign) -> SampleBatch:
         ric_rr=np.zeros(kept),
         meta=meta,
     )
+
+
+def _jet_columns(fld, x):
+    """u, |grad u| and the sample columns of a drawn field at candidates
+    x: (u, g, h, t) of a Euclidean field at points, (r, u, u', u'', u''')
+    of a radial profile at radii r."""
+    if isinstance(fld, RadialProfile):
+        u, u1, u2, u3 = fld.jet(x)
+        return u, np.abs(u1), (x, u, u1, u2, u3)
+    jet = fld.jet3(x)
+    return jet.v, np.sqrt(J.grad_norm_sq(jet.g)), (jet.v, jet.g, jet.h, jet.t)
+
+
+def _passes(u, gn):
+    """The near-critical filter: u > 0 and |grad u| at least
+    EPS_GRAD_FACTOR times the scale, the RMS of |grad u| over the points
+    evaluated, floored at 1."""
+    scale = max(1.0, float(np.sqrt(np.mean(gn**2))))
+    return (gn >= J.EPS_GRAD_FACTOR * scale) & (u > 0)
+
+
+def _first_kept(fld, cands, per):
+    """The sample columns of the first per candidates that pass the
+    filter, in draw order.
+
+    Jets are evaluated for the first per candidates only; if all of them
+    pass, with the scale taken over them, they are the samples.  Else
+    the other per are evaluated too and the filter runs on all 2 per,
+    its scale taken over all of them, and the field may keep fewer
+    than per.
+    """
+    u, gn, cols = _jet_columns(fld, cands[:per])
+    if _passes(u, gn).all():
+        return cols
+    u_rest, gn_rest, cols_rest = _jet_columns(fld, cands[per:])
+    keep = _passes(np.concatenate((u, u_rest)), np.concatenate((gn, gn_rest)))
+    idx = np.nonzero(keep)[0][:per]
+    return [np.concatenate(pair)[idx] for pair in zip(cols, cols_rest)]
 
 
 def _radial_batch(model: ManifoldModel, r, u, u1, u2, u3, meta: dict) -> SampleBatch:
@@ -303,15 +337,8 @@ class _Residuals:
 
     def update_vectors(self, lhs_vec, rhs_vec, batch: SampleBatch, params: dict):
         diff = np.abs(lhs_vec - rhs_vec).max(axis=-1)
-        scale = np.abs(lhs_vec).max(axis=-1) + np.abs(rhs_vec).max(axis=-1)
-        self._update_arrays(
-            diff,
-            scale,
-            np.abs(lhs_vec).max(axis=-1),
-            np.abs(rhs_vec).max(axis=-1),
-            batch,
-            params,
-        )
+        lhs, rhs = np.abs(lhs_vec).max(axis=-1), np.abs(rhs_vec).max(axis=-1)
+        self._update_arrays(diff, lhs + rhs, lhs, rhs, batch, params)
 
     def _update_arrays(self, diff, scale, lhs, rhs, batch, params):
         # a non-finite residual gives a non-finite rel (inf/inf is nan),

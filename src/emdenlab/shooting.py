@@ -792,6 +792,23 @@ def solve_dense(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
 # ----------------------------------------------------------------------
 
 
+def _start_error(sol: _Solve, u0: float, alpha: float, i: int) -> float:
+    """The relative error that the series start of the solve ``sol`` from
+    u0, f = u^alpha, passes on to its points before index i:
+    |alpha| drop max(drop, |m(r0) / m(r_{i-1})|), where drop =
+    1 - u(r0)/u0 is the start's drop in u and r0 = SERIES_RADIUS.  The
+    error is about |alpha| drop^2 in u and |alpha| drop in m(r0), an
+    error in m that the flux integral outgrows.  It is inf where
+    m(r_{i-1}) = 0 and NaN where the state is.
+    """
+    drop = 1.0 - float(sol.u[0]) / u0
+    m_start, m_seen = abs(float(sol.m[0])), abs(float(sol.m[i - 1]))
+    if m_seen == 0.0:
+        return math.inf
+    # a NaN ratio goes first: max keeps its first argument on a NaN
+    return abs(alpha) * drop * max(m_start / m_seen, drop)
+
+
 def _read_off(base: _Solve, u0_b: float, u0: float, n: int, p: float,
               alpha: float, r_end: float) -> Optional[_Solve]:
     """The solve from u0 = a u0_b on R^n, f = u^alpha, up to r_end, read
@@ -809,12 +826,10 @@ def _read_off(base: _Solve, u0_b: float, u0: float, n: int, p: float,
     finite positive float) gives None too.
 
     The cell also takes over the base's series start, which sits at its
-    radius SERIES_RADIUS / s.  That start drops u by drop = 1 - u_b(r0)/u0_b
-    and is off by about |alpha| drop^2 in u and |alpha| drop in m(r0),
-    an error in m that the flux integral then outgrows.  So the cell is
-    read off only where |alpha| drop max(drop, |m_b(r0) / m_b(cut)|) is
-    at most READ_OFF_START_ERROR: with alpha > p - 1 a large u0_b
-    squeezes its solution toward the center, and its start is coarse.
+    radius SERIES_RADIUS / s.  So the cell is read off only where the
+    base's start error up to cut (_start_error) is at most
+    READ_OFF_START_ERROR: with alpha > p - 1 a large u0_b squeezes its
+    solution toward the center, and its start is coarse.
     """
     a = u0 / u0_b
     try:
@@ -829,9 +844,7 @@ def _read_off(base: _Solve, u0_b: float, u0: float, n: int, p: float,
     if not 0.0 < k < math.inf:  # a flux scale past the floats
         return None
     i = base.r.size if crossed else int(np.searchsorted(base.r, cut, side="right"))
-    drop = 1.0 - float(base.u[0]) / u0_b  # the start's error, as above
-    m_start, m_seen = abs(float(base.m[0])), abs(float(base.m[i - 1]))
-    if not abs(alpha) * drop * max(drop * m_seen, m_start) <= READ_OFF_START_ERROR * m_seen:
+    if not _start_error(base, u0_b, alpha, i) <= READ_OFF_START_ERROR:
         return None
     r, u, m = base.r[:i] / s, a * base.u[:i], k * base.m[:i]
 
@@ -859,7 +872,10 @@ def _scan_row(model, p, alpha, u0s, horizon):
     base that crossed zero covers it.  A cell that cannot be read off is
     solved directly and becomes the row's solve for the smaller u0 after
     it; cells with u0 not > 0 are solved directly (their error is
-    _integrate's).
+    _integrate's).  A direct solve is judged by the read-off rule too:
+    if its start error (_start_error, over the whole solve) exceeds
+    READ_OFF_START_ERROR, it fails, its cell reads inconclusive with
+    that error as the reason, and it is never the row's solve.
     """
     term = ReactionTerm.pure_power(alpha)
     positive = sorted((i for i, u0 in enumerate(u0s) if u0 > 0),
@@ -875,7 +891,12 @@ def _scan_row(model, p, alpha, u0s, horizon):
         try:
             if sol is None:
                 sol = _integrate(model, p, term, u0, horizon)
-                base, base_u0 = sol, u0
+                error = _start_error(sol, u0, alpha, sol.r.size)
+                if error <= READ_OFF_START_ERROR:
+                    base, base_u0 = sol, u0
+                elif sol.status >= 0:
+                    sol.status, sol.reason = -1, (
+                        f"series start error {error:.3g} exceeds {READ_OFF_START_ERROR:g}")
             out = _classify(model, p, term, sol)
         except Exception as exc:  # record and continue, per cell
             row[i] = ({"alpha": alpha, "u0": u0, "outcome": "error", "error": str(exc)},

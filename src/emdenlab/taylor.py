@@ -32,12 +32,12 @@ __all__ = [
 
 
 def _sym_vh(g, h):
-    # (g (x) h) symmetrized over the three derivative slots
-    return (
-        np.einsum("...i,...jk->...ijk", g, h)
-        + np.einsum("...j,...ik->...ijk", g, h)
-        + np.einsum("...k,...ij->...ijk", g, h)
-    )
+    # (g (x) h) symmetrized over the three derivative slots, summed in
+    # slot order into the first term's array
+    out = np.einsum("...i,...jk->...ijk", g, h)
+    out += np.einsum("...j,...ik->...ijk", g, h)
+    out += np.einsum("...k,...ij->...ijk", g, h)
+    return out
 
 
 class Jet3:
@@ -74,39 +74,42 @@ class Jet3:
         if not isinstance(other, Jet3):
             return Jet3(self.v * other, self.g * other, self.h * other, self.t * other)
         a, b = self, other
-        v = a.v * b.v
-        g = a.g * b.v[..., None] + b.g * a.v[..., None]
+        av, bv = a.v[..., None], b.v[..., None]
+        g = a.g * bv
+        g += b.g * av
         outer_ab = np.einsum("...i,...j->...ij", a.g, b.g)
-        h = (
-            a.h * b.v[..., None, None]
-            + b.h * a.v[..., None, None]
-            + outer_ab
-            + np.swapaxes(outer_ab, -1, -2)
-        )
-        t = (
-            a.t * b.v[..., None, None, None]
-            + b.t * a.v[..., None, None, None]
-            + _sym_vh(b.g, a.h)
-            + _sym_vh(a.g, b.h)
-        )
-        return Jet3(v, g, h, t)
+        h = a.h * bv[..., None]
+        h += b.h * av[..., None]
+        h += outer_ab
+        h += np.swapaxes(outer_ab, -1, -2)
+        t = a.t * bv[..., None, None]
+        t += b.t * av[..., None, None]
+        t += _sym_vh(b.g, a.h)
+        t += _sym_vh(a.g, b.h)
+        return Jet3(a.v * b.v, g, h, t)
 
     __rmul__ = __mul__
 
     # -- composition with univariate outer functions ---------------------
 
     def compose(self, f0, f1, f2, f3):
-        """Chain rule with outer derivatives f0..f3 evaluated at self.v."""
-        g = f1[..., None] * self.g
+        """Chain rule with outer derivatives f0..f3 evaluated at self.v.
+
+        The sums accumulate in place, term by term in the order of the
+        formula, and g (x) g (x) g is (g (x) g) (x) g, the same products
+        in the same association as the three-operand einsum.
+        """
         gg = np.einsum("...i,...j->...ij", self.g, self.g)
-        h = f1[..., None, None] * self.h + f2[..., None, None] * gg
-        t = (
-            f1[..., None, None, None] * self.t
-            + f2[..., None, None, None] * _sym_vh(self.g, self.h)
-            + f3[..., None, None, None]
-            * np.einsum("...i,...j,...k->...ijk", self.g, self.g, self.g)
-        )
-        return Jet3(f0, g, h, t)
+        h = f1[..., None, None] * self.h
+        h += f2[..., None, None] * gg
+        t = f1[..., None, None, None] * self.t
+        sym = _sym_vh(self.g, self.h)
+        sym *= f2[..., None, None, None]
+        t += sym
+        ggg = np.einsum("...ij,...k->...ijk", gg, self.g)
+        ggg *= f3[..., None, None, None]
+        t += ggg
+        return Jet3(f0, f1[..., None] * self.g, h, t)
 
     def compose_power(self, c):
         v = self.v

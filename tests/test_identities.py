@@ -10,10 +10,10 @@ from emdenlab import jets as J
 from emdenlab.divergence import EuclideanEngine, RadialEngine, View
 from emdenlab.errors import PreconditionError
 from emdenlab.exponents import ReactionTerm
-from emdenlab.fields import FieldTerm, ScalarField
+from emdenlab.fields import FieldTerm, RadialProfile, ScalarField
 from emdenlab.geometry import euclidean, hyperbolic
 from emdenlab.shooting import solve_dense
-from emdenlab.taylor import Grad
+from emdenlab.taylor import Grad, Jet3
 
 RNG = lambda seed: np.random.default_rng(np.random.Philox(seed))
 
@@ -186,6 +186,101 @@ class TestCampaignBatch:
     def test_empty_campaign_raises(self, samples):
         with pytest.raises(PreconditionError, match="at least one sample"):
             I.check_decomposition(I.Campaign(samples=samples))
+
+
+def _old_rule_batch(camp):
+    """Oracle: the draw before it evaluated only what it keeps.  Every
+    field gets jets at all 2 per candidates and keeps the first per that
+    pass the filter, its scale taken over all 2 per."""
+    rng, model = I._rng(camp.seed), camp.model()
+    n_fields = max(1, camp.samples // 250)
+    per = -(-camp.samples // n_fields)
+    parts = []
+    for _ in range(n_fields):
+        if not camp.is_radial:
+            fld = I.random_field(rng, camp.dim)
+            pts = rng.uniform(-I.SAMPLING_BOX * 0.9, I.SAMPLING_BOX * 0.9,
+                              size=(2 * per, camp.dim))
+            jet = fld.jet3(pts)
+            gn = np.sqrt(J.grad_norm_sq(jet.g))
+            scale = max(1.0, float(np.sqrt(np.mean(gn**2))))
+            keep = (gn >= J.EPS_GRAD_FACTOR * scale) & (jet.v > 0)
+            idx = np.nonzero(keep)[0][:per]
+            parts.append((jet.v[idx], jet.g[idx], jet.h[idx], jet.t[idx]))
+        else:
+            r_hi = 3.0 if model.r_max == np.inf else model.r_max - 0.3
+            prof = I.random_radial_profile(rng, r_hi)
+            r = rng.uniform(0.15, r_hi, size=2 * per)
+            u, u1, u2, u3 = prof.jet(r)
+            scale = max(1.0, float(np.sqrt(np.mean(u1**2))))
+            keep = (np.abs(u1) >= J.EPS_GRAD_FACTOR * scale) & (u > 0)
+            idx = np.nonzero(keep)[0][:per]
+            parts.append((r[idx], u[idx], u1[idx], u2[idx], u3[idx]))
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    if camp.is_radial:
+        return I._radial_batch(model, *cols, meta={})
+    jet = Jet3(*cols)
+    return I.SampleBatch(u=jet.v, g=jet.g, h=jet.h, engine=EuclideanEngine(jet),
+                         ric_rr=np.zeros(jet.v.shape))
+
+
+def _batch_arrays(batch):
+    """The batch's sample arrays and its engine's seed duals."""
+    eng = batch.engine
+    arrays = [batch.u, batch.g, batch.h, batch.ric_rr, batch.meta.get("r", batch.u)]
+    for dual in (eng.u, eng.G, eng.H, eng.lap):
+        arrays += [dual.v, dual.d]
+    return arrays
+
+
+class TestDrawEvaluatesWhatItKeeps:
+    """A field's jets are evaluated at its first per candidates, and at
+    the other per only when the filter keeps fewer than per of those."""
+
+    @staticmethod
+    def _count_points(monkeypatch):
+        counts = {"field": 0, "radial": 0}
+        field_jet, radial_jet = ScalarField.jet3, RadialProfile.jet
+
+        def field_counted(self, points):
+            if self.dim > 1:  # a radial profile's own field is counted below
+                counts["field"] += np.shape(points)[0]
+            return field_jet(self, points)
+
+        def radial_counted(self, r):
+            counts["radial"] += np.size(r)
+            return radial_jet(self, r)
+
+        monkeypatch.setattr(ScalarField, "jet3", field_counted)
+        monkeypatch.setattr(RadialProfile, "jet", radial_counted)
+        return counts
+
+    @staticmethod
+    def _assert_old_rule(camp):
+        for ours, old in zip(_batch_arrays(camp.batch), _batch_arrays(_old_rule_batch(camp))):
+            assert ours.shape == old.shape and np.array_equal(ours, old)
+
+    @pytest.mark.parametrize("model,jet", [("euclidean", "field"), ("sphere", "radial"),
+                                           ("hyperbolic", "radial")])
+    def test_a_campaign_evaluates_what_it_keeps(self, monkeypatch, model, jet):
+        counts = self._count_points(monkeypatch)
+        camp = I.Campaign(model_name=model, dim=3, samples=1000, seed=42)
+        assert camp.batch.u.shape == (1000,)
+        assert counts[jet] == sum(counts.values()) == 1000  # not 2000
+        self._assert_old_rule(camp)
+
+    @pytest.mark.parametrize("model,jet,factor,evaluated", [
+        ("euclidean", "field", 0.2, 2000),  # every field falls short
+        ("hyperbolic", "radial", 0.05, 1500),  # two of the four fields do
+    ])
+    def test_a_short_first_half_evaluates_the_rest(self, monkeypatch, model, jet, factor,
+                                                    evaluated):
+        monkeypatch.setattr(J, "EPS_GRAD_FACTOR", factor)
+        counts = self._count_points(monkeypatch)
+        camp = I.Campaign(model_name=model, dim=3, samples=1000, seed=42)
+        assert camp.batch.u.shape == (1000,)
+        assert counts[jet] == sum(counts.values()) == evaluated
+        self._assert_old_rule(camp)
 
 
 def _with_nan_at(fn, k):

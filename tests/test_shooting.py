@@ -468,6 +468,14 @@ class TestScanRowReadOff:
                 term = ReactionTerm.pure_power(alpha)
                 sol = S._integrate(model, p, term, u0, 2000.0)
                 ours, direct = outs[alpha, u0], S._classify(model, p, term, sol)
+                if "from_u0" not in cell and (
+                        S._start_error(sol, u0, alpha, sol.r.size) > S.READ_OFF_START_ERROR):
+                    # a coarse series start: u0 = 10 at the larger alphas; the
+                    # benchmark's u0 <= 2 solves stay under the bound
+                    assert u0 == 10.0 and alpha > p - 1.0
+                    assert ours.kind == "inconclusive" and ours.stats["status"] == -1
+                    assert cell["reason"].startswith("series start error")
+                    continue
                 if "from_u0" not in cell:  # solved directly: shoot's own result
                     assert (ours.kind, ours.r_cross, ours.tail_exponent, ours.stats) == (
                         direct.kind, direct.r_cross, direct.tail_exponent, direct.stats)
@@ -517,13 +525,36 @@ class TestScanRowReadOff:
     def test_coarse_series_start_is_not_passed_on(self):
         # at (3, 2.5) alpha = p_s = 14 the u0 = 10 solution lives within
         # r ~ 1e-5, so its series start at SERIES_RADIUS drops u by 13 u0
-        # and it crosses zero; read off it, u0 = 1 would start its series
-        # at r = 10 and cross too.  u0 = 1 is solved directly instead.
-        table = S.liouville_scan(3, 2.5, [14.0], [1.0, 10.0], horizon=2000.0)
+        # (u(1e-4) = -123.9, a start error of about 2.5e3) and shoot reads
+        # crossed_zero at r = 1.0000003e-4.  The cell reads inconclusive,
+        # and u0 = 1, which read off it would start its series at r = 10,
+        # is solved directly.
+        outs = {}
+        table = S.liouville_scan(3, 2.5, [14.0], [1.0, 10.0], horizon=2000.0,
+                                 on_cell=lambda a, u0, out: outs.setdefault(u0, out))
         one, ten = table["cells"]
+        direct = S.shoot(euclidean(3), 2.5, ReactionTerm.pure_power(14.0), 10.0,
+                         horizon=2000.0)
+        assert direct.kind == "crossed_zero" and direct.r_cross < 1.0001e-4
+        assert outs[10.0].trajectory["u"][0] == direct.trajectory["u"][0] < 0
+        assert ten["outcome"] == "inconclusive" and ten["status"] == -1
+        assert ten["reason"] == "series start error 2.51e+03 exceeds 1e-08"
+        assert ten["r_cross"] is None and ten["nfev"] == direct.stats["nfev"]
         assert "from_u0" not in one and "from_u0" not in ten
         assert one == S.liouville_scan(3, 2.5, [14.0], [1.0], horizon=2000.0)["cells"][0]
         assert one["outcome"] == "stayed_positive"
+        assert not table["pass"]
+
+    def test_start_error_fails_closed(self):
+        # a NaN or zero flux where the cell ends never passes the rule
+        def solve(m_end):
+            return S._Solve(r=np.array([S.SERIES_RADIUS, 1.0]), u=np.array([1.0, 0.5]),
+                            m=np.array([-1e-9, m_end]), status=0, reason=None, nfev=0,
+                            dense=None)
+
+        assert S._start_error(solve(-1.0), 1.0, 3.0, 2) == 0.0
+        assert math.isnan(S._start_error(solve(np.nan), 1.0 + 1e-9, 3.0, 2))
+        assert S._start_error(solve(0.0), 1.0 + 1e-9, 3.0, 2) == math.inf
 
     def test_failed_solve_poisons_no_other_cell(self):
         # the row would read u0 = 1 off u0 = 1e200, whose start overflows:
