@@ -257,8 +257,10 @@ def solution_batch(sol: RadialSolution) -> SampleBatch:
     """Sample a radial solution away from the center and crossing.
 
     The equation -lap_p u = f(u) is checked pointwise on the sampled
-    grid (relative to the constituent-term scale); anything failing the
-    certification is rejected rather than sampled.
+    grid (relative to the constituent-term scale), and the dense u must
+    differentiate, by central differences, to the u' recovered from the
+    flux; anything failing either certification is rejected rather than
+    sampled.
     """
     r_lo = max(sol.r_lo, _SOLUTION_R_MIN)
     r_hi = sol.r_hi * (1.0 - _SOLUTION_END_MARGIN)
@@ -282,20 +284,19 @@ def solution_batch(sol: RadialSolution) -> SampleBatch:
         raise PreconditionError(
             f"field is not a certified solution (equation residual {worst:g})"
         )
-    if hasattr(sol, "state"):
-        # non-circular check for integrator output: the dense u must
-        # differentiate to the flux-recovered u'
-        probe = r[:: max(1, len(r) // 8)]
-        h_fd = 1e-5
-        up, _ = sol.state(probe + h_fd)
-        um, _ = sol.state(probe - h_fd)
-        fd = (up - um) / (2.0 * h_fd)
-        u1_probe = u1[:: max(1, len(r) // 8)]
-        gap = np.max(np.abs(fd - u1_probe) / (np.abs(u1_probe) + 1e-12))
-        if gap > 1e-5:
-            raise PreconditionError(
-                f"dense trajectory inconsistent with its flux ({gap:g})"
-            )
+    # non-circular check for integrator output: the dense u must
+    # differentiate to the flux-recovered u'
+    probe = r[:: max(1, len(r) // 8)]
+    h_fd = 1e-5
+    up, _ = sol.state(probe + h_fd)
+    um, _ = sol.state(probe - h_fd)
+    fd = (up - um) / (2.0 * h_fd)
+    u1_probe = u1[:: max(1, len(r) // 8)]
+    gap = np.max(np.abs(fd - u1_probe) / (np.abs(u1_probe) + 1e-12))
+    if gap > 1e-5:
+        raise PreconditionError(
+            f"dense trajectory inconsistent with its flux ({gap:g})"
+        )
     return batch
 
 
@@ -434,13 +435,10 @@ def check_flux_advection(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     """
     acc = _Residuals("flux_advection", tol)
     batch = camp.batch
-    gn2 = J.grad_norm_sq(batch.g)
     for p in camp.p_values:
         block = J.FluxBlock(batch.g, batch.h, p)
         lhs_vec = np.einsum("nij,nj->ni", block.jacobian, block.flux)
-        rhs_vec = (1.0 / p) * gn2[:, None] ** ((p - 2.0) / 2.0) * block.aniso(
-            block.grad_power
-        )
+        rhs_vec = (1.0 / p) * block.norm_p2[:, None] * block.aniso(block.grad_power)
         acc.update_vectors(lhs_vec, rhs_vec, batch, {"p": p})
     return acc.report(seed=camp.seed)
 

@@ -179,6 +179,11 @@ class FluxBlock:
         return np.sqrt(grad_norm_sq(self.g))
 
     @cached_property
+    def norm_p2(self):
+        """|g|^{p-2}, spelled as flux and flux_jacobian spell it."""
+        return self._gn ** (self.p - 2.0)
+
+    @cached_property
     def power(self):
         """|g|^p."""
         return self._gn**self.p
@@ -186,9 +191,8 @@ class FluxBlock:
     @cached_property
     def grad_power(self):
         """grad |grad u|^p = p |g|^{p-2} hess u . g."""
-        g, h, p = self.g, self.h, self.p
-        return p * grad_norm_sq(g)[..., None] ** ((p - 2.0) / 2.0) * np.einsum(
-            "...ij,...j->...i", h, g
+        return self.p * self.norm_p2[..., None] * np.einsum(
+            "...ij,...j->...i", self.h, self.g
         )
 
     def aniso(self, v):
@@ -199,10 +203,10 @@ class FluxBlock:
     def _check_scale(self):
         """|g|^{p-2} (|lap u| + |p-2| |lap_inf u| / |g|^2), the gradient
         factor of the trace check's scale."""
-        g, h, p, gn = self.g, self.h, self.p, self._gn
-        return gn ** (p - 2.0) * (
+        g, h, p = self.g, self.h, self.p
+        return self.norm_p2 * (
             np.abs(laplacian(h))
-            + np.abs(p - 2.0) * np.abs(inf_laplacian(g, h)) / gn**2
+            + np.abs(p - 2.0) * np.abs(inf_laplacian(g, h)) / self._gn**2
         )
 
     def weighted(self, u, b, check=True):

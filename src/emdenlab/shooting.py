@@ -38,12 +38,15 @@ step is read (the crossing step, ``shoot``'s tail fit,
 
 The setup lives in one place, ``_integrate``: it checks u0 > 0 and
 p > 1, clips the horizon to the model's domain and takes the series
-start.  Its one result, ``_Solve``, holds the accepted radii with their
-(u, m), the status with its reason, nfev and the dense output; at
-status 1 the last radius is the crossing.  The three callers only
-choose the horizon and read that result: ``shoot`` classifies the run
-with ``_classify``, ``solve_dense`` wraps the dense positive segment,
-and ``_bv_single`` (the sphere scan) reads the pole flux.
+start, and it judges that start (``_start_error``): a large u0 with a
+fast-growing f squeezes the solution toward the center, and a solve
+whose start passes on a relative error above START_ERROR_BOUND ends
+with status -1.  Its one result, ``_Solve``, holds the accepted radii
+with their (u, m), the status with its reason, nfev and the dense
+output; at status 1 the last radius is the crossing.  The three callers
+only choose the horizon and read that result: ``shoot`` classifies the
+run with ``_classify``, ``solve_dense`` wraps the dense positive
+segment, and ``_bv_single`` (the sphere scan) reads the pole flux.
 
 ``liouville_scan`` makes one solve per alpha row where it can, from the
 row's largest u0.  On R^n with f = u^alpha the equation is invariant
@@ -78,6 +81,7 @@ __all__ = [
     "ShootOutcome",
     "RadialSolution",
     "shoot",
+    "solve_dense",
     "liouville_scan",
     "bubble_match",
     "bv_sphere_scan",
@@ -90,9 +94,9 @@ RADIAL_WITNESS_NOTE = (
 )
 
 SERIES_RADIUS = 1e-4
-#: the largest relative error a scan cell may take over from the series
-#: start of the solve it is read off (see _read_off)
-READ_OFF_START_ERROR = 1e-8
+#: the largest relative error a solve, or a scan cell read off one, may
+#: take over from its series start (see _start_error)
+START_ERROR_BOUND = 1e-8
 #: the integrator's tolerances (the sphere scan's atol is _BV_ATOL)
 RTOL, ATOL = 1e-10, 1e-12
 
@@ -714,7 +718,8 @@ def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
     horizon (clipped to the model's domain).  The tolerances are RTOL and
     ATOL, read at each call; the sphere scan passes its own atol.  Every
     failure past these checks, the series start's included, is a solve
-    with status -1 and a reason.
+    with status -1 and a reason, and so is a solve whose start error
+    over the whole run (_start_error) exceeds START_ERROR_BOUND.
     """
     if u0 <= 0:
         raise PreconditionError("u0 must be positive")
@@ -723,9 +728,15 @@ def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
     r_end = min(horizon, model.r_max - SERIES_RADIUS)
     if r_end <= SERIES_RADIUS:
         raise DomainError("horizon does not exceed the series start")
-    return solve_ivp(_radial_rhs(model, p, term), SERIES_RADIUS, r_end,
-                     _series_start(model, p, term, u0, SERIES_RADIUS),
-                     ATOL if atol is None else atol)
+    sol = solve_ivp(_radial_rhs(model, p, term), SERIES_RADIUS, r_end,
+                    _series_start(model, p, term, u0, SERIES_RADIUS),
+                    ATOL if atol is None else atol)
+    if sol.status >= 0:
+        error = _start_error(sol, u0, term, sol.r.size)
+        if not error <= START_ERROR_BOUND:
+            sol.status, sol.reason = -1, (
+                f"series start error {error:.3g} exceeds {START_ERROR_BOUND:g}")
+    return sol
 
 
 def shoot(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
@@ -792,15 +803,24 @@ def solve_dense(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
 # ----------------------------------------------------------------------
 
 
-def _start_error(sol: _Solve, u0: float, alpha: float, i: int) -> float:
+def _start_error(sol: _Solve, u0: float, term: ReactionTerm, i: int) -> float:
     """The relative error that the series start of the solve ``sol`` from
-    u0, f = u^alpha, passes on to its points before index i:
+    u0 passes on to its points before index i:
     |alpha| drop max(drop, |m(r0) / m(r_{i-1})|), where drop =
-    1 - u(r0)/u0 is the start's drop in u and r0 = SERIES_RADIUS.  The
-    error is about |alpha| drop^2 in u and |alpha| drop in m(r0), an
-    error in m that the flux integral outgrows.  It is inf where
-    m(r_{i-1}) = 0 and NaN where the state is.
+    1 - u(r0)/u0 is the start's drop in u, r0 = SERIES_RADIUS and
+    alpha = u0 f'(u0) / f(u0) is f's local exponent at u0 (alpha itself
+    for f = u^alpha).  The series holds f at f(u0) over [0, r0], and f
+    changes there by about alpha drop relative to f(u0): so the error is
+    about |alpha| drop^2 in u and |alpha| drop in m(r0), an error in m
+    that the flux integral outgrows.  Where f(u0) = 0 the start is exact
+    and the error is 0.  It is inf where m(r_{i-1}) = 0 and NaN where
+    the state or alpha is.
     """
+    with np.errstate(all="ignore"):  # an alpha past the floats: a NaN error
+        f0 = float(term(u0))
+        if f0 == 0.0:
+            return 0.0
+        alpha = u0 * float(term.deriv(u0)) / f0
     drop = 1.0 - float(sol.u[0]) / u0
     m_start, m_seen = abs(float(sol.m[0])), abs(float(sol.m[i - 1]))
     if m_seen == 0.0:
@@ -810,9 +830,10 @@ def _start_error(sol: _Solve, u0: float, alpha: float, i: int) -> float:
 
 
 def _read_off(base: _Solve, u0_b: float, u0: float, n: int, p: float,
-              alpha: float, r_end: float) -> Optional[_Solve]:
-    """The solve from u0 = a u0_b on R^n, f = u^alpha, up to r_end, read
-    off the solve ``base`` from u0_b, or None where it cannot be.
+              alpha: float, term: ReactionTerm, r_end: float) -> Optional[_Solve]:
+    """The solve from u0 = a u0_b on R^n, f = u^alpha (``term``), up to
+    r_end, read off the solve ``base`` from u0_b, or None where it cannot
+    be.
 
     u_a(r) = a u_b(s r) with s = a^c, c = (alpha - p + 1)/p, solves the
     same equation, and its flux is m_a(r) = s^{1-n} (a s)^{p-1} m_b(s r).
@@ -828,8 +849,7 @@ def _read_off(base: _Solve, u0_b: float, u0: float, n: int, p: float,
     The cell also takes over the base's series start, which sits at its
     radius SERIES_RADIUS / s.  So the cell is read off only where the
     base's start error up to cut (_start_error) is at most
-    READ_OFF_START_ERROR: with alpha > p - 1 a large u0_b squeezes its
-    solution toward the center, and its start is coarse.
+    START_ERROR_BOUND, which the base met only over its whole run.
     """
     a = u0 / u0_b
     try:
@@ -844,7 +864,7 @@ def _read_off(base: _Solve, u0_b: float, u0: float, n: int, p: float,
     if not 0.0 < k < math.inf:  # a flux scale past the floats
         return None
     i = base.r.size if crossed else int(np.searchsorted(base.r, cut, side="right"))
-    if not _start_error(base, u0_b, alpha, i) <= READ_OFF_START_ERROR:
+    if not _start_error(base, u0_b, term, i) <= START_ERROR_BOUND:
         return None
     r, u, m = base.r[:i] / s, a * base.u[:i], k * base.m[:i]
 
@@ -871,11 +891,9 @@ def _scan_row(model, p, alpha, u0s, horizon):
     s r_end <= r_end; when alpha < p - 1 it lies past r_end, so only a
     base that crossed zero covers it.  A cell that cannot be read off is
     solved directly and becomes the row's solve for the smaller u0 after
-    it; cells with u0 not > 0 are solved directly (their error is
-    _integrate's).  A direct solve is judged by the read-off rule too:
-    if its start error (_start_error, over the whole solve) exceeds
-    READ_OFF_START_ERROR, it fails, its cell reads inconclusive with
-    that error as the reason, and it is never the row's solve.
+    it, unless it failed; cells with u0 not > 0 are solved directly
+    (their error is _integrate's).  So every directly solved cell is
+    shoot's own result.
     """
     term = ReactionTerm.pure_power(alpha)
     positive = sorted((i for i, u0 in enumerate(u0s) if u0 > 0),
@@ -886,17 +904,13 @@ def _scan_row(model, p, alpha, u0s, horizon):
         u0 = u0s[i]
         sol = None
         if base is not None and u0 > 0:
-            sol = _read_off(base, base_u0, u0, model.dim, p, alpha, horizon)
+            sol = _read_off(base, base_u0, u0, model.dim, p, alpha, term, horizon)
         source = None if sol is None else base_u0
         try:
             if sol is None:
                 sol = _integrate(model, p, term, u0, horizon)
-                error = _start_error(sol, u0, alpha, sol.r.size)
-                if error <= READ_OFF_START_ERROR:
+                if sol.status >= 0:
                     base, base_u0 = sol, u0
-                elif sol.status >= 0:
-                    sol.status, sol.reason = -1, (
-                        f"series start error {error:.3g} exceeds {READ_OFF_START_ERROR:g}")
             out = _classify(model, p, term, sol)
         except Exception as exc:  # record and continue, per cell
             row[i] = ({"alpha": alpha, "u0": u0, "outcome": "error", "error": str(exc)},

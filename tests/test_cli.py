@@ -250,9 +250,10 @@ class TestEmptyInputs:
 
 class TestInvalidInputs:
     """An input outside a check's domain (a radius or horizon <= 0, a jet
-    grid value with n < 2 or p <= 1, a radial start u0 <= 0 or p <= 1, a
-    series start that overflows) fails the run with one error result and
-    no warning, before any arithmetic on it."""
+    grid value with n < 2 or p <= 1, a radial start u0 <= 0 or p <= 1)
+    fails the run with one error result and no warning, before any
+    arithmetic on it; so does a series start that overflows or is too
+    coarse, once the solve has judged it."""
 
     @pytest.mark.parametrize("argv,error", [
         (["bubble", "--rmax", "0"], "PreconditionError: rmax must be positive"),
@@ -277,11 +278,14 @@ class TestInvalidInputs:
         (["moser", "--p", "1"], "PreconditionError: p must exceed 1"),
         (["moser", "--p", "1.5", "--alpha", "3", "--u0", "1e100"],
          "NumericalError: dense solve failed: non-finite state at r=0.0001"),
+        (["moser", "--n", "3", "--p", "2.5", "--alpha", "14", "--u0", "10"],
+         "NumericalError: dense solve failed: series start error 2.51e+03 exceeds 1e-08"),
         (["bv-sphere", "--u0", "0,1"], "PreconditionError: u0 must be positive"),
     ], ids=["bubble-rmax", "gradient-bound-rtail-0", "gradient-bound-rtail-neg",
             "gradient-bound-rtail-9", "gradient-bound-rtail-5",
             "harnack-radius", "trace-ineq-p", "trace-ineq-n", "kato-p", "kato-n",
-            "moser-u0", "moser-p", "moser-overflow", "bv-sphere-u0"])
+            "moser-u0", "moser-p", "moser-overflow", "moser-coarse-start",
+            "bv-sphere-u0"])
     def test_error_result(self, tmp_path, argv, error):
         out = tmp_path / "rep.json"
         assert run_cli(argv + ["--out", str(out)]) == 1

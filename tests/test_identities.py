@@ -394,6 +394,7 @@ class _HyperbolicHarmonic:
         self.p = p
         self.term = ReactionTerm.zero()
         self.r_lo, self.r_hi = 0.5, 3.0
+        self._n = n
         self._beta = (n - 1.0) / (p - 1.0)
         self._sq = np.sqrt(kappa)
         self._quad = quad
@@ -408,6 +409,12 @@ class _HyperbolicHarmonic:
                 1.0 - math.exp(-2.0 * x)
             ) ** (-self._beta)
         return math.sinh(x) ** (-self._beta)
+
+    def state(self, r):
+        """(u, m): p-harmonic, so the flux m = psi^{n-1} |u'|^{p-2} u' is
+        the constant -kappa^{(1-n)/2}."""
+        u = self.jets(r)[0]
+        return u, np.full_like(u, -self._sq ** (1.0 - self._n))
 
     def jets(self, r):
         beta, sq = self._beta, self._sq

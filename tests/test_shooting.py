@@ -468,17 +468,11 @@ class TestScanRowReadOff:
                 term = ReactionTerm.pure_power(alpha)
                 sol = S._integrate(model, p, term, u0, 2000.0)
                 ours, direct = outs[alpha, u0], S._classify(model, p, term, sol)
-                if "from_u0" not in cell and (
-                        S._start_error(sol, u0, alpha, sol.r.size) > S.READ_OFF_START_ERROR):
-                    # a coarse series start: u0 = 10 at the larger alphas; the
-                    # benchmark's u0 <= 2 solves stay under the bound
-                    assert u0 == 10.0 and alpha > p - 1.0
-                    assert ours.kind == "inconclusive" and ours.stats["status"] == -1
-                    assert cell["reason"].startswith("series start error")
-                    continue
                 if "from_u0" not in cell:  # solved directly: shoot's own result
-                    assert (ours.kind, ours.r_cross, ours.tail_exponent, ours.stats) == (
-                        direct.kind, direct.r_cross, direct.tail_exponent, direct.stats)
+                    assert (ours.kind, ours.r_cross, ours.tail_exponent, ours.reason,
+                            ours.stats) == (direct.kind, direct.r_cross,
+                                            direct.tail_exponent, direct.reason,
+                                            direct.stats)
                     continue
                 source = cells[alpha, cell["from_u0"]]  # a larger, direct solve
                 assert cell["from_u0"] > u0 and "from_u0" not in source
@@ -525,20 +519,23 @@ class TestScanRowReadOff:
     def test_coarse_series_start_is_not_passed_on(self):
         # at (3, 2.5) alpha = p_s = 14 the u0 = 10 solution lives within
         # r ~ 1e-5, so its series start at SERIES_RADIUS drops u by 13 u0
-        # (u(1e-4) = -123.9, a start error of about 2.5e3) and shoot reads
-        # crossed_zero at r = 1.0000003e-4.  The cell reads inconclusive,
-        # and u0 = 1, which read off it would start its series at r = 10,
-        # is solved directly.
+        # (u(1e-4) = -123.9, a start error of about 2.5e3); the solve
+        # reaches zero at r = 1.0000003e-4, yet shoot and the scan cell
+        # read inconclusive.  u0 = 1, which read off it would start its
+        # series at r = 10, is solved directly.
         outs = {}
         table = S.liouville_scan(3, 2.5, [14.0], [1.0, 10.0], horizon=2000.0,
                                  on_cell=lambda a, u0, out: outs.setdefault(u0, out))
         one, ten = table["cells"]
         direct = S.shoot(euclidean(3), 2.5, ReactionTerm.pure_power(14.0), 10.0,
                          horizon=2000.0)
-        assert direct.kind == "crossed_zero" and direct.r_cross < 1.0001e-4
+        reason = "series start error 2.51e+03 exceeds 1e-08"
+        assert direct.kind == "inconclusive" and direct.reason == reason
+        assert direct.stats["status"] == -1 and direct.r_cross is None
+        assert direct.trajectory["r"][-1] < 1.0001e-4
         assert outs[10.0].trajectory["u"][0] == direct.trajectory["u"][0] < 0
         assert ten["outcome"] == "inconclusive" and ten["status"] == -1
-        assert ten["reason"] == "series start error 2.51e+03 exceeds 1e-08"
+        assert ten["reason"] == reason
         assert ten["r_cross"] is None and ten["nfev"] == direct.stats["nfev"]
         assert "from_u0" not in one and "from_u0" not in ten
         assert one == S.liouville_scan(3, 2.5, [14.0], [1.0], horizon=2000.0)["cells"][0]
@@ -552,9 +549,10 @@ class TestScanRowReadOff:
                             m=np.array([-1e-9, m_end]), status=0, reason=None, nfev=0,
                             dense=None)
 
-        assert S._start_error(solve(-1.0), 1.0, 3.0, 2) == 0.0
-        assert math.isnan(S._start_error(solve(np.nan), 1.0 + 1e-9, 3.0, 2))
-        assert S._start_error(solve(0.0), 1.0 + 1e-9, 3.0, 2) == math.inf
+        cube = ReactionTerm.pure_power(3.0)
+        assert S._start_error(solve(-1.0), 1.0, cube, 2) == 0.0
+        assert math.isnan(S._start_error(solve(np.nan), 1.0 + 1e-9, cube, 2))
+        assert S._start_error(solve(0.0), 1.0 + 1e-9, cube, 2) == math.inf
 
     def test_failed_solve_poisons_no_other_cell(self):
         # the row would read u0 = 1 off u0 = 1e200, whose start overflows:
@@ -592,6 +590,58 @@ class TestScanRowReadOff:
         assert [c.get("error") for c in table["cells"][::2]] == ["u0 must be positive"] * 2
         assert table["cells"][3]["from_u0"] == 2.0
         assert order == [2.0, 1.0]
+
+
+class TestSeriesStartRule:
+    """_integrate judges the series start of every solve (_start_error),
+    so shoot, solve_dense, the sphere scan and the dichotomy scan refuse
+    a coarse start alike, and an exact or fine start keeps its outcome."""
+
+    def test_solve_dense_refuses_a_coarse_start(self):
+        # the u0 = 10 cell of test_coarse_series_start_is_not_passed_on
+        with pytest.raises(NumericalError,
+                           match=r"series start error 2\.51e\+03 exceeds 1e-08"):
+            S.solve_dense(euclidean(3), 2.5, ReactionTerm.pure_power(14.0), 10.0,
+                          horizon=2000.0)
+
+    def test_bubble_match_refuses_a_coarse_start(self):
+        # lam = 0.01 puts the bubble's center value at 13.2 (R^3, p = 2,
+        # alpha = 5): its start error, 1.25e-8, is just over the bound
+        with pytest.raises(NumericalError,
+                           match=r"series start error 1\.25e-08 exceeds 1e-08"):
+            S.bubble_match(3, 2.0, 0.01)
+
+    def test_sphere_scan_error_cell(self):
+        # from u0 = 1e3, f = u^3 - u is 1e9 at the pole: the start error
+        # is 8.33e-6, so the cell is an error and the scan fails
+        table = S.bv_sphere_scan(3, 3.0, 1.0, [1.0, 1e3])
+        one, big = table["cells"]
+        assert one == {"u0": 1.0, "status": "regular_candidate", "residual": 0.0,
+                       "min_u": 1.0}
+        assert big == {"u0": 1e3, "status": "error", "residual": None, "min_u": None,
+                       "reason": "series start error 8.33e-06 exceeds 1e-08"}
+        assert not table["pass"]
+
+    def test_exact_and_fine_starts_keep_their_outcomes(self):
+        # f(u0) = 0 makes the start exact: the zero term and the sphere's
+        # constant solution u = 1 of u^3 - u
+        zero = S.shoot(euclidean(3), 2.0, ReactionTerm.zero(), 1.0, horizon=10.0)
+        assert (zero.kind, zero.reason, zero.stats["status"]) == (
+            "stayed_positive", None, 0)
+        term = ReactionTerm.linear_minus_power(3.0, 1.0)
+        sol = S._integrate(sphere(3, 1.0), 2.0, term, 1.0, 3.0)
+        assert sol.status == 0 and S._start_error(sol, 1.0, term, sol.r.size) == 0.0
+        assert S._bv_single(sphere(3, 1.0), 3.0, 1.0, 1.0) == {
+            "u0": 1.0, "status": "regular_candidate", "residual": 0.0, "min_u": 1.0}
+        # u^3 + u^2 has the local exponent u0 f'(u0) / f(u0) = 5/2 at u0 = 1
+        two = ReactionTerm.two_power(3.0, 1.0, 2.0)
+        out = S.shoot(euclidean(3), 2.0, two, 1.0, horizon=100.0)
+        assert (out.kind, out.reason, out.stats["status"]) == ("crossed_zero", None, 1)
+        assert out.r_cross == pytest.approx(3.606561251851751, rel=1e-12)
+        sol = S._integrate(euclidean(3), 2.0, two, 1.0, 100.0)
+        drop = 1.0 - sol.u[0]
+        assert S._start_error(sol, 1.0, two, sol.r.size) == pytest.approx(
+            2.5 * drop * max(abs(sol.m[0] / sol.m[-1]), drop), rel=1e-12, abs=0.0)
 
 
 class TestScanVerdicts:
