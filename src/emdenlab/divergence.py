@@ -49,8 +49,10 @@ over four vector duals W at p: F, grad_F F = h^{p-2} (HG + (p-2) h^{-1}
 (G . HG) G), (lap_p u) F and |grad u|^p F.  The view keeps each W as the
 pair (div W, <grad u, W>) and takes those fields' divergences by the
 product rule div(u^k W) = u^k div W + k u^{k-1} <grad u, W>: (a, b, c)
-only enter through k and the constants, so no vector dual is formed per
-b, and ``a`` may be an (A, 1) array that gives one row per a.  A check
+only enter through k and the constants, so no dual is formed per b, and
+``a`` may be an (A, 1) array that gives one row per a.  Beside the
+fields, a view exposes ``p_laplacian_dual``, whose gradient both Bochner
+right sides pair with the flux once per p.  A check
 that visits every (p, b, a) of a grid takes one view per p and drops it
 when p moves on.  Views are not kept on the engine: a campaign's engine
 lives as long as the campaign, and every block held for all p at once
@@ -176,8 +178,8 @@ def _power_flux(G: Grad, h: Grad, HG: Grad, p: float, lam: float) -> Grad:
 
 class View:
     """An engine at one p, with one method per field of the module's
-    table.  Its p-level blocks are cached properties, kept as long as the
-    view; ``weighted_divergence_dual(b)`` builds anew."""
+    table.  Its blocks depend on p only and are cached properties, kept
+    as long as the view; a method that takes b, a or c builds no dual."""
 
     def __init__(self, engine: _Engine, p: float):
         self.engine = engine
@@ -203,14 +205,6 @@ class View:
         return E.h ** ((p - 2.0) / 2.0) * E.lap + (p - 2.0) * E.h ** (
             (p - 4.0) / 2.0
         ) * E.GHG
-
-    def weighted_divergence_dual(self, b: float) -> Grad:
-        """div X = b u^{b-1} |grad u|^p + u^b lap_p u, the one block at one b."""
-        E = self.engine
-        return (
-            b * E.u ** (b - 1.0) * self._grad_pow
-            + E.u**b * self.p_laplacian_dual
-        )
 
     # -- the four vector duals W, each kept as (div W, <grad u, W>) ---------
 

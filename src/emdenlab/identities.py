@@ -8,23 +8,26 @@ and the report carries the worst relative residual
     |LHS - RHS| / (|LHS| + |RHS| + tiny)
 
 over the campaign.  The routes are independent except for one
-third-order term in each Bochner check, which the jet algebra has no
-closed form for yet and which the right side reads from the engine:
-check_bochner_vector takes grad div X from the engine's
-``weighted_divergence_dual(b)`` and check_bochner_linearized takes
-grad lap_p u from its ``p_laplacian_dual``.  Tolerances follow the
-derivative depth: 1e-8 when only second-order data enters, 1e-7 when
-the third-order engine is involved, 1e-6 on shooting-constrained
-identities (those inherit the integrator tolerance).  Inequality margins
-are normalized by the term scale with a rounding floor of 1e-10.
+third-order term, which the jet algebra has no closed form for yet: both
+Bochner right sides read <grad lap_p u, F> (F the flux) from the
+engine, as the gradient of the view's ``p_laplacian_dual`` paired with
+F once per p.  check_bochner_vector builds <grad div X, X> from it by
+the product rule.  Tolerances follow the derivative depth: 1e-8 when
+only second-order data enters, 1e-7 when the third-order engine is
+involved, 1e-6 on shooting-constrained identities (those inherit the
+integrator tolerance).  Inequality margins are normalized by the term
+scale with a rounding floor of 1e-10.
 
 A campaign is one batch of samples, drawn once on first use and shared
-by every check that reads it.  Within a check, the quantities that
-depend on p only are built once per p and those that depend on (p, b)
-once per (p, b): the left sides go through one engine view per p,
-``batch.engine.at(p)``, dropped when p moves on, and the right sides
-through one ``jets.FluxBlock`` per p, which builds each part on first
-use and adds only the u^b factors per b.  Nothing p-dependent is kept
+by every check that reads it.  Within a campaign check, every array
+block depends on p only and is built once per p: the left sides go
+through one engine view per p, ``batch.engine.at(p)``, dropped when p
+moves on, and the right sides through one ``jets.FluxBlock`` per p,
+which builds each part on first use.  Both sides are affine in the
+b-dependent weights, so per b a campaign check forms only scalar powers
+of u times p-level blocks, and no Jacobian or dual (the solution
+identity and the trace inequality still assemble the weighted Jacobian
+per b with ``FluxBlock.weighted``).  Nothing p-dependent is kept
 on the batch, which lives as long as the campaign.  Sampling is
 deterministic: a counter-based generator keyed by the campaign seed
 drives all draws, so the worst case is reproducible from (seed, sample
@@ -444,31 +447,36 @@ def check_flux_advection(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
 
 
 def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
-    """div(grad_X X) = tr(jac^2) + <grad div X, X> + Ric(X, X)."""
+    """div(grad_X X) = tr(jac^2) + <grad div X, X> + Ric(X, X).
+
+    Per b the right side reads only powers of u over the flux block's
+    p-level traces and pairings, and the one engine pairing
+    <grad lap_p u, F> (see _grad_plap_flux).
+    """
     acc = _Residuals("bochner_vector_field", tol)
     batch = camp.batch
+    u = batch.u
     for p in camp.p_values:
         E = batch.engine.at(p)
         block = J.FluxBlock(batch.g, batch.h, p)
+        grad_plap_flux = _grad_plap_flux(E, block, batch)
+        ric_f = batch.ric_rr * block.flux_sq
         for b in camp.b_values:
             lhs = E.self_advection(b)
-            jac, X, ricx = _weighted_flux_terms(batch, block, b)
-            divx = E.weighted_divergence_dual(b)
             rhs = (
-                J.trace_product(jac)
-                + np.einsum("nm,nm->n", divx.d, _as_components(X, batch))
-                + ricx
+                block.weighted_traces(u, b)[1]
+                + block.weighted_grad_div_pairing(u, b, grad_plap_flux)
+                + u ** (2.0 * b) * ric_f
             )
             acc.update(lhs, rhs, batch, {"p": p, "b": b})
     return acc.report(seed=camp.seed)
 
 
-def _weighted_flux_terms(batch: SampleBatch, block: J.FluxBlock, b: float):
-    """Jacobian of the weighted flux X = u^b |grad u|^{p-2} grad u, X
-    itself and the curvature term Ric(X, X) = ric_rr |X|^2, from the
-    batch's flux block at p."""
-    X, jac = block.weighted(batch.u, b)
-    return jac, X, batch.ric_rr * np.einsum("ni,ni->n", X, X)
+def _grad_plap_flux(view, block: J.FluxBlock, batch: SampleBatch):
+    """<grad lap_p u, F>: the third-order term both Bochner right sides
+    read from the engine, as the gradient of the view's p-Laplacian dual."""
+    return np.einsum("nm,nm->n", view.p_laplacian_dual.d,
+                     _as_components(block.flux, batch))
 
 
 def _as_components(vec, batch: SampleBatch):
@@ -487,13 +495,11 @@ def check_bochner_linearized(camp: Campaign, tol: float = 1e-7) -> IdentityRepor
         E = batch.engine.at(p)
         lhs = E.grad_power_flux()
         block = J.FluxBlock(batch.g, batch.h, p)
-        fl = block.flux
         # |grad u|^{2p-4} tr((A hess u)^2) = tr(J^2), J the flux Jacobian
         rhs = (
             J.trace_product(block.jacobian)
-            + np.einsum("nm,nm->n", E.p_laplacian_dual.d,
-                        _as_components(fl, batch))
-            + batch.ric_rr * np.einsum("ni,ni->n", fl, fl)
+            + _grad_plap_flux(E, block, batch)
+            + batch.ric_rr * block.flux_sq
         )
         acc.update(lhs, rhs, batch, {"p": p})
     return acc.report(seed=camp.seed)
@@ -528,11 +534,11 @@ def check_weighted_identity(
         E = batch.engine.at(p)
         block = J.FluxBlock(batch.g, batch.h, p)
         plap, gn_p, gn_2p = block.plap, block.power, gn ** (2.0 * p)
+        ric_f = batch.ric_rr * block.flux_sq
         for b in b_values:
             u_b, u_b1, u_2p, u_p = u_pow[b]
-            jac, _, ricx = _weighted_flux_terms(batch, block, b)
             div_x = b * u_b1 * gn_p + u_b * plap  # the jets route's div X
-            core = J.trace_product(jac) - div_x**2 + ricx
+            core = block.weighted_traces(u, b)[1] - div_x**2 + u_b**2 * ric_f
             lhs = E.weighted_balance(a_col, b)
             rhs = (
                 u_a * core
@@ -574,13 +580,16 @@ def check_solution_identity(
     acc = _Residuals("solution_divergence", tol)
     E = batch.engine.at(p)
     block = J.FluxBlock(batch.g, batch.h, p)
-    flux_terms = {b: _weighted_flux_terms(batch, block, b) for b in b_values}
     u, gn, term = batch.u, batch.gn, sol.term
+    flux_terms = {}  # per b: the Jacobian of X = u^b F and Ric(X, X)
+    for b in b_values:
+        X, jac = block.weighted(u, b)
+        flux_terms[b] = jac, batch.ric_rr * np.einsum("ni,ni->n", X, X)
     for a in a_values:
         for b in b_values:
             c_mix, coef_2p, coef_f = _solution_coefficients(n, p, a, b)
             lhs = E.traceless_combo(a, b, c_mix)
-            jac, _, ricx = flux_terms[b]
+            jac, ricx = flux_terms[b]
             rhs = (
                 u**a * (J.trace_product(J.traceless(jac)) + ricx)
                 + coef_2p * u ** (a + 2.0 * b - 2.0) * gn ** (2.0 * p)

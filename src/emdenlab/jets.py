@@ -148,8 +148,9 @@ class FluxBlock:
     """The jets route at one p: every quantity the right sides read that
     does not depend on u or b, each built on first use and then kept.
 
-    weighted(u, b) adds only the u^b factors to the flux and its
-    Jacobian, so a grid of b costs one flux Jacobian.
+    ``weighted_traces`` and ``weighted_grad_div_pairing`` take a b grid
+    as scalar powers of u over p-level blocks, with no (N, n, n) array
+    per b; ``weighted`` assembles X = u^b F and its Jacobian.
     """
 
     def __init__(self, g, h, p):
@@ -168,6 +169,23 @@ class FluxBlock:
     @cached_property
     def _outer(self):
         return np.einsum("...i,...j->...ij", self.flux, self.g)
+
+    @cached_property
+    def flux_sq(self):
+        """|F|^2."""
+        return grad_norm_sq(self.flux)
+
+    @cached_property
+    def _traces(self):
+        """tr O = <F, g>, tr J, tr J^2 and tr(OJ) = <g, J F>, with
+        O = F (x) g and J the flux Jacobian."""
+        jac = self.jacobian
+        return (
+            np.einsum("...i,...i->...", self.flux, self.g),
+            np.einsum("...ii->...", jac),
+            trace_product(jac),
+            np.einsum("...i,...ij,...j->...", self.g, jac, self.flux),
+        )
 
     @cached_property
     def plap(self):
@@ -195,6 +213,11 @@ class FluxBlock:
             "...ij,...j->...i", self.h, self.g
         )
 
+    @cached_property
+    def _grad_power_flux(self):
+        """<grad |grad u|^p, F>."""
+        return np.einsum("...i,...i->...", self.grad_power, self.flux)
+
     def aniso(self, v):
         """A(v) = v + (p-2) <v, g> g / |g|^2."""
         return anisotropy_apply(self.g, self.p, v)
@@ -208,6 +231,21 @@ class FluxBlock:
             np.abs(laplacian(h))
             + np.abs(p - 2.0) * np.abs(inf_laplacian(g, h)) / self._gn**2
         )
+
+    def _check_trace(self, tr, b, ub, ub1):
+        """Assert that tr jac of X = u^b F reproduces the closed-form
+        divergence b u^{b-1}|g|^p + u^b lap_p u (relative 1e-11)."""
+        gnp = self.power
+        closed = b * ub1 * gnp + ub * self.plap
+        # normalize by the constituent-term size: the divergence itself
+        # legitimately cancels to roundoff on p-harmonic profiles
+        scale = np.abs(b) * ub1 * gnp + ub * self._check_scale + 1e-30
+        worst = np.max(np.abs(tr - closed) / scale)
+        if worst > 1e-11:
+            raise AssertionError(
+                "flux Jacobian trace disagrees with closed-form divergence: "
+                f"{worst:g}"
+            )
 
     def weighted(self, u, b, check=True):
         """X = u^b flux and its Jacobian endomorphism.
@@ -224,19 +262,43 @@ class FluxBlock:
             + ub[..., None, None] * self.jacobian
         )
         if check:
-            gnp = self.power
-            tr = np.einsum("...ii->...", jac)
-            closed = b * ub1 * gnp + ub * self.plap
-            # normalize by the constituent-term size: the divergence itself
-            # legitimately cancels to roundoff on p-harmonic profiles
-            scale = np.abs(b) * ub1 * gnp + ub * self._check_scale + 1e-30
-            worst = np.max(np.abs(tr - closed) / scale)
-            if worst > 1e-11:
-                raise AssertionError(
-                    "flux Jacobian trace disagrees with closed-form divergence: "
-                    f"{worst:g}"
-                )
+            self._check_trace(np.einsum("...ii->...", jac), b, ub, ub1)
         return X, jac
+
+    def weighted_traces(self, u, b):
+        """tr jac and tr(jac^2) of X = u^b F.  jac = alpha O + beta J with
+        alpha = b u^{b-1} and beta = u^b (see _traces), so
+
+            tr jac     = alpha tr O + beta tr J,
+            tr(jac^2)  = alpha^2 (tr O)^2 + 2 alpha beta tr(OJ)
+                         + beta^2 tr J^2.
+
+        The trace is asserted as ``weighted`` asserts it.
+        """
+        ub, ub1 = u**b, u ** (b - 1.0)
+        alpha = b * ub1
+        tr_o, tr_j, tr_j2, tr_oj = self._traces
+        tr = alpha * tr_o + ub * tr_j
+        self._check_trace(tr, b, ub, ub1)
+        return tr, alpha * (alpha * tr_o**2 + 2.0 * ub * tr_oj) + ub**2 * tr_j2
+
+    def weighted_grad_div_pairing(self, u, b, grad_plap_flux):
+        """<grad div X, X> of X = u^b F, by the product rule on
+        div X = b u^{b-1} |g|^p + u^b lap_p u:
+
+            u^b [b(b-1) u^{b-2} |g|^p <g, F>
+                 + b u^{b-1} (<grad |g|^p, F> + lap_p u <g, F>)
+                 + u^b <grad lap_p u, F>].
+
+        ``grad_plap_flux`` is <grad lap_p u, F>, which needs third-order
+        data the block does not hold; the caller supplies it.
+        """
+        ub, tr_o = u**b, self._traces[0]
+        return ub * (
+            b * (b - 1.0) * u ** (b - 2.0) * self.power * tr_o
+            + b * u ** (b - 1.0) * (self._grad_power_flux + self.plap * tr_o)
+            + ub * grad_plap_flux
+        )
 
 
 def weighted_flux_jacobian(u, g, h, p, b, check=True):

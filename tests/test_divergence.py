@@ -311,10 +311,10 @@ class TestBackendCrossAgreement:
         np.testing.assert_allclose(general, radial, rtol=1e-10, atol=1e-12)
 
     def test_every_spec_listed(self):
-        # FIELDS names every public view method but the two dual blocks,
+        # FIELDS names every public view method but the p-Laplacian dual,
         # and each method takes exactly the parameters listed for it
         methods = {name for name in vars(View) if not name.startswith("_")}
-        assert set(FIELDS) == methods - {"p_laplacian_dual", "weighted_divergence_dual"}
+        assert set(FIELDS) == methods - {"p_laplacian_dual"}
         for name, params in FIELDS.items():
             signature = inspect.signature(getattr(View, name))
             assert tuple(signature.parameters)[1:] == params, name
@@ -361,8 +361,7 @@ class TestViewReuse:
             kept = view.weighted_balance(a=a_col, b=b)
             fresh = eng.at(p).weighted_balance(a=a_col, b=b)
             assert np.array_equal(kept, fresh)
-            _assert_same_dual(view.weighted_divergence_dual(b),
-                              eng.at(p).weighted_divergence_dual(b))
+        _assert_same_dual(view._grad_pow, eng.at(p)._grad_pow)
         _assert_same_dual(view.p_laplacian_dual, eng.at(p).p_laplacian_dual)
 
 

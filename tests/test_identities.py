@@ -112,7 +112,7 @@ class TestIdentitySuite:
         p, b = 2.5, 1.0
         view = batch.engine.at(p)
         X, jac = J.FluxBlock(batch.g, batch.h, p).weighted(batch.u, b)
-        divx = view.weighted_divergence_dual(b)
+        divx = _weighted_divergence_dual(view, b)
         defect_weighted = view.weighted_balance(a=0.0, b=b) - (
             J.trace_product(jac) - divx.v**2
         )
@@ -559,29 +559,29 @@ _VIEW_BLOCKS = ("_flux", "_grad_pow", "p_laplacian_dual", "_flux_pair",
 
 
 def _count_view_builds(monkeypatch, cls):
-    """Log every block that the views of cls build from now on: a
-    p-level block as (p, block) when its cached function runs, and each
-    call of weighted_divergence_dual(b) as (p, "weighted_divergence_dual", b)."""
+    """Log every block that the views of cls build from now on, as
+    (p, block) when its cached function runs."""
     log = []
 
     def logged(name, build):
-        def counting(view, *args):
+        def counting(view):
             if isinstance(view.engine, cls):
-                log.append((view.p, name) + args)
-            return build(view, *args)
+                log.append((view.p, name))
+            return build(view)
         return counting
 
     for name in _VIEW_BLOCKS:
         block = functools.cached_property(logged(name, View.__dict__[name].func))
         block.__set_name__(View, name)
         monkeypatch.setattr(View, name, block)
-    monkeypatch.setattr(View, "weighted_divergence_dual",
-                        logged("weighted_divergence_dual", View.weighted_divergence_dual))
     return log
 
 
-def _with_b(builds):
-    return [build for build in builds if len(build) == 3]
+def _weighted_divergence_dual(view, b):
+    """div X = b u^{b-1} |grad u|^p + u^b lap_p u as a dual of the view's
+    engine: the oracle of the affine <grad div X, X>."""
+    E = view.engine
+    return b * E.u ** (b - 1.0) * view._grad_pow + E.u**b * view.p_laplacian_dual
 
 
 def _count_calls(monkeypatch, module, name):
@@ -593,9 +593,8 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestBuildCounts:
-    """Within one check no view block is built twice: each block that
-    depends on p only is built once per p, and the one (p, b) block,
-    div X as a dual, only where the Bochner check reads its gradient."""
+    """Within one check no view block is built twice: each block depends
+    on p only and is built once per p.  No check builds a block per b."""
 
     CHECKS = (I.check_bochner_vector, I.check_bochner_linearized,
               I.check_weighted_identity)
@@ -613,10 +612,6 @@ class TestBuildCounts:
         assert sorted(p_level) == sorted(
             (p, name) for p in camp.p_values for name in names
         )
-        b_values = camp.b_values if check is I.check_bochner_vector else ()
-        assert sorted(_with_b(builds)) == sorted(
-            (p, "weighted_divergence_dual", b) for p in camp.p_values for b in b_values
-        )
 
     @pytest.mark.parametrize("model", ["euclidean", "sphere"])
     @pytest.mark.parametrize("check", [I.check_bochner_vector, I.check_weighted_identity],
@@ -625,8 +620,10 @@ class TestBuildCounts:
         camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
         jacobians = _count_calls(monkeypatch, J, "flux_jacobian")
         laplacians = _count_calls(monkeypatch, J, "p_laplacian")
+        weighted = _count_calls(monkeypatch, J.FluxBlock, "weighted")
         assert check(camp).passed
         assert len(jacobians) == len(laplacians) == len(camp.p_values)
+        assert not weighted  # no (N, n, n) weighted Jacobian per b
 
     @pytest.mark.parametrize("check", [I.check_bochner_vector, I.check_weighted_identity],
                              ids=lambda c: c.__name__)
@@ -675,9 +672,71 @@ class TestBuildCounts:
         b_values = (0.0, 1.0, -1.0)
         assert I.check_solution_identity(sol, b_values=b_values).passed
         assert builds and len(builds) == len(set(builds))
-        assert not _with_b(builds)  # the engine side needs no per-b block
         assert len(weighted) == len(b_values)
         assert len(jacobians) == len(blocks) == 1
+
+
+class TestAffineInB:
+    """The two weighted right sides read b only through powers of u over
+    p-level blocks."""
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere"])
+    def test_grad_div_pairing_matches_dual_route(self, model):
+        camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
+        batch = camp.batch
+        u = batch.u
+        for p in (1.5, 2.0, 3.0):
+            view = batch.engine.at(p)
+            block = J.FluxBlock(batch.g, batch.h, p)
+            grad_plap_flux = I._grad_plap_flux(view, block, batch)
+            flux = I._as_components(block.flux, batch)
+            for b in I.AB_GRID:
+                affine = block.weighted_grad_div_pairing(u, b, grad_plap_flux)
+                dual = np.einsum("nm,nm->n", _weighted_divergence_dual(view, b).d,
+                                 u[:, None] ** b * flux)
+                # the four product-rule terms, in absolute value
+                scale = u**b * (
+                    np.abs(b * (b - 1.0)) * u ** (b - 2.0) * block.power**2
+                    + np.abs(b) * u ** (b - 1.0) * (
+                        np.abs(block._grad_power_flux)
+                        + np.abs(block.plap) * block.power)
+                    + u**b * np.abs(grad_plap_flux)
+                )
+                assert np.max(np.abs(affine - dual) / scale) <= 1e-12, (p, b)
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere"])
+    @pytest.mark.parametrize("check", [I.check_bochner_vector, I.check_weighted_identity],
+                             ids=lambda c: c.__name__)
+    def test_dual_count_does_not_grow_with_b(self, monkeypatch, model, check):
+        duals = []
+        init = Grad.__init__
+        monkeypatch.setattr(Grad, "__init__",
+                            lambda self, v, d: duals.append(1) or init(self, v, d))
+        counts = []
+        for b_values in ((0.0,), I.AB_GRID):
+            camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6,
+                              b_values=b_values)
+            camp.batch
+            duals.clear()
+            if check is I.check_weighted_identity:
+                assert check(camp, b_values=b_values).passed
+            else:
+                assert check(camp).passed
+            counts.append(len(duals))
+        assert counts[0] > 0 and counts[0] == counts[1]
+
+    @pytest.mark.parametrize("check", [I.check_bochner_vector, I.check_weighted_identity],
+                             ids=lambda c: c.__name__)
+    def test_trace_check_sees_a_scaled_flux_jacobian(self, monkeypatch, check):
+        camp = I.Campaign(model_name="euclidean", dim=3, samples=250, seed=6)
+        camp.batch
+        scaled = functools.cached_property(
+            lambda block: J.flux_jacobian(block.g, block.h, block.p) * (1.0 + 1e-9)
+        )
+        scaled.__set_name__(J.FluxBlock, "jacobian")
+        monkeypatch.setattr(J.FluxBlock, "jacobian", scaled)
+        with pytest.raises(AssertionError, match="flux Jacobian trace"):
+            check(camp)
 
 
 class TestGridCorners:
@@ -708,7 +767,7 @@ class TestSpecificConfigurations:
         uu, g, h = eng.frame_jets()
         lhs = eng.at(2.0).self_advection(b=0.0)
         X, jac = J.FluxBlock(g, h, 2.0).weighted(uu, 0.0)
-        divx = eng.at(2.0).weighted_divergence_dual(0.0)
+        divx = _weighted_divergence_dual(eng.at(2.0), 0.0)
         ric = np.asarray(model.ricci_radial(r))
         np.testing.assert_allclose(ric, -2.0, rtol=1e-13)
         rhs = (J.trace_product(jac) + divx.d[:, 0] * X[:, 0]

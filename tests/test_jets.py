@@ -152,6 +152,33 @@ class TestFluxBlock:
         )
 
 
+class TestWeightedTraces:
+    """The traces of the weighted flux Jacobian, read affine in the
+    weights (b u^{b-1}, u^b) off p-level traces, against the assembled
+    matrix."""
+
+    def test_affine_traces_match_matrix_route(self):
+        from emdenlab.identities import AB_GRID, random_jets
+
+        rng = RNG(12)
+        for n in (2, 3, 4, 6):
+            u, g, h = random_jets(rng, n, 100)
+            for p in (1.2, 1.5, 2.0, 3.0, 5.0):
+                block = J.FluxBlock(g, h, p)
+                gf = np.linalg.norm(block.flux, axis=-1) * np.linalg.norm(g, axis=-1)
+                jac_norm = np.sqrt(J.frobenius_sq(block.jacobian))
+                for b in AB_GRID:
+                    alpha, beta = np.abs(b * u ** (b - 1.0)), u**b
+                    jac = block.weighted(u, b)[1]
+                    tr, tr_sq = block.weighted_traces(u, b)
+                    # each term is bounded by (|alpha| |F||g| + beta |J|)^k
+                    scale = alpha * gf + beta * jac_norm
+                    err = np.abs(tr - np.einsum("nii->n", jac)) / scale
+                    assert err.max() <= 1e-12, (n, p, b)
+                    err = np.abs(tr_sq - J.trace_product(jac)) / scale**2
+                    assert err.max() <= 1e-12, (n, p, b)
+
+
 class TestTraceless:
     def test_identity_killed(self):
         out = J.traceless(np.eye(3)[None])
