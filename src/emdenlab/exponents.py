@@ -393,6 +393,8 @@ def classify_liouville(
         raise InputError("f cannot be both a pure power and its negation")
     if pure_power and sign == "nonpositive":
         raise InputError("a pure power t^alpha is not nonpositive")
+    if pure_power and sign == "mixed":
+        raise InputError("a pure power t^alpha is not of mixed sign")
     if negated_power and sign in ("positive", "nonnegative"):
         raise InputError("-t^alpha is not nonnegative")
 

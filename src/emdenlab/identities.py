@@ -19,16 +19,19 @@ integrator tolerance).  Inequality margins are normalized by the term
 scale with a rounding floor of 1e-10.
 
 A campaign is one batch of samples, drawn once on first use and shared
-by every check that reads it.  Within a campaign check, every array
-block depends on p only and is built once per p: the left sides go
-through one engine view per p, ``batch.engine.at(p)``, dropped when p
-moves on, and the right sides through one ``jets.FluxBlock`` per p,
-which builds each part on first use.  Both sides are affine in the
-b-dependent weights, so per b a campaign check forms only scalar powers
-of u times p-level blocks, and no Jacobian or dual (the solution
-identity and the trace inequality still assemble the weighted Jacobian
-per b with ``FluxBlock.weighted``).  Nothing p-dependent is kept
-on the batch, which lives as long as the campaign.  Sampling is
+by every check that reads it.  The p-free parts of both routes are built
+once per batch and shared by every check: the engine's duals (h, HG,
+GHG, lap) and the batch's ``jets.JetBlock`` (|grad u|^2, hess u . grad
+u, lap_inf u, lap u and the outer product g (x) Hg / |g|^2).  The
+p-level parts are built once per check per p: the left sides go through
+one engine view per p, ``batch.engine.at(p)``, dropped when p moves on,
+and the right sides through one ``jets.FluxBlock`` per p over the
+batch's JetBlock, which builds each part on first use.  Both sides are
+affine in the b-dependent weights, so per b a campaign check forms only
+scalar powers of u times p-level blocks, and no Jacobian or dual (the
+solution identity and the trace inequality still assemble the weighted
+Jacobian per b with ``FluxBlock.weighted``).  Nothing p-dependent is
+kept on the batch, which lives as long as the campaign.  Sampling is
 deterministic: a counter-based generator keyed by the campaign seed
 drives all draws, so the worst case is reproducible from (seed, sample
 index), the index being the position among the kept samples in draw
@@ -113,23 +116,32 @@ class Campaign:
 class SampleBatch:
     """Materialized samples: frame jets + divergence engine + curvature.
 
-    ric_rr is Ric(e1, e1); for every vector field in the enumeration the
-    curvature term is ric_rr * |X|^2 (exactly zero on Euclidean space,
-    and X is radial on the curved models).  Samples are kept in draw
-    order, so a report's worst_case.sample_index is the sample's position
-    in the batch.
+    ``jets`` is the batch's one jets.JetBlock over its frame jets (g, h):
+    its p-free contractions are built at most once and live exactly as
+    long as the batch.  ric_rr is Ric(e1, e1); for every vector field in
+    the enumeration the curvature term is ric_rr * |X|^2 (exactly zero on
+    Euclidean space, and X is radial on the curved models).  Samples are
+    kept in draw order, so a report's worst_case.sample_index is the
+    sample's position in the batch.
     """
 
     u: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
+    jets: J.JetBlock
     engine: object
     ric_rr: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
+    def g(self):
+        return self.jets.g
+
+    @property
+    def h(self):
+        return self.jets.h
+
+    @property
     def gn(self):
-        return np.sqrt(J.grad_norm_sq(self.g))
+        return self.jets.gn
 
 
 def _rng(seed: int):
@@ -187,8 +199,7 @@ def _draw(camp: Campaign) -> SampleBatch:
     jet = Jet3(*cols)
     return SampleBatch(
         u=jet.v,
-        g=jet.g,
-        h=jet.h,
+        jets=J.JetBlock(jet.g, jet.h),
         engine=EuclideanEngine(jet),
         ric_rr=np.zeros(kept),
         meta=meta,
@@ -240,8 +251,7 @@ def _radial_batch(model: ManifoldModel, r, u, u1, u2, u3, meta: dict) -> SampleB
     uu, g, h = eng.frame_jets()
     return SampleBatch(
         u=uu,
-        g=g,
-        h=h,
+        jets=J.JetBlock(g, h),
         engine=eng,
         ric_rr=np.asarray(model.ricci_radial(r), dtype=float),
         meta=dict(meta, r=r),
@@ -424,7 +434,7 @@ def check_decomposition(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     batch = camp.batch
     for p in camp.p_values:
         lhs = batch.engine.at(p).flux()
-        rhs = J.FluxBlock(batch.g, batch.h, p).plap
+        rhs = J.FluxBlock(batch.jets, p).plap
         acc.update(lhs, rhs, batch, {"p": p})
     return acc.report(seed=camp.seed)
 
@@ -439,7 +449,7 @@ def check_flux_advection(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     acc = _Residuals("flux_advection", tol)
     batch = camp.batch
     for p in camp.p_values:
-        block = J.FluxBlock(batch.g, batch.h, p)
+        block = J.FluxBlock(batch.jets, p)
         lhs_vec = np.einsum("nij,nj->ni", block.jacobian, block.flux)
         rhs_vec = (1.0 / p) * block.norm_p2[:, None] * block.aniso(block.grad_power)
         acc.update_vectors(lhs_vec, rhs_vec, batch, {"p": p})
@@ -458,7 +468,7 @@ def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
     u = batch.u
     for p in camp.p_values:
         E = batch.engine.at(p)
-        block = J.FluxBlock(batch.g, batch.h, p)
+        block = J.FluxBlock(batch.jets, p)
         grad_plap_flux = _grad_plap_flux(E, block, batch)
         ric_f = batch.ric_rr * block.flux_sq
         for b in camp.b_values:
@@ -494,7 +504,7 @@ def check_bochner_linearized(camp: Campaign, tol: float = 1e-7) -> IdentityRepor
     for p in camp.p_values:
         E = batch.engine.at(p)
         lhs = E.grad_power_flux()
-        block = J.FluxBlock(batch.g, batch.h, p)
+        block = J.FluxBlock(batch.jets, p)
         # |grad u|^{2p-4} tr((A hess u)^2) = tr(J^2), J the flux Jacobian
         rhs = (
             J.trace_product(block.jacobian)
@@ -532,7 +542,7 @@ def check_weighted_identity(
     }
     for p in camp.p_values:
         E = batch.engine.at(p)
-        block = J.FluxBlock(batch.g, batch.h, p)
+        block = J.FluxBlock(batch.jets, p)
         plap, gn_p, gn_2p = block.plap, block.power, gn ** (2.0 * p)
         ric_f = batch.ric_rr * block.flux_sq
         for b in b_values:
@@ -579,7 +589,7 @@ def check_solution_identity(
     batch = solution_batch(sol)
     acc = _Residuals("solution_divergence", tol)
     E = batch.engine.at(p)
-    block = J.FluxBlock(batch.g, batch.h, p)
+    block = J.FluxBlock(batch.jets, p)
     u, gn, term = batch.u, batch.gn, sol.term
     flux_terms = {}  # per b: the Jacobian of X = u^b F and Ric(X, X)
     for b in b_values:
@@ -692,9 +702,10 @@ def check_trace_inequality(
     acc = _Margins()
     for n in n_values:
         u, g, h = random_jets(rng, n, samples)
+        jets = J.JetBlock(g, h)
         for p in p_values:
             coef = ((p - 1.0) ** 2 + 1.0) / (2.0 * (p - 1.0))
-            block = J.FluxBlock(g, h, p)
+            block = J.FluxBlock(jets, p)
             for b in b_values:
                 _, jac = block.weighted(u, b, check=False)
                 m = J.traceless(jac)
@@ -712,7 +723,7 @@ def check_trace_inequality(
 def kato_rhs(block: J.FluxBlock):
     """Right side of the sharpened Kato-type bound, from the flux block of
     second-order jets."""
-    n, p = block.g.shape[-1], block.p
+    n, p = block.jets.g.shape[-1], block.p
     F, grad_f, plap = block.power, block.grad_power, block.plap
     a_gf = block.aniso(grad_f)
     term1 = plap**2 / (n - 1.0)
@@ -755,8 +766,9 @@ def check_kato(
     acc = _Margins()
     for n in n_values:
         _, g, h = random_jets(rng, n, samples)
+        jets = J.JetBlock(g, h)
         for p in p_values:
-            block = J.FluxBlock(g, h, p)
+            block = J.FluxBlock(jets, p)
             lhs = J.trace_product(block.jacobian)
             rhs = kato_rhs(block)
             scale = np.abs(lhs) + np.abs(rhs) + _TINY

@@ -15,16 +15,21 @@ anisotropy map  A(v) = v + (p-2) <v, grad u> grad u / |grad u|^2  with
 eigenvalues 1 (orthogonal to grad u) and p-1 (along grad u).
 
 Derived objects: the flux |grad u|^{p-2} grad u, the power-weighted flux
-u^b * flux, their Jacobian endomorphisms, and traceless parts.  The
-identity checks read every p-level one of these, with lap_p u,
-grad |grad u|^p and A, from one :class:`FluxBlock` per p.  Near the
-critical set several of these are singular for p < 2; identity
-sampling excludes |grad u| < EPS_GRAD_FACTOR times the sample scale,
-mirroring the almost-everywhere scope of the identities being verified.
+u^b * flux, their Jacobian endomorphisms, and traceless parts.  The work
+is split by what it depends on.  A :class:`JetBlock` holds the p-free
+contractions of a batch, |grad u|^2, |grad u|, hess u . grad u,
+lap_inf u, lap u and grad u (x) (hess u . grad u) / |grad u|^2, each
+built once per batch.  A :class:`FluxBlock` over it holds the p-level
+ones, lap_p u, grad |grad u|^p and A among them, each built once per
+check per p.  Near the critical set several of these are singular for
+p < 2; identity sampling excludes |grad u| < EPS_GRAD_FACTOR times the
+sample scale, mirroring the almost-everywhere scope of the identities
+being verified.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from functools import cached_property
 
 import numpy as np
@@ -34,12 +39,7 @@ from .errors import SingularJetError
 __all__ = [
     "EPS_GRAD_FACTOR",
     "grad_norm_sq",
-    "laplacian",
-    "inf_laplacian",
-    "p_laplacian",
-    "anisotropy_apply",
-    "flux",
-    "flux_jacobian",
+    "JetBlock",
     "FluxBlock",
     "weighted_flux_jacobian",
     "traceless",
@@ -60,37 +60,6 @@ def grad_norm_sq(g):
     return np.einsum("...i,...i->...", g, g)
 
 
-def laplacian(h):
-    return np.einsum("...ii->...", h)
-
-
-def inf_laplacian(g, h):
-    """<hess . grad, grad>; no singularity for any jet."""
-    return np.einsum("...i,...ij,...j->...", g, h, g)
-
-
-def p_laplacian(g, h, p):
-    """Pointwise p-Laplacian of a jet.
-
-    p = 2 returns trace(hess) exactly.  For p >= 2 jets with a vanishing
-    gradient take the continuous extension 0; for p < 2 such jets raise
-    (the |grad|^{p-4} factor is genuinely singular there).
-    """
-    if p == 2.0:
-        return laplacian(h)
-    gn2 = grad_norm_sq(g)
-    gn = np.sqrt(gn2)
-    if p >= 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = gn ** (p - 2.0) * laplacian(h) + (p - 2.0) * gn ** (
-                p - 4.0
-            ) * inf_laplacian(g, h)
-        return np.where(gn2 > 0, out, 0.0)
-    if np.any(gn2 == 0):
-        raise SingularJetError("p < 2 at a critical point")
-    return gn ** (p - 2.0) * laplacian(h) + (p - 2.0) * gn ** (p - 4.0) * inf_laplacian(g, h)
-
-
 def _radial_p_laplacian(p, du, ddu, drift):
     """Radial p-Laplacian |u'|^{p-2} ((p-1) u'' + drift) and its scale.
 
@@ -107,68 +76,89 @@ def _radial_p_laplacian(p, du, ddu, drift):
 
 
 # ----------------------------------------------------------------------
-# anisotropy operator
+# the p-free and p-level blocks
 # ----------------------------------------------------------------------
 
 
-def anisotropy_apply(g, p, v):
-    """A(v) = v + (p-2) <v, g> g / |g|^2.
+class JetBlock:
+    """The p-free contractions of a batch of jets (g, h) = (grad u,
+    hess u), each built on first use and then kept.
 
-    Linear in v with eigenvalue 1 on g-perp and p-1 along g.
+    The jets-side twin of the divergence engine's p-free duals: every
+    :class:`FluxBlock` over the batch reads these instead of contracting
+    (g, h) again.
     """
-    coef = (p - 2.0) * np.einsum("...i,...i->...", v, g) / grad_norm_sq(g)
-    return v + coef[..., None] * g
 
+    def __init__(self, g, h):
+        self.g, self.h = g, h
 
-# ----------------------------------------------------------------------
-# flux fields and their Jacobians
-# ----------------------------------------------------------------------
+    @cached_property
+    def gn2(self):
+        """|g|^2."""
+        return grad_norm_sq(self.g)
 
+    @cached_property
+    def gn(self):
+        """|g|."""
+        return np.sqrt(self.gn2)
 
-def flux(g, p):
-    """|g|^{p-2} g."""
-    gn = np.sqrt(grad_norm_sq(g))
-    return gn[..., None] ** (p - 2.0) * g
+    @cached_property
+    def hg(self):
+        """hess u . g."""
+        return np.einsum("...ij,...j->...i", self.h, self.g)
 
+    @cached_property
+    def ghg(self):
+        """lap_inf u = <g, hess u . g>, contracted in one pass over (i, j)
+        (no singularity for any jet)."""
+        return np.einsum("...i,...ij,...j->...", self.g, self.h, self.g)
 
-def flux_jacobian(g, h, p):
-    """Jacobian of the flux: |g|^{p-2} (id + (p-2) ghat (x) ghat) hess.
+    @cached_property
+    def lap(self):
+        """lap u = tr hess u."""
+        return np.einsum("...ii->...", self.h)
 
-    Entry [i, j] is the j-derivative of flux component i.  Needs only
-    second-order jet data.
-    """
-    gn2 = grad_norm_sq(g)
-    gn = np.sqrt(gn2)
-    hg = np.einsum("...ij,...j->...i", h, g)
-    correction = np.einsum("...i,...j->...ij", g, hg) / gn2[..., None, None]
-    return gn[..., None, None] ** (p - 2.0) * (h + (p - 2.0) * correction)
+    @cached_property
+    def outer(self):
+        """g (x) (hess u . g) / |g|^2, the p-free part of the flux
+        Jacobian's anisotropic correction."""
+        return np.einsum("...i,...j->...ij", self.g, self.hg) / self.gn2[..., None, None]
 
 
 class FluxBlock:
     """The jets route at one p: every quantity the right sides read that
     does not depend on u or b, each built on first use and then kept.
+    It reads the p-free contractions of its :class:`JetBlock` and never
+    contracts (g, h) itself.
 
     ``weighted_traces`` and ``weighted_grad_div_pairing`` take a b grid
     as scalar powers of u over p-level blocks, with no (N, n, n) array
     per b; ``weighted`` assembles X = u^b F and its Jacobian.
     """
 
-    def __init__(self, g, h, p):
-        self.g, self.h, self.p = g, h, p
+    def __init__(self, jets: JetBlock, p):
+        self.jets, self.p = jets, p
+
+    @cached_property
+    def norm_p2(self):
+        """|g|^{p-2}, the one spelling every block reads."""
+        return self.jets.gn ** (self.p - 2.0)
 
     @cached_property
     def flux(self):
-        """|g|^{p-2} g."""
-        return flux(self.g, self.p)
+        """F = |g|^{p-2} g."""
+        return self.norm_p2[..., None] * self.jets.g
 
     @cached_property
     def jacobian(self):
-        """The flux Jacobian |g|^{p-2} A hess u."""
-        return flux_jacobian(self.g, self.h, self.p)
+        """The flux Jacobian |g|^{p-2} (id + (p-2) ghat (x) ghat) hess u;
+        entry [i, j] is the j-derivative of flux component i."""
+        jets = self.jets
+        return self.norm_p2[..., None, None] * (jets.h + (self.p - 2.0) * jets.outer)
 
     @cached_property
-    def _outer(self):
-        return np.einsum("...i,...j->...ij", self.flux, self.g)
+    def _flux_outer(self):
+        return np.einsum("...i,...j->...ij", self.flux, self.jets.g)
 
     @cached_property
     def flux_sq(self):
@@ -179,39 +169,42 @@ class FluxBlock:
     def _traces(self):
         """tr O = <F, g>, tr J, tr J^2 and tr(OJ) = <g, J F>, with
         O = F (x) g and J the flux Jacobian."""
-        jac = self.jacobian
+        jac, g = self.jacobian, self.jets.g
         return (
-            np.einsum("...i,...i->...", self.flux, self.g),
+            np.einsum("...i,...i->...", self.flux, g),
             np.einsum("...ii->...", jac),
             trace_product(jac),
-            np.einsum("...i,...ij,...j->...", self.g, jac, self.flux),
+            np.einsum("...i,...ij,...j->...", g, jac, self.flux),
         )
 
     @cached_property
     def plap(self):
-        """lap_p u."""
-        return p_laplacian(self.g, self.h, self.p)
+        """lap_p u = |g|^{p-2} lap u + (p-2) |g|^{p-4} lap_inf u.
 
-    @cached_property
-    def _gn(self):
-        return np.sqrt(grad_norm_sq(self.g))
-
-    @cached_property
-    def norm_p2(self):
-        """|g|^{p-2}, spelled as flux and flux_jacobian spell it."""
-        return self._gn ** (self.p - 2.0)
+        p = 2 returns tr hess u exactly.  For p >= 2 jets with a
+        vanishing gradient take the continuous extension 0; for p < 2
+        such jets raise (the |g|^{p-4} factor is genuinely singular
+        there).
+        """
+        jets, p = self.jets, self.p
+        if p == 2.0:
+            return jets.lap
+        if p < 2 and np.any(jets.gn2 == 0):
+            raise SingularJetError("p < 2 at a critical point")
+        quiet = np.errstate(divide="ignore", invalid="ignore") if p > 2 else nullcontext()
+        with quiet:
+            out = self.norm_p2 * jets.lap + (p - 2.0) * jets.gn ** (p - 4.0) * jets.ghg
+        return np.where(jets.gn2 > 0, out, 0.0) if p > 2 else out
 
     @cached_property
     def power(self):
         """|g|^p."""
-        return self._gn**self.p
+        return self.jets.gn**self.p
 
     @cached_property
     def grad_power(self):
         """grad |grad u|^p = p |g|^{p-2} hess u . g."""
-        return self.p * self.norm_p2[..., None] * np.einsum(
-            "...ij,...j->...i", self.h, self.g
-        )
+        return self.p * self.norm_p2[..., None] * self.jets.hg
 
     @cached_property
     def _grad_power_flux(self):
@@ -219,17 +212,19 @@ class FluxBlock:
         return np.einsum("...i,...i->...", self.grad_power, self.flux)
 
     def aniso(self, v):
-        """A(v) = v + (p-2) <v, g> g / |g|^2."""
-        return anisotropy_apply(self.g, self.p, v)
+        """A(v) = v + (p-2) <v, g> g / |g|^2: linear in v, with
+        eigenvalue 1 on g-perp and p-1 along g."""
+        g = self.jets.g
+        coef = (self.p - 2.0) * np.einsum("...i,...i->...", v, g) / self.jets.gn2
+        return v + coef[..., None] * g
 
     @cached_property
     def _check_scale(self):
         """|g|^{p-2} (|lap u| + |p-2| |lap_inf u| / |g|^2), the gradient
         factor of the trace check's scale."""
-        g, h, p = self.g, self.h, self.p
+        jets, p = self.jets, self.p
         return self.norm_p2 * (
-            np.abs(laplacian(h))
-            + np.abs(p - 2.0) * np.abs(inf_laplacian(g, h)) / self._gn**2
+            np.abs(jets.lap) + np.abs(p - 2.0) * np.abs(jets.ghg) / jets.gn**2
         )
 
     def _check_trace(self, tr, b, ub, ub1):
@@ -251,14 +246,14 @@ class FluxBlock:
         """X = u^b flux and its Jacobian endomorphism.
 
         The Jacobian is assembled as  b u^{b-1} flux (x) du  +  u^b *
-        flux_jacobian.  Its trace must reproduce the closed-form
+        jacobian.  Its trace must reproduce the closed-form
         divergence b u^{b-1}|g|^p + u^b lap_p u; the agreement is
         asserted (relative 1e-11) unless check=False.
         """
         ub, ub1 = u**b, u ** (b - 1.0)
         X = ub[..., None] * self.flux
         jac = (
-            (b * ub1)[..., None, None] * self._outer
+            (b * ub1)[..., None, None] * self._flux_outer
             + ub[..., None, None] * self.jacobian
         )
         if check:
@@ -303,7 +298,7 @@ class FluxBlock:
 
 def weighted_flux_jacobian(u, g, h, p, b, check=True):
     """Jacobian endomorphism of the weighted flux (see FluxBlock.weighted)."""
-    return FluxBlock(g, h, p).weighted(u, b, check)[1]
+    return FluxBlock(JetBlock(g, h), p).weighted(u, b, check)[1]
 
 
 # ----------------------------------------------------------------------

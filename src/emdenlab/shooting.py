@@ -41,12 +41,14 @@ p > 1, clips the horizon to the model's domain and takes the series
 start, and it judges that start (``_start_error``): a large u0 with a
 fast-growing f squeezes the solution toward the center, and a solve
 whose start passes on a relative error above START_ERROR_BOUND ends
-with status -1.  Its one result, ``_Solve``, holds the accepted radii
-with their (u, m), the status with its reason, nfev and the dense
-output; at status 1 the last radius is the crossing.  The three callers
-only choose the horizon and read that result: ``shoot`` classifies the
-run with ``_classify``, ``solve_dense`` wraps the dense positive
-segment, and ``_bv_single`` (the sphere scan) reads the pole flux.
+with status -1.  So does a solve from u0 < atol / RTOL, whose error
+control on u is absolute.  Its one result, ``_Solve``, holds the
+accepted radii with their (u, m), the status with its reason, nfev and
+the dense output; at status 1 the last radius is the crossing.  The
+three callers only choose the horizon and read that result: ``shoot``
+classifies the run with ``_classify``, ``solve_dense`` wraps the dense
+positive segment, and ``_bv_single`` (the sphere scan) reads the pole
+flux.
 
 ``liouville_scan`` makes one solve per alpha row where it can, from the
 row's largest u0.  On R^n with f = u^alpha the equation is invariant
@@ -718,8 +720,10 @@ def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
     horizon (clipped to the model's domain).  The tolerances are RTOL and
     ATOL, read at each call; the sphere scan passes its own atol.  Every
     failure past these checks, the series start's included, is a solve
-    with status -1 and a reason, and so is a solve whose start error
-    over the whole run (_start_error) exceeds START_ERROR_BOUND.
+    with status -1 and a reason.  So is a solve from u0 < atol / RTOL,
+    where the error control on u is absolute and its outcome is set by
+    atol rather than by the equation, and a solve whose start error over
+    the whole run (_start_error) exceeds START_ERROR_BOUND.
     """
     if u0 <= 0:
         raise PreconditionError("u0 must be positive")
@@ -728,14 +732,20 @@ def _integrate(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
     r_end = min(horizon, model.r_max - SERIES_RADIUS)
     if r_end <= SERIES_RADIUS:
         raise DomainError("horizon does not exceed the series start")
+    atol = ATOL if atol is None else atol
     sol = solve_ivp(_radial_rhs(model, p, term), SERIES_RADIUS, r_end,
-                    _series_start(model, p, term, u0, SERIES_RADIUS),
-                    ATOL if atol is None else atol)
-    if sol.status >= 0:
-        error = _start_error(sol, u0, term, sol.r.size)
-        if not error <= START_ERROR_BOUND:
-            sol.status, sol.reason = -1, (
-                f"series start error {error:.3g} exceeds {START_ERROR_BOUND:g}")
+                    _series_start(model, p, term, u0, SERIES_RADIUS), atol)
+    if sol.status < 0:
+        return sol
+    if u0 * RTOL < atol:
+        sol.status, sol.reason = -1, (
+            f"u0 {u0:.3g} below atol/rtol {atol / RTOL:.3g}: "
+            f"the error control on u is absolute")
+        return sol
+    error = _start_error(sol, u0, term, sol.r.size)
+    if not error <= START_ERROR_BOUND:
+        sol.status, sol.reason = -1, (
+            f"series start error {error:.3g} exceeds {START_ERROR_BOUND:g}")
     return sol
 
 

@@ -280,12 +280,17 @@ class TestInvalidInputs:
          "NumericalError: dense solve failed: non-finite state at r=0.0001"),
         (["moser", "--n", "3", "--p", "2.5", "--alpha", "14", "--u0", "10"],
          "NumericalError: dense solve failed: series start error 2.51e+03 exceeds 1e-08"),
+        (["moser", "--u0", "1e-5"],
+         "NumericalError: dense solve failed: u0 1e-05 below atol/rtol 0.01: "
+         "the error control on u is absolute"),
         (["bv-sphere", "--u0", "0,1"], "PreconditionError: u0 must be positive"),
+        (["classify", "--n", "3", "--p", "2", "--alpha", "2", "--sign", "mixed"],
+         "InputError: a pure power t^alpha is not of mixed sign"),
     ], ids=["bubble-rmax", "gradient-bound-rtail-0", "gradient-bound-rtail-neg",
             "gradient-bound-rtail-9", "gradient-bound-rtail-5",
             "harnack-radius", "trace-ineq-p", "trace-ineq-n", "kato-p", "kato-n",
             "moser-u0", "moser-p", "moser-overflow", "moser-coarse-start",
-            "bv-sphere-u0"])
+            "moser-tiny-u0", "bv-sphere-u0", "classify-mixed-pure-power"])
     def test_error_result(self, tmp_path, argv, error):
         out = tmp_path / "rep.json"
         assert run_cli(argv + ["--out", str(out)]) == 1

@@ -314,6 +314,14 @@ class TestClassifier:
         with pytest.raises(InputError):
             E.classify_liouville(3, 2.0, 2.0, pure_power=True, negated_power=True)
 
+    def test_pure_power_of_mixed_sign_rejected(self):
+        # t^alpha is positive on t > 0: a mixed sign contradicts it, where
+        # it used to read no_positive_solution (2.1)
+        with pytest.raises(InputError, match="not of mixed sign"):
+            E.classify_liouville(3, 2.0, 2.0, sign="mixed", pure_power=True)
+        v = E.classify_liouville(3, 2.0, 2.0, sign="mixed", pure_power=False)
+        assert v.verdict == "constant_forced" and "2.1" not in v.theorems
+
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(min_value=0.1, max_value=4.89))
     def test_monotone_in_alpha_for_pure_powers(self, alpha):

@@ -1,6 +1,7 @@
 """Identity and inequality verification campaigns."""
 
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -95,10 +96,10 @@ class TestIdentitySuite:
         h = rng.normal(size=(50, 3, 3))
         h = 0.5 * (h + np.swapaxes(h, 1, 2))
         for p in (1.5, 3.0):
-            base_block = J.FluxBlock(g, h, p)
+            base_block = J.FluxBlock(J.JetBlock(g, h), p)
             base = np.einsum("nij,nj->ni", base_block.jacobian, base_block.flux)
             for c in (1.0, 10.0):
-                block = J.FluxBlock(c * g, c * h, p)
+                block = J.FluxBlock(J.JetBlock(c * g, c * h), p)
                 lhs = np.einsum("nij,nj->ni", block.jacobian, block.flux)
                 np.testing.assert_allclose(
                     lhs, c ** (2.0 * p - 2.0) * base, rtol=1e-12
@@ -111,7 +112,7 @@ class TestIdentitySuite:
         batch = camp.batch
         p, b = 2.5, 1.0
         view = batch.engine.at(p)
-        X, jac = J.FluxBlock(batch.g, batch.h, p).weighted(batch.u, b)
+        X, jac = J.FluxBlock(batch.jets, p).weighted(batch.u, b)
         divx = _weighted_divergence_dual(view, b)
         defect_weighted = view.weighted_balance(a=0.0, b=b) - (
             J.trace_product(jac) - divx.v**2
@@ -220,8 +221,8 @@ def _old_rule_batch(camp):
     if camp.is_radial:
         return I._radial_batch(model, *cols, meta={})
     jet = Jet3(*cols)
-    return I.SampleBatch(u=jet.v, g=jet.g, h=jet.h, engine=EuclideanEngine(jet),
-                         ric_rr=np.zeros(jet.v.shape))
+    return I.SampleBatch(u=jet.v, jets=J.JetBlock(jet.g, jet.h),
+                         engine=EuclideanEngine(jet), ric_rr=np.zeros(jet.v.shape))
 
 
 def _batch_arrays(batch):
@@ -283,6 +284,13 @@ class TestDrawEvaluatesWhatItKeeps:
         self._assert_old_rule(camp)
 
 
+def _replace_block(monkeypatch, cls, name, build):
+    """Make build the cached function of cls's block ``name``."""
+    block = functools.cached_property(build)
+    block.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, block)
+
+
 def _with_nan_at(fn, k):
     def poisoned(*args, **kwargs):
         out = np.array(fn(*args, **kwargs), dtype=float)
@@ -294,7 +302,8 @@ def _with_nan_at(fn, k):
 
 class TestNonFiniteFailsClosed:
     def test_identity_residual(self, monkeypatch):
-        monkeypatch.setattr(J, "p_laplacian", _with_nan_at(J.p_laplacian, 7))
+        _replace_block(monkeypatch, J.FluxBlock, "plap",
+                       _with_nan_at(J.FluxBlock.__dict__["plap"].func, 7))
         camp = I.Campaign(model_name="euclidean", dim=3, samples=250, seed=3)
         rep = I.check_decomposition(camp)
         assert not rep.passed
@@ -457,7 +466,7 @@ class TestTraceInequality:
         # both sides coincide to roundoff
         rng = RNG(6)
         u, g, h = I.random_jets(rng, 3, 5000)
-        _, jac = J.FluxBlock(g, h, 2.0).weighted(u, 1.0, check=False)
+        _, jac = J.FluxBlock(J.JetBlock(g, h), 2.0).weighted(u, 1.0, check=False)
         m = J.traceless(jac)
         t2, fr = J.trace_product(m), J.frobenius_sq(m)
         assert np.max(np.abs(fr - t2) / (fr + 1e-30)) <= 1e-12
@@ -475,7 +484,7 @@ class TestTraceInequality:
         h[:, 0, 1:] = 0.0
         h[:, 1:, 0] = 0.0
         for p in (1.5, 3.0, 5.0):
-            _, jac = J.FluxBlock(g, h, p).weighted(u, -1.0, check=False)
+            _, jac = J.FluxBlock(J.JetBlock(g, h), p).weighted(u, -1.0, check=False)
             m = J.traceless(jac)
             t2, fr = J.trace_product(m), J.frobenius_sq(m)
             coef = ((p - 1.0) ** 2 + 1.0) / (2.0 * (p - 1.0))
@@ -498,7 +507,7 @@ class TestKato:
             g = np.zeros((1, n))
             g[0, 0] = 1.3
             h = c * np.eye(n)[None]
-            block = J.FluxBlock(g, h, 2.0)
+            block = J.FluxBlock(J.JetBlock(g, h), 2.0)
             lhs = J.trace_product(block.jacobian)
             rhs = I.kato_rhs(block)
             assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
@@ -511,7 +520,7 @@ class TestKato:
         g = np.zeros((1, n))
         g[0, 0] = 0.9
         h = np.diag([0.4] + [0.6] * (n - 1))[None]
-        block = J.FluxBlock(g, h, p)
+        block = J.FluxBlock(J.JetBlock(g, h), p)
         lhs = J.trace_product(block.jacobian)
         rhs = I.kato_rhs(block)
         scale = abs(lhs[0]) + abs(rhs[0])
@@ -558,23 +567,35 @@ _VIEW_BLOCKS = ("_flux", "_grad_pow", "p_laplacian_dual", "_flux_pair",
                 "_advection_pair", "_plap_pair", "_power_pair")
 
 
-def _count_view_builds(monkeypatch, cls):
-    """Log every block that the views of cls build from now on, as
-    (p, block) when its cached function runs."""
+def _count_block_builds(monkeypatch, cls, names, entry=lambda block, name: name):
+    """Log entry(block, name) each time the cached function of one of
+    cls's blocks in names runs from now on; an entry of None is not
+    logged."""
     log = []
 
     def logged(name, build):
-        def counting(view):
-            if isinstance(view.engine, cls):
-                log.append((view.p, name))
-            return build(view)
+        def counting(block):
+            item = entry(block, name)
+            if item is not None:
+                log.append(item)
+            return build(block)
         return counting
 
-    for name in _VIEW_BLOCKS:
-        block = functools.cached_property(logged(name, View.__dict__[name].func))
-        block.__set_name__(View, name)
-        monkeypatch.setattr(View, name, block)
+    for name in names:
+        _replace_block(monkeypatch, cls, name, logged(name, cls.__dict__[name].func))
     return log
+
+
+def _count_view_builds(monkeypatch, cls):
+    """Log every block that the views of cls build from now on, as
+    (p, block) when its cached function runs."""
+    return _count_block_builds(
+        monkeypatch, View, _VIEW_BLOCKS,
+        lambda view, name: (view.p, name) if isinstance(view.engine, cls) else None)
+
+
+#: the p-free contractions a JetBlock holds
+_JET_BLOCKS = ("gn2", "gn", "hg", "ghg", "lap", "outer")
 
 
 def _weighted_divergence_dual(view, b):
@@ -618,11 +639,10 @@ class TestBuildCounts:
                              ids=lambda c: c.__name__)
     def test_jets_flux_jacobian_once_per_p(self, monkeypatch, model, check):
         camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
-        jacobians = _count_calls(monkeypatch, J, "flux_jacobian")
-        laplacians = _count_calls(monkeypatch, J, "p_laplacian")
+        builds = _count_block_builds(monkeypatch, J.FluxBlock, ("jacobian", "plap"))
         weighted = _count_calls(monkeypatch, J.FluxBlock, "weighted")
         assert check(camp).passed
-        assert len(jacobians) == len(laplacians) == len(camp.p_values)
+        assert builds.count("jacobian") == builds.count("plap") == len(camp.p_values)
         assert not weighted  # no (N, n, n) weighted Jacobian per b
 
     @pytest.mark.parametrize("check", [I.check_bochner_vector, I.check_weighted_identity],
@@ -650,23 +670,53 @@ class TestBuildCounts:
         camp.batch
         blocks = _count_calls(monkeypatch, J, "FluxBlock")
         assert check(camp).passed
-        assert [p for _, _, p in blocks] == list(camp.p_values)
+        assert [p for _, p in blocks] == list(camp.p_values)
+        assert all(jets is camp.batch.jets for jets, _ in blocks)
 
     @pytest.mark.parametrize("check", [I.check_kato, I.check_trace_inequality],
                              ids=lambda c: c.__name__)
     def test_jet_checks_build_one_flux_block_per_n_and_p(self, monkeypatch, check):
         n_values, p_values = (2, 4), (1.5, 3.0)
+        jet_blocks = _count_calls(monkeypatch, J, "JetBlock")
         blocks = _count_calls(monkeypatch, J, "FluxBlock")
         assert check(n_values=n_values, p_values=p_values, samples=200, seed=2).passed
-        assert [(g.shape[-1], p) for g, _, p in blocks] == [
+        assert [(jets.g.shape[-1], p) for jets, p in blocks] == [
             (n, p) for n in n_values for p in p_values
         ]
+        # one JetBlock per n, shared by the FluxBlocks of every p
+        assert [g.shape[-1] for g, _ in jet_blocks] == list(n_values)
+        assert len({id(jets) for jets, _ in blocks}) == len(n_values)
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere"])
+    def test_p_free_contractions_once_per_batch(self, monkeypatch, model):
+        camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
+        h = camp.batch.h
+        builds = _count_block_builds(monkeypatch, J.JetBlock, _JET_BLOCKS)
+        contractions = []
+        einsum = np.einsum
+
+        def logging_einsum(subscripts, *operands, **kwargs):
+            # the engine route contracts the same array as grad u's dual
+            caller = sys._getframe(1).f_globals["__name__"]
+            if caller == J.__name__ and any(op is h for op in operands):
+                contractions.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", logging_einsum)
+        for check in TestCampaignBatch.CHECKS:
+            assert check(camp).passed
+        assert sorted(builds) == sorted(_JET_BLOCKS)
+        # only the batch's JetBlock contracts (g, h), each contraction once:
+        # hess u . g, lap_inf u and lap u
+        assert sorted(contractions) == sorted(
+            ["...ij,...j->...i", "...i,...ij,...j->...", "...ii->..."]
+        )
 
     def test_solution_identity_builds_once_per_b(self, monkeypatch):
         sol = solve_dense(euclidean(3), 2.0, ReactionTerm.pure_power(2.0), 1.0,
                           horizon=30.0)
         builds = _count_view_builds(monkeypatch, RadialEngine)
-        jacobians = _count_calls(monkeypatch, J, "flux_jacobian")
+        jacobians = _count_block_builds(monkeypatch, J.FluxBlock, ("jacobian",))
         weighted = _count_calls(monkeypatch, J.FluxBlock, "weighted")
         blocks = _count_calls(monkeypatch, J, "FluxBlock")
         b_values = (0.0, 1.0, -1.0)
@@ -687,7 +737,7 @@ class TestAffineInB:
         u = batch.u
         for p in (1.5, 2.0, 3.0):
             view = batch.engine.at(p)
-            block = J.FluxBlock(batch.g, batch.h, p)
+            block = J.FluxBlock(batch.jets, p)
             grad_plap_flux = I._grad_plap_flux(view, block, batch)
             flux = I._as_components(block.flux, batch)
             for b in I.AB_GRID:
@@ -730,11 +780,9 @@ class TestAffineInB:
     def test_trace_check_sees_a_scaled_flux_jacobian(self, monkeypatch, check):
         camp = I.Campaign(model_name="euclidean", dim=3, samples=250, seed=6)
         camp.batch
-        scaled = functools.cached_property(
-            lambda block: J.flux_jacobian(block.g, block.h, block.p) * (1.0 + 1e-9)
-        )
-        scaled.__set_name__(J.FluxBlock, "jacobian")
-        monkeypatch.setattr(J.FluxBlock, "jacobian", scaled)
+        jacobian = J.FluxBlock.__dict__["jacobian"].func
+        _replace_block(monkeypatch, J.FluxBlock, "jacobian",
+                       lambda block: jacobian(block) * (1.0 + 1e-9))
         with pytest.raises(AssertionError, match="flux Jacobian trace"):
             check(camp)
 
@@ -766,7 +814,7 @@ class TestSpecificConfigurations:
         eng = RadialEngine(model, r, u, u1, u2, u3)
         uu, g, h = eng.frame_jets()
         lhs = eng.at(2.0).self_advection(b=0.0)
-        X, jac = J.FluxBlock(g, h, 2.0).weighted(uu, 0.0)
+        X, jac = J.FluxBlock(J.JetBlock(g, h), 2.0).weighted(uu, 0.0)
         divx = _weighted_divergence_dual(eng.at(2.0), 0.0)
         ric = np.asarray(model.ricci_radial(r))
         np.testing.assert_allclose(ric, -2.0, rtol=1e-13)

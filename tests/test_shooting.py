@@ -644,6 +644,46 @@ class TestSeriesStartRule:
             2.5 * drop * max(abs(sol.m[0] / sol.m[-1]), drop), rel=1e-12, abs=0.0)
 
 
+class TestAbsoluteToleranceRule:
+    """A solve from u0 < atol / RTOL is controlled in absolute terms on u,
+    so its outcome is set by atol: _integrate ends it with status -1 and
+    a reason, on the solve's own atol."""
+
+    SUB = (euclidean(3), 3.0, ReactionTerm.pure_power(1.98))
+
+    def test_tiny_u0_is_inconclusive(self):
+        # this solve used to read crossed_zero at r = 11.11, where the
+        # scaling law from u0 = 1 puts the crossing at 1.963
+        out = S.shoot(*self.SUB, 1e-20, horizon=100.0)
+        assert (out.kind, out.stats["status"], out.r_cross) == ("inconclusive", -1, None)
+        assert out.reason == "u0 1e-20 below atol/rtol 0.01: the error control on u is absolute"
+        assert out.trajectory["r"].size > 1  # the failed solve keeps its points
+        with pytest.raises(NumericalError, match="error control on u is absolute"):
+            S.solve_dense(*self.SUB, 1e-20, horizon=100.0)
+
+    def test_u0_at_the_bound_follows_the_scaling_law(self):
+        # u_a(r) = a u_1(s r), s = a^c, c = (alpha - p + 1)/p
+        one = S.shoot(*self.SUB, 1.0, horizon=100.0)
+        small = S.shoot(*self.SUB, 0.02, horizon=100.0)
+        s = 0.02 ** ((1.98 - 3.0 + 1.0) / 3.0)
+        assert small.kind == "crossed_zero"
+        assert small.r_cross == pytest.approx(one.r_cross / s, rel=1e-9)
+
+    def test_the_solves_own_atol_sets_the_bound(self):
+        # 5e-3 lies below ATOL / RTOL = 1e-2 but above the sphere scan's
+        # _BV_ATOL / RTOL = 1e-3
+        args = (sphere(3, 1.0), 3.0, ReactionTerm.linear_minus_power(3.0, 1.0), 5e-3, 1.0)
+        assert S._integrate(*args).status == -1
+        assert S._integrate(*args, atol=S._BV_ATOL).status == 0
+
+    def test_a_row_of_tiny_u0_fails_the_scan(self):
+        table = S.liouville_scan(3, 3.0, [1.98], [1e-20], horizon=100.0)
+        cell, = table["cells"]
+        assert cell["outcome"] == "inconclusive" and cell["status"] == -1
+        assert "error control on u is absolute" in cell["reason"]
+        assert not table["pass"]
+
+
 class TestScanVerdicts:
     """Each scan sets its own pass flag, so a library caller's RunReport
     reads the same verdict as the CLI."""
