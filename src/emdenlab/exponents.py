@@ -397,6 +397,8 @@ def classify_liouville(
         raise InputError("a pure power t^alpha is not of mixed sign")
     if negated_power and sign in ("positive", "nonnegative"):
         raise InputError("-t^alpha is not nonnegative")
+    if negated_power and sign == "mixed":
+        raise InputError("-t^alpha is not of mixed sign")
 
     ps = critical_exponent(n, p)
     tbl = {rec.name: rec for rec in threshold_table(n, p)}

@@ -44,11 +44,11 @@ whose start passes on a relative error above START_ERROR_BOUND ends
 with status -1.  So does a solve from u0 < atol / RTOL, whose error
 control on u is absolute.  Its one result, ``_Solve``, holds the
 accepted radii with their (u, m), the status with its reason, nfev and
-the dense output; at status 1 the last radius is the crossing.  The
-three callers only choose the horizon and read that result: ``shoot``
-classifies the run with ``_classify``, ``solve_dense`` wraps the dense
-positive segment, and ``_bv_single`` (the sphere scan) reads the pole
-flux.
+the dense output; at status 1 the last radius is the crossing.  Its
+callers only choose the horizon and read that result: ``solve_dense``
+wraps the dense positive segment, and ``shoot`` and every cell of both
+scans judge it with ``_classify``, whose outcome ``_cell`` turns into
+the cell record both scans share (``_bv_single`` adds the pole flux).
 
 ``liouville_scan`` makes one solve per alpha row where it can, from the
 row's largest u0.  On R^n with f = u^alpha the equation is invariant
@@ -67,6 +67,7 @@ only within the radial class; see ``RADIAL_WITNESS_NOTE``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -774,18 +775,14 @@ def _classify(model: ManifoldModel, p: float, term: ReactionTerm,
         stats["flux_nonincreasing"] = bool(np.all(np.diff(m_pos) <= tol)) if seen else None
         stats["flux_nonpositive"] = bool(np.all(m_pos <= tol)) if seen else None
 
+    outcome = functools.partial(ShootOutcome, trajectory=traj, stats=stats)
     if sol.status == 1:
-        return ShootOutcome(kind="crossed_zero", r_cross=float(sol.r[-1]),
-                            trajectory=traj, stats=stats)
+        return outcome("crossed_zero", r_cross=float(sol.r[-1]))
     if sol.status < 0:
-        return ShootOutcome(kind="inconclusive", reason=sol.reason,
-                            trajectory=traj, stats=stats)
-    u_end = float(sol.u[-1])
-    if u_end <= 0:
-        return ShootOutcome(
-            kind="inconclusive", reason="endpoint not positive without a located event",
-            trajectory=traj, stats=stats,
-        )
+        return outcome("inconclusive", reason=sol.reason)
+    if float(sol.u[-1]) <= 0:
+        return outcome("inconclusive",
+                       reason="endpoint not positive without a located event")
     tail = None
     if model.r_max == math.inf:
         r_end = float(sol.r[-1])
@@ -794,8 +791,7 @@ def _classify(model: ManifoldModel, p: float, term: ReactionTerm,
         if np.all(u_tail > 0):
             slope, _ = np.polyfit(np.log(r_tail), np.log(u_tail), 1)
             tail = float(slope)
-    return ShootOutcome(kind="stayed_positive", tail_exponent=tail,
-                        trajectory=traj, stats=stats)
+    return outcome("stayed_positive", tail_exponent=tail)
 
 
 def solve_dense(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
@@ -891,9 +887,25 @@ def _read_off(base: _Solve, u0_b: float, u0: float, n: int, p: float,
                   nfev=base.nfev, dense=dense)
 
 
+def _cell(u0: float, run: Callable, **keys) -> tuple:
+    """A cell of either radial scan: u0, outcome, reason, nfev and status
+    from the ShootOutcome that ``run()`` returns, then the per-kind
+    ``keys`` updated by the dict run returns with it.  An exception from
+    run() is recorded as an ``error`` cell, its text under reason, with
+    no outcome (None).  Returns the cell and the outcome."""
+    try:
+        out, read = run()
+    except Exception as exc:  # record and continue, per cell
+        return {"u0": u0, "outcome": "error", "reason": str(exc), "nfev": None,
+                "status": None, **keys}, None
+    return {"u0": u0, "outcome": out.kind, "reason": out.reason,
+            "nfev": out.stats.get("nfev"), "status": out.stats.get("status"),
+            **keys, **read}, out
+
+
 def _scan_row(model, p, alpha, u0s, horizon):
     """One alpha row of the scan: per u0, in the order given, its table
-    cell and its ShootOutcome (None for an error cell).
+    cell (see _cell) and its ShootOutcome (None for an error cell).
 
     The row solves its largest u0 and reads each smaller one off that
     solve (see _read_off), so the row's solve has the most digits above
@@ -906,36 +918,26 @@ def _scan_row(model, p, alpha, u0s, horizon):
     shoot's own result.
     """
     term = ReactionTerm.pure_power(alpha)
-    positive = sorted((i for i, u0 in enumerate(u0s) if u0 > 0),
-                      key=u0s.__getitem__, reverse=True)
-    rest = [i for i, u0 in enumerate(u0s) if not u0 > 0]
+    # the positive u0 from the largest down, then the rest in order
+    order = sorted(range(len(u0s)), key=lambda i: -u0s[i] if u0s[i] > 0 else math.inf)
     row, base, base_u0 = [None] * len(u0s), None, None
-    for i in positive + rest:
+    for i in order:
         u0 = u0s[i]
         sol = None
         if base is not None and u0 > 0:
             sol = _read_off(base, base_u0, u0, model.dim, p, alpha, term, horizon)
         source = None if sol is None else base_u0
-        try:
+
+        def run(u0=u0, sol=sol):
+            nonlocal base, base_u0
             if sol is None:
                 sol = _integrate(model, p, term, u0, horizon)
                 if sol.status >= 0:
                     base, base_u0 = sol, u0
             out = _classify(model, p, term, sol)
-        except Exception as exc:  # record and continue, per cell
-            row[i] = ({"alpha": alpha, "u0": u0, "outcome": "error", "error": str(exc)},
-                      None)
-            continue
-        cell = {
-            "alpha": alpha,
-            "u0": u0,
-            "outcome": out.kind,
-            "reason": out.reason,
-            "r_cross": out.r_cross,
-            "tail_exponent": out.tail_exponent,
-            "nfev": out.stats.get("nfev"),
-            "status": out.stats.get("status"),
-        }
+            return out, {"r_cross": out.r_cross, "tail_exponent": out.tail_exponent}
+
+        cell, out = _cell(u0, run, alpha=alpha, r_cross=None, tail_exponent=None)
         if source is not None:
             cell["from_u0"] = source
         row[i] = (cell, out)
@@ -949,7 +951,8 @@ def liouville_scan(n, p, alphas, u0s, horizon=100.0, on_cell=None):
     crosses zero at finite radius; at the critical exponent the run
     stays positive (the bubble family).  The table passes iff it has
     cells and each reads crossed_zero when alpha < p_s and
-    stayed_positive otherwise; a non-error cell carries the outcome's reason.
+    stayed_positive otherwise; a cell adds alpha, r_cross and
+    tail_exponent to _cell's keys.
 
     Each alpha row makes one solve where it can (see _scan_row): a cell
     read off another cell's solve by the scaling law names that cell's
@@ -1019,26 +1022,27 @@ _BV_ATOL = 1e-13
 
 
 def _bv_single(model, q, lam, u0) -> dict:
-    """One pole-to-pole run as a scan cell: u0, status, residual, min_u,
-    and the solve's reason on an error cell."""
+    """One pole-to-pole run as a sphere-scan cell (_cell), with the pole
+    flux residual and min_u of a run that stayed positive, else None."""
     n = model.dim
     term = ReactionTerm.linear_minus_power(q, lam)
-    sol = _integrate(model, 2.0, term, u0, model.r_max - _ANTIPODAL_GAP,
-                     atol=_BV_ATOL)
-    if sol.status < 0:
-        return {"u0": u0, "status": "error", "residual": None, "min_u": None,
-                "reason": sol.reason}
-    if sol.status == 1:
-        return {"u0": u0, "status": "crossed_zero", "residual": None, "min_u": None}
-    u_end, m_end = float(sol.u[-1]), float(sol.m[-1])
-    # analytic tail correction: m(pi) ~ m_end - f(u_end) * gap^n / n
-    m_pole = m_end - float(term(u_end)) * _ANTIPODAL_GAP**n / n
-    # normalize by a flux scale that does not vanish at the constant
-    # solution (the linear-term flux over the whole sphere), so the
-    # normalized defect is continuous in u0 and changes sign there
-    m_ref = lam * u0 * _sphere_warp_mass(n)
-    return {"u0": u0, "status": "regular_candidate", "residual": m_pole / m_ref,
-            "min_u": float(sol.u.min())}
+
+    def run():
+        sol = _integrate(model, 2.0, term, u0, model.r_max - _ANTIPODAL_GAP,
+                         atol=_BV_ATOL)
+        out = _classify(model, 2.0, term, sol)
+        if out.kind != "stayed_positive":
+            return out, {}
+        u_end, m_end = float(sol.u[-1]), float(sol.m[-1])
+        # analytic tail correction: m(pi) ~ m_end - f(u_end) * gap^n / n
+        m_pole = m_end - float(term(u_end)) * _ANTIPODAL_GAP**n / n
+        # normalize by a flux scale that does not vanish at the constant
+        # solution (the linear-term flux over the whole sphere), so the
+        # normalized defect is continuous in u0 and changes sign there
+        m_ref = lam * u0 * _sphere_warp_mass(n)
+        return out, {"residual": m_pole / m_ref, "min_u": float(sol.u.min())}
+
+    return _cell(u0, run, residual=None, min_u=None)[0]
 
 
 def _sphere_warp_mass(n: int) -> float:
@@ -1047,15 +1051,26 @@ def _sphere_warp_mass(n: int) -> float:
     return unit_sphere_area(n + 1) / unit_sphere_area(n)
 
 
-#: a regular candidate whose pole flux residual is within this is regular
+#: a cell that stayed positive with a pole flux residual within this is regular
 _BV_RESIDUAL_TOL = 1e-6
 
 
-def _is_regular(cell) -> bool:
-    """A run that reached the antipode with a pole flux residual within
-    _BV_RESIDUAL_TOL and stayed positive: a regular solution."""
-    return (cell["status"] == "regular_candidate"
-            and abs(cell["residual"]) <= _BV_RESIDUAL_TOL and cell["min_u"] > 0)
+def _sign_change(solve: Callable, grade: Callable, pos: float, neg: float) -> tuple:
+    """Bisect u0 between pos and neg, whose cells ``solve(u0)`` have a
+    positive and a negative ``grade(cell)``, until a midpoint grades
+    exactly 0 or None or the bracket is narrower than 1e-10 max(1, |pos|).
+    Returns (root, cell, grade, steps): the last midpoint, its cell and
+    grade, and the number of midpoints solved."""
+    for steps in itertools.count(1):
+        root = 0.5 * (pos + neg)
+        cell = solve(root)
+        g = grade(cell)
+        if g is None or g == 0:
+            break
+        pos, neg = (root, neg) if g > 0 else (pos, root)
+        if abs(pos - neg) < 1e-10 * max(1.0, abs(pos)):
+            break
+    return root, cell, g, steps
 
 
 def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
@@ -1063,13 +1078,15 @@ def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
 
     Integrates from the north pole with the regular start u'(0) = 0 and
     tests antipodal regularity via the pole flux residual.  Sign changes
-    of the residual between grid values of u(0) are bisected; the
-    hypothesis bounds (Ricci vs (n-1)(q-1) lam / n, and q vs the Sobolev
-    bound) are evaluated and reported, and a run outside them is flagged
-    but still performed (exploration mode).  Within the hypotheses the
-    scan passes iff the constant lam^{1/(q-1)} is the only regular value
-    found; outside them it is flagged and passes iff it has cells.  A
-    cell whose solve failed (status "error") fails the scan either way.
+    of the residual between grid values of u(0) are bisected
+    (_sign_change; ``bisection_roots`` gives each root, grade and steps);
+    the hypothesis bounds (Ricci vs (n-1)(q-1) lam / n, and q vs the
+    Sobolev bound) are evaluated and reported, and a run outside them is
+    flagged but still performed (exploration mode).  Within the
+    hypotheses the scan passes iff the constant lam^{1/(q-1)} is the only
+    regular value found; outside them it is flagged and passes iff it
+    has cells.  A cell without a grade (error or inconclusive), on the
+    grid or at a search's root, fails the scan either way.
     """
     if q <= 1 or lam <= 0:
         raise PreconditionError("need q > 1 and lam > 0")
@@ -1091,63 +1108,44 @@ def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
     constant_value = lam ** (1.0 / (q - 1.0))
     cells = [_bv_single(model, q, lam, float(u0)) for u0 in u0_grid]
 
-    # Nonconstant regular families leave the pole flux at integrator
-    # noise relative to the reference flux, so a small residual marks a
-    # candidate cell as regular directly.
-    regular = [cell["u0"] for cell in cells if _is_regular(cell)]
-
     # The normalized pole defect changes sign exactly at a regular
     # solution (crossed cells sit on the negative side: the trajectory
     # dove to zero), so bisection on the sign isolates it.
-    def grade(cell):
-        if cell["status"] == "regular_candidate":
-            return cell["residual"]
-        return -1.0 if cell["status"] == "crossed_zero" else None
+    def grade(cell):  # None on a cell that neither stayed positive nor crossed
+        return {"stayed_positive": cell["residual"], "crossed_zero": -1.0}.get(
+            cell["outcome"])
 
-    roots = []
+    # Nonconstant regular families leave the pole flux at integrator
+    # noise relative to the reference flux, so a small residual marks a
+    # cell as regular directly.
+    def regular(cell):
+        return (cell["outcome"] == "stayed_positive" and cell["min_u"] > 0
+                and abs(cell["residual"]) <= _BV_RESIDUAL_TOL)
+
+    roots, searched = [], []  # each search's report and its root's cell
     for left, right in zip(cells, cells[1:]):
         ga, gb = grade(left), grade(right)
-        if ga is None or gb is None:
+        if (ga is None or gb is None or (ga > 0) == (gb > 0)
+                or min(abs(ga), abs(gb)) <= _BV_RESIDUAL_TOL):  # an end already regular
             continue
-        if abs(ga) <= _BV_RESIDUAL_TOL or (
-            right["status"] == "regular_candidate" and abs(gb) <= _BV_RESIDUAL_TOL
-        ):
-            continue  # endpoint already counted as regular
-        if (ga > 0) == (gb > 0):
-            continue
-        lo, hi = left["u0"], right["u0"]
-        if ga < 0:  # orient: positive defect on the lo side
-            lo, hi = hi, lo
-        found = None
-        for _ in range(200):
-            mid = _bv_single(model, q, lam, 0.5 * (lo + hi))
-            if _is_regular(mid):
-                found = {"u0": mid["u0"], "residual": mid["residual"]}
-                break
-            if mid["status"] == "regular_candidate" and mid["residual"] > 0:
-                lo = mid["u0"]
-            else:
-                hi = mid["u0"]
-            if abs(hi - lo) < 1e-10 * max(1.0, abs(lo)):
-                break
-        if found is not None:
-            roots.append(found)
+        pos, neg = (left, right) if ga > 0 else (right, left)
+        root, cell, g, steps = _sign_change(
+            lambda u0: _bv_single(model, q, lam, u0), grade, pos["u0"], neg["u0"])
+        roots.append({"u0": root, "grade": g, "steps": steps})
+        searched.append(cell)
+    graded = None not in map(grade, cells + searched)
 
     regular_all = []
-    for val in sorted(regular + [r["u0"] for r in roots]):
+    for val in sorted(cell["u0"] for cell in cells + searched if regular(cell)):
         if not regular_all or abs(val - regular_all[-1]) > 1e-5 * (1.0 + abs(val)):
             regular_all.append(float(val))
-    boundary_case = any(
-        abs(v - constant_value) > 1e-4 * (1.0 + constant_value) for v in regular_all
-    )
-    no_errors = all(cell["status"] != "error" for cell in cells)
     if hyp["within_theorem"]:
         unique = len(regular_all) == 1 and bool(
             abs(regular_all[0] - constant_value) <= 1e-6 * (1.0 + constant_value))
-        verdict = {"pass": unique and no_errors}
+        verdict = {"pass": unique and graded}
     else:
         verdict = {"flag": "outside theorem hypotheses (exploration mode)",
-                   "pass": bool(cells) and no_errors}
+                   "pass": bool(cells) and graded}
     return {
         "note": RADIAL_WITNESS_NOTE,
         "n": n,
@@ -1158,7 +1156,8 @@ def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
         "cells": cells,
         "bisection_roots": roots,
         "regular_u0": [float(v) for v in regular_all],
-        "nonconstant_regular_found": bool(boundary_case),
+        "nonconstant_regular_found": any(
+            abs(v - constant_value) > 1e-4 * (1.0 + constant_value) for v in regular_all),
         "residual_tol": _BV_RESIDUAL_TOL,
         "rtol": RTOL,
         "atol": _BV_ATOL,

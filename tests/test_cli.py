@@ -283,19 +283,30 @@ class TestInvalidInputs:
         (["moser", "--u0", "1e-5"],
          "NumericalError: dense solve failed: u0 1e-05 below atol/rtol 0.01: "
          "the error control on u is absolute"),
-        (["bv-sphere", "--u0", "0,1"], "PreconditionError: u0 must be positive"),
+        (["bv-sphere", "--u0", "0,1"], "u0 must be positive"),
         (["classify", "--n", "3", "--p", "2", "--alpha", "2", "--sign", "mixed"],
          "InputError: a pure power t^alpha is not of mixed sign"),
+        (["classify", "--n", "3", "--p", "2", "--alpha", "1.5", "--sign", "mixed",
+          "--no-pure-power", "--negated-power"],
+         "InputError: -t^alpha is not of mixed sign"),
     ], ids=["bubble-rmax", "gradient-bound-rtail-0", "gradient-bound-rtail-neg",
             "gradient-bound-rtail-9", "gradient-bound-rtail-5",
             "harnack-radius", "trace-ineq-p", "trace-ineq-n", "kato-p", "kato-n",
             "moser-u0", "moser-p", "moser-overflow", "moser-coarse-start",
-            "moser-tiny-u0", "bv-sphere-u0", "classify-mixed-pure-power"])
+            "moser-tiny-u0", "bv-sphere-u0", "classify-mixed-pure-power",
+            "classify-mixed-negated-power"])
     def test_error_result(self, tmp_path, argv, error):
         out = tmp_path / "rep.json"
         assert run_cli(argv + ["--out", str(out)]) == 1
         rep = json.loads(out.read_text())
-        assert rep["results"] == [{"error": error, "pass": False}]
+        if argv[0] == "bv-sphere":
+            # a scan records the failure in an error cell and runs the rest
+            [scan] = rep["results"]
+            assert scan["pass"] is False
+            assert [(c["outcome"], c["reason"]) for c in scan["cells"]] == [
+                ("error", error), ("stayed_positive", None)]
+        else:
+            assert rep["results"] == [{"error": error, "pass": False}]
 
 
 class TestToleranceFlag:
@@ -539,13 +550,14 @@ class TestConsoleEntry:
         )
 
     def test_overflowing_sphere_cell_fails_closed(self):
-        # f(1e200) overflows: that cell is an error, with no warning
+        # f(1e200) overflows: that cell is inconclusive, with no warning
         # escaping to stderr, and the scan fails
         proc = self.child("bv-sphere", "--u0", "1,1e200")
         assert proc.returncode == 1
         [scan] = json.loads(proc.stdout)["results"]
         assert scan["pass"] is False
-        assert [c["status"] for c in scan["cells"]].count("error") == 1
+        assert [(c["outcome"], c["status"]) for c in scan["cells"]] == [
+            ("stayed_positive", 0), ("inconclusive", -1)]
         assert scan["cells"][1]["reason"].startswith("non-finite state")
         [line] = proc.stderr.splitlines()
         assert line.startswith("[emdenlab] pass=False")

@@ -322,6 +322,12 @@ class TestClassifier:
         v = E.classify_liouville(3, 2.0, 2.0, sign="mixed", pure_power=False)
         assert v.verdict == "constant_forced" and "2.1" not in v.theorems
 
+    def test_negated_power_of_mixed_sign_rejected(self):
+        # -t^alpha is negative on t > 0: a mixed sign contradicts it, where
+        # it used to read no_positive_solution (2.2)
+        with pytest.raises(InputError, match="-t\\^alpha is not of mixed sign"):
+            E.classify_liouville(3, 2.0, 1.5, sign="mixed", negated_power=True)
+
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(min_value=0.1, max_value=4.89))
     def test_monotone_in_alpha_for_pure_powers(self, alpha):

@@ -587,7 +587,7 @@ class TestScanRowReadOff:
                                  on_cell=lambda a, u0, out: order.append(u0))
         assert [c["outcome"] for c in table["cells"]] == [
             "error", "crossed_zero", "error", "crossed_zero"]
-        assert [c.get("error") for c in table["cells"][::2]] == ["u0 must be positive"] * 2
+        assert [c["reason"] for c in table["cells"][::2]] == ["u0 must be positive"] * 2
         assert table["cells"][3]["from_u0"] == 2.0
         assert order == [2.0, 1.0]
 
@@ -613,13 +613,14 @@ class TestSeriesStartRule:
 
     def test_sphere_scan_error_cell(self):
         # from u0 = 1e3, f = u^3 - u is 1e9 at the pole: the start error
-        # is 8.33e-6, so the cell is an error and the scan fails
+        # is 8.33e-6, so the cell is inconclusive and the scan fails
         table = S.bv_sphere_scan(3, 3.0, 1.0, [1.0, 1e3])
         one, big = table["cells"]
-        assert one == {"u0": 1.0, "status": "regular_candidate", "residual": 0.0,
-                       "min_u": 1.0}
-        assert big == {"u0": 1e3, "status": "error", "residual": None, "min_u": None,
-                       "reason": "series start error 8.33e-06 exceeds 1e-08"}
+        assert one == {"u0": 1.0, "outcome": "stayed_positive", "reason": None,
+                       "nfev": 98, "status": 0, "residual": 0.0, "min_u": 1.0}
+        assert big == {"u0": 1e3, "outcome": "inconclusive",
+                       "reason": "series start error 8.33e-06 exceeds 1e-08",
+                       "nfev": 337, "status": -1, "residual": None, "min_u": None}
         assert not table["pass"]
 
     def test_exact_and_fine_starts_keep_their_outcomes(self):
@@ -632,7 +633,8 @@ class TestSeriesStartRule:
         sol = S._integrate(sphere(3, 1.0), 2.0, term, 1.0, 3.0)
         assert sol.status == 0 and S._start_error(sol, 1.0, term, sol.r.size) == 0.0
         assert S._bv_single(sphere(3, 1.0), 3.0, 1.0, 1.0) == {
-            "u0": 1.0, "status": "regular_candidate", "residual": 0.0, "min_u": 1.0}
+            "u0": 1.0, "outcome": "stayed_positive", "reason": None, "nfev": 98,
+            "status": 0, "residual": 0.0, "min_u": 1.0}
         # u^3 + u^2 has the local exponent u0 f'(u0) / f(u0) = 5/2 at u0 = 1
         two = ReactionTerm.two_power(3.0, 1.0, 2.0)
         out = S.shoot(euclidean(3), 2.0, two, 1.0, horizon=100.0)
@@ -733,10 +735,10 @@ class TestScanVerdicts:
     def test_sphere_error_cell_fails(self, q, lam, u0):
         # inside the hypotheses (where 1.0 is the constant) and outside
         rep = S.bv_sphere_scan(3, q, lam, [u0, 1e200])
-        assert [c["status"] for c in rep["cells"]][1] == "error"
+        assert [(c["outcome"], c["status"]) for c in rep["cells"]] == [
+            ("stayed_positive", 0), ("inconclusive", -1)]
         assert rep["cells"][1]["reason"].startswith("non-finite state")
-        assert rep["cells"][0]["status"] != "error"
-        assert "reason" not in rep["cells"][0]  # a valid cell's keys are as before
+        assert rep["cells"][0]["reason"] is None
         assert not self.passed(rep)
 
     def test_sphere_exploration_is_flagged(self):
@@ -810,7 +812,7 @@ class TestSphereScan:
     def test_constant_exact_start(self):
         rep = S.bv_sphere_scan(3, 3.0, 1.0, [1.0])
         cell = rep["cells"][0]
-        assert cell["status"] == "regular_candidate"
+        assert cell["outcome"] == "stayed_positive"
         assert abs(cell["residual"]) <= 1e-12
 
     def test_unique_constant_found_off_grid(self):
@@ -841,3 +843,92 @@ class TestSphereScan:
             S.bv_sphere_scan(3, 1.0, 1.0, [1.0])
         with pytest.raises(PreconditionError):
             S.bv_sphere_scan(3, 3.0, -1.0, [1.0])
+
+
+class TestSphereSearch:
+    """The sphere scan bisects u0 until its bracket closes; a pole
+    residual within the regularity tolerance never stops it early (near
+    the constant the residual moves about 0.27 per unit of u0, so such a
+    stop could land 3.6e-6 away, past the 2e-6 uniqueness gate)."""
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.7], [0.9, 1.05]])
+    def test_off_midpoint_root_is_the_constant(self, grid):
+        # about 35 solves each, about 40 ms
+        rep = S.bv_sphere_scan(3, 3.0, 1.0, grid)
+        assert rep["pass"]
+        [found] = rep["regular_u0"]
+        assert abs(found - 1.0) <= 1e-9
+        [root] = rep["bisection_roots"]
+        assert root["u0"] == found and root["steps"] <= 40
+
+    def test_midpoint_constant_takes_one_step(self):
+        # 0.7 and 1.3 bracket the constant at their midpoint: 3 solves
+        rep = S.bv_sphere_scan(3, 3.0, 1.0, [0.7, 1.3])
+        assert rep["bisection_roots"] == [{"u0": 1.0, "grade": 0.0, "steps": 1}]
+
+    def test_search_stops_on_the_bracket_only(self):
+        # a grade of about 1e-12 near the root does not stop the search;
+        # the bracket width 1e-10 max(1, |pos|) does (no solves)
+        root, cell, g, steps = S._sign_change(
+            lambda u0: {"u0": u0}, lambda c: 1e-12 * (0.3 - c["u0"]), 0.0, 1.0)
+        assert abs(root - 0.3) < 1e-10 and cell == {"u0": root}
+        assert g == 1e-12 * (0.3 - root) and steps == 34
+        # an exact zero and an ungraded midpoint end it at once
+        assert S._sign_change(lambda u0: u0, lambda c: 0.0, 0.0, 1.0) == (0.5, 0.5, 0.0, 1)
+        assert S._sign_change(lambda u0: u0, lambda c: None, 0.0, 1.0) == (0.5, 0.5, None, 1)
+
+    def test_ungraded_root_fails_the_scan(self, monkeypatch):
+        # a search midpoint whose solve failed leaves its sign change
+        # unresolved, so the scan fails closed (3 solves)
+        solve = S._bv_single
+
+        def failing_midpoints(model, q, lam, u0):
+            cell = solve(model, q, lam, u0)
+            if u0 not in (0.7, 1.3):
+                cell.update(outcome="inconclusive", reason="forced", status=-1)
+            return cell
+
+        monkeypatch.setattr(S, "_bv_single", failing_midpoints)
+        rep = S.bv_sphere_scan(3, 3.0, 1.0, [0.7, 1.3])
+        assert rep["bisection_roots"] == [{"u0": 1.0, "grade": None, "steps": 1}]
+        assert rep["regular_u0"] == [] and rep["pass"] is False
+
+
+class TestSharedCellVocabulary:
+    """Both radial scans build their cells from one record: the common
+    keys below, then alpha, r_cross and tail_exponent (and from_u0 on a
+    read-off cell) in the dichotomy scan, residual and min_u in the
+    sphere scan.  Each test makes at most four solves."""
+
+    COMMON = ("u0", "outcome", "reason", "nfev", "status")
+
+    @staticmethod
+    def cells(scan_u0, sphere_u0):
+        scan = S.liouville_scan(3, 2.0, [5.0], [scan_u0], horizon=100.0)["cells"][0]
+        sphere_cell = S.bv_sphere_scan(3, 3.0, 1.0, [sphere_u0])["cells"][0]
+        return scan, sphere_cell
+
+    def test_common_keys_carry_the_same_types(self):
+        scan, sphere_cell = self.cells(1.0, 1.0)
+        for cell in (scan, sphere_cell):
+            assert [type(cell[k]) for k in self.COMMON] == [
+                float, str, type(None), int, int]
+        assert set(scan) - set(self.COMMON) == {"alpha", "r_cross", "tail_exponent"}
+        assert set(sphere_cell) - set(self.COMMON) == {"residual", "min_u"}
+
+    @pytest.mark.parametrize("u0,reasons", [
+        (1e200, ["non-finite state at r=0.0001"] * 2),
+        (1e3, ["series start error 1.39e+07 exceeds 1e-08",
+               "series start error 8.33e-06 exceeds 1e-08"]),
+    ])
+    def test_failed_solve_is_inconclusive_in_both(self, u0, reasons):
+        # a status -1 solve, from overflow or from a coarse series start
+        cells = self.cells(u0, u0)
+        assert [(c["outcome"], c["status"], c["reason"]) for c in cells] == [
+            ("inconclusive", -1, reason) for reason in reasons]
+
+    def test_nonpositive_u0_is_an_error_cell_in_both(self):
+        for cell in self.cells(0.0, 0.0):
+            assert {k: cell[k] for k in self.COMMON} == {
+                "u0": 0.0, "outcome": "error", "reason": "u0 must be positive",
+                "nfev": None, "status": None}
