@@ -6,9 +6,7 @@ lam).  ``engine.at(p)`` is a :class:`View`, and each field is one view
 method that takes only the parameters of its field:
 
   flux()                    |grad u|^{p-2} grad u        (call it F)
-  weighted_flux(b)          u^b F                        (call it X)
-  self_advection(b)         grad_X X
-  advection_balance(b)      grad_X X - (div X) X
+  self_advection(b)         grad_X X,  X = u^b F
   weighted_balance(a, b)    u^a (grad_X X - div X . X)
                               - ((p-1)/p) <X, grad u^a> X
   traceless_combo(a, b, c)  u^a (grad_X X - (div X / n) X)
@@ -44,7 +42,7 @@ builds for as long as it lives.  <grad u, F> = |grad u|^p gives
   <X, grad u> X = u^{2b} |grad u|^p F,
 
 so the b terms cancel from the balance grad_X X - (div X) X, and every
-field from weighted_flux to traceless_combo is a sum of terms const u^k W
+field from self_advection to traceless_combo is a sum of terms const u^k W
 over four vector duals W at p: F, grad_F F = h^{p-2} (HG + (p-2) h^{-1}
 (G . HG) G), (lap_p u) F and |grad u|^p F.  The view keeps each W as the
 pair (div W, <grad u, W>) and takes those fields' divergences by the
@@ -242,7 +240,7 @@ class View:
         (div_a, along_a), (div_l, along_l) = self._advection_pair, self._plap_pair
         return div_a - s * div_l, along_a - s * along_l
 
-    def _product_rule(self, k, W0, c1=0.0, W1=(0.0, 0.0)) -> np.ndarray:
+    def _product_rule(self, k, W0, c1, W1) -> np.ndarray:
         """div(u^k W0 + c1 u^{k-1} W1) from the pairs of W0 and W1, by
         div(u^k W) = u^k div W + k u^{k-1} <grad u, W>."""
         u = self.engine.u.v
@@ -256,16 +254,10 @@ class View:
     def flux(self) -> np.ndarray:
         return self._flux_pair[0]
 
-    def weighted_flux(self, b) -> np.ndarray:
-        return self._product_rule(b, self._flux_pair)
-
     def self_advection(self, b) -> np.ndarray:
         return self._product_rule(
             2.0 * b, self._advection_pair, b, self._power_pair
         )
-
-    def advection_balance(self, b) -> np.ndarray:
-        return self._product_rule(2.0 * b, self._advection_less(1.0))
 
     def weighted_balance(self, a, b) -> np.ndarray:
         """``a`` may be an (A, 1) array; the result then has one row per a."""

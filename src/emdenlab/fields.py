@@ -12,9 +12,7 @@ Two flavours feed the identity campaigns:
 
 Random instances are drawn from coefficient ranges under a counter-based
 seeded generator, with a positivity budget that keeps u bounded away
-from zero on the sampling box.  Fourth-order central finite differences
-are provided as a cross-check of the jets (never as a source of
-derivatives).
+from zero on the sampling box.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "RadialProfile",
     "random_field",
     "random_radial_profile",
-    "fd_directional",
 ]
 
 
@@ -51,19 +48,6 @@ class FieldTerm:
     kind: str
     amp: float
     params: tuple
-
-    def bound(self, box: float, dim: int) -> float:
-        """Crude sup of |term| over the box  max|x_i| <= box."""
-        if self.kind == "poly":
-            (exps,) = self.params
-            return abs(self.amp) * float(np.prod([box**k for k in exps]))
-        if self.kind == "gauss":
-            return abs(self.amp)
-        if self.kind == "rexp":
-            return abs(self.amp)
-        if self.kind == "bubble":
-            return abs(self.amp)
-        raise InputError(f"unknown field term kind {self.kind!r}")
 
     def eval_jet(self, coords: Sequence[Jet3]) -> Jet3:
         dim = len(coords)
@@ -132,29 +116,6 @@ class ScalarField:
             out.t += part.t
         return out
 
-    def value(self, points):
-        return self.jet3(points).v
-
-    def lower_bound(self, box: float) -> float:
-        """Guaranteed lower bound of the field on the box (crude).
-
-        Bump terms with positive amplitude are nonnegative; polynomials
-        and negative-amplitude bumps contribute their sup bound.  A
-        product of two bumps is negative only when the amplitudes have
-        opposite signs.
-        """
-        neg = sum(
-            t.bound(box, self.dim)
-            for t in self.terms
-            if t.amp < 0 or t.kind == "poly"
-        )
-        negp = sum(
-            ta.bound(box, self.dim) * tb.bound(box, self.dim)
-            for ta, tb in self.products
-            if (ta.amp < 0) != (tb.amp < 0)
-        )
-        return self.shift - neg - negp
-
 
 class RadialProfile:
     """Radial field u(r) with analytic derivatives to order 3.
@@ -177,9 +138,6 @@ class RadialProfile:
             j.h[:, 0, 0],
             j.t[:, 0, 0, 0],
         )
-
-    def value(self, r):
-        return self.jet(r)[0]
 
 
 # ----------------------------------------------------------------------
@@ -260,34 +218,4 @@ def random_radial_profile(rng, r_hi: float) -> RadialProfile:
             (center, float(rng.uniform(0.5 * r_hi, r_hi)), float(rng.uniform(0.5, 1.5))),
         )
     return RadialProfile(ScalarField(1, shift, (term,)))
-
-
-# ----------------------------------------------------------------------
-# finite-difference cross-check
-# ----------------------------------------------------------------------
-
-_FD_STENCILS = {
-    1: ([-2, -1, 1, 2], [1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12]),
-    2: ([-2, -1, 0, 1, 2], [-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12]),
-    3: (
-        [-3, -2, -1, 1, 2, 3],
-        [1.0 / 8, -1.0, 13.0 / 8, -13.0 / 8, 1.0, -1.0 / 8],
-    ),
-}
-
-
-def fd_directional(field: ScalarField, x, v, order: int, h: float) -> float:
-    """Fourth-order central finite difference of the directional derivative.
-
-    Approximates d^order/dt^order field(x + t v) at t=0.  Cross-check
-    only; the jets are the source of record.
-    """
-    if order not in _FD_STENCILS:
-        raise InputError("order must be 1, 2 or 3")
-    offsets, coeffs = _FD_STENCILS[order]
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    pts = np.stack([x + (k * h) * v for k in offsets])
-    vals = field.value(pts)
-    return float(np.dot(coeffs, vals) / h**order)
 

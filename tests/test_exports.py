@@ -1,7 +1,10 @@
-"""Export hygiene: the package imports, every advertised name exists, and
-no scipy module loads at run time."""
+"""Export hygiene: the package imports, every advertised name exists and
+has a reader, and no scipy module loads at run time."""
 
+import ast
+import functools
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -12,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import emdenlab
+from emdenlab.divergence import View
+from emdenlab.fields import FieldTerm, RadialProfile, ScalarField
+from emdenlab.jets import FluxBlock, JetBlock
 
 MODULES = ["emdenlab"] + sorted(
     f"emdenlab.{m.name}" for m in pkgutil.iter_modules(emdenlab.__path__)
@@ -23,6 +29,63 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+#: classes whose public methods must each have a reader
+READ_CLASSES = (View, JetBlock, FluxBlock, ScalarField, RadialProfile, FieldTerm)
+
+#: public names that no code in src/emdenlab or perfbench/ reads, each kept
+#: for the ROADMAP item or acceptance criterion that will read it
+KEPT_UNREAD = {
+    "emdenlab.exponents.is_subcritical": "item 3",
+    "emdenlab.exponents.minimal_delta0": "item 3",
+    "emdenlab.geometry.warped_from_config": "item 4",
+    "emdenlab.shooting.shoot": "item 4, and the package's one-solve entry point",
+    "emdenlab.identities.check_solution_identity_special": "item 7",
+    "emdenlab.exponents.bubble_coefficient_audit": "item 7",
+    "emdenlab.estimates.local_scaling_check": "criterion 8",
+}
+
+
+def _read_names():
+    """Every name the code in src/emdenlab and perfbench/ reads, as a
+    variable or as an attribute.  A definition, an import and an
+    __all__ entry read nothing."""
+    root = Path(emdenlab.__file__).resolve().parents[2]
+    files = [*(root / "src" / "emdenlab").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def _public_api():
+    """(qualified name, bare name) of every __all__ entry and every public
+    method or property of READ_CLASSES."""
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for n in getattr(module, "__all__", ()):
+            yield f"{name}.{n}", n
+    for cls in READ_CLASSES:
+        for n, value in vars(cls).items():
+            if not n.startswith("_") and (
+                inspect.isfunction(value)
+                or isinstance(value, (property, functools.cached_property))
+            ):
+                yield f"{cls.__module__}.{cls.__qualname__}.{n}", n
+
+
+def test_public_api_has_readers():
+    # about 0.15 s, most of it one ast.parse of src/emdenlab and perfbench/
+    read = _read_names()
+    unread = {qual for qual, n in _public_api() if n not in read}
+    assert unread - set(KEPT_UNREAD) == set()
+    # a kept name that gained a reader leaves the list
+    assert set(KEPT_UNREAD) - unread == set()
 
 
 _NO_SCIPY = """

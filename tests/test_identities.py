@@ -13,7 +13,7 @@ from emdenlab.errors import PreconditionError
 from emdenlab.exponents import ReactionTerm
 from emdenlab.fields import FieldTerm, RadialProfile, ScalarField
 from emdenlab.geometry import euclidean, hyperbolic
-from emdenlab.shooting import solve_dense
+from emdenlab.shooting import RadialSolution, solve_dense
 from emdenlab.taylor import Grad, Jet3
 
 RNG = lambda seed: np.random.default_rng(np.random.Philox(seed))
@@ -122,7 +122,7 @@ class TestIdentitySuite:
         )
         scale = np.abs(J.trace_product(jac)) + divx.v**2 + 1.0
         # difference of the two routes is pure algebra plus roundoff
-        div_divxx = view.self_advection(b=b) - view.advection_balance(b=b)
+        div_divxx = view.self_advection(b=b) - view.weighted_balance(a=0.0, b=b)
         recon = div_divxx - (np.einsum("nm,nm->n", divx.d, X) + divx.v**2)
         assert np.max(np.abs(recon) / scale) <= 1e-12
         assert np.max(np.abs(defect_weighted) / scale) <= 1e-12
@@ -380,7 +380,8 @@ class TestSolutionIdentity:
 
     def test_p_harmonic_profile_on_hyperbolic(self):
         # zero reaction: the identity reduces to the Bochner consequence;
-        # exercised on the explicit hyperbolic p-harmonic profile
+        # exercised on the explicit hyperbolic p-harmonic profile, whose
+        # flux residual stays defined through the |m|/r part of its scale
         sol = _HyperbolicHarmonic(n=3, p=2.5, kappa=1.0)
         rep = I.check_solution_identity(sol, a_values=(0.0, 1.0), b_values=(0.0,),
                                         tol=1e-7)
@@ -391,6 +392,29 @@ class TestSolutionIdentity:
             cubic_solution, a_values=(2.0,), b_values=(0.0,), tol=1e-6
         )
         assert rep.passed
+
+
+class TestSolutionCertificate:
+    """solution_batch judges the equation off the dense flux m: the jets
+    take u'' from the equation itself, so a residual of the p-Laplacian
+    on them would pass any trajectory."""
+
+    def test_relabelled_term_rejected(self, cubic_solution):
+        # the u^3 trajectory offered as a solution of -lap u = u^2
+        sol = cubic_solution
+        relabelled = RadialSolution(sol.model, sol.p, ReactionTerm.pure_power(2.0),
+                                    sol._sol, sol.r_lo, sol.r_hi)
+        with pytest.raises(PreconditionError, match="not a certified solution"):
+            I.solution_batch(relabelled)
+
+    @pytest.mark.parametrize("dim,alpha,u0,horizon", [
+        (2, 3.0, 1.0, 50.0), (3, 3.0, 1.0, 50.0), (4, 3.0, 1.0, 50.0),  # identities
+        (3, 2.0, 2.0, 100.0),  # criterion 6
+    ])
+    def test_criterion_solutions_accepted(self, dim, alpha, u0, horizon):
+        sol = solve_dense(euclidean(dim), 2.0, ReactionTerm.pure_power(alpha), u0,
+                          horizon=horizon)
+        assert I.solution_batch(sol).u.size > 0
 
 
 class _HyperbolicHarmonic:
