@@ -77,9 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_floats, default=(1.5, 2.0, 3.0))
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--models", default="euclidean,sphere,hyperbolic")
-    sp.add_argument("--a", type=_floats, default=(-2.0, -1.0, 0.0, 1.0, 2.0),
+    sp.add_argument("--a", type=_floats, default=identities.AB_GRID,
                     help="weight-power grid of the two-parameter identity")
-    sp.add_argument("--b", type=_floats, default=(0.0, -1.0, 1.0))
+    sp.add_argument("--b", type=_floats, default=identities.AB_GRID,
+                    help="weight-power grid of the Bochner and two-parameter "
+                         "identities")
 
     sp = command("trace-ineq", "traceless Jacobian trace inequality",
                  seed=True, tol=True)

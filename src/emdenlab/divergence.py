@@ -50,11 +50,11 @@ product rule div(u^k W) = u^k div W + k u^{k-1} <grad u, W>: (a, b, c)
 only enter through k and the constants, so no dual is formed per b, and
 ``a`` may be an (A, 1) array that gives one row per a.  Beside the
 fields, a view exposes ``p_laplacian_dual``, whose gradient both Bochner
-right sides pair with the flux once per p.  A check
-that visits every (p, b, a) of a grid takes one view per p and drops it
-when p moves on.  Views are not kept on the engine: a campaign's engine
-lives as long as the campaign, and every block held for all p at once
-would stay in memory with it.
+right sides pair with the flux once per p.  The identity campaigns take
+one view per (batch, p) and share it across every check of the batch;
+they hold only the views of the batch checked last.  Views are not kept
+on the engine: a campaign's engine lives as long as the campaign, and
+every block held for all p at once would stay in memory with it.
 """
 
 from __future__ import annotations

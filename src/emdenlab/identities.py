@@ -11,9 +11,9 @@ over the campaign.  The routes are independent except for one
 third-order term, which the jet algebra has no closed form for yet: both
 Bochner right sides read <grad lap_p u, F> (F the flux) from the
 engine, as the gradient of the view's ``p_laplacian_dual`` paired with
-F once per p.  check_bochner_vector builds <grad div X, X> from it by
-the product rule.  Tolerances follow the derivative depth: 1e-8 when
-only second-order data enters, 1e-7 when the third-order engine is
+F once per (batch, p).  check_bochner_vector builds <grad div X, X> from
+it by the product rule.  Tolerances follow the derivative depth: 1e-8
+when only second-order data enters, 1e-7 when the third-order engine is
 involved, 1e-6 on shooting-constrained identities (those inherit the
 integrator tolerance).  Inequality margins are normalized by the term
 scale with a rounding floor of 1e-10.
@@ -23,27 +23,29 @@ by every check that reads it.  The p-free parts of both routes are built
 once per batch and shared by every check: the engine's duals (h, HG,
 GHG, lap) and the batch's ``jets.JetBlock`` (|grad u|^2, hess u . grad
 u, lap_inf u, lap u and the outer product g (x) Hg / |g|^2).  The
-p-level parts are built once per check per p: the left sides go through
-one engine view per p, ``batch.engine.at(p)``, dropped when p moves on,
-and the right sides through one ``jets.FluxBlock`` per p over the
-batch's JetBlock, which builds each part on first use.  Both sides are
-affine in the b-dependent weights, so per b a campaign check forms only
-scalar powers of u times p-level blocks, and no Jacobian or dual (the
-solution identity and the trace inequality still assemble the weighted
-Jacobian per b with ``FluxBlock.weighted``).  Nothing p-dependent is
-kept on the batch, which lives as long as the campaign.  Sampling is
-deterministic: a counter-based generator keyed by the campaign seed
-drives all draws, so the worst case is reproducible from (seed, sample
-index), the index being the position among the kept samples in draw
-order.  Near-critical jets (|grad u| below the cutoff) are filtered
-before they enter any report, and a campaign that keeps fewer samples
-than it asked for is an error.  Each field draws 2 per candidates and
-keeps the first per that pass; jets are evaluated for the first per
-only, and for the other per only when those do not all pass.  The
-filter's scale is the RMS of |grad u| over the candidates evaluated,
-floored at 1.  Whether this cutoff hides
-boundary-of-criticality behavior is untestable pointwise and is noted
-here rather than decided.
+p-level parts are built once per (batch, p) and shared by the campaign
+checks run back to back on it: a level (see _level) holds the engine
+view ``batch.engine.at(p)`` the left sides go through, the
+``jets.FluxBlock`` over the batch's JetBlock the right sides go through,
+which builds each part on first use, and <grad lap_p u, F>.  Only the
+levels of the batch checked last are held; a check that reads another
+batch drops them.  They are not kept on the batch, which lives as long
+as the campaign: every campaign's levels would then stay in memory at
+once.  Both sides are affine in the b-dependent weights, so per b a
+campaign check forms only scalar powers of u times p-level blocks, and
+no Jacobian or dual (the solution identity and the trace inequality
+still assemble the weighted Jacobian per b with ``FluxBlock.weighted``).
+Sampling is deterministic: a counter-based generator keyed by the
+campaign seed drives all draws, so the worst case is reproducible from
+(seed, sample index), the index being the position among the kept
+samples in draw order.  Near-critical jets (|grad u| below the cutoff)
+are filtered before they enter any report, and a campaign that keeps
+fewer samples than it asked for is an error.  Each field draws 2 per
+candidates and keeps the first per that pass; jets are evaluated for the
+first per only, and for the other per only when those do not all pass.
+The filter's scale is the RMS of |grad u| over the candidates evaluated,
+floored at 1.  Whether this cutoff hides boundary-of-criticality
+behavior is untestable pointwise and is noted here rather than decided.
 """
 
 from __future__ import annotations
@@ -422,6 +424,58 @@ class _Margins:
 
 
 # ----------------------------------------------------------------------
+# p-levels
+# ----------------------------------------------------------------------
+
+
+class _Level:
+    """A batch at one p: the engine view the left sides go through, the
+    flux block the right sides go through, and <grad lap_p u, F>, built
+    on first use."""
+
+    def __init__(self, batch: SampleBatch, p):
+        self.batch = batch
+        self.view = batch.engine.at(p)
+        self.block = J.FluxBlock(batch.jets, p)
+
+    @cached_property
+    def grad_plap_flux(self):
+        return _grad_plap_flux(self.view, self.block, self.batch)
+
+
+#: the batch checked last and its levels by p
+_LEVELS = [None, {}]
+
+
+def _level(batch: SampleBatch, p) -> _Level:
+    """The level of batch at p, shared by the campaign checks of the
+    batch; reading another batch drops the levels held.  The slot is read
+    once, so a level always belongs to the batch asked for, even when
+    another thread swaps the slot."""
+    held, levels = _LEVELS
+    if held is not batch:
+        levels = {}
+        _LEVELS[:] = [batch, levels]
+    if p not in levels:
+        levels[p] = _Level(batch, p)
+    return levels[p]
+
+
+def _grad_plap_flux(view, block: J.FluxBlock, batch: SampleBatch):
+    """<grad lap_p u, F>: the third-order term both Bochner right sides
+    read from the engine, as the gradient of the view's p-Laplacian dual."""
+    return np.einsum("nm,nm->n", view.p_laplacian_dual.d,
+                     _as_components(block.flux, batch))
+
+
+def _as_components(vec, batch: SampleBatch):
+    """Match a frame vector to the engine's derivative directions."""
+    if isinstance(batch.engine, RadialEngine):
+        return vec[:, :1]  # radial component only
+    return vec
+
+
+# ----------------------------------------------------------------------
 # identity checks
 # ----------------------------------------------------------------------
 
@@ -431,9 +485,8 @@ def check_decomposition(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     acc = _Residuals("p_laplacian_decomposition", tol)
     batch = camp.batch
     for p in camp.p_values:
-        lhs = batch.engine.at(p).flux()
-        rhs = J.FluxBlock(batch.jets, p).plap
-        acc.update(lhs, rhs, batch, {"p": p})
+        level = _level(batch, p)
+        acc.update(level.view.flux(), level.block.plap, batch, {"p": p})
     return acc.report(seed=camp.seed)
 
 
@@ -447,7 +500,7 @@ def check_flux_advection(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     acc = _Residuals("flux_advection", tol)
     batch = camp.batch
     for p in camp.p_values:
-        block = J.FluxBlock(batch.jets, p)
+        block = _level(batch, p).block
         lhs_vec = np.einsum("nij,nj->ni", block.jacobian, block.flux)
         rhs_vec = (1.0 / p) * block.norm_p2[:, None] * block.aniso(block.grad_power)
         acc.update_vectors(lhs_vec, rhs_vec, batch, {"p": p})
@@ -465,33 +518,18 @@ def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
     batch = camp.batch
     u = batch.u
     for p in camp.p_values:
-        E = batch.engine.at(p)
-        block = J.FluxBlock(batch.jets, p)
-        grad_plap_flux = _grad_plap_flux(E, block, batch)
+        level = _level(batch, p)
+        block = level.block
         ric_f = batch.ric_rr * block.flux_sq
         for b in camp.b_values:
-            lhs = E.self_advection(b)
+            lhs = level.view.self_advection(b)
             rhs = (
                 block.weighted_traces(u, b)[1]
-                + block.weighted_grad_div_pairing(u, b, grad_plap_flux)
+                + block.weighted_grad_div_pairing(u, b, level.grad_plap_flux)
                 + u ** (2.0 * b) * ric_f
             )
             acc.update(lhs, rhs, batch, {"p": p, "b": b})
     return acc.report(seed=camp.seed)
-
-
-def _grad_plap_flux(view, block: J.FluxBlock, batch: SampleBatch):
-    """<grad lap_p u, F>: the third-order term both Bochner right sides
-    read from the engine, as the gradient of the view's p-Laplacian dual."""
-    return np.einsum("nm,nm->n", view.p_laplacian_dual.d,
-                     _as_components(block.flux, batch))
-
-
-def _as_components(vec, batch: SampleBatch):
-    """Match a frame vector to the engine's derivative directions."""
-    if isinstance(batch.engine, RadialEngine):
-        return vec[:, :1]  # radial component only
-    return vec
 
 
 def check_bochner_linearized(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
@@ -500,16 +538,15 @@ def check_bochner_linearized(camp: Campaign, tol: float = 1e-7) -> IdentityRepor
     acc = _Residuals("bochner_p_linearized", tol)
     batch = camp.batch
     for p in camp.p_values:
-        E = batch.engine.at(p)
-        lhs = E.grad_power_flux()
-        block = J.FluxBlock(batch.jets, p)
+        level = _level(batch, p)
+        block = level.block
         # |grad u|^{2p-4} tr((A hess u)^2) = tr(J^2), J the flux Jacobian
         rhs = (
-            J.trace_product(block.jacobian)
-            + _grad_plap_flux(E, block, batch)
+            block.jacobian_sq_trace
+            + level.grad_plap_flux
             + batch.ric_rr * block.flux_sq
         )
-        acc.update(lhs, rhs, batch, {"p": p})
+        acc.update(level.view.grad_power_flux(), rhs, batch, {"p": p})
     return acc.report(seed=camp.seed)
 
 
@@ -539,15 +576,15 @@ def check_weighted_identity(
         for b in b_values
     }
     for p in camp.p_values:
-        E = batch.engine.at(p)
-        block = J.FluxBlock(batch.jets, p)
+        level = _level(batch, p)
+        block = level.block
         plap, gn_p, gn_2p = block.plap, block.power, gn ** (2.0 * p)
         ric_f = batch.ric_rr * block.flux_sq
         for b in b_values:
             u_b, u_b1, u_2p, u_p = u_pow[b]
             div_x = b * u_b1 * gn_p + u_b * plap  # the jets route's div X
             core = block.weighted_traces(u, b)[1] - div_x**2 + u_b**2 * ric_f
-            lhs = E.weighted_balance(a_col, b)
+            lhs = level.view.weighted_balance(a_col, b)
             rhs = (
                 u_a * core
                 - ((p - 1.0) * (a_col + 2.0 * b - 1.0) * a_col / p)
@@ -770,7 +807,7 @@ def check_kato(
         jets = J.JetBlock(g, h)
         for p in p_values:
             block = J.FluxBlock(jets, p)
-            lhs = J.trace_product(block.jacobian)
+            lhs = block.jacobian_sq_trace
             rhs = kato_rhs(block)
             scale = np.abs(lhs) + np.abs(rhs) + _TINY
             acc.update((lhs - rhs) / scale, {"n": n, "p": p, "seed": seed})

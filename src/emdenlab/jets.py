@@ -20,8 +20,9 @@ is split by what it depends on.  A :class:`JetBlock` holds the p-free
 contractions of a batch, |grad u|^2, |grad u|, hess u . grad u,
 lap_inf u, lap u and grad u (x) (hess u . grad u) / |grad u|^2, each
 built once per batch.  A :class:`FluxBlock` over it holds the p-level
-ones, lap_p u, grad |grad u|^p and A among them, each built once per
-check per p.  Near the critical set several of these are singular for
+ones, lap_p u, grad |grad u|^p and A among them, each built on first
+use; the identity campaigns build one per (batch, p) and share it across
+their checks.  Near the critical set several of these are singular for
 p < 2; identity sampling excludes |grad u| < EPS_GRAD_FACTOR times the
 sample scale, mirroring the almost-everywhere scope of the identities
 being verified.
@@ -166,6 +167,11 @@ class FluxBlock:
         return grad_norm_sq(self.flux)
 
     @cached_property
+    def jacobian_sq_trace(self):
+        """tr J^2, J the flux Jacobian."""
+        return trace_product(self.jacobian)
+
+    @cached_property
     def _traces(self):
         """tr O = <F, g>, tr J, tr J^2 and tr(OJ) = <g, J F>, with
         O = F (x) g and J the flux Jacobian."""
@@ -173,7 +179,7 @@ class FluxBlock:
         return (
             np.einsum("...i,...i->...", self.flux, g),
             np.einsum("...ii->...", jac),
-            trace_product(jac),
+            self.jacobian_sq_trace,
             np.einsum("...i,...ij,...j->...", g, jac, self.flux),
         )
 

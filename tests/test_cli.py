@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import emdenlab
-from emdenlab import cli, shooting
+from emdenlab import cli, identities, shooting
 from emdenlab.reports import TOOL_VERSION
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,6 +76,17 @@ class TestIdentitiesCommand:
                         "--out", str(out)]) == 1
         result = json.loads(out.read_text())["results"][0]
         assert result["samples"] == 0 and not result["pass"]
+
+    def test_default_grids_are_the_library_grid(self, tmp_path):
+        # the b = +-2 rows of criterion 1 run at the defaults
+        assert cli.build_parser().parse_args(["identities"]).b == identities.AB_GRID
+        out = tmp_path / "rep.json"
+        assert run_cli(["identities", "--suite", "bochner-x", "--dim", "2",
+                        "--samples", "100", "--models", "euclidean",
+                        "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["config"]["a"] == rep["config"]["b"] == list(identities.AB_GRID)
+        assert rep["results"][0]["samples"] == 100 * 3 * len(identities.AB_GRID)
 
     def test_tolerances_echoed(self, tmp_path):
         out = tmp_path / "rep.json"

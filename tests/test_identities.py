@@ -1,7 +1,9 @@
 """Identity and inequality verification campaigns."""
 
 import functools
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from emdenlab.errors import PreconditionError
 from emdenlab.exponents import ReactionTerm
 from emdenlab.fields import FieldTerm, RadialProfile, ScalarField
 from emdenlab.geometry import euclidean, hyperbolic
+from emdenlab.reports import RunReport
 from emdenlab.shooting import RadialSolution, solve_dense
 from emdenlab.taylor import Grad, Jet3
 
@@ -232,6 +235,27 @@ def _batch_arrays(batch):
     for dual in (eng.u, eng.G, eng.H, eng.lap):
         arrays += [dual.v, dual.d]
     return arrays
+
+
+class TestLevelsCarryNoState:
+    """A check reports the same whether it runs alone on a fresh campaign
+    or after the other four on a shared one."""
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere"])
+    @pytest.mark.parametrize("check", TestCampaignBatch.CHECKS, ids=lambda c: c.__name__)
+    def test_report_does_not_depend_on_the_checks_before(self, model, check):
+        def report(camp):
+            return RunReport(config={}, results=[check(camp)]).to_json()
+
+        def campaign():
+            return I.Campaign(model_name=model, dim=3, samples=250, seed=6)
+
+        alone = report(campaign())
+        shared = campaign()
+        for other in TestCampaignBatch.CHECKS:
+            if other is not check:
+                assert other(shared).passed
+        assert report(shared) == alone
 
 
 class TestDrawEvaluatesWhatItKeeps:
@@ -638,11 +662,41 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestBuildCounts:
-    """Within one check no view block is built twice: each block depends
-    on p only and is built once per p.  No check builds a block per b."""
+    """Within one batch no view block is built twice: each block depends
+    on p only and is built once per (batch, p).  No check builds a block
+    per b."""
 
     CHECKS = (I.check_bochner_vector, I.check_bochner_linearized,
               I.check_weighted_identity)
+
+    @pytest.mark.parametrize("model,cls", [("euclidean", EuclideanEngine),
+                                           ("sphere", RadialEngine)])
+    def test_five_checks_share_one_level_per_p(self, monkeypatch, model, cls):
+        camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
+        camp.batch
+        views = _count_calls(monkeypatch, View, "__init__")
+        blocks = _count_calls(monkeypatch, J, "FluxBlock")
+        duals = _count_view_builds(monkeypatch, cls)
+        pairings = _count_calls(monkeypatch, I, "_grad_plap_flux")
+        for check in TestCampaignBatch.CHECKS:
+            assert check(camp).passed
+        p_values = list(camp.p_values)
+        assert [p for _, _, p in views] == p_values
+        assert [p for _, p in blocks] == p_values
+        assert [p for p, name in duals if name == "p_laplacian_dual"] == p_values
+        assert [view.p for view, _, _ in pairings] == p_values
+
+    def test_levels_held_for_the_last_batch_only(self):
+        first = I.Campaign(model_name="euclidean", dim=3, samples=250, seed=6)
+        second = I.Campaign(model_name="sphere", dim=3, samples=250, seed=6)
+        for check in TestCampaignBatch.CHECKS:
+            assert check(first).passed
+        views = [weakref.ref(I._level(first.batch, p).view) for p in first.p_values]
+        assert all(view() is not None for view in views)
+        for check in TestCampaignBatch.CHECKS:
+            assert check(second).passed
+        gc.collect()
+        assert all(view() is None for view in views)
 
     @pytest.mark.parametrize("model,cls", [("euclidean", EuclideanEngine),
                                            ("sphere", RadialEngine)])
