@@ -48,13 +48,19 @@ over four vector duals W at p: F, grad_F F = h^{p-2} (HG + (p-2) h^{-1}
 pair (div W, <grad u, W>) and takes those fields' divergences by the
 product rule div(u^k W) = u^k div W + k u^{k-1} <grad u, W>: (a, b, c)
 only enter through k and the constants, so no dual is formed per b, and
-``a`` may be an (A, 1) array that gives one row per a.  Beside the
-fields, a view exposes ``p_laplacian_dual``, whose gradient both Bochner
-right sides pair with the flux once per p.  The identity campaigns take
-one view per (batch, p) and share it across every check of the batch;
-they hold only the views of the batch checked last.  Views are not kept
-on the engine: a campaign's engine lives as long as the campaign, and
-every block held for all p at once would stay in memory with it.
+``a`` may be an (A, 1) array that gives one row per a.  The power
+u^{k-2} comes from the view's :class:`PowerTable` of u, which evaluates
+each exponent once: the identity campaigns hand every view of a batch
+the batch's table, which their right sides read too, and a view built
+alone makes its own.  The dual powers h^c of h = |grad u|^2 are kept
+per view, so h^{(p-2)/2} and h^{-1} are each formed once at p.  Beside
+the fields, a view exposes ``p_laplacian_dual``, whose gradient both
+Bochner right sides pair with the flux once per p.  The identity
+campaigns take one view per (batch, p) and share it across every check
+of the batch; they hold only the views of the batch checked last.  Views
+are not kept on the engine: a campaign's engine lives as long as the
+campaign, and every block held for all p at once would stay in memory
+with it.
 """
 
 from __future__ import annotations
@@ -65,7 +71,28 @@ import numpy as np
 
 from .taylor import Grad, Jet3
 
-__all__ = ["EuclideanEngine", "RadialEngine", "View"]
+__all__ = ["EuclideanEngine", "RadialEngine", "PowerTable", "View"]
+
+
+class PowerTable:
+    """x ** e for one x (an array or a dual), each exponent evaluated on
+    first use and then kept.
+
+    A scalar exponent and an array of exponents, such as an (A, 1)
+    column, are different keys: numpy's fast paths for a scalar 2, 0.5
+    or -1 may round differently from the array path, so the table
+    returns exactly what ``x ** e`` returns.
+    """
+
+    def __init__(self, x):
+        self.x = x
+        self._kept = {}
+
+    def __call__(self, e):
+        key = (e.shape, e.tobytes()) if isinstance(e, np.ndarray) else e
+        if key not in self._kept:
+            self._kept[key] = self.x**e
+        return self._kept[key]
 
 
 class _Engine:
@@ -84,7 +111,8 @@ class _Engine:
         self.GHG = G @ self.HG  # <grad u, hess u . grad u>
 
     def at(self, p: float) -> "View":
-        """The engine at one p; it keeps the blocks it builds."""
+        """The engine at one p, with its own power table of u; it keeps
+        the blocks it builds."""
         return View(self, p)
 
 
@@ -161,46 +189,53 @@ class RadialEngine(_Engine):
         return self.u.v.copy(), g, h
 
 
-def _power_flux(G: Grad, h: Grad, HG: Grad, p: float, lam: float) -> Grad:
+def _power_flux(G: Grad, h_pow, HG: Grad, p: float, lam: float) -> Grad:
     """(1/lam) |grad w|^{p-2} A_w(grad |grad w|^lam) from the duals of
-    G = grad w, h = |grad w|^2 and HG = hess w . grad w.
+    G = grad w and HG = hess w . grad w; h_pow(c) is the dual
+    |grad w|^{2c}.
 
     grad |grad w|^lam = lam |grad w|^{lam-2} (hess w . grad w) is a
     one-level vector dual, so its derivative (the Hessian of
     |grad w|^lam, which consumes the third-order jet) is exact.
     """
-    grad_f = lam * h ** ((lam - 2.0) / 2.0) * HG
-    coef = (p - 2.0) * (grad_f @ G) * h**-1.0
-    return (1.0 / lam) * h ** ((p - 2.0) / 2.0) * (grad_f + coef * G)
+    grad_f = lam * h_pow((lam - 2.0) / 2.0) * HG
+    coef = (p - 2.0) * (grad_f @ G) * h_pow(-1.0)
+    return (1.0 / lam) * h_pow((p - 2.0) / 2.0) * (grad_f + coef * G)
 
 
 class View:
     """An engine at one p, with one method per field of the module's
     table.  Its blocks depend on p only and are cached properties, kept
-    as long as the view; a method that takes b, a or c builds no dual."""
+    as long as the view; a method that takes b, a or c builds no dual.
 
-    def __init__(self, engine: _Engine, p: float):
+    ``powers`` is the :class:`PowerTable` of u that the product rule
+    reads; a view given none makes its own.  The dual powers of
+    h = |grad u|^2 sit in a table of the view's own.
+    """
+
+    def __init__(self, engine: _Engine, p: float, powers: PowerTable = None):
         self.engine = engine
         self.p = p
+        self.powers = PowerTable(engine.u.v) if powers is None else powers
+        self._h_pow = PowerTable(engine.h)
 
     # -- dual blocks --------------------------------------------------------
 
     @functools.cached_property
     def _flux(self) -> Grad:
-        E = self.engine
-        return E.h ** ((self.p - 2.0) / 2.0) * E.G
+        return self._h_pow((self.p - 2.0) / 2.0) * self.engine.G
 
     @functools.cached_property
     def _grad_pow(self) -> Grad:
         """|grad u|^p."""
-        return self.engine.h ** (self.p / 2.0)
+        return self._h_pow(self.p / 2.0)
 
     @functools.cached_property
     def p_laplacian_dual(self) -> Grad:
-        E, p = self.engine, self.p
+        E, p, h_pow = self.engine, self.p, self._h_pow
         if p == 2.0:
             return E.lap
-        return E.h ** ((p - 2.0) / 2.0) * E.lap + (p - 2.0) * E.h ** (
+        return h_pow((p - 2.0) / 2.0) * E.lap + (p - 2.0) * h_pow(
             (p - 4.0) / 2.0
         ) * E.GHG
 
@@ -223,8 +258,8 @@ class View:
     @functools.cached_property
     def _advection_pair(self):
         """grad_F F = h^{p-2} (HG + (p-2) h^{-1} (G . HG) G)."""
-        E, p = self.engine, self.p
-        adv = E.h ** (p - 2.0) * (E.HG + (p - 2.0) * E.GHG * E.h**-1.0 * E.G)
+        E, p, h_pow = self.engine, self.p, self._h_pow
+        adv = h_pow(p - 2.0) * (E.HG + (p - 2.0) * E.GHG * h_pow(-1.0) * E.G)
         return self._pair(adv)
 
     @functools.cached_property
@@ -242,10 +277,11 @@ class View:
 
     def _product_rule(self, k, W0, c1, W1) -> np.ndarray:
         """div(u^k W0 + c1 u^{k-1} W1) from the pairs of W0 and W1, by
-        div(u^k W) = u^k div W + k u^{k-1} <grad u, W>."""
+        div(u^k W) = u^k div W + k u^{k-1} <grad u, W>, with u^{k-2}
+        read from the power table."""
         u = self.engine.u.v
         (div0, along0), (div1, along1) = W0, W1
-        return u ** (k - 2.0) * (
+        return self.powers(k - 2.0) * (
             u * (u * div0 + k * along0 + c1 * div1) + c1 * (k - 1.0) * along1
         )
 
@@ -277,8 +313,9 @@ class View:
 
     def grad_power_flux(self) -> np.ndarray:
         E = self.engine
-        return E.div(_power_flux(E.G, E.h, E.HG, self.p, self.p))
+        return E.div(_power_flux(E.G, self._h_pow, E.HG, self.p, self.p))
 
     def log_power_flux(self, lam) -> np.ndarray:
         E = self.engine
-        return E.div(_power_flux(*E.log_duals, self.p, lam))
+        G, h, HG = E.log_duals
+        return E.div(_power_flux(G, PowerTable(h), HG, self.p, lam))

@@ -25,16 +25,20 @@ GHG, lap) and the batch's ``jets.JetBlock`` (|grad u|^2, hess u . grad
 u, lap_inf u, lap u and the outer product g (x) Hg / |g|^2).  The
 p-level parts are built once per (batch, p) and shared by the campaign
 checks run back to back on it: a level (see _level) holds the engine
-view ``batch.engine.at(p)`` the left sides go through, the
-``jets.FluxBlock`` over the batch's JetBlock the right sides go through,
-which builds each part on first use, and <grad lap_p u, F>.  Only the
-levels of the batch checked last are held; a check that reads another
-batch drops them.  They are not kept on the batch, which lives as long
-as the campaign: every campaign's levels would then stay in memory at
-once.  Both sides are affine in the b-dependent weights, so per b a
-campaign check forms only scalar powers of u times p-level blocks, and
-no Jacobian or dual (the solution identity and the trace inequality
-still assemble the weighted Jacobian per b with ``FluxBlock.weighted``).
+view the left sides go through, the ``jets.FluxBlock`` over the batch's
+JetBlock the right sides go through, which builds each part on first
+use, and <grad lap_p u, F>.  The levels of a batch share one
+``divergence.PowerTable`` of u, which evaluates each power u^e once per
+batch for both routes, and each level keeps one record per b of
+X = u^b F: u^b, u^{b-1}, the closed-form div X and tr(jac^2), whose
+trace assertion runs once per (p, b).  Only the table and levels of the
+batch checked last are held; a check that reads another batch drops
+them.  They are not kept on the batch, which lives as long as the
+campaign: every campaign's levels would then stay in memory at once.
+Both sides are affine in the b-dependent weights, so per b a campaign
+check forms only powers of u times p-level blocks, and no Jacobian or
+dual (the solution identity and the trace inequality still assemble the
+weighted Jacobian per b with ``FluxBlock.weighted``).
 Sampling is deterministic: a counter-based generator keyed by the
 campaign seed drives all draws, so the worst case is reproducible from
 (seed, sample index), the index being the position among the kept
@@ -53,13 +57,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 # numpy loads numpy.random lazily; load it with this module, not at the first draw
 from numpy.random import Generator, Philox
 
 from . import jets as J
-from .divergence import EuclideanEngine, RadialEngine
+from .divergence import EuclideanEngine, PowerTable, RadialEngine, View
 from .errors import DomainError, PreconditionError
 from .exponents import GradientEstimateParams, satisfies_f2
 from .fields import SAMPLING_BOX, RadialProfile, random_field, random_radial_profile
@@ -363,21 +368,23 @@ class _Residuals:
         self.max_abs = float(np.maximum(self.max_abs, diff.max()))
         if not math.isfinite(self.max_rel):
             return  # the first non-finite sample stays the worst case
+        # rel.max() is NaN or inf when an entry is not finite, and then
+        # compares false; on a tie the earlier worst case stays
+        if rel.max() <= self.max_rel:
+            return
         k = _worst_index(rel)
         row, sample = divmod(k, rel.shape[-1])
-        worst = rel.flat[k]
-        if not math.isfinite(worst) or worst > self.max_rel:
-            self.max_rel = float(worst)
-            self.worst = dict(params[row] if rel.ndim == 2 else params)
-            self.worst.update(
-                {
-                    "sample_index": sample,
-                    "model": batch.meta.get("model"),
-                    "dim": batch.meta.get("dim"),
-                    "lhs": float(lhs.flat[k]),
-                    "rhs": float(rhs.flat[k]),
-                }
-            )
+        self.max_rel = float(rel.flat[k])
+        self.worst = dict(params[row] if rel.ndim == 2 else params)
+        self.worst.update(
+            {
+                "sample_index": sample,
+                "model": batch.meta.get("model"),
+                "dim": batch.meta.get("dim"),
+                "lhs": float(lhs.flat[k]),
+                "rhs": float(rhs.flat[k]),
+            }
+        )
 
     def report(self, seed=None) -> IdentityReport:
         worst = dict(self.worst)
@@ -428,36 +435,58 @@ class _Margins:
 # ----------------------------------------------------------------------
 
 
+class _Weighted(NamedTuple):
+    """X = u^b F at one (p, b): u^b, u^{b-1}, the closed-form div X and
+    tr(jac^2), jac the Jacobian of X."""
+
+    ub: np.ndarray
+    ub1: np.ndarray
+    div_x: np.ndarray
+    tr_sq: np.ndarray
+
+
 class _Level:
     """A batch at one p: the engine view the left sides go through, the
-    flux block the right sides go through, and <grad lap_p u, F>, built
-    on first use."""
+    flux block the right sides go through, the batch's power table of u
+    that both read, and <grad lap_p u, F>, built on first use."""
 
-    def __init__(self, batch: SampleBatch, p):
+    def __init__(self, batch: SampleBatch, p, powers: PowerTable):
         self.batch = batch
-        self.view = batch.engine.at(p)
+        self.powers = powers
+        self.view = View(batch.engine, p, powers=powers)
         self.block = J.FluxBlock(batch.jets, p)
+        self._weighted = {}
 
     @cached_property
     def grad_plap_flux(self):
         return _grad_plap_flux(self.view, self.block, self.batch)
 
+    def weighted(self, b) -> _Weighted:
+        """The record of X = u^b F, built on first use: the flux block's
+        traces, with their assertion, run once per (p, b)."""
+        rec = self._weighted.get(b)
+        if rec is None:
+            ub, ub1 = self.powers(b), self.powers(b - 1.0)
+            _, tr_sq, div_x = self.block.weighted_traces(b, ub, ub1)
+            rec = self._weighted[b] = _Weighted(ub, ub1, div_x, tr_sq)
+        return rec
 
-#: the batch checked last and its levels by p
-_LEVELS = [None, {}]
+
+#: the batch checked last, its power table of u and its levels by p
+_LEVELS = [None, None, {}]
 
 
 def _level(batch: SampleBatch, p) -> _Level:
     """The level of batch at p, shared by the campaign checks of the
-    batch; reading another batch drops the levels held.  The slot is read
-    once, so a level always belongs to the batch asked for, even when
-    another thread swaps the slot."""
-    held, levels = _LEVELS
+    batch; reading another batch drops the table and levels held.  The
+    slot is read once, so a level always belongs to the batch asked for,
+    even when another thread swaps the slot."""
+    held, powers, levels = _LEVELS
     if held is not batch:
-        levels = {}
-        _LEVELS[:] = [batch, levels]
+        powers, levels = PowerTable(batch.u), {}
+        _LEVELS[:] = [batch, powers, levels]
     if p not in levels:
-        levels[p] = _Level(batch, p)
+        levels[p] = _Level(batch, p, powers)
     return levels[p]
 
 
@@ -510,23 +539,25 @@ def check_flux_advection(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
 def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
     """div(grad_X X) = tr(jac^2) + <grad div X, X> + Ric(X, X).
 
-    Per b the right side reads only powers of u over the flux block's
-    p-level traces and pairings, and the one engine pairing
-    <grad lap_p u, F> (see _grad_plap_flux).
+    Per b the right side reads only the level's powers of u and its
+    record of X over the flux block's p-level traces and pairings, and
+    the one engine pairing <grad lap_p u, F> (see _grad_plap_flux).
     """
     acc = _Residuals("bochner_vector_field", tol)
     batch = camp.batch
-    u = batch.u
     for p in camp.p_values:
         level = _level(batch, p)
-        block = level.block
+        block, u_pow = level.block, level.powers
         ric_f = batch.ric_rr * block.flux_sq
         for b in camp.b_values:
+            x = level.weighted(b)
             lhs = level.view.self_advection(b)
             rhs = (
-                block.weighted_traces(u, b)[1]
-                + block.weighted_grad_div_pairing(u, b, level.grad_plap_flux)
-                + u ** (2.0 * b) * ric_f
+                x.tr_sq
+                + block.weighted_grad_div_pairing(
+                    b, x.ub, x.ub1, u_pow(b - 2.0), level.grad_plap_flux
+                )
+                + u_pow(2.0 * b) * ric_f
             )
             acc.update(lhs, rhs, batch, {"p": p, "b": b})
     return acc.report(seed=camp.seed)
@@ -560,37 +591,36 @@ def check_weighted_identity(
 
     No equation is imposed on u; the p-Laplacian appears as a free jet
     quantity on the right-hand side, and div X is the jets route's own.
-    Each (p, b) takes both sides for the whole a grid as one (A, N) block,
-    and the powers of u, which do not depend on p, once per b.
+    Each (p, b) takes both sides for the whole a grid as one (A, N) block.
+    The powers of u, one row per a where a enters, come from the batch's
+    power table, which evaluates each once per batch and hands the left
+    side's u^{a+2b-2} to the right side; u^b, u^{b-1}, div X and
+    tr(jac^2) come from the level's record of X, shared with
+    check_bochner_vector.
     """
     acc = _Residuals("weighted_divergence", tol)
     batch = camp.batch
-    u = batch.u
     gn = batch.gn
     a_col = np.array(a_values, dtype=float)[:, None]
-    u_a = u**a_col
-    # per b: u^b, u^{b-1} and, one row per a, u^{a+2b-2} and u^{a+2b-1}
-    u_pow = {
-        b: (u**b, u ** (b - 1.0), u ** (a_col + 2.0 * b - 2.0),
-            u ** (a_col + 2.0 * b - 1.0))
-        for b in b_values
-    }
     for p in camp.p_values:
         level = _level(batch, p)
-        block = level.block
+        block, u_pow = level.block, level.powers
         plap, gn_p, gn_2p = block.plap, block.power, gn ** (2.0 * p)
         ric_f = batch.ric_rr * block.flux_sq
+        u_a = u_pow(a_col)
         for b in b_values:
-            u_b, u_b1, u_2p, u_p = u_pow[b]
-            div_x = b * u_b1 * gn_p + u_b * plap  # the jets route's div X
-            core = block.weighted_traces(u, b)[1] - div_x**2 + u_b**2 * ric_f
+            x = level.weighted(b)
+            core = x.tr_sq - x.div_x**2 + x.ub**2 * ric_f
             lhs = level.view.weighted_balance(a_col, b)
             rhs = (
                 u_a * core
                 - ((p - 1.0) * (a_col + 2.0 * b - 1.0) * a_col / p)
-                * u_2p
+                * u_pow(a_col + 2.0 * b - 2.0)
                 * gn_2p
-                - ((2.0 * p - 1.0) * a_col / p) * u_p * gn_p * plap
+                - ((2.0 * p - 1.0) * a_col / p)
+                * u_pow(a_col + 2.0 * b - 1.0)
+                * gn_p
+                * plap
             )
             acc.update(lhs, rhs, batch, [{"p": p, "a": a, "b": b} for a in a_values])
     return acc.report(seed=camp.seed)
@@ -625,7 +655,7 @@ def check_solution_identity(
     acc = _Residuals("solution_divergence", tol)
     E = batch.engine.at(p)
     block = J.FluxBlock(batch.jets, p)
-    u, gn = batch.u, batch.gn
+    u, gn, u_pow = batch.u, batch.gn, E.powers
     fu, dfu = sol.term(u), sol.term.deriv(u)
     gn_p, gn_2p = gn**p, gn ** (2.0 * p)
     cores = {}  # per b: tr(M^2) + Ric(X, X), M the traceless Jacobian of X = u^b F
@@ -639,11 +669,11 @@ def check_solution_identity(
             c_mix, coef_2p, coef_f = _solution_coefficients(n, p, a, b)
             lhs = E.traceless_combo(a, b, c_mix)
             rhs = (
-                u**a * cores[b]
-                + coef_2p * u ** (a + 2.0 * b - 2.0) * gn_2p
+                u_pow(a) * cores[b]
+                + coef_2p * u_pow(a + 2.0 * b - 2.0) * gn_2p
                 + ((n - 1.0) / n)
                 * (coef_f * fu - u * dfu)
-                * u ** (a + 2.0 * b - 1.0)
+                * u_pow(a + 2.0 * b - 1.0)
                 * gn_p
             )
             acc.update(lhs, rhs, batch, {"p": p, "a": a, "b": b})

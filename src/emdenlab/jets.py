@@ -22,10 +22,11 @@ lap_inf u, lap u and grad u (x) (hess u . grad u) / |grad u|^2, each
 built once per batch.  A :class:`FluxBlock` over it holds the p-level
 ones, lap_p u, grad |grad u|^p and A among them, each built on first
 use; the identity campaigns build one per (batch, p) and share it across
-their checks.  Near the critical set several of these are singular for
-p < 2; identity sampling excludes |grad u| < EPS_GRAD_FACTOR times the
-sample scale, mirroring the almost-everywhere scope of the identities
-being verified.
+their checks.  Its b-dependent readings take the powers of u they use
+from the caller, which evaluates each power once per batch.  Near the
+critical set several of these are singular for p < 2; identity
+sampling excludes |grad u| < EPS_GRAD_FACTOR times the sample scale,
+mirroring the almost-everywhere scope of the identities being verified.
 """
 
 from __future__ import annotations
@@ -132,9 +133,11 @@ class FluxBlock:
     It reads the p-free contractions of its :class:`JetBlock` and never
     contracts (g, h) itself.
 
-    ``weighted_traces`` and ``weighted_grad_div_pairing`` take a b grid
-    as scalar powers of u over p-level blocks, with no (N, n, n) array
-    per b; ``weighted`` assembles X = u^b F and its Jacobian.
+    ``weighted_traces`` and ``weighted_grad_div_pairing`` read one b
+    as powers of u over p-level blocks, with no (N, n, n) array per b;
+    they take the powers u^b, u^{b-1} and u^{b-2} they use from the
+    caller and form none.  ``weighted`` assembles X = u^b F and its
+    Jacobian from u.
     """
 
     def __init__(self, jets: JetBlock, p):
@@ -235,7 +238,8 @@ class FluxBlock:
 
     def _check_trace(self, tr, b, ub, ub1):
         """Assert that tr jac of X = u^b F reproduces the closed-form
-        divergence b u^{b-1}|g|^p + u^b lap_p u (relative 1e-11)."""
+        divergence b u^{b-1}|g|^p + u^b lap_p u (relative 1e-11), and
+        return the closed form."""
         gnp = self.power
         closed = b * ub1 * gnp + ub * self.plap
         # normalize by the constituent-term size: the divergence itself
@@ -247,6 +251,7 @@ class FluxBlock:
                 "flux Jacobian trace disagrees with closed-form divergence: "
                 f"{worst:g}"
             )
+        return closed
 
     def weighted(self, u, b, check=True):
         """X = u^b flux and its Jacobian endomorphism.
@@ -266,26 +271,29 @@ class FluxBlock:
             self._check_trace(np.einsum("...ii->...", jac), b, ub, ub1)
         return X, jac
 
-    def weighted_traces(self, u, b):
-        """tr jac and tr(jac^2) of X = u^b F.  jac = alpha O + beta J with
+    def weighted_traces(self, b, ub, ub1):
+        """tr jac, tr(jac^2) and the closed-form div X of X = u^b F, given
+        ub = u^b and ub1 = u^{b-1}.  jac = alpha O + beta J with
         alpha = b u^{b-1} and beta = u^b (see _traces), so
 
             tr jac     = alpha tr O + beta tr J,
             tr(jac^2)  = alpha^2 (tr O)^2 + 2 alpha beta tr(OJ)
                          + beta^2 tr J^2.
 
-        The trace is asserted as ``weighted`` asserts it.
+        The trace is asserted against the closed form as ``weighted``
+        asserts it.
         """
-        ub, ub1 = u**b, u ** (b - 1.0)
         alpha = b * ub1
         tr_o, tr_j, tr_j2, tr_oj = self._traces
         tr = alpha * tr_o + ub * tr_j
-        self._check_trace(tr, b, ub, ub1)
-        return tr, alpha * (alpha * tr_o**2 + 2.0 * ub * tr_oj) + ub**2 * tr_j2
+        closed = self._check_trace(tr, b, ub, ub1)
+        tr_sq = alpha * (alpha * tr_o**2 + 2.0 * ub * tr_oj) + ub**2 * tr_j2
+        return tr, tr_sq, closed
 
-    def weighted_grad_div_pairing(self, u, b, grad_plap_flux):
+    def weighted_grad_div_pairing(self, b, ub, ub1, ub2, grad_plap_flux):
         """<grad div X, X> of X = u^b F, by the product rule on
-        div X = b u^{b-1} |g|^p + u^b lap_p u:
+        div X = b u^{b-1} |g|^p + u^b lap_p u, given ub, ub1 and ub2 =
+        u^b, u^{b-1} and u^{b-2}:
 
             u^b [b(b-1) u^{b-2} |g|^p <g, F>
                  + b u^{b-1} (<grad |g|^p, F> + lap_p u <g, F>)
@@ -294,10 +302,10 @@ class FluxBlock:
         ``grad_plap_flux`` is <grad lap_p u, F>, which needs third-order
         data the block does not hold; the caller supplies it.
         """
-        ub, tr_o = u**b, self._traces[0]
+        tr_o = self._traces[0]
         return ub * (
-            b * (b - 1.0) * u ** (b - 2.0) * self.power * tr_o
-            + b * u ** (b - 1.0) * (self._grad_power_flux + self.plap * tr_o)
+            b * (b - 1.0) * ub2 * self.power * tr_o
+            + b * ub1 * (self._grad_power_flux + self.plap * tr_o)
             + ub * grad_plap_flux
         )
 

@@ -295,7 +295,7 @@ class TestWeightedTraces:
                 for b in AB_GRID:
                     alpha, beta = np.abs(b * u ** (b - 1.0)), u**b
                     jac = block.weighted(u, b)[1]
-                    tr, tr_sq = block.weighted_traces(u, b)
+                    tr, tr_sq, _ = block.weighted_traces(b, u**b, u ** (b - 1.0))
                     # each term is bounded by (|alpha| |F||g| + beta |J|)^k
                     scale = alpha * gf + beta * jac_norm
                     err = np.abs(tr - np.einsum("nii->n", jac)) / scale
