@@ -78,10 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--models", default="euclidean,sphere,hyperbolic")
     sp.add_argument("--a", type=_floats, default=identities.AB_GRID,
-                    help="weight-power grid of the two-parameter identity")
+                    help="weight-power grid of the weighted and solution suites")
     sp.add_argument("--b", type=_floats, default=identities.AB_GRID,
-                    help="weight-power grid of the Bochner and two-parameter "
-                         "identities")
+                    help="weight-power grid of the bochner-x, weighted and solution suites")
 
     sp = command("trace-ineq", "traceless Jacobian trace inequality",
                  seed=True, tol=True)
@@ -254,7 +253,8 @@ def _check_solution(dim, args):
     term = exponents.ReactionTerm.pure_power(3.0)
     sol = shooting.solve_dense(model_from_name("euclidean", dim), 2.0, term, 1.0,
                                horizon=50.0)
-    return identities.check_solution_identity(sol, **_tol(args))
+    return identities.check_solution_identity(
+        sol, a_values=args.a, b_values=args.b, **_tol(args))
 
 
 def _per_campaign(check):
@@ -267,7 +267,8 @@ def _per_campaign(check):
 _SUITES = {
     "decomposition": _per_campaign(identities.check_decomposition),
     "advection": _per_campaign(identities.check_flux_advection),
-    "bochner-x": _per_campaign(identities.check_bochner_vector),
+    "bochner-x": lambda camp, args: identities.check_bochner_vector(
+        camp, b_values=args.b, **_tol(args)),
     "bochner-p": _per_campaign(identities.check_bochner_linearized),
     "weighted": lambda camp, args: identities.check_weighted_identity(
         camp, a_values=args.a, b_values=args.b, **_tol(args)),
@@ -282,7 +283,7 @@ def _run_identities(args) -> list:
     for dim in args.dim:
         for model in models:
             camp = identities.Campaign(
-                model_name=model, dim=dim, p_values=args.p, b_values=args.b,
+                model_name=model, dim=dim, p_values=args.p,
                 samples=args.samples, seed=args.seed,
             )
             results.extend(_SUITES[s](camp, args) for s in suites if s != "solution")

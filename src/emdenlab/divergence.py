@@ -2,8 +2,8 @@
 
 The identity suite needs exact divergences of a closed enumeration of
 vector fields built from a positive field u and parameters (p, a, b, c,
-lam).  ``engine.at(p)`` is a :class:`View`, and each field is one view
-method that takes only the parameters of its field:
+lam).  ``View(engine, p)`` is the engine at one p, and each field is one
+view method that takes only the parameters of its field:
 
   flux()                    |grad u|^{p-2} grad u        (call it F)
   self_advection(b)         grad_X X,  X = u^b F
@@ -109,11 +109,6 @@ class _Engine:
         self.h = G @ G  # |grad u|^2
         self.HG = H @ G  # hess u . grad u
         self.GHG = G @ self.HG  # <grad u, hess u . grad u>
-
-    def at(self, p: float) -> "View":
-        """The engine at one p, with its own power table of u; it keeps
-        the blocks it builds."""
-        return View(self, p)
 
 
 class EuclideanEngine(_Engine):

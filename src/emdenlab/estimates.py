@@ -26,7 +26,6 @@ import numpy as np
 from .errors import InputError, NumericalError, PreconditionError
 from .exponents import HarnackConfig
 from .geometry import ball_volume, euclidean, quad, unit_sphere_area
-from .jets import _radial_p_laplacian
 
 __all__ = [
     "LogGradientProfile",
@@ -53,6 +52,21 @@ class LogGradientProfile:
     limit_estimate: float
     certified: bool
     residual_max: float
+
+
+def _radial_p_laplacian(p, du, ddu, drift):
+    """Radial p-Laplacian |u'|^{p-2} ((p-1) u'' + drift) and its scale.
+
+    ``drift`` is the first-order part (n-1) (psi'/psi) u', in whatever
+    form the caller holds it; the scale |u'|^{p-2} (|(p-1) u''| + |drift|)
+    is what a residual is measured against.  Where u' = 0 and p < 2 both
+    are non-finite (computed without warnings); callers mask or reject
+    those points.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gn = np.abs(du) ** (p - 2.0)
+        lead = (p - 1.0) * ddu
+        return gn * (lead + drift), gn * (np.abs(lead) + np.abs(drift))
 
 
 #: terms of the extremal's series before it fails closed (see

@@ -35,6 +35,7 @@ trace assertion runs once per (p, b).  Only the table and levels of the
 batch checked last are held; a check that reads another batch drops
 them.  They are not kept on the batch, which lives as long as the
 campaign: every campaign's levels would then stay in memory at once.
+The checks on a radial solution read their batch's level the same way.
 Both sides are affine in the b-dependent weights, so per b a campaign
 check forms only powers of u times p-level blocks, and no Jacobian or
 dual (the solution identity and the trace inequality still assemble the
@@ -97,12 +98,12 @@ AB_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class Campaign:
-    """One sampling campaign: model, field family, exponents, seed."""
+    """One sampling campaign: model, field family, p grid, samples, seed.
+    Each weighted check takes its own weight grids (AB_GRID by default)."""
 
     model_name: str = "euclidean"
     dim: int = 3
     p_values: tuple = (1.5, 2.0, 3.0)
-    b_values: tuple = (0.0, -1.0, 1.0)
     samples: int = 1000
     seed: int = 0
 
@@ -137,18 +138,6 @@ class SampleBatch:
     engine: object
     ric_rr: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    @property
-    def g(self):
-        return self.jets.g
-
-    @property
-    def h(self):
-        return self.jets.h
-
-    @property
-    def gn(self):
-        return self.jets.gn
 
 
 def _rng(seed: int):
@@ -536,28 +525,30 @@ def check_flux_advection(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     return acc.report(seed=camp.seed)
 
 
-def check_bochner_vector(camp: Campaign, tol: float = 1e-7) -> IdentityReport:
+def check_bochner_vector(camp: Campaign, b_values: tuple = AB_GRID,
+                         tol: float = 1e-7) -> IdentityReport:
     """div(grad_X X) = tr(jac^2) + <grad div X, X> + Ric(X, X).
 
     Per b the right side reads only the level's powers of u and its
     record of X over the flux block's p-level traces and pairings, and
     the one engine pairing <grad lap_p u, F> (see _grad_plap_flux).
+    Ric(X, X) reads (u^b)^2 Ric(F, F), as check_weighted_identity does.
     """
     acc = _Residuals("bochner_vector_field", tol)
     batch = camp.batch
     for p in camp.p_values:
         level = _level(batch, p)
-        block, u_pow = level.block, level.powers
+        block = level.block
         ric_f = batch.ric_rr * block.flux_sq
-        for b in camp.b_values:
+        for b in b_values:
             x = level.weighted(b)
             lhs = level.view.self_advection(b)
             rhs = (
                 x.tr_sq
                 + block.weighted_grad_div_pairing(
-                    b, x.ub, x.ub1, u_pow(b - 2.0), level.grad_plap_flux
+                    b, x.ub, x.ub1, level.powers(b - 2.0), level.grad_plap_flux
                 )
-                + u_pow(2.0 * b) * ric_f
+                + x.ub**2 * ric_f
             )
             acc.update(lhs, rhs, batch, {"p": p, "b": b})
     return acc.report(seed=camp.seed)
@@ -600,7 +591,7 @@ def check_weighted_identity(
     """
     acc = _Residuals("weighted_divergence", tol)
     batch = camp.batch
-    gn = batch.gn
+    gn = batch.jets.gn
     a_col = np.array(a_values, dtype=float)[:, None]
     for p in camp.p_values:
         level = _level(batch, p)
@@ -640,8 +631,8 @@ def _solution_coefficients(n: int, p: float, a: float, b: float):
 
 def check_solution_identity(
     sol: RadialSolution,
-    a_values=(0.0, 1.0, 2.0, -1.0),
-    b_values=(0.0, 1.0, -1.0),
+    a_values: tuple = AB_GRID,
+    b_values: tuple = AB_GRID,
     tol: float = 1e-6,
 ) -> IdentityReport:
     """The solution-constrained divergence identity (needs the equation).
@@ -653,11 +644,10 @@ def check_solution_identity(
     n, p = sol.model.dim, sol.p
     batch = solution_batch(sol)
     acc = _Residuals("solution_divergence", tol)
-    E = batch.engine.at(p)
-    block = J.FluxBlock(batch.jets, p)
-    u, gn, u_pow = batch.u, batch.gn, E.powers
+    level = _level(batch, p)
+    E, block, u_pow, u = level.view, level.block, level.powers, batch.u
     fu, dfu = sol.term(u), sol.term.deriv(u)
-    gn_p, gn_2p = gn**p, gn ** (2.0 * p)
+    gn_p, gn_2p = block.power, batch.jets.gn ** (2.0 * p)
     cores = {}  # per b: tr(M^2) + Ric(X, X), M the traceless Jacobian of X = u^b F
     for b in b_values:
         X, jac = block.weighted(u, b)
@@ -873,9 +863,9 @@ def check_log_gradient_pointwise(
         raise PreconditionError("lam must be at least p/(1 - delta0+)")
     n, p = sol.model.dim, sol.p
     batch = solution_batch(sol)
-    lhs = batch.engine.at(p).log_power_flux(lam)
-    w1 = batch.g[:, 0] / batch.u
-    w2 = batch.h[:, 0, 0] / batch.u - w1**2
+    lhs = _level(batch, p).view.log_power_flux(lam)
+    w1 = batch.jets.g[:, 0] / batch.u
+    w2 = batch.jets.h[:, 0, 0] / batch.u - w1**2
     hgrad = np.abs(w1)
     grad_h = np.abs(w2)  # |d/dr |grad w|| away from critical points
     rhs = (

@@ -1051,7 +1051,8 @@ def _sphere_warp_mass(n: int) -> float:
     return unit_sphere_area(n + 1) / unit_sphere_area(n)
 
 
-#: a cell that stayed positive with a pole flux residual within this is regular
+#: outside the theorem's hypotheses, a cell that stayed positive with a
+#: pole flux residual within this is regular
 _BV_RESIDUAL_TOL = 1e-6
 
 
@@ -1083,9 +1084,11 @@ def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
     the hypothesis bounds (Ricci vs (n-1)(q-1) lam / n, and q vs the
     Sobolev bound) are evaluated and reported, and a run outside them is
     flagged but still performed (exploration mode).  Within the
-    hypotheses the scan passes iff the constant lam^{1/(q-1)} is the only
-    regular value found; outside them it is flagged and passes iff it
-    has cells.  A cell without a grade (error or inconclusive), on the
+    hypotheses a cell is regular only at residual exactly 0, so is every
+    graded search root, and the scan passes iff the constant
+    lam^{1/(q-1)} is the only regular value; outside them a cell within
+    _BV_RESIDUAL_TOL is regular, and the scan is flagged and passes iff
+    it has cells.  A cell without a grade (error or inconclusive), on the
     grid or at a search's root, fails the scan either way.
     """
     if q <= 1 or lam <= 0:
@@ -1100,7 +1103,7 @@ def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
         "exponent_ok": q <= sobolev_bound + 1e-12,
         "exponent_strict": q < sobolev_bound - 1e-12,
     }
-    hyp["within_theorem"] = bool(
+    within = hyp["within_theorem"] = bool(
         hyp["ricci_ok"] and hyp["exponent_ok"]
         and (hyp["ricci_strict"] or hyp["exponent_strict"])
     )
@@ -1115,18 +1118,22 @@ def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
         return {"stayed_positive": cell["residual"], "crossed_zero": -1.0}.get(
             cell["outcome"])
 
-    # Nonconstant regular families leave the pole flux at integrator
-    # noise relative to the reference flux, so a small residual marks a
-    # cell as regular directly.
+    # Nonconstant regular families (outside the hypotheses) leave the pole
+    # flux at integrator noise, so there a small residual marks a cell as
+    # regular.  Inside them only an exact zero or a search's graded root
+    # does: near the constant the residual moves only about 0.27 per unit
+    # of u0, so a residual of 1e-6 can lie 4e-6 from the root.
+    residual_tol = 0.0 if within else _BV_RESIDUAL_TOL
+
     def regular(cell):
         return (cell["outcome"] == "stayed_positive" and cell["min_u"] > 0
-                and abs(cell["residual"]) <= _BV_RESIDUAL_TOL)
+                and abs(cell["residual"]) <= residual_tol)
 
     roots, searched = [], []  # each search's report and its root's cell
     for left, right in zip(cells, cells[1:]):
         ga, gb = grade(left), grade(right)
         if (ga is None or gb is None or (ga > 0) == (gb > 0)
-                or min(abs(ga), abs(gb)) <= _BV_RESIDUAL_TOL):  # an end already regular
+                or min(abs(ga), abs(gb)) <= residual_tol):  # an end already regular
             continue
         pos, neg = (left, right) if ga > 0 else (right, left)
         root, cell, g, steps = _sign_change(
@@ -1135,11 +1142,12 @@ def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
         searched.append(cell)
     graded = None not in map(grade, cells + searched)
 
+    found = [r["u0"] for r in roots if within and r["grade"] is not None]
     regular_all = []
-    for val in sorted(cell["u0"] for cell in cells + searched if regular(cell)):
+    for val in sorted(found + [c["u0"] for c in cells + searched if regular(c)]):
         if not regular_all or abs(val - regular_all[-1]) > 1e-5 * (1.0 + abs(val)):
             regular_all.append(float(val))
-    if hyp["within_theorem"]:
+    if within:
         unique = len(regular_all) == 1 and bool(
             abs(regular_all[0] - constant_value) <= 1e-6 * (1.0 + constant_value))
         verdict = {"pass": unique and graded}

@@ -88,6 +88,16 @@ class TestIdentitiesCommand:
         assert rep["config"]["a"] == rep["config"]["b"] == list(identities.AB_GRID)
         assert rep["results"][0]["samples"] == 100 * 3 * len(identities.AB_GRID)
 
+    def test_solution_suite_reads_the_weight_flags(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run_cli(["identities", "--suite", "solution", "--a", "1", "--b", "0",
+                        "--out", str(out)]) == 0
+        [result] = json.loads(out.read_text())["results"]
+        assert result["identity_id"] == "solution_divergence"
+        assert (result["worst_case"]["a"], result["worst_case"]["b"]) == (1.0, 0.0)
+        # one (a, b) row over the solution's radii
+        assert 0 < result["samples"] <= 400
+
     def test_tolerances_echoed(self, tmp_path):
         out = tmp_path / "rep.json"
         run_cli(["identities", "--suite", "advection", "--dim", "2",
@@ -539,6 +549,16 @@ class TestOtherCommands:
         out = tmp_path / "rep.json"
         run_cli(["thresholds", "--n", "3", "--p", "2", "--out", str(out)])
         assert "wall_time" not in out.read_text()
+
+
+class TestBvSphereCommand:
+    @pytest.mark.parametrize("grid,code", [("0.999997,1.3", 0), ("0.999997", 1)])
+    def test_small_residual_is_not_regular(self, tmp_path, grid, code):
+        # inside the hypotheses only the search's root near 1 is regular
+        out = tmp_path / "rep.json"
+        assert run_cli(["bv-sphere", "--u0", grid, "--out", str(out)]) == code
+        [scan] = json.loads(out.read_text())["results"]
+        assert len(scan["regular_u0"]) == 1 - code
 
 
 class TestConsoleEntry:

@@ -42,7 +42,7 @@ def _divergence(engine, name, p, **params):
     parameters out of params.  weighted_flux, X itself, goes by the
     product rule over the flux, and advection_balance, grad_X X -
     (div X) X, is weighted_balance at a = 0."""
-    view = engine.at(p)
+    view = View(engine, p)
     if name == "weighted_flux":
         return _weighted_flux(view, params["b"])
     if name == "advection_balance":
@@ -71,14 +71,14 @@ class TestEnumeration:
     def test_flux_of_paraboloid(self):
         # u = |x|^2/2, p = 2: div grad u = n
         field = _paraboloid(3)
-        out = _euclidean(field, [[1.0, 0.2, -0.4]]).at(2.0).flux()
+        out = View(_euclidean(field, [[1.0, 0.2, -0.4]]), 2.0).flux()
         assert out[0] == pytest.approx(3.0, rel=1e-13)
 
     def test_radial_flux_hyperbolic_oracle(self):
         # u = e^{-r} on H^3 at r=1, p=2: u'' + 2 coth(r) u'
         prof = RadialProfile(ScalarField(1, 0.0, (FieldTerm("rexp", 1.0, ((0.0,), 1.0, 0.0)),)))
         model = hyperbolic(3, 1.0)
-        out = _radial(model, prof, [1.0]).at(2.0).flux()
+        out = View(_radial(model, prof, [1.0]), 2.0).flux()
         expected = math.exp(-1.0) * (1.0 - 2.0 / math.tanh(1.0))
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
@@ -126,12 +126,12 @@ class TestPowerFluxOracles:
     point = (0.7, -0.4)
 
     def test_grad_power_flux(self):
-        out = _euclidean(self.field, [self.point]).at(3.0).grad_power_flux()
+        out = View(_euclidean(self.field, [self.point]), 3.0).grad_power_flux()
         expected = _power_flux_div(self.u, self.xs, self.point, sp.Integer(3), sp.Integer(3))
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
     def test_log_power_flux(self):
-        out = _euclidean(self.field, [self.point]).at(1.5).log_power_flux(lam=2.5)
+        out = View(_euclidean(self.field, [self.point]), 1.5).log_power_flux(lam=2.5)
         expected = _power_flux_div(
             sp.log(self.u), self.xs, self.point, sp.Rational(3, 2), sp.Rational(5, 2)
         )
@@ -367,20 +367,20 @@ class TestViewReuse:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_reuse_equals_fresh_build(self, backend, p):
         eng = self._engines()[backend]
-        view = eng.at(p)
+        view = View(eng, p)
         for b in self.B_ORDER:
             params = dict(self.PARAMS, b=b)
             for spec, names in FIELDS.items():
                 own = {k: params[k] for k in names}
                 kept = getattr(view, spec)(**own)
-                fresh = getattr(eng.at(p), spec)(**own)
+                fresh = getattr(View(eng, p), spec)(**own)
                 assert np.array_equal(kept, fresh), (spec, b)
             a_col = np.array([[-1.0], [2.0]])
             kept = view.weighted_balance(a=a_col, b=b)
-            fresh = eng.at(p).weighted_balance(a=a_col, b=b)
+            fresh = View(eng, p).weighted_balance(a=a_col, b=b)
             assert np.array_equal(kept, fresh)
-        _assert_same_dual(view._grad_pow, eng.at(p)._grad_pow)
-        _assert_same_dual(view.p_laplacian_dual, eng.at(p).p_laplacian_dual)
+        _assert_same_dual(view._grad_pow, View(eng, p)._grad_pow)
+        _assert_same_dual(view.p_laplacian_dual, View(eng, p).p_laplacian_dual)
 
 
 def _assert_same_dual(kept, fresh):

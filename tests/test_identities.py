@@ -50,6 +50,13 @@ class TestIdentitySuite:
         rep = I.check_bochner_vector(camp)
         assert rep.passed
 
+    def test_bochner_vector_default_grid(self):
+        # a default Campaign runs the Bochner check over AB_GRID, b = +-2 too
+        camp = I.Campaign()
+        rep = I.check_bochner_vector(camp)
+        assert rep.passed
+        assert rep.samples == len(I.AB_GRID) * len(camp.p_values) * camp.samples == 15000
+
     @pytest.mark.parametrize("camp", CAMPAIGNS, ids=lambda c: c.model_name)
     def test_bochner_linearized(self, camp):
         rep = I.check_bochner_linearized(camp)
@@ -82,7 +89,7 @@ class TestIdentitySuite:
                   for i in range(3)),
         )
         eng = EuclideanEngine(field.jet3(np.array([[0.7, -0.1, 0.4]])))
-        lhs = eng.at(2.0).self_advection(b=0.0)
+        lhs = View(eng, 2.0).self_advection(b=0.0)
         assert lhs[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_determinism_bit_for_bit(self):
@@ -114,7 +121,7 @@ class TestIdentitySuite:
         camp = I.Campaign(model_name="euclidean", dim=3, samples=150, seed=21)
         batch = camp.batch
         p, b = 2.5, 1.0
-        view = batch.engine.at(p)
+        view = View(batch.engine, p)
         X, jac = J.FluxBlock(batch.jets, p).weighted(batch.u, b)
         divx = _weighted_divergence_dual(view, b)
         defect_weighted = view.weighted_balance(a=0.0, b=b) - (
@@ -173,10 +180,10 @@ class TestCampaignBatch:
         params = {"b": -1.0, "c": 0.3}
         for spec, names in WEIGHTED_FIELDS.items():
             own = {k: params[k] for k in names if k != "a"}
-            rows = getattr(eng.at(2.5), spec)(a=np.array(a_values)[:, None], **own)
+            rows = getattr(View(eng, 2.5), spec)(a=np.array(a_values)[:, None], **own)
             assert rows.shape == (len(a_values), camp.batch.u.shape[0])
             for a, row in zip(a_values, rows):
-                np.testing.assert_array_equal(row, getattr(eng.at(2.5), spec)(a=a, **own))
+                np.testing.assert_array_equal(row, getattr(View(eng, 2.5), spec)(a=a, **own))
 
     @pytest.mark.parametrize("model", ["euclidean", "sphere"])
     def test_short_campaign_raises(self, monkeypatch, model):
@@ -231,7 +238,7 @@ def _old_rule_batch(camp):
 def _batch_arrays(batch):
     """The batch's sample arrays and its engine's seed duals."""
     eng = batch.engine
-    arrays = [batch.u, batch.g, batch.h, batch.ric_rr, batch.meta.get("r", batch.u)]
+    arrays = [batch.u, batch.jets.g, batch.jets.h, batch.ric_rr, batch.meta.get("r", batch.u)]
     for dual in (eng.u, eng.G, eng.H, eng.lap):
         arrays += [dual.v, dual.d]
     return arrays
@@ -419,8 +426,11 @@ def cubic_solution():
 class TestSolutionIdentity:
 
     def test_sampled_identity(self, cubic_solution):
+        # the default (a, b) grid is AB_GRID x AB_GRID
         rep = I.check_solution_identity(cubic_solution)
         assert rep.passed
+        rows = len(I.AB_GRID) ** 2
+        assert rep.samples == rows * I.solution_batch(cubic_solution).u.shape[0]
 
     def test_special_weights_spec_values(self, cubic_solution):
         # alpha = 3, n = 3, p = 2: a = 12/5, b = -9/5
@@ -753,13 +763,13 @@ class TestBuildCounts:
             lambda table, x: init(table, x.view(Logged) if isinstance(x, np.ndarray) else x))
         for check in TestCampaignBatch.CHECKS:
             assert check(camp).passed
-        # scalars: u^b, u^{b-1}, u^{b-2}, u^{2b} on the Bochner right side and
-        # u^{2b-2} on its left; columns: u^a and u^{a+2b-2} (shared by both
-        # sides of the weighted identity) and u^{a+2b-1}
+        # scalars: u^b, u^{b-1}, u^{b-2} on the Bochner right side (its
+        # Ricci term squares u^b) and u^{2b-2} on its left; columns: u^a and
+        # u^{a+2b-2} (shared by both sides of the weighted identity) and
+        # u^{a+2b-1}
         a_col = np.array(I.AB_GRID)[:, None]
-        expected = {e for b in camp.b_values
-                    for e in (b, b - 1.0, b - 2.0, 2.0 * b, 2.0 * b - 2.0)}
-        expected |= {e for b in I.AB_GRID for e in (b, b - 1.0)}
+        expected = {e for b in I.AB_GRID
+                    for e in (b, b - 1.0, b - 2.0, 2.0 * b - 2.0)}
         expected |= {key(a_col)} | {key(a_col + 2.0 * b - c)
                                     for b in I.AB_GRID for c in (2.0, 1.0)}
         assert len(evaluated) == len(set(evaluated))  # once per batch, not per p
@@ -773,9 +783,8 @@ class TestBuildCounts:
         asserted = _count_calls(monkeypatch, J.FluxBlock, "_check_trace")
         for check in TestCampaignBatch.CHECKS:
             assert check(camp).passed
-        # check_bochner_vector's b grid lies inside check_weighted_identity's
+        # check_bochner_vector and check_weighted_identity share one b grid
         expected = sorted((p, b) for p in camp.p_values for b in I.AB_GRID)
-        assert set(camp.b_values) < set(I.AB_GRID)
         assert sorted((block.p, b) for block, b, *_ in traces) == expected
         assert sorted((block.p, b) for block, _, b, *_ in asserted) == expected
 
@@ -849,7 +858,7 @@ class TestBuildCounts:
     @pytest.mark.parametrize("model", ["euclidean", "sphere"])
     def test_p_free_contractions_once_per_batch(self, monkeypatch, model):
         camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
-        h = camp.batch.h
+        h = camp.batch.jets.h
         builds = _count_block_builds(monkeypatch, J.JetBlock, _JET_BLOCKS)
         contractions = []
         einsum = np.einsum
@@ -895,7 +904,7 @@ class TestAffineInB:
         batch = camp.batch
         u = batch.u
         for p in (1.5, 2.0, 3.0):
-            view = batch.engine.at(p)
+            view = View(batch.engine, p)
             block = J.FluxBlock(batch.jets, p)
             grad_plap_flux = I._grad_plap_flux(view, block, batch)
             flux = I._as_components(block.flux, batch)
@@ -924,14 +933,10 @@ class TestAffineInB:
                             lambda self, v, d: duals.append(1) or init(self, v, d))
         counts = []
         for b_values in ((0.0,), I.AB_GRID):
-            camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6,
-                              b_values=b_values)
+            camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
             camp.batch
             duals.clear()
-            if check is I.check_weighted_identity:
-                assert check(camp, b_values=b_values).passed
-            else:
-                assert check(camp).passed
+            assert check(camp, b_values=b_values).passed
             counts.append(len(duals))
         assert counts[0] > 0 and counts[0] == counts[1]
 
@@ -989,9 +994,10 @@ class TestSpecificConfigurations:
         u1, u2, u3 = -u, u, -u
         eng = RadialEngine(model, r, u, u1, u2, u3)
         uu, g, h = eng.frame_jets()
-        lhs = eng.at(2.0).self_advection(b=0.0)
+        view = View(eng, 2.0)
+        lhs = view.self_advection(b=0.0)
         X, jac = J.FluxBlock(J.JetBlock(g, h), 2.0).weighted(uu, 0.0)
-        divx = _weighted_divergence_dual(eng.at(2.0), 0.0)
+        divx = _weighted_divergence_dual(view, 0.0)
         ric = np.asarray(model.ricci_radial(r))
         np.testing.assert_allclose(ric, -2.0, rtol=1e-13)
         rhs = (J.trace_product(jac) + divx.d[:, 0] * X[:, 0]

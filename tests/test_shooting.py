@@ -861,6 +861,19 @@ class TestSphereSearch:
         [root] = rep["bisection_roots"]
         assert root["u0"] == found and root["steps"] <= 40
 
+    def test_small_residual_is_not_a_root_inside_the_hypotheses(self):
+        # 0.999997 stays positive with residual 8.2e-7, 3e-6 from the
+        # constant: it is not regular, and its bracket is searched
+        rep = S.bv_sphere_scan(3, 3.0, 1.0, [0.999997, 1.3])
+        assert rep["hypotheses"]["within_theorem"]
+        assert 0 < rep["cells"][0]["residual"] <= S._BV_RESIDUAL_TOL
+        [root] = rep["bisection_roots"]
+        assert rep["regular_u0"] == [root["u0"]]
+        assert abs(root["u0"] - 1.0) <= 1e-9
+        assert rep["pass"]
+        alone = S.bv_sphere_scan(3, 3.0, 1.0, [0.999997])
+        assert alone["regular_u0"] == [] and not alone["pass"]
+
     def test_midpoint_constant_takes_one_step(self):
         # 0.7 and 1.3 bracket the constant at their midpoint: 3 solves
         rep = S.bv_sphere_scan(3, 3.0, 1.0, [0.7, 1.3])
