@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -550,6 +549,8 @@ def bubble_coefficient_audit(n: int, p) -> dict:
     the factor 1 - (n-p) alpha / ((n+1)p - n), which vanishes iff
     alpha = ((n+1)p - n)/(n-p).
     """
+    from fractions import Fraction  # loads decimal: kept off the module import
+
     pf = Fraction(p).limit_denominator(10**9) if not isinstance(p, Fraction) else p
     nf = Fraction(n)
     if pf >= nf:

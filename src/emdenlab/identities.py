@@ -27,14 +27,15 @@ p-level parts are built once per (batch, p) and shared by the campaign
 checks run back to back on it: a level (see _level) holds the engine
 view the left sides go through, the ``jets.FluxBlock`` over the batch's
 JetBlock the right sides go through, which builds each part on first
-use, and <grad lap_p u, F>.  The levels of a batch share one
-``divergence.PowerTable`` of u, which evaluates each power u^e once per
-batch for both routes, and each level keeps one record per b of
-X = u^b F: u^b, u^{b-1}, the closed-form div X and tr(jac^2), whose
-trace assertion runs once per (p, b).  Only the table and levels of the
-batch checked last are held; a check that reads another batch drops
-them.  They are not kept on the batch, which lives as long as the
-campaign: every campaign's levels would then stay in memory at once.
+use, <grad lap_p u, F>, Ric(F, F) and |grad u|^{2p}.  The levels of a
+batch share one ``divergence.PowerTable`` of u, which evaluates each
+power u^e once per batch for both routes, and each level keeps one
+record per b of X = u^b F: u^b, u^{b-1}, the closed-form div X,
+tr(jac^2), whose trace assertion runs once per (p, b), and Ric(X, X).
+Only the table and levels of the batch checked last are held; a check
+that reads another batch drops them.  They are not kept on the batch,
+which lives as long as the campaign: every campaign's levels would then
+stay in memory at once.
 The checks on a radial solution read their batch's level the same way.
 Both sides are affine in the b-dependent weights, so per b a campaign
 check forms only powers of u times p-level blocks, and no Jacobian or
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 # numpy loads numpy.random lazily; load it with this module, not at the first draw
@@ -67,12 +68,13 @@ from numpy.random import Generator, Philox
 from . import jets as J
 from .divergence import EuclideanEngine, PowerTable, RadialEngine, View
 from .errors import DomainError, PreconditionError
-from .exponents import GradientEstimateParams, satisfies_f2
 from .fields import SAMPLING_BOX, RadialProfile, random_field, random_radial_profile
 from .geometry import ManifoldModel, model_from_name
 from .reports import IdentityReport, InequalityReport
-from .shooting import RadialSolution
 from .taylor import Jet3
+
+if TYPE_CHECKING:  # annotations only: the integrator is not loaded
+    from .shooting import RadialSolution
 
 __all__ = [
     "Campaign",
@@ -425,19 +427,21 @@ class _Margins:
 
 
 class _Weighted(NamedTuple):
-    """X = u^b F at one (p, b): u^b, u^{b-1}, the closed-form div X and
-    tr(jac^2), jac the Jacobian of X."""
+    """X = u^b F at one (p, b): u^b, u^{b-1}, the closed-form div X,
+    tr(jac^2), jac the Jacobian of X, and Ric(X, X) = (u^b)^2 Ric(F, F)."""
 
     ub: np.ndarray
     ub1: np.ndarray
     div_x: np.ndarray
     tr_sq: np.ndarray
+    ric_x: np.ndarray
 
 
 class _Level:
     """A batch at one p: the engine view the left sides go through, the
     flux block the right sides go through, the batch's power table of u
-    that both read, and <grad lap_p u, F>, built on first use."""
+    that both read, and, each built on first use, <grad lap_p u, F>,
+    Ric(F, F) and |grad u|^{2p}."""
 
     def __init__(self, batch: SampleBatch, p, powers: PowerTable):
         self.batch = batch
@@ -450,6 +454,14 @@ class _Level:
     def grad_plap_flux(self):
         return _grad_plap_flux(self.view, self.block, self.batch)
 
+    @cached_property
+    def ric_f(self):
+        return self.batch.ric_rr * self.block.flux_sq
+
+    @cached_property
+    def gn_2p(self):
+        return self.batch.jets.gn ** (2.0 * self.block.p)
+
     def weighted(self, b) -> _Weighted:
         """The record of X = u^b F, built on first use: the flux block's
         traces, with their assertion, run once per (p, b)."""
@@ -457,7 +469,7 @@ class _Level:
         if rec is None:
             ub, ub1 = self.powers(b), self.powers(b - 1.0)
             _, tr_sq, div_x = self.block.weighted_traces(b, ub, ub1)
-            rec = self._weighted[b] = _Weighted(ub, ub1, div_x, tr_sq)
+            rec = self._weighted[b] = _Weighted(ub, ub1, div_x, tr_sq, ub**2 * self.ric_f)
         return rec
 
 
@@ -532,14 +544,13 @@ def check_bochner_vector(camp: Campaign, b_values: tuple = AB_GRID,
     Per b the right side reads only the level's powers of u and its
     record of X over the flux block's p-level traces and pairings, and
     the one engine pairing <grad lap_p u, F> (see _grad_plap_flux).
-    Ric(X, X) reads (u^b)^2 Ric(F, F), as check_weighted_identity does.
+    Ric(X, X) is the record's, shared with check_weighted_identity.
     """
     acc = _Residuals("bochner_vector_field", tol)
     batch = camp.batch
     for p in camp.p_values:
         level = _level(batch, p)
         block = level.block
-        ric_f = batch.ric_rr * block.flux_sq
         for b in b_values:
             x = level.weighted(b)
             lhs = level.view.self_advection(b)
@@ -548,7 +559,7 @@ def check_bochner_vector(camp: Campaign, b_values: tuple = AB_GRID,
                 + block.weighted_grad_div_pairing(
                     b, x.ub, x.ub1, level.powers(b - 2.0), level.grad_plap_flux
                 )
-                + x.ub**2 * ric_f
+                + x.ric_x
             )
             acc.update(lhs, rhs, batch, {"p": p, "b": b})
     return acc.report(seed=camp.seed)
@@ -566,7 +577,7 @@ def check_bochner_linearized(camp: Campaign, tol: float = 1e-7) -> IdentityRepor
         rhs = (
             block.jacobian_sq_trace
             + level.grad_plap_flux
-            + batch.ric_rr * block.flux_sq
+            + level.ric_f
         )
         acc.update(level.view.grad_power_flux(), rhs, batch, {"p": p})
     return acc.report(seed=camp.seed)
@@ -585,23 +596,21 @@ def check_weighted_identity(
     Each (p, b) takes both sides for the whole a grid as one (A, N) block.
     The powers of u, one row per a where a enters, come from the batch's
     power table, which evaluates each once per batch and hands the left
-    side's u^{a+2b-2} to the right side; u^b, u^{b-1}, div X and
-    tr(jac^2) come from the level's record of X, shared with
+    side's u^{a+2b-2} to the right side; u^b, u^{b-1}, div X, tr(jac^2)
+    and Ric(X, X) come from the level's record of X, shared with
     check_bochner_vector.
     """
     acc = _Residuals("weighted_divergence", tol)
     batch = camp.batch
-    gn = batch.jets.gn
     a_col = np.array(a_values, dtype=float)[:, None]
     for p in camp.p_values:
         level = _level(batch, p)
         block, u_pow = level.block, level.powers
-        plap, gn_p, gn_2p = block.plap, block.power, gn ** (2.0 * p)
-        ric_f = batch.ric_rr * block.flux_sq
+        plap, gn_p, gn_2p = block.plap, block.power, level.gn_2p
         u_a = u_pow(a_col)
         for b in b_values:
             x = level.weighted(b)
-            core = x.tr_sq - x.div_x**2 + x.ub**2 * ric_f
+            core = x.tr_sq - x.div_x**2 + x.ric_x
             lhs = level.view.weighted_balance(a_col, b)
             rhs = (
                 u_a * core
@@ -852,6 +861,8 @@ def check_log_gradient_pointwise(
 
     with Ric_min = model.ricci_min (-(n-1) kappa on H^n(kappa)).
     """
+    from .exponents import GradientEstimateParams, satisfies_f2
+
     params = GradientEstimateParams(delta0=delta0, p=sol.p)
     ok, witness = satisfies_f2(sol.term, delta0, sol.model.dim, sol.p)
     if not ok:

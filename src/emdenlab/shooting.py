@@ -1166,7 +1166,7 @@ def bv_sphere_scan(n, q, lam, u0_grid) -> dict:
         "regular_u0": [float(v) for v in regular_all],
         "nonconstant_regular_found": any(
             abs(v - constant_value) > 1e-4 * (1.0 + constant_value) for v in regular_all),
-        "residual_tol": _BV_RESIDUAL_TOL,
+        "residual_tol": residual_tol,
         "rtol": RTOL,
         "atol": _BV_ATOL,
         **verdict,

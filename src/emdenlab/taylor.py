@@ -33,10 +33,12 @@ __all__ = [
 
 def _sym_vh(g, h):
     # (g (x) h) symmetrized over the three derivative slots, summed in
-    # slot order into the first term's array
-    out = np.einsum("...i,...jk->...ijk", g, h)
-    out += np.einsum("...j,...ik->...ijk", g, h)
-    out += np.einsum("...k,...ij->...ijk", g, h)
+    # slot order: g_i h_jk + g_j h_ik + g_k h_ij, the last two read as
+    # permuted views of the one outer product
+    gh = np.einsum("...i,...jk->...ijk", g, h)
+    ji = gh.swapaxes(-3, -2)  # g_j h_ik
+    out = gh + ji
+    out += ji.swapaxes(-2, -1)  # g_k h_ij
     return out
 
 

@@ -209,6 +209,32 @@ class TestScanCommand:
             for k, key in enumerate(header.split(",")):
                 assert np.array_equal(got[:, k], out.trajectory[key], equal_nan=True)
 
+    def test_trajectory_bytes_are_csv_writers(self, tmp_path, monkeypatch):
+        # a file is byte for byte what csv.writer writes for its rows,
+        # random values and nan, +-inf, -0.0 and 1e300 alike
+        import csv
+        from types import SimpleNamespace
+
+        rng = np.random.default_rng(np.random.Philox(4))
+        cols = rng.normal(size=(4, 40)) * 10.0 ** rng.integers(-300, 300, size=(4, 40))
+        cols[:, :8] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e-300, 5e-324]
+        traj = dict(zip(("r", "u", "uprime", "m"), cols))
+
+        def fake_scan(n, p, alphas, u0s, horizon, on_cell):
+            on_cell(alphas[0], u0s[0], SimpleNamespace(trajectory=traj))
+            return {"cells": [], "pass": True}
+
+        monkeypatch.setattr(shooting, "liouville_scan", fake_scan)
+        trajs = tmp_path / "trajs"
+        run_cli(["scan", "--alpha", "3", "--u0", "1", "--out", str(tmp_path / "rep.json"),
+                 "--trajectories", str(trajs)])
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["r", "u", "uprime", "m"])
+            writer.writerows(np.column_stack(cols).tolist())
+        assert (trajs / "alpha3_u01.csv").read_bytes() == expected.read_bytes()
+
 
 class TestParserCache:
     def test_one_parser_per_process(self):

@@ -133,3 +133,53 @@ def test_no_scipy_module_loads(tmp_path):
     assert child["scipy"] == []
     out = emdenlab.shoot(emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(3.0), 1.0)
     assert (child["kind"], child["r_cross"]) == (out.kind, out.r_cross)
+
+
+#: every name the package exported before its names were loaded lazily
+PACKAGE_EXPORTS = {
+    "errors": ("DomainError", "EmdenLabError", "InputError", "NumericalError",
+               "PreconditionError", "SingularJetError"),
+    "exponents": ("ReactionTerm", "classify_liouville", "critical_exponent",
+                  "emden_bubble", "emden_residual", "threshold_table"),
+    "geometry": ("ManifoldModel", "ball_volume", "bishop_gromov_check", "euclidean",
+                 "hyperbolic", "sphere"),
+    "reports": ("IdentityReport", "InequalityReport", "RunReport"),
+    "shooting": ("ShootOutcome", "bubble_match", "bv_sphere_scan", "liouville_scan",
+                 "shoot"),
+}
+
+_IDENTITIES_ONLY = """
+import importlib, json, sys
+import emdenlab.identities as I
+
+rep = I.check_bochner_vector(I.Campaign(model_name="sphere", dim=2, samples=20, seed=3))
+loaded = sorted(m for m in sys.modules if m.startswith("emdenlab."))
+exports = json.loads(sys.argv[1])
+import emdenlab
+wrong = [name for module, names in exports.items() for name in names
+         if getattr(emdenlab, name)
+         is not getattr(importlib.import_module("emdenlab." + module), name)]
+if emdenlab.__version__ != importlib.import_module("emdenlab.reports").TOOL_VERSION:
+    wrong.append("__version__")
+listed = set(dir(emdenlab))
+missing = [name for names in exports.values() for name in names if name not in listed]
+print(json.dumps({"pass": rep.passed, "loaded": loaded, "wrong": wrong,
+                  "missing": missing}))
+"""
+
+
+def test_identities_load_no_integrator_or_classifier():
+    # an identity campaign loads only the modules its checks run; every
+    # name the package exports still resolves, to its submodule's object
+    src = str(Path(emdenlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _IDENTITIES_ONLY, json.dumps(PACKAGE_EXPORTS)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["pass"]
+    assert set(child["loaded"]).isdisjoint(
+        {"emdenlab.shooting", "emdenlab.exponents", "emdenlab.estimates", "emdenlab.cli"})
+    assert child["wrong"] == [] and child["missing"] == []

@@ -945,3 +945,64 @@ class TestSharedCellVocabulary:
             assert {k: cell[k] for k in self.COMMON} == {
                 "u0": 0.0, "outcome": "error", "reason": "u0 must be positive",
                 "nfev": None, "status": None}
+
+
+class TestSphereScanTolerance:
+    def test_reports_the_residual_bound_it_applied(self):
+        # exactly 0 inside the hypotheses, where only an exact zero or a
+        # graded root is regular; 1e-6 outside them
+        inside = S.bv_sphere_scan(3, 3.0, 1.0, [1.0])
+        outside = S.bv_sphere_scan(3, 5.0, 0.75, [1.0])
+        assert inside["hypotheses"]["within_theorem"]
+        assert not outside["hypotheses"]["within_theorem"]
+        assert (inside["residual_tol"], outside["residual_tol"]) == (0.0, 1e-6)
+
+
+class TestKnownFailures:
+    """The 14 wrong verdicts of the benchmark's radial-solves workload,
+    pinned at its own grid so that a change to any of them shows without
+    running the benchmark: each is a defect the lab reports but has not
+    mended.  About 0.04 s in all."""
+
+    U0 = (0.5, 1.0, 2.0)
+
+    def row(self, n, p, factor):
+        alpha = factor * critical_exponent(n, p)
+        cells = S.liouville_scan(n, p, [alpha], self.U0, horizon=2000.0)["cells"]
+        return {c["u0"]: (c["outcome"], c["tail_exponent"]) for c in cells}
+
+    @pytest.mark.parametrize("n,p,factor,pinned", [
+        (4, 3.0, 0.98, {0.5: -0.5588431995011196, 1.0: -0.7130486203444374}),
+        (3, 2.5, 0.8, {0.5: -0.8036330741421338}),
+        (3, 2.5, 0.9, {0.5: -0.4419384286418107, 1.0: -1.3620171692947838}),
+        (3, 2.5, 0.98, {0.5: -0.34678180409805487, 1.0: -0.38569384586463074,
+                        2.0: -0.5825046710786931}),
+    ])
+    def test_horizon_mislabels(self, n, p, factor, pinned):
+        # ROADMAP items 1(a) and 11: subcritical cells read stayed_positive
+        # at the horizon 2000, where the true solution crosses zero later
+        row = self.row(n, p, factor)
+        assert {u0: row[u0] for u0 in pinned} == {
+            u0: ("stayed_positive", tail) for u0, tail in pinned.items()}
+        assert all(row[u0][0] == "crossed_zero" for u0 in self.U0 if u0 not in pinned)
+
+    def test_critical_tails(self):
+        # ROADMAP items 1(b) and 11: at alpha = p_s on R^4, p = 1.5 the
+        # p < 2 tail misses its exponent -(n-p)/(p-1) = -5
+        assert self.row(4, 1.5, 1.0) == {
+            0.5: ("stayed_positive", -4.607194685298329),
+            1.0: ("stayed_positive", -3.835720246777526),
+            2.0: ("stayed_positive", -2.718674608822269),
+        }
+
+    @pytest.mark.parametrize("n,p,residual", [
+        (4, 1.5, 1.2222851632756933e-06),
+        (3, 1.3, 8.149136365646261e-06),
+        (6, 1.2, 3.852923617436016e+18),
+    ])
+    def test_p_below_2_bubble_match(self, n, p, residual):
+        # ROADMAP items 1 and 11: the p < 2 bubbles miss the 1e-6
+        # trajectory tolerance
+        rep = S.bubble_match(n, p, 1.0, horizon=20.0)
+        assert rep["max_rel_residual"] == residual
+        assert rep["tol"] == 1e-6 and not rep["pass"]
