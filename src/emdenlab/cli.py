@@ -19,6 +19,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -35,14 +36,26 @@ from .geometry import bishop_gromov_check, ball_volume, model_from_name
 from .reports import RunReport, TOOL_VERSION
 
 
+#: the most values a 'start:stop:step' range may list
+MAX_RANGE_VALUES = 10_000
+
+
 def _floats(text: str):
-    """Parse '1,2,3' or 'start:stop:step' into a tuple of floats."""
+    """Parse '1,2,3' or 'start:stop:step' into a tuple of floats.  A range
+    takes finite bounds and step, and lists at most MAX_RANGE_VALUES
+    values; both are checked before any value is formed."""
     text = text.strip()
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise argparse.ArgumentTypeError("range bounds and step must be finite")
         if step <= 0:
             raise argparse.ArgumentTypeError("step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        steps = (stop - start) / step
+        if not (math.isfinite(steps) and steps < MAX_RANGE_VALUES - 0.5):
+            raise argparse.ArgumentTypeError(
+                f"a range lists at most {MAX_RANGE_VALUES} values")
+        count = int(round(steps)) + 1
         vals = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
         return tuple(vals)
     return tuple(float(x) for x in text.split(",") if x)

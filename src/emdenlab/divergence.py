@@ -174,9 +174,9 @@ class RadialEngine(_Engine):
         grad = (u', 0, ..., 0);  hess = diag(u'', (psi'/psi) u', ...).
         """
         u1 = self.G.v[:, 0]
-        g = np.zeros((u1.shape[0], self.n))
+        g = np.zeros((u1.shape[0], self.n), u1.dtype)
         g[:, 0] = u1
-        h = np.zeros((u1.shape[0], self.n, self.n))
+        h = np.zeros((u1.shape[0], self.n, self.n), u1.dtype)
         h[:, 0, 0] = self.H.v[:, 0, 0]
         tang = self.cot * u1
         for i in range(1, self.n):

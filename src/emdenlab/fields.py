@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .taylor import Jet3, jet3_const, jet3_coords
+from .taylor import Jet3, jet3_const, jet3_coords, real
 
 __all__ = [
     "FieldTerm",
@@ -50,11 +50,9 @@ class FieldTerm:
     params: tuple
 
     def eval_jet(self, coords: Sequence[Jet3]) -> Jet3:
-        dim = len(coords)
-        batch = coords[0].v.shape
         if self.kind == "poly":
             (exps,) = self.params
-            out = jet3_const(self.amp, batch, dim)
+            out = jet3_const(self.amp, coords)
             for x, k in zip(coords, exps):
                 for _ in range(int(k)):
                     out = out * x
@@ -85,9 +83,9 @@ def _shifted_square(coords, center):
     for di in d[1:]:
         v = v + di * di
     dim = len(d)
-    h = np.zeros(v.shape + (dim, dim))
+    h = np.zeros(v.shape + (dim, dim), v.dtype)
     h[..., range(dim), range(dim)] = 2.0
-    return Jet3(v, 2.0 * np.stack(d, axis=-1), h, np.zeros(v.shape + (dim,) * 3))
+    return Jet3(v, 2.0 * np.stack(d, axis=-1), h, np.zeros(v.shape + (dim,) * 3, v.dtype))
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,8 @@ class ScalarField:
 
     def jet3(self, points) -> Jet3:
         """Third-order jet at an (N, dim) batch of points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        coords = jet3_coords(points)
-        out = jet3_const(self.shift, points.shape[0], self.dim)
+        coords = jet3_coords(np.atleast_2d(real(points)))
+        out = jet3_const(self.shift, coords)
         parts = chain(
             (term.eval_jet(coords) for term in self.terms),
             (ta.eval_jet(coords) * tb.eval_jet(coords) for ta, tb in self.products),
@@ -130,8 +127,7 @@ class RadialProfile:
         self.field = field
 
     def jet(self, r):
-        r = np.asarray(r, dtype=float)
-        j = self.field.jet3(r.reshape(-1, 1))
+        j = self.field.jet3(real(r).reshape(-1, 1))
         return (
             j.v,
             j.g[:, 0],

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, InputError, NumericalError, PreconditionError
+from .taylor import real
 
 __all__ = [
     "ManifoldModel",
@@ -88,7 +89,7 @@ class ManifoldModel:
         Named models use the closed forms r, sin and sinh, with psi''
         formed as c * psi, so they satisfy psi'' = c psi bit for bit.
         """
-        r_arr = np.asarray(r, dtype=float)
+        r_arr = real(r)
         if np.any(r_arr < 0) or np.any(r_arr >= self.r_max + 1e-15):
             raise DomainError(
                 f"radius outside [0, r_max={self.r_max}) for model {self.name}"
@@ -131,7 +132,7 @@ class ManifoldModel:
         are 0/0 at r = 0, so there r = 0 is a domain error, as is
         r >= r_max on every model.
         """
-        r_arr = np.asarray(r, dtype=float)
+        r_arr = real(r)
         user = self.user_profile is not None
         if (np.any(r_arr < 0) or np.any(r_arr >= self.r_max + 1e-15)
                 or (user and np.any(r_arr == 0))):

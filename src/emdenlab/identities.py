@@ -52,6 +52,11 @@ first per only, and for the other per only when those do not all pass.
 The filter's scale is the RMS of |grad u| over the candidates evaluated,
 floored at 1.  Whether this cutoff hides boundary-of-criticality
 behavior is untestable pointwise and is noted here rather than decided.
+
+Precision follows the rule of ``taylor.real``: a batch stays in the
+floating dtype its candidates were drawn in, through both routes, the
+curvature and the residuals.  Campaigns draw float64; a batch drawn in
+longdouble is checked in longdouble.
 """
 
 from __future__ import annotations
@@ -199,7 +204,7 @@ def _draw(camp: Campaign) -> SampleBatch:
         u=jet.v,
         jets=J.JetBlock(jet.g, jet.h),
         engine=EuclideanEngine(jet),
-        ric_rr=np.zeros(kept),
+        ric_rr=np.zeros_like(jet.v),
         meta=meta,
     )
 
@@ -251,7 +256,7 @@ def _radial_batch(model: ManifoldModel, r, u, u1, u2, u3, meta: dict) -> SampleB
         u=uu,
         jets=J.JetBlock(g, h),
         engine=eng,
-        ric_rr=np.asarray(model.ricci_radial(r), dtype=float),
+        ric_rr=model.ricci_radial(r),
         meta=dict(meta, r=r),
     )
 
@@ -656,7 +661,7 @@ def check_solution_identity(
     level = _level(batch, p)
     E, block, u_pow, u = level.view, level.block, level.powers, batch.u
     fu, dfu = sol.term(u), sol.term.deriv(u)
-    gn_p, gn_2p = block.power, batch.jets.gn ** (2.0 * p)
+    gn_p, gn_2p = block.power, level.gn_2p
     cores = {}  # per b: tr(M^2) + Ric(X, X), M the traceless Jacobian of X = u^b F
     for b in b_values:
         X, jac = block.weighted(u, b)

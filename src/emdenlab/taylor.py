@@ -16,6 +16,10 @@ Two engines live here:
 
 All derivative tensors are stored as raw derivatives (not divided by
 factorials) and are symmetric in their derivative indices.
+
+Precision follows one rule, applied by :func:`real` wherever the numeric
+core turns input into arrays: a batch stays in the floating dtype it was
+drawn in, and anything that is not floating becomes float64.
 """
 
 from __future__ import annotations
@@ -23,12 +27,20 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "real",
     "Jet3",
     "jet3_coords",
     "jet3_const",
     "Grad",
     "grad_abs_pow",
 ]
+
+
+def real(x):
+    """x as an array in its own floating dtype, or as float64 if it is not
+    floating (ints, bools, lists of ints)."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(float)
 
 
 def _sym_vh(g, h):
@@ -135,33 +147,33 @@ class Jet3:
 
 
 def jet3_coords(points):
-    """Coordinate jets at an (N, n) batch of points."""
-    points = np.asarray(points, dtype=float)
+    """Coordinate jets at an (N, n) batch of points, in the points' dtype."""
+    points = real(points)
     n_pts, dim = points.shape
     out = []
     for i in range(dim):
-        g = np.zeros((n_pts, dim))
+        g = np.zeros((n_pts, dim), points.dtype)
         g[:, i] = 1.0
         out.append(
             Jet3(
                 points[:, i].copy(),
                 g,
-                np.zeros((n_pts, dim, dim)),
-                np.zeros((n_pts, dim, dim, dim)),
+                np.zeros((n_pts, dim, dim), points.dtype),
+                np.zeros((n_pts, dim, dim, dim), points.dtype),
             )
         )
     return out
 
 
-def jet3_const(value, batch_shape, dim):
-    if not isinstance(batch_shape, tuple):
-        batch_shape = (int(batch_shape),)
-    v = np.full(batch_shape, float(value))
+def jet3_const(value, coords):
+    """The constant jet of value at the batch of the coordinate jets
+    coords, in their dtype."""
+    x, dim = coords[0].v, len(coords)
     return Jet3(
-        v,
-        np.zeros(batch_shape + (dim,)),
-        np.zeros(batch_shape + (dim, dim)),
-        np.zeros(batch_shape + (dim, dim, dim)),
+        np.full(x.shape, value, x.dtype),
+        np.zeros(x.shape + (dim,), x.dtype),
+        np.zeros(x.shape + (dim, dim), x.dtype),
+        np.zeros(x.shape + (dim, dim, dim), x.dtype),
     )
 
 
@@ -207,8 +219,8 @@ class Grad:
     __slots__ = ("v", "d")
 
     def __init__(self, v, d):
-        self.v = np.asarray(v, dtype=float)
-        self.d = np.asarray(d, dtype=float)
+        self.v = real(v)
+        self.d = real(d)
 
     def _lifted(self, ndim: int) -> "Grad":
         """The dual with broadcast axes after the batch axis, so that its

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config handling, reports."""
 
+import argparse
 import json
 import os
 import shlex
@@ -446,9 +447,14 @@ class TestConfigValues:
         (["scan", "--alpha", "1"], {"csv": "table.csv"}),
         (["bubble"], {"seed": 1}),
         (["bubble"], {"tol": 1e-30}),
+        (["bv-sphere"], {"u0": "0:inf:1"}),
+        (["identities"], {"p": "0:1:nan"}),
+        (["identities"], {"p": "0:1e12:1"}),
+        (["identities"], {"p": "-1e308:1e308:1"}),
     ], ids=["suite-choice", "profile-choice", "int-text", "int-float", "ints-text",
             "floats-step", "null", "bool-for-int", "switch-text", "path-key",
-            "dropped-seed", "dropped-tol"])
+            "dropped-seed", "dropped-tol", "floats-inf-bound", "floats-nan-step",
+            "floats-too-many", "floats-span-overflow"])
     def test_rejected_value_is_usage_error(self, tmp_path, argv, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -456,6 +462,21 @@ class TestConfigValues:
             run_cli(argv + ["--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert exc.value.code == 2
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [["bv-sphere", "--u0", "0:inf:1"],
+                                      ["identities", "--p", "0:1e12:1"]],
+                             ids=["inf-bound", "too-many"])
+    def test_rejected_range_flag_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.json").exists()
+
+    def test_range_count_bound(self):
+        # the largest range the bound admits, and one value past it
+        assert len(cli._floats(f"1:{cli.MAX_RANGE_VALUES}:1")) == cli.MAX_RANGE_VALUES
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._floats(f"0:{cli.MAX_RANGE_VALUES}:1")
 
 
 # the commands that take no --seed, each with the arguments it requires

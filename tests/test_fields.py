@@ -216,6 +216,11 @@ class TestShiftedSquare:
         for part in ("v", "g", "h", "t"):
             assert np.array_equal(getattr(out, part), getattr(ref, part)), part
 
+    def test_keeps_the_coords_dtype(self):
+        coords = jet3_coords(np.ones((4, 3), np.longdouble))
+        out = _shifted_square(coords, (0.5, 0.0, -0.5))
+        assert [a.dtype for a in (out.v, out.g, out.h, out.t)] == [np.longdouble] * 4
+
 
 class TestRadialProfiles:
     def test_jets_match_symbolic(self):
@@ -227,6 +232,14 @@ class TestRadialProfiles:
         assert u1[0] == pytest.approx(grad[0], rel=1e-11, abs=1e-12)
         assert u2[0] == pytest.approx(hess[0, 0], rel=1e-10, abs=1e-11)
         assert u3[0] == pytest.approx(third[0, 0, 0], rel=1e-9, abs=1e-10)
+
+    @pytest.mark.parametrize("r,dtype", [
+        ([1, 2], np.float64), (np.arange(1, 3), np.float64),
+        (np.array([1.0, 2.0], np.longdouble), np.longdouble),
+    ], ids=["list", "int", "longdouble"])
+    def test_dtype_follows_the_radii(self, r, dtype):
+        prof = random_radial_profile(RNG(3), 2.5)
+        assert [a.dtype for a in prof.jet(r)] == [dtype] * 4
 
     def test_positive_on_range(self):
         for seed in range(5):

@@ -105,6 +105,18 @@ class TestRicci:
         assert geo.sphere(4, 0.25).ricci_radial(0.0, "tangential") == 0.75
         assert geo.hyperbolic(3, 4.0).ricci_radial(2.0) == -8.0
 
+    @pytest.mark.parametrize("r,dtype", [
+        ([1, 2], np.float64), (np.arange(1, 3), np.float64),
+        (np.array([1.0, 2.0], np.longdouble), np.longdouble),
+    ], ids=["list", "int", "longdouble"])
+    @pytest.mark.parametrize("model", [geo.euclidean(3), geo.sphere(3, 0.25),
+                                       geo.hyperbolic(3, 1.0)], ids=lambda m: m.name)
+    def test_dtype_follows_the_radii(self, model, r, dtype):
+        # int and list radii give float64; a floating batch keeps its dtype
+        for out in (*model.warping_jet(r), model.ricci_radial(r),
+                    model.ricci_radial(r, "tangential")):
+            assert out.dtype == dtype
+
     def test_user_origin_is_a_domain_error(self):
         m = geo.user_warped(3, np.sinh, np.cosh, np.sinh)
         with pytest.raises(DomainError):

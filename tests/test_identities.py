@@ -982,6 +982,81 @@ class TestKnownFailures:
         assert rep.tol == 1e-7 and not rep.passed
 
 
+def _arrays(obj, seen, path="batch"):
+    """Every array reachable from obj through the lab's objects (their
+    slots and instance dicts, where cached blocks live), tuples, lists and
+    dicts, with the path that reaches it."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _arrays(val, seen, f"{path}[{key!r}]")
+    elif isinstance(obj, (tuple, list)):
+        for i, val in enumerate(obj):
+            yield from _arrays(val, seen, f"{path}[{i}]")
+    elif type(obj).__module__.startswith("emdenlab."):
+        for name in getattr(type(obj), "__slots__", ()):
+            yield from _arrays(getattr(obj, name), seen, f"{path}.{name}")
+        for name, val in getattr(obj, "__dict__", {}).items():
+            yield from _arrays(val, seen, f"{path}.{name}")
+
+
+def _longdouble_draw(monkeypatch):
+    """Hand every field's candidates to the draw in longdouble: the cast is
+    exact, so the campaign draws the same samples, in extended precision."""
+    first_kept = I._first_kept
+    monkeypatch.setattr(I, "_first_kept", lambda fld, cands, per: first_kept(
+        fld, cands.astype(np.longdouble), per))
+
+
+class TestPrecisionRule:
+    """A batch keeps the dtype it was drawn in, through every layer of
+    both routes.  Each test costs well under a second."""
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic"])
+    def test_longdouble_batch_stays_longdouble(self, monkeypatch, model):
+        _longdouble_draw(monkeypatch)
+        residuals = []
+        update = I._Residuals._update_arrays
+
+        def recorded(self, diff, scale, lhs, rhs, batch, params):
+            residuals.append((diff, scale, lhs, rhs))
+            return update(self, diff, scale, lhs, rhs, batch, params)
+
+        monkeypatch.setattr(I._Residuals, "_update_arrays", recorded)
+        camp = I.Campaign(model_name=model, dim=3, samples=250, seed=5)
+        for check in TestCampaignBatch.CHECKS:
+            assert check(camp).passed, check.__name__
+        camp.batch.engine.log_duals  # the solution path's duals of ln u
+        seen = set()
+        found = [*_arrays(camp.batch, seen), *_arrays(I._LEVELS, seen, "levels"),
+                 *_arrays(residuals, seen, "residuals")]
+        kinds = {type(obj).__name__ for obj in I._LEVELS[2][3.0].__dict__.values()}
+        assert {"View", "FluxBlock"} <= kinds
+        assert len(I._LEVELS[2][3.0]._weighted) == len(I.AB_GRID)
+        assert len(found) > 300 and len(residuals) > 0
+        assert [path for path, arr in found if arr.dtype != np.longdouble] == []
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="longdouble is no wider than float64 here")
+    def test_seed_146_passes_in_longdouble(self, monkeypatch):
+        # the float64 failure pinned in TestKnownFailures is rounding alone:
+        # the same worst sample passes the unchanged tolerance in longdouble
+        _longdouble_draw(monkeypatch)
+        camp = I.Campaign("hyperbolic", dim=2, samples=1000, seed=146)
+        rep = I.check_weighted_identity(camp, a_values=I.AB_GRID, b_values=I.AB_GRID)
+        worst = rep.worst_case
+        assert (worst["p"], worst["a"], worst["b"], worst["sample_index"]) == (
+            3.0, 1.0, 2.0, 695)
+        assert worst["lhs"] == pytest.approx(-5.41285e-8, rel=1e-5)
+        assert worst["rhs"] == pytest.approx(-5.41285e-8, rel=1e-5)
+        assert rep.tol == 1e-7 and rep.passed
+        assert rep.max_rel_residual < 1e-8
+
+
 class TestSpecificConfigurations:
     def test_bochner_on_hyperbolic_exponential(self):
         # radial u = e^{-r} on H^3, p = 2, b = 0: the curvature term is

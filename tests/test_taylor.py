@@ -26,6 +26,44 @@ def rng():
     return np.random.default_rng(np.random.Philox(11))
 
 
+class TestPrecisionRule:
+    """A floating input keeps its dtype; anything else becomes float64."""
+
+    @pytest.mark.parametrize("x,dtype", [
+        (np.ones(3, np.longdouble), np.longdouble),
+        (np.ones(3, np.float32), np.float32),
+        (np.arange(3), np.float64),
+        ([1, 2, 3], np.float64),
+        (2, np.float64),
+        (True, np.float64),
+    ])
+    def test_real(self, x, dtype):
+        assert taylor.real(x).dtype == dtype
+
+    @pytest.mark.parametrize("points", [[[0, 1, 2], [1, 2, 3]], np.arange(6).reshape(2, 3)],
+                             ids=["list", "int"])
+    def test_int_and_list_coords_are_float64(self, points):
+        coords = jet3_coords(points)
+        for x in (*coords, jet3_const(2, coords)):
+            assert [a.dtype for a in (x.v, x.g, x.h, x.t)] == [np.float64] * 4
+
+    def test_longdouble_coords_and_const(self):
+        coords = jet3_coords(np.ones((4, 2), np.longdouble))
+        const = jet3_const(1.5, coords)
+        for x in (*coords, const):
+            assert [a.dtype for a in (x.v, x.g, x.h, x.t)] == [np.longdouble] * 4
+        assert const.v.shape == (4,) and const.t.shape == (4, 2, 2, 2)
+        assert (const.v == 1.5).all()
+
+    @pytest.mark.parametrize("v,d,dtype", [
+        ([1, 2], [[0], [1]], np.float64),
+        (np.ones(2, np.longdouble), np.zeros((2, 1), np.longdouble), np.longdouble),
+    ])
+    def test_grad_keeps_the_rule(self, v, d, dtype):
+        out = Grad(v, d)
+        assert (out.v.dtype, out.d.dtype) == (dtype, dtype)
+
+
 class TestRankGenericGrad:
     def test_scalar_times_vector(self, rng):
         s, x = _dual(rng), _dual(rng, DIM)
@@ -124,7 +162,7 @@ def _compose_oop(x, f0, f1, f2, f3):
 def _field_jet3_oop(field, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     coords = jet3_coords(points)
-    out = jet3_const(field.shift, points.shape[0], field.dim)
+    out = jet3_const(field.shift, coords)
     for term in field.terms:
         out = out + term.eval_jet(coords)
     for ta, tb in field.products:
