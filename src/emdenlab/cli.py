@@ -41,9 +41,10 @@ MAX_RANGE_VALUES = 10_000
 
 
 def _floats(text: str):
-    """Parse '1,2,3' or 'start:stop:step' into a tuple of floats.  A range
-    takes finite bounds and step, and lists at most MAX_RANGE_VALUES
-    values; both are checked before any value is formed."""
+    """Parse '1,2,3' or 'start:stop:step' into a tuple of finite floats.
+    A range takes finite bounds and step, and lists at most
+    MAX_RANGE_VALUES values; both are checked before any value is
+    formed."""
     text = text.strip()
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
@@ -58,7 +59,10 @@ def _floats(text: str):
         count = int(round(steps)) + 1
         vals = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
         return tuple(vals)
-    return tuple(float(x) for x in text.split(",") if x)
+    vals = tuple(float(x) for x in text.split(",") if x)
+    if not all(map(math.isfinite, vals)):
+        raise argparse.ArgumentTypeError("values must be finite")
+    return vals
 
 
 def _ints(text: str):

@@ -44,14 +44,17 @@ weighted Jacobian per b with ``FluxBlock.weighted``).
 Sampling is deterministic: a counter-based generator keyed by the
 campaign seed drives all draws, so the worst case is reproducible from
 (seed, sample index), the index being the position among the kept
-samples in draw order.  Near-critical jets (|grad u| below the cutoff)
-are filtered before they enter any report, and a campaign that keeps
-fewer samples than it asked for is an error.  Each field draws 2 per
-candidates and keeps the first per that pass; jets are evaluated for the
-first per only, and for the other per only when those do not all pass.
-The filter's scale is the RMS of |grad u| over the candidates evaluated,
-floored at 1.  Whether this cutoff hides boundary-of-criticality
-behavior is untestable pointwise and is noted here rather than decided.
+samples in draw order.  numpy's random package loads at the first draw
+(see _rng), not with this module: the checks on a radial solution, the
+integrator and every radial command never load it.  Near-critical jets
+(|grad u| below the cutoff) are filtered before they enter any report,
+and a campaign that keeps fewer samples than it asked for is an error.
+Each field draws 2 per candidates and keeps the first per that pass;
+jets are evaluated for the first per only, and for the other per only
+when those do not all pass.  The filter's scale is the RMS of |grad u|
+over the candidates evaluated, floored at 1.  Whether this cutoff hides
+boundary-of-criticality behavior is untestable pointwise and is noted
+here rather than decided.
 
 Precision follows the rule of ``taylor.real``: a batch stays in the
 floating dtype its candidates were drawn in, through both routes, the
@@ -67,8 +70,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-# numpy loads numpy.random lazily; load it with this module, not at the first draw
-from numpy.random import Generator, Philox
 
 from . import jets as J
 from .divergence import EuclideanEngine, PowerTable, RadialEngine, View
@@ -148,6 +149,12 @@ class SampleBatch:
 
 
 def _rng(seed: int):
+    """The counter-based generator keyed by seed that every draw goes
+    through.  numpy's random package loads here, at the first draw, so
+    the solution checks, the integrator and every radial command never
+    load it."""
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(seed))
 
 

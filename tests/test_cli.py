@@ -451,10 +451,15 @@ class TestConfigValues:
         (["identities"], {"p": "0:1:nan"}),
         (["identities"], {"p": "0:1e12:1"}),
         (["identities"], {"p": "-1e308:1e308:1"}),
+        (["identities"], {"p": "nan"}),
+        (["identities"], {"p": [2.0, float("nan")]}),
+        (["scan", "--alpha", "1"], {"alpha": "inf,1"}),
+        (["bv-sphere"], {"u0": [1, "-inf"]}),
     ], ids=["suite-choice", "profile-choice", "int-text", "int-float", "ints-text",
             "floats-step", "null", "bool-for-int", "switch-text", "path-key",
             "dropped-seed", "dropped-tol", "floats-inf-bound", "floats-nan-step",
-            "floats-too-many", "floats-span-overflow"])
+            "floats-too-many", "floats-span-overflow", "floats-nan", "floats-nan-list",
+            "floats-inf", "floats-minus-inf-list"])
     def test_rejected_value_is_usage_error(self, tmp_path, argv, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -463,9 +468,13 @@ class TestConfigValues:
         assert exc.value.code == 2
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("argv", [["bv-sphere", "--u0", "0:inf:1"],
-                                      ["identities", "--p", "0:1e12:1"]],
-                             ids=["inf-bound", "too-many"])
+    @pytest.mark.parametrize("argv", [
+        ["bv-sphere", "--u0", "0:inf:1"],
+        ["identities", "--p", "0:1e12:1"],
+        ["identities", "--p", "nan", "--suite", "decomposition", "--models", "euclidean",
+         "--dim", "2"],
+        ["scan", "--alpha", "inf,1"],
+    ], ids=["inf-bound", "too-many", "nan-list", "inf-list"])
     def test_rejected_range_flag_is_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv + ["--out", str(tmp_path / "r.json")])

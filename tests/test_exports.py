@@ -1,5 +1,6 @@
 """Export hygiene: the package imports, every advertised name exists and
-has a reader, and no scipy module loads at run time."""
+has a reader, no scipy module loads at run time, and numpy.random loads
+only at the first campaign draw."""
 
 import ast
 import functools
@@ -17,6 +18,7 @@ import pytest
 import emdenlab
 from emdenlab.divergence import View
 from emdenlab.fields import FieldTerm, RadialProfile, ScalarField
+from emdenlab.identities import Campaign
 from emdenlab.jets import FluxBlock, JetBlock
 
 MODULES = ["emdenlab"] + sorted(
@@ -93,10 +95,14 @@ import contextlib, io, json, sys
 from pathlib import Path
 import emdenlab, emdenlab.cli
 from emdenlab import estimates
-from emdenlab.identities import Campaign, check_decomposition
+from emdenlab.identities import (Campaign, check_decomposition, check_log_gradient_pointwise,
+                                 check_solution_identity)
+from emdenlab.shooting import solve_dense
+
+def sampler():
+    return sorted(m for m in sys.modules if m == "numpy.random" or m.startswith("numpy.random."))
 
 tmp = Path(sys.argv[1])
-rep = check_decomposition(Campaign(model_name="euclidean", dim=2, samples=20, seed=3))
 out = emdenlab.shoot(emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(3.0), 1.0)
 commands = {
     "scan": ["--n", "3", "--p", "2", "--alpha", "4.0", "--u0", "1"],
@@ -110,15 +116,31 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     for name, flags in commands.items():
         codes[name] = emdenlab.cli.run([name, *flags, "--out", str(tmp / (name + ".json"))])
 ratio = estimates.weak_harnack_ratio("smoothed_cap", 3, 2.0, 1.0, radii=(1, 2))
+sol = solve_dense(emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(2.0), 2.0,
+                  horizon=100.0)
+solution_pass = check_solution_identity(sol).passed
+log_pass = check_log_gradient_pointwise(sol, delta0=0.0, lam=2.0).passed
+radial_sampler = sampler()
+camp = Campaign(model_name="euclidean", dim=2, samples=20, seed=3)
+rep = check_decomposition(camp)
+batch = camp.batch
+drawn = {name: [str(a.dtype), a.tobytes().hex()] for name, a in
+         (("u", batch.u), ("g", batch.jets.g), ("h", batch.jets.h), ("t", batch.engine.jet.t))}
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"pass": rep.passed, "codes": codes, "ratio_pass": ratio["pass"],
-                  "scipy": scipy, "kind": out.kind, "r_cross": out.r_cross}))
+                  "solution_pass": solution_pass, "log_pass": log_pass,
+                  "scipy": scipy, "kind": out.kind, "r_cross": out.r_cross,
+                  "radial_sampler": radial_sampler, "drawn_sampler": sampler(),
+                  "drawn": drawn}))
 """
 
 
 def test_no_scipy_module_loads(tmp_path):
     # numpy is the only runtime dependency: an identity campaign, a
-    # shoot, every integrating command and a quadrature load no scipy
+    # shoot, every integrating command and a quadrature load no scipy.
+    # numpy.random loads at the first campaign draw and not before: the
+    # radial commands and the checks on a radial solution never load it,
+    # and the draw after them is the campaign drawn here, bit for bit
     src = str(Path(emdenlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -128,11 +150,40 @@ def test_no_scipy_module_loads(tmp_path):
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
     assert child["pass"] and child["ratio_pass"]
+    assert child["solution_pass"] and child["log_pass"]
     assert child["codes"] == {name: 0 for name in
                               ("scan", "bubble", "bv-sphere", "volume", "harnack")}
     assert child["scipy"] == []
     out = emdenlab.shoot(emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(3.0), 1.0)
     assert (child["kind"], child["r_cross"]) == (out.kind, out.r_cross)
+    assert child["radial_sampler"] == []
+    assert "numpy.random" in child["drawn_sampler"]
+    batch = Campaign(model_name="euclidean", dim=2, samples=20, seed=3).batch
+    assert child["drawn"] == {
+        name: [str(a.dtype), a.tobytes().hex()] for name, a in
+        (("u", batch.u), ("g", batch.jets.g), ("h", batch.jets.h), ("t", batch.engine.jet.t))}
+
+
+def test_no_module_level_sampler_import():
+    # numpy.random loads inside identities._rng only: an import of it
+    # that runs with its module, outside every function, would load it
+    # in every radial run
+    src = Path(emdenlab.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_functions = {id(node) for fn in ast.walk(tree)
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                        for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in in_functions:
+                continue
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [f"{node.module}.{alias.name}" for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name == "numpy.random" or name.startswith("numpy.random.")]
+    assert found == []
 
 
 #: every name the package exported before its names were loaded lazily
