@@ -73,7 +73,8 @@ class FieldTerm:
 
 
 def _shifted_square(coords, center):
-    """Jet of |x - c|^2 at the coordinate jets: (|d|^2, 2d, 2I, 0), d = x - c.
+    """Jet of |x - c|^2 at the coordinate jets: (|d|^2, 2d, 2I, 0), d = x - c,
+    of order 2.
 
     The value is summed in coordinate order, so it is bit-identical to
     the sum of the Jet3 products (x_i - c_i) * (x_i - c_i).
@@ -85,7 +86,8 @@ def _shifted_square(coords, center):
     dim = len(d)
     h = np.zeros(v.shape + (dim, dim), v.dtype)
     h[..., range(dim), range(dim)] = 2.0
-    return Jet3(v, 2.0 * np.stack(d, axis=-1), h, np.zeros(v.shape + (dim,) * 3, v.dtype))
+    t = np.zeros(v.shape + (dim,) * 3, v.dtype)
+    return Jet3(v, 2.0 * np.stack(d, axis=-1), h, t, order=2)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,13 @@ class ScalarField:
 
     def jet3(self, points) -> Jet3:
         """Third-order jet at an (N, dim) batch of points."""
-        coords = jet3_coords(np.atleast_2d(real(points)))
+        points = np.atleast_2d(real(points))
+        if points.ndim != 2 or points.shape[-1] != self.dim:
+            raise InputError(
+                f"points of shape {points.shape} for a field on R^{self.dim}; "
+                f"need (N, {self.dim})"
+            )
+        coords = jet3_coords(points)
         out = jet3_const(self.shift, coords)
         parts = chain(
             (term.eval_jet(coords) for term in self.terms),
@@ -111,6 +119,7 @@ class ScalarField:
             out.g += part.g
             out.h += part.h
             out.t += part.t
+        out.order = 3  # out began as the order-0 constant jet
         return out
 
 

@@ -17,6 +17,21 @@ Two engines live here:
 All derivative tensors are stored as raw derivatives (not divided by
 factorials) and are symmetric in their derivative indices.
 
+A Jet3 carries its order: the highest derivative order that may be
+nonzero.  Constants have order 0, coordinates order 1, |x - c|^2 order
+2, and any other jet order 3.  The parts above the order are zero
+arrays of the full shape, so every consumer reads the same shapes and
+dtypes.  Parts may be shared between jets (a jet plus a number shares
+all of them), so only the code that made a jet writes into it.  A
+product has order min(3, a.order + b.order) and a sum the larger order.
+The ring skips every term that has a part above its order as a factor
+and adds the rest in the order of the full formulas.  As x + 0 == x
+for x != 0, every nonzero entry is the same float as without the skip;
+only a zero's sign may differ, and a field's jet sums its terms into
+zeros of +0.0, where +0.0 + -0.0 == +0.0, so its bytes are the same.
+A skipped 0 * x is 0 only for a finite x, but values are computed in
+full, so a non-finite value still shows in v.
+
 Precision follows one rule, applied by :func:`real` wherever the numeric
 core turns input into arrays: a batch stays in the floating dtype it was
 drawn in, and anything that is not floating becomes float64.
@@ -54,53 +69,88 @@ def _sym_vh(g, h):
     return out
 
 
+def _acc(out, term):
+    """out += term in place, None standing for a zero term: term itself
+    if out is None, out if term is None.  out must be the caller's own."""
+    if term is None:
+        return out
+    if out is None:
+        return term
+    out += term
+    return out
+
+
 class Jet3:
     """Third-order Taylor jet of a scalar quantity at a batch of points.
 
-    Shapes: v (N,), g (N,n), h (N,n,n), t (N,n,n,n).
+    Shapes: v (N,), g (N,n), h (N,n,n), t (N,n,n,n).  order is the
+    highest derivative order that may be nonzero; the parts above it are
+    zero arrays (see the module docstring).
     """
 
-    __slots__ = ("v", "g", "h", "t")
+    __slots__ = ("v", "g", "h", "t", "order")
 
-    def __init__(self, v, g, h, t):
+    def __init__(self, v, g, h, t, order=3):
         self.v = v
         self.g = g
         self.h = h
         self.t = t
+        self.order = order
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet3):
             return Jet3(self.v + other.v, self.g + other.g,
-                        self.h + other.h, self.t + other.t)
-        return Jet3(self.v + other, self.g, self.h, self.t)
+                        self.h + other.h, self.t + other.t,
+                        max(self.order, other.order))
+        return Jet3(self.v + other, self.g, self.h, self.t, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet3(-self.v, -self.g, -self.h, -self.t)
+        return Jet3(-self.v, -self.g, -self.h, -self.t, self.order)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet3) else -np.asarray(other))
 
     def __mul__(self, other):
-        if not isinstance(other, Jet3):
-            return Jet3(self.v * other, self.g * other, self.h * other, self.t * other)
         a, b = self, other
+        if not isinstance(b, Jet3):
+            return Jet3(
+                a.v * b,
+                a.g * b if a.order > 0 else a.g,
+                a.h * b if a.order > 1 else a.h,
+                a.t * b if a.order > 2 else a.t,
+                a.order,
+            )
         av, bv = a.v[..., None], b.v[..., None]
-        g = a.g * bv
-        g += b.g * av
-        outer_ab = np.einsum("...i,...j->...ij", a.g, b.g)
-        h = a.h * bv[..., None]
-        h += b.h * av[..., None]
-        h += outer_ab
-        h += np.swapaxes(outer_ab, -1, -2)
-        t = a.t * bv[..., None, None]
-        t += b.t * av[..., None, None]
-        t += _sym_vh(b.g, a.h)
-        t += _sym_vh(a.g, b.h)
-        return Jet3(a.v * b.v, g, h, t)
+        g = _acc(a.g * bv if a.order else None, b.g * av if b.order else None)
+        h = _acc(
+            a.h * bv[..., None] if a.order > 1 else None,
+            b.h * av[..., None] if b.order > 1 else None,
+        )
+        if a.order and b.order:
+            outer_ab = np.einsum("...i,...j->...ij", a.g, b.g)
+            # h never starts as outer_ab, or it would add its own transpose
+            h = outer_ab.copy() if h is None else _acc(h, outer_ab)
+            h += np.swapaxes(outer_ab, -1, -2)
+        t = _acc(
+            a.t * bv[..., None, None] if a.order > 2 else None,
+            b.t * av[..., None, None] if b.order > 2 else None,
+        )
+        if b.order and a.order > 1:
+            t = _acc(t, _sym_vh(b.g, a.h))
+        if a.order and b.order > 1:
+            t = _acc(t, _sym_vh(a.g, b.h))
+        # a part that no term reaches is above both orders: a's zeros
+        return Jet3(
+            a.v * b.v,
+            a.g if g is None else g,
+            a.h if h is None else h,
+            a.t if t is None else t,
+            min(3, a.order + b.order),
+        )
 
     __rmul__ = __mul__
 
@@ -109,20 +159,24 @@ class Jet3:
     def compose(self, f0, f1, f2, f3):
         """Chain rule with outer derivatives f0..f3 evaluated at self.v.
 
-        The sums accumulate in place, term by term in the order of the
-        formula, and g (x) g (x) g is (g (x) g) (x) g, the same products
-        in the same association as the three-operand einsum.
+        The sums accumulate term by term in the order of the formula,
+        skipping the terms of zero parts, and g (x) g (x) g is
+        (g (x) g) (x) g, the same products in the same association as
+        the three-operand einsum.
         """
         gg = np.einsum("...i,...j->...ij", self.g, self.g)
-        h = f1[..., None, None] * self.h
-        h += f2[..., None, None] * gg
-        t = f1[..., None, None, None] * self.t
-        sym = _sym_vh(self.g, self.h)
-        sym *= f2[..., None, None, None]
-        t += sym
+        h = _acc(
+            f1[..., None, None] * self.h if self.order > 1 else None,
+            f2[..., None, None] * gg,
+        )
+        t = f1[..., None, None, None] * self.t if self.order > 2 else None
+        if self.order > 1:
+            sym = _sym_vh(self.g, self.h)
+            sym *= f2[..., None, None, None]
+            t = _acc(t, sym)
         ggg = np.einsum("...ij,...k->...ijk", gg, self.g)
         ggg *= f3[..., None, None, None]
-        t += ggg
+        t = _acc(t, ggg)
         return Jet3(f0, f1[..., None] * self.g, h, t)
 
     def compose_power(self, c):
@@ -147,7 +201,8 @@ class Jet3:
 
 
 def jet3_coords(points):
-    """Coordinate jets at an (N, n) batch of points, in the points' dtype."""
+    """Coordinate jets (order 1) at an (N, n) batch of points, in the
+    points' dtype."""
     points = real(points)
     n_pts, dim = points.shape
     out = []
@@ -160,20 +215,22 @@ def jet3_coords(points):
                 g,
                 np.zeros((n_pts, dim, dim), points.dtype),
                 np.zeros((n_pts, dim, dim, dim), points.dtype),
+                order=1,
             )
         )
     return out
 
 
 def jet3_const(value, coords):
-    """The constant jet of value at the batch of the coordinate jets
-    coords, in their dtype."""
+    """The constant jet (order 0) of value at the batch of the coordinate
+    jets coords, in their dtype."""
     x, dim = coords[0].v, len(coords)
     return Jet3(
         np.full(x.shape, value, x.dtype),
         np.zeros(x.shape + (dim,), x.dtype),
         np.zeros(x.shape + (dim, dim), x.dtype),
         np.zeros(x.shape + (dim, dim, dim), x.dtype),
+        order=0,
     )
 
 

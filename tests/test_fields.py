@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from emdenlab.errors import InputError
 from emdenlab.fields import (
     FieldTerm,
     ScalarField,
@@ -194,6 +195,12 @@ class TestRandomFields:
             assert lower_bound(field, 1.6) > 0
             pts = rng.uniform(-1.6, 1.6, size=(200, dim))
             assert value(field, pts).min() > 0
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (2, 5, 3)])
+    def test_points_of_another_shape_are_rejected(self, shape):
+        field = random_field(RNG(5), 3)
+        with pytest.raises(InputError, match=r"need \(N, 3\)"):
+            field.jet3(np.ones(shape))
 
     def test_determinism(self):
         f1 = random_field(RNG(5), 3)

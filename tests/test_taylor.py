@@ -1,11 +1,21 @@
 """Rank-generic Grad duals against explicit product-rule contractions,
-and the in-place Jet3 ring against its out-of-place form."""
+and the in-place, order-skipping Jet3 ring against its dense
+out-of-place form."""
+
+import contextlib
+import itertools
 
 import numpy as np
 import pytest
 
-from emdenlab import taylor
-from emdenlab.fields import SAMPLING_BOX, ScalarField, random_field
+from emdenlab import identities, taylor
+from emdenlab.fields import (
+    SAMPLING_BOX,
+    FieldTerm,
+    ScalarField,
+    _shifted_square,
+    random_field,
+)
 from emdenlab.taylor import Grad, Jet3, jet3_const, jet3_coords
 
 N, DIM, M = 5, 3, 4
@@ -178,11 +188,47 @@ def _random_jet(rng, n, count=40):
     return Jet3(np.exp(rng.uniform(-1.0, 1.0, size=count)), *parts)
 
 
+POOL = ("const", "coord", "square", "full")
+
+
+def _low_order_pool(n, count=40):
+    """One jet of each order at the same positive points: a constant, a
+    coordinate, a shifted square plus 0.5 and a full random jet."""
+    rng = np.random.default_rng(np.random.Philox(30 + n))
+    coords = jet3_coords(rng.uniform(0.5, 1.5, size=(count, n)))
+    center = tuple(rng.uniform(-1.0, 1.0, size=n))
+    return dict(zip(POOL, (
+        jet3_const(1.7, coords),
+        coords[-1],
+        _shifted_square(coords, center) + 0.5,
+        _random_jet(rng, n, count),
+    )))
+
+
+@contextlib.contextmanager
+def _dense_ring(monkeypatch):
+    """The out-of-place ring, which computes every term of every part."""
+    with monkeypatch.context() as m:
+        m.setattr(Jet3, "__mul__", _mul_oop)
+        m.setattr(Jet3, "__rmul__", _mul_oop)
+        m.setattr(Jet3, "compose", _compose_oop)
+        m.setattr(ScalarField, "jet3", _field_jet3_oop)
+        yield
+
+
+def _assert_zero_above_order(jet):
+    assert jet.order in (0, 1, 2, 3)
+    for k, part in enumerate((jet.g, jet.h, jet.t), 1):
+        assert k <= jet.order or not np.asarray(part).any(), (jet.order, k)
+
+
 class TestInPlaceJet3Ring:
     """The ring accumulates its h and t sums in place, in the order the
-    out-of-place formulas add them, so every array is bit-equal.  Criterion
-    1 cannot see a third-order error on R^n, so this and test_fields'
-    sympy reference guard the t path."""
+    out-of-place formulas add them, and skips every term with a part
+    above its operand's order as a factor, so every array equals the
+    dense one (a zero may differ in sign).  Criterion 1 cannot see a
+    third-order error on R^n, so this and test_fields' sympy reference
+    guard the t path."""
 
     OPS = {
         "product": lambda a, b, c: a * b,
@@ -195,14 +241,18 @@ class TestInPlaceJet3Ring:
         "chain": lambda a, b, c: ((a * b).sqrt() * c.log()).exp(),
     }
 
+    UNARY = {
+        "scalar product": lambda a: -2.5 * a,
+        "exp": lambda a: a.exp(),
+        "log": lambda a: a.log(),
+        "sqrt": lambda a: a.sqrt(),
+        "compose_power": lambda a: a.compose_power(-1.7),
+    }
+
     @staticmethod
     def _both(monkeypatch, fn):
         ours = fn()
-        with monkeypatch.context() as m:
-            m.setattr(Jet3, "__mul__", _mul_oop)
-            m.setattr(Jet3, "__rmul__", _mul_oop)
-            m.setattr(Jet3, "compose", _compose_oop)
-            m.setattr(ScalarField, "jet3", _field_jet3_oop)
+        with _dense_ring(monkeypatch):
             old = fn()
         for name in ("v", "g", "h", "t"):
             x, y = np.asarray(getattr(ours, name)), np.asarray(getattr(old, name))
@@ -228,3 +278,129 @@ class TestInPlaceJet3Ring:
             field = random_field(rng, n)
             points = rng.uniform(-SAMPLING_BOX, SAMPLING_BOX, size=(60, n))
             self._both(monkeypatch, lambda: field.jet3(points))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a,b", itertools.product(POOL, repeat=2))
+    def test_mixed_order_product(self, monkeypatch, n, a, b):
+        pool = _low_order_pool(n)
+        self._both(monkeypatch, lambda: pool[a] * pool[b])
+        self._both(monkeypatch, lambda: ((pool[a] * pool[b]).sqrt() * pool[b].log()).exp())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", POOL)
+    @pytest.mark.parametrize("op", sorted(UNARY))
+    def test_low_order_composition(self, monkeypatch, n, a, op):
+        pool = _low_order_pool(n)
+        self._both(monkeypatch, lambda: self.UNARY[op](pool[a]))
+
+    def test_orders_of_the_leaves(self):
+        coords = jet3_coords(np.ones((3, 2)))
+        assert [x.order for x in coords] == [1, 1]
+        assert jet3_const(2.0, coords).order == 0
+        assert _shifted_square(coords, (0.5, -0.5)).order == 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_parts_above_the_order_are_zero(self, n):
+        pool = _low_order_pool(n)
+        jets = [*pool.values(), *jet3_coords(np.ones((3, n)))]
+        for a, b in itertools.product(pool.values(), repeat=2):
+            prod = a * b
+            assert prod.order == min(3, a.order + b.order)
+            jets += [prod, a + b, a - b, -a, a + 1.0]
+        jets += [op(a) for a in pool.values() for op in self.UNARY.values()]
+        rng = np.random.default_rng(np.random.Philox(40 + n))
+        for _ in range(4):
+            field = random_field(rng, n)
+            points = rng.uniform(-SAMPLING_BOX, SAMPLING_BOX, size=(20, n))
+            coords = jet3_coords(points)
+            jets += [term.eval_jet(coords) for term in field.terms]
+            jets += [term.eval_jet(coords) for pair in field.products for term in pair]
+            out = field.jet3(points)
+            assert out.order == 3
+            jets.append(out)
+        for jet in jets:
+            _assert_zero_above_order(jet)
+
+
+# ----------------------------------------------------------------------
+# the skip, counted: each skipped _sym_vh is an (N, n, n, n) term
+# ----------------------------------------------------------------------
+
+
+class TestSymVhCount:
+    """Calls of taylor._sym_vh per field term at n = 3.  The dense ring
+    makes two per Jet3 product, so a poly of degree k made 2k."""
+
+    TERMS = {
+        "x1": (FieldTerm("poly", 0.7, ((1, 0, 0),)), 0),
+        "x1 x2": (FieldTerm("poly", 0.7, ((1, 1, 0),)), 0),
+        "x1^2": (FieldTerm("poly", 0.7, ((2, 0, 0),)), 0),
+        "x1 x2 x3": (FieldTerm("poly", 0.7, ((1, 1, 1),)), 1),
+        "gauss": (FieldTerm("gauss", 0.7, ((0.1, 0.2, 0.3), 0.9)), 1),
+        "bubble": (FieldTerm("bubble", 0.7, ((0.1, 0.2, 0.3), 0.9, 1.3)), 1),
+        "rexp": (FieldTerm("rexp", 0.7, ((0.1, 0.2, 0.3), 0.8, 0.5)), 2),
+    }
+
+    @staticmethod
+    def _count(monkeypatch, field):
+        calls = []
+
+        def counted(g, h):
+            calls.append(1)
+            return _sym_vh_oop(g, h)
+
+        monkeypatch.setattr(taylor, "_sym_vh", counted)
+        field.jet3(np.full((4, 3), 0.3))
+        return len(calls)
+
+    @pytest.mark.parametrize("name", sorted(TERMS))
+    def test_term(self, monkeypatch, name):
+        term, calls = self.TERMS[name]
+        assert self._count(monkeypatch, ScalarField(3, 2.0, (term,))) == calls
+
+    @pytest.mark.parametrize("a,b,more", [
+        ("x1 x2", "gauss", 2), ("rexp", "bubble", 2), ("x1 x2 x3", "gauss", 2),
+        ("x1", "gauss", 1),  # x1 has no Hessian for the gauss gradient to meet
+    ])
+    def test_product_term(self, monkeypatch, a, b, more):
+        (ta, ca), (tb, cb) = self.TERMS[a], self.TERMS[b]
+        field = ScalarField(3, 2.0, products=((ta, tb),))
+        assert self._count(monkeypatch, field) == ca + cb + more
+
+
+# ----------------------------------------------------------------------
+# the campaign draw, byte for byte against the dense ring
+# ----------------------------------------------------------------------
+
+
+def _draw_arrays(camp):
+    """The arrays that a campaign's batch holds from its jets: u, the
+    frame jets, and the engine's jet t on R^n or, on the curved models,
+    its radial tower (u and its first three r-derivatives) and psi'/psi."""
+    batch = identities._draw(camp)
+    out = [batch.u, batch.jets.g, batch.jets.h]
+    eng = batch.engine
+    if camp.is_radial:
+        out += [eng.u.v, eng.u.d, eng.G.d, eng.H.d, eng.cot]
+    else:
+        out.append(eng.jet.t)
+    return [(a.shape, a.dtype.str, a.tobytes()) for a in out]
+
+
+class TestDrawAgainstDenseRing:
+    """The nine criterion-1 campaigns draw the same bytes with the
+    order-skipping ring as with the dense one (about 0.1 s a seed)."""
+
+    @pytest.mark.parametrize("seed", [42, 146])
+    def test_criterion_1_draws(self, monkeypatch, seed):
+        camps = [
+            identities.Campaign(model_name=model, dim=dim, p_values=(1.5, 2.0, 3.0),
+                                samples=1000, seed=seed)
+            for dim in (2, 3, 4)
+            for model in ("euclidean", "sphere", "hyperbolic")
+        ]
+        ours = [_draw_arrays(camp) for camp in camps]
+        with _dense_ring(monkeypatch):
+            dense = [_draw_arrays(camp) for camp in camps]
+        for camp, x, y in zip(camps, ours, dense):
+            assert x == y, (camp.model_name, camp.dim)
