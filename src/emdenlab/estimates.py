@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
 from .exponents import HarnackConfig
-from .geometry import ball_volume, euclidean, quad, unit_sphere_area
+from .geometry import line_fit, quad, unit_sphere_area
 
 __all__ = [
     "LogGradientProfile",
@@ -127,6 +127,12 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
     is capped at _SERIES_MAX_TERMS, which covers sqrt(kappa) r >= 0.01
     for beta <= 10, the smallest supported radius; a grid that reaches
     closer to the pole raises NumericalError.
+
+    ``limit_estimate`` extrapolates g to r = inf: the intercept of
+    ``line_fit`` through (1/r, g) on the last quarter of the grid, at
+    most 10 radii.  The fit needs two points, so a grid of fewer than 8
+    radii raises PreconditionError (after the series, whose own failures
+    come first).
     """
     if kappa <= 0 or p <= 1 or n < 2:
         raise PreconditionError("need kappa > 0, p > 1, n >= 2")
@@ -154,14 +160,16 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
     sup_g = float(g.max())
     # tail extrapolation of the increasing log-gradient on 1/r
     k = min(10, len(grid) // 4)
-    inv_r = 1.0 / grid[-k:]
-    slope, intercept = np.polyfit(inv_r, g[-k:], 1)
+    if k < 2:
+        raise PreconditionError(f"the tail fit needs two points: a grid of at "
+                                f"least 8 radii, got {len(grid)}")
+    _, intercept = line_fit(1.0 / grid[-k:], g[-k:])
     return LogGradientProfile(
         grid=grid,
         u=u,
         g=g,
         sup_g=sup_g,
-        limit_estimate=float(intercept),
+        limit_estimate=intercept,
         certified=res_max <= 1e-9,
         residual_max=res_max,
     )
@@ -266,20 +274,17 @@ def local_scaling_check(n: int, p: float, radii=(1.0, 2.0, 4.0, 8.0)) -> dict:
 
     The constant itself is not pinned anywhere, so this is a structure
     check: the quantity must be finite and show no growth trend in R
-    (log-log slope within +-_SLOPE_TOL for each family member).
+    (log-log slope within +-_SLOPE_TOL for each family member, by
+    ``line_fit``).  A slope needs two distinct radii: fewer raise
+    PreconditionError, and a quantity that is not finite NumericalError.
     """
     radii = _sorted_radii(radii)
     out = {"n": n, "p": p, "radii": radii, "members": [], "pass": True,
            "slope_tol": _SLOPE_TOL}
     for member in harmonic_family(n, p):
         q_vals = [_member_quantity(member, r) for r in radii]
-        slope = (
-            float(np.polyfit(np.log(radii), np.log(q_vals), 1)[0])
-            if len(radii) >= 2
-            else 0.0
-        )
-        finite = all(np.isfinite(q_vals))
-        ok = finite and abs(slope) <= _SLOPE_TOL
+        slope, _ = line_fit(np.log(radii), np.log(q_vals))
+        ok = abs(slope) <= _SLOPE_TOL
         out["members"].append(
             {
                 "kind": member["kind"],
@@ -440,7 +445,8 @@ def weak_harnack_ratio(profile: str | RadialProfileSpec, n: int, p: float,
 
 def local_max_principle_ratio(profile: str | RadialProfileSpec, n: int, p: float,
                               q: float, radii=(1, 2, 4, 8, 16)) -> dict:
-    """sup_{B_{R/2}} u^{-1} / (V_R^{-1/q} ||u^{-1}||_{L^q(B_R)}) stability."""
+    """sup_{B_{R/2}} u^{-1} / (V_R^{-1/q} ||u^{-1}||_{L^q(B_R)}) stability,
+    with V_R = omega_{n-1} R^n / n the volume of the Euclidean ball."""
 
     def check_q():
         if q <= 0:
@@ -449,7 +455,7 @@ def local_max_principle_ratio(profile: str | RadialProfileSpec, n: int, p: float
     def row(spec, radius):
         sup_inv = 1.0 / _ball_min(spec, radius / 2.0)
         norm = _ball_lq_norm(spec, -1.0, q, radius, n)
-        vol = ball_volume(euclidean(n), radius)
+        vol = unit_sphere_area(n) * radius**n / n
         return {"sup_inv": sup_inv, "norm": norm,
                 "ratio": sup_inv / (vol ** (-1.0 / q) * norm)}
 

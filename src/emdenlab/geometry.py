@@ -8,8 +8,9 @@ with Ric = -(n-1) kappa g (c = kappa, psi = sinh(sqrt(kappa) r)/sqrt(kappa)).
 A user model supplies psi, psi' and psi'' itself.  The module supplies
 the warping jet, radial/tangential Ricci curvature and its least value
 ``ricci_min``, geodesic-ball volumes and the volume-comparison
-monotonicity check, and the adaptive quadrature (``quad``) that the ball
-volumes and the estimates' ball norms use.
+monotonicity check, the adaptive quadrature (``quad``) that the ball
+volumes and the estimates' ball norms use, and the least-squares line
+(``line_fit``) of the tail exponents and the estimates' extrapolations.
 """
 
 from __future__ import annotations
@@ -238,25 +239,63 @@ def model_from_name(name: str, dim: int, kappa: float = 1.0) -> ManifoldModel:
 # volumes
 # ----------------------------------------------------------------------
 
-#: the two Gauss-Legendre orders compared on each panel of ``quad``, and
-#: its panel budget (QUADPACK's default ``limit``)
+#: the two Gauss-Legendre orders compared on each panel of ``quad`` (the
+#: rules of _legendre_rules), and its panel budget (QUADPACK's default
+#: ``limit``)
 _GL_ORDERS = (10, 21)
 _QUAD_PANELS = 200
+
+
+def _legendre_rules():
+    """The Gauss-Legendre rules of _GL_ORDERS on [-1, 1] as literals:
+    ((nodes, weights) of order 10, (nodes, weights) of order 21).
+
+    Each value is the repr of the double that numpy's
+    ``numpy.polynomial.legendre.leggauss`` gives for it, so the tables
+    equal its output bit for bit (an oracle test checks this) without
+    importing numpy.polynomial or running its eigen-solve.
+    """
+    return (
+        (  # order 10
+            (-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+             -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+             0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+             0.9739065285171717),
+            (0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+             0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+             0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+             0.06667134430868814),
+        ),
+        (  # order 21
+            (-0.9937521706203895, -0.9672268385663063, -0.9200993341504008,
+             -0.8533633645833173, -0.7684399634756779, -0.6671388041974123,
+             -0.5516188358872198, -0.4243421202074388, -0.2880213168024011,
+             -0.1455618541608951, 0.0, 0.1455618541608951, 0.2880213168024011,
+             0.4243421202074388, 0.5516188358872198, 0.6671388041974123,
+             0.7684399634756779, 0.8533633645833173, 0.9200993341504008,
+             0.9672268385663063, 0.9937521706203895),
+            (0.01601722825777436, 0.03695378977085188, 0.05713442542685717,
+             0.07610011362837911, 0.09344442345603395, 0.1087972991671484,
+             0.12183141605372864, 0.13226893863333763, 0.1398873947910734,
+             0.14452440398997027, 0.1460811336496907, 0.14452440398997027,
+             0.1398873947910734, 0.13226893863333763, 0.12183141605372864,
+             0.1087972991671484, 0.09344442345603395, 0.07610011362837911,
+             0.05713442542685717, 0.03695378977085188, 0.01601722825777436),
+        ),
+    )
 
 
 @functools.cache
 def _gauss_legendre():
     """Both rules' nodes on [0, 1], stacked, and their weights as two
-    rows (low order, high order) over the stacked nodes; built at the
-    first quadrature."""
-    from numpy.polynomial.legendre import leggauss
-
+    rows (low order, high order) over the stacked nodes, mapped from the
+    literal tables of _legendre_rules at the first quadrature."""
     lo, hi = _GL_ORDERS
-    (x_lo, w_lo), (x_hi, w_hi) = leggauss(lo), leggauss(hi)
-    nodes = (np.concatenate([x_lo, x_hi]) + 1.0) / 2.0
+    (x_lo, w_lo), (x_hi, w_hi) = _legendre_rules()
+    nodes = (np.array(x_lo + x_hi) + 1.0) / 2.0
     weights = np.zeros((2, lo + hi))
-    weights[0, :lo] = w_lo / 2.0
-    weights[1, lo:] = w_hi / 2.0
+    weights[0, :lo] = np.array(w_lo) / 2.0
+    weights[1, lo:] = np.array(w_hi) / 2.0
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -270,7 +309,9 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float):
     value is the higher-order sum and its error the difference of the
     two.  Panels whose error exceeds their width's share of the
     tolerance max(epsabs, epsrel |value|) are bisected, all in one
-    evaluation of ``f``, until the summed error is within it.  Raises
+    evaluation of ``f``, until the summed error is within it.  A panel's
+    two sums are elementwise products with the weight rows, summed over
+    the node axis: a quadrature calls no BLAS routine.  Raises
     NumericalError on a value that is not finite (floating-point warnings
     are silenced: an overflow shows as one) or when more than
     _QUAD_PANELS panels would be needed.
@@ -285,7 +326,7 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float):
                             dtype=float)
         if not np.all(np.isfinite(fx)):
             raise NumericalError("quadrature integrand is not finite")
-        sums = (fx.reshape(left.size, nodes.size) @ weights.T) * width[:, None]
+        sums = (fx.reshape(left.size, 1, nodes.size) * weights).sum(axis=2) * width[:, None]
         val, err = sums[:, 1], np.abs(sums[:, 1] - sums[:, 0])
         total, total_err = closed_val + val.sum(), closed_err + err.sum()
         tol = max(epsabs, epsrel * abs(total))
@@ -300,6 +341,34 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float):
                 f"quadrature needs more than {_QUAD_PANELS} panels")
         left, width = left[split], width[split] / 2.0
         left, width = np.concatenate([left, left + width]), np.concatenate([width, width])
+
+
+def line_fit(x, y):
+    """(slope, intercept) of the least-squares line through (x, y).
+
+    The closed form on centred data: with dx = x - mean(x) and
+    dy = y - mean(y), slope = sum(dx dy) / sum(dx^2) and intercept =
+    mean(y) - slope mean(x), from elementwise products and sums, so a fit
+    calls no BLAS or LAPACK routine.  Centring first keeps it accurate
+    on data far from the origin (x ~ 1e3 +- 1e-3), where the Vandermonde
+    least squares of ``np.polyfit`` loses digits.  Raises
+    PreconditionError on fewer than two distinct x, and NumericalError
+    on an input, or a fit (one past the floats), that is not finite.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericalError("line fit data is not finite")
+    if x.size < 2 or np.all(x == x[0]):
+        raise PreconditionError("a line fit needs at least two distinct x")
+    with np.errstate(all="ignore"):  # an overflow is a non-finite fit
+        x_mean, y_mean = x.mean(), y.mean()
+        dx = x - x_mean
+        sxx = (dx * dx).sum()
+        slope = (dx * (y - y_mean)).sum() / sxx
+        intercept = y_mean - slope * x_mean
+    if not all(map(math.isfinite, (sxx, slope, intercept))):
+        raise NumericalError("line fit is not finite")
+    return float(slope), float(intercept)
 
 
 _QUAD_EPSREL = 1e-11

@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, PreconditionError
 from .exponents import ReactionTerm, critical_exponent, emden_bubble
-from .geometry import ManifoldModel, euclidean, sphere, unit_sphere_area
+from .geometry import ManifoldModel, euclidean, line_fit, sphere, unit_sphere_area
 from .taylor import Grad, grad_abs_pow
 
 __all__ = [
@@ -759,8 +759,11 @@ def shoot(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
 def _classify(model: ManifoldModel, p: float, term: ReactionTerm,
               sol: _Solve) -> ShootOutcome:
     """The outcome of a solve, direct or read off a row's solve: its flux
-    flags, and on a positive end in R^n the tail exponent fitted on the
-    dense output over the last decade of radii."""
+    flags, and on a positive end in R^n the tail exponent, the slope of
+    ``line_fit`` through (ln r, ln u) at 48 radii of the dense output
+    over the last decade of radii.  The tail is None where u is not
+    positive on them, and where the solve ends by 2 SERIES_RADIUS, with
+    no tail radii past the series start."""
     stats = {"nfev": int(sol.nfev), "status": int(sol.status)}
     traj = {"r": sol.r, "u": sol.u, "m": sol.m}
     with np.errstate(all="ignore"):
@@ -784,13 +787,12 @@ def _classify(model: ManifoldModel, p: float, term: ReactionTerm,
         return outcome("inconclusive",
                        reason="endpoint not positive without a located event")
     tail = None
-    if model.r_max == math.inf:
-        r_end = float(sol.r[-1])
+    r_end = float(sol.r[-1])
+    if model.r_max == math.inf and r_end > 2 * SERIES_RADIUS:
         r_tail = np.geomspace(max(r_end / 10.0, 2 * SERIES_RADIUS), r_end, 48)
         u_tail = sol.dense(r_tail)[0]
         if np.all(u_tail > 0):
-            slope, _ = np.polyfit(np.log(r_tail), np.log(u_tail), 1)
-            tail = float(slope)
+            tail, _ = line_fit(np.log(r_tail), np.log(u_tail))
     return outcome("stayed_positive", tail_exponent=tail)
 
 

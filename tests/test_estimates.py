@@ -84,6 +84,19 @@ class TestHyperbolicExtremal:
         with pytest.raises(PreconditionError, match="grid start"):
             E.hn_p_harmonic_profile(3, 2.0, kappa, r_tail=r_tail)
 
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_short_grid_fails_closed(self, size):
+        # a grid of 5 radii fitted its tail through one point and read
+        # limit_estimate 1.0000000000007 against the bound 2 (sharp False);
+        # one of 3 fitted the whole grid; both need 8 radii now.  About 1 ms
+        with pytest.raises(PreconditionError, match="at least 8 radii"):
+            E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.arange(10.0, 10.0 + size))
+
+    def test_eight_radii_fit_two_points(self):
+        prof = E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.geomspace(20.0, 30.0, 8))
+        assert prof.limit_estimate == pytest.approx(2.0, rel=1e-9)
+        assert E.global_bound_check(prof, 3, 2.0, 1.0)["sharp"]
+
     def test_pole_excess_visible_on_inner_grid(self):
         # near the puncture the profile is not entire and exceeds the bound
         prof = E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.geomspace(0.05, 2.0, 40))
@@ -126,7 +139,7 @@ class TestGlobalBound:
 
 class TestLocalScaling:
     def test_affine_quantity_four_thirds(self):
-        out = E.local_scaling_check(3, 2.0, radii=(1.0,))
+        out = E.local_scaling_check(3, 2.0, radii=(1.0, 2.0))
         affine = next(m for m in out["members"] if m["kind"] == "affine_dilated")
         assert affine["quantities"][0] == pytest.approx(4.0 / 3.0, rel=1e-6)
 
@@ -148,6 +161,18 @@ class TestLocalScaling:
     def test_no_radii_rejected(self):
         with pytest.raises(PreconditionError, match="at least one radius"):
             E.local_scaling_check(3, 2.0, radii=())
+
+    @pytest.mark.parametrize("radii", [(4.0,), (4.0, 4.0)])
+    def test_one_distinct_radius_rejected(self, radii):
+        # a slope from one radius read 0.0 and passed; it fails closed now
+        with pytest.raises(PreconditionError, match="two distinct x"):
+            E.local_scaling_check(3, 2.0, radii=radii)
+
+    def test_quantity_past_the_floats_fails_closed(self):
+        # at R = 1e-320, 1/R overflows: the quantity is inf and the slope fit
+        # raises (it read log_slope nan and pass False)
+        with pytest.raises(NumericalError, match="not finite"):
+            E.local_scaling_check(3, 2.0, radii=(1e-320, 1.0))
 
 
 class TestHarnackRatios:
@@ -189,6 +214,16 @@ class TestHarnackRatios:
         rep = E.local_max_principle_ratio("constant", 3, 2.0, 1.0)
         for row in rep["rows"]:
             assert row["ratio"] == pytest.approx(1.0, rel=1e-9)
+
+    def test_local_max_principle_volume_is_closed_form(self):
+        # V_R = omega_{n-1} R^n / n, within 1e-15 of the quadrature's value
+        from emdenlab.geometry import ball_volume, euclidean, unit_sphere_area
+
+        rep = E.local_max_principle_ratio("inverse_sqrt", 3, 2.0, 2.0)
+        for row in rep["rows"]:
+            vol = unit_sphere_area(3) * row["R"] ** 3 / 3
+            assert row["ratio"] == row["sup_inv"] / (vol ** -0.5 * row["norm"])
+            assert vol == pytest.approx(ball_volume(euclidean(3), row["R"]), rel=1e-15)
 
     def test_local_max_principle_decaying(self):
         rep = E.local_max_principle_ratio("inverse_sqrt", 3, 2.0, 1.0)

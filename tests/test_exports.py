@@ -1,6 +1,7 @@
 """Export hygiene: the package imports, every advertised name exists and
-has a reader, no scipy module loads at run time, and numpy.random loads
-only at the first campaign draw."""
+has a reader, no scipy module loads at run time, numpy.random loads only
+at the first campaign draw, and no code calls LAPACK or BLAS or loads
+numpy.polynomial."""
 
 import ast
 import functools
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import emdenlab
+from emdenlab import estimates
 from emdenlab.divergence import View
 from emdenlab.fields import FieldTerm, RadialProfile, ScalarField
 from emdenlab.identities import Campaign
@@ -104,6 +106,9 @@ def sampler():
 
 tmp = Path(sys.argv[1])
 out = emdenlab.shoot(emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(3.0), 1.0)
+tail = emdenlab.shoot(emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(6.0),
+                      1.0).tail_exponent
+limit = estimates.hn_p_harmonic_profile(3, 2.0, 1.0).limit_estimate
 commands = {
     "scan": ["--n", "3", "--p", "2", "--alpha", "4.0", "--u0", "1"],
     "bubble": ["--n", "3", "--p", "2", "--lam", "1", "--rmax", "10"],
@@ -121,6 +126,7 @@ sol = solve_dense(emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(2
 solution_pass = check_solution_identity(sol).passed
 log_pass = check_log_gradient_pointwise(sol, delta0=0.0, lam=2.0).passed
 radial_sampler = sampler()
+radial_polynomial = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
 camp = Campaign(model_name="euclidean", dim=2, samples=20, seed=3)
 rep = check_decomposition(camp)
 batch = camp.batch
@@ -130,6 +136,7 @@ scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"pass": rep.passed, "codes": codes, "ratio_pass": ratio["pass"],
                   "solution_pass": solution_pass, "log_pass": log_pass,
                   "scipy": scipy, "kind": out.kind, "r_cross": out.r_cross,
+                  "tail": tail, "limit": limit, "radial_polynomial": radial_polynomial,
                   "radial_sampler": radial_sampler, "drawn_sampler": sampler(),
                   "drawn": drawn}))
 """
@@ -140,7 +147,9 @@ def test_no_scipy_module_loads(tmp_path):
     # shoot, every integrating command and a quadrature load no scipy.
     # numpy.random loads at the first campaign draw and not before: the
     # radial commands and the checks on a radial solution never load it,
-    # and the draw after them is the campaign drawn here, bit for bit
+    # and the draw after them is the campaign drawn here, bit for bit.
+    # numpy.polynomial never loads: the quadrature rules are literals and
+    # the tail fits are line_fit
     src = str(Path(emdenlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -156,6 +165,10 @@ def test_no_scipy_module_loads(tmp_path):
     assert child["scipy"] == []
     out = emdenlab.shoot(emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(3.0), 1.0)
     assert (child["kind"], child["r_cross"]) == (out.kind, out.r_cross)
+    assert child["radial_polynomial"] == []
+    assert child["tail"] == emdenlab.shoot(
+        emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(6.0), 1.0).tail_exponent
+    assert child["limit"] == estimates.hn_p_harmonic_profile(3, 2.0, 1.0).limit_estimate
     assert child["radial_sampler"] == []
     assert "numpy.random" in child["drawn_sampler"]
     batch = Campaign(model_name="euclidean", dim=2, samples=20, seed=3).batch
@@ -183,6 +196,53 @@ def test_no_module_level_sampler_import():
                      if isinstance(node, ast.ImportFrom) else [])
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name == "numpy.random" or name.startswith("numpy.random.")]
+    assert found == []
+
+
+#: name parts that reach LAPACK or BLAS, or load numpy.polynomial
+_DENSE_ALGEBRA = frozenset({"polyfit", "lstsq", "leggauss", "polynomial", "dot", "matmul"})
+
+
+def _dotted_names(tree):
+    """(line, dotted name) of every import, bare name and outermost
+    attribute chain in the tree; a chain on a call or subscript keeps the
+    attributes after it (``f(x).dot`` reads ``dot``)."""
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, f"{node.module}.{alias.name}") for alias in node.names)
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and id(node) not in inner:
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name):
+                parts.append(node.id)
+            yield node.lineno, ".".join(reversed(parts))
+
+
+def test_no_blas_lapack_or_polynomial_in_src():
+    # radial runs start no LAPACK, no BLAS and no numpy.polynomial: line
+    # fits are geometry.line_fit, the quadrature rules are literals and
+    # sums are elementwise.  Only np.linalg.norm, and @ on the Grad duals
+    # of divergence.py (einsum), are allowed.  About 0.1 s
+    src = Path(emdenlab.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for line, name in _dotted_names(tree):
+            parts = name.split(".")
+            linalg = [parts[i + 1:i + 2] for i, part in enumerate(parts) if part == "linalg"]
+            if _DENSE_ALGEBRA.intersection(parts) or any(rest != ["norm"] for rest in linalg):
+                found.append(f"{path.name}:{line}: {name}")
+        if path.name != "divergence.py":
+            found += [f"{path.name}:{node.lineno}: @" for node in ast.walk(tree)
+                      if isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.MatMult)]
     assert found == []
 
 

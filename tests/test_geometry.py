@@ -177,6 +177,137 @@ class TestQuadratureAgainstScipy:
             geo.quad(lambda s: np.sin(1e4 * s), 0.0, 1.0, 1e-14, 1e-11)
 
 
+class TestLegendreTables:
+    def test_literal_tables_are_leggauss(self):
+        # the committed rules equal numpy's leggauss bit for bit; about 1 ms
+        from numpy.polynomial.legendre import leggauss
+
+        for order, (nodes, weights) in zip(geo._GL_ORDERS, geo._legendre_rules()):
+            ref_nodes, ref_weights = leggauss(order)
+            assert np.array(nodes).tobytes() == ref_nodes.tobytes()
+            assert np.array(weights).tobytes() == ref_weights.tobytes()
+
+    def test_stacked_rules_on_the_unit_interval(self):
+        # each rule integrates x^(2k-1) exactly on [0, 1], k its order
+        nodes, weights = geo._gauss_legendre()
+        for row, order in zip(weights, geo._GL_ORDERS):
+            degree = 2 * order - 1
+            assert (row * nodes**degree).sum() == pytest.approx(1.0 / (degree + 1),
+                                                                rel=1e-14)
+
+
+def _exact_line(x, y):
+    """The least-squares line of the doubles x, y in rational arithmetic,
+    rounded once: (slope, intercept)."""
+    from fractions import Fraction
+
+    xs, ys = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
+             / sum((a - x_mean) ** 2 for a in xs))
+    return float(slope), float(y_mean - slope * x_mean)
+
+
+def _assert_exact_line(x, y, rel=1e-13):
+    """line_fit against _exact_line, each part within ``rel`` of its size
+    or, where it is a cancellation, of the terms it cancels: sum|dx dy| /
+    sum dx^2 for the slope, |mean y| + |slope mean x| for the intercept."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    slope, intercept = geo.line_fit(x, y)
+    exact_slope, exact_intercept = _exact_line(x, y)
+    dx, dy = x - x.mean(), y - y.mean()
+    slope_terms = np.abs(dx * dy).sum() / (dx * dx).sum()
+    intercept_terms = abs(y.mean()) + abs(exact_slope * x.mean())
+    assert abs(slope - exact_slope) <= rel * max(abs(exact_slope), slope_terms)
+    assert abs(intercept - exact_intercept) <= rel * max(abs(exact_intercept),
+                                                         intercept_terms)
+
+
+def _recorded_fits(monkeypatch, module, run):
+    """The (x, y) of every line_fit that ``module`` makes during run()."""
+    fits = []
+
+    def recording(x, y):
+        fits.append((np.array(x), np.array(y)))
+        return geo.line_fit(x, y)
+
+    monkeypatch.setattr(module, "line_fit", recording)
+    run()
+    return fits
+
+
+class TestLineFit:
+    def test_exact_line(self):
+        x = np.array([1.0, 2.0, 4.0, 8.0])
+        assert geo.line_fit(x, 3.0 * x - 2.0) == (3.0, -2.0)
+
+    @pytest.mark.parametrize("x", [[], [4.0], [4.0, 4.0, 4.0]])
+    def test_fewer_than_two_distinct_x_fail_closed(self, x):
+        with pytest.raises(PreconditionError, match="two distinct x"):
+            geo.line_fit(x, np.ones(len(x)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_fails_closed(self, bad):
+        with pytest.raises(NumericalError, match="not finite"):
+            geo.line_fit([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+        with pytest.raises(NumericalError, match="not finite"):
+            geo.line_fit([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+
+    def test_overflowing_fit_fails_closed(self):
+        with pytest.raises(NumericalError, match="fit is not finite"):
+            geo.line_fit([-1e200, 1e200], [0.0, 1.0])
+
+    def test_badly_centred_data_against_exact_arithmetic(self):
+        # x ~ 1e3 +- 1e-3: np.polyfit's Vandermonde least squares is off by
+        # up to ~1e-10 in the slope and ~1e-7 in the intercept here, so the
+        # oracle is the rational fit; about 20 ms
+        rng = np.random.default_rng(7)
+        for size in (2, 3, 10, 48):
+            x = 1e3 + rng.uniform(-1e-3, 1e-3, size)
+            _assert_exact_line(x, 2.5 * x - 7.0 + rng.normal(0.0, 1e-6, size))
+            _assert_exact_line(x, 3.0 * x + 1.0)
+
+    def test_workload_scan_tails_against_polyfit(self, monkeypatch):
+        # the 20 stayed-positive R^n tails of the benchmark's scan grid: the
+        # slope they read agrees with np.polyfit's, and both parts with the
+        # rational fit; about 0.1 s
+        from emdenlab import shooting
+        from emdenlab.exponents import critical_exponent
+
+        def scans():
+            for n, p in ((3, 2.0), (4, 3.0), (3, 2.5), (4, 1.5)):
+                ps = critical_exponent(n, p)
+                shooting.liouville_scan(n, p, [f * ps for f in (0.5, 0.8, 0.9, 0.98, 1.0)],
+                                        (0.5, 1.0, 2.0), horizon=2000.0)
+
+        fits = _recorded_fits(monkeypatch, shooting, scans)
+        assert len(fits) == 20
+        for x, y in fits:
+            slope, _ = geo.line_fit(x, y)
+            assert slope == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-13, abs=0.0)
+            _assert_exact_line(x, y)
+
+    def test_criterion_7_extrapolations_against_polyfit(self, monkeypatch):
+        # the 27 criterion-7 profiles: the intercept they read agrees with
+        # np.polyfit's; their slopes are roundoff (g is flat to ~1e-14 on the
+        # tail), where polyfit's differ from the rational fit by up to 25x,
+        # so both parts are checked against the rational fit; about 30 ms
+        from emdenlab import estimates
+
+        def profiles():
+            for n in (2, 3, 4):
+                for p in (1.5, 2.0, 3.0):
+                    for kappa in (0.25, 1.0, 4.0):
+                        estimates.hn_p_harmonic_profile(n, p, kappa)
+
+        fits = _recorded_fits(monkeypatch, estimates, profiles)
+        assert len(fits) == 27
+        for x, y in fits:
+            _, intercept = geo.line_fit(x, y)
+            assert intercept == pytest.approx(np.polyfit(x, y, 1)[1], rel=1e-13, abs=0.0)
+            _assert_exact_line(x, y)
+
+
 class TestBishopGromov:
     def test_euclidean_constant_ratio(self):
         rep = geo.bishop_gromov_check(geo.euclidean(3), [1.0, 2.0, 4.0])

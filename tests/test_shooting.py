@@ -30,6 +30,17 @@ class TestShoot:
         assert out.stats["flux_nonincreasing"] is None
         assert out.stats["flux_nonpositive"] is None
 
+    @pytest.mark.parametrize("horizon", [1.5e-4, 2e-4])
+    def test_no_tail_by_twice_the_series_radius(self, horizon):
+        # the tail radii start at 2 SERIES_RADIUS: a solve that ends there
+        # has no tail to fit (a fit read 48 copies of one radius, or radii
+        # past the solve's end)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = S.shoot(euclidean(3), 2.0, ReactionTerm.pure_power(3.0), 1.0,
+                          horizon=horizon)
+        assert out.kind == "stayed_positive" and out.tail_exponent is None
+
     def test_crossing_linear_reaction_reference(self):
         # -lap u = u on R^3: u = u0 sin(r)/r crosses at pi
         out = S.shoot(euclidean(3), 2.0, ReactionTerm.pure_power(1.0), 1.0,
@@ -972,11 +983,11 @@ class TestKnownFailures:
         return {c["u0"]: (c["outcome"], c["tail_exponent"]) for c in cells}
 
     @pytest.mark.parametrize("n,p,factor,pinned", [
-        (4, 3.0, 0.98, {0.5: -0.5588431995011196, 1.0: -0.7130486203444374}),
-        (3, 2.5, 0.8, {0.5: -0.8036330741421338}),
-        (3, 2.5, 0.9, {0.5: -0.4419384286418107, 1.0: -1.3620171692947838}),
-        (3, 2.5, 0.98, {0.5: -0.34678180409805487, 1.0: -0.38569384586463074,
-                        2.0: -0.5825046710786931}),
+        (4, 3.0, 0.98, {0.5: -0.5588431995011198, 1.0: -0.7130486203444376}),
+        (3, 2.5, 0.8, {0.5: -0.8036330741421343}),
+        (3, 2.5, 0.9, {0.5: -0.44193842864181077, 1.0: -1.3620171692947847}),
+        (3, 2.5, 0.98, {0.5: -0.346781804098055, 1.0: -0.38569384586463085,
+                        2.0: -0.5825046710786934}),
     ])
     def test_horizon_mislabels(self, n, p, factor, pinned):
         # ROADMAP items 1(a) and 11: subcritical cells read stayed_positive
@@ -990,8 +1001,8 @@ class TestKnownFailures:
         # ROADMAP items 1(b) and 11: at alpha = p_s on R^4, p = 1.5 the
         # p < 2 tail misses its exponent -(n-p)/(p-1) = -5
         assert self.row(4, 1.5, 1.0) == {
-            0.5: ("stayed_positive", -4.607194685298329),
-            1.0: ("stayed_positive", -3.835720246777526),
+            0.5: ("stayed_positive", -4.607194685298331),
+            1.0: ("stayed_positive", -3.8357202467775275),
             2.0: ("stayed_positive", -2.718674608822269),
         }
 
