@@ -11,6 +11,7 @@ Subpackages:
 * identities   -- seeded identity/inequality verification campaigns
 * exponents    -- critical exponents, reaction terms, Liouville classifier
 * shooting     -- radial flux-form shooting, scans, bubble matching
+* dop853       -- the DOP853 stepper the radial solves run on
 * estimates    -- log-gradient bounds and Harnack-type ratio checks
 * cli          -- command-line entry point, JSON reports
 

@@ -26,9 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-# shooting first: without cached bytecode, compiling shooting.py needs
-# ~2.8 MB of transient memory, the most of any module, so it compiles
-# while the heap is smallest; compiled last, it raised peak RSS ~0.5 MB
+# without cached bytecode every import compiles its source, and a
+# compile's transient memory grows with the source: after numpy,
+# identities.py takes ~2.1 MB, shooting.py ~1.9 MB and dop853.py (which
+# shooting imports) ~1.5 MB.  Compiling the largest first, while the heap
+# is smallest, can lower a radial run's peak RSS; here identities first
+# and shooting first read the same peak (six alternated 4-s
+# radial-solves workers each), so shooting stays first
 from . import shooting
 from . import estimates, exponents, identities
 from .errors import EmdenLabError, PreconditionError

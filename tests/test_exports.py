@@ -1,7 +1,7 @@
 """Export hygiene: the package imports, every advertised name exists and
 has a reader, no scipy module loads at run time, numpy.random loads only
-at the first campaign draw, and no code calls LAPACK or BLAS or loads
-numpy.polynomial."""
+at the first campaign draw, and no code calls LAPACK or BLAS, loads
+numpy.polynomial or sorts with numpy."""
 
 import ast
 import functools
@@ -246,6 +246,26 @@ def test_no_blas_lapack_or_polynomial_in_src():
     assert found == []
 
 
+#: numpy's sorts and the reductions that sort (partition) to answer
+_SORTS = frozenset({"unique", "sort", "argsort", "lexsort", "partition", "argpartition",
+                    "median", "percentile", "quantile"})
+
+
+def test_no_numpy_sort_in_src():
+    # no run loads numpy's sort kernels: the dense output finds its steps
+    # by marking them (dop853._DenseOutput.__call__).  An attribute or an
+    # import from a module so named counts, whatever it is called on (a
+    # Python list sorts with sorted, which stays allowed); a bare local
+    # name does not.  About 0.1 s, one ast.parse of src/emdenlab
+    src = Path(emdenlab.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for line, name in _dotted_names(ast.parse(path.read_text())):
+            if _SORTS.intersection(name.split(".")[1:]):
+                found.append(f"{path.name}:{line}: {name}")
+    assert found == []
+
+
 #: every name the package exported before its names were loaded lazily
 PACKAGE_EXPORTS = {
     "errors": ("DomainError", "EmdenLabError", "InputError", "NumericalError",
@@ -292,5 +312,6 @@ def test_identities_load_no_integrator_or_classifier():
     child = json.loads(proc.stdout)
     assert child["pass"]
     assert set(child["loaded"]).isdisjoint(
-        {"emdenlab.shooting", "emdenlab.exponents", "emdenlab.estimates", "emdenlab.cli"})
+        {"emdenlab.shooting", "emdenlab.dop853", "emdenlab.exponents", "emdenlab.estimates",
+         "emdenlab.cli"})
     assert child["wrong"] == [] and child["missing"] == []
