@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .exponents import HarnackConfig
+from .exponents import GradientEstimateParams, HarnackConfig
 from .geometry import line_fit, quad, unit_sphere_area
 
 __all__ = [
@@ -98,7 +98,7 @@ def _extremal_series(beta: float, sq: float, grid):
     return total * (2.0**beta / sq)
 
 
-def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
+def hn_p_harmonic_profile(n: int, p: float, kappa: float,
                           r_tail: float = None) -> LogGradientProfile:
     """The explicit radial p-harmonic extremal on hyperbolic space.
 
@@ -109,10 +109,10 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
     global bound, approaching it like e^{-2 sqrt(kappa) r}.
 
     The profile is singular at the pole (p-harmonic on the punctured
-    space only), so the default grid lives in the tail regime
-    [9/sqrt(kappa), 30/sqrt(kappa)] where it proxies an entire solution
+    space only), so its grid is 160 geometric radii in the tail regime
+    [9/sqrt(kappa), 30/sqrt(kappa)], where it proxies an entire solution
     to within ~1e-7 of the bound (r_tail, which must exceed 9/sqrt(kappa),
-    moves its end); pass an explicit grid to inspect the pole excess.
+    moves the end).
 
     u is summed in closed form, vectorized over the grid: with
     x = sqrt(kappa) r and (beta)_k the rising factorial,
@@ -125,14 +125,12 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
     term * rho / (1 - rho), rho = e^{-2x} max(1, (beta+k)/(k+1)), on the
     remainder is below 1e-16 of the sum.  It needs about 20/x terms and
     is capped at _SERIES_MAX_TERMS, which covers sqrt(kappa) r >= 0.01
-    for beta <= 10, the smallest supported radius; a grid that reaches
-    closer to the pole raises NumericalError.
+    for beta <= 10, far inside the grid's start at 9.  Past the cap, or
+    where u underflows (an r_tail far out), the series raises
+    NumericalError.
 
     ``limit_estimate`` extrapolates g to r = inf: the intercept of
-    ``line_fit`` through (1/r, g) on the last quarter of the grid, at
-    most 10 radii.  The fit needs two points, so a grid of fewer than 8
-    radii raises PreconditionError (after the series, whose own failures
-    come first).
+    ``line_fit`` through (1/r, g) on the last 10 radii.
     """
     if kappa <= 0 or p <= 1 or n < 2:
         raise PreconditionError("need kappa > 0, p > 1, n >= 2")
@@ -143,13 +141,7 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
     if r_tail is not None and r_tail <= 9.0 / sq:
         raise PreconditionError(
             f"r_tail must exceed the grid start 9/sqrt(kappa) = {9.0 / sq:g}")
-    if grid is None:
-        r_tail = r_tail if r_tail is not None else 30.0 / sq
-        grid = np.geomspace(9.0 / sq, r_tail, 160)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0):
-        raise PreconditionError("grid must be positive radii")
-
+    grid = np.geomspace(9.0 / sq, 30.0 / sq if r_tail is None else r_tail, 160)
     u = _extremal_series(beta, sq, grid)
     du = -np.sinh(sq * grid) ** (-beta)
     ddu = beta * sq * np.cosh(sq * grid) * np.sinh(sq * grid) ** (-beta - 1.0)
@@ -159,11 +151,7 @@ def hn_p_harmonic_profile(n: int, p: float, kappa: float, grid=None,
     g = np.abs(du) / u
     sup_g = float(g.max())
     # tail extrapolation of the increasing log-gradient on 1/r
-    k = min(10, len(grid) // 4)
-    if k < 2:
-        raise PreconditionError(f"the tail fit needs two points: a grid of at "
-                                f"least 8 radii, got {len(grid)}")
-    _, intercept = line_fit(1.0 / grid[-k:], g[-k:])
+    _, intercept = line_fit(1.0 / grid[-10:], g[-10:])
     return LogGradientProfile(
         grid=grid,
         u=u,
@@ -189,9 +177,7 @@ def global_bound_check(profile: LogGradientProfile, n: int, p: float,
     """
     if not profile.certified:
         raise PreconditionError("profile is not certified as a solution")
-    if delta0 >= 1:
-        raise PreconditionError("delta0 must be < 1")
-    d0p = max(0.0, delta0)
+    d0p = GradientEstimateParams(delta0, p).delta0_plus
     bound = (n - 1.0) / (p - 1.0) * math.sqrt(kappa / (1.0 - d0p))
     passed = profile.sup_g <= bound * (1.0 + 1e-6)
     return {
@@ -236,37 +222,32 @@ def harmonic_family(n: int, p: float):
     return members
 
 
-#: points of the dense search along a member's extremal segment
-_MEMBER_POINTS = 4001
 #: largest |log-log slope| of R * sup |grad ln u| that counts as no trend
 _SLOPE_TOL = 0.05
 
 
 def _member_quantity(member: dict, radius: float):
-    """R * sup_{B_{R/4}} |grad ln u| by dense search along the extremal
-    segment (both families have |grad ln u| monotone along the e1 axis)."""
+    """R * sup_{B_{R/4}} |grad ln u|, read at the end of the extremal
+    segment [-R/4, R/4] e1 where it is attained: |grad ln u| decreases
+    along e1 for the affine member, 1/(R + t), and increases for the
+    fundamental one, |beta|/(3R - t), so the sup sits at t = -R/4 and
+    t = R/4 respectively."""
     n = member["n"]
     p = member["p"]
     quarter = radius / 4.0
-    ts = np.linspace(-quarter, quarter, _MEMBER_POINTS)
     if member["kind"] == "affine_dilated":
-        u_vals = 1.0 + ts / radius
-        if np.any(u_vals <= 0):
-            raise InputError("affine member not positive on its ball")
-        h = (1.0 / radius) / u_vals
+        h = (1.0 / radius) / (1.0 - quarter / radius)
         certified = True  # hessian vanishes identically
     elif member["kind"] == "fundamental":
         beta = (p - n) / (p - 1.0)
-        x0 = 3.0 * radius
-        dist = np.abs(x0 - ts)
-        h = np.abs(beta) / dist
+        h = abs(beta) / abs(3.0 * radius - quarter)
         core = (p - 1.0) * beta * (beta - 1.0) + (n - 1) * beta
         certified = abs(core) <= 1e-12 * (abs(beta) + 1.0) * (n + p)
     else:
         raise InputError(f"unknown family member kind {member['kind']!r}")
     if not certified:
         raise PreconditionError("member failed p-harmonicity certification")
-    return radius * float(h.max())
+    return radius * h
 
 
 def local_scaling_check(n: int, p: float, radii=(1.0, 2.0, 4.0, 8.0)) -> dict:
@@ -318,6 +299,8 @@ def named_profile(name: str) -> RadialProfileSpec:
     constant       u = 1
     inverse_sqrt   u = (1 + r^2)^{-1/2}   (superharmonic for n >= 3, p = 2)
     smoothed_cap   u = (1 + r^4)^{-1/4}   (smooth cap of min(1, 1/r), n = 3)
+
+    Each is non-increasing in r, so its infimum on B_R is u(R) (_ball_min).
     """
     if name == "constant":
         one = lambda r: np.ones_like(np.asarray(r, dtype=float))
@@ -387,8 +370,8 @@ def _ball_lq_norm(spec: RadialProfileSpec, power: float, q: float, radius: float
 
 
 def _ball_min(spec: RadialProfileSpec, radius: float) -> float:
-    """inf_{B_R} u, searched on 4000 radii."""
-    return float(spec.u(np.linspace(0.0, radius, 4000)).min())
+    """inf_{B_R} u = u(R): every named profile is non-increasing in r."""
+    return float(spec.u(np.asarray(radius, dtype=float)))
 
 
 #: largest max/min spread of a ratio across the R sweep
@@ -402,7 +385,7 @@ def _ratio_sweep(kind: str, key: str, profile, n: int, p: float, q: float,
     a row, whose ratio is ``key``.  It passes iff every ratio is positive
     and their spread stays within _RATIO_BAND (the constants are
     existence-only)."""
-    spec = named_profile(profile) if isinstance(profile, str) else profile
+    spec = named_profile(profile)
     check_q()
     radii = _sorted_radii(radii)
     cert = certify_p_superharmonic(spec, n, p, r_max=2.0 * radii[-1])
@@ -427,7 +410,7 @@ def _ratio_sweep(kind: str, key: str, profile, n: int, p: float, q: float,
     }
 
 
-def weak_harnack_ratio(profile: str | RadialProfileSpec, n: int, p: float,
+def weak_harnack_ratio(profile: str, n: int, p: float,
                        q: float, radii=(1, 2, 4, 8, 16, 32)) -> dict:
     """rho(R) = inf_{B_R} u / (R^{-n/q} ||u||_{L^q(B_2R)}) across radii,
     for q inside (0, (p-1) chi); the report adds the least rho as min_rho."""
@@ -443,7 +426,7 @@ def weak_harnack_ratio(profile: str | RadialProfileSpec, n: int, p: float,
     return {**out, "min_rho": float(np.min([r["rho"] for r in out["rows"]]))}
 
 
-def local_max_principle_ratio(profile: str | RadialProfileSpec, n: int, p: float,
+def local_max_principle_ratio(profile: str, n: int, p: float,
                               q: float, radii=(1, 2, 4, 8, 16)) -> dict:
     """sup_{B_{R/2}} u^{-1} / (V_R^{-1/q} ||u^{-1}||_{L^q(B_R)}) stability,
     with V_R = omega_{n-1} R^n / n the volume of the Euclidean ball."""

@@ -272,9 +272,9 @@ def _f2_verdict(ft, fpt, delta0: float, n: int, p: float):
 
 
 def satisfies_f2(term: ReactionTerm, delta0: float, n: int, p: float):
-    """Grid verdict of the delta0-condition; returns (ok, witness)."""
-    if delta0 >= 1:
-        raise PreconditionError("delta0 must be < 1")
+    """Grid verdict of the delta0-condition; returns (ok, witness).
+    delta0 and p are checked as GradientEstimateParams checks them."""
+    GradientEstimateParams(delta0, p)
     return _f2_verdict(*_on_grid(term), delta0, n, p)
 
 
@@ -521,23 +521,30 @@ def emden_plaplacian(n: int, p: float, lam: float, r):
     return np.where(r > 0, out, limit)
 
 
+def _residual_record(identity_id: str, r, value, ref, tol: float, **case) -> dict:
+    """A bubble check's record of value against ref on the radii r: the
+    worst |value - ref| / |ref| with its radius (and ``case``), the worst
+    |value - ref|, the tolerance and the pass flag."""
+    diff = np.abs(value - ref)
+    rel = diff / np.abs(ref)
+    worst = int(np.argmax(rel))
+    return {
+        "identity_id": identity_id,
+        "samples": int(r.size),
+        "max_rel_residual": float(rel.max()),
+        "max_abs_residual": float(diff.max()),
+        "worst_case": {"r": float(r[worst]), **case},
+        "tol": tol,
+        "pass": bool(rel.max() <= tol),
+    }
+
+
 def emden_residual(n: int, p: float, lam: float, r_grid) -> dict:
     """Pointwise |lap_p u + u^{p_s}| / u^{p_s} of the bubble on a grid."""
     ps = critical_exponent(n, p)
     r = np.asarray(r_grid, dtype=float)
-    u = emden_bubble(n, p, lam)(r)
-    plap = emden_plaplacian(n, p, lam, r)
-    res = np.abs(plap + u**ps) / u**ps
-    worst = int(np.argmax(res))
-    return {
-        "identity_id": "emden_bubble_residual",
-        "samples": int(r.size),
-        "max_rel_residual": float(res.max()),
-        "max_abs_residual": float(np.abs(plap + u**ps).max()),
-        "worst_case": {"r": float(r[worst]), "n": n, "p": p, "lam": lam},
-        "tol": 1e-8,
-        "pass": bool(res.max() <= 1e-8),
-    }
+    return _residual_record("emden_bubble_residual", r, emden_plaplacian(n, p, lam, r),
+                            -emden_bubble(n, p, lam)(r) ** ps, 1e-8, n=n, p=p, lam=lam)
 
 
 def bubble_coefficient_audit(n: int, p) -> dict:

@@ -163,12 +163,6 @@ def _require_samples(samples: int):
         raise PreconditionError("a campaign needs at least one sample")
 
 
-def _require_jet_domain(n_values, p_values):
-    """The jet inequalities are stated for n >= 2 and p > 1."""
-    if any(n < 2 for n in n_values) or not all(p > 1 for p in p_values):
-        raise DomainError("need n >= 2 and p > 1")
-
-
 def _draw(camp: Campaign) -> SampleBatch:
     """The campaign's samples as one batch, in draw order.
 
@@ -759,6 +753,21 @@ def random_jets(rng, n: int, count: int):
     return u, g, h
 
 
+def _jet_blocks(n_values, p_values, samples: int, seed: int):
+    """(n, p, u, block) for both jet inequalities: one random_jets draw of
+    ``samples`` jets per n, in order, from the generator keyed by seed,
+    and one FluxBlock per (n, p).  They are stated for n >= 2 and p > 1."""
+    _require_samples(samples)
+    if any(n < 2 for n in n_values) or not all(p > 1 for p in p_values):
+        raise DomainError("need n >= 2 and p > 1")
+    rng = _rng(seed)
+    for n in n_values:
+        u, g, h = random_jets(rng, n, samples)
+        jets = J.JetBlock(g, h)
+        for p in p_values:
+            yield n, p, u, J.FluxBlock(jets, p)
+
+
 def check_trace_inequality(
     n_values=(2, 3, 4),
     p_values=(1.2, 1.5, 2.0, 3.0, 5.0),
@@ -775,27 +784,20 @@ def check_trace_inequality(
     |M|^2 are computed by independent routes (matrix-product trace vs
     entrywise square sum); margins are normalized by |M|^2.
     """
-    _require_samples(samples)
-    _require_jet_domain(n_values, p_values)
-    rng = _rng(seed)
     acc = _Margins()
-    for n in n_values:
-        u, g, h = random_jets(rng, n, samples)
-        jets = J.JetBlock(g, h)
-        for p in p_values:
-            coef = ((p - 1.0) ** 2 + 1.0) / (2.0 * (p - 1.0))
-            block = J.FluxBlock(jets, p)
-            for b in b_values:
-                _, jac = block.weighted(u, b, check=False)
-                m = J.traceless(jac)
-                t2 = J.trace_product(m)
-                fr = J.frobenius_sq(m)
-                scale = fr + _TINY
-                m1 = (coef * t2 - fr) / scale
-                m2 = (fr - t2) / scale
-                for name, margin in (("upper", m1), ("lower", m2)):
-                    acc.update(margin, {"inequality": name, "n": n, "p": p,
-                                        "b": b, "seed": seed})
+    for n, p, u, block in _jet_blocks(n_values, p_values, samples, seed):
+        coef = ((p - 1.0) ** 2 + 1.0) / (2.0 * (p - 1.0))
+        for b in b_values:
+            _, jac = block.weighted(u, b, check=False)
+            m = J.traceless(jac)
+            t2 = J.trace_product(m)
+            fr = J.frobenius_sq(m)
+            scale = fr + _TINY
+            m1 = (coef * t2 - fr) / scale
+            m2 = (fr - t2) / scale
+            for name, margin in (("upper", m1), ("lower", m2)):
+                acc.update(margin, {"inequality": name, "n": n, "p": p,
+                                    "b": b, "seed": seed})
     return acc.report("traceless_trace_inequality", tol_neg)
 
 
@@ -839,19 +841,12 @@ def check_kato(
     with F = |grad w|^p and W the flux of w; all five pieces come from
     second-order jet data only.
     """
-    _require_samples(samples)
-    _require_jet_domain(n_values, p_values)
-    rng = _rng(seed)
     acc = _Margins()
-    for n in n_values:
-        _, g, h = random_jets(rng, n, samples)
-        jets = J.JetBlock(g, h)
-        for p in p_values:
-            block = J.FluxBlock(jets, p)
-            lhs = block.jacobian_sq_trace
-            rhs = kato_rhs(block)
-            scale = np.abs(lhs) + np.abs(rhs) + _TINY
-            acc.update((lhs - rhs) / scale, {"n": n, "p": p, "seed": seed})
+    for n, p, _, block in _jet_blocks(n_values, p_values, samples, seed):
+        lhs = block.jacobian_sq_trace
+        rhs = kato_rhs(block)
+        scale = np.abs(lhs) + np.abs(rhs) + _TINY
+        acc.update((lhs - rhs) / scale, {"n": n, "p": p, "seed": seed})
     return acc.report("kato_inequality", tol_neg)
 
 

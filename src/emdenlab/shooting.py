@@ -61,7 +61,7 @@ import numpy as np
 
 from .dop853 import _Solve, solve_ivp
 from .errors import DomainError, NumericalError, PreconditionError
-from .exponents import ReactionTerm, critical_exponent, emden_bubble
+from .exponents import ReactionTerm, _residual_record, critical_exponent, emden_bubble
 from .geometry import ManifoldModel, euclidean, line_fit, sphere, unit_sphere_area
 from .taylor import Grad, grad_abs_pow
 
@@ -157,8 +157,11 @@ class RadialSolution:
 
     def jets(self, r):
         """(u, u', u'', u''') at radii r in [r_lo, r_hi]; requires
-        |u'| > 0 there."""
-        r = np.asarray(r, dtype=float)
+        |u'| > 0 there.  Radii of any shape are read as one flat batch
+        (the dual tower's derivative axis follows the batch axis), and
+        each output takes r's shape."""
+        shape = np.shape(r)
+        r = np.asarray(r, dtype=float).ravel()
         u, m = self.state(r)
         n, p = self.model.dim, self.p
         psi, dpsi, ddpsi = self.model.warping_jet(r)
@@ -178,7 +181,7 @@ class RadialSolution:
         u2 = u2_expr(Grad(u1, np.zeros_like(u1)[:, None])).v
         u1g = Grad(u1, u2[:, None])
         u2g = u2_expr(u1g)
-        return u, u1, u2g.v, u2g.d[:, 0]
+        return tuple(a.reshape(shape) for a in (u, u1, u2g.v, u2g.d[:, 0]))
 
 
 def _series_start(model: ManifoldModel, p: float, term: ReactionTerm, u0: float,
@@ -505,19 +508,8 @@ def bubble_match(n, p, lam, horizon=20.0) -> dict:
     term = ReactionTerm.pure_power(ps)
     sol = solve_dense(euclidean(n), p, term, u0, horizon)
     r = np.linspace(SERIES_RADIUS, min(horizon, sol.r_hi), 600)
-    u_num, _ = sol.state(r)
-    u_ref = bubble(r)
-    rel = np.abs(u_num - u_ref) / np.abs(u_ref)
-    worst = int(np.argmax(rel))
-    return {
-        "identity_id": "bubble_trajectory_match",
-        "samples": int(r.size),
-        "max_rel_residual": float(rel.max()),
-        "max_abs_residual": float(np.abs(u_num - u_ref).max()),
-        "worst_case": {"r": float(r[worst]), "n": n, "p": p, "lam": lam},
-        "tol": 1e-6,
-        "pass": bool(rel.max() <= 1e-6),
-    }
+    return _residual_record("bubble_trajectory_match", r, sol.state(r)[0], bubble(r),
+                            1e-6, n=n, p=p, lam=lam)
 
 
 # ----------------------------------------------------------------------

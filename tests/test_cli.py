@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, reports."""
 
 import argparse
+import hashlib
 import json
 import os
 import shlex
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import emdenlab
-from emdenlab import cli, identities, shooting
+from emdenlab import cli, estimates, identities, shooting
 from emdenlab.reports import TOOL_VERSION
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -605,6 +606,47 @@ class TestOtherCommands:
         out = tmp_path / "rep.json"
         run_cli(["thresholds", "--n", "3", "--p", "2", "--out", str(out)])
         assert "wall_time" not in out.read_text()
+
+
+#: sha256 of the reports of criteria 2-4 and 7-9's commands, so that a
+#: refactor of these checks cannot move a byte silently.  All of the pins
+#: take about 0.05 s (2 vCPUs, Python 3.11, numpy 2.4).
+_REPORT_SHA256 = {
+    "trace-ineq --samples 2000":
+        "6263438aecbf0de1d92a2d663071cc1630b8bde3b36ca5820b07ff05370f6c93",
+    "kato --samples 2000":
+        "c6c4a70b18fe1591febaeb6ac1c7bf7ce9e1ae28abbd1eff91da7480b63f547c",
+    "bubble": "9002105982bdc44538551cb2ce846dc966c775d7baadc73cc20cbf7d8ee5c145",
+    "gradient-bound":
+        "b65b35e2afbf24cf943e22a81d0e242a28ddad821cd28b961fdaac7e71accc58",
+    "harnack --profile constant":
+        "7aea5e250d4e383ed6f9b854d530267ee5a6576e6062c41a8417409118026a44",
+    "harnack --profile inverse_sqrt":
+        "ca5878e5153b91e6029fab0a24c73684837817bf222c66340a09e41a2c37b293",
+    "harnack --profile smoothed_cap":
+        "4ebb50209a175fb5a0934c50726b42d9d608ed36645218eac4de115df277f9f1",
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("command", sorted(_REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, tmp_path, command):
+        out = tmp_path / "rep.json"
+        run_cli(command.split() + ["--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_SHA256[command]
+
+    def test_gradient_bound_csv_bytes_are_pinned(self, tmp_path):
+        out, table = tmp_path / "rep.json", tmp_path / "g.csv"
+        assert run_cli(["gradient-bound", "--out", str(out), "--csv", str(table)]) == 0
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+            "f1bc6691d2f9221b20b1ca42d4be20ca8511ae58e23ab6a52093079e67297e43")
+
+    def test_local_scaling_bytes_are_pinned(self):
+        # criterion 8's grid
+        reports = [estimates.local_scaling_check(n, p, radii=(1.0, 2.0, 4.0, 8.0))
+                   for n, p in [(3, 2.0), (2, 3.0), (4, 1.5)]]
+        assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == (
+            "0591c707a7212a3ed17547f506f0694e91783446a661219a555956d176b5b45a")
 
 
 class TestBvSphereCommand:

@@ -60,22 +60,24 @@ class TestHyperbolicExtremal:
 
     @pytest.mark.parametrize("n,p", [(3, 2.0), (2, 3.0), (4, 1.5)])
     def test_series_against_mpmath_near_the_pole(self, n, p):
+        # the profile's grid starts at sqrt(kappa) r = 9, so the series is
+        # read nearer the pole directly
         grid = np.geomspace(0.05, 2.0, 40)
-        prof = E.hn_p_harmonic_profile(n, p, 1.0, grid=grid)
+        u = E._extremal_series((n - 1.0) / (p - 1.0), 1.0, grid)
         idx = np.r_[0:40:13, 39]
         ref = _extremal_oracle(n, p, 1.0, grid[idx])
-        np.testing.assert_allclose(prof.u[idx], ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(u[idx], ref, rtol=1e-13, atol=0.0)
 
     def test_series_term_cap_fails_closed(self):
         # sqrt(kappa) r = 1e-4 needs about 2e5 terms, past the cap
         grid = np.array([1e-4, 0.5, 1.0])
         with pytest.raises(NumericalError, match=r"terms at r=0\.0001$"):
-            E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=grid)
+            E._extremal_series(2.0, 1.0, grid)
 
     def test_series_underflow_fails_closed(self):
         # e^{-2 * 400} underflows: u would read 0 at the last radius
         with pytest.raises(NumericalError, match="not finite and positive"):
-            E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.array([10.0, 400.0]))
+            E._extremal_series(2.0, 1.0, np.array([10.0, 400.0]))
 
     @pytest.mark.parametrize("kappa,r_tail", [(1.0, 9.0), (1.0, 5.0), (4.0, 4.5)])
     def test_tail_radius_must_pass_the_grid_start(self, kappa, r_tail):
@@ -84,23 +86,12 @@ class TestHyperbolicExtremal:
         with pytest.raises(PreconditionError, match="grid start"):
             E.hn_p_harmonic_profile(3, 2.0, kappa, r_tail=r_tail)
 
-    @pytest.mark.parametrize("size", [3, 5, 7])
-    def test_short_grid_fails_closed(self, size):
-        # a grid of 5 radii fitted its tail through one point and read
-        # limit_estimate 1.0000000000007 against the bound 2 (sharp False);
-        # one of 3 fitted the whole grid; both need 8 radii now.  About 1 ms
-        with pytest.raises(PreconditionError, match="at least 8 radii"):
-            E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.arange(10.0, 10.0 + size))
-
-    def test_eight_radii_fit_two_points(self):
-        prof = E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.geomspace(20.0, 30.0, 8))
-        assert prof.limit_estimate == pytest.approx(2.0, rel=1e-9)
-        assert E.global_bound_check(prof, 3, 2.0, 1.0)["sharp"]
-
     def test_pole_excess_visible_on_inner_grid(self):
-        # near the puncture the profile is not entire and exceeds the bound
-        prof = E.hn_p_harmonic_profile(3, 2.0, 1.0, grid=np.geomspace(0.05, 2.0, 40))
-        assert prof.sup_g > 2.0 * 1.5
+        # near the puncture the profile is not entire: g = |u'|/u exceeds
+        # the bound 2, which is why the profile's grid starts at r = 9
+        grid = np.geomspace(0.05, 2.0, 40)
+        g = np.sinh(grid) ** -2.0 / E._extremal_series(2.0, 1.0, grid)
+        assert g.max() > 2.0 * 1.5
 
 
 class TestGlobalBound:
@@ -137,7 +128,38 @@ class TestGlobalBound:
             E.global_bound_check(prof, 3, 2.0, 1.0)
 
 
+def _searched_member_quantity(member, radius):
+    """R * sup_{B_{R/4}} |grad ln u| by the 4001-point search along the
+    extremal segment that _member_quantity's closed form replaced, kept
+    as its oracle."""
+    n, p = member["n"], member["p"]
+    quarter = radius / 4.0
+    ts = np.linspace(-quarter, quarter, 4001)
+    if member["kind"] == "affine_dilated":
+        h = (1.0 / radius) / (1.0 + ts / radius)
+    else:
+        h = np.abs((p - n) / (p - 1.0)) / np.abs(3.0 * radius - ts)
+    return radius * float(h.max())
+
+
+def _searched_ball_min(spec, radius):
+    """inf_{B_R} u by the 4000-radius search that _ball_min's u(R)
+    replaced, kept as its oracle."""
+    return float(spec.u(np.linspace(0.0, radius, 4000)).min())
+
+
+_PROFILES = ("constant", "inverse_sqrt", "smoothed_cap")
+
+
 class TestLocalScaling:
+    @pytest.mark.parametrize("n,p", [(3, 2.0), (2, 3.0), (4, 1.5),  # criterion 8
+                                     (5, 2.5), (3, 3.0), (2, 1.2), (6, 1.1)])
+    def test_closed_form_is_the_dense_search(self, n, p):
+        for member in E.harmonic_family(n, p):
+            for radius in (1.0, 2.0, 4.0, 8.0, 1e-3, 0.3, 1.7, 5.0, 123.0, 7e7):
+                want = _searched_member_quantity(member, radius)
+                assert E._member_quantity(member, radius) == want
+
     def test_affine_quantity_four_thirds(self):
         out = E.local_scaling_check(3, 2.0, radii=(1.0, 2.0))
         affine = next(m for m in out["members"] if m["kind"] == "affine_dilated")
@@ -176,6 +198,20 @@ class TestLocalScaling:
 
 
 class TestHarnackRatios:
+    @pytest.mark.parametrize("profile", _PROFILES)
+    def test_ball_min_is_the_dense_search(self, profile):
+        # criterion 9's radii, and the halves the local maximum principle reads
+        spec = E.named_profile(profile)
+        for radius in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
+            for r in (radius, radius / 2.0):
+                assert E._ball_min(spec, r) == _searched_ball_min(spec, r)
+
+    @pytest.mark.parametrize("profile", _PROFILES)
+    def test_named_profiles_do_not_increase(self, profile):
+        # the precondition of _ball_min's u(R)
+        r = np.concatenate([np.linspace(0.0, 64.0, 200_001), np.geomspace(64.0, 1e6, 1000)])
+        assert np.all(np.diff(E.named_profile(profile).u(r)) <= 0.0)
+
     def test_constant_profile_scale_free(self):
         rep = E.weak_harnack_ratio("constant", 3, 2.0, 1.0)
         assert rep["pass"]
@@ -201,14 +237,18 @@ class TestHarnackRatios:
             E.weak_harnack_ratio("constant", 3, 2.0, 3.0)  # (p-1)chi = 3
 
     def test_subharmonic_profile_rejected(self):
+        # on R^2, -lap u = (2 - r^2) (1 + r^2)^{-5/2} turns negative past
+        # r = sqrt(2)
+        for ratio in (E.weak_harnack_ratio, E.local_max_principle_ratio):
+            with pytest.raises(PreconditionError, match="'inverse_sqrt' failed"):
+                ratio("inverse_sqrt", 2, 2.0, 1.0)
         grow = E.RadialProfileSpec(
             "growing",
             lambda r: (1.0 + r**2) ** 0.5,
             lambda r: r * (1.0 + r**2) ** -0.5,
             lambda r: (1.0 + r**2) ** -1.5,
         )
-        with pytest.raises(PreconditionError):
-            E.weak_harnack_ratio(grow, 3, 2.0, 1.0)
+        assert not E.certify_p_superharmonic(grow, 3, 2.0, 64.0)["certified"]
 
     def test_local_max_principle_constant_unity(self):
         rep = E.local_max_principle_ratio("constant", 3, 2.0, 1.0)

@@ -531,6 +531,18 @@ class TestRadialSolutionJets:
         lap = u2 + 2.0 / r * u1
         np.testing.assert_allclose(-lap, u**3, rtol=1e-8)
 
+    @pytest.mark.parametrize("shape", [(), (1, 6), (6, 1), (2, 3)])
+    def test_any_radius_shape_reads_the_flat_values(self, shape):
+        # a 0-d radius raised IndexError, and a (1, k) batch was read with
+        # its second axis as the dual tower's derivative direction, so
+        # [[2, 3]] gave u''' -0.1358 at r = 3 against -0.0205 without error
+        sol = S.solve_dense(euclidean(3), 2.0, ReactionTerm.pure_power(3.0),
+                            1.0, horizon=20.0)
+        flat = np.linspace(0.5, 4.0, 6)[:math.prod(shape)]
+        for got, want in zip(sol.jets(flat.reshape(shape)), sol.jets(flat)):
+            assert got.shape == shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestRadialSolutionDomain:
     """state and jets read only the solved segment [r_lo, r_hi]: past it
