@@ -19,12 +19,14 @@ An engine seeds forward-mode duals of u, G = grad u and H = hess u, so
 every divergence is an exact derivative of the assembled expression (no
 differencing anywhere).  It contracts them once into the p-free duals
 h = |grad u|^2, HG = hess u . grad u and GHG = <grad u, HG>, beside the
-Laplacian, and supplies the two things that depend on the geometry:
-div V of a vector dual V, and the duals (G, h, HG) of w = ln u.
+Laplacian; of hess u's derivative, the third-order data, it keeps only
+what lap and HG read.  The duals (G, h, HG) of w = ln u follow from them: grad w = G/u,
+hess w . grad w = HG/u^2 - |grad w|^2 grad w.  Only div V of a vector
+dual V depends on the geometry.
 
 * :class:`EuclideanEngine` seeds (u, grad u, hess u) from a third-order
   Taylor jet of a general field on R^n.  div V is the trace of V's
-  derivative, and ln u comes from the log of the jet.
+  derivative.  It keeps no third-order tensor.
 
 * :class:`RadialEngine` seeds a radial u(r) on a rotationally symmetric
   model dr^2 + psi(r)^2 g_S as one-component duals along d/dr: G = u'
@@ -96,19 +98,26 @@ class PowerTable:
 
 
 class _Engine:
-    """The duals every view reads: u, G = grad u, H = hess u, the
-    Laplacian and their p-free contractions.
-
-    A subclass seeds them and supplies ``div(V)`` of a vector dual V and
-    ``log_duals``, the duals (G, h, HG) of w = ln u.
+    """The duals every view reads: u, G = grad u, the Laplacian, the
+    p-free contractions of G and H = hess u (H itself it does not keep)
+    and the duals of ln u.  A subclass seeds them and supplies ``div(V)``.
     """
 
     def __init__(self, n: int, u: Grad, G: Grad, H: Grad, lap: Grad):
         self.n = n
-        self.u, self.G, self.H, self.lap = u, G, H, lap
+        self.u, self.G, self.lap = u, G, lap
         self.h = G @ G  # |grad u|^2
         self.HG = H @ G  # hess u . grad u
         self.GHG = G @ self.HG  # <grad u, hess u . grad u>
+
+    @functools.cached_property
+    def log_duals(self):
+        """(G, h, HG) of w = ln u, built on first use: grad w = G/u and
+        hess w . grad w = HG/u^2 - |grad w|^2 grad w, exact since HG's
+        derivative carries the third-order data."""
+        G = self.G * self.u**-1.0
+        h = G @ G
+        return G, h, self.HG * self.u**-2.0 - h * G
 
 
 class EuclideanEngine(_Engine):
@@ -119,19 +128,11 @@ class EuclideanEngine(_Engine):
         super().__init__(
             jet.g.shape[-1], Grad(jet.v, jet.g), Grad(jet.g, jet.h), H, H.trace()
         )
-        self.jet = jet
 
     @staticmethod
     def div(V: Grad) -> np.ndarray:
         """div V: the trace of the derivative of a vector dual."""
         return np.einsum("nii->n", V.d)
-
-    @functools.cached_property
-    def log_duals(self):
-        """(G, h, HG) of w = ln u, built on first use."""
-        w = self.jet.log()
-        G = Grad(w.g, w.h)
-        return G, G @ G, Grad(w.h, w.t) @ G
 
 
 class RadialEngine(_Engine):
@@ -147,26 +148,16 @@ class RadialEngine(_Engine):
         psi, psi1, psi2 = model.warping_jet(r)
         cot = Grad(psi1, psi2[:, None]) / Grad(psi, psi1[:, None])  # psi'/psi
         lap = Grad(u2, u3[:, None]) + (model.dim - 1) * cot * Grad(u1, u2[:, None])
+        self.H = Grad(u2[:, None, None], u3[:, None, None, None])  # for frame_jets
         super().__init__(
-            model.dim,
-            Grad(u, u1[:, None]),
-            Grad(u1[:, None], u2[:, None, None]),
-            Grad(u2[:, None, None], u3[:, None, None, None]),
-            lap,
+            model.dim, Grad(u, u1[:, None]), Grad(u1[:, None], u2[:, None, None]),
+            self.H, lap,
         )
         self.cot = cot.v
 
     def div(self, V: Grad) -> np.ndarray:
         """div(v d/dr) = v' + (n-1)(psi'/psi) v."""
         return V.d[:, 0, 0] + (self.n - 1) * self.cot * V.v[:, 0]
-
-    @functools.cached_property
-    def log_duals(self):
-        """(G, h, HG) of w = ln u, built on first use: w' = u'/u and
-        w'' w' = (u''/u - w'^2) w'."""
-        G = self.G * self.u**-1.0
-        h = G @ G
-        return G, h, (self.H @ G) * self.u**-1.0 - h * G
 
     def frame_jets(self):
         """(u, grad, hess) arrays in the orthonormal frame (e1 radial).

@@ -308,7 +308,8 @@ class _DenseOutput:
         read = np.flatnonzero(present)
         rows = np.array([(t, h, u, m, *(v for pair in F for v in pair))
                          for t, h, u, m, F in map(self._row, read.tolist())])
-        rows = rows[(np.cumsum(present) - 1)[seg]]
+        # (t, h, u, m) and F's seven (u, m) rows: 18 columns, also if no step is read
+        rows = rows.reshape(-1, 18)[(np.cumsum(present) - 1)[seg]]
         x = (r - rows[..., 0]) / rows[..., 1]
         yu, ym = np.zeros_like(x), np.zeros_like(x)
         for k in range(7):

@@ -21,17 +21,20 @@ scale with a rounding floor of 1e-10.
 A campaign is one batch of samples, drawn once on first use and shared
 by every check that reads it.  The p-free parts of both routes are built
 once per batch and shared by every check: the engine's duals (h, HG,
-GHG, lap) and the batch's ``jets.JetBlock`` (|grad u|^2, hess u . grad
-u, lap_inf u, lap u and the outer product g (x) Hg / |g|^2).  The
-p-level parts are built once per (batch, p) and shared by the campaign
-checks run back to back on it: a level (see _level) holds the engine
-view the left sides go through, the ``jets.FluxBlock`` over the batch's
-JetBlock the right sides go through, which builds each part on first
-use, <grad lap_p u, F>, Ric(F, F) and |grad u|^{2p}.  The levels of a
-batch share one ``divergence.PowerTable`` of u, which evaluates each
-power u^e once per batch for both routes, and each level keeps one
-record per b of X = u^b F: u^b, u^{b-1}, the closed-form div X,
-tr(jac^2), whose trace assertion runs once per (p, b), and Ric(X, X).
+GHG, lap, and those of ln u) and the batch's ``jets.JetBlock`` (|grad
+u|^2, hess u . grad u, lap_inf u, lap u and the outer product
+g (x) Hg / |g|^2).  On R^n the drawn third derivatives enter through HG
+and lap only and are not kept: a Euclidean batch holds no array of more
+than three axes.  The p-level parts are built once per (batch, p) and
+shared by the campaign checks run back to back on it: a level (see
+_level) holds the engine view the left sides go through, the
+``jets.FluxBlock`` over the batch's JetBlock the right sides go through,
+which builds each part on first use, <grad lap_p u, F>, Ric(F, F) and
+|grad u|^{2p}.  The levels of a batch share one ``divergence.PowerTable``
+of u, which evaluates each power u^e once per batch for both routes, and
+each level keeps one record per b of X = u^b F: u^b, u^{b-1}, the
+closed-form div X, tr(jac^2), whose trace assertion runs once per
+(p, b), and Ric(X, X).
 Only the table and levels of the batch checked last are held; a check
 that reads another batch drops them.  They are not kept on the batch,
 which lives as long as the campaign: every campaign's levels would then
@@ -115,6 +118,9 @@ class Campaign:
     samples: int = 1000
     seed: int = 0
 
+    def __post_init__(self):
+        _require_domain((self.dim,), self.p_values)
+
     @property
     def is_radial(self) -> bool:
         return self.model_name != "euclidean"
@@ -156,6 +162,12 @@ def _rng(seed: int):
     from numpy.random import Generator, Philox
 
     return Generator(Philox(seed))
+
+
+def _require_domain(n_values, p_values):
+    """The domain of the campaigns and jet inequalities (a NaN p is outside)."""
+    if any(n < 2 for n in n_values) or not all(p > 1 for p in p_values):
+        raise DomainError("need n >= 2 and p > 1")
 
 
 def _require_samples(samples: int):
@@ -756,10 +768,9 @@ def random_jets(rng, n: int, count: int):
 def _jet_blocks(n_values, p_values, samples: int, seed: int):
     """(n, p, u, block) for both jet inequalities: one random_jets draw of
     ``samples`` jets per n, in order, from the generator keyed by seed,
-    and one FluxBlock per (n, p).  They are stated for n >= 2 and p > 1."""
+    and one FluxBlock per (n, p)."""
     _require_samples(samples)
-    if any(n < 2 for n in n_values) or not all(p > 1 for p in p_values):
-        raise DomainError("need n >= 2 and p > 1")
+    _require_domain(n_values, p_values)
     rng = _rng(seed)
     for n in n_values:
         u, g, h = random_jets(rng, n, samples)

@@ -192,10 +192,6 @@ class Jet3:
         e = np.exp(self.v)
         return self.compose(e, e, e, e)
 
-    def log(self):
-        v = self.v
-        return self.compose(np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
-
     def sqrt(self):
         return self.compose_power(0.5)
 

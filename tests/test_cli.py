@@ -323,6 +323,12 @@ class TestInvalidInputs:
          "DomainError: need n >= 2 and p > 1"),
         (["kato", "--n", "1", "--samples", "10"],
          "DomainError: need n >= 2 and p > 1"),
+        (["identities", "--suite", "all", "--dim", "2", "--models", "euclidean",
+          "--samples", "100", "--p", "1"], "DomainError: need n >= 2 and p > 1"),
+        (["identities", "--suite", "all", "--dim", "2", "--models", "euclidean",
+          "--samples", "100", "--p", "-1"], "DomainError: need n >= 2 and p > 1"),
+        (["identities", "--suite", "solution", "--p", "0.5"],
+         "DomainError: need n >= 2 and p > 1"),
         (["moser", "--u0", "-1"], "PreconditionError: u0 must be positive"),
         (["moser", "--p", "1"], "PreconditionError: p must exceed 1"),
         (["moser", "--p", "1.5", "--alpha", "3", "--u0", "1e100"],
@@ -341,6 +347,7 @@ class TestInvalidInputs:
     ], ids=["bubble-rmax", "gradient-bound-rtail-0", "gradient-bound-rtail-neg",
             "gradient-bound-rtail-9", "gradient-bound-rtail-5",
             "harnack-radius", "trace-ineq-p", "trace-ineq-n", "kato-p", "kato-n",
+            "identities-p-1", "identities-p-neg", "identities-solution-p",
             "moser-u0", "moser-p", "moser-overflow", "moser-coarse-start",
             "moser-tiny-u0", "bv-sphere-u0", "classify-mixed-pure-power",
             "classify-mixed-negated-power"])
@@ -617,6 +624,7 @@ _REPORT_SHA256 = {
     "kato --samples 2000":
         "c6c4a70b18fe1591febaeb6ac1c7bf7ce9e1ae28abbd1eff91da7480b63f547c",
     "bubble": "9002105982bdc44538551cb2ce846dc966c775d7baadc73cc20cbf7d8ee5c145",
+    "moser": "82c4c17d38842d1d9b985a3d5121ed7038c14d1b7e73495bfcaf637d07377e6a",
     "gradient-bound":
         "b65b35e2afbf24cf943e22a81d0e242a28ddad821cd28b961fdaac7e71accc58",
     "harnack --profile constant":

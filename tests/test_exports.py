@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import emdenlab
-from emdenlab import estimates
+from emdenlab import estimates, identities
 from emdenlab.divergence import View
 from emdenlab.fields import FieldTerm, RadialProfile, ScalarField
 from emdenlab.identities import Campaign
@@ -96,7 +96,7 @@ _NO_SCIPY = """
 import contextlib, io, json, sys
 from pathlib import Path
 import emdenlab, emdenlab.cli
-from emdenlab import estimates
+from emdenlab import estimates, identities
 from emdenlab.identities import (Campaign, check_decomposition, check_log_gradient_pointwise,
                                  check_solution_identity)
 from emdenlab.shooting import solve_dense
@@ -128,10 +128,12 @@ log_pass = check_log_gradient_pointwise(sol, delta0=0.0, lam=2.0).passed
 radial_sampler = sampler()
 radial_polynomial = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
 camp = Campaign(model_name="euclidean", dim=2, samples=20, seed=3)
+kept, first_kept = [], identities._first_kept
+identities._first_kept = lambda *args: kept.append(first_kept(*args)) or kept[-1]
 rep = check_decomposition(camp)
-batch = camp.batch
+batch, [[*_, t]] = camp.batch, kept  # one field; the engine keeps no t
 drawn = {name: [str(a.dtype), a.tobytes().hex()] for name, a in
-         (("u", batch.u), ("g", batch.jets.g), ("h", batch.jets.h), ("t", batch.engine.jet.t))}
+         (("u", batch.u), ("g", batch.jets.g), ("h", batch.jets.h), ("t", t))}
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"pass": rep.passed, "codes": codes, "ratio_pass": ratio["pass"],
                   "solution_pass": solution_pass, "log_pass": log_pass,
@@ -142,7 +144,7 @@ print(json.dumps({"pass": rep.passed, "codes": codes, "ratio_pass": ratio["pass"
 """
 
 
-def test_no_scipy_module_loads(tmp_path):
+def test_no_scipy_module_loads(monkeypatch, tmp_path):
     # numpy is the only runtime dependency: an identity campaign, a
     # shoot, every integrating command and a quadrature load no scipy.
     # numpy.random loads at the first campaign draw and not before: the
@@ -171,10 +173,13 @@ def test_no_scipy_module_loads(tmp_path):
     assert child["limit"] == estimates.hn_p_harmonic_profile(3, 2.0, 1.0).limit_estimate
     assert child["radial_sampler"] == []
     assert "numpy.random" in child["drawn_sampler"]
-    batch = Campaign(model_name="euclidean", dim=2, samples=20, seed=3).batch
+    kept, first_kept = [], identities._first_kept
+    monkeypatch.setattr(identities, "_first_kept",
+                        lambda *args: kept.append(first_kept(*args)) or kept[-1])
+    batch, [[*_, t]] = Campaign(model_name="euclidean", dim=2, samples=20, seed=3).batch, kept
     assert child["drawn"] == {
         name: [str(a.dtype), a.tobytes().hex()] for name, a in
-        (("u", batch.u), ("g", batch.jets.g), ("h", batch.jets.h), ("t", batch.engine.jet.t))}
+        (("u", batch.u), ("g", batch.jets.g), ("h", batch.jets.h), ("t", t))}
 
 
 def test_no_module_level_sampler_import():

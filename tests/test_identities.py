@@ -11,7 +11,7 @@ import pytest
 from emdenlab import identities as I
 from emdenlab import jets as J
 from emdenlab.divergence import EuclideanEngine, PowerTable, RadialEngine, View
-from emdenlab.errors import PreconditionError
+from emdenlab.errors import DomainError, PreconditionError
 from emdenlab.exponents import ReactionTerm
 from emdenlab.fields import FieldTerm, RadialProfile, ScalarField
 from emdenlab.geometry import euclidean, hyperbolic
@@ -202,7 +202,8 @@ class TestCampaignBatch:
 def _old_rule_batch(camp):
     """Oracle: the draw before it evaluated only what it keeps.  Every
     field gets jets at all 2 per candidates and keeps the first per that
-    pass the filter, its scale taken over all 2 per."""
+    pass the filter, its scale taken over all 2 per.  Returns the batch
+    and the columns it was built from."""
     rng, model = I._rng(camp.seed), camp.model()
     n_fields = max(1, camp.samples // 250)
     per = -(-camp.samples // n_fields)
@@ -229,17 +230,30 @@ def _old_rule_batch(camp):
             parts.append((r[idx], u[idx], u1[idx], u2[idx], u3[idx]))
     cols = [np.concatenate(col) for col in zip(*parts)]
     if camp.is_radial:
-        return I._radial_batch(model, *cols, meta={})
+        return I._radial_batch(model, *cols, meta={}), cols
     jet = Jet3(*cols)
     return I.SampleBatch(u=jet.v, jets=J.JetBlock(jet.g, jet.h),
-                         engine=EuclideanEngine(jet), ric_rr=np.zeros(jet.v.shape))
+                         engine=EuclideanEngine(jet), ric_rr=np.zeros(jet.v.shape)), cols
 
 
-def _batch_arrays(batch):
-    """The batch's sample arrays and its engine's seed duals."""
+def _drawn(monkeypatch, camp):
+    """camp's batch and the draw columns it was built from, recorded by
+    wrapping the draw's _first_kept: on R^n the engine keeps no t."""
+    kept = []
+    first_kept = I._first_kept
+    with monkeypatch.context() as m:
+        m.setattr(I, "_first_kept", lambda *args: kept.append(first_kept(*args)) or kept[-1])
+        batch = camp.batch
+    return batch, [np.concatenate(col) for col in zip(*kept)]
+
+
+def _batch_arrays(batch, cols):
+    """The batch's sample arrays, the columns it was built from and its
+    engine's seed duals."""
     eng = batch.engine
-    arrays = [batch.u, batch.jets.g, batch.jets.h, batch.ric_rr, batch.meta.get("r", batch.u)]
-    for dual in (eng.u, eng.G, eng.H, eng.lap):
+    arrays = [batch.u, batch.jets.g, batch.jets.h, batch.ric_rr, batch.meta.get("r", batch.u),
+              *cols]
+    for dual in (eng.u, eng.G, eng.HG, eng.lap):
         arrays += [dual.v, dual.d]
     return arrays
 
@@ -303,18 +317,21 @@ class TestDrawEvaluatesWhatItKeeps:
         return counts
 
     @staticmethod
-    def _assert_old_rule(camp):
-        for ours, old in zip(_batch_arrays(camp.batch), _batch_arrays(_old_rule_batch(camp))):
-            assert ours.shape == old.shape and np.array_equal(ours, old)
+    def _assert_old_rule(camp, batch, cols):
+        ours, old = _batch_arrays(batch, cols), _batch_arrays(*_old_rule_batch(camp))
+        assert len(ours) == len(old)
+        for x, y in zip(ours, old):
+            assert x.shape == y.shape and np.array_equal(x, y)
 
     @pytest.mark.parametrize("model,jet", [("euclidean", "field"), ("sphere", "radial"),
                                            ("hyperbolic", "radial")])
     def test_a_campaign_evaluates_what_it_keeps(self, monkeypatch, model, jet):
         counts = self._count_points(monkeypatch)
         camp = I.Campaign(model_name=model, dim=3, samples=1000, seed=42)
-        assert camp.batch.u.shape == (1000,)
+        batch, cols = _drawn(monkeypatch, camp)
+        assert batch.u.shape == (1000,)
         assert counts[jet] == sum(counts.values()) == 1000  # not 2000
-        self._assert_old_rule(camp)
+        self._assert_old_rule(camp, batch, cols)
 
     @pytest.mark.parametrize("model,jet,factor,evaluated", [
         ("euclidean", "field", 0.2, 2000),  # every field falls short
@@ -325,9 +342,10 @@ class TestDrawEvaluatesWhatItKeeps:
         monkeypatch.setattr(J, "EPS_GRAD_FACTOR", factor)
         counts = self._count_points(monkeypatch)
         camp = I.Campaign(model_name=model, dim=3, samples=1000, seed=42)
-        assert camp.batch.u.shape == (1000,)
+        batch, cols = _drawn(monkeypatch, camp)
+        assert batch.u.shape == (1000,)
         assert counts[jet] == sum(counts.values()) == evaluated
-        self._assert_old_rule(camp)
+        self._assert_old_rule(camp, batch, cols)
 
 
 def _replace_block(monkeypatch, cls, name, build):
@@ -1055,6 +1073,54 @@ class TestPrecisionRule:
         assert worst["rhs"] == pytest.approx(-5.41285e-8, rel=1e-5)
         assert rep.tol == 1e-7 and rep.passed
         assert rep.max_rel_residual < 1e-8
+
+
+class TestNoThirdOrderTensor:
+    """A Euclidean campaign drops its (N, n, n, n) t once the engine has
+    read it: the duals of ln u come from the p-free duals by Grad algebra.
+    Each test costs about 0.1 s."""
+
+    def test_no_rank_four_array_is_reachable(self):
+        camp = I.Campaign(model_name="euclidean", dim=4, samples=250, seed=3)
+        for check in TestCampaignBatch.CHECKS:
+            assert check(camp).passed, check.__name__
+        camp.batch.engine.log_duals  # the solution path's duals of ln u
+        seen = set()
+        found = [*_arrays(camp.batch, seen), *_arrays(I._LEVELS, seen, "levels")]
+        assert len(found) > 150 and any(arr.ndim == 3 for _, arr in found)
+        assert [(path, arr.shape) for path, arr in found if arr.ndim >= 4] == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_log_duals_match_the_log_of_the_jet(self, monkeypatch, n):
+        camp = I.Campaign(model_name="euclidean", dim=n, samples=250, seed=n)
+        batch, cols = _drawn(monkeypatch, camp)
+        v = cols[0]
+        w = Jet3(*cols).compose(np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        G = Grad(w.g, w.h)
+        reference = (G, G @ G, Grad(w.h, w.t) @ G)
+        for name, ours, ref in zip(("G", "h", "HG"), batch.engine.log_duals, reference):
+            for part in ("v", "d"):
+                x, y = getattr(ours, part), getattr(ref, part)
+                # relative to each sample's largest entry: a small entry
+                # may come out of a cancellation
+                scale = np.abs(y).reshape(len(y), -1).max(axis=1)
+                scale = scale.reshape((-1,) + (1,) * (y.ndim - 1))
+                assert x.shape == y.shape and np.all(np.abs(x - y) <= 1e-12 * scale), (
+                    name, part)
+
+
+class TestCampaignDomain:
+    """A campaign, like the jet inequalities, is stated for n >= 2 and
+    p > 1, and refuses any other (n, p) when it is made."""
+
+    @pytest.mark.parametrize("dim,p_values", [
+        (3, (1.0,)), (3, (0.5,)), (3, (-1.0,)), (3, (2.0, 1.0)), (3, (np.nan,)), (1, (2.0,)),
+    ])
+    def test_outside_the_domain_is_refused(self, dim, p_values):
+        with pytest.raises(DomainError, match="need n >= 2 and p > 1"):
+            I.Campaign(dim=dim, p_values=p_values)
+        with pytest.raises(DomainError, match="need n >= 2 and p > 1"):
+            I.check_kato(n_values=(dim,), p_values=p_values, samples=10)
 
 
 class TestSpecificConfigurations:

@@ -572,6 +572,14 @@ class TestRadialSolutionDomain:
             with pytest.raises(PreconditionError, match="solved segment"):
                 read(outside)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_radii_read_empty_arrays(self, sol, shape):
+        # no radius reads no step: each output is empty and shaped like r
+        radii = [] if shape == (0,) else np.zeros(shape)
+        for read in (sol.state, sol.jets):
+            out = read(radii)
+            assert [(a.shape, a.dtype) for a in out] == [(shape, np.float64)] * len(out)
+
 
 class TestSphereScan:
     def test_constant_exact_start(self):
