@@ -148,12 +148,12 @@ class RadialEngine(_Engine):
         psi, psi1, psi2 = model.warping_jet(r)
         cot = Grad(psi1, psi2[:, None]) / Grad(psi, psi1[:, None])  # psi'/psi
         lap = Grad(u2, u3[:, None]) + (model.dim - 1) * cot * Grad(u1, u2[:, None])
-        self.H = Grad(u2[:, None, None], u3[:, None, None, None])  # for frame_jets
         super().__init__(
             model.dim, Grad(u, u1[:, None]), Grad(u1[:, None], u2[:, None, None]),
-            self.H, lap,
+            Grad(u2[:, None, None], u3[:, None, None, None]), lap,
         )
         self.cot = cot.v
+        self.u2 = u2  # u'', for frame_jets
 
     def div(self, V: Grad) -> np.ndarray:
         """div(v d/dr) = v' + (n-1)(psi'/psi) v."""
@@ -168,7 +168,7 @@ class RadialEngine(_Engine):
         g = np.zeros((u1.shape[0], self.n), u1.dtype)
         g[:, 0] = u1
         h = np.zeros((u1.shape[0], self.n, self.n), u1.dtype)
-        h[:, 0, 0] = self.H.v[:, 0, 0]
+        h[:, 0, 0] = self.u2
         tang = self.cot * u1
         for i in range(1, self.n):
             h[:, i, i] = tang

@@ -1,4 +1,5 @@
-"""Exception types shared across the lab."""
+"""Exception types shared across the lab, and the domain check that the
+exponents, the campaigns and the jet inequalities share."""
 
 
 class EmdenLabError(Exception):
@@ -7,6 +8,14 @@ class EmdenLabError(Exception):
 
 class DomainError(EmdenLabError):
     """A coordinate or parameter lies outside its admissible domain."""
+
+
+def require_domain(n_values, p_values):
+    """The paper's domain, n >= 2 and p > 1, for every n and p given (a
+    NaN p is outside): the exponents, the campaigns and the jet
+    inequalities share it."""
+    if any(n < 2 for n in n_values) or not all(p > 1 for p in p_values):
+        raise DomainError("need n >= 2 and p > 1")
 
 
 class PreconditionError(EmdenLabError):

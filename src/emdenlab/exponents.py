@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InputError, PreconditionError
+from .errors import InputError, PreconditionError, require_domain
 
 __all__ = [
     "critical_exponent",
@@ -49,8 +49,7 @@ __all__ = [
 
 def critical_exponent(n: int, p: float):
     """p_s = ((n+1)p - n)/(n-p)^+, +inf for p >= n."""
-    if n < 2 or p <= 1:
-        raise DomainError("need n >= 2 and p > 1")
+    require_domain((n,), (p,))
     if p >= n:
         return math.inf
     return ((n + 1) * p - n) / (n - p)
@@ -80,8 +79,7 @@ def threshold_table(n: int, p: float):
     main3_ii        2((n+1)p-n)(p-1)/((n+1)p-2n)^+   growth-condition branch
     main2_C         2(p-1)^2(3p-2)/((4-3p)^+(2-p))   two-dimensional branch
     """
-    if n < 2 or p <= 1:
-        raise DomainError("need n >= 2 and p > 1")
+    require_domain((n,), (p,))
     records = [
         ExponentRecord("ps", critical_exponent(n, p), "n >= 2, p > 1", True),
         ExponentRecord(
@@ -384,8 +382,7 @@ def classify_liouville(
     positive-f cases, then growth cases, then the gradient-estimate
     window) and all firing tags are reported.
     """
-    if n < 2 or p <= 1:
-        raise DomainError("need n >= 2 and p > 1")
+    require_domain((n,), (p,))
     if sign not in ("nonnegative", "positive", "nonpositive", "mixed"):
         raise InputError(f"unknown sign class {sign!r}")
     if pure_power and negated_power:

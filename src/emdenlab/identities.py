@@ -45,13 +45,17 @@ check forms only powers of u times p-level blocks, and no Jacobian or
 dual (the solution identity and the trace inequality still assemble the
 weighted Jacobian per b with ``FluxBlock.weighted``).
 Sampling is deterministic: a counter-based generator keyed by the
-campaign seed drives all draws, so the worst case is reproducible from
-(seed, sample index), the index being the position among the kept
-samples in draw order.  numpy's random package loads at the first draw
-(see _rng), not with this module: the checks on a radial solution, the
-integrator and every radial command never load it.  Near-critical jets
-(|grad u| below the cutoff) are filtered before they enter any report,
-and a campaign that keeps fewer samples than it asked for is an error.
+campaign seed, a non-negative integer, drives all draws, so the worst
+case is reproducible from (seed, sample index), the index being the
+position among the kept samples in draw order.  The campaigns draw from
+``philox.Philox``, which gives numpy's Generator(Philox(seed)) draws bit
+for bit and loads at the first draw (see _rng): no campaign loads
+numpy's random package, and the checks on a radial solution, the
+integrator and every radial command load neither.  Only the jet
+inequalities, which draw normals, load numpy.random (see _jet_blocks).
+Near-critical jets (|grad u| below the cutoff) are filtered before they
+enter any report, and a campaign that keeps fewer samples than it asked
+for is an error.
 Each field draws 2 per candidates and keeps the first per that pass;
 jets are evaluated for the first per only, and for the other per only
 when those do not all pass.  The filter's scale is the RMS of |grad u|
@@ -76,7 +80,7 @@ import numpy as np
 
 from . import jets as J
 from .divergence import EuclideanEngine, PowerTable, RadialEngine, View
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError, require_domain
 from .fields import SAMPLING_BOX, RadialProfile, random_field, random_radial_profile
 from .geometry import ManifoldModel, model_from_name
 from .reports import IdentityReport, InequalityReport
@@ -119,7 +123,8 @@ class Campaign:
     seed: int = 0
 
     def __post_init__(self):
-        _require_domain((self.dim,), self.p_values)
+        require_domain((self.dim,), self.p_values)
+        _require_seed(self.seed)
 
     @property
     def is_radial(self) -> bool:
@@ -155,19 +160,20 @@ class SampleBatch:
 
 
 def _rng(seed: int):
-    """The counter-based generator keyed by seed that every draw goes
-    through.  numpy's random package loads here, at the first draw, so
-    the solution checks, the integrator and every radial command never
-    load it."""
-    from numpy.random import Generator, Philox
+    """The counter-based generator keyed by seed that every campaign draw
+    goes through: ``philox.Philox``, numpy's Generator(Philox(seed)) for
+    the calls the draw makes, bit for bit.  It loads here, at the first
+    draw, so the solution checks, the integrator and every radial
+    command never load it, and no campaign loads numpy.random."""
+    from .philox import Philox
 
-    return Generator(Philox(seed))
+    return Philox(seed)
 
 
-def _require_domain(n_values, p_values):
-    """The domain of the campaigns and jet inequalities (a NaN p is outside)."""
-    if any(n < 2 for n in n_values) or not all(p > 1 for p in p_values):
-        raise DomainError("need n >= 2 and p > 1")
+def _require_seed(seed):
+    """A seed is a non-negative integer; a bool or a float is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _require_samples(samples: int):
@@ -767,11 +773,15 @@ def random_jets(rng, n: int, count: int):
 
 def _jet_blocks(n_values, p_values, samples: int, seed: int):
     """(n, p, u, block) for both jet inequalities: one random_jets draw of
-    ``samples`` jets per n, in order, from the generator keyed by seed,
-    and one FluxBlock per (n, p)."""
+    ``samples`` jets per n, in order, from numpy's Generator(Philox(seed)),
+    and one FluxBlock per (n, p).  random_jets draws normals (numpy's
+    ziggurat), so numpy.random loads here, for these two checks only."""
     _require_samples(samples)
-    _require_domain(n_values, p_values)
-    rng = _rng(seed)
+    require_domain(n_values, p_values)
+    _require_seed(seed)
+    from numpy.random import Generator, Philox
+
+    rng = Generator(Philox(seed))
     for n in n_values:
         u, g, h = random_jets(rng, n, samples)
         jets = J.JetBlock(g, h)

@@ -299,7 +299,8 @@ class TestEmptyInputs:
 
 class TestInvalidInputs:
     """An input outside a check's domain (a radius or horizon <= 0, a jet
-    grid value with n < 2 or p <= 1, a radial start u0 <= 0 or p <= 1)
+    grid value with n < 2 or p <= 1, a negative seed, a radial start
+    u0 <= 0 or p <= 1)
     fails the run with one error result and no warning, before any
     arithmetic on it; so does a series start that overflows or is too
     coarse, once the solve has judged it."""
@@ -329,6 +330,13 @@ class TestInvalidInputs:
           "--samples", "100", "--p", "-1"], "DomainError: need n >= 2 and p > 1"),
         (["identities", "--suite", "solution", "--p", "0.5"],
          "DomainError: need n >= 2 and p > 1"),
+        (["identities", "--suite", "all", "--dim", "2", "--models", "euclidean",
+          "--samples", "100", "--seed", "-1"],
+         "PreconditionError: seed must be a non-negative integer, got -1"),
+        (["trace-ineq", "--samples", "10", "--seed", "-1"],
+         "PreconditionError: seed must be a non-negative integer, got -1"),
+        (["kato", "--samples", "10", "--seed", "-1"],
+         "PreconditionError: seed must be a non-negative integer, got -1"),
         (["moser", "--u0", "-1"], "PreconditionError: u0 must be positive"),
         (["moser", "--p", "1"], "PreconditionError: p must exceed 1"),
         (["moser", "--p", "1.5", "--alpha", "3", "--u0", "1e100"],
@@ -348,6 +356,7 @@ class TestInvalidInputs:
             "gradient-bound-rtail-9", "gradient-bound-rtail-5",
             "harnack-radius", "trace-ineq-p", "trace-ineq-n", "kato-p", "kato-n",
             "identities-p-1", "identities-p-neg", "identities-solution-p",
+            "identities-seed", "trace-ineq-seed", "kato-seed",
             "moser-u0", "moser-p", "moser-overflow", "moser-coarse-start",
             "moser-tiny-u0", "bv-sphere-u0", "classify-mixed-pure-power",
             "classify-mixed-negated-power"])

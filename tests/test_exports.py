@@ -1,7 +1,8 @@
 """Export hygiene: the package imports, every advertised name exists and
 has a reader, no scipy module loads at run time, numpy.random loads only
-at the first campaign draw, and no code calls LAPACK or BLAS, loads
-numpy.polynomial or sorts with numpy."""
+in the jet inequalities (the campaigns draw from emdenlab.philox), and
+no code calls LAPACK or BLAS, loads numpy.polynomial or sorts with
+numpy."""
 
 import ast
 import functools
@@ -134,22 +135,34 @@ rep = check_decomposition(camp)
 batch, [[*_, t]] = camp.batch, kept  # one field; the engine keeps no t
 drawn = {name: [str(a.dtype), a.tobytes().hex()] for name, a in
          (("u", batch.u), ("g", batch.jets.g), ("h", batch.jets.h), ("t", t))}
+drawn_sampler = sampler()
+draws = {
+    "identities": ["--dim", "2", "--models", "euclidean,sphere", "--samples", "20"],
+    "trace-ineq": ["--n", "2", "--p", "2", "--b", "0", "--samples", "10"],
+}
+samplers = {}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for name, flags in draws.items():
+        codes[name] = emdenlab.cli.run([name, *flags, "--out", str(tmp / (name + ".json"))])
+        samplers[name] = sampler()
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"pass": rep.passed, "codes": codes, "ratio_pass": ratio["pass"],
                   "solution_pass": solution_pass, "log_pass": log_pass,
                   "scipy": scipy, "kind": out.kind, "r_cross": out.r_cross,
                   "tail": tail, "limit": limit, "radial_polynomial": radial_polynomial,
-                  "radial_sampler": radial_sampler, "drawn_sampler": sampler(),
-                  "drawn": drawn}))
+                  "radial_sampler": radial_sampler, "drawn_sampler": drawn_sampler,
+                  "samplers": samplers, "drawn": drawn}))
 """
 
 
 def test_no_scipy_module_loads(monkeypatch, tmp_path):
     # numpy is the only runtime dependency: an identity campaign, a
     # shoot, every integrating command and a quadrature load no scipy.
-    # numpy.random loads at the first campaign draw and not before: the
-    # radial commands and the checks on a radial solution never load it,
-    # and the draw after them is the campaign drawn here, bit for bit.
+    # numpy.random never loads for a campaign: the radial commands, the
+    # checks on a radial solution, the campaign draw after them and an
+    # identities run load none of it, and that draw is the campaign drawn
+    # here, bit for bit.  The jet inequalities draw normals, so the
+    # trace-ineq run after them loads it.
     # numpy.polynomial never loads: the quadrature rules are literals and
     # the tail fits are line_fit
     src = str(Path(emdenlab.__file__).resolve().parents[1])
@@ -162,8 +175,8 @@ def test_no_scipy_module_loads(monkeypatch, tmp_path):
     child = json.loads(proc.stdout)
     assert child["pass"] and child["ratio_pass"]
     assert child["solution_pass"] and child["log_pass"]
-    assert child["codes"] == {name: 0 for name in
-                              ("scan", "bubble", "bv-sphere", "volume", "harnack")}
+    assert child["codes"] == {name: 0 for name in ("scan", "bubble", "bv-sphere", "volume",
+                                                   "harnack", "identities", "trace-ineq")}
     assert child["scipy"] == []
     out = emdenlab.shoot(emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(3.0), 1.0)
     assert (child["kind"], child["r_cross"]) == (out.kind, out.r_cross)
@@ -172,7 +185,8 @@ def test_no_scipy_module_loads(monkeypatch, tmp_path):
         emdenlab.euclidean(3), 2.0, emdenlab.ReactionTerm.pure_power(6.0), 1.0).tail_exponent
     assert child["limit"] == estimates.hn_p_harmonic_profile(3, 2.0, 1.0).limit_estimate
     assert child["radial_sampler"] == []
-    assert "numpy.random" in child["drawn_sampler"]
+    assert child["drawn_sampler"] == [] and child["samplers"]["identities"] == []
+    assert "numpy.random" in child["samplers"]["trace-ineq"]
     kept, first_kept = [], identities._first_kept
     monkeypatch.setattr(identities, "_first_kept",
                         lambda *args: kept.append(first_kept(*args)) or kept[-1])
@@ -183,9 +197,9 @@ def test_no_scipy_module_loads(monkeypatch, tmp_path):
 
 
 def test_no_module_level_sampler_import():
-    # numpy.random loads inside identities._rng only: an import of it
-    # that runs with its module, outside every function, would load it
-    # in every radial run
+    # numpy.random loads inside identities._jet_blocks only: an import of
+    # it that runs with its module, outside every function, would load it
+    # in every radial run and every campaign
     src = Path(emdenlab.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):

@@ -1077,18 +1077,28 @@ class TestPrecisionRule:
 
 class TestNoThirdOrderTensor:
     """A Euclidean campaign drops its (N, n, n, n) t once the engine has
-    read it: the duals of ln u come from the p-free duals by Grad algebra.
-    Each test costs about 0.1 s."""
+    read it, and a radial one keeps no H, whose derivative is (N, 1, 1, 1):
+    the duals of ln u come from the p-free duals by Grad algebra.  Each
+    test costs about 0.1 s."""
 
-    def test_no_rank_four_array_is_reachable(self):
-        camp = I.Campaign(model_name="euclidean", dim=4, samples=250, seed=3)
+    @staticmethod
+    def _rank_four_arrays(model):
+        """(path, shape) of every array of four or more axes reachable from a
+        drawn n = 4 campaign and the levels after its five checks."""
+        camp = I.Campaign(model_name=model, dim=4, samples=250, seed=3)
         for check in TestCampaignBatch.CHECKS:
             assert check(camp).passed, check.__name__
         camp.batch.engine.log_duals  # the solution path's duals of ln u
         seen = set()
         found = [*_arrays(camp.batch, seen), *_arrays(I._LEVELS, seen, "levels")]
         assert len(found) > 150 and any(arr.ndim == 3 for _, arr in found)
-        assert [(path, arr.shape) for path, arr in found if arr.ndim >= 4] == []
+        return [(path, arr.shape) for path, arr in found if arr.ndim >= 4]
+
+    def test_no_rank_four_array_is_reachable(self):
+        assert self._rank_four_arrays("euclidean") == []
+
+    def test_no_rank_four_array_is_reachable_on_the_sphere(self):
+        assert self._rank_four_arrays("sphere") == []
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_log_duals_match_the_log_of_the_jet(self, monkeypatch, n):
@@ -1121,6 +1131,23 @@ class TestCampaignDomain:
             I.Campaign(dim=dim, p_values=p_values)
         with pytest.raises(DomainError, match="need n >= 2 and p > 1"):
             I.check_kato(n_values=(dim,), p_values=p_values, samples=10)
+
+
+class TestCampaignSeed:
+    """A seed is a non-negative integer: a campaign and the jet
+    inequalities refuse any other when they are made or first run, so a
+    float is not truncated into another seed's draws."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+    def test_non_integer_or_negative_seed_is_refused(self, seed):
+        with pytest.raises(PreconditionError, match="seed must be a non-negative integer"):
+            I.Campaign(seed=seed)
+        with pytest.raises(PreconditionError, match="seed must be a non-negative integer"):
+            I.check_kato(n_values=(2,), p_values=(2.0,), samples=10, seed=seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        ours = I.Campaign(dim=2, samples=20, seed=np.uint32(7)).batch.u
+        assert ours.tobytes() == I.Campaign(dim=2, samples=20, seed=7).batch.u.tobytes()
 
 
 class TestSpecificConfigurations:

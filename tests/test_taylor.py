@@ -380,10 +380,11 @@ class TestSymVhCount:
 
 
 def _draw_arrays(monkeypatch, camp):
-    """The arrays a campaign's draw yields: u, the frame jets, and on R^n
-    the drawn t, read from the kept draw columns since the engine keeps
-    no t, or, on the curved models, the engine's radial tower (u and its
-    first three r-derivatives) and psi'/psi."""
+    """The arrays a campaign's draw yields: u, the frame jets, on the
+    curved models the engine's radial tower (u and its first two
+    r-derivatives) and psi'/psi, and the drawn third-order column (t on
+    R^n, u''' otherwise), read from the kept draw columns since the
+    engine keeps neither."""
     kept = []
     first_kept = identities._first_kept
     with monkeypatch.context() as m:
@@ -393,9 +394,8 @@ def _draw_arrays(monkeypatch, camp):
     out = [batch.u, batch.jets.g, batch.jets.h]
     eng = batch.engine
     if camp.is_radial:
-        out += [eng.u.v, eng.u.d, eng.G.d, eng.H.d, eng.cot]
-    else:
-        out.append(np.concatenate([cols[3] for cols in kept]))
+        out += [eng.u.v, eng.u.d, eng.G.d, eng.cot]
+    out.append(np.concatenate([cols[-1] for cols in kept]))
     return [(a.shape, a.dtype.str, a.tobytes()) for a in out]
 
 
