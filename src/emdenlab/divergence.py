@@ -36,8 +36,7 @@ dual V depends on the geometry.
   div(v d/dr) = v' + (n-1)(psi'/psi) v see the warping.
 
 Both engines are served by one :class:`View`, which assembles the
-fields at one p from the engine's duals and keeps each p-level block it
-builds for as long as it lives.  <grad u, F> = |grad u|^p gives
+fields at one p from the engine's duals.  <grad u, F> = |grad u|^p gives
 
   grad_X X      = u^{2b} grad_F F + b u^{2b-1} |grad u|^p F
   (div X) X     = u^{2b} (lap_p u) F + b u^{2b-1} |grad u|^p F
@@ -54,20 +53,28 @@ only enter through k and the constants, so no dual is formed per b, and
 u^{k-2} comes from the view's :class:`PowerTable` of u, which evaluates
 each exponent once: the identity campaigns hand every view of a batch
 the batch's table, which their right sides read too, and a view built
-alone makes its own.  The dual powers h^c of h = |grad u|^2 are kept
-per view, so h^{(p-2)/2} and h^{-1} are each formed once at p.  Beside
-the fields, a view exposes ``p_laplacian_dual``, whose gradient both
-Bochner right sides pair with the flux once per p.  The identity
-campaigns take one view per (batch, p) and share it across every check
-of the batch; they hold only the views of the batch checked last.  Views
-are not kept on the engine: a campaign's engine lives as long as the
-campaign, and every block held for all p at once would stay in memory
-with it.
+alone makes its own.  Beside the fields, a view exposes
+``grad_p_laplacian``, grad lap_p u, which both Bochner right sides pair
+with the flux once per p.
+
+A view builds its four pairs and grad lap_p u together, on the first
+call that reads one, from a table of the dual powers h^c of
+h = |grad u|^2 of its own, so h^{(p-2)/2} and h^{-1} are each formed
+once at p.  It keeps those plain arrays only: the table, the flux dual
+F (whose derivative is an (N, n, n) array on R^n) and the dual of
+lap_p u are dropped once the pairs exist.  grad_power_flux forms the two
+powers of h it reads itself, and log_power_flux those of |grad w|^2.
+The identity campaigns take one view per (batch, p) and share it across
+every check of the batch; they hold only the views of the batch checked
+last.  Views are not kept on the engine: a campaign's engine lives as
+long as the campaign, and every block held for all p at once would stay
+in memory with it.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,76 +196,75 @@ def _power_flux(G: Grad, h_pow, HG: Grad, p: float, lam: float) -> Grad:
     return (1.0 / lam) * h_pow((p - 2.0) / 2.0) * (grad_f + coef * G)
 
 
+class _Blocks(NamedTuple):
+    """What a view reads at its p: the pair (div W, <grad u, W>) of each
+    of the four vector duals W, and grad lap_p u, an (N, m) array."""
+
+    flux: tuple
+    advection: tuple
+    plap: tuple
+    power: tuple
+    grad_plap: np.ndarray
+
+
 class View:
     """An engine at one p, with one method per field of the module's
-    table.  Its blocks depend on p only and are cached properties, kept
-    as long as the view; a method that takes b, a or c builds no dual.
+    table.  Its p-level blocks are built together on first use and kept
+    as plain arrays for as long as the view; a method that takes b, a or
+    c builds no dual.
 
     ``powers`` is the :class:`PowerTable` of u that the product rule
-    reads; a view given none makes its own.  The dual powers of
-    h = |grad u|^2 sit in a table of the view's own.
+    reads; a view given none makes its own.
     """
 
     def __init__(self, engine: _Engine, p: float, powers: PowerTable = None):
         self.engine = engine
         self.p = p
         self.powers = PowerTable(engine.u.v) if powers is None else powers
-        self._h_pow = PowerTable(engine.h)
-
-    # -- dual blocks --------------------------------------------------------
 
     @functools.cached_property
-    def _flux(self) -> Grad:
-        return self._h_pow((self.p - 2.0) / 2.0) * self.engine.G
-
-    @functools.cached_property
-    def _grad_pow(self) -> Grad:
-        """|grad u|^p."""
-        return self._h_pow(self.p / 2.0)
-
-    @functools.cached_property
-    def p_laplacian_dual(self) -> Grad:
-        E, p, h_pow = self.engine, self.p, self._h_pow
+    def _blocks(self) -> _Blocks:
+        """Every p-level block, built from one table of the dual powers
+        h^c of h = |grad u|^2, so that h^{(p-2)/2} and h^{-1} are each
+        formed once.  The table, the flux dual F and the dual of lap_p u
+        are dropped when the blocks exist.  grad_F F = h^{p-2} (HG
+        + (p-2) h^{-1} (G . HG) G), and the pair of phi F, phi a scalar
+        dual, follows from F's by div(phi F) = phi div F + <grad phi, F>."""
+        E, p = self.engine, self.p
+        h_pow = PowerTable(E.h)
+        flux = h_pow((p - 2.0) / 2.0) * E.G
         if p == 2.0:
-            return E.lap
-        return h_pow((p - 2.0) / 2.0) * E.lap + (p - 2.0) * h_pow(
-            (p - 4.0) / 2.0
-        ) * E.GHG
+            plap = E.lap
+        else:
+            plap = h_pow((p - 2.0) / 2.0) * E.lap + (p - 2.0) * h_pow(
+                (p - 4.0) / 2.0
+            ) * E.GHG
+        adv = h_pow(p - 2.0) * (E.HG + (p - 2.0) * E.GHG * h_pow(-1.0) * E.G)
+        div_f, along_f = flux_pair = self._pair(flux)
+
+        def flux_times(phi: Grad):
+            grad_phi_f = np.einsum("nm,nm->n", phi.d, flux.v)
+            return phi.v * div_f + grad_phi_f, phi.v * along_f
+
+        return _Blocks(
+            flux_pair, self._pair(adv), flux_times(plap),
+            flux_times(h_pow(p / 2.0)), plap.d,
+        )
+
+    @property
+    def grad_p_laplacian(self) -> np.ndarray:
+        """grad lap_p u along the engine's derivative directions, which
+        both Bochner right sides pair with the flux."""
+        return self._blocks.grad_plap
 
     # -- the four vector duals W, each kept as (div W, <grad u, W>) ---------
 
     def _pair(self, W: Grad):
         return self.engine.div(W), np.einsum("nm,nm->n", self.engine.G.v, W.v)
 
-    def _flux_times(self, phi: Grad):
-        """The pair of phi F for a scalar dual phi, by
-        div(phi F) = phi div F + <grad phi, F>."""
-        div_f, along_f = self._flux_pair
-        grad_phi_f = np.einsum("nm,nm->n", phi.d, self._flux.v)
-        return phi.v * div_f + grad_phi_f, phi.v * along_f
-
-    @functools.cached_property
-    def _flux_pair(self):
-        return self._pair(self._flux)
-
-    @functools.cached_property
-    def _advection_pair(self):
-        """grad_F F = h^{p-2} (HG + (p-2) h^{-1} (G . HG) G)."""
-        E, p, h_pow = self.engine, self.p, self._h_pow
-        adv = h_pow(p - 2.0) * (E.HG + (p - 2.0) * E.GHG * h_pow(-1.0) * E.G)
-        return self._pair(adv)
-
-    @functools.cached_property
-    def _plap_pair(self):
-        return self._flux_times(self.p_laplacian_dual)
-
-    @functools.cached_property
-    def _power_pair(self):
-        return self._flux_times(self._grad_pow)
-
     def _advection_less(self, s: float):
         """The pair of grad_F F - s (lap_p u) F."""
-        (div_a, along_a), (div_l, along_l) = self._advection_pair, self._plap_pair
+        (div_a, along_a), (div_l, along_l) = self._blocks.advection, self._blocks.plap
         return div_a - s * div_l, along_a - s * along_l
 
     def _product_rule(self, k, W0, c1, W1) -> np.ndarray:
@@ -274,19 +280,18 @@ class View:
     # -- the enumeration: div of each field, one method per field ---------
 
     def flux(self) -> np.ndarray:
-        return self._flux_pair[0]
+        return self._blocks.flux[0]
 
     def self_advection(self, b) -> np.ndarray:
-        return self._product_rule(
-            2.0 * b, self._advection_pair, b, self._power_pair
-        )
+        blocks = self._blocks
+        return self._product_rule(2.0 * b, blocks.advection, b, blocks.power)
 
     def weighted_balance(self, a, b) -> np.ndarray:
         """``a`` may be an (A, 1) array; the result then has one row per a."""
         p = self.p
         return self._product_rule(
             a + 2.0 * b, self._advection_less(1.0),
-            -((p - 1.0) / p) * a, self._power_pair,
+            -((p - 1.0) / p) * a, self._blocks.power,
         )
 
     def traceless_combo(self, a, b, c) -> np.ndarray:
@@ -294,12 +299,12 @@ class View:
         n = self.engine.n
         return self._product_rule(
             a + 2.0 * b, self._advection_less(1.0 / n),
-            b * (1.0 - 1.0 / n) - c, self._power_pair,
+            b * (1.0 - 1.0 / n) - c, self._blocks.power,
         )
 
     def grad_power_flux(self) -> np.ndarray:
         E = self.engine
-        return E.div(_power_flux(E.G, self._h_pow, E.HG, self.p, self.p))
+        return E.div(_power_flux(E.G, PowerTable(E.h), E.HG, self.p, self.p))
 
     def log_power_flux(self, lam) -> np.ndarray:
         E = self.engine

@@ -10,8 +10,8 @@ and the report carries the worst relative residual
 over the campaign.  The routes are independent except for one
 third-order term, which the jet algebra has no closed form for yet: both
 Bochner right sides read <grad lap_p u, F> (F the flux) from the
-engine, as the gradient of the view's ``p_laplacian_dual`` paired with
-F once per (batch, p).  check_bochner_vector builds <grad div X, X> from
+engine, as the view's ``grad_p_laplacian`` paired with F once per
+(batch, p).  check_bochner_vector builds <grad div X, X> from
 it by the product rule.  Tolerances follow the derivative depth: 1e-8
 when only second-order data enters, 1e-7 when the third-order engine is
 involved, 1e-6 on shooting-constrained identities (those inherit the
@@ -30,11 +30,15 @@ shared by the campaign checks run back to back on it: a level (see
 _level) holds the engine view the left sides go through, the
 ``jets.FluxBlock`` over the batch's JetBlock the right sides go through,
 which builds each part on first use, <grad lap_p u, F>, Ric(F, F) and
-|grad u|^{2p}.  The levels of a batch share one ``divergence.PowerTable``
-of u, which evaluates each power u^e once per batch for both routes, and
-each level keeps one record per b of X = u^b F: u^b, u^{b-1}, the
-closed-form div X, tr(jac^2), whose trace assertion runs once per
-(p, b), and Ric(X, X).
+|grad u|^{2p}.  A level keeps the reductions its checks read, not the
+duals and Jacobians they were built from: the view keeps the pairs
+(div W, <grad u, W>) of its four vector duals and grad lap_p u, and the
+block the traces of the flux Jacobian and J F, so a campaign's level
+holds no dual and no array of more than two axes.  The levels of a batch
+share one ``divergence.PowerTable`` of u, which evaluates each power u^e
+once per batch for both routes, and each level keeps one record per b of
+X = u^b F: u^b, u^{b-1}, the closed-form div X, tr(jac^2), whose trace
+assertion runs once per (p, b), and Ric(X, X).
 Only the table and levels of the batch checked last are held; a check
 that reads another batch drops them.  They are not kept on the batch,
 which lives as long as the campaign: every campaign's levels would then
@@ -159,15 +163,29 @@ class SampleBatch:
     meta: dict = field(default_factory=dict)
 
 
-def _rng(seed: int):
+def _rng(seed: int, words: int = None):
     """The counter-based generator keyed by seed that every campaign draw
     goes through: ``philox.Philox``, numpy's Generator(Philox(seed)) for
-    the calls the draw makes, bit for bit.  It loads here, at the first
-    draw, so the solution checks, the integrator and every radial
-    command never load it, and no campaign loads numpy.random."""
+    the calls the draw makes, bit for bit, its first refill sized to the
+    words the draw expects to take.  It loads here, at the first draw, so
+    the solution checks, the integrator and every radial command never
+    load it, and no campaign loads numpy.random."""
     from .philox import Philox
 
-    return Philox(seed)
+    return Philox(seed, words)
+
+
+def _draw_words(camp: Campaign, n_fields: int, per: int) -> int:
+    """The words of the stream that camp's draw takes at most, unless a
+    bounded integer draw is rejected, counting each draw as one word: per
+    field, 2 per candidates (dim coordinates each on R^n, one radius on a
+    curved model) and the field's parameters.  A Euclidean field draws its
+    shift and five terms, each of at most dim + 4 draws (kind, center,
+    amplitude and two shape parameters; a polynomial term takes at most
+    6); a radial profile draws at most 8."""
+    if camp.is_radial:
+        return n_fields * (2 * per + 8)
+    return n_fields * (2 * per * camp.dim + 1 + 5 * (camp.dim + 4))
 
 
 def _require_seed(seed):
@@ -193,10 +211,10 @@ def _draw(camp: Campaign) -> SampleBatch:
     are concatenated.
     """
     _require_samples(camp.samples)
-    rng = _rng(camp.seed)
     model = camp.model()
     n_fields = max(1, camp.samples // 250)
     per = -(-camp.samples // n_fields)  # ceil
+    rng = _rng(camp.seed, _draw_words(camp, n_fields, per))
     parts = []
     for _ in range(n_fields):
         if not camp.is_radial:
@@ -518,7 +536,7 @@ def _level(batch: SampleBatch, p) -> _Level:
 def _grad_plap_flux(view, block: J.FluxBlock, batch: SampleBatch):
     """<grad lap_p u, F>: the third-order term both Bochner right sides
     read from the engine, as the gradient of the view's p-Laplacian dual."""
-    return np.einsum("nm,nm->n", view.p_laplacian_dual.d,
+    return np.einsum("nm,nm->n", view.grad_p_laplacian,
                      _as_components(block.flux, batch))
 
 
@@ -555,7 +573,7 @@ def check_flux_advection(camp: Campaign, tol: float = 1e-8) -> IdentityReport:
     batch = camp.batch
     for p in camp.p_values:
         block = _level(batch, p).block
-        lhs_vec = np.einsum("nij,nj->ni", block.jacobian, block.flux)
+        lhs_vec = block.jacobian_flux
         rhs_vec = (1.0 / p) * block.norm_p2[:, None] * block.aniso(block.grad_power)
         acc.update_vectors(lhs_vec, rhs_vec, batch, {"p": p})
     return acc.report(seed=camp.seed)
@@ -864,7 +882,7 @@ def check_kato(
     """
     acc = _Margins()
     for n, p, _, block in _jet_blocks(n_values, p_values, samples, seed):
-        lhs = block.jacobian_sq_trace
+        lhs = J.trace_product(block.jacobian)
         rhs = kato_rhs(block)
         scale = np.abs(lhs) + np.abs(rhs) + _TINY
         acc.update((lhs - rhs) / scale, {"n": n, "p": p, "seed": seed})

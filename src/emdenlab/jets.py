@@ -21,8 +21,9 @@ contractions of a batch, |grad u|^2, |grad u|, hess u . grad u,
 lap_inf u, lap u and grad u (x) (hess u . grad u) / |grad u|^2, each
 built once per batch.  A :class:`FluxBlock` over it holds the p-level
 ones, lap_p u, grad |grad u|^p and A among them, each built on first
-use; the identity campaigns build one per (batch, p) and share it across
-their checks.  Its b-dependent readings take the powers of u they use
+use, and of the flux Jacobian only the reductions the checks read; the
+identity campaigns build one per (batch, p) and share it across their
+checks.  Its b-dependent readings take the powers of u they use
 from the caller, which evaluates each power once per batch.  Near the
 critical set several of these are singular for p < 2; identity
 sampling excludes |grad u| < EPS_GRAD_FACTOR times the sample scale,
@@ -114,9 +115,14 @@ class JetBlock:
 
 class FluxBlock:
     """The jets route at one p: every quantity the right sides read that
-    does not depend on u or b, each built on first use and then kept.
-    It reads the p-free contractions of its :class:`JetBlock` and never
-    contracts (g, h) itself.
+    does not depend on u or b.  It reads the p-free contractions of its
+    :class:`JetBlock` and never contracts (g, h) itself.
+
+    The vector and scalar blocks are built on first use and then kept.
+    The (N, n, n) flux Jacobian J is not: ``jacobian`` builds it afresh,
+    and the block builds it once for the reductions it keeps, tr J,
+    tr J^2, <g, J F> and J F.  Only ``weighted``, which assembles the
+    Jacobian of X = u^b F for every b it is called with, holds J.
 
     ``weighted_traces`` and ``weighted_grad_div_pairing`` read one b
     as powers of u over p-level blocks, with no (N, n, n) array per b;
@@ -138,16 +144,13 @@ class FluxBlock:
         """F = |g|^{p-2} g."""
         return self.norm_p2[..., None] * self.jets.g
 
-    @cached_property
+    @property
     def jacobian(self):
-        """The flux Jacobian |g|^{p-2} (id + (p-2) ghat (x) ghat) hess u;
-        entry [i, j] is the j-derivative of flux component i."""
+        """The flux Jacobian |g|^{p-2} (id + (p-2) ghat (x) ghat) hess u,
+        built afresh on each read; entry [i, j] is the j-derivative of
+        flux component i."""
         jets = self.jets
         return self.norm_p2[..., None, None] * (jets.h + (self.p - 2.0) * jets.outer)
-
-    @cached_property
-    def _flux_outer(self):
-        return np.einsum("...i,...j->...ij", self.flux, self.jets.g)
 
     @cached_property
     def flux_sq(self):
@@ -155,21 +158,34 @@ class FluxBlock:
         return grad_norm_sq(self.flux)
 
     @cached_property
+    def _traces(self):
+        """tr O = <F, g>, tr J, tr J^2, tr(OJ) = <g, J F> and J F, with
+        O = F (x) g and J the flux Jacobian, which is built once here and
+        not kept."""
+        jac, g, flux = self.jacobian, self.jets.g, self.flux
+        return (
+            np.einsum("...i,...i->...", flux, g),
+            np.einsum("...ii->...", jac),
+            trace_product(jac),
+            np.einsum("...i,...ij,...j->...", g, jac, flux),
+            np.einsum("...ij,...j->...i", jac, flux),
+        )
+
+    @property
     def jacobian_sq_trace(self):
         """tr J^2, J the flux Jacobian."""
-        return trace_product(self.jacobian)
+        return self._traces[2]
+
+    @property
+    def jacobian_flux(self):
+        """J F = grad_F F, J the flux Jacobian and F the flux."""
+        return self._traces[4]
 
     @cached_property
-    def _traces(self):
-        """tr O = <F, g>, tr J, tr J^2 and tr(OJ) = <g, J F>, with
-        O = F (x) g and J the flux Jacobian."""
-        jac, g = self.jacobian, self.jets.g
-        return (
-            np.einsum("...i,...i->...", self.flux, g),
-            np.einsum("...ii->...", jac),
-            self.jacobian_sq_trace,
-            np.einsum("...i,...ij,...j->...", g, jac, self.flux),
-        )
+    def _held(self):
+        """F (x) g and the flux Jacobian, which ``weighted`` reads for
+        every b it is called with."""
+        return np.einsum("...i,...j->...ij", self.flux, self.jets.g), self.jacobian
 
     @cached_property
     def plap(self):
@@ -248,10 +264,8 @@ class FluxBlock:
         """
         ub, ub1 = u**b, u ** (b - 1.0)
         X = ub[..., None] * self.flux
-        jac = (
-            (b * ub1)[..., None, None] * self._flux_outer
-            + ub[..., None, None] * self.jacobian
-        )
+        flux_outer, jacobian = self._held
+        jac = (b * ub1)[..., None, None] * flux_outer + ub[..., None, None] * jacobian
         if check:
             self._check_trace(np.einsum("...ii->...", jac), b, ub, ub1)
         return X, jac
@@ -269,7 +283,7 @@ class FluxBlock:
         asserts it.
         """
         alpha = b * ub1
-        tr_o, tr_j, tr_j2, tr_oj = self._traces
+        tr_o, tr_j, tr_j2, tr_oj, _ = self._traces
         tr = alpha * tr_o + ub * tr_j
         closed = self._check_trace(tr, b, ub, ub1)
         tr_sq = alpha * (alpha * tr_o**2 + 2.0 * ub * tr_oj) + ub**2 * tr_j2

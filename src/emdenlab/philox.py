@@ -15,7 +15,9 @@ over at most 2**32 values, interleaved in any order:
   and a block's four words are handed out in order.  ``_blocks`` runs
   the rounds vectorized over counters, with each 64x64 -> 128-bit
   product formed from 32-bit halves in uint64, and the stream refills
-  its buffer ``_CHUNK`` blocks at a time.  The counter's upper words
+  its buffer ``_CHUNK`` blocks at a time.  A caller that knows how many
+  words it will draw first may say so: the first refill then makes just
+  the blocks for them, at most ``_CHUNK``.  The counter's upper words
   stay zero: the stream is exact for its first 2**64 blocks.
 * **Doubles.** A word w gives (w >> 11) * 2**-53, and
   ``uniform`` returns low + (high - low) * that.
@@ -140,18 +142,24 @@ def _blocks(key: tuple, first: int, count: int) -> np.ndarray:
 class Philox:
     """numpy's ``Generator(Philox(seed))`` for ``uniform`` and scalar
     ``integers`` over at most 2**32 values: the same draws, bit for bit,
-    and the same types."""
+    and the same types.
 
-    def __init__(self, seed: int):
+    ``words``, if given, is how many words the caller expects to draw
+    first; it sizes the first refill only and changes no draw."""
+
+    def __init__(self, seed: int, words: int = None):
         self._key = _key(seed)
         self._counter = 0  # the counter of the last block generated
         self._words = np.empty(0, np.uint64)
         self._pos = 0
         self._half = None  # a word's high half, kept for the next 32-bit draw
+        # blocks of the next refill
+        self._count = _CHUNK if words is None else min(_CHUNK, max(1, -(-words // 4)))
 
     def _refill(self):
-        self._words = _blocks(self._key, self._counter + 1, _CHUNK)
-        self._counter += _CHUNK
+        count, self._count = self._count, _CHUNK
+        self._words = _blocks(self._key, self._counter + 1, count)
+        self._counter += count
         self._pos = 0
 
     def _next64(self) -> int:

@@ -329,10 +329,11 @@ class TestBackendCrossAgreement:
         np.testing.assert_allclose(general, radial, rtol=1e-10, atol=1e-12)
 
     def test_every_spec_listed(self):
-        # FIELDS names every public view method but the p-Laplacian dual,
-        # and each method takes exactly the parameters listed for it
+        # FIELDS names every public view method but the gradient of the
+        # p-Laplacian, and each method takes exactly the parameters listed
+        # for it
         methods = {name for name in vars(View) if not name.startswith("_")}
-        assert set(FIELDS) == methods - {"p_laplacian_dual"}
+        assert set(FIELDS) == methods - {"grad_p_laplacian"}
         for name, params in FIELDS.items():
             signature = inspect.signature(getattr(View, name))
             assert tuple(signature.parameters)[1:] == params, name
@@ -379,9 +380,13 @@ class TestViewReuse:
             kept = view.weighted_balance(a=a_col, b=b)
             fresh = View(eng, p).weighted_balance(a=a_col, b=b)
             assert np.array_equal(kept, fresh)
-        _assert_same_dual(view._grad_pow, View(eng, p)._grad_pow)
-        _assert_same_dual(view.p_laplacian_dual, View(eng, p).p_laplacian_dual)
+        kept, fresh = _flat(view._blocks), _flat(View(eng, p)._blocks)
+        assert len(kept) == len(fresh) == 9
+        for x, y in zip(kept, fresh):
+            assert type(x) is np.ndarray and np.array_equal(x, y)
+        assert view.grad_p_laplacian is view._blocks.grad_plap
 
 
-def _assert_same_dual(kept, fresh):
-    assert np.array_equal(kept.v, fresh.v) and np.array_equal(kept.d, fresh.d)
+def _flat(blocks):
+    """The arrays of a view's blocks, its pairs unpacked."""
+    return [x for item in blocks for x in (item if isinstance(item, tuple) else (item,))]

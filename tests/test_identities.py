@@ -168,10 +168,8 @@ class TestCampaignBatch:
         builds = _count_view_builds(monkeypatch, cls)
         camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
         assert I.check_weighted_identity(camp).passed
-        pairs = ("_advection_pair", "_flux_pair", "_plap_pair", "_power_pair")
-        assert sorted(build for build in builds if build[1] in pairs) == [
-            (p, name) for p in sorted(camp.p_values) for name in pairs
-        ]
+        # the four pairs and grad lap_p u are one build, once per p
+        assert sorted(builds) == [(p, "_blocks") for p in sorted(camp.p_values)]
 
     def test_stacked_weights_match_the_spec(self):
         camp = I.Campaign(model_name="sphere", dim=3, samples=250, seed=8)
@@ -668,9 +666,8 @@ class TestLogGradientPointwise:
             I.check_log_gradient_pointwise(sol, 0.0)
 
 
-#: the view's p-level blocks, each a cached property
-_VIEW_BLOCKS = ("_flux", "_grad_pow", "p_laplacian_dual", "_flux_pair",
-                "_advection_pair", "_plap_pair", "_power_pair")
+#: the view's p-level blocks, built together by one cached property
+_VIEW_BLOCKS = ("_blocks",)
 
 
 def _count_block_builds(monkeypatch, cls, names, entry=lambda block, name: name):
@@ -706,9 +703,22 @@ _JET_BLOCKS = ("gn2", "gn", "hg", "ghg", "lap", "outer")
 
 def _weighted_divergence_dual(view, b):
     """div X = b u^{b-1} |grad u|^p + u^b lap_p u as a dual of the view's
-    engine: the oracle of the affine <grad div X, X>."""
-    E = view.engine
-    return b * E.u ** (b - 1.0) * view._grad_pow + E.u**b * view.p_laplacian_dual
+    engine, with lap_p u = h^{(p-2)/2} lap u + (p-2) h^{(p-4)/2} <G, HG>
+    and h = |grad u|^2: the oracle of the affine <grad div X, X>."""
+    E, p = view.engine, view.p
+    plap = E.lap if p == 2.0 else (
+        E.h ** ((p - 2.0) / 2.0) * E.lap + (p - 2.0) * E.h ** ((p - 4.0) / 2.0) * E.GHG)
+    return b * E.u ** (b - 1.0) * E.h ** (p / 2.0) + E.u**b * plap
+
+
+def _count_jacobian_builds(monkeypatch):
+    """Log the block each time a FluxBlock builds its flux Jacobian from
+    now on."""
+    log = []
+    build = J.FluxBlock.jacobian.fget
+    monkeypatch.setattr(J.FluxBlock, "jacobian",
+                        property(lambda block: log.append(block) or build(block)))
+    return log
 
 
 def _count_calls(monkeypatch, module, name):
@@ -741,7 +751,7 @@ class TestBuildCounts:
         p_values = list(camp.p_values)
         assert [p for _, _, p in views] == p_values
         assert [p for _, p in blocks] == p_values
-        assert [p for p, name in duals if name == "p_laplacian_dual"] == p_values
+        assert duals == [(p, "_blocks") for p in p_values]
         assert [view.p for view, _, _ in pairings] == p_values
 
     def test_levels_held_for_the_last_batch_only(self):
@@ -825,10 +835,12 @@ class TestBuildCounts:
                              ids=lambda c: c.__name__)
     def test_jets_flux_jacobian_once_per_p(self, monkeypatch, model, check):
         camp = I.Campaign(model_name=model, dim=3, samples=250, seed=6)
-        builds = _count_block_builds(monkeypatch, J.FluxBlock, ("jacobian", "plap"))
+        builds = _count_block_builds(monkeypatch, J.FluxBlock, ("plap",))
+        jacobians = _count_jacobian_builds(monkeypatch)
         weighted = _count_calls(monkeypatch, J.FluxBlock, "weighted")
         assert check(camp).passed
-        assert builds.count("jacobian") == builds.count("plap") == len(camp.p_values)
+        assert sorted(block.p for block in jacobians) == sorted(camp.p_values)
+        assert builds.count("plap") == len(camp.p_values)
         assert not weighted  # no (N, n, n) weighted Jacobian per b
 
     @pytest.mark.parametrize("check", [I.check_bochner_vector, I.check_weighted_identity],
@@ -902,7 +914,7 @@ class TestBuildCounts:
         sol = solve_dense(euclidean(3), 2.0, ReactionTerm.pure_power(2.0), 1.0,
                           horizon=30.0)
         builds = _count_view_builds(monkeypatch, RadialEngine)
-        jacobians = _count_block_builds(monkeypatch, J.FluxBlock, ("jacobian",))
+        jacobians = _count_jacobian_builds(monkeypatch)
         weighted = _count_calls(monkeypatch, J.FluxBlock, "weighted")
         blocks = _count_calls(monkeypatch, J, "FluxBlock")
         b_values = (0.0, 1.0, -1.0)
@@ -963,9 +975,9 @@ class TestAffineInB:
     def test_trace_check_sees_a_scaled_flux_jacobian(self, monkeypatch, check):
         camp = I.Campaign(model_name="euclidean", dim=3, samples=250, seed=6)
         camp.batch
-        jacobian = J.FluxBlock.__dict__["jacobian"].func
-        _replace_block(monkeypatch, J.FluxBlock, "jacobian",
-                       lambda block: jacobian(block) * (1.0 + 1e-9))
+        jacobian = J.FluxBlock.jacobian.fget
+        monkeypatch.setattr(J.FluxBlock, "jacobian",
+                            property(lambda block: jacobian(block) * (1.0 + 1e-9)))
         with pytest.raises(AssertionError, match="flux Jacobian trace"):
             check(camp)
 
@@ -1000,26 +1012,27 @@ class TestKnownFailures:
         assert rep.tol == 1e-7 and not rep.passed
 
 
-def _arrays(obj, seen, path="batch"):
-    """Every array reachable from obj through the lab's objects (their
-    slots and instance dicts, where cached blocks live), tuples, lists and
-    dicts, with the path that reaches it."""
+def _arrays(obj, seen, path="batch", kinds=(np.ndarray,)):
+    """Every array, or every object of kinds, reachable from obj through
+    the lab's objects (their slots and instance dicts, where cached blocks
+    live), tuples, lists and dicts, with the path that reaches it.  An
+    object whose id is in seen is not walked."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, kinds):
         yield path, obj
-    elif isinstance(obj, dict):
+    if isinstance(obj, dict):
         for key, val in obj.items():
-            yield from _arrays(val, seen, f"{path}[{key!r}]")
+            yield from _arrays(val, seen, f"{path}[{key!r}]", kinds)
     elif isinstance(obj, (tuple, list)):
         for i, val in enumerate(obj):
-            yield from _arrays(val, seen, f"{path}[{i}]")
+            yield from _arrays(val, seen, f"{path}[{i}]", kinds)
     elif type(obj).__module__.startswith("emdenlab."):
         for name in getattr(type(obj), "__slots__", ()):
-            yield from _arrays(getattr(obj, name), seen, f"{path}.{name}")
+            yield from _arrays(getattr(obj, name), seen, f"{path}.{name}", kinds)
         for name, val in getattr(obj, "__dict__", {}).items():
-            yield from _arrays(val, seen, f"{path}.{name}")
+            yield from _arrays(val, seen, f"{path}.{name}", kinds)
 
 
 def _longdouble_draw(monkeypatch):
@@ -1117,6 +1130,28 @@ class TestNoThirdOrderTensor:
                 scale = scale.reshape((-1,) + (1,) * (y.ndim - 1))
                 assert x.shape == y.shape and np.all(np.abs(x - y) <= 1e-12 * scale), (
                     name, part)
+
+
+class TestLevelKeepsNoDual:
+    """After the five checks a campaign's levels keep the reductions the
+    checks read: no dual (such as the flux dual or a dual power of
+    |grad u|^2) and no array of three or more axes (such as the flux
+    Jacobian).  Only what the levels hold of their own is walked, not the
+    batch, its engine or its JetBlock.  Each test costs about 0.02 s."""
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere"])
+    def test_levels_hold_plain_reductions(self, model):
+        camp = I.Campaign(model_name=model, dim=4, samples=250, seed=3)
+        for check in TestCampaignBatch.CHECKS:
+            assert check(camp).passed, check.__name__
+        batch = camp.batch
+        assert I._LEVELS[0] is batch
+        seen = {id(batch), id(batch.engine), id(batch.jets)}
+        found = list(_arrays(I._LEVELS, seen, "levels", kinds=(np.ndarray, Grad)))
+        assert len(found) > 50 and any(
+            isinstance(x, np.ndarray) and x.ndim == 2 for _, x in found)
+        assert [(path, type(x).__name__) for path, x in found
+                if isinstance(x, Grad) or x.ndim >= 3] == []
 
 
 class TestCampaignDomain:

@@ -133,6 +133,11 @@ class TestJetBlock:
         v = np.random.Generator(np.random.Philox(23)).normal(size=g.shape)
         assert np.array_equal(block.flux, _ref_flux(g, p))
         assert np.array_equal(block.jacobian, _ref_flux_jacobian(g, h, p))
+        # the reductions the block keeps of J, which it does not keep
+        jac = _ref_flux_jacobian(g, h, p)
+        assert np.array_equal(block.jacobian_sq_trace, J.trace_product(jac))
+        assert np.array_equal(block.jacobian_flux,
+                              np.einsum("nij,nj->ni", jac, _ref_flux(g, p)))
         assert np.array_equal(block.plap, _ref_p_laplacian(g, h, p))
         assert np.array_equal(block.aniso(v), _ref_anisotropy_apply(g, p, v))
         assert np.array_equal(

@@ -76,6 +76,21 @@ def test_long_and_empty_draws_are_numpys():
     _same(ours.uniform(), ref.uniform())
 
 
+@pytest.mark.parametrize("words", [0, 1, 7, 149, 4 * _CHUNK, 10**6])
+def test_sized_first_refill_is_numpys(words):
+    # the first refill makes ceil(words / 4) blocks, at least one and at
+    # most _CHUNK, and later ones _CHUNK; the draws cross both boundaries
+    ours, ref = Philox(42, words), np.random.Generator(np.random.Philox(42))
+    first = min(_CHUNK, max(1, -(-words // 4)))
+    _same(ours.integers(5), ref.integers(5))
+    assert ours._counter == first
+    for size in (3, 4 * first, 2 * _CHUNK):
+        _same(ours.uniform(-1.0, 2.0, size=size), ref.uniform(-1.0, 2.0, size=size))
+        _same(ours.integers(2**31 + 1), ref.integers(2**31 + 1))
+        _same(ours.uniform(), ref.uniform())
+    assert ours._counter == first + _CHUNK
+
+
 def test_wide_or_empty_integer_ranges_are_refused():
     with pytest.raises(NotImplementedError):
         Philox(0).integers(2**32 + 1)
@@ -102,7 +117,7 @@ def _draws(monkeypatch, camp, rng):
 def test_criterion_1_campaigns_draw_numpys_batches(monkeypatch):
     # the nine criterion-1 campaigns at seed 42, drawn from the in-house
     # stream and from numpy's generator (about 0.3 s)
-    numpys = lambda seed: np.random.Generator(np.random.Philox(seed))
+    numpys = lambda seed, words: np.random.Generator(np.random.Philox(seed))
     for dim in (2, 3, 4):
         for model in ("euclidean", "sphere", "hyperbolic"):
             camp = identities.Campaign(model_name=model, dim=dim, p_values=(1.5, 2.0, 3.0),

@@ -779,3 +779,31 @@ class TestKnownFailures:
         rep = S.bubble_match(n, p, 1.0, horizon=20.0)
         assert rep["max_rel_residual"] == residual
         assert rep["tol"] == 1e-6 and not rep["pass"]
+
+
+class TestSphereScanStartError:
+    """ROADMAP items 1 and 23: the sphere scan at (n, q) = (3, 3) and
+    1.5 lam* (lam = 2.25) reads ``pass`` False.  Its bisection between
+    u0 = 4.05 (stayed positive) and 4.2 (crossed) converges on a
+    near-regular solution whose flux vanishes at the antipode, and the
+    series-start rule divides by |m| at the run's last point.  Pinned as
+    a known defect, not mended: measured against the run's largest |m|
+    the start error would be about 2e-15.  About 0.15 s."""
+
+    def test_bisection_root_reads_inconclusive(self):
+        scan = S.bv_sphere_scan(3, 3.0, 2.25, np.linspace(0.3, 4.5, 29))
+        below, above = scan["cells"][-4:-2]
+        assert (below["u0"], below["outcome"]) == (4.05, "stayed_positive")
+        assert below["residual"] == pytest.approx(6.58e-3, rel=1e-3)
+        assert (above["u0"], above["outcome"]) == (4.2, "crossed_zero")
+        root = 4.125759972352535
+        assert scan["bisection_roots"] == [{"u0": root, "grade": None, "steps": 29}]
+        assert scan["pass"] is False
+        model, term = sphere(3, 1.0), ReactionTerm.linear_minus_power(3.0, 2.25)
+        cell = S._bv_single(model, 3.0, 2.25, root)
+        assert (cell["outcome"], cell["reason"]) == (
+            "inconclusive", "series start error 3.26e-08 exceeds 1e-08")
+        sol = S._integrate(model, 2.0, term, root, model.r_max - S._ANTIPODAL_GAP,
+                           atol=S._BV_ATOL)
+        m = np.abs(sol.m)
+        assert m[-1] < 1e-10 and m.max() > 1.0
